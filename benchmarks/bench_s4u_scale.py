@@ -117,9 +117,8 @@ def run_sharded_zones(num_hosts: int = 1000, rounds: int = 2,
     else:
         num_sites = 4
     hosts_per_site = max(2, num_hosts // num_sites)
-    # Dijkstra (on-demand, early-exit) intra-site routing: Floyd would seal
-    # a per-source predecessor tree for every worker host that routes —
-    # O(hosts_per_site) memory per *source* is tens of GB at the 10⁵ rung.
+    # Every worker host is a leaf of its site gateway, so a site seals one
+    # shortest-path tree per direction, whatever the strategy name.
     platform = make_zoned_grid(num_sites=num_sites,
                                hosts_per_site=hosts_per_site,
                                host_speed=1e9, lan_bandwidth=125e6,

@@ -217,9 +217,11 @@ def make_hierarchical_topology(num_sites: int = 8, hosts_per_site: int = 16,
     routers — same placement, edge probability, bandwidth and latency
     draws as :func:`make_waxman_topology` — and each AS is a
     :class:`~repro.platform.routing.NetZone` holding ``hosts_per_site``
-    hosts in a LAN star behind its gateway.  Deterministic given ``seed``,
-    and O(hosts + wan_edges) to build: no per-pair table is ever stored,
-    so 10⁵-host instances are practical.
+    hosts in a LAN star behind its gateway (``site_routing``: ``"Floyd"``
+    and ``"Dijkstra"`` name the same shortest-path strategy; the access
+    hosts are leaves, so a site shares one sealed tree per direction).
+    Deterministic given ``seed``, and O(hosts + wan_edges) to build: no
+    per-pair table is ever stored, so 10⁵-host instances are practical.
     """
     if num_sites < 2:
         raise ValueError("need at least two sites")

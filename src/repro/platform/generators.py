@@ -200,10 +200,11 @@ def make_zoned_grid(num_sites: int = 4, hosts_per_site: int = 8,
     storing a per-pair table, so construction and memory stay O(hosts)
     even at 10⁵ hosts.
 
-    ``site_routing`` picks the intra-site strategy (``"Floyd"`` by
-    default, exercising the precomputed table; ``"Dijkstra"`` and
-    ``"Full"`` work too — ``"Full"`` declares the O(hosts_per_site²)
-    explicit pair routes, so keep the default for large sites).
+    ``site_routing`` picks the intra-site strategy: ``"Floyd"`` (the
+    default) and ``"Dijkstra"`` name the same shortest-path strategy —
+    every host is a leaf of its gateway, so a whole site shares one sealed
+    tree per direction — while ``"Full"`` declares the
+    O(hosts_per_site²) explicit pair routes (small sites only).
     """
     if num_sites < 1:
         raise ValueError("a zoned grid needs at least one site")

@@ -6,12 +6,12 @@ pluggable intra-zone strategy:
 
 * **Full** — a route (ordered list of links) is declared for each pair of
   vertices, like SimGrid platform files do;
-* **Dijkstra** — links are edges of a graph; routes are computed on demand
-  by Dijkstra on the link latencies (explicit routes win).  This is what
-  the BRITE-generated random topologies of the validation experiment use,
-  and the default of the root zone — a flat platform built through the
-  zone-less API behaves exactly as it always did;
-* **Floyd** — the all-pairs table is precomputed at first query.
+* **Dijkstra** — links are edges of a graph; routes are shortest paths on
+  the link latencies (explicit routes win), read off predecessor trees
+  sealed on first use.  This is what the BRITE-generated random
+  topologies of the validation experiment use, and the default of the
+  root zone — a flat platform built through the zone-less API behaves
+  exactly as it always did.  ``Floyd`` names the same strategy.
 
 End-to-end routes are concatenations of intra-zone segments up and down
 the zone tree, resolved on demand behind an LRU-bounded cache, so a fully
@@ -157,8 +157,8 @@ class Platform:
                  gateway: Optional[str] = None) -> NetZone:
         """Create a routing zone (child of ``parent``, default the root).
 
-        ``routing`` picks the intra-zone strategy (``"Full"``,
-        ``"Dijkstra"`` or ``"Floyd"``); ``gateway`` optionally names the
+        ``routing`` picks the intra-zone strategy (``"Full"`` or
+        ``"Dijkstra"``, alias ``"Floyd"``); ``gateway`` optionally names the
         node (or child zone) through which routes enter and leave.
         """
         self._check_not_realized()
@@ -340,6 +340,19 @@ class Platform:
         return {"routes": self._route_cache.stats(),
                 "resource_routes": self._resource_route_cache.stats()}
 
+    def routing_stats(self) -> Dict[str, int]:
+        """Shortest-path work counters, summed over every zone.
+
+        ``relaxations`` (edges examined while sealing), ``trees_sealed``
+        and ``tree_lookups`` — wall-clock-free evidence of what route
+        resolution costs (a leaf source must not pay for its hub's edges).
+        """
+        totals = {"relaxations": 0, "trees_sealed": 0, "tree_lookups": 0}
+        for zone in (self.root_zone, *self.zones.values()):
+            for key in totals:
+                totals[key] += getattr(zone.strategy, key)
+        return totals
+
     # -- realization -----------------------------------------------------------------
     def realize(self, engine: Optional[SurfEngine] = None,
                 lazy: Optional[bool] = None, eager: bool = False,
@@ -443,17 +456,19 @@ class Platform:
         return link
 
     def kernel_stats(self) -> Dict[str, object]:
-        """Engine solver/shard stats merged with the route cache stats.
+        """Engine solver/shard stats merged with the routing stats.
 
         One aggregated observability dict (satellite of the sharded
         kernel): ``solver`` sums every model's LMM counters across shards,
-        ``route_caches`` is :meth:`route_cache_stats`, plus parallel
-        executor and shard/window sections when present.
+        ``route_caches`` is :meth:`route_cache_stats`, ``routing`` is
+        :meth:`routing_stats`, plus parallel executor and shard/window
+        sections when present.
         """
         if self.engine is None:
             raise PlatformError("platform not realized yet")
         stats = dict(self.engine.kernel_stats())
         stats["route_caches"] = self.route_cache_stats()
+        stats["routing"] = self.routing_stats()
         return stats
 
     @property

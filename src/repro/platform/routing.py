@@ -9,14 +9,12 @@ pluggable strategy:
 
 * ``"Full"``     — every vertex pair needs an explicit route (an ordered
   list of link names), O(1) lookup, O(V²) declaration;
-* ``"Dijkstra"`` — routes are computed on demand by Dijkstra over the
-  zone's graph edges (explicit routes still win), O(E log V) per query,
-  nothing precomputed;
-* ``"Floyd"``    — the all-pairs next-hop table is precomputed lazily at
-  first query (and invalidated if the zone is modified), O(1) amortized
-  lookup.  The table is built by running the *same* deterministic
-  Dijkstra from every source vertex, so ``"Floyd"`` and ``"Dijkstra"``
-  produce bit-identical routes by construction.
+* ``"Dijkstra"`` — latency-weighted shortest paths (explicit routes still
+  win for their exact pair), read off predecessor trees sealed on first
+  use: O(E log V) per tree, O(path) per route, and every host hanging off
+  a hub by one link shares the hub's tree (see :class:`DijkstraRouting`);
+* ``"Floyd"``    — an alias of ``"Dijkstra"`` (it always ran the same
+  search; the name is kept for platform files that carry it).
 
 An end-to-end route between two hosts is the concatenation of intra-zone
 segments up and down the zone tree: the route climbs from the source to
@@ -36,6 +34,7 @@ from __future__ import annotations
 
 import heapq
 from collections import OrderedDict
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import NoRouteError, PlatformError
@@ -100,61 +99,13 @@ class LRUCache:
 # intra-zone routing strategies
 # ----------------------------------------------------------------------------------
 
-def _dijkstra_prev(zone: "NetZone", src: str,
-                   dst: Optional[str] = None) -> Dict[str, Tuple[str, str]]:
-    """Deterministic Dijkstra over a zone's vertex graph.
-
-    Returns the predecessor map ``vertex -> (parent_vertex, link_name)``.
-    Weight is link latency plus a tiny epsilon so hop count breaks ties;
-    vertices are settled in heap order with an insertion counter, and
-    improvements must beat the incumbent by more than 1e-15 — the exact
-    algorithm the flat platform has used since the seed, so moving it here
-    changes no route.  When ``dst`` is given the search stops as soon as
-    it is settled (the predecessor chain of a settled vertex is final).
-    """
-    links = zone.platform.links
-    dist: Dict[str, float] = {src: 0.0}
-    prev: Dict[str, Tuple[str, str]] = {}
-    heap: List[Tuple[float, int, str]] = [(0.0, 0, src)]
-    counter = 1
-    visited = set()
-    while heap:
-        d, _, vertex = heapq.heappop(heap)
-        if vertex in visited:
-            continue
-        visited.add(vertex)
-        if dst is not None and vertex == dst:
-            break
-        for neighbour, link_name in zone.adjacency.get(vertex, []):
-            weight = links[link_name].latency + 1e-9
-            nd = d + weight
-            if neighbour not in dist or nd < dist[neighbour] - 1e-15:
-                dist[neighbour] = nd
-                prev[neighbour] = (vertex, link_name)
-                heapq.heappush(heap, (nd, counter, neighbour))
-                counter += 1
-    return prev
-
-
-def _reconstruct(prev: Dict[str, Tuple[str, str]], src: str,
-                 dst: str) -> Optional[List[str]]:
-    """Link names along the predecessor chain, or None when unreachable."""
-    if dst not in prev:
-        return None
-    path: List[str] = []
-    vertex = dst
-    while vertex != src:
-        parent, link_name = prev[vertex]
-        path.append(link_name)
-        vertex = parent
-    path.reverse()
-    return path
-
-
 class _Strategy:
     """Base intra-zone strategy: resolve a route between two zone vertices."""
 
-    name = "abstract"
+    #: Work counters (``Platform.routing_stats()`` sums them over zones).
+    relaxations = 0
+    trees_sealed = 0
+    tree_lookups = 0
 
     def __init__(self, zone: "NetZone") -> None:
         self.zone = zone
@@ -176,8 +127,6 @@ class _Strategy:
 class FullRouting(_Strategy):
     """Every vertex pair must have an explicit route (SimGrid ``Full``)."""
 
-    name = "Full"
-
     def route(self, src: str, dst: str) -> List[str]:
         links = self._explicit(src, dst)
         if links is None:
@@ -185,26 +134,53 @@ class FullRouting(_Strategy):
         return links
 
 
+#: Predecessor entries one zone may hold across all its sealed trees; the
+#: tree-count bound of a zone is this budget over its vertex count.
+_TREE_ENTRY_BUDGET = 1 << 18
+
+
 class DijkstraRouting(_Strategy):
-    """Shortest path on demand; explicit routes take precedence.
+    """Latency-weighted shortest paths; explicit routes take precedence.
 
-    This is the legacy flat-platform behaviour, so it is the default
-    strategy of the root zone.
+    The one shortest-path strategy — registered as ``"Dijkstra"`` and as
+    ``"Floyd"`` — and the default of the root zone (the legacy flat
+    behaviour).  A route is read off a *sealed tree*: the full predecessor
+    map of one deterministic Dijkstra run — weight = link latency plus a
+    tiny epsilon so hop count breaks ties, vertices settled in heap order
+    with an insertion counter, improvements must beat the incumbent by
+    more than 1e-15 (the algorithm the flat platform has used since the
+    seed).  After the O(E log V) seal every lookup is O(path).
 
-    Resolved ``(src, dst)`` pairs are memoized (and dropped when the zone
-    is modified, same invalidation as Floyd's sealed trees): a zone vertex
-    that many routes funnel through — a gateway in a star site — would
-    otherwise re-run its Dijkstra, relaxing every adjacent edge, once per
-    *end-to-end pair* instead of once per segment.  The memo holds paths,
-    not trees, so memory stays O(distinct queried pairs), each O(path).
+    *Leaf contraction.*  A source with exactly one adjacency entry
+    ``(hub, link)`` does not own a tree: its route is ``[link]`` plus the
+    path from ``hub`` in the tree sealed at ``hub`` with initial distance
+    ``w = latency(link) + 1e-9``.  That is the exact double a search from
+    the leaf holds when it pops ``hub``, and from that pop on both
+    searches add the same doubles, make the same comparisons and push in
+    the same relative order (the leaf has no other edge and can never be
+    improved) — the routes are identical by construction, not by
+    tolerance.  Keying trees on ``(hub, w)`` makes every leaf of a star
+    site share one tree per distinct access latency.
+
+    Trees and the work counters are derived state: an LRU bounds the tree
+    count per zone, a zone mutation drops the trees, and neither is
+    pickled — a restored strategy re-seals lazily and counts from zero.
+    What is pickled is the memo of resolved ``(src, dst)`` paths, O(path)
+    per queried pair and dropped on mutation like the trees.
     """
 
-    name = "Dijkstra"
+    _trees: Optional[LRUCache] = None
 
     def __init__(self, zone: "NetZone") -> None:
         super().__init__(zone)
         self._path_cache: Dict[Tuple[str, str], List[str]] = {}
         self._cached_version = -1
+
+    def __getstate__(self):
+        # Exactly what snapshots have carried since PR 8 (the benchmark
+        # pins their size); trees and counters are rebuilt on demand.
+        return {"zone": self.zone, "_path_cache": self._path_cache,
+                "_cached_version": self._cached_version}
 
     def route(self, src: str, dst: str) -> List[str]:
         links = self._explicit(src, dst)
@@ -212,60 +188,80 @@ class DijkstraRouting(_Strategy):
             return links
         if self._cached_version != self.zone.version:
             self._path_cache.clear()
+            self._trees = None
             self._cached_version = self.zone.version
         path = self._path_cache.get((src, dst))
         if path is None:
-            if src not in self.zone.adjacency:
-                raise self._no_route(src, dst)
-            path = _reconstruct(_dijkstra_prev(self.zone, src, dst),
-                                src, dst)
-            if path is None:
-                raise self._no_route(src, dst)
-            self._path_cache[(src, dst)] = path
+            path = self._path_cache[(src, dst)] = self._resolve(src, dst)
         return list(path)
 
-
-class FloydRouting(_Strategy):
-    """Precomputed all-pairs routing (SimGrid ``Floyd``).
-
-    The predecessor map of each *source* is sealed at its first query (and
-    dropped when the zone is modified) by running the shared deterministic
-    Dijkstra — same weights, same tie-breaking — so the resolved routes
-    are identical to :class:`DijkstraRouting` on the same zone, with
-    O(path) lookups after the per-source O(E log V) seal.  Sealing source
-    by source instead of all at once keeps a 10⁵-host platform O(touched):
-    only the sources that actually route pay for their tree.
-    """
-
-    name = "Floyd"
-
-    def __init__(self, zone: "NetZone") -> None:
-        super().__init__(zone)
-        self._prev_by_src: Dict[str, Dict[str, Tuple[str, str]]] = {}
-        self._sealed_version = -1
-
-    def route(self, src: str, dst: str) -> List[str]:
-        links = self._explicit(src, dst)
-        if links is not None:
-            return links
-        if self._sealed_version != self.zone.version:
-            self._prev_by_src.clear()
-            self._sealed_version = self.zone.version
-        prev = self._prev_by_src.get(src)
-        if prev is None:
-            if src not in self.zone.adjacency:
-                raise self._no_route(src, dst)
-            prev = self._prev_by_src[src] = _dijkstra_prev(self.zone, src)
-        path = _reconstruct(prev, src, dst)
-        if path is None:
+    def _resolve(self, src: str, dst: str) -> List[str]:
+        zone = self.zone
+        adjacent = zone.adjacency.get(src)
+        if not adjacent:
             raise self._no_route(src, dst)
+        if len(adjacent) == 1:
+            root, access = adjacent[0]
+            if dst == root:
+                return [access]
+            # 0.0 + weight: what the leaf's own search holds at the hub.
+            start = zone.platform.links[access].latency + 1e-9
+        else:
+            root, access, start = src, None, 0.0
+        if self._trees is None:
+            self._trees = LRUCache(
+                max(4, _TREE_ENTRY_BUDGET // len(zone.adjacency)))
+        self.tree_lookups += 1
+        prev = self._trees.get((root, start))
+        if prev is None:
+            prev = self._seal(root, start)
+            self._trees.put((root, start), prev)
+        if dst not in prev:
+            raise self._no_route(src, dst)
+        path: List[str] = []
+        vertex = dst
+        while vertex != root:
+            vertex, link_name = prev[vertex]
+            path.append(link_name)
+        if access is not None:
+            path.append(access)
+        path.reverse()
         return path
+
+    def _seal(self, root: str, start: float) -> Dict[str, Tuple[str, str]]:
+        """Predecessor map ``vertex -> (parent, link name)`` of the whole
+        component of ``root``, searched from distance ``start``."""
+        adjacency = self.zone.adjacency
+        links = self.zone.platform.links
+        dist: Dict[str, float] = {root: start}
+        prev: Dict[str, Tuple[str, str]] = {}
+        heap: List[Tuple[float, int, str]] = [(start, 0, root)]
+        counter = 1
+        visited = set()
+        relaxations = 0
+        while heap:
+            d, _, vertex = heapq.heappop(heap)
+            if vertex in visited:
+                continue
+            visited.add(vertex)
+            edges = adjacency.get(vertex, ())
+            relaxations += len(edges)
+            for neighbour, link_name in edges:
+                nd = d + (links[link_name].latency + 1e-9)
+                if neighbour not in dist or nd < dist[neighbour] - 1e-15:
+                    dist[neighbour] = nd
+                    prev[neighbour] = (vertex, link_name)
+                    heapq.heappush(heap, (nd, counter, neighbour))
+                    counter += 1
+        self.relaxations += relaxations
+        self.trees_sealed += 1
+        return prev
 
 
 ROUTING_STRATEGIES = {
     "Full": FullRouting,
     "Dijkstra": DijkstraRouting,
-    "Floyd": FloydRouting,
+    "Floyd": DijkstraRouting,
 }
 
 
@@ -397,15 +393,20 @@ class NetZone:
         raise PlatformError(f"zone {self.name!r} has no gateway "
                             "(it contains no host or router)")
 
+    @cached_property
+    def _ancestry(self) -> Tuple["NetZone", ...]:
+        # A zone is never re-parented, so the chain is computed once.
+        above = self.parent._ancestry if self.parent is not None else ()
+        return above + (self,)
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_ancestry", None)        # derived; rebuilt on demand
+        return state
+
     def ancestry(self) -> List["NetZone"]:
         """Zones from the root down to (and including) this zone."""
-        chain: List[NetZone] = []
-        zone: Optional[NetZone] = self
-        while zone is not None:
-            chain.append(zone)
-            zone = zone.parent
-        chain.reverse()
-        return chain
+        return list(self._ancestry)
 
     def iter_subtree(self) -> Iterable["NetZone"]:
         """This zone and every descendant, depth-first."""
@@ -447,8 +448,8 @@ def resolve_route(platform, src: str, dst: str) -> List[str]:
     if zone_src is zone_dst:
         return zone_src.local_route(src, dst)
 
-    chain_src = zone_src.ancestry()
-    chain_dst = zone_dst.ancestry()
+    chain_src = zone_src._ancestry
+    chain_dst = zone_dst._ancestry
     depth = 0
     while (depth < len(chain_src) and depth < len(chain_dst)
            and chain_src[depth] is chain_dst[depth]):

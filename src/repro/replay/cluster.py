@@ -192,11 +192,17 @@ def _collector(actor, replay):
 
     In at-least-once mode this is where duplicates die: the first ack of
     a sequence number retires its outstanding entry, later ones only
-    bump the ``duplicates`` counter.
+    bump the ``duplicates`` counter.  An ack whose node is killed while
+    it is in flight fails the matched receive; it is counted
+    (``acks_failed``) and the resubmitter re-sends the job.
     """
     box = actor.engine.mailbox("acks")
     while True:
-        msg = yield box.get()
+        try:
+            msg = yield box.get()
+        except TransferFailureError:
+            replay.metrics["acks_failed"] += 1
+            continue
         if replay.at_least_once:
             done_at, seq, job = msg
             if seq in replay.acked:
@@ -350,7 +356,8 @@ class ClusterReplay:
         self.detector = None
         self.metrics = {"failed_execs": 0, "speed_changes": 0,
                         "host_downs": 0, "host_ups": 0,
-                        "duplicates": 0, "resubmitted": 0}
+                        "duplicates": 0, "resubmitted": 0,
+                        "acks_failed": 0}
 
         engine.on_resource_speed_change(self._count_speed_change)
         engine.on_host_state_change(self._count_state_change)

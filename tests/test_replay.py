@@ -170,6 +170,26 @@ class TestAtLeastOnce:
         assert metrics["completed"] == 16
         assert metrics["worker_restarts"] >= 1   # supervisor respawns
 
+    def test_collector_survives_node_killed_with_ack_in_flight(self):
+        # On this churn schedule, with the default 0.1 ms / 10 kB ack
+        # links, a node dies while its ack is on the wire: the matched
+        # receive fails on the frontend.  The collector used to die of the
+        # unhandled TransferFailureError; it must count the ack and keep
+        # collecting, and at-least-once must still lose nothing.
+        workload = synthetic_workload(seed=708452615, num_hosts=8,
+                                      num_jobs=48, mean_interarrival=0.1,
+                                      mean_flops=5e8)
+        workload.horizon = 29.6
+        metrics = ClusterReplay(workload, churn_seed=1795269057,
+                                churn_mtbf=0.5, churn_downtime=0.5,
+                                churn_max_failures=12,
+                                semantics="at_least_once",
+                                supervised=True).run()
+        assert metrics["acks_failed"] == 1
+        assert metrics["injected_failures"] == 12
+        assert metrics["lost"] == 0 and metrics["completed"] == 48
+        assert metrics["final_time"] == pytest.approx(29.6)
+
     def test_at_most_once_pipeline_is_untouched_by_supervision(self):
         # The supervised flag only swaps the restart machinery: a calm
         # at-most-once run completes identically either way.

@@ -1,20 +1,25 @@
-"""Tests for hierarchical routing zones (PR 6).
+"""Tests for hierarchical routing zones (PR 6, PR 12).
 
-Three families of guarantees:
+Four families of guarantees:
 
 * **zone-vs-flat identity** — wrapping any flat topology inside a routing
   zone changes nothing: every pair of nodes resolves to the exact same
   ordered list of links.  Checked for every generator in
   :mod:`repro.platform.generators` and for the BRITE importers.
-* **strategy equivalence** — ``Dijkstra`` and ``Floyd`` are two schedules
-  of the same deterministic shortest-path computation, so they must
-  return identical routes and produce bit-identical simulated dates.
+* **strategy equivalence** — ``Dijkstra`` and ``Floyd`` name one
+  deterministic shortest-path strategy, so they must return identical
+  routes and produce bit-identical simulated dates.
   Cross-checked on derandomized hypothesis-generated random graphs.
+* **sealed trees ≡ from-scratch search** — routes read off shared sealed
+  trees (leaf contraction included) equal, link for link, the per-query
+  early-stopping Dijkstra kept here as the oracle; the work counters pin
+  that a leaf source no longer pays for its hub's edges.
 * **bounded caches and lazy realization** — route resolution stays
   O(touched) in memory: LRU-bounded caches with observable counters, and
   ``realize(lazy=True)`` materializing only what a simulation touches.
 """
 
+import heapq
 import itertools
 
 import pytest
@@ -35,6 +40,7 @@ from repro.platform import (
     make_zoned_grid,
 )
 from repro.platform.loader import platform_from_dict, platform_to_dict
+from repro.platform import routing
 from repro.platform.routing import LRUCache, resolve_route
 from repro.s4u import Engine
 
@@ -218,6 +224,243 @@ class TestDijkstraFloydFuzz:
             return engine.run()
 
         assert run("Dijkstra") == run("Floyd")
+
+
+# -- the from-scratch search the sealed trees must reproduce, link for link ------------
+
+def _dijkstra_prev(zone, src, dst=None):
+    """Deterministic Dijkstra over a zone's vertex graph (the test oracle).
+
+    Verbatim the search ``src/`` ran per query until PR 12: predecessor map
+    ``vertex -> (parent_vertex, link_name)``, weight = link latency plus a
+    tiny epsilon, vertices settled in heap order with an insertion counter,
+    improvements must beat the incumbent by more than 1e-15, and the search
+    stops as soon as ``dst`` is settled.
+    """
+    links = zone.platform.links
+    dist = {src: 0.0}
+    prev = {}
+    heap = [(0.0, 0, src)]
+    counter = 1
+    visited = set()
+    while heap:
+        d, _, vertex = heapq.heappop(heap)
+        if vertex in visited:
+            continue
+        visited.add(vertex)
+        if dst is not None and vertex == dst:
+            break
+        for neighbour, link_name in zone.adjacency.get(vertex, []):
+            weight = links[link_name].latency + 1e-9
+            nd = d + weight
+            if neighbour not in dist or nd < dist[neighbour] - 1e-15:
+                dist[neighbour] = nd
+                prev[neighbour] = (vertex, link_name)
+                heapq.heappush(heap, (nd, counter, neighbour))
+                counter += 1
+    return prev
+
+
+def oracle_route(zone, src, dst):
+    """What ``zone.local_route(src, dst)`` must return (or raise)."""
+    spec = zone.routes.get((src, dst))
+    if spec is not None:
+        return list(spec.links)
+    prev = _dijkstra_prev(zone, src, dst) if src in zone.adjacency else {}
+    if dst not in prev:
+        raise NoRouteError(f"oracle: no route from {src!r} to {dst!r}")
+    path = []
+    vertex = dst
+    while vertex != src:
+        vertex, link_name = prev[vertex]
+        path.append(link_name)
+    path.reverse()
+    return path
+
+
+# Few distinct latencies, so ties are the rule; 0.1/0.2/0.3 make sums that
+# depend on the order of the additions (0.1 + 0.2 != 0.3 in doubles).
+_LATENCIES = (1e-4, 2e-4, 3e-4, 0.1, 0.2, 0.3)
+_latency = st.sampled_from(_LATENCIES)
+_core_edge = st.tuples(st.integers(0, 4), st.integers(0, 4),
+                       _latency).filter(lambda e: e[0] != e[1])
+_leaf = st.tuples(st.integers(0, 4), _latency)      # (hub, access latency)
+_override = st.tuples(st.integers(0, 11), st.integers(0, 11),
+                      st.lists(st.integers(0, 30), max_size=3))
+_zone_graph = st.tuples(st.lists(_core_edge, max_size=10),
+                        st.lists(_leaf, max_size=6),
+                        st.integers(0, 2),              # isolated vertices
+                        st.lists(_override, max_size=2))
+
+
+def _zone_of(names, edges, routing="Dijkstra"):
+    """One zone holding hosts ``names`` joined by ``(a, b, latency)`` edges
+    over links ``l0, l1, ...`` in edge order."""
+    platform = Platform("fuzz")
+    zone = platform.add_zone("z", routing=routing)
+    for name in names:
+        zone.add_host(name, 1e9)
+    for index, (a, b, latency) in enumerate(edges):
+        platform.add_link(f"l{index}", 1e7, latency)
+        zone.connect(a, b, f"l{index}")
+    return zone
+
+
+def _leafy_zone(graph, routing="Dijkstra"):
+    """A zone of core vertices ``c0..c4`` joined by (possibly parallel)
+    edges, pendant leaves ``p<i>`` each on one access link, isolated
+    vertices ``x<i>`` and a few explicit-route overrides."""
+    core_edges, leaves, isolated, overrides = graph
+    names = ([f"c{i}" for i in range(5)]
+             + [f"p{i}" for i in range(len(leaves))]
+             + [f"x{i}" for i in range(isolated)])
+    edges = [(f"c{a}", f"c{b}", latency) for a, b, latency in core_edges]
+    edges += [(f"p{index}", f"c{hub}", latency)
+              for index, (hub, latency) in enumerate(leaves)]
+    zone = _zone_of(names, edges, routing)
+    for a, b, hops in overrides:
+        src, dst = names[a % len(names)], names[b % len(names)]
+        if src != dst and edges:
+            zone.add_route(src, dst, [f"l{h % len(edges)}" for h in hops],
+                           symmetric=False)
+    return zone, names
+
+
+@st.composite
+def _ladder(draw):
+    """Two chains of the *same* latencies in different orders between a hub
+    and a join vertex, pendant leaves at both ends.  The chains tie in real
+    arithmetic; which one wins is decided by how the doubles round, and
+    that depends on the distance the search *starts* from — the reason a
+    leaf's tree is keyed on its access latency."""
+    rungs = draw(st.lists(_latency, min_size=2, max_size=4))
+    chains = [rungs, draw(st.permutations(rungs))]
+    join = draw(_latency)
+    access = draw(st.lists(_latency, min_size=1, max_size=3))
+    return chains, join, access
+
+
+def _ladder_zone(ladder):
+    chains, join, access = ladder
+    names = ["hub", "join"]
+    edges = []
+    for side, chain in zip("ab", chains):
+        previous = "hub"
+        for index, latency in enumerate(chain):
+            names.append(f"{side}{index}")
+            edges.append((previous, names[-1], latency))
+            previous = names[-1]
+        edges.append((previous, "join", join))
+    for index, latency in enumerate(access):
+        names += [f"p{index}", f"q{index}"]
+        edges.append((f"p{index}", "hub", latency))
+        edges.append((f"q{index}", "join", latency))
+    return _zone_of(names, edges), names
+
+
+def _assert_zone_matches_oracle(zone, names):
+    for src, dst in itertools.permutations(names, 2):
+        try:
+            expected = oracle_route(zone, src, dst)
+        except NoRouteError:
+            with pytest.raises(NoRouteError):
+                zone.local_route(src, dst)
+            continue
+        assert zone.local_route(src, dst) == expected, (src, dst)
+
+
+class TestSealedTreesMatchFromScratchSearch:
+    """Leaf contraction and shared sealed trees are exact: every route —
+    and every ``NoRouteError`` — equals the per-query early-stopping
+    search, on graphs built to provoke ties and rounding differences."""
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(_zone_graph)
+    def test_routes_identical_to_oracle(self, graph):
+        zone, names = _leafy_zone(graph)
+        _assert_zone_matches_oracle(zone, names)
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(_ladder())
+    def test_rounding_ties_identical_to_oracle(self, ladder):
+        _assert_zone_matches_oracle(*_ladder_zone(ladder))
+
+    def test_tree_start_distance_decides_a_rounding_tie(self):
+        # hub -a- 0.1 ms then 200 ms, hub -b- 200 ms then 0.1 ms: a tie
+        # from the hub (0.0 + x + y == 0.0 + y + x, first pushed wins), but
+        # one side is an ulp shorter behind a 0.1 ms access link.  A leaf
+        # reading the hub's own tree would take the wrong side.
+        ladder = ([[1e-4, 0.2], [0.2, 1e-4]], 0.3, [1e-4])
+        zone, names = _ladder_zone(ladder)
+        from_hub = zone.local_route("hub", "join")
+        from_leaf = zone.local_route("p0", "join")
+        assert from_leaf == oracle_route(zone, "p0", "join")
+        assert from_hub == oracle_route(zone, "hub", "join")
+        assert from_leaf[1:] != from_hub
+        _assert_zone_matches_oracle(zone, names)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(_zone_graph)
+    def test_identical_when_the_tree_lru_thrashes(self, graph):
+        zone, names = _leafy_zone(graph, routing="Floyd")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(routing, "_TREE_ENTRY_BUDGET", 1)   # 4 trees
+            _assert_zone_matches_oracle(zone, names)
+            trees = zone.strategy._trees
+            assert trees is None or len(trees) <= 4
+
+    def test_leaves_share_one_tree_per_access_latency(self):
+        names = [f"h{index}" for index in range(5)] + ["hub"]
+        zone = _zone_of(names, [
+            (f"h{index}", "hub", latency) for index, latency
+            in enumerate((1e-4, 1e-4, 2e-4, 1e-4, 2e-4))])
+        _assert_zone_matches_oracle(zone, names)
+        stats = zone.platform.routing_stats()
+        # Two access latencies + the hub as a source of its own.
+        assert stats["trees_sealed"] == 3
+        # Leaf -> hub needs no tree at all; every other pair is one lookup.
+        assert stats["tree_lookups"] == 5 * 4 + 5
+
+    def test_explicit_route_wins_only_for_its_exact_pair(self):
+        platform = make_star(num_hosts=3)
+        platform.add_link("detour", 1e7, 1.0)
+        platform.add_route("leaf-0", "leaf-1", ["detour"], symmetric=False)
+        assert platform.route_links("leaf-0", "leaf-1") == ["detour"]
+        assert platform.route_links("leaf-1", "leaf-0") == \
+            ["leaf-link-1", "leaf-link-0"]
+        assert platform.route_links("leaf-0", "leaf-2") == \
+            ["leaf-link-0", "leaf-link-2"]
+
+
+class TestRoutingWorkScaling:
+    """Wall-clock-free pin of route cost (ROADMAP open item 5): a leaf
+    source must not pay for its hub's edges."""
+
+    def test_star_site_relaxations_are_linear_in_hosts(self):
+        per_host = {}
+        for hosts in (64, 1024):
+            platform = make_zoned_grid(num_sites=1, hosts_per_site=hosts,
+                                       site_routing="Dijkstra")
+            for index in range(1, hosts):
+                platform.route_links(f"site-0-host-{index}", "site-0-host-0")
+            stats = platform.routing_stats()
+            assert stats["trees_sealed"] == 1
+            assert stats["tree_lookups"] == hosts - 1
+            per_host[hosts] = stats["relaxations"] / hosts
+        # One tree for the whole site: the gateway's H edges plus one per
+        # leaf.  The from-scratch search relaxed ~H edges per *route*.
+        assert per_host[64] == per_host[1024] == 2.0
+
+    def test_counters_surface_in_kernel_stats(self):
+        # A Full zone counts nothing; the Dijkstra root zone still does.
+        platform = make_zoned_grid(num_sites=2, hosts_per_site=4,
+                                   site_routing="Full")
+        engine = Engine(platform)
+        platform.route_links("site-0-host-1", "site-1-host-2")
+        stats = engine.kernel_stats()
+        assert stats["routing"] == platform.routing_stats()
+        assert stats["routing"]["trees_sealed"] >= 1
+        assert set(stats["route_caches"]) == {"routes", "resource_routes"}
 
 
 class TestHierarchicalRoutes:

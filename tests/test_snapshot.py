@@ -194,6 +194,61 @@ class TestForkEqualsCold:
 
 
 # ---------------------------------------------------------------------------
+# routing state: sealed shortest-path trees are derived, never pickled
+# ---------------------------------------------------------------------------
+
+def _site_pairs(hosts):
+    return [(f"site-0-host-{i}", f"site-0-host-{(7 * i + 1) % hosts}")
+            for i in range(2, hosts, max(1, hosts // 5))] + [
+        ("site-0-host-1", "site-1-host-2"), ("site-1-gw", "site-0-host-3")]
+
+
+class TestSealedTreesStayOutOfSnapshots:
+    def test_restored_zoned_grid_reseals_lazily_and_routes_identically(self):
+        engine = s4u.Engine(make_zoned_grid(num_sites=2, hosts_per_site=12,
+                                            site_routing="Dijkstra"))
+        pairs = _site_pairs(12)
+        before = [engine.platform.route_links(*pair) for pair in pairs[:3]]
+        assert engine.platform.routing_stats()["trees_sealed"] > 0
+        restored = s4u.Engine.restore(engine.snapshot())
+        platform = restored.platform
+        assert all(zone.strategy._trees is None
+                   for zone in platform.zones.values())
+        assert platform.routing_stats() == {
+            "relaxations": 0, "trees_sealed": 0, "tree_lookups": 0}
+        assert [platform.route_links(*pair) for pair in pairs[:3]] == before
+        # Pairs first resolved after the restore re-seal and agree with a
+        # platform that never travelled.
+        fresh = make_zoned_grid(num_sites=2, hosts_per_site=12,
+                                site_routing="Dijkstra")
+        assert ([platform.route_links(*pair) for pair in pairs]
+                == [fresh.route_links(*pair) for pair in pairs])
+        assert platform.routing_stats()["trees_sealed"] > 0
+        engine.close()
+        restored.close()
+
+    def test_blob_carries_paths_not_trees(self):
+        hosts = 1500
+
+        def blob_after(num_pairs):
+            engine = s4u.Engine(make_zoned_grid(
+                num_sites=2, hosts_per_site=hosts, site_routing="Dijkstra"))
+            for pair in _site_pairs(hosts)[:num_pairs]:
+                engine.platform.route_links(*pair)
+            sealed = engine.platform.routing_stats()["trees_sealed"]
+            blob = engine.snapshot()
+            engine.close()
+            return len(blob), sealed
+
+        empty, none_sealed = blob_after(0)
+        routed, sealed = blob_after(7)
+        assert none_sealed == 0 and sealed >= 3
+        # Seven memoized routes of a few link names each — not three
+        # predecessor maps of 1500 entries (tens of kilobytes apiece).
+        assert 0 < routed - empty < 2000
+
+
+# ---------------------------------------------------------------------------
 # quiescence + blob validation
 # ---------------------------------------------------------------------------
 
