@@ -9,9 +9,8 @@ that prefix inside every run; the *forked* campaign pays it once, calls
 metrics — the fork only wins wall-clock, never changes results — and the
 scenario raises if they diverge.
 
-Worker count comes from ``REPRO_CAMPAIGN_WORKERS`` (falling back to
-``REPRO_PARALLEL``), so the CI smoke exercises the serial and the
-2-worker pool modes with the same knobs as the kernel executor.
+Worker count comes from ``REPRO_CAMPAIGN_WORKERS``, so the CI smoke
+exercises the serial and the 2-worker pool modes.
 """
 
 import random
@@ -74,10 +73,7 @@ def cold_experiment(seed, config):
     """Cold mode: rebuild the world and replay the warm prefix per run."""
     engine = build_engine()
     run_phase(engine, WARM_ROUNDS, WARM_FLOPS, "warm")
-    try:
-        return _measured(engine, seed, config)
-    finally:
-        engine.close()
+    return _measured(engine, seed, config)
 
 
 def run_campaign_fanout(num_seeds=16, workers=None):
@@ -90,7 +86,6 @@ def run_campaign_fanout(num_seeds=16, workers=None):
     engine = build_engine()
     warm_events = run_phase(engine, WARM_ROUNDS, WARM_FLOPS, "warm")
     blob = engine.snapshot()
-    engine.close()
     warm_prefix_s = time.perf_counter() - start
 
     start = time.perf_counter()

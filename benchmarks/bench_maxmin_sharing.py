@@ -129,72 +129,6 @@ def dense_bottleneck_solve(num_variables=2000, seed=7):
     return system
 
 
-def build_component_grid(num_components, vars_per_component=24, seed=5):
-    """``num_components`` disjoint constraint groups in one system.
-
-    Each group is 4 constraints crossed by ``vars_per_component``
-    variables — the shape a zoned platform produces (per-site LANs with
-    no cross-site elements), which is exactly what the parallel executor
-    batches.  Returns the *unsolved* system and its variable handles.
-    """
-    rng = random.Random(seed)
-    system = MaxMinSystem()
-    variables = []
-    for _ in range(num_components):
-        group = [system.new_constraint(rng.uniform(1e6, 1e9))
-                 for _ in range(4)]
-        for _ in range(vars_per_component):
-            var = system.new_variable(weight=rng.uniform(0.5, 2.0))
-            for constraint in rng.sample(group, rng.randint(1, 3)):
-                system.expand(constraint, var)
-            variables.append(var)
-    return system, variables
-
-
-def parallel_vs_serial_solve(num_components=64, vars_per_component=24,
-                             workers=None):
-    """Solve the same disjoint-component system with and without the pool.
-
-    Returns a dict with both wall-clocks, the bit-identity verdict and
-    the serial system (for the solver counters).  ``workers=None`` reads
-    ``REPRO_PARALLEL`` like the engine does, so the benchmark measures
-    whatever configuration CI asked for; a 0-worker pool degenerates to
-    two serial solves (the comparison then reports overhead-free parity).
-    """
-    import time as _time
-    from repro.surf.shard import ParallelSolveExecutor
-
-    serial_system, serial_vars = build_component_grid(
-        num_components, vars_per_component)
-    start = _time.perf_counter()
-    serial_system.solve()
-    serial_s = _time.perf_counter() - start
-
-    parallel_system, parallel_vars = build_component_grid(
-        num_components, vars_per_component)
-    executor = ParallelSolveExecutor(workers=workers, min_components=2,
-                                     min_work=1)
-    parallel_system.executor = executor
-    try:
-        start = _time.perf_counter()
-        parallel_system.solve()
-        parallel_s = _time.perf_counter() - start
-        stats = executor.stats()
-    finally:
-        executor.close()
-        parallel_system.executor = None
-
-    identical = all(a.value == b.value
-                    for a, b in zip(serial_vars, parallel_vars))
-    return {
-        "serial_s": round(serial_s, 4),
-        "parallel_s": round(parallel_s, 4),
-        "identical": identical,
-        "executor": stats,
-        "system": serial_system,
-    }
-
-
 def test_e5_maxmin_sharing_figure(benchmark):
     allocation = paper_figure_allocation()
     scenarios = sharing_scenarios()

@@ -209,20 +209,6 @@ def _maxmin_random_solve(size):
     return {"events": size, "lmm": _lmm_counters(system)}
 
 
-def _maxmin_parallel_solve(size):
-    from bench_maxmin_sharing import parallel_vs_serial_solve
-    result = parallel_vs_serial_solve(num_components=max(2, size // 24))
-    if not result["identical"]:
-        raise AssertionError("parallel solve diverged from serial solve")
-    return {
-        "events": size,
-        "serial_s": result["serial_s"],
-        "parallel_s": result["parallel_s"],
-        "executor": result["executor"],
-        "lmm": _lmm_counters(result["system"]),
-    }
-
-
 def _maxmin_dense_bottleneck(size):
     from bench_maxmin_sharing import dense_bottleneck_solve
     system = dense_bottleneck_solve(num_variables=size)
@@ -304,18 +290,14 @@ SCENARIOS = {
     "ft_supervisor_churn": (_ft_supervisor_churn, (128, 256), (32,)),
     "smpi_scale": (_smpi_scale, (16, 32, 64), (8,)),
     "maxmin_random_solve": (_maxmin_random_solve, (800, 3200, 12800), (200,)),
-    # Parallel-vs-serial component solves (PR 7): same disjoint-component
-    # system solved with and without the worker pool, bit-identity checked.
-    "maxmin_parallel_solve": (_maxmin_parallel_solve,
-                              (1536, 6144, 24576), (480,)),
     "maxmin_dense_bottleneck": (_maxmin_dense_bottleneck,
                                 (800, 3200, 12800), (200,)),
     "smpi_matmul": (_smpi_matmul, (2, 4, 8), (2,)),
     # Campaign fan-out (PR 8): a seed × config grid (16 seeds × 2 configs
     # at the smoke size) forked from one warmed ``engine.snapshot()`` blob
     # vs cold per-run replays of the warm prefix — bit-identity enforced,
-    # fork must win wall-clock.  Workers from REPRO_CAMPAIGN_WORKERS /
-    # REPRO_PARALLEL, so CI smokes the serial and 2-worker pool modes.
+    # fork must win wall-clock.  Workers from REPRO_CAMPAIGN_WORKERS, so
+    # CI smokes the serial and 2-worker pool modes.
     "campaign_fanout": (_campaign_fanout, (16, 64), (16,)),
     "gantt_clientserver": (_gantt_clientserver, (None,), (None,)),
     "traces_failures": (_traces_failures, (None,), (None,)),
@@ -342,7 +324,6 @@ SMOKE_BUDGETS_S = {
     # search this replaced is pinned wall-clock-free in
     # tests/test_routing_zones.py::TestRoutingWorkScaling.
     "sharded_zones": 3.0,
-    "maxmin_parallel_solve": 15.0,
     "s4u_pipeline": 15.0,
     "s4u_race": 10.0,
     "s4u_churn": 10.0,

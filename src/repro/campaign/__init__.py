@@ -11,11 +11,10 @@ workflow, built on two pieces:
   (:meth:`Engine.restore`) with bit-identical future dates, instead of
   replaying the warmed common prefix per run;
 * **the runner** (:func:`run_campaign`) — fans a grid of ``(seed,
-  config)`` experiments across forked worker processes (pool discipline
-  mirrors the kernel's ``REPRO_PARALLEL`` executor: fork lazily, degrade
-  to serial on worker death, leak nothing) and aggregates the per-run
-  metric dicts into distribution summaries (min/median/p95...) written
-  as BENCH-style JSON.
+  config)`` experiments across forked worker processes (fork lazily,
+  degrade to serial on worker death, leak nothing) and aggregates the
+  per-run metric dicts into distribution summaries (min/median/p95...)
+  written as BENCH-style JSON.
 
 Quickstart::
 

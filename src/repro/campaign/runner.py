@@ -10,8 +10,7 @@ One campaign = one ``run_fn`` applied to a list of :class:`ExperimentSpec`
   (platform realization + warm-up phase) is paid once instead of once
   per run.
 
-Process discipline mirrors the kernel's ``REPRO_PARALLEL`` executor
-(:mod:`repro.surf.shard`): ``fork``-context workers over pipes, static
+Process discipline: ``fork``-context workers over pipes, static
 round-robin task assignment (deterministic — the result of a campaign is
 a pure function of ``run_fn`` and the grid, independent of ``workers``),
 and any worker death degrades that worker's share to serial execution in
@@ -99,16 +98,11 @@ def grid(seeds: Iterable[int],
 
 
 def default_campaign_workers() -> int:
-    """Worker count from ``REPRO_CAMPAIGN_WORKERS`` (0/unset-empty = serial).
+    """Worker count from ``REPRO_CAMPAIGN_WORKERS``.
 
-    Falls back to ``REPRO_PARALLEL`` so a CI matrix that already switches
-    the kernel executor exercises the campaign pool too, then to
-    ``cpu_count - 1`` for ``auto``.
+    Unset, empty or ``0`` is serial; ``auto`` is ``cpu_count - 1``.
     """
-    raw = os.environ.get("REPRO_CAMPAIGN_WORKERS")
-    if raw is None:
-        raw = os.environ.get("REPRO_PARALLEL", "0")
-    raw = raw.strip().lower()
+    raw = os.environ.get("REPRO_CAMPAIGN_WORKERS", "0").strip().lower()
     if raw == "auto":
         return max(0, (os.cpu_count() or 1) - 1)
     try:
@@ -179,11 +173,7 @@ def _execute_one(run_fn: Callable[..., Mapping[str, Any]],
         metrics = run_fn(spec.seed, spec.config)
     else:
         from repro.s4u.engine import Engine
-        engine = Engine.restore(snapshot)
-        try:
-            metrics = run_fn(engine, spec.seed, spec.config)
-        finally:
-            engine.close()
+        metrics = run_fn(Engine.restore(snapshot), spec.seed, spec.config)
     if not isinstance(metrics, Mapping):
         raise TypeError(
             f"run_fn must return a metrics mapping, got "

@@ -20,8 +20,8 @@ of per-frontend copies:
 Everything is deterministic under a fixed seed and follows the PR-8
 snapshot rules: no lambdas in timer callbacks, no ``id()``-keyed state,
 module-level actor bodies — so the same dates replay bit-identically on
-the flat, sharded and parallel-solve kernels and across an
-``engine.snapshot()`` / ``Engine.restore()`` round-trip.
+the flat and sharded kernels and across an ``engine.snapshot()`` /
+``Engine.restore()`` round-trip.
 """
 
 from repro.ft.heartbeat import HeartbeatMonitor

@@ -170,9 +170,24 @@ class ArrayDesc(DataDescription):
                 f"{self.name}: expected {self.fixed_length} elements, "
                 f"got {len(value)}")
 
+    def _bulk_format(self, arch: Architecture, count: int) -> Optional[str]:
+        """One ``struct`` format for the whole payload, or None.
+
+        Non-``char`` scalars have a fixed size and a plain pack/unpack, so
+        ``count`` of them are one ``struct`` call producing the very bytes
+        the per-element walk would (a 2 MB ``uint8`` probe payload is then
+        one call, not two million).
+        """
+        element = self.element
+        if not isinstance(element, ScalarDesc) or element.name == "char":
+            return None
+        return f"{arch.struct_byteorder_char}{count}{element._code_for(arch)}"
+
     def wire_size(self, value: Any, arch: Architecture = LOCAL_ARCH) -> int:
         self._check_length(value)
         header = 0 if self.fixed_length is not None else 4
+        if isinstance(self.element, ScalarDesc):    # fixed-size elements
+            return header + len(value) * arch.size_of(self.element.name)
         return header + sum(self.element.wire_size(v, arch) for v in value)
 
     def encode(self, value: Any, arch: Architecture = LOCAL_ARCH) -> bytes:
@@ -181,6 +196,14 @@ class ArrayDesc(DataDescription):
         if self.fixed_length is None:
             chunks.append(_struct.pack(arch.struct_byteorder_char + "I",
                                        len(value)))
+        fmt = self._bulk_format(arch, len(value))
+        if fmt is not None:
+            try:
+                chunks.append(_struct.pack(fmt, *value))
+            except _struct.error:
+                pass  # the per-element walk below names the bad value
+            else:
+                return b"".join(chunks)
         for item in value:
             chunks.append(self.element.encode(item, arch))
         return b"".join(chunks)
@@ -193,6 +216,14 @@ class ArrayDesc(DataDescription):
             offset += 4
         else:
             length = self.fixed_length
+        fmt = self._bulk_format(src_arch, length)
+        if fmt is not None:
+            try:
+                items = list(_struct.unpack_from(fmt, data, offset))
+            except _struct.error:
+                pass  # truncated: the per-element walk below reports it
+            else:
+                return items, offset + _struct.calcsize(fmt)
         items = []
         for _ in range(length):
             item, offset = self.element.decode(data, src_arch, offset)

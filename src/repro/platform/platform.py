@@ -461,8 +461,8 @@ class Platform:
         One aggregated observability dict (satellite of the sharded
         kernel): ``solver`` sums every model's LMM counters across shards,
         ``route_caches`` is :meth:`route_cache_stats`, ``routing`` is
-        :meth:`routing_stats`, plus parallel executor and shard/window
-        sections when present.
+        :meth:`routing_stats`, plus the ``shards`` section on a sharded
+        kernel.
         """
         if self.engine is None:
             raise PlatformError("platform not realized yet")

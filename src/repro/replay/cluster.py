@@ -12,8 +12,7 @@ either by the workload's state traces or by seeded
 
 Everything is seeded, so a replay is a pure function of
 ``(workload, churn options, kernel flavour)`` — the equivalence tests run
-the same workload on the flat, sharded and parallel-solve kernels and
-compare dates.
+the same workload on the flat and sharded kernels and compare dates.
 
 Two delivery semantics (PR 10):
 
@@ -336,15 +335,9 @@ class ClusterReplay:
         return platform
 
     # -- execution -----------------------------------------------------------------
-    def run(self, sharded: bool = False,
-            parallel_solves: bool = False) -> Dict[str, float]:
+    def run(self, sharded: bool = False) -> Dict[str, float]:
         """Replay the workload; returns the metrics dictionary."""
-        engine = Engine(self.build_platform(), sharded=sharded,
-                        parallel_solves=parallel_solves)
-        try:
-            return self._run(engine)
-        finally:
-            engine.close()
+        return self._run(Engine(self.build_platform(), sharded=sharded))
 
     def _run(self, engine: Engine) -> Dict[str, float]:
         workload = self.workload

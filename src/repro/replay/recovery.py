@@ -111,15 +111,10 @@ def run_recovery_experiment(seed: int,
     if config:
         cfg.update(config)
     cfg.setdefault("policy", "periodic")
-    owns_engine = engine is None
     if engine is None:
         engine = Engine(make_star(num_hosts=cfg["num_workers"],
                                   host_speed=cfg["host_speed"]))
-    try:
-        return _run_recovery(engine, seed, cfg)
-    finally:
-        if owns_engine:
-            engine.close()
+    return _run_recovery(engine, seed, cfg)
 
 
 def _run_recovery(engine: Engine, seed: int,
@@ -190,10 +185,8 @@ def compare_recovery_policies(seeds: Iterable[int],
     cfg = dict(DEFAULT_RECOVERY_CONFIG)
     if config:
         cfg.update(config)
-    warmed = Engine(make_star(num_hosts=cfg["num_workers"],
-                              host_speed=cfg["host_speed"]))
-    blob = warmed.snapshot()
-    warmed.close()
+    blob = Engine(make_star(num_hosts=cfg["num_workers"],
+                            host_speed=cfg["host_speed"])).snapshot()
     configs: List[Dict[str, Any]] = [
         {**cfg, "policy": policy, "label": policy}
         for policy in RECOVERY_POLICIES]

@@ -79,10 +79,6 @@ class Engine:
         :class:`~repro.surf.shard.ShardedSurfEngine` partitioned along
         the platform's top-level zones.  Simulated dates are bit-identical
         to the flat kernel either way.
-    parallel_solves:
-        When True, attach a :class:`~repro.surf.shard.ParallelSolveExecutor`
-        to the kernel (worker count from ``REPRO_PARALLEL``; a disabled
-        executor costs nothing).
     """
 
     def __init__(self, platform: Platform,
@@ -90,14 +86,11 @@ class Engine:
                  recorder=None,
                  raise_on_deadlock: bool = False,
                  sharded: bool = False,
-                 parallel_solves: bool = False,
                  manage_gc: Optional[bool] = None) -> None:
         self.platform = platform
         if not platform.realized:
             platform.realize(sharded=sharded)
         self.surf = platform.engine
-        if parallel_solves:
-            self.surf.enable_parallel_solves()
         self.context_factory = make_context_factory(context_factory)
         self.recorder = recorder
         self.raise_on_deadlock = raise_on_deadlock
@@ -200,17 +193,16 @@ class Engine:
         """Aggregated kernel observability (solver + caches + shards).
 
         Merges every fluid model's LMM counters across shards with the
-        platform's route cache stats, the parallel-executor stats and the
-        shard/conservative-window section when the kernel is sharded.
+        platform's route cache and routing stats and the shard section
+        when the kernel is sharded.
         """
         return self.platform.kernel_stats()
 
     def close(self) -> None:
-        """Release kernel OS resources (parallel workers, shared memory).
+        """No-op: the kernel owns no OS resources.
 
-        Idempotent; safe to call on a never-parallel engine.
+        Kept because ``perfbench/workloads.py`` calls it.
         """
-        self.surf.close()
 
     # ------------------------------------------------------------------------------
     # snapshot / fork
@@ -234,11 +226,9 @@ class Engine:
         after :meth:`restore` (see :mod:`repro.campaign`).  Raises
         :class:`~repro.exceptions.SnapshotError` otherwise.
 
-        OS-level handles (the parallel-solve worker pool and its shared
-        memory) are detached by their own ``__getstate__`` hooks and
-        re-created lazily after restore; functions referenced by the
-        surviving state (auto-restart actor bodies, pending payloads,
-        state listeners) must be module-level so pickle can name them.
+        Functions referenced by the surviving state (auto-restart actor
+        bodies, pending payloads, state listeners) must be module-level so
+        pickle can name them.
         """
         if self._alive_actors or self._ready:
             alive = ", ".join(a.name for a in self._alive_actors)

@@ -101,48 +101,9 @@ class SurfEngine:
         #: Actions completed/failed during the last :meth:`run_until_idle`.
         self.last_completed: List[Action] = []
         self.last_failed: List[Action] = []
-        #: Optional ParallelSolveExecutor shared by the models' systems
-        #: (see :meth:`enable_parallel_solves`).
+        # Vestige, never read: perfbench's golden.json pins the snapshot
+        # blob size; goes at the next benchmark re-gold.
         self.executor = None
-
-    # -- parallel solving / lifecycle --------------------------------------------------
-    def enable_parallel_solves(self, workers: Optional[int] = None,
-                               min_components: int = 2,
-                               min_work: int = 256) -> None:
-        """Attach one shared :class:`ParallelSolveExecutor` to every model.
-
-        With ``workers=None`` the pool size comes from ``REPRO_PARALLEL``
-        (0 disables); a 0-worker executor never accepts a batch, so this
-        is always safe to call.  The pool forks lazily on the first batch
-        that passes the threshold.
-        """
-        from repro.surf.shard import ParallelSolveExecutor
-        if self.executor is not None:
-            self.executor.close()
-        self.executor = ParallelSolveExecutor(
-            workers=workers, min_components=min_components,
-            min_work=min_work)
-        for model in self.models:
-            model.system.executor = self.executor
-
-    def close(self) -> None:
-        """Release kernel-owned OS resources (worker pool, shared memory).
-
-        Idempotent; the executor also guards itself with
-        ``weakref.finalize``/``atexit``, so a missed ``close()`` cannot
-        leak ``/dev/shm`` segments — this just releases them immediately.
-        """
-        if self.executor is not None:
-            self.executor.close()
-            self.executor = None
-            for model in self.models:
-                model.system.executor = None
-
-    def __enter__(self) -> "SurfEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # -- model dispatch ----------------------------------------------------------------
     def model_of(self, resource: Resource):
@@ -194,18 +155,14 @@ class SurfEngine:
         """Aggregated kernel observability counters.
 
         Sums :meth:`FluidModel.solver_stats` over every model (and, in a
-        sharded engine, every shard) and annexes the parallel-executor
-        stats when one is attached.  The platform layer merges its route
+        sharded engine, every shard).  The platform layer merges its route
         cache stats into the same dict (see ``Platform.kernel_stats``).
         """
         solver: dict = {}
         for model in self.models:
             for key, value in model.solver_stats().items():
                 solver[key] = solver.get(key, 0) + value
-        stats = {"solver": solver, "models": len(self.models)}
-        if self.executor is not None:
-            stats["parallel"] = self.executor.stats()
-        return stats
+        return {"solver": solver, "models": len(self.models)}
 
     # -- resource registration -------------------------------------------------------
     def register_resource_traces(self, resource: Resource) -> None:

@@ -275,9 +275,8 @@ class MaxMinSystem:
         # id-based tie-break — is global, exactly like a single flat
         # system would number them.
         self._var_ids = var_ids
-        # Optional ParallelSolveExecutor (see repro.surf.shard); when set,
-        # solve() hands batches of independent components to it instead of
-        # sub-solving them inline.
+        # Vestige, never read: perfbench's golden.json pins the snapshot
+        # blob size; goes at the next benchmark re-gold.
         self.executor = None
         # Constraints whose incidence, capacity or crossing-variable
         # weights/bounds changed since the last solve.
@@ -490,8 +489,6 @@ class MaxMinSystem:
             modified.clear()
             cns_seen: Set[Constraint] = set()
             var_seen: Set[Variable] = set()
-            components: List[Tuple[List[Constraint], List[Variable]]] = []
-            triggers: List[int] = []
             for seed in seeds:
                 if seed in cns_seen:
                     continue
@@ -500,27 +497,10 @@ class MaxMinSystem:
                 # identical to a from-scratch solve of the same component.
                 cnss.sort(key=lambda c: c.id)
                 variables.sort(key=lambda v: v.id)
-                components.append((cnss, variables))
-                triggers.append(seed.id)
-            boundaries: Optional[List[Tuple[int, int]]] = \
-                None if groups is None else []
-            executor = self.executor
-            if (executor is not None and _subsolver is None
-                    and executor.accepts(components)):
-                # Independent components solve in parallel workers; the
-                # executor reports per-component results in submission
-                # order, so ``changed`` is populated exactly like the
-                # serial loop below would.
-                executor.solve_batch(self, components, changed, boundaries)
-            else:
-                for cnss, variables in components:
-                    start = len(changed)
-                    subsolve(cnss, variables, changed)
-                    if boundaries is not None:
-                        boundaries.append((start, len(changed)))
-            if groups is not None:
-                for trigger, (start, end) in zip(triggers, boundaries):
-                    groups.append((trigger, start, end))
+                start = len(changed)
+                subsolve(cnss, variables, changed)
+                if groups is not None:
+                    groups.append((seed.id, start, len(changed)))
 
     def _component(self, seed: Constraint, cns_seen: Set[Constraint],
                    var_seen: Set[Variable]):

@@ -1,66 +1,16 @@
-"""Sharded kernel: parallel component solves and the zone-partitioned engine.
-
-Layer 1 — :class:`ParallelSolveExecutor`
-----------------------------------------
-
-:meth:`~repro.surf.lmm.MaxMinSystem.solve` already partitions the dirty
-state into independent connected components; this module adds the executor
-that batches those components across worker processes.  The design goals,
-in order:
-
-* **bit-identical results** — a worker reconstructs the component with the
-  same constraint/variable/element orderings the parent holds and runs the
-  very same ``_solve_subsystem`` code, so the solved values are the same
-  IEEE doubles the serial path would produce;
-* **zero overhead for tiny steps** — :meth:`ParallelSolveExecutor.accepts`
-  gates on a component-count and component-size threshold; below it the
-  system keeps the in-process loop and never touches the executor;
-* **flat-array marshalling** — components serialize into one
-  ``multiprocessing.shared_memory`` segment (an int area and a double
-  area), workers write solved values back into the same segment, so the
-  per-batch pickle traffic is a handful of offsets, not object graphs.
-
-Shared-memory layout (per component, offsets into the batch segment):
-
-====  ======================================================================
-ints  ``[ncns, nvars, nelems]`` header, then ``ncns`` shared flags, then
-      ``ncns`` element-slot counts (the *full* ``len(cns.elements)``,
-      including slots owned by zero-weight variables of other
-      components — the scan-length counters see them), then ``nvars``
-      per-variable element counts, then ``nelems`` element pairs
-      ``(cns_index, cpos)`` in variable-major order — ``cpos`` is the
-      element's position inside ``constraint.elements``, so the worker
-      reproduces both the per-variable and the per-constraint element
-      orders exactly; unserialized slots are backfilled with dummy
-      zero-weight elements, which every solver scan stamp-skips just
-      like the parent would skip the foreign zero-weight variable.
-dbls  ``ncns`` capacities, ``nvars`` weights, ``nvars`` bounds (``nan``
-      encodes *unbounded*), ``nelems`` usages, and the ``nvars`` output
-      values the worker writes back.
-====  ======================================================================
-
-Worker processes are forked lazily on the first accepted batch and reused;
-:meth:`close` (also wired to ``weakref.finalize`` and ``atexit``) tears
-down the pool and unlinks the segment so no ``/dev/shm`` entry outlives
-the engine, even on exceptions.
-
-Layer 2 — :class:`ShardedSurfEngine`
-------------------------------------
+"""Sharded kernel: the zone-partitioned SURF engine.
 
 The :class:`~repro.platform.routing.NetZone` tree doubles as the kernel
 partition: every top-level zone becomes a *shard* with its own CPU and
 network :class:`~repro.surf.model.FluidModel` (and therefore its own LMM
 systems and completion heaps); resources of the root zone — and every
-inter-zone link — live in the root shard.  Shards advance under a
-conservative time window: the commit horizon of a step is the minimum
-next-event date across all shards (the degenerate synchronous window; the
-cross-zone lookahead that would let shards run ahead of each other is
-reported by :meth:`ShardedSurfEngine.lookahead` and recorded in the
-kernel stats).  Cross-zone communications are handed off at the gateway:
-when a route spans several shards, the constraints it touches — and the
-whole weakly-connected closure of variables and constraints entangled
-with them — migrate into the root shard, ids intact, so every LMM
-component always lives wholly inside one system.
+inter-zone link — live in the root shard.  All shards run on the one
+serial solver and commit each step at the minimum next-event date across
+shards.  Cross-zone communications are handed off at the gateway: when a
+route spans several shards, the constraints it touches — and the whole
+weakly-connected closure of variables and constraints entangled with
+them — migrate into the root shard, ids intact, so every LMM component
+always lives wholly inside one system.
 
 Bit-identity with the flat kernel holds because every global ordering is
 preserved: constraint ids are declaration indices (order-independent
@@ -72,476 +22,28 @@ loop uses.
 
 from __future__ import annotations
 
-import atexit
 import heapq
 import itertools
 import math
-import os
-import weakref
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.surf.cpu import CpuModel, CpuResource
 from repro.surf.engine import SurfEngine
-from repro.surf.lmm import Constraint, Element, MaxMinSystem, Variable
+from repro.surf.lmm import Constraint
 from repro.surf.model import TIME_EPSILON, FluidModel
 from repro.surf.network import LinkResource, NetworkModel, NetworkModelConfig
 from repro.surf.resource import Resource
 
-__all__ = ["ParallelSolveExecutor", "ShardedSurfEngine", "default_workers"]
-
-_SHM_PREFIX = "repro_lmm_"
-_segment_ids = itertools.count(1)
-
-# Counters a worker reports back after solving its components.
-_COUNTER_NAMES = ("constraints_solved", "variables_solved",
-                  "elements_visited", "heap_pops")
+__all__ = ["ShardedSurfEngine", "default_workers"]
 
 
 def default_workers() -> int:
-    """Worker count from ``REPRO_PARALLEL`` (0 disables; unset = auto).
-
-    Auto keeps one core for the main loop: ``cpu_count - 1``, which is 0
-    — parallelism disabled — on a single-core machine.
-    """
-    raw = os.environ.get("REPRO_PARALLEL", "").strip().lower()
-    if raw in ("", "auto"):
-        return max(0, (os.cpu_count() or 1) - 1)
-    try:
-        value = int(raw)
-    except ValueError:
-        return 0
-    return max(0, value)
-
-
-def _build_component(ints, dbls, int_off: int, dbl_off: int):
-    """Rebuild one component from the flat arrays.
-
-    Returns ``(cnss, variables, value_offset)``; orderings replicate the
-    parent's exactly (see the module docstring).
-    """
-    ncns = ints[int_off]
-    nvars = ints[int_off + 1]
-    nelems = ints[int_off + 2]
-    flags_off = int_off + 3
-    slots_off = flags_off + ncns
-    counts_off = slots_off + ncns
-    elems_off = counts_off + nvars
-
-    caps_off = dbl_off
-    weights_off = caps_off + ncns
-    bounds_off = weights_off + nvars
-    usages_off = bounds_off + nvars
-    values_off = usages_off + nelems
-
-    cnss: List[Constraint] = []
-    for i in range(ncns):
-        cns = Constraint(i, dbls[caps_off + i],
-                         shared=bool(ints[flags_off + i]))
-        cns.elements = [None] * ints[slots_off + i]  # type: ignore[list-item]
-        cnss.append(cns)
-
-    variables: List[Variable] = []
-    eidx = 0
-    for i in range(nvars):
-        bound = dbls[bounds_off + i]
-        if bound != bound:          # nan: unbounded
-            bound = None
-        var = Variable(i, dbls[weights_off + i], bound)
-        variables.append(var)
-        for _ in range(ints[counts_off + i]):
-            base = elems_off + 2 * eidx
-            cns = cnss[ints[base]]
-            elem = Element(var, cns, dbls[usages_off + eidx])
-            elem._cpos = ints[base + 1]
-            var.elements.append(elem)
-            cns.elements[elem._cpos] = elem
-            eidx += 1
-    # Slots owned by zero-weight variables of *other* components were not
-    # serialized; backfill them with stamp-stale dummies that every scan
-    # skips, keeping scan lengths identical to the parent's.
-    dummy = Variable(-1, 0.0)
-    for cns in cnss:
-        for pos, elem in enumerate(cns.elements):
-            if elem is None:
-                filler = Element(dummy, cns, 0.0)
-                filler._cpos = pos
-                cns.elements[pos] = filler
-    return cnss, variables, values_off
-
-
-def _worker_main(conn) -> None:
-    """Body of one solver worker: loop on (shm_name, specs) tasks."""
-    from multiprocessing import shared_memory
-
-    segments: Dict[str, object] = {}
-    try:
-        while True:
-            try:
-                task = conn.recv()
-            except (EOFError, OSError):
-                break
-            if task is None:
-                break
-            shm_name, specs = task
-            shm = segments.get(shm_name)
-            if shm is None:
-                # A previous segment of this batch pool was outgrown.
-                for old in segments.values():
-                    old.close()
-                segments.clear()
-                shm = shared_memory.SharedMemory(name=shm_name)
-                try:
-                    # The parent owns the segment; without this the
-                    # worker's resource tracker double-accounts it and
-                    # warns (or double-unlinks) at shutdown.
-                    from multiprocessing import resource_tracker
-                    resource_tracker.unregister(shm._name, "shared_memory")
-                except Exception:  # pragma: no cover - best effort
-                    pass
-                segments[shm_name] = shm
-            ints = memoryview(shm.buf).cast("q")
-            dbls = memoryview(shm.buf).cast("d")
-            system = MaxMinSystem()
-            try:
-                for int_off, dbl_off in specs:
-                    cnss, variables, values_off = _build_component(
-                        ints, dbls, int_off, dbl_off)
-                    system._solve_subsystem(cnss, variables, [])
-                    for i, var in enumerate(variables):
-                        dbls[values_off + i] = var.value
-                counters = [getattr(system, name)
-                            for name in _COUNTER_NAMES]
-                reply = ("ok", counters)
-            except Exception as exc:  # pragma: no cover - defensive
-                reply = ("error", repr(exc))
-            finally:
-                del ints, dbls
-            try:
-                conn.send(reply)
-            except (BrokenPipeError, OSError):
-                break
-    finally:
-        for shm in segments.values():
-            shm.close()
-        conn.close()
-
-
-def _release(state: dict) -> None:
-    """Idempotent teardown shared by close(), finalize and atexit."""
-    procs = state.pop("procs", [])
-    for conn, _proc in procs:
-        try:
-            conn.send(None)
-        except (BrokenPipeError, OSError):
-            pass
-    for conn, proc in procs:
-        proc.join(timeout=2.0)
-        if proc.is_alive():  # pragma: no cover - defensive
-            proc.terminate()
-            proc.join(timeout=2.0)
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover - defensive
-            pass
-    shm = state.pop("shm", None)
-    if shm is not None:
-        try:
-            shm.close()
-            shm.unlink()
-        except (FileNotFoundError, OSError):  # pragma: no cover
-            pass
-
-
-class ParallelSolveExecutor:
-    """Batches independent LMM components across worker processes.
-
-    Parameters
-    ----------
-    workers:
-        Worker process count; ``None`` reads ``REPRO_PARALLEL`` (``0``
-        disables, unset means ``cpu_count - 1``).  With 0 workers the
-        executor never accepts a batch, so attaching it costs nothing.
-    min_components:
-        Minimum number of dirty components before a batch qualifies.
-    min_work:
-        Minimum summed component size (constraints + variables) before a
-        batch qualifies — tiny steps stay on the in-process path.
-    """
-
-    def __init__(self, workers: Optional[int] = None,
-                 min_components: int = 2, min_work: int = 256) -> None:
-        self.workers = default_workers() if workers is None else max(0, workers)
-        self.min_components = min_components
-        self.min_work = min_work
-        self._state: dict = {"procs": [], "shm": None}
-        self._started = False
-        self._closed = False
-        self._finalizer = weakref.finalize(self, _release, self._state)
-        atexit.register(self._finalizer)
-        # Observability (aggregated into engine.kernel_stats()).
-        self.batches = 0
-        self.components_parallel = 0
-        self.fallbacks = 0
-
-    # -- lifecycle ---------------------------------------------------------------
-    def _start(self) -> bool:
-        import multiprocessing
-
-        if self._closed:
-            return False
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX
-            self.workers = 0
-            return False
-        procs = []
-        for _ in range(self.workers):
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(target=_worker_main, args=(child_conn,),
-                               daemon=True)
-            proc.start()
-            child_conn.close()
-            procs.append((parent_conn, proc))
-        self._state["procs"] = procs
-        self._started = True
-        return True
-
-    def close(self) -> None:
-        """Release worker processes and the shared-memory segment.
-
-        Safe to call multiple times; also runs via ``weakref.finalize``
-        and ``atexit`` so segments never leak across test runs, even when
-        the owning engine dies on an exception.
-        """
-        self._closed = True
-        if self._finalizer.alive:
-            atexit.unregister(self._finalizer)
-            self._finalizer()
-
-    def __enter__(self) -> "ParallelSolveExecutor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    # -- snapshot support --------------------------------------------------------
-    def __getstate__(self) -> dict:
-        """Detach the OS-level state: only configuration + counters travel.
-
-        The forked worker processes, their pipes, the shared-memory
-        segment and the ``weakref.finalize`` guard are all bound to this
-        process and cannot be pickled (nor deep-copied).  A restored (or
-        deep-copied) executor starts cold and re-forks its pool lazily on
-        the first accepted batch, exactly like a freshly built one.
-        """
-        return {
-            "workers": self.workers,
-            "min_components": self.min_components,
-            "min_work": self.min_work,
-            "_closed": self._closed,
-            "batches": self.batches,
-            "components_parallel": self.components_parallel,
-            "fallbacks": self.fallbacks,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._state = {"procs": [], "shm": None}
-        self._started = False
-        self._finalizer = weakref.finalize(self, _release, self._state)
-        atexit.register(self._finalizer)
-
-    # -- batch gate --------------------------------------------------------------
-    def accepts(self, components) -> bool:
-        """True when a batch is worth shipping to the workers."""
-        if self.workers <= 0 or self._closed:
-            return False
-        if len(components) < self.min_components:
-            return False
-        work = 0
-        for cnss, variables in components:
-            work += len(cnss) + len(variables)
-            if work >= self.min_work:
-                return True
-        return False
-
-    # -- marshalling -------------------------------------------------------------
-    def _segment(self, nbytes: int):
-        from multiprocessing import shared_memory
-
-        shm = self._state.get("shm")
-        if shm is not None and shm.size >= nbytes:
-            return shm
-        if shm is not None:
-            shm.close()
-            shm.unlink()
-        # Process-wide counter: several executors may coexist (one per
-        # engine under test), each needing a unique segment name.
-        name = f"{_SHM_PREFIX}{os.getpid()}_{next(_segment_ids)}"
-        shm = shared_memory.SharedMemory(name=name, create=True,
-                                         size=max(nbytes, 1 << 16))
-        self._state["shm"] = shm
-        return shm
-
-    def solve_batch(self, system: MaxMinSystem, components,
-                    changed: List[Variable],
-                    boundaries: Optional[List[Tuple[int, int]]] = None
-                    ) -> None:
-        """Solve ``components`` of ``system`` across the worker pool.
-
-        Results (values, ``changed`` report, solver counters) are exactly
-        those of the serial loop.  ``boundaries``, when given, receives
-        one ``(start, end)`` slice of ``changed`` per component, like the
-        serial loop records for :meth:`MaxMinSystem.solve_grouped`.  Any
-        worker failure falls back to the in-process path for the whole
-        batch — sub-solves are idempotent, so partially written values
-        are simply overwritten.
-        """
-        if not self._started and not self._start():
-            self.fallbacks += 1
-            self._solve_inline(system, components, changed, boundaries)
-            return
-
-        # Size the flat areas (an upper bound on nelems is fine: the
-        # actually-serialized count lands in the header).
-        int_len = 0
-        dbl_len = 0
-        for cnss, variables in components:
-            nelems = sum(len(v.elements) for v in variables)
-            int_len += 3 + 2 * len(cnss) + len(variables) + 2 * nelems
-            dbl_len += len(cnss) + 3 * len(variables) + nelems
-        shm = self._segment(8 * (int_len + dbl_len))
-        ints = memoryview(shm.buf).cast("q")
-        dbls = memoryview(shm.buf).cast("d")
-
-        specs: List[Tuple[int, int]] = []
-        value_offs: List[int] = []
-        io = 0
-        do = int_len  # doubles area starts right after the int area
-        try:
-            for cnss, variables in components:
-                specs.append((io, do))
-                nelems = 0
-                cns_index = {}
-                for idx, cns in enumerate(cnss):
-                    cns_index[id(cns)] = idx
-                    ints[io + 3 + idx] = 1 if cns.shared else 0
-                    ints[io + 3 + len(cnss) + idx] = len(cns.elements)
-                    dbls[do + idx] = cns.capacity
-                counts_off = io + 3 + 2 * len(cnss)
-                elems_off = counts_off + len(variables)
-                weights_off = do + len(cnss)
-                bounds_off = weights_off + len(variables)
-                usages_off = bounds_off + len(variables)
-                for vidx, var in enumerate(variables):
-                    count = 0
-                    for elem in var.elements:
-                        # A zero-weight variable can cross into constraints
-                        # of other components; the solver never reads those
-                        # incidences, so they stay home.
-                        cidx = cns_index.get(id(elem.constraint))
-                        if cidx is None:
-                            continue
-                        base = elems_off + 2 * nelems
-                        ints[base] = cidx
-                        ints[base + 1] = elem._cpos
-                        dbls[usages_off + nelems] = elem.usage
-                        nelems += 1
-                        count += 1
-                    ints[counts_off + vidx] = count
-                    dbls[weights_off + vidx] = var.weight
-                    dbls[bounds_off + vidx] = (math.nan if var.bound is None
-                                               else var.bound)
-                ints[io] = len(cnss)
-                ints[io + 1] = len(variables)
-                ints[io + 2] = nelems
-                value_offs.append(usages_off + nelems)
-                io = elems_off + 2 * nelems
-                do = value_offs[-1] + len(variables)
-
-            # Round-robin the components over the workers.
-            procs = self._state["procs"]
-            shares: List[List[Tuple[int, int]]] = [[] for _ in procs]
-            for i, spec in enumerate(specs):
-                shares[i % len(procs)].append(spec)
-            busy = []
-            ok = True
-            for (conn, proc), share in zip(procs, shares):
-                if not share:
-                    continue
-                try:
-                    conn.send((shm.name, share))
-                    busy.append(conn)
-                except (BrokenPipeError, OSError):
-                    ok = False
-                    break
-            deltas = [0] * len(_COUNTER_NAMES)
-            if ok:
-                for conn in busy:
-                    try:
-                        status, payload = conn.recv()
-                    except (EOFError, OSError):
-                        ok = False
-                        break
-                    if status != "ok":
-                        ok = False
-                        break
-                    for i, delta in enumerate(payload):
-                        deltas[i] += delta
-            if not ok:
-                # Worker trouble: disable ourselves and redo inline.
-                self.fallbacks += 1
-                self.workers = 0
-                self._solve_inline(system, components, changed, boundaries)
-                return
-
-            self.batches += 1
-            self.components_parallel += len(components)
-            for name, delta in zip(_COUNTER_NAMES, deltas):
-                setattr(system, name, getattr(system, name) + delta)
-            # Apply values and build the changed report in submission
-            # order — the order the serial loop reports in.
-            for (cnss, variables), voff in zip(components, value_offs):
-                start = len(changed)
-                for i, var in enumerate(variables):
-                    value = dbls[voff + i]
-                    if value != var.value:
-                        var.value = value
-                        changed.append(var)
-                if boundaries is not None:
-                    boundaries.append((start, len(changed)))
-        finally:
-            # Memoryviews into shm.buf must die before the segment can be
-            # closed/unlinked later.
-            del ints, dbls
-
-    @staticmethod
-    def _solve_inline(system: MaxMinSystem, components,
-                      changed: List[Variable],
-                      boundaries: Optional[List[Tuple[int, int]]]) -> None:
-        """Serial fallback, identical to the loop in ``solve()``."""
-        for cnss, variables in components:
-            start = len(changed)
-            system._solve_subsystem(cnss, variables, changed)
-            if boundaries is not None:
-                boundaries.append((start, len(changed)))
-
-    # -- observability -----------------------------------------------------------
-    def stats(self) -> dict:
-        return {
-            "workers": self.workers,
-            "batches": self.batches,
-            "components_parallel": self.components_parallel,
-            "fallbacks": self.fallbacks,
-        }
+    """Always 0; kept importable because ``perfbench/rep.py`` records it."""
+    return 0
 
 
 class ShardedSurfEngine(SurfEngine):
-    """Zone-partitioned SURF engine (Layer 2 of the sharded kernel).
+    """Zone-partitioned SURF engine.
 
     Each name in ``shard_names`` (the platform's top-level zones) gets its
     own :class:`CpuModel` and :class:`NetworkModel`; the inherited
@@ -850,35 +352,7 @@ class ShardedSurfEngine(SurfEngine):
                 best_model._fire_event(action, now, completed)
         return completed
 
-    # -- conservative window / observability -------------------------------------
-    def lookahead(self) -> dict:
-        """The conservative time-window bound between shards.
-
-        The window within which a shard could safely advance without
-        hearing from the others is ``earliest local completion +
-        min cross-shard lookahead``, where the lookahead is the smallest
-        latency of any inter-zone link (all of which live in the root
-        shard): no remote event can influence a shard sooner than one
-        gateway latency after it fires.  The engine currently *commits*
-        only the degenerate synchronous window — the global minimum event
-        date, bit-identical to the flat kernel by construction — and
-        reports the derived bound here for observability.
-        """
-        min_gateway_latency = min(
-            (link.latency for link in self.network_model.links.values()),
-            default=math.inf)
-        earliest = math.inf
-        for model in self.models:
-            earliest = min(earliest, model.next_event_date())
-        window = earliest
-        if not math.isinf(min_gateway_latency) and not math.isinf(earliest):
-            window = earliest + min_gateway_latency
-        return {
-            "min_gateway_latency": min_gateway_latency,
-            "earliest_completion": earliest,
-            "window": window,
-        }
-
+    # -- observability ---------------------------------------------------------------
     def kernel_stats(self) -> dict:
         stats = super().kernel_stats()
         stats["shards"] = {
@@ -886,5 +360,4 @@ class ShardedSurfEngine(SurfEngine):
             "names": [name or "<root>" for name in self.cpu_shards],
             "migrations": self.migrations,
         }
-        stats["window"] = self.lookahead()
         return stats

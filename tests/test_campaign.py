@@ -1,10 +1,10 @@
 """Campaign driver: grids, aggregation, pool discipline, snapshot fanout.
 
-The runner's contract mirrors the kernel executor's: the result of a
-campaign is a pure function of ``run_fn`` and the grid — bit-identical
-whether it ran serially, over N forked workers, or degraded to serial
-because a worker died mid-share.  With a snapshot attached, forked runs
-must match a cold per-seed loop exactly.
+The runner's contract: the result of a campaign is a pure function of
+``run_fn`` and the grid — bit-identical whether it ran serially, over N
+forked workers, or degraded to serial because a worker died mid-share.
+With a snapshot attached, forked runs must match a cold per-seed loop
+exactly.
 """
 
 import json
@@ -85,11 +85,9 @@ class TestWorkerDefaults:
         monkeypatch.setenv("REPRO_CAMPAIGN_WORKERS", "nonsense")
         assert default_campaign_workers() == 0
 
-    def test_falls_back_to_repro_parallel(self, monkeypatch):
+    def test_ignores_the_removed_repro_parallel(self, monkeypatch):
         monkeypatch.delenv("REPRO_CAMPAIGN_WORKERS", raising=False)
-        monkeypatch.setenv("REPRO_PARALLEL", "2")
-        assert default_campaign_workers() == 2
-        monkeypatch.delenv("REPRO_PARALLEL", raising=False)
+        monkeypatch.setenv("REPRO_PARALLEL", "8")
         assert default_campaign_workers() == 0
 
 

@@ -45,6 +45,30 @@ class TestRemovedMsgApi:
             import repro.msg  # noqa: F401
 
 
+class TestRemovedParallelSolveApi:
+    """The parallel-solve executor and its ``REPRO_PARALLEL`` knob are gone."""
+
+    def test_executor_class_is_gone(self):
+        import repro.surf.shard as shard
+        from repro.surf.engine import SurfEngine
+        assert not hasattr(shard, "ParallelSolveExecutor")
+        assert not hasattr(SurfEngine, "enable_parallel_solves")
+
+    def test_engine_rejects_the_removed_flag(self):
+        from repro import s4u
+        from repro.platform import make_star
+        with pytest.raises(TypeError, match="parallel_solves"):
+            s4u.Engine(make_star(num_hosts=2), parallel_solves=True)
+
+    def test_environment_variable_is_ignored(self, monkeypatch):
+        from repro.campaign import default_campaign_workers
+        from repro.surf.shard import default_workers
+        monkeypatch.delenv("REPRO_CAMPAIGN_WORKERS", raising=False)
+        monkeypatch.setenv("REPRO_PARALLEL", "8")
+        assert default_campaign_workers() == 0
+        assert default_workers() == 0
+
+
 class TestPackageFacade:
     def test_version_exposed(self):
         assert isinstance(repro.__version__, str)

@@ -187,9 +187,9 @@ def test_injector_seeds_live_and_replay(seed_base):
     """150 seeded churn schedules (50 per chunk): same seed, same dates.
 
     ``REPRO_CAMPAIGN_FUZZ=1`` routes each 50-seed sweep through the
-    campaign driver (worker count from ``REPRO_CAMPAIGN_WORKERS`` /
-    ``REPRO_PARALLEL``); by default the sweep runs the exact same
-    experiments serially in-process.
+    campaign driver (worker count from ``REPRO_CAMPAIGN_WORKERS``); by
+    default the sweep runs the exact same experiments serially
+    in-process.
     """
     seeds = range(seed_base, seed_base + 50)
     if os.environ.get("REPRO_CAMPAIGN_FUZZ", "") == "1":

@@ -177,3 +177,64 @@ def test_property_wire_size_matches_encoded_length(values, arch):
     desc = ArrayDesc(ScalarDesc("uint8"))
     encoded = desc.encode(values, arch)
     assert len(encoded) == desc.wire_size(values, arch)
+
+
+# ----------------------------------------------------------------------------------
+# bulk ArrayDesc path == per-element reference
+# ----------------------------------------------------------------------------------
+
+BULK_SCALARS = sorted(set(X86_64.type_sizes) - {"char"})
+
+
+def _scalar_values(type_name, arch):
+    size = arch.size_of(type_name)
+    if type_name in ("float", "double"):
+        return st.floats(allow_nan=False, width=8 * size)
+    if type_name.startswith("u"):
+        return st.integers(min_value=0, max_value=2 ** (8 * size) - 1)
+    return st.integers(min_value=-(2 ** (8 * size - 1)),
+                       max_value=2 ** (8 * size - 1) - 1)
+
+
+@pytest.mark.parametrize("fixed", [False, True])
+@pytest.mark.parametrize("arch", ALL_ARCHS, ids=lambda arch: arch.name)
+@pytest.mark.parametrize("type_name", BULK_SCALARS)
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_property_bulk_array_matches_per_element_reference(
+        type_name, arch, fixed, data):
+    element = ScalarDesc(type_name)
+    values = data.draw(st.lists(_scalar_values(type_name, arch), max_size=40))
+    desc = ArrayDesc(element, fixed_length=len(values) if fixed else None)
+    assert desc._bulk_format(arch, len(values)) is not None
+
+    header = b"" if fixed else len(values).to_bytes(4, arch.byte_order)
+    reference = header + b"".join(element.encode(v, arch) for v in values)
+    assert desc.encode(values, arch) == reference
+    assert desc.wire_size(values, arch) == len(reference)
+
+    expected, offset = [], len(header)
+    for _ in values:
+        item, offset = element.decode(reference, arch, offset)
+        expected.append(item)
+    assert desc.decode(reference, arch) == (expected, len(reference))
+
+
+class TestBulkArrayEdges:
+    def test_char_arrays_stay_on_the_per_element_path(self):
+        desc = ArrayDesc(ScalarDesc("char"))
+        assert desc._bulk_format(X86, 3) is None
+        encoded = desc.encode(["a", b"b", ""], SPARC)
+        assert encoded == b"\x00\x00\x00\x03ab\x00"
+        assert desc.wire_size("abc", SPARC) == len(encoded)
+        assert desc.decode(encoded, SPARC) == (["a", "b", "\x00"], 7)
+
+    def test_out_of_range_value_is_still_named(self):
+        with pytest.raises(DataDescriptionError, match="cannot encode 256"):
+            ArrayDesc(ScalarDesc("uint8")).encode([0, 256, 1], X86)
+
+    def test_truncated_payload_is_still_a_description_error(self):
+        desc = ArrayDesc(ScalarDesc("int32"))
+        encoded = desc.encode([1, 2, 3], X86)
+        with pytest.raises(DataDescriptionError, match="cannot decode int32"):
+            desc.decode(encoded[:-1], X86)

@@ -2,10 +2,9 @@
 
 The PR-7 partitioned kernel runs one pair of fluid models per top-level
 :class:`~repro.platform.routing.NetZone` and merges their share/update
-phases under a conservative window.  Every simulated date it pins must
-be *bit-identical* to the flat single-model kernel — including under
-failure-injection churn whose victims sit on cross-zone routes, and
-with the parallel solve executor enabled on top.
+phases at the minimum next-event date.  Every simulated date it pins
+must be *bit-identical* to the flat single-model kernel — including
+under failure-injection churn whose victims sit on cross-zone routes.
 """
 
 import pytest
@@ -21,10 +20,9 @@ def zoned_platform():
     return make_zoned_grid(num_sites=3, hosts_per_site=4)
 
 
-def run_exchange_workload(platform=None, sharded=False, engine=None):
+def run_exchange_workload(platform=None, sharded=False):
     """Mixed intra-/cross-site execs and transfers; returns the event log."""
-    if engine is None:
-        engine = s4u.Engine(platform or zoned_platform(), sharded=sharded)
+    engine = s4u.Engine(platform or zoned_platform(), sharded=sharded)
     log = []
 
     # (sender, receiver) pairs: two stay inside a site, two cross sites,
@@ -121,19 +119,6 @@ class TestShardedEquivalence:
         assert shard_log == flat_log
         assert shard_engine.kernel_stats()["shards"]["migrations"] > 0
 
-    def test_parallel_solves_on_sharded_engine_bit_identical(self):
-        flat_log, _ = run_exchange_workload(sharded=False)
-        engine = s4u.Engine(zoned_platform(), sharded=True)
-        # Force tiny thresholds so even this small run crosses the
-        # worker pool; production thresholds would keep it in-process.
-        engine.surf.enable_parallel_solves(workers=2, min_components=1,
-                                           min_work=1)
-        try:
-            shard_log, _ = run_exchange_workload(engine=engine)
-        finally:
-            engine.close()
-        assert shard_log == flat_log
-
 
 def traced_zoned_platform():
     """Two sites with phase-shifted availability dips and a WAN bw trace.
@@ -165,10 +150,9 @@ def traced_zoned_platform():
     return platform
 
 
-def run_modulated_workload(sharded=False, engine=None):
+def run_modulated_workload(sharded=False):
     """Execs + cross-site transfers spanning dips, plus a set_speed."""
-    if engine is None:
-        engine = s4u.Engine(traced_zoned_platform(), sharded=sharded)
+    engine = s4u.Engine(traced_zoned_platform(), sharded=sharded)
     log = []
     engine.on_resource_speed_change(
         lambda resource, speed: log.append(
@@ -212,17 +196,6 @@ class TestAvailabilityModulationEquivalence:
         # The dips actually fired (observer saw trace + set_speed events).
         assert any(entry[1].startswith("speed:") for entry in flat_log)
 
-    def test_trace_dips_parallel_solves_bit_identical(self):
-        flat_log, _ = run_modulated_workload(sharded=False)
-        engine = s4u.Engine(traced_zoned_platform(), sharded=True)
-        engine.surf.enable_parallel_solves(workers=2, min_components=1,
-                                           min_work=1)
-        try:
-            shard_log, _ = run_modulated_workload(engine=engine)
-        finally:
-            engine.close()
-        assert shard_log == flat_log
-
 
 class TestLazyRealization:
     def test_lazy_matches_eager_dates(self):
@@ -247,7 +220,7 @@ class TestShardStats:
         assert stats["shards"]["names"][0] == "<root>"
         assert set(stats["shards"]["names"][1:]) == \
             {"site-0", "site-1", "site-2"}
-        assert "window" in stats and "route_caches" in stats
+        assert "route_caches" in stats
 
     def test_flat_engine_has_no_shard_block(self):
         _, engine = run_exchange_workload(sharded=False)

@@ -5,17 +5,15 @@ serialization: ``engine.snapshot()`` at a quiescent point, then
 ``Engine.restore(blob)`` — in this process or another one — must produce
 exactly the simulated dates and event order of the engine that never got
 snapshotted.  That must hold for the flat kernel, the sharded kernel,
-with parallel solves attached, and through mid-churn FailureInjector
-state (pending pulse timers + Mersenne RNG position).
+and through mid-churn FailureInjector state (pending pulse timers +
+Mersenne RNG position).
 
 Below that, the SURF layer itself must survive ``copy.deepcopy`` and
-``pickle`` mid-run (actions in flight), and a snapshot/restore cycle of
-a parallel engine must leave no ``/dev/shm`` segment behind.
+``pickle`` mid-run (actions in flight).
 """
 
 import copy
 import multiprocessing
-import os
 import pickle
 
 import pytest
@@ -31,21 +29,19 @@ from repro.kernel.timer import TimerQueue
 from repro.platform import Platform, make_star, make_zoned_grid
 from repro.s4u import FailureInjector
 from repro.surf.engine import SurfEngine
-from repro.surf.shard import ParallelSolveExecutor
 from repro.surf.trace import Trace
 
 
 NUM_LEAVES = 3
 
 
-def _make_engine(sharded=False, parallel_solves=False):
+def _make_engine(sharded=False):
     if sharded:
         platform = make_zoned_grid(num_sites=3, hosts_per_site=2)
     else:
         platform = make_star(num_hosts=NUM_LEAVES, host_speed=1e9,
                              link_bandwidth=1e7, link_latency=1e-4)
-    return s4u.Engine(platform, sharded=sharded,
-                      parallel_solves=parallel_solves)
+    return s4u.Engine(platform, sharded=sharded)
 
 
 def _worker_hosts(engine):
@@ -115,8 +111,8 @@ def _run_measured_phase(engine, seed=None):
     return final, log, injector.events if injector else []
 
 
-def _cold_run(sharded=False, parallel_solves=False, seed=None):
-    engine = _make_engine(sharded, parallel_solves)
+def _cold_run(sharded=False, seed=None):
+    engine = _make_engine(sharded)
     _run_warm_phase(engine)
     try:
         return _run_measured_phase(engine, seed)
@@ -124,8 +120,8 @@ def _cold_run(sharded=False, parallel_solves=False, seed=None):
         engine.close()
 
 
-def _forked_run(sharded=False, parallel_solves=False, seed=None):
-    engine = _make_engine(sharded, parallel_solves)
+def _forked_run(sharded=False, seed=None):
+    engine = _make_engine(sharded)
     _run_warm_phase(engine)
     blob = engine.snapshot()
     engine.close()
@@ -156,10 +152,6 @@ class TestForkEqualsCold:
     def test_sharded_kernel_with_churn(self):
         assert _forked_run(sharded=True, seed=3) == _cold_run(
             sharded=True, seed=3)
-
-    def test_parallel_solves_engine(self):
-        assert (_forked_run(sharded=True, parallel_solves=True)
-                == _cold_run(sharded=True, parallel_solves=True))
 
     def test_snapshot_is_non_destructive(self):
         """The snapshotted engine keeps running identically afterwards."""
@@ -486,46 +478,6 @@ class TestSurfMidRunCopies:
         restored = pickle.loads(pickle.dumps(system))
         assert ({v.id: v.value for v in restored.variables}
                 == {v.id: v.value for v in system.variables})
-
-
-# ---------------------------------------------------------------------------
-# executor detach/reattach + shm hygiene
-# ---------------------------------------------------------------------------
-
-def _shm_segments():
-    try:
-        return {name for name in os.listdir("/dev/shm")
-                if name.startswith("repro_lmm_")}
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return set()
-
-
-class TestExecutorSnapshot:
-    def test_pickle_detaches_pool_and_keeps_counters(self):
-        executor = ParallelSolveExecutor(workers=2, min_components=1,
-                                         min_work=1)
-        executor.batches = 7
-        executor.components_parallel = 21
-        restored = pickle.loads(pickle.dumps(executor))
-        assert restored.workers == 2
-        assert restored.batches == 7
-        assert restored.components_parallel == 21
-        assert not restored._started  # pool re-forks lazily on first batch
-        restored.close()
-        executor.close()
-
-    def test_no_shm_leak_across_snapshot_cycle(self):
-        before = _shm_segments()
-        engine = _make_engine(sharded=True)
-        engine.surf.enable_parallel_solves(workers=2, min_components=1,
-                                           min_work=1)
-        _run_warm_phase(engine)
-        blob = engine.snapshot()
-        restored = s4u.Engine.restore(blob)
-        _run_measured_phase(restored, seed=2)
-        restored.close()
-        engine.close()
-        assert _shm_segments() == before
 
 
 # ---------------------------------------------------------------------------
