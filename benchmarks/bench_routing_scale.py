@@ -51,11 +51,10 @@ def run_routing_scale(num_hosts, num_routes=2000):
 
 
 def run_platform_realize(num_hosts):
-    """Lazily realize a ``num_hosts``-host grid and run one ping across it."""
+    """Realize a ``num_hosts``-host grid and run one ping across it."""
     platform = _grid(num_hosts)
     num_sites = num_hosts // HOSTS_PER_SITE
-    platform.realize(lazy=True)
-    engine = Engine(platform)
+    engine = Engine(platform)     # realizes; resources come on first touch
     src = "site-0-host-0"
     dst = f"site-{num_sites - 1}-host-{HOSTS_PER_SITE - 1}"
 

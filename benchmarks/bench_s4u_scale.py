@@ -43,9 +43,8 @@ from repro.s4u import ActivitySet, Engine
 
 
 def solver_stats(engine):
-    """Kernel observability counters of both LMM systems."""
-    return {"cpu": engine.surf.cpu_model.solver_stats(),
-            "network": engine.surf.network_model.solver_stats()}
+    """LMM counters summed over every model of the kernel (all shards)."""
+    return engine.kernel_stats()["solver"]
 
 
 def run_fleet(num_workers: int = 1000, rounds: int = 2,

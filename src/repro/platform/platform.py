@@ -17,13 +17,13 @@ End-to-end routes are concatenations of intra-zone segments up and down
 the zone tree, resolved on demand behind an LRU-bounded cache, so a fully
 touched platform stays O(touched) in memory instead of O(hosts²).
 
-Realization is **lazy** by default: hosts, links and their SURF resources
-materialize on first touch, so a 10⁵-host topology loads in O(touched).
-SURF constraint ids are pinned to declaration indices, which makes lazy
-realization bit-identical to **eager** realization (``realize(eager=True)``,
-every resource instantiated up front) — same solver tie-breaking, same
-simulated dates.  ``realize(sharded=True)`` additionally partitions the
-kernel along the top-level zones (see :mod:`repro.surf.shard`).
+Realization is lazy: hosts, links and their SURF resources materialize
+on first touch, so a 10⁵-host topology loads in O(touched).  SURF
+constraint ids are pinned to declaration indices, so the order in which
+resources happen to materialize never reaches the solver's tie-breaking
+or the simulated dates.  ``realize(sharded=True)`` additionally
+partitions the kernel along the top-level zones (see
+:mod:`repro.surf.shard`).
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ class HostSpec:
     state_trace: Optional[Trace] = None
     properties: Dict[str, str] = field(default_factory=dict)
     # Declaration index, set by Platform.add_host: pins the SURF
-    # constraint id so lazy/eager/sharded realization all number the
-    # resource identically.
+    # constraint id so every materialization order (and both kernels)
+    # number the resource identically.
     index: int = field(default=-1, compare=False)
 
     def __post_init__(self) -> None:
@@ -128,7 +128,9 @@ class Platform:
         self._node_zone: Dict[str, NetZone] = {}
         # realization state
         self._realized = False
-        self._lazy = False
+        # Vestige, never read: perfbench's golden.json pins the snapshot
+        # blob size; goes at the next benchmark re-gold.
+        self._lazy = True
         self.engine: Optional[SurfEngine] = None
         self.cpu_by_host: Dict[str, CpuResource] = {}
         self.link_by_name: Dict[str, LinkResource] = {}
@@ -355,18 +357,14 @@ class Platform:
 
     # -- realization -----------------------------------------------------------------
     def realize(self, engine: Optional[SurfEngine] = None,
-                lazy: Optional[bool] = None, eager: bool = False,
                 sharded: bool = False) -> SurfEngine:
-        """Instantiate host CPUs and links inside a SURF engine.
+        """Bind the platform to a SURF engine.
 
-        Lazy (the default): resources materialize on first touch
-        (``cpu_of``, ``route_resources``, ``link_resource``), so a huge
-        platform realizes in O(touched); only resources carrying traces
-        are materialized immediately (their events must be able to fire
-        whether or not the resource is otherwise used).  Because SURF
-        constraint ids are pinned to declaration indices, lazy and eager
-        realization produce bit-identical simulated dates — ``eager=True``
-        remains as an escape hatch that instantiates everything up front.
+        Resources materialize on first touch (``cpu_of``,
+        ``route_resources``, ``link_resource``), so a huge platform
+        realizes in O(touched); only resources carrying traces are
+        materialized here (their events must be able to fire whether or
+        not the resource is otherwise used).
 
         ``sharded=True`` builds a :class:`ShardedSurfEngine` partitioned
         along the top-level zones of this platform (ignored when an
@@ -377,10 +375,6 @@ class Platform:
         """
         if self._realized:
             raise PlatformError("platform already realized")
-        if lazy is None:
-            lazy = not eager
-        elif eager and lazy:
-            raise PlatformError("realize(): lazy and eager are exclusive")
         if engine is None:
             if sharded:
                 from repro.surf.shard import ShardedSurfEngine
@@ -388,22 +382,15 @@ class Platform:
             else:
                 engine = SurfEngine()
         self.engine = engine
-        self._lazy = lazy
         self._realized = True
         self._link_zone = self._compute_link_zones()
-        if lazy:
-            for spec in self.hosts.values():
-                if (spec.availability_trace is not None
-                        or spec.state_trace is not None):
-                    self._materialize_cpu(spec)
-            for spec in self.links.values():
-                if (spec.bandwidth_trace is not None
-                        or spec.state_trace is not None):
-                    self._materialize_link(spec)
-        else:
-            for spec in self.hosts.values():
+        for spec in self.hosts.values():
+            if (spec.availability_trace is not None
+                    or spec.state_trace is not None):
                 self._materialize_cpu(spec)
-            for spec in self.links.values():
+        for spec in self.links.values():
+            if (spec.bandwidth_trace is not None
+                    or spec.state_trace is not None):
                 self._materialize_link(spec)
         return engine
 
@@ -476,11 +463,6 @@ class Platform:
         """Whether :meth:`realize` has been called."""
         return self._realized
 
-    @property
-    def lazy(self) -> bool:
-        """Whether the platform was realized lazily."""
-        return self._realized and self._lazy
-
     def link_resource(self, name: str) -> LinkResource:
         """The realized :class:`LinkResource` of a link (materializing it)."""
         if not self._realized:
@@ -490,10 +472,6 @@ class Platform:
             spec = self.links.get(name)
             if spec is None:
                 raise PlatformError(f"unknown link {name!r}")
-            if not self._lazy:
-                raise PlatformError(
-                    f"link {name!r} missing from an eagerly realized "
-                    "platform (realization is inconsistent)")
             link = self._materialize_link(spec)
         return link
 
@@ -502,8 +480,8 @@ class Platform:
 
         Returns a **tuple** — route lists are read-only by contract (PR 5)
         and a tuple enforces it.  Memoized per ``(src, dst)`` in an
-        LRU-bounded cache; on a lazily realized platform the links of the
-        route materialize here, on first touch.
+        LRU-bounded cache; the links of the route materialize here, on
+        first touch.
         """
         if not self._realized:
             raise PlatformError("platform not realized yet")
@@ -516,7 +494,7 @@ class Platform:
         return links
 
     def cpu_of(self, host_name: str) -> CpuResource:
-        """The realized CPU of a host (materializing it when lazy)."""
+        """The realized CPU of a host (materializing it on first touch)."""
         if not self._realized:
             raise PlatformError("platform not realized yet")
         cpu = self.cpu_by_host.get(host_name)
@@ -524,10 +502,6 @@ class Platform:
             spec = self.hosts.get(host_name)
             if spec is None:
                 raise PlatformError(f"unknown host {host_name!r}")
-            if not self._lazy:
-                raise PlatformError(
-                    f"host {host_name!r} missing from an eagerly realized "
-                    "platform (realization is inconsistent)")
             cpu = self._materialize_cpu(spec)
         return cpu
 

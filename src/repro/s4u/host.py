@@ -61,8 +61,8 @@ class Host:
     @property
     def load(self) -> int:
         """Number of computations currently running on this host."""
-        return sum(1 for action in self._engine.surf.cpu_model.running
-                   if action.cpu is self.cpu and action.is_running())
+        return sum(1 for elem in self.cpu.constraint.elements
+                   if elem.variable.data.is_running())
 
     def actor_count(self) -> int:
         """Number of simulated actors currently hosted here."""

@@ -83,7 +83,7 @@ class Link:
 
     def set_latency(self, latency: float) -> "Link":
         """Change the link latency (seen by transfers started afterwards)."""
-        self._engine.surf.network_model.set_link_latency(
+        self._engine.surf.model_of(self.resource).set_link_latency(
             self.resource, latency)
         return self
 

@@ -1,7 +1,7 @@
 """The SURF engine: advancing simulated time across all resource models.
 
 The engine owns the simulated clock and repeatedly performs the fluid
-simulation loop described in DESIGN.md §2.2:
+simulation loop (ROADMAP, "Kernel performance model"):
 
 1. ask every model to *share resources* (solve its MaxMin system) and report
    the date of its next action completion;
@@ -11,8 +11,9 @@ simulation loop described in DESIGN.md §2.2:
 3. advance the clock to that date, update all running actions, apply the
    trace events that fire, and fail the actions that were using a resource
    that just died;
-4. hand the completed and failed actions back to the caller (the MSG/GRAS/
-   SMPI kernel) which resumes the simulated processes waiting on them.
+4. hand the completed and failed actions back to the caller (the s4u
+   engine, under GRAS, SMPI and AMOK alike) which resumes the simulated
+   actors waiting on them.
 
 The engine is deliberately independent from the process layer so it can be
 unit-tested (and benchmarked) with raw actions.
@@ -293,9 +294,8 @@ class SurfEngine:
     def _share_phase(self, now: float) -> float:
         """Solve every model's system; return the earliest event delay.
 
-        Overridden by the sharded engine, which merges the per-shard
-        solve results into the flat reschedule order before computing the
-        next-event dates.
+        The one phase the sharded engine overrides: it merges the
+        per-shard solve results into the flat reschedule order.
         """
         min_delta = math.inf
         for model in self.models:
@@ -307,9 +307,9 @@ class SurfEngine:
     def _update_phase(self, now: float, delta: float) -> List[Action]:
         """Fire every model's due events; return the completed actions.
 
-        Overridden by the sharded engine, which pops the per-shard heaps
-        merged by ``(date, seq)`` so the completion order matches the
-        flat single-heap pop order.
+        Serves the sharded engine unchanged: its shards share one heap
+        per model kind, so the first model of a kind drains it in flat
+        ``(date, seq)`` order and the others find nothing due.
         """
         completed: List[Action] = []
         for model in self.models:

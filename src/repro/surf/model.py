@@ -53,7 +53,9 @@ class FluidModel:
         #: share/update call; actions created in between are stamped with it.
         self.clock = 0.0
         # heap of (date, sequence, version, action) — version mismatches
-        # mark entries that were superseded by a reschedule.
+        # mark entries that were superseded by a reschedule.  The heap and
+        # its counter belong to the model *kind*: a sharded engine points
+        # every shard's pair at the root model's.
         self._heap: List[Tuple[float, int, int, Action]] = []
         self._seq = itertools.count()
 
@@ -135,19 +137,31 @@ class FluidModel:
         self.clock = now
         system = self.system
         if system._modified or system._detached_dirty:
-            for var in system.solve():
-                action = var.data
-                if action is None or action.state is not ActionState.RUNNING:
-                    continue
-                # The interval since the last sync ran at the previous
-                # rate; account it before adopting the new one.
-                action.sync_remaining(now)
-                action.last_rate = 0.0 if action._suspended else var.value
-                self._reschedule_action(action, now)
+            self._adopt_solved_rates(system.solve(), now)
         next_date = self.next_event_date()
         if math.isinf(next_date):
             return math.inf
         return max(0.0, next_date - now)
+
+    @staticmethod
+    def _adopt_solved_rates(variables, now: float) -> None:
+        """Reschedule the actions of the ``variables`` a solve changed.
+
+        The one place a solved value becomes an action's rate.  Static
+        because the order of ``variables`` is the caller's business (the
+        sharded engine passes several systems' results merged into flat
+        order) and each action is rescheduled by the model it lives in.
+        """
+        running = ActionState.RUNNING
+        for var in variables:
+            action = var.data
+            if action is None or action.state is not running:
+                continue
+            # The interval since the last sync ran at the previous
+            # rate; account it before adopting the new one.
+            action.sync_remaining(now)
+            action.last_rate = 0.0 if action._suspended else var.value
+            action.model._reschedule_action(action, now)
 
     def _reschedule_action(self, action: Action, now: float) -> None:
         """Recompute and (re)schedule the next event of ``action``.
@@ -179,7 +193,9 @@ class FluidModel:
                 break
             heapq.heappop(heap)
             action._event_version += 1
-            self._fire_event(action, now, finished)
+            # The heap may be shared by every model of this kind (sharded
+            # engine): the action's own model handles its event.
+            action.model._fire_event(action, now, finished)
         return finished
 
     def _fire_event(self, action: Action, now: float,

@@ -58,7 +58,7 @@ class Resource:
             # ``index`` pins the constraint id to the resource's platform
             # declaration index, making the id — and every id-based
             # tie-break downstream — independent of materialization order
-            # (lazy ≡ eager ≡ sharded to the bit).
+            # (flat ≡ sharded to the bit).
             self.constraint = system.new_constraint(
                 peak_capacity, shared=shared, data=self, cid=index)
 

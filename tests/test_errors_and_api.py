@@ -69,6 +69,16 @@ class TestRemovedParallelSolveApi:
         assert default_workers() == 0
 
 
+class TestRemovedEagerRealization:
+    """Realization is lazy, full stop: the mode parameters are gone."""
+
+    @pytest.mark.parametrize("kwargs", [{"eager": True}, {"lazy": False}])
+    def test_realize_rejects_the_removed_parameters(self, kwargs):
+        from repro.platform import make_star
+        with pytest.raises(TypeError, match=next(iter(kwargs))):
+            make_star(num_hosts=2).realize(**kwargs)
+
+
 class TestPackageFacade:
     def test_version_exposed(self):
         assert isinstance(repro.__version__, str)

@@ -123,29 +123,19 @@ class TestRouting:
 
 
 class TestRealization:
-    def test_realize_eager_creates_resources(self):
+    def test_realize_materializes_on_first_touch(self):
         platform = small_platform()
-        engine = platform.realize(eager=True)
+        engine = platform.realize()
         assert platform.realized
-        assert set(platform.cpu_by_host) == {"a", "b"}
-        assert set(platform.link_by_name) == {"a-r", "r-b"}
-        assert engine.cpu_model.resource_of("a").speed == 1e9
-
-    def test_realize_lazy_by_default(self):
-        platform = small_platform()
-        platform.realize()
-        assert platform.realized and platform.lazy
         # Nothing is materialized until touched...
         assert not platform.cpu_by_host and not platform.link_by_name
         # ...and first touch materializes with the declaration-pinned id.
         cpu_b = platform.cpu_of("b")
         cpu_a = platform.cpu_of("a")
         assert cpu_a.constraint.id == 0 and cpu_b.constraint.id == 1
-
-    def test_realize_lazy_and_eager_exclusive(self):
-        platform = small_platform()
-        with pytest.raises(PlatformError):
-            platform.realize(lazy=True, eager=True)
+        assert engine.cpu_model.resource_of("a").speed == 1e9
+        platform.route_resources("a", "b")
+        assert set(platform.link_by_name) == {"a-r", "r-b"}
 
     def test_realize_twice_rejected(self):
         platform = small_platform()

@@ -16,7 +16,7 @@ Four families of guarantees:
   that a leaf source no longer pays for its hub's edges.
 * **bounded caches and lazy realization** — route resolution stays
   O(touched) in memory: LRU-bounded caches with observable counters, and
-  ``realize(lazy=True)`` materializing only what a simulation touches.
+  ``realize()`` materializing only what a simulation touches.
 """
 
 import heapq
@@ -629,17 +629,17 @@ class TestRouteCaches:
 
 
 class TestLazyRealization:
-    """``realize(lazy=True)`` materializes resources in O(touched)."""
+    """``realize()`` materializes resources in O(touched)."""
 
     def test_untouched_platform_materializes_nothing(self):
         platform = make_zoned_grid(num_sites=10, hosts_per_site=20)
-        platform.realize(lazy=True)
+        platform.realize()
         assert platform.cpu_by_host == {}
         assert platform.link_by_name == {}
 
     def test_one_route_touches_only_its_links(self):
         platform = make_zoned_grid(num_sites=10, hosts_per_site=20)
-        platform.realize(lazy=True)
+        platform.realize()
         resources = platform.route_resources("site-0-host-0", "site-9-host-19")
         assert len(platform.link_by_name) == len(resources) == 4
         platform.cpu_of("site-0-host-0")
@@ -655,14 +655,22 @@ class TestLazyRealization:
         zone.add_host("plain", 1e9)
         platform.add_link("wire", 1e6, 1e-3)
         zone.connect("watched", "plain", "wire")
-        platform.realize(lazy=True)
+        platform.realize()
         assert set(platform.cpu_by_host) == {"watched"}
         assert platform.link_by_name == {}
 
-    def test_lazy_and_eager_dates_are_identical(self):
-        def run(lazy):
+    def test_materialization_order_does_not_change_dates(self):
+        def run(touch_all_first):
             platform = make_zoned_grid(num_sites=2, hosts_per_site=2)
-            platform.realize(lazy=lazy)
+            platform.realize()
+            if touch_all_first:
+                # Constraint ids are declaration indices, so touching
+                # every resource up front, in reverse, must not move a
+                # date.
+                for name in reversed(platform.host_names()):
+                    platform.cpu_of(name)
+                for name in reversed(platform.link_names()):
+                    platform.link_resource(name)
             engine = Engine(platform)
 
             def sender(actor):
@@ -676,7 +684,7 @@ class TestLazyRealization:
             engine.add_actor("r", "site-1-host-1", receiver)
             return engine.run()
 
-        assert run(lazy=False) == run(lazy=True)
+        assert run(touch_all_first=True) == run(touch_all_first=False)
 
     def test_large_zoned_platform_realizes_lazily_in_o_touched(self):
         # 10⁴ hosts here (the 10⁵ acceptance run lives in the
@@ -684,7 +692,7 @@ class TestLazyRealization:
         # scale with platform size, only with what the simulation touches.
         platform = make_zoned_grid(num_sites=100, hosts_per_site=100)
         assert len(platform.hosts) == 10_000
-        platform.realize(lazy=True)
+        platform.realize()
         engine = Engine(platform)
 
         def sender(actor):

@@ -1,13 +1,16 @@
 """Zone-partitioned (sharded) engine ≡ flat engine, date for date.
 
-The PR-7 partitioned kernel runs one pair of fluid models per top-level
-:class:`~repro.platform.routing.NetZone` and merges their share/update
-phases at the minimum next-event date.  Every simulated date it pins
-must be *bit-identical* to the flat single-model kernel — including
-under failure-injection churn whose victims sit on cross-zone routes.
+The partitioned kernel runs one pair of fluid models (LMM systems) per
+top-level :class:`~repro.platform.routing.NetZone` over one completion
+heap per model kind, and merges the per-shard solve results into flat
+order.  Every simulated date it pins must be *bit-identical* to the flat
+single-model kernel — including under failure-injection churn whose
+victims sit on cross-zone routes, and while a cross-zone flow migrates a
+closure whose actions have live heap entries.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import s4u
 from repro.exceptions import TransferFailureError
@@ -20,9 +23,9 @@ def zoned_platform():
     return make_zoned_grid(num_sites=3, hosts_per_site=4)
 
 
-def run_exchange_workload(platform=None, sharded=False):
+def run_exchange_workload(sharded=False):
     """Mixed intra-/cross-site execs and transfers; returns the event log."""
-    engine = s4u.Engine(platform or zoned_platform(), sharded=sharded)
+    engine = s4u.Engine(zoned_platform(), sharded=sharded)
     log = []
 
     # (sender, receiver) pairs: two stay inside a site, two cross sites,
@@ -197,20 +200,113 @@ class TestAvailabilityModulationEquivalence:
         assert any(entry[1].startswith("speed:") for entry in flat_log)
 
 
-class TestLazyRealization:
-    def test_lazy_matches_eager_dates(self):
-        eager = zoned_platform()
-        eager.realize(eager=True)
-        eager_log, _ = run_exchange_workload(platform=eager)
-        lazy_log, _ = run_exchange_workload()  # lazy is the default
-        assert lazy_log == eager_log
+def run_burst_workload(num_sites, hosts_per_site, crossing, sharded):
+    """Same-date bursts in every shard while closures migrate mid-flight.
 
-    def test_lazy_sharded_matches_eager_flat(self):
-        eager = zoned_platform()
-        eager.realize(eager=True)
-        eager_log, _ = run_exchange_workload(platform=eager)
-        shard_log, _ = run_exchange_workload(sharded=True)
-        assert shard_log == eager_log
+    Host 0 of each site is a sink posting all its receives at once, so
+    every transfer towards it is in flight together on its LAN link.
+    Sizes are homogeneous: the execs of every worker in every shard
+    complete at the same date, and so do the local transfers of a site.
+    The ``crossing`` last workers of each site start late and report to
+    the next site: their route hands the sink's LAN link — and the local
+    flows still running on it, heap entries pending — over to the root
+    shard.  Returns the event log and the count of running transfers the
+    gateway handoffs moved.
+    """
+    platform = make_zoned_grid(num_sites=num_sites,
+                               hosts_per_site=hosts_per_site)
+    engine = s4u.Engine(platform, sharded=sharded)
+    log = []
+    moved_running = [0]
+    if sharded:
+        surf = engine.surf
+        migrate = surf._migrate_closure
+
+        def counting_migrate(src_model, seeds):
+            before = len(src_model.running)
+            migrate(src_model, seeds)
+            moved_running[0] += before - len(src_model.running)
+
+        surf._migrate_closure = counting_migrate
+
+    def worker(actor, target, delay):
+        if delay:
+            yield s4u.this_actor.sleep_for(delay)
+        comp = yield actor.exec_async(4e7)
+        comm = yield actor.engine.mailbox(f"sink-{target}").put_async(
+            actor.name, size=2e6)
+        pending = s4u.ActivitySet([comp, comm])
+        while not pending.empty():
+            done = yield pending.wait_any()
+            log.append((actor.now, actor.name, done.kind))
+
+    def sink(actor, site, expected):
+        box = actor.engine.mailbox(f"sink-{site}")
+        pending = s4u.ActivitySet()
+        for _ in range(expected):
+            pending.push((yield box.get_async()))
+        while not pending.empty():
+            done = yield pending.wait_any()
+            log.append((actor.now, actor.name, done.get_payload()))
+
+    workers = hosts_per_site - 1
+    for s in range(num_sites):
+        for i in range(1, hosts_per_site):
+            crosses = i > workers - crossing
+            engine.add_actor(f"w-{s}-{i}", f"site-{s}-host-{i}", worker,
+                             (s + 1) % num_sites if crosses else s,
+                             2e-3 if crosses else 0.0)
+        engine.add_actor(f"sink-{s}", f"site-{s}-host-0", sink, s, workers)
+    log.append((engine.run(), "end"))
+    return log, moved_running[0]
+
+
+class TestBurstsWhileClosuresMigrate:
+    """One heap per kind: the flat pop loop serves N shards unchanged.
+
+    The case the per-shard heaps needed a merged pop and a heap-entry
+    migration for: same-date completions spread over several shards, and
+    closures that migrate with completion events still scheduled.
+    """
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(num_sites=st.integers(2, 5), hosts_per_site=st.integers(3, 6),
+           crossing_fraction=st.floats(0.0, 1.0))
+    def test_event_log_flat_equals_sharded(self, num_sites, hosts_per_site,
+                                           crossing_fraction):
+        workers = hosts_per_site - 1
+        # At least one worker crosses and at least one stays local.
+        crossing = min(workers - 1, max(1, round(crossing_fraction * workers)))
+        flat_log, _ = run_burst_workload(num_sites, hosts_per_site,
+                                         crossing, sharded=False)
+        shard_log, moved_running = run_burst_workload(
+            num_sites, hosts_per_site, crossing, sharded=True)
+        assert shard_log == flat_log
+        assert moved_running > 0
+        # The bursts are real: several events share one date.
+        dates = [entry[0] for entry in flat_log]
+        assert len(set(dates)) < len(dates)
+
+
+class TestHostLoad:
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_load_counts_running_execs_of_a_host_inside_a_zone(self, sharded):
+        engine = s4u.Engine(zoned_platform(), sharded=sharded)
+        loads = []
+
+        def body(actor):
+            first = yield actor.exec_async(1e9)
+            second = yield actor.exec_async(2e9)
+            loads.append(actor.host.load)
+            yield first.wait()
+            loads.append(actor.host.load)
+            yield second.wait()
+            loads.append(actor.host.load)
+
+        engine.add_actor("busy", "site-1-host-1", body)
+        engine.run()
+        assert loads == [2, 1, 0]
+        assert engine.host("site-1-host-2").load == 0
 
 
 class TestShardStats:

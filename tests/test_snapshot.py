@@ -185,6 +185,48 @@ class TestForkEqualsCold:
         assert fork == cold
 
 
+def _background_sender(actor, index):
+    yield actor.engine.mailbox(f"bg-{index}").put_async(
+        index, size=4e6 * (index + 1), detached=True)
+
+
+def _background_receiver(actor, index):
+    comm = yield actor.engine.mailbox(f"bg-{index}").get_async()
+    comm.detach()
+
+
+class TestShardedHeapSharingSurvivesSnapshots:
+    def test_one_heap_per_kind_and_same_dates_with_comms_in_flight(self):
+        """No pickle hook rebuilds anything on the sharded engine: the
+        per-kind heap/counter sharing and the system→model map must come
+        back from plain pickling, with live heap entries inside."""
+        engine = _make_engine(sharded=True)
+        _run_warm_phase(engine)
+        # Matched, detached transfers (one local, two cross-site) outlive
+        # their actors, so the engine is quiescent with events pending.
+        center, leaves = _worker_hosts(engine)
+        for index, host in enumerate(leaves):
+            engine.add_actor(f"bg-send-{index}", host,
+                             _background_sender, index)
+            engine.add_actor(f"bg-recv-{index}", center,
+                             _background_receiver, index)
+        engine.run()
+        assert len(engine.surf.network_model._heap) >= len(leaves)
+        assert engine.surf.has_running_actions()
+
+        restored = s4u.Engine.restore(engine.snapshot())
+        surf = restored.surf
+        for kind_list in (surf._cpu_list, surf._net_list):
+            root = kind_list[0]
+            assert all(m._heap is root._heap for m in kind_list)
+            assert all(m._seq is root._seq for m in kind_list)
+        assert len(surf.network_model._heap) == \
+            len(engine.surf.network_model._heap)
+        assert all(surf.model_of(link.resource).system is link.resource._system
+                   for link in restored.links.values())
+        assert _run_measured_phase(restored) == _run_measured_phase(engine)
+
+
 # ---------------------------------------------------------------------------
 # routing state: sealed shortest-path trees are derived, never pickled
 # ---------------------------------------------------------------------------
