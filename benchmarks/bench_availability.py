@@ -18,8 +18,6 @@ Run standalone (``python bench_availability.py``) or through
 ``run_benchmarks.py``.
 """
 
-import time
-
 from repro.platform import Platform
 from repro.s4u import Engine, FailureInjector
 from repro.surf.trace import Trace
@@ -55,8 +53,8 @@ def run_availability_churn(num_workers: int = 64,
     Every worker's host speed oscillates with its availability trace
     (dips de-synchronized across the fleet, so trace events fire all the
     time), the injector knocks hosts out on top, and the run ends when
-    the sink banked ``results_target`` results.  Reported events include
-    the availability events actually applied (counted through the
+    the sink banked ``results_target`` results.  Reported: the
+    availability events actually applied (counted through the
     ``on_resource_speed_change`` observer — proving the trace heap fired)
     next to the failure/restart counters and the solver stats.
     """
@@ -93,23 +91,16 @@ def run_availability_churn(num_workers: int = 64,
         mtbf=mtbf, mean_downtime=mean_downtime,
         max_failures=max_failures).start()
 
-    start = time.perf_counter()
     simulated = engine.run()
-    wall = time.perf_counter() - start
     if received[0] != results_target:
         raise AssertionError(
             f"sink banked {received[0]} of {results_target} results")
     if speed_changes[0] == 0:
         raise AssertionError("no availability event fired — trace heap dead")
 
-    events = (results_target + speed_changes[0] + injector.failures
-              + engine.restart_count)
     return {
         "simulated_time_s": simulated,
-        "wall_clock_s": wall,
         "peak_actors": num_workers + 1,
-        "events": events,
-        "events_per_s": events / wall if wall > 0 else float("inf"),
         "speed_changes": speed_changes[0],
         "failures": injector.failures,
         "restores": injector.restores,
@@ -129,19 +120,12 @@ def run_replay_cluster(num_jobs: int = 128, num_hosts: int = 16,
     replay = ClusterReplay(workload, churn_seed=churn_seed,
                            churn_mtbf=1.0, churn_downtime=0.3,
                            churn_max_failures=8)
-    start = time.perf_counter()
     metrics = replay.run()
-    wall = time.perf_counter() - start
     if metrics["completed"] == 0:
         raise AssertionError("replay completed no job at all")
-    events = (metrics["dispatched"] + metrics["completed"]
-              + metrics["speed_changes"] + metrics["host_downs"])
     return {
         "simulated_time_s": metrics["final_time"],
-        "wall_clock_s": wall,
         "peak_actors": num_hosts + 2,
-        "events": events,
-        "events_per_s": events / wall if wall > 0 else float("inf"),
         "jobs": metrics["jobs"],
         "completed": metrics["completed"],
         "makespan": metrics["makespan"],
@@ -154,18 +138,13 @@ def run_recovery_policies(num_seeds: int = 8) -> dict:
     """Periodic vs event checkpointing over a seed grid (campaign-run)."""
     from repro.replay import compare_recovery_policies
 
-    start = time.perf_counter()
     report = compare_recovery_policies(range(1, num_seeds + 1))
-    wall = time.perf_counter() - start
     summary = report["summary"]
     for policy in ("periodic", "event"):
         if summary[policy]["completed"]["min"] < 1:
             raise AssertionError(f"{policy}: a run completed no worker")
-    events = 2 * num_seeds
     return {
-        "wall_clock_s": wall,
-        "events": events,
-        "events_per_s": events / wall if wall > 0 else float("inf"),
+        "runs": 2 * num_seeds,
         "forked": report["forked"],
         "periodic_makespan_mean": summary["periodic"]["makespan"]["mean"],
         "event_makespan_mean": summary["event"]["makespan"]["mean"],

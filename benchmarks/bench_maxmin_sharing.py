@@ -97,38 +97,6 @@ def large_random_solve(num_constraints=200, num_variables=800, seed=3):
     return system
 
 
-def build_dense_bottleneck(num_variables, capacity=1e9, seed=7,
-                           bounded_fraction=0.875):
-    """One shared constraint crossed by ``num_variables`` variables.
-
-    The star/master-worker saturation shape: every flow funnels through a
-    single bottleneck resource.  Most variables carry a distinct rate
-    bound below their fair share, so progressive filling freezes them one
-    at a time — the constraint's saturation level must be re-derived at
-    every round.  A rescanning solver is O(N²) on this shape; the
-    incremental solver is O(N log N).  Returns the *unsolved* system.
-    """
-    rng = random.Random(seed)
-    system = MaxMinSystem()
-    bottleneck = system.new_constraint(capacity)
-    fair_share = capacity / num_variables
-    for i in range(num_variables):
-        if i < num_variables * bounded_fraction:
-            bound = fair_share * rng.uniform(0.05, 0.95)
-        else:
-            bound = None            # frozen by the constraint's final round
-        var = system.new_variable(weight=rng.uniform(0.5, 2.0), bound=bound)
-        system.expand(bottleneck, var, rng.uniform(0.5, 2.0))
-    return system
-
-
-def dense_bottleneck_solve(num_variables=2000, seed=7):
-    """Build and solve the dense-bottleneck system; returns the system."""
-    system = build_dense_bottleneck(num_variables, seed=seed)
-    system.solve()
-    return system
-
-
 def test_e5_maxmin_sharing_figure(benchmark):
     allocation = paper_figure_allocation()
     scenarios = sharing_scenarios()

@@ -13,14 +13,3 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-
-def print_table(title, headers, rows):
-    """Render a small fixed-width table to stdout (shown with pytest -s)."""
-    widths = [max(len(str(h)), *(len(str(row[i])) for row in rows))
-              for i, h in enumerate(headers)] if rows else [len(h) for h in headers]
-    line = "  ".join(str(h).ljust(w) for h, w in zip(headers, widths))
-    print(f"\n=== {title} ===")
-    print(line)
-    print("-" * len(line))
-    for row in rows:
-        print("  ".join(str(cell).ljust(w) for cell, w in zip(row, widths)))

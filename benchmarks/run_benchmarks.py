@@ -1,28 +1,23 @@
 #!/usr/bin/env python3
-"""Benchmark runner: execute the bench_* scenarios, write machine-readable JSON.
+"""Smoke runner: drive the liveness scenarios, pass or fail.
 
-Unlike the pytest harnesses in this directory (which print paper-artefact
-tables and assert on simulated results), this runner is about the *perf
-trajectory* of the simulator itself across PRs.  It imports the scenario
-functions directly — no pytest, no plugins — times them, and writes a JSON
-report (``BENCH.json`` by default) with, per scenario and size:
+Each scenario runs one subsystem end to end at one fixed size and raises
+``AssertionError`` when the property it exists for does not hold; the
+runner stops there, so the exit status is non-zero exactly when a
+scenario's own assertion (or the simulator under it) fails.  Nothing is
+timed and nothing is judged against a clock: wall-clock, throughput and
+scale questions belong to ``perfbench/run.py``.
 
-* ``wall_clock_s`` — how long the simulation took for real;
-* ``events_per_s`` — simulated activity completions per wall-clock second,
-  when the scenario can count them;
-* ``peak_actors`` — how many simulated actors were alive at peak;
-* scenario-specific metrics (simulated time, LMM solver counters...).
+The JSON report (``BENCH.json`` by default) keeps what every scenario
+returned: simulated dates and counters, no wall-clock.
 
 Usage::
 
-    PYTHONPATH=../src python run_benchmarks.py              # full sweep
-    PYTHONPATH=../src python run_benchmarks.py --smoke      # CI smoke sizes
-    PYTHONPATH=../src python run_benchmarks.py --smoke --enforce-budgets
-    PYTHONPATH=../src python run_benchmarks.py --only s4u_scale
-    PYTHONPATH=../src python run_benchmarks.py --only s4u_scale --profile
-    PYTHONPATH=../src python run_benchmarks.py --output /tmp/bench.json
+    python benchmarks/run_benchmarks.py
+    python benchmarks/run_benchmarks.py --only failure_churn
+    python benchmarks/run_benchmarks.py --output /tmp/smoke.json
 
-See README.md in this directory for how to read the output.
+See README.md in this directory.
 """
 
 from __future__ import annotations
@@ -32,7 +27,6 @@ import json
 import os
 import platform
 import sys
-import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -41,412 +35,161 @@ for _path in (os.path.join(ROOT, "src"), HERE):
         sys.path.insert(0, _path)
 
 
+def _require(condition, message):
+    if not condition:
+        raise AssertionError(message)
+
+
 # ----------------------------------------------------------------------------------
-# scenario wrappers: callable(size) -> metrics dict (wall clock is measured
-# by the runner; wrappers report simulated results and event counts)
+# scenarios: callable() -> metrics dict.  The sizes are the ones at which
+# the documented property is actually exercised.
 # ----------------------------------------------------------------------------------
 
-def _scalability_processes(size):
-    from bench_scalability_processes import (TASKS_PER_WORKER, master_worker)
-    simulated = master_worker(size)
-    # Per worker: TASKS_PER_WORKER execs + (TASKS_PER_WORKER + 1) messages.
-    return {
-        "simulated_time_s": simulated,
-        "peak_actors": size + 1,
-        "events": size * (2 * TASKS_PER_WORKER + 1),
-    }
-
-
-def _s4u_scale(size):
-    from bench_s4u_scale import run_fleet
-    result = run_fleet(num_workers=size)
-    return {
-        "simulated_time_s": result["simulated_time_s"],
-        "peak_actors": result["peak_actors"],
-        "events": result["activities"],
-        "lmm": result["lmm"],
-        "kernel": result["kernel"],
-    }
-
-
-def _sharded_zones(size):
-    from bench_s4u_scale import run_sharded_zones
-    result = run_sharded_zones(num_hosts=size)
-    return {
-        "simulated_time_s": result["simulated_time_s"],
-        "peak_actors": result["peak_actors"],
-        "events": result["activities"],
-        "lmm": result["lmm"],
-        "kernel": result["kernel"],
-    }
-
-
-def _s4u_pipeline(size):
-    from bench_s4u_scale import run_pipeline
-    result = run_pipeline(num_chains=size)
-    return {
-        "simulated_time_s": result["simulated_time_s"],
-        "peak_actors": result["peak_actors"],
-        "events": result["activities"],
-        "lmm": result["lmm"],
-    }
-
-
-def _s4u_race(size):
-    from bench_s4u_scale import run_activity_race
-    result = run_activity_race(num_actors=size)
-    return {
-        "simulated_time_s": result["simulated_time_s"],
-        "peak_actors": result["peak_actors"],
-        "events": result["activities"],
-        "lmm": result["lmm"],
-    }
-
-
-def _s4u_churn(size):
-    from bench_s4u_scale import run_actor_churn
-    result = run_actor_churn(waves=10, actors_per_wave=size)
-    return {
-        "simulated_time_s": result["simulated_time_s"],
-        "peak_actors": result["peak_actors"],
-        "total_actors": result["total_actors"],
-        "events": result["activities"],
-        "lmm": result["lmm"],
-    }
-
-
-def _failure_churn(size):
+def _failure_churn():
+    """Auto-restart fleet: 100+ host failures, every result collected."""
     from bench_s4u_scale import run_failure_churn
-    result = run_failure_churn(num_workers=size, results_target=size * 30)
-    return {
-        "simulated_time_s": result["simulated_time_s"],
-        "peak_actors": result["peak_actors"],
-        "events": result["events"],
-        "failures": result["failures"],
-        "restores": result["restores"],
-        "restarts": result["restarts"],
-        "lmm": result["lmm"],
-    }
+    # The body raises unless the sink banked every one of the results.
+    result = run_failure_churn(num_workers=64, results_target=64 * 30)
+    _require(result["failures"] >= 100,
+             f"churn injected {result['failures']} host failures, the "
+             "scenario promises 100+")
+    _require(result["restarts"] > 0, "no worker was ever restarted")
+    return result
 
 
-def _availability_churn(size):
+def _availability_churn():
+    """Trace-modulated fleet under churn: trace heap fires, nothing lost."""
     from bench_availability import run_availability_churn
-    result = run_availability_churn(num_workers=size,
-                                    results_target=size * 15)
-    return {
-        "simulated_time_s": result["simulated_time_s"],
-        "peak_actors": result["peak_actors"],
-        "events": result["events"],
-        "speed_changes": result["speed_changes"],
-        "failures": result["failures"],
-        "restarts": result["restarts"],
-        "lmm": result["lmm"],
-    }
+    return run_availability_churn(num_workers=16, results_target=16 * 15)
 
 
-def _replay_cluster(size):
+def _replay_cluster():
+    """Cluster-log replay through ``repro.replay`` completes jobs."""
     from bench_availability import run_replay_cluster
-    result = run_replay_cluster(num_jobs=size, num_hosts=max(8, size // 8))
-    return {
-        "simulated_time_s": result["simulated_time_s"],
-        "peak_actors": result["peak_actors"],
-        "events": result["events"],
-        "completed": result["completed"],
-        "makespan": result["makespan"],
-        "speed_changes": result["speed_changes"],
-    }
+    return run_replay_cluster(num_jobs=32, num_hosts=8)
 
 
-def _recovery_policies(size):
+def _recovery_policies():
+    """Both checkpoint policies complete over a snapshot-forked grid."""
     from bench_availability import run_recovery_policies
-    return run_recovery_policies(num_seeds=size)
+    return run_recovery_policies(num_seeds=3)
 
 
-def _ft_supervisor_churn(size):
+def _ft_supervisor_churn():
+    """Supervised at-least-once replay: 100+ host failures, zero lost."""
     from bench_ft import run_ft_supervisor_churn
-    failures = 120 if size > 128 else (100 if size >= 128 else 20)
-    result = run_ft_supervisor_churn(num_jobs=size,
-                                     num_hosts=8 if size <= 32 else 16,
-                                     max_failures=failures)
-    return {
-        "simulated_time_s": result["simulated_time_s"],
-        "peak_actors": result["peak_actors"],
-        "events": result["events"],
-        "completed": result["completed"],
-        "lost": result["lost"],
-        "duplicates": result["duplicates"],
-        "resubmitted": result["resubmitted"],
-        "failures": result["failures"],
-        "worker_restarts": result["worker_restarts"],
-        "makespan": result["makespan"],
-    }
+    # The body raises on a lost job or an incomplete failure schedule.
+    result = run_ft_supervisor_churn(num_jobs=128, num_hosts=16,
+                                     max_failures=100)
+    _require(result["failures"] >= 100 and result["lost"] == 0,
+             f"{result['failures']} failures, {result['lost']} lost jobs; "
+             "the scenario promises 100+ and 0")
+    return result
 
 
-def _smpi_scale(size):
-    from bench_s4u_scale import run_smpi_scale
-    result = run_smpi_scale(num_ranks=size)
-    return {
-        "simulated_time_s": result["simulated_time_s"],
-        "peak_actors": result["peak_actors"],
-        "events": result["events"],
-        "lmm": result["lmm"],
-    }
+def _campaign_fanout():
+    """Snapshot-forked campaign ≡ cold replays (workers from the env)."""
+    from bench_campaign import run_campaign_fanout
+    return run_campaign_fanout(num_seeds=16)
 
 
-def _lmm_counters(system):
-    return {
-        "constraints_solved": system.constraints_solved,
-        "variables_solved": system.variables_solved,
-        "elements_visited": system.elements_visited,
-        "heap_pops": system.heap_pops,
-    }
+def _smpi_matmul():
+    """E6: the WAN-crossing broadcasts dominate on the two-site grid."""
+    from bench_smpi_matmul import (heterogeneous_platform,
+                                   homogeneous_platform, simulate)
+    homogeneous = simulate(homogeneous_platform, 4)
+    heterogeneous = simulate(heterogeneous_platform, 4)
+    _require(heterogeneous > 2.0 * homogeneous,
+             f"two-site grid {heterogeneous:.3f}s vs cluster "
+             f"{homogeneous:.3f}s: heterogeneity no longer hurts")
+    return {"homogeneous_s": homogeneous, "heterogeneous_s": heterogeneous}
 
 
-def _maxmin_random_solve(size):
-    from bench_maxmin_sharing import large_random_solve
-    system = large_random_solve(num_constraints=max(4, size // 4),
-                                num_variables=size)
-    return {"events": size, "lmm": _lmm_counters(system)}
+def _gantt_clientserver():
+    """E4: every host is on the chart and concurrent comms interfere."""
+    from bench_gantt_clientserver import (NUM_CLIENTS, NUM_SERVERS, simulate)
+    from repro.tracing import GanttChart
+    makespan, recorder = simulate()
+    chart = GanttChart(recorder)
+    _require(len(chart.summary()) == NUM_CLIENTS + NUM_SERVERS,
+             "a client or server is missing from the Gantt chart")
+    _require(chart.overlapping_comms() > 0,
+             "no two communications overlap: link sharing is not exercised")
+    return {"simulated_time_s": makespan,
+            "overlapping_comms": chart.overlapping_comms()}
 
 
-def _maxmin_dense_bottleneck(size):
-    from bench_maxmin_sharing import dense_bottleneck_solve
-    system = dense_bottleneck_solve(num_variables=size)
-    return {"events": size, "lmm": _lmm_counters(system)}
-
-
-def _smpi_matmul(size):
-    from bench_smpi_matmul import homogeneous_platform, simulate
-    simulated = simulate(homogeneous_platform, size)
-    return {"simulated_time_s": simulated, "peak_actors": size}
-
-
-def _gantt_clientserver(size):
-    from bench_gantt_clientserver import (NUM_CLIENTS, NUM_SERVERS,
-                                          REQUESTS_PER_CLIENT, simulate)
-    makespan, _recorder = simulate()
-    return {
-        "simulated_time_s": makespan,
-        "peak_actors": NUM_CLIENTS + NUM_SERVERS,
-        "events": NUM_CLIENTS * REQUESTS_PER_CLIENT * 3,  # req + exec + ack
-    }
-
-
-def _traces_failures(size):
+def _traces_failures():
+    """E8: the bandwidth trace and the transient failure land on time."""
     from bench_traces_failures import simulate
     outcome = simulate(with_traces=True)
-    return {"simulated_time_s": max(
-        v for v in outcome.values() if isinstance(v, (int, float)))}
+    # 10 MB at full speed, 2.5 MB throttled to 25 %, 7.5 MB restored.
+    _require(abs(outcome["transfer_end"] - 27.5) < 0.01,
+             f"throttled transfer ended at {outcome['transfer_end']}")
+    status, date = outcome["victim_transfer"]
+    _require(status == "failed" and abs(date - 4.0) < 0.01,
+             f"victim transfer: {outcome['victim_transfer']}")
+    return {"compute_end": outcome["compute_end"],
+            "transfer_end": outcome["transfer_end"],
+            "victim_failed_at": date}
 
 
-def _fluid_flows(size):
-    from bench_speed_fluid_vs_packet import NUM_FLOWS, run_fluid
-    simulated = run_fluid()
-    return {"simulated_time_s": simulated, "events": NUM_FLOWS}
+def _fluid_flows():
+    """E1's fluid side: no flow is served faster than its bottleneck."""
+    from bench_validation_flows import (NUM_NODES, TOPOLOGY_SEED,
+                                        fluid_rates)
+    from repro.platform.brite import make_waxman_topology
+    rates, flows = fluid_rates()
+    topology = make_waxman_topology(num_nodes=NUM_NODES, seed=TOPOLOGY_SEED)
+    for rate, (src, dst) in zip(rates, flows):
+        bottleneck = min(topology.links[name].bandwidth
+                         for name in topology.route_links(src, dst))
+        _require(0.0 < rate <= bottleneck,
+                 f"flow {src}->{dst} at {rate:.4g} B/s over a "
+                 f"{bottleneck:.4g} B/s bottleneck")
+    return {"flows": len(rates), "aggregate_rate": sum(rates)}
 
 
-def _campaign_fanout(size):
-    from bench_campaign import run_campaign_fanout
-    return run_campaign_fanout(num_seeds=size)
-
-
-def _routing_scale(size):
-    from bench_routing_scale import run_routing_scale
-    return run_routing_scale(num_hosts=size)
-
-
-def _platform_realize(size):
-    from bench_routing_scale import run_platform_realize
-    return run_platform_realize(num_hosts=size)
-
-
-#: name -> (wrapper, full sizes, smoke sizes).  ``None`` sizes mean the
-#: scenario has one fixed configuration.
 SCENARIOS = {
-    "scalability_processes": (_scalability_processes, (16, 64, 256, 512),
-                              (16,)),
-    # The PR 7 acceptance ladder: the full sweep climbs to the 10⁵-actor
-    # rung the sharded-kernel PR is judged on.
-    "s4u_scale": (_s4u_scale, (1000, 10_000, 100_000), (200,)),
-    # Zone-partitioned fleet on the sharded kernel (PR 7): sites map to
-    # shards, every eighth worker crosses zones.
-    "sharded_zones": (_sharded_zones, (1000, 10_000, 100_000), (200,)),
-    "s4u_pipeline": (_s4u_pipeline, (100, 250), (25,)),
-    "s4u_race": (_s4u_race, (500, 1000), (100,)),
-    "s4u_churn": (_s4u_churn, (100, 250), (25,)),
-    "failure_churn": (_failure_churn, (64, 256), (16,)),
-    # Availability modulation (PR 9): phase-shifted periodic load dips on
-    # every leaf + seeded churn — the trace heap, capacity write path and
-    # restart path all hot at once.
-    "availability_churn": (_availability_churn, (64, 256), (16,)),
-    # Cluster-log replay through the repro.replay frontend (PR 9).
-    "replay_cluster": (_replay_cluster, (128, 512), (32,)),
-    # Periodic vs event checkpointing over a campaign seed grid, forked
-    # from one warmed snapshot (PR 9 on top of the PR 8 runner).
-    "recovery_policies": (_recovery_policies, (8, 16), (3,)),
-    # Fault-tolerance toolkit (PR 10): supervised at-least-once replay
-    # absorbing 100+ host failures at the full sizes with zero lost jobs
-    # — detector, resubmitter, supervisor and collector dedup all hot.
-    "ft_supervisor_churn": (_ft_supervisor_churn, (128, 256), (32,)),
-    "smpi_scale": (_smpi_scale, (16, 32, 64), (8,)),
-    "maxmin_random_solve": (_maxmin_random_solve, (800, 3200, 12800), (200,)),
-    "maxmin_dense_bottleneck": (_maxmin_dense_bottleneck,
-                                (800, 3200, 12800), (200,)),
-    "smpi_matmul": (_smpi_matmul, (2, 4, 8), (2,)),
-    # Campaign fan-out (PR 8): a seed × config grid (16 seeds × 2 configs
-    # at the smoke size) forked from one warmed ``engine.snapshot()`` blob
-    # vs cold per-run replays of the warm prefix — bit-identity enforced,
-    # fork must win wall-clock.  Workers from REPRO_CAMPAIGN_WORKERS, so
-    # CI smokes the serial and 2-worker pool modes.
-    "campaign_fanout": (_campaign_fanout, (16, 64), (16,)),
-    "gantt_clientserver": (_gantt_clientserver, (None,), (None,)),
-    "traces_failures": (_traces_failures, (None,), (None,)),
-    "fluid_flows": (_fluid_flows, (None,), (None,)),
-    # Hierarchical routing (PR 6): the smoke size IS the acceptance size —
-    # a 10⁵-host zoned platform must resolve routes and realize lazily
-    # inside the budget, or the O(touched) guarantee regressed.
-    "routing_scale": (_routing_scale, (1000, 10_000, 100_000), (100_000,)),
-    "platform_realize": (_platform_realize, (1000, 10_000, 100_000),
-                         (100_000,)),
+    "availability_churn": _availability_churn,
+    "campaign_fanout": _campaign_fanout,
+    "failure_churn": _failure_churn,
+    "fluid_flows": _fluid_flows,
+    "ft_supervisor_churn": _ft_supervisor_churn,
+    "gantt_clientserver": _gantt_clientserver,
+    "recovery_policies": _recovery_policies,
+    "replay_cluster": _replay_cluster,
+    "smpi_matmul": _smpi_matmul,
+    "traces_failures": _traces_failures,
 }
-
-
-#: Per-scenario wall-clock budgets for the ``--smoke`` sizes, in seconds.
-#: Generous multiples of the recorded smoke times (all a few seconds at
-#: most on the lazy kernel, see BENCH_PR7.json) so CI noise never trips them,
-#: but a solver regression that reintroduces per-round rescans still fails
-#: loudly *attributed to the scenario that caused it* instead of only
-#: blowing the job's global timeout.
-SMOKE_BUDGETS_S = {
-    "scalability_processes": 10.0,
-    "s4u_scale": 15.0,
-    # Sealed-tree routing (PR 12): 0.07 s recorded.  The O(site)-per-route
-    # search this replaced is pinned wall-clock-free in
-    # tests/test_routing_zones.py::TestRoutingWorkScaling.
-    "sharded_zones": 3.0,
-    "s4u_pipeline": 15.0,
-    "s4u_race": 10.0,
-    "s4u_churn": 10.0,
-    "failure_churn": 20.0,
-    "availability_churn": 20.0,
-    "replay_cluster": 20.0,
-    "recovery_policies": 30.0,
-    "ft_supervisor_churn": 20.0,
-    "smpi_scale": 10.0,
-    "maxmin_random_solve": 10.0,
-    "maxmin_dense_bottleneck": 10.0,
-    "smpi_matmul": 15.0,
-    "campaign_fanout": 30.0,
-    "gantt_clientserver": 10.0,
-    "traces_failures": 10.0,
-    "fluid_flows": 15.0,
-    # 1.1 s recorded at 10⁵ hosts, 0.9 s of it declaring the platform; the
-    # per-query search took 3.0 s on the same box.
-    "routing_scale": 4.0,
-    "platform_realize": 20.0,
-}
-
-
-def run_scenario(name, wrapper, size, profile=False):
-    if profile:
-        import cProfile
-        profiler = cProfile.Profile()
-        start = time.perf_counter()
-        metrics = profiler.runcall(wrapper, size)
-        wall = time.perf_counter() - start
-    else:
-        start = time.perf_counter()
-        metrics = wrapper(size)
-        wall = time.perf_counter() - start
-    entry = {"scenario": name, "size": size, "wall_clock_s": round(wall, 4)}
-    events = metrics.pop("events", None)
-    if events is not None:
-        entry["events"] = events
-        entry["events_per_s"] = round(events / wall, 1) if wall > 0 else None
-    entry.update(metrics)
-    if profile:
-        import pstats
-        print(f"--- profile: {name}"
-              + (f" size={size}" if size is not None else "")
-              + " (top 20 by cumulative time; wall_clock_s includes "
-                "profiler overhead) ---")
-        pstats.Stats(profiler).sort_stats("cumulative").print_stats(20)
-    return entry
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="Run the simulator benchmarks and write a JSON report.")
-    parser.add_argument("--smoke", action="store_true",
-                        help="smallest sizes only (CI regression smoke)")
+        description="Run the liveness scenarios and write a JSON report.")
     parser.add_argument("--only", action="append", default=None,
                         metavar="NAME", choices=sorted(SCENARIOS),
                         help="run only the given scenario (repeatable)")
-    parser.add_argument("--profile", action="store_true",
-                        help="wrap each scenario in cProfile and print the "
-                             "top-20 cumulative functions (hot-path hunting "
-                             "for perf PRs; timings include the profiler)")
-    parser.add_argument("--enforce-budgets", action="store_true",
-                        help="with --smoke: fail when a scenario exceeds its "
-                             "per-scenario wall-clock budget, naming the "
-                             "offender (CI regression attribution)")
     parser.add_argument("--output", default=os.path.join(ROOT, "BENCH.json"),
                         help="path of the JSON report (default: %(default)s)")
     args = parser.parse_args(argv)
 
-    names = args.only or sorted(SCENARIOS)
     results = []
-    blown = []
-    for name in names:
-        wrapper, full_sizes, smoke_sizes = SCENARIOS[name]
-        for size in (smoke_sizes if args.smoke else full_sizes):
-            label = f"{name}" + (f" size={size}" if size is not None else "")
-            print(f"running {label} ...", flush=True)
-            entry = run_scenario(name, wrapper, size, profile=args.profile)
-            print(f"  -> wall={entry['wall_clock_s']:.3f}s "
-                  + (f"events/s={entry.get('events_per_s')}"
-                     if "events_per_s" in entry else ""), flush=True)
-            budget = SMOKE_BUDGETS_S.get(name)
-            if (args.smoke and args.enforce_budgets and budget is not None
-                    and entry["wall_clock_s"] > budget):
-                blown.append((label, entry["wall_clock_s"], budget))
-                print(f"  !! budget blown: {entry['wall_clock_s']:.3f}s "
-                      f"> {budget:.1f}s", flush=True)
-            results.append(entry)
+    for name in args.only or SCENARIOS:
+        print(f"running {name} ...", flush=True)
+        results.append({"scenario": name, **SCENARIOS[name]()})
+        print("  ok", flush=True)
 
     report = {
-        "schema": "repro-bench/1",
-        "mode": "smoke" if args.smoke else "full",
+        "schema": "repro-smoke/1",
         "python": platform.python_version(),
         "platform": platform.platform(),
         "results": results,
     }
-    # A checked-in report carries the before/after record of the PR that
-    # produced it (see README.md); refreshing the numbers must not drop it.
-    if os.path.exists(args.output):
-        try:
-            with open(args.output, "r", encoding="utf-8") as fh:
-                previous = json.load(fh)
-            for key in ("baseline", "headline"):
-                if key in previous:
-                    report[key] = previous[key]
-        except (OSError, ValueError):
-            pass
-    if args.profile and args.output == parser.get_default("output"):
-        # Profiled wall-clocks include the cProfile overhead; never let
-        # them silently clobber the checked-in snapshot.
-        print(f"not writing {args.output}: --profile numbers include the "
-              "profiler overhead (pass --output explicitly to keep them)")
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.output}")
-    if blown:
-        print("per-scenario wall-clock budgets exceeded:")
-        for label, wall, budget in blown:
-            print(f"  {label}: {wall:.3f}s > budget {budget:.1f}s")
-        return 1
+    with open(args.output, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
+    print(f"wrote {args.output}")
     return 0
 
 

@@ -18,18 +18,25 @@ functions.
 from __future__ import annotations
 
 import contextlib
-from typing import Any, Callable, Iterator, Optional, Tuple
+from typing import Any, Callable, Iterator, List, Tuple
 
-from repro.gras.arch import Architecture, LOCAL_ARCH
+from repro.exceptions import SimTimeoutError, UnknownMessageError
+from repro.gras.arch import ARCHITECTURES, Architecture, LOCAL_ARCH
 from repro.gras.bench import BenchRecorder
-from repro.gras.message import MessageRegistry
+from repro.gras.message import GrasMessage, MessageRegistry
 from repro.gras.socket import GrasSocket
 
 __all__ = ["GrasProcess"]
 
 
 class GrasProcess:
-    """Abstract GRAS process: messaging, sockets, time, benchmarking."""
+    """The GRAS protocol over an abstract transport.
+
+    Message encoding, the reorder buffer, ``msg_wait``/``msg_handle`` and
+    the benchmarking macros live here, once; a backend supplies sockets,
+    a clock and the two transport hooks (:meth:`_transmit`,
+    :meth:`_receive`).
+    """
 
     def __init__(self, name: str, arch: Architecture = LOCAL_ARCH) -> None:
         self.name = name
@@ -37,6 +44,8 @@ class GrasProcess:
         self.registry = MessageRegistry()
         self.bench_recorder = BenchRecorder()
         self.properties: dict = {}
+        #: Reorder buffer: messages received while waiting for another type.
+        self._buffer: List[GrasMessage] = []
 
     # -- message types -------------------------------------------------------------------
     def msgtype_declare(self, name: str, payload_desc=None) -> None:
@@ -48,6 +57,9 @@ class GrasProcess:
         self.registry.register_callback(msgtype_name, callback)
 
     # -- sockets (backend-specific) ---------------------------------------------------------
+    #: Address peers reply to (the simulated host name, or localhost).
+    host_name: str
+
     def socket_server(self, port: int) -> GrasSocket:
         """Open a server socket on ``port`` (``gras_socket_server``)."""
         raise NotImplementedError
@@ -56,27 +68,94 @@ class GrasProcess:
         """Create a client socket to ``host:port`` (``gras_socket_client``)."""
         raise NotImplementedError
 
-    # -- messaging (backend-specific) ----------------------------------------------------------
+    def _ensure_listen_port(self) -> int:
+        """The port replies come back on, opening one if needed."""
+        raise NotImplementedError
+
+    # -- transport (backend-specific) ----------------------------------------------------------
+    def _transmit(self, socket: GrasSocket, message: GrasMessage,
+                  wire_size: int) -> None:
+        """Carry one message of ``wire_size`` bytes to ``socket``."""
+        raise NotImplementedError
+
+    def _receive(self, timeout: float) -> GrasMessage:
+        """Block until a *new* message arrives on the listen port.
+
+        ``timeout`` is in seconds of :meth:`os_time` and may be infinite;
+        raises :class:`SimTimeoutError` when it elapses first.
+        """
+        raise NotImplementedError
+
+    # -- messaging -----------------------------------------------------------------------------
     def msg_send(self, socket: GrasSocket, msgtype_name: str,
                  payload: Any = None) -> None:
         """Send one typed message to ``socket`` (``gras_msg_send``)."""
-        raise NotImplementedError
+        msgtype = self.registry.by_name(msgtype_name)
+        payload_bytes = b""
+        if msgtype.payload_desc is not None and payload is not None:
+            payload_bytes = msgtype.payload_desc.encode(payload, self.arch)
+        message = GrasMessage(
+            msgtype=msgtype_name,
+            payload_bytes=payload_bytes,
+            sender_arch=self.arch.name,
+            sender_host=self.host_name,
+            sender_port=self._ensure_listen_port(),
+        )
+        self._transmit(socket, message,
+                       msgtype.wire_size(payload, self.arch))
+
+    def _decode(self, message: GrasMessage) -> Tuple[GrasSocket, Any]:
+        """``(source_socket, payload)`` of a received message."""
+        source = GrasSocket(message.sender_host, message.sender_port)
+        msgtype = self.registry.by_name(message.msgtype)
+        if msgtype.payload_desc is None or not message.payload_bytes:
+            return source, None
+        src_arch = ARCHITECTURES.get(message.sender_arch, LOCAL_ARCH)
+        value, _ = msgtype.payload_desc.decode(message.payload_bytes, src_arch)
+        return source, value
 
     def msg_wait(self, timeout: float, msgtype_name: str
                  ) -> Tuple[GrasSocket, Any]:
         """Block until a message of the given type arrives.
 
         Returns ``(source_socket, payload)`` like ``gras_msg_wait`` fills
-        its ``&from`` and ``&payload`` output arguments.
+        its ``&from`` and ``&payload`` output arguments.  Messages of other
+        types arriving meanwhile are kept, in order, for later calls.
         """
-        raise NotImplementedError
+        deadline = self.os_time() + timeout
+        for idx, message in enumerate(self._buffer):
+            if message.msgtype == msgtype_name:
+                del self._buffer[idx]
+                return self._decode(message)
+        # The buffer was scanned above and only this process appends to
+        # it, so from here on only *new* messages can match: popping the
+        # buffer again would spin forever on a non-matching message.
+        while True:
+            remaining = deadline - self.os_time()
+            if remaining < 0:
+                raise SimTimeoutError(
+                    f"no {msgtype_name!r} message within {timeout}s")
+            message = self._receive(remaining)
+            if message.msgtype == msgtype_name:
+                return self._decode(message)
+            self._buffer.append(message)
 
     def msg_handle(self, timeout: float) -> bool:
         """Wait for (at most ``timeout``) and dispatch one incoming message.
 
         Returns True when a message was handled, False on timeout.
         """
-        raise NotImplementedError
+        try:
+            message = (self._buffer.pop(0) if self._buffer
+                       else self._receive(timeout))
+        except SimTimeoutError:
+            return False
+        callback = self.registry.callback_for(message.msgtype)
+        if callback is None:
+            raise UnknownMessageError(
+                f"no callback registered for {message.msgtype!r}")
+        callback(self, *self._decode(message))
+        return True
 
     # -- time (backend-specific) -------------------------------------------------------------------
     def os_time(self) -> float:

@@ -13,14 +13,15 @@ message type name and the payload bytes encoded with the sender's layout.
 
 from __future__ import annotations
 
+import math
 import queue
 import socket as _socket
 import struct as _struct
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional
 
-from repro.exceptions import NetworkError, SimTimeoutError, UnknownMessageError
+from repro.exceptions import NetworkError, SimTimeoutError
 from repro.gras.arch import ARCHITECTURES, Architecture, LOCAL_ARCH
 from repro.gras.message import GrasMessage
 from repro.gras.process import GrasProcess
@@ -70,13 +71,14 @@ def _unpack_frame(conn: _socket.socket) -> GrasMessage:
 class RlGrasProcess(GrasProcess):
     """A GRAS process running for real (thread + localhost TCP)."""
 
+    host_name = _LOCALHOST
+
     def __init__(self, name: str, arch: Architecture = LOCAL_ARCH) -> None:
         super().__init__(name, arch)
         self._inbox: "queue.Queue[GrasMessage]" = queue.Queue()
         self._server_socket: Optional[_socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
         self._listen_port: Optional[int] = None
-        self._buffer: List[GrasMessage] = []
         self._closing = threading.Event()
         self._start_wallclock = time.monotonic()
 
@@ -123,17 +125,11 @@ class RlGrasProcess(GrasProcess):
             except NetworkError:
                 continue
 
-    # -- messaging ---------------------------------------------------------------------
-    def msg_send(self, socket: GrasSocket, msgtype_name: str,
-                 payload: Any = None) -> None:
-        msgtype = self.registry.by_name(msgtype_name)
-        payload_bytes = b""
-        if msgtype.payload_desc is not None and payload is not None:
-            payload_bytes = msgtype.payload_desc.encode(payload, self.arch)
-        message = GrasMessage(
-            msgtype=msgtype_name, payload_bytes=payload_bytes,
-            sender_arch=self.arch.name, sender_host=_LOCALHOST,
-            sender_port=self._ensure_listen_port())
+    # -- transport -------------------------------------------------------------------
+    def _transmit(self, socket: GrasSocket, message: GrasMessage,
+                  wire_size: int) -> None:
+        # The frame's real length is what crosses the wire here; the
+        # modelled ``wire_size`` only matters to the simulator.
         frame = _pack_frame(message)
         try:
             with _socket.create_connection((socket.host, socket.port),
@@ -141,58 +137,16 @@ class RlGrasProcess(GrasProcess):
                 conn.sendall(frame)
         except OSError as exc:
             raise NetworkError(
-                f"cannot send {msgtype_name!r} to {socket.address}: {exc}"
+                f"cannot send {message.msgtype!r} to {socket.address}: {exc}"
             ) from exc
 
-    def _next_message(self, timeout: float) -> GrasMessage:
-        if self._buffer:
-            return self._buffer.pop(0)
+    def _receive(self, timeout: float) -> GrasMessage:
         try:
-            return self._inbox.get(timeout=timeout)
+            return self._inbox.get(
+                timeout=timeout if not math.isinf(timeout) else None)
         except queue.Empty:
             raise SimTimeoutError(
                 f"no message within {timeout}s") from None
-
-    def _decode(self, message: GrasMessage) -> Any:
-        msgtype = self.registry.by_name(message.msgtype)
-        if msgtype.payload_desc is None or not message.payload_bytes:
-            return None
-        src_arch = ARCHITECTURES.get(message.sender_arch, LOCAL_ARCH)
-        value, _ = msgtype.payload_desc.decode(message.payload_bytes, src_arch)
-        return value
-
-    def msg_wait(self, timeout: float, msgtype_name: str
-                 ) -> Tuple[GrasSocket, Any]:
-        deadline = time.monotonic() + timeout
-        for idx, message in enumerate(self._buffer):
-            if message.msgtype == msgtype_name:
-                self._buffer.pop(idx)
-                return (GrasSocket(message.sender_host, message.sender_port),
-                        self._decode(message))
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise SimTimeoutError(
-                    f"no {msgtype_name!r} message within {timeout}s")
-            message = self._next_message(remaining)
-            if message.msgtype == msgtype_name:
-                return (GrasSocket(message.sender_host, message.sender_port),
-                        self._decode(message))
-            self._buffer.append(message)
-
-    def msg_handle(self, timeout: float) -> bool:
-        try:
-            message = (self._buffer.pop(0) if self._buffer
-                       else self._next_message(timeout))
-        except SimTimeoutError:
-            return False
-        callback = self.registry.callback_for(message.msgtype)
-        if callback is None:
-            raise UnknownMessageError(
-                f"no callback registered for {message.msgtype!r}")
-        source = GrasSocket(message.sender_host, message.sender_port)
-        callback(self, source, self._decode(message))
-        return True
 
     # -- time ---------------------------------------------------------------------------------
     def os_time(self) -> float:

@@ -6,22 +6,21 @@ plain blocking calls — the very same code the real-life backend
 (:mod:`repro.gras.rl_backend`) executes over real sockets.
 
 Message transport: each ``(host, port)`` server socket maps to the s4u
-mailbox ``"gras:<host>:<port>"``; ``msg_send`` puts the encoded
-:class:`~repro.gras.message.GrasMessage` on that mailbox with an explicit
-``size`` equal to the wire size of the message, so the SURF network model
-charges exactly what the real message would cost.  No per-message wrapper
-object is allocated: the payload travels as-is through the mailbox, and
-selective receive (``msg_wait``) combines the local reorder buffer with the
-mailbox probe primitives (:meth:`~repro.s4u.mailbox.Mailbox.listen` /
-``peek_payload``).
+mailbox ``"gras:<host>:<port>"``; the encoded
+:class:`~repro.gras.message.GrasMessage` is put on that mailbox with an
+explicit ``size`` equal to the wire size of the message, so the SURF network
+model charges exactly what the real message would cost.  No per-message
+wrapper object is allocated: the payload travels as-is through the mailbox.
+The protocol itself (encoding, reorder buffer, ``msg_wait`` /
+``msg_handle``) is :class:`~repro.gras.process.GrasProcess`'s, shared with
+the real-life backend.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
-from repro.exceptions import SimTimeoutError, UnknownMessageError
 from repro.gras.arch import ARCHITECTURES, Architecture, LOCAL_ARCH
 from repro.gras.message import GrasMessage
 from repro.gras.process import GrasProcess
@@ -50,7 +49,6 @@ class SimGrasProcess(GrasProcess):
         self.world = world
         self._actor = actor
         self._listen_port: Optional[int] = None
-        self._buffer: List[GrasMessage] = []
 
     # -- sockets ---------------------------------------------------------------------
     @property
@@ -72,66 +70,15 @@ class SimGrasProcess(GrasProcess):
     def _mailbox(self, host: str, port: int) -> Mailbox:
         return self._actor.engine.mailbox(_mailbox_name(host, port))
 
-    # -- messaging --------------------------------------------------------------------
-    def msg_send(self, socket: GrasSocket, msgtype_name: str,
-                 payload: Any = None) -> None:
-        msgtype = self.registry.by_name(msgtype_name)
-        payload_bytes = b""
-        if msgtype.payload_desc is not None and payload is not None:
-            payload_bytes = msgtype.payload_desc.encode(payload, self.arch)
-        message = GrasMessage(
-            msgtype=msgtype_name,
-            payload_bytes=payload_bytes,
-            sender_arch=self.arch.name,
-            sender_host=self.host_name,
-            sender_port=self._ensure_listen_port(),
-        )
+    # -- transport ------------------------------------------------------------------
+    def _transmit(self, socket: GrasSocket, message: GrasMessage,
+                  wire_size: int) -> None:
         self._mailbox(socket.host, socket.port).put(
-            message, size=msgtype.wire_size(payload, self.arch),
-            name=f"gras:{msgtype_name}")
+            message, size=wire_size, name=f"gras:{message.msgtype}")
 
-    def _next_message(self, timeout: float) -> GrasMessage:
-        """Pop the next message (from the buffer or from the mailbox)."""
-        if self._buffer:
-            return self._buffer.pop(0)
-        return self._recv_from_mailbox(timeout)
-
-    def _recv_from_mailbox(self, timeout: float) -> GrasMessage:
-        """Block until a *new* message arrives on the listen mailbox."""
+    def _receive(self, timeout: float) -> GrasMessage:
         box = self._mailbox(self.host_name, self._ensure_listen_port())
         return box.get(timeout=timeout if not math.isinf(timeout) else None)
-
-    def _decode(self, message: GrasMessage) -> Any:
-        msgtype = self.registry.by_name(message.msgtype)
-        if msgtype.payload_desc is None or not message.payload_bytes:
-            return None
-        src_arch = ARCHITECTURES.get(message.sender_arch, LOCAL_ARCH)
-        value, _ = msgtype.payload_desc.decode(message.payload_bytes, src_arch)
-        return value
-
-    def msg_wait(self, timeout: float, msgtype_name: str
-                 ) -> Tuple[GrasSocket, Any]:
-        deadline = self.os_time() + timeout
-        # First serve matching buffered messages.
-        for idx, message in enumerate(self._buffer):
-            if message.msgtype == msgtype_name:
-                self._buffer.pop(idx)
-                return (GrasSocket(message.sender_host, message.sender_port),
-                        self._decode(message))
-        while True:
-            remaining = deadline - self.os_time()
-            if remaining < 0:
-                raise SimTimeoutError(
-                    f"no {msgtype_name!r} message within {timeout}s")
-            # The buffer was already scanned above and only this thread
-            # appends to it, so wait on the mailbox for *new* messages —
-            # popping the buffer here would spin forever on a non-matching
-            # buffered message.
-            message = self._recv_from_mailbox(remaining)
-            if message.msgtype == msgtype_name:
-                return (GrasSocket(message.sender_host, message.sender_port),
-                        self._decode(message))
-            self._buffer.append(message)
 
     def msg_waiting(self, msgtype_name: Optional[str] = None) -> bool:
         """Non-blocking probe: would ``msg_wait`` return without blocking?
@@ -147,20 +94,6 @@ class SimGrasProcess(GrasProcess):
                    and (msgtype_name is None
                         or message.msgtype == msgtype_name)
                    for message in box.pending_payloads())
-
-    def msg_handle(self, timeout: float) -> bool:
-        try:
-            message = (self._buffer.pop(0) if self._buffer
-                       else self._next_message(timeout))
-        except SimTimeoutError:
-            return False
-        callback = self.registry.callback_for(message.msgtype)
-        if callback is None:
-            raise UnknownMessageError(
-                f"no callback registered for {message.msgtype!r}")
-        source = GrasSocket(message.sender_host, message.sender_port)
-        callback(self, source, self._decode(message))
-        return True
 
     # -- time ---------------------------------------------------------------------------
     def os_time(self) -> float:

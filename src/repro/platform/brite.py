@@ -207,7 +207,7 @@ def make_barabasi_albert_topology(num_nodes: int = 10, m: int = 2,
 def make_hierarchical_topology(num_sites: int = 8, hosts_per_site: int = 16,
                                seed: int = 42,
                                config: Optional[BriteConfig] = None,
-                               site_routing: str = "Floyd",
+                               site_routing: str = "Dijkstra",
                                site_bandwidth: float = 125e6,
                                site_latency: float = 100e-6,
                                name: str = "brite-hier") -> Platform:
@@ -217,9 +217,9 @@ def make_hierarchical_topology(num_sites: int = 8, hosts_per_site: int = 16,
     routers — same placement, edge probability, bandwidth and latency
     draws as :func:`make_waxman_topology` — and each AS is a
     :class:`~repro.platform.routing.NetZone` holding ``hosts_per_site``
-    hosts in a LAN star behind its gateway (``site_routing``: ``"Floyd"``
-    and ``"Dijkstra"`` name the same shortest-path strategy; the access
-    hosts are leaves, so a site shares one sealed tree per direction).
+    hosts in a LAN star behind its gateway (``site_routing``, by default
+    ``"Dijkstra"`` shortest paths: the access hosts are leaves, so a site
+    shares one sealed tree per direction).
     Deterministic given ``seed``, and O(hosts + wan_edges) to build: no
     per-pair table is ever stored, so 10⁵-host instances are practical.
     """

@@ -188,7 +188,7 @@ def make_zoned_grid(num_sites: int = 4, hosts_per_site: int = 8,
                     lan_latency: float = 100e-6,
                     wan_bandwidth: float = 12.5e6,
                     wan_latency: float = 50e-3,
-                    site_routing: str = "Floyd",
+                    site_routing: str = "Dijkstra",
                     name: str = "zoned-grid") -> Platform:
     """A multi-site grid as a tree of routing zones.
 
@@ -200,11 +200,11 @@ def make_zoned_grid(num_sites: int = 4, hosts_per_site: int = 8,
     storing a per-pair table, so construction and memory stay O(hosts)
     even at 10⁵ hosts.
 
-    ``site_routing`` picks the intra-site strategy: ``"Floyd"`` (the
-    default) and ``"Dijkstra"`` name the same shortest-path strategy —
-    every host is a leaf of its gateway, so a whole site shares one sealed
-    tree per direction — while ``"Full"`` declares the
-    O(hosts_per_site²) explicit pair routes (small sites only).
+    ``site_routing`` picks the intra-site strategy: ``"Dijkstra"`` (the
+    default) resolves shortest paths — every host is a leaf of its
+    gateway, so a whole site shares one sealed tree per direction — while
+    ``"Full"`` declares the O(hosts_per_site²) explicit pair routes (small
+    sites only).
     """
     if num_sites < 1:
         raise ValueError("a zoned grid needs at least one site")

@@ -300,6 +300,51 @@ class TestRealLifeMode:
             world.run(timeout=10.0)
 
 
+def _run_simulated(server, client):
+    world = SimWorld(star())
+    world.add_process("server", "leaf-1", server)
+    world.add_process("client", "leaf-0", client, "leaf-1")
+    world.run()
+
+
+def _run_real(server, client):
+    world = RlWorld()
+    world.add_process("server", server)
+    world.add_process("client", client, "127.0.0.1")
+    world.run(timeout=20.0)
+
+
+@pytest.mark.parametrize("run_pair", [_run_simulated, _run_real],
+                         ids=["sim", "rl"])
+def test_out_of_order_receive_on_both_backends(run_pair):
+    """``msg_wait`` skips past an earlier message of another type, which
+    stays buffered for ``msg_handle`` — the protocol half of GRAS is one
+    code path, so both backends must agree."""
+    order = []
+
+    def server(proc):
+        proc.msgtype_declare("a", "int")
+        proc.msgtype_declare("b", "int")
+        proc.cb_register("a", lambda p, source, value:
+                         order.append(("a", value)))
+        proc.socket_server(4312)
+        _, b_val = proc.msg_wait(5.0, "b")
+        order.append(("b", b_val))
+        assert proc.msg_handle(5.0) is True
+
+    def client(proc, server_host):
+        proc.msgtype_declare("a", "int")
+        proc.msgtype_declare("b", "int")
+        proc.socket_server(0)
+        proc.os_sleep(0.2)      # let the real server socket come up
+        peer = proc.socket_client(server_host, 4312)
+        proc.msg_send(peer, "a", 1)
+        proc.msg_send(peer, "b", 2)
+
+    run_pair(server, client)
+    assert order == [("b", 2), ("a", 1)]
+
+
 class TestBenchRecorder:
     def test_record_averages(self):
         recorder = BenchRecorder()

@@ -687,9 +687,8 @@ class TestLazyRealization:
         assert run(touch_all_first=True) == run(touch_all_first=False)
 
     def test_large_zoned_platform_realizes_lazily_in_o_touched(self):
-        # 10⁴ hosts here (the 10⁵ acceptance run lives in the
-        # ``platform_realize`` benchmark scenario): realization must not
-        # scale with platform size, only with what the simulation touches.
+        # Realization must not scale with platform size, only with what
+        # the simulation touches.
         platform = make_zoned_grid(num_sites=100, hosts_per_site=100)
         assert len(platform.hosts) == 10_000
         platform.realize()

@@ -390,6 +390,34 @@ class TestActivitySet:
         assert seen["left"] == 0
 
 
+    def test_race_cancels_the_loser_round_after_round(self):
+        """Exec raced against a sleep, loser cancelled, in a loop: both
+        completion orders, and a cancelled exec must free its CPU for the
+        next round (the final date says it did)."""
+        engine = Engine(make_star(num_hosts=3, host_speed=1e9))
+        winners = []
+
+        def racer(actor):
+            for round_no in range(4):
+                # Even rounds: 1 ms of work beats the 10 ms nap; odd
+                # rounds: the nap beats 1 s of work.
+                comp = yield actor.exec_async(1e6 if round_no % 2 == 0
+                                              else 1e9)
+                nap = yield actor.sleep_async(0.01)
+                pending = ActivitySet([comp, nap])
+                winner = yield pending.wait_any()
+                winners.append("exec" if winner is comp else "sleep")
+                for loser in pending.activities:
+                    loser.cancel()
+                    pending.erase(loser)
+                assert pending.empty()
+
+        for i in range(3):
+            engine.add_actor(f"racer-{i}", f"leaf-{i}", racer)
+        assert engine.run() == pytest.approx(2 * (0.001 + 0.01))
+        assert winners.count("exec") == winners.count("sleep") == 6
+
+
 class TestLoopbackRegression:
     def test_same_host_comm_completes_instantly(self):
         """Regression: an empty-route (same host) transfer used to create a
@@ -470,6 +498,39 @@ class TestActorLifecycle:
         engine.add_actor("joiner", "bob", joiner, other)
         engine.run()
         assert times["joined"] == pytest.approx(3.0)
+
+    def test_spawn_join_reap_waves(self):
+        """Waves of short-lived actors created from inside the simulation,
+        each wave joined before the next: the dead never linger in the
+        alive set, whatever the total spawned."""
+        engine = Engine(make_star(num_hosts=4, host_speed=1e9))
+        reports = []
+        peak_alive = []
+
+        def worker(actor, index):
+            yield actor.execute(1e6)
+            yield engine.mailbox("sink").put(index, size=1e3)
+
+        def sink(actor):
+            for _ in range(3 * 8):
+                reports.append((yield engine.mailbox("sink").get()))
+
+        def spawner(actor):
+            for wave in range(3):
+                batch = [engine.add_actor(f"w-{wave}-{i}", f"leaf-{i % 4}",
+                                          worker, wave * 8 + i)
+                         for i in range(8)]
+                peak_alive.append(engine.actor_count())
+                for spawned in batch:
+                    yield spawned.join()
+                assert not any(spawned.is_alive for spawned in batch)
+
+        engine.add_actor("sink", "center", sink)
+        engine.add_actor("spawner", "center", spawner)
+        engine.run()
+        assert sorted(reports) == list(range(24))
+        assert peak_alive == [10, 10, 10]     # one wave + sink + spawner
+        assert engine.actor_count() == 0
 
     def test_suspend_resume_across_actors(self):
         engine = Engine(pair_platform(speed=1e9))
