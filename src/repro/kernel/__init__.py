@@ -6,10 +6,9 @@ real OS threads handed control one at a time) and how that code communicates
 its blocking requests ("simcalls") to the simulation engine.
 
 It is shared by all the user-facing APIs: :mod:`repro.s4u` builds its
-actor/activity futures directly on these simcalls, and MSG,
-GRAS-in-simulation and SMPI ride on s4u — exactly the layering of the
-paper's architecture diagram (every API sits on top of SURF through one
-kernel).
+actor/activity futures directly on these simcalls, and GRAS-in-simulation,
+SMPI and AMOK ride on s4u — the layering of the paper's architecture
+diagram (every API sits on top of SURF through one kernel).
 """
 
 from repro.kernel.context import (
@@ -34,7 +33,6 @@ from repro.kernel.simcall import (
     Simcall,
     SleepAsyncCall,
     SleepCall,
-    StartCall,
     SuspendCall,
     TestCall,
     WaitAllCall,
@@ -61,7 +59,6 @@ __all__ = [
     "Simcall",
     "SleepAsyncCall",
     "SleepCall",
-    "StartCall",
     "SuspendCall",
     "TestCall",
     "ThreadContext",

@@ -9,7 +9,7 @@ The kernel turns the simcall into SURF actions and resumes the process with
 the result once the corresponding activity completes.
 
 This mirrors SimGrid's simcall mechanism and keeps the user-facing APIs
-(MSG, GRAS, SMPI) thin translation layers.
+(s4u, and GRAS, SMPI and AMOK on top of it) thin translation layers.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Any, List, Optional, Sequence
 
 __all__ = [
     "Simcall", "ExecuteCall", "ExecAsyncCall", "SleepCall", "SleepAsyncCall",
-    "SendCall", "RecvCall", "IsendCall", "IrecvCall", "StartCall",
+    "SendCall", "RecvCall", "IsendCall", "IrecvCall",
     "WaitCall", "WaitAnyCall", "WaitAllCall", "TestCall",
     "KillCall", "SuspendCall", "ResumeCall", "JoinCall", "YieldCall",
 ]
@@ -134,23 +134,11 @@ class IrecvCall(Simcall):
 
 
 @dataclass(slots=True)
-class StartCall(Simcall):
-    """Start a deferred (``*_init``) activity handle.
-
-    The yield result is the activity itself.  Starting an already-started
-    activity is a no-op.
-    """
-
-    activity: Any
-
-
-@dataclass(slots=True)
 class WaitCall(Simcall):
     """Wait for an activity handle (from Isend/Irecv or an async exec).
 
     The yield result is the received payload for receive communications,
-    ``None`` otherwise.  Waiting on a not-yet-started (``*_init``) activity
-    starts it first.
+    ``None`` otherwise.
     """
 
     activity: Any
@@ -161,27 +149,28 @@ class WaitCall(Simcall):
 class WaitAnyCall(Simcall):
     """Wait until any of several activity handles completes.
 
-    The yield result is the index of the completed activity in
-    ``activities``; when ``owner`` (an ``ActivitySet``) is given, the
-    completed activity is removed from the owner and returned instead.
+    ``activities`` is a snapshot of the members of ``owner``, the
+    ``ActivitySet`` being reaped; the yield result is the completed
+    activity, which is removed from the owner.
     """
 
     activities: Sequence[Any]
+    owner: Any
     timeout: Optional[float] = None
-    owner: Optional[Any] = None
 
 
 @dataclass(slots=True)
 class WaitAllCall(Simcall):
     """Wait until every one of several activity handles completed.
 
-    The yield result is ``None``; when ``owner`` (an ``ActivitySet``) is
-    given, the completed activities are removed from the owner.
+    ``activities`` is a snapshot of the members of ``owner``, the
+    ``ActivitySet`` being reaped; the yield result is ``None`` and the
+    completed activities are removed from the owner.
     """
 
     activities: Sequence[Any]
+    owner: Any
     timeout: Optional[float] = None
-    owner: Optional[Any] = None
 
 
 @dataclass(slots=True)

@@ -2,8 +2,10 @@
 
 An :class:`Activity` binds a kernel request to the SURF action (or timer)
 that realises it and exposes the asynchronous lifecycle of SimGrid's S4U
-API: create (``*_init``), :meth:`start`, :meth:`test`, :meth:`wait`,
-:meth:`cancel`.  Three concrete activities exist:
+API: :meth:`test`, :meth:`wait`, :meth:`cancel`.  An activity is created
+and started by the engine in one step (``*_async`` calls and the blocking
+``execute``/``put``/``get``), so a handle is always the one object the
+engine tracks.  Three concrete activities exist:
 
 * :class:`Exec` — a computation on one host;
 * :class:`Comm` — a payload transfer through a :class:`~repro.s4u.mailbox.Mailbox`;
@@ -15,9 +17,7 @@ the kernel's :class:`~repro.kernel.simcall.WaitAnyCall` /
 :class:`~repro.kernel.simcall.WaitAllCall`.
 
 Every blocking method returns the simcall to ``yield`` under the generator
-context factory and blocks directly under the thread context factory,
-exactly like the MSG helpers (which are now thin adapters over these
-classes).
+context factory and blocks directly under the thread context factory.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import enum
 from typing import Any, Iterable, List, Optional, TYPE_CHECKING
 
 from repro.kernel.simcall import (
-    StartCall, TestCall, WaitAllCall, WaitAnyCall, WaitCall,
+    TestCall, WaitAllCall, WaitAnyCall, WaitCall,
 )
 from repro.surf.action import Action
 
@@ -42,7 +42,6 @@ __all__ = ["Activity", "ActivityState", "ActivitySet", "Comm", "Exec",
 class ActivityState(enum.Enum):
     """Lifecycle of an activity."""
 
-    INITED = "inited"        # created (``*_init``), not yet started
     PENDING = "pending"      # posted, not started (comm waiting for a peer)
     STARTED = "started"      # the SURF action (or timer) is running
     DONE = "done"
@@ -67,7 +66,7 @@ class Activity:
     kind = "activity"
 
     __slots__ = ("name", "state", "surf_action", "waiters", "post_time",
-                 "start_time", "finish_time", "_engine", "_master")
+                 "start_time", "finish_time", "_engine")
 
     def __init__(self, name: str = "") -> None:
         self.name = name
@@ -79,37 +78,20 @@ class Activity:
         self.finish_time: Optional[float] = None
         #: Engine backref, set when the engine posts/starts the activity.
         self._engine = None
-        #: When a pre-built comm is matched against an already-pending peer,
-        #: the peer becomes the canonical object and this handle forwards to
-        #: it (see Engine._post_send).
-        self._master: Optional["Activity"] = None
 
     # -- state helpers -----------------------------------------------------------------
-    def _resolved(self) -> "Activity":
-        """Follow the master chain to the canonical activity object."""
-        activity = self
-        while activity._master is not None:
-            activity = activity._master
-        return activity
-
-    def is_inited(self) -> bool:
-        return self._resolved().state is ActivityState.INITED
-
     def is_pending(self) -> bool:
-        return self._resolved().state is ActivityState.PENDING
+        return self.state is ActivityState.PENDING
 
     def is_started(self) -> bool:
-        return self._resolved().state is ActivityState.STARTED
+        return self.state is ActivityState.STARTED
 
     def is_over(self) -> bool:
         """Finished, successfully or not."""
-        activity = self
-        while activity._master is not None:
-            activity = activity._master
-        return activity.state in _OVER_STATES
+        return self.state in _OVER_STATES
 
     def succeeded(self) -> bool:
-        return self._resolved().state is ActivityState.DONE
+        return self.state is ActivityState.DONE
 
     def add_waiter(self, actor: "Actor") -> None:
         if actor not in self.waiters:
@@ -122,14 +104,6 @@ class Activity:
             pass
 
     # -- user-facing async API ---------------------------------------------------------
-    def start(self):
-        """Start an ``*_init`` activity; returns the activity itself.
-
-        ``yield activity.start()`` under generator contexts.  Starting an
-        already-started activity is a harmless no-op.
-        """
-        return _submit(StartCall(activity=self))
-
     def test(self):
         """Non-blocking completion probe; the result is a bool."""
         return _submit(TestCall(activity=self))
@@ -147,21 +121,12 @@ class Activity:
 
     def cancel(self) -> None:
         """Cancel the activity and wake its waiters with ``CancelledError``."""
-        target = self._resolved()
-        if target.is_over():
-            return
-        if target._engine is not None:
-            target._engine.cancel_activity(target)
-            return
-        # Not yet posted to an engine: flip the state locally.
-        if target.surf_action is not None and target.surf_action.is_running():
-            target.surf_action.cancel(target.surf_action.start_time)
-        target.state = ActivityState.CANCELLED
+        self._engine.cancel_activity(self)
 
     @property
     def remaining(self) -> float:
         """Remaining work of the underlying action (0 when not started)."""
-        action = self._resolved().surf_action
+        action = self.surf_action
         if action is None:
             return 0.0
         return action.remaining
@@ -200,7 +165,7 @@ class Comm(Activity):
     kind = "comm"
 
     __slots__ = ("mailbox", "payload", "size", "src_actor", "dst_actor",
-                 "rate", "detached", "priority", "_direction")
+                 "rate", "detached", "priority")
 
     def __init__(self, mailbox: "Mailbox", payload: Any = None,
                  size: float = 0.0,
@@ -219,12 +184,10 @@ class Comm(Activity):
         self.rate = rate
         self.detached = detached
         self.priority = priority
-        #: Which side built this comm ("send"/"recv"), for deferred start.
-        self._direction: Optional[str] = None
 
     def get_payload(self) -> Any:
         """The transported payload (valid once the comm succeeded)."""
-        return self._resolved().payload
+        return self.payload
 
     def detach(self) -> "Comm":
         """Turn this comm into a fire-and-forget transfer (S4U ``detach``).
@@ -234,17 +197,17 @@ class Comm(Activity):
         still delivered.  SMPI's eager-protocol sends are detached comms.
         Returns the comm itself so ``put_async(...).detach()`` chains.
         """
-        self._resolved().detached = True
+        self.detached = True
         return self
 
     @property
     def src_host(self) -> Optional["Host"]:
-        src = self._resolved().src_actor
+        src = self.src_actor
         return src.host if src is not None else None
 
     @property
     def dst_host(self) -> Optional["Host"]:
-        dst = self._resolved().dst_actor
+        dst = self.dst_actor
         return dst.host if dst is not None else None
 
 

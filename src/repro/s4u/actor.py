@@ -90,7 +90,7 @@ class Actor:
         self.pid = next(_pids)
         self.state = ActorState.CREATED
         self.context: Optional[Context] = None
-        #: Application-visible storage (``MSG_process_set_data``).
+        #: Application-visible storage: the kernel never reads it.
         self.data: Dict[str, Any] = {}
         # kernel bookkeeping
         self._wait_activities: List[Any] = []
@@ -172,17 +172,6 @@ class Actor:
                                         host=host or self.host,
                                         priority=priority, bound=bound,
                                         name=name))
-
-    def exec_init(self, flops: float, priority: float = 1.0,
-                  bound: Optional[float] = None,
-                  host: Optional["Host"] = None, name: str = "compute"):
-        """Create an unstarted :class:`~repro.s4u.activity.Exec` future."""
-        from repro.s4u.activity import ActivityState, Exec
-        activity = Exec(self, host or self.host, float(flops), name=name,
-                        priority=priority, bound=bound)
-        activity.state = ActivityState.INITED
-        activity._engine = self.engine
-        return activity
 
     def exec_async(self, flops: float, priority: float = 1.0,
                    bound: Optional[float] = None,

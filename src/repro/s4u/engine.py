@@ -23,7 +23,7 @@ import gc
 import math
 import pickle
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple, Type, Union
+from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.exceptions import (
     CancelledError,
@@ -38,8 +38,7 @@ from repro.kernel.context import FINISHED, make_context_factory
 from repro.kernel.simcall import (
     ExecAsyncCall, ExecuteCall, IrecvCall, IsendCall, JoinCall, KillCall,
     RecvCall, ResumeCall, SendCall, Simcall, SleepAsyncCall, SleepCall,
-    StartCall, SuspendCall, TestCall, WaitAllCall, WaitAnyCall, WaitCall,
-    YieldCall,
+    SuspendCall, TestCall, WaitAllCall, WaitAnyCall, WaitCall, YieldCall,
 )
 from repro.kernel.timer import TimerQueue
 from repro.s4u import actor as _actor_mod
@@ -158,7 +157,6 @@ class Engine:
             RecvCall: self._do_recv,
             IsendCall: self._do_isend,
             IrecvCall: self._do_irecv,
-            StartCall: self._do_start,
             WaitCall: self._do_wait,
             WaitAnyCall: self._do_wait_any,
             WaitAllCall: self._do_wait_all,
@@ -326,19 +324,16 @@ class Engine:
     # ------------------------------------------------------------------------------
     def add_actor(self, name: str, host: Union[str, Host], func: Callable,
                   *args, daemon: bool = False, auto_restart: bool = False,
-                  actor_cls: Optional[Type[Actor]] = None,
                   **kwargs) -> Actor:
         """Create a simulated actor and make it runnable immediately.
 
-        ``auto_restart`` actors are rebooted (fresh body, same function and
-        arguments) when their failed host is restored; ``actor_cls`` lets
-        the compat layers (MSG) inject their actor subclass so the bodies
-        receive the API object they expect.
+        ``func(actor, *args, **kwargs)`` is the body.  ``auto_restart``
+        actors are rebooted (fresh body, same function and arguments) when
+        their failed host is restored.
         """
         host_obj = host if isinstance(host, Host) else self.host(host)
-        cls = actor_cls or Actor
-        actor = cls(self, name, host_obj, func, args, kwargs, daemon=daemon,
-                    auto_restart=auto_restart)
+        actor = Actor(self, name, host_obj, func, args, kwargs, daemon=daemon,
+                      auto_restart=auto_restart)
         actor.context = self.context_factory.create(
             func, (actor, *args), kwargs)
         actor.context.start()
@@ -665,16 +660,16 @@ class Engine:
                 if actor.auto_restart:
                     self._pending_restarts.setdefault(host, []).append(
                         (actor.name, actor.func, actor.args, actor.kwargs,
-                         actor.daemon, type(actor)))
+                         actor.daemon))
                 self._kill_actor(actor)
         self._notify_host_state(host, False)
 
     def _on_host_up(self, host: Host) -> None:
-        for (name, func, args, kwargs, daemon,
-             actor_cls) in self._pending_restarts.pop(host, []):
+        for (name, func, args, kwargs,
+             daemon) in self._pending_restarts.pop(host, []):
             self.restart_count += 1
             self.add_actor(name, host, func, *args, daemon=daemon,
-                           auto_restart=True, actor_cls=actor_cls, **kwargs)
+                           auto_restart=True, **kwargs)
         # Listeners observe the flip after the reboot side effects, like
         # the down-notification follows the kills.
         self._notify_host_state(host, True)
@@ -801,16 +796,9 @@ class Engine:
 
     def _post_send(self, actor: Actor, mailbox: Mailbox, payload,
                    size: float, rate: Optional[float], detached: bool,
-                   priority: float = 1.0, name: str = "",
-                   prebuilt: Optional[Comm] = None) -> Comm:
-        # Let MSG tasks (or any payload implementing the hook) learn who
-        # sent them, without the kernel knowing about Task.
-        hook = getattr(payload, "_on_comm_post", None)
-        if hook is not None:
-            hook(actor)
-        peer = mailbox.pop_matching_recv()
-        if peer is not None:
-            comm = peer
+                   priority: float = 1.0, name: str = "") -> Comm:
+        comm = mailbox.pop_matching_recv()
+        if comm is not None:
             comm.payload = payload
             comm.size = size
             comm.src_actor = actor
@@ -820,37 +808,26 @@ class Engine:
             if rate is not None:
                 comm.rate = rate if comm.rate is None else min(comm.rate, rate)
             comm.detached = detached
-            if prebuilt is not None and prebuilt is not comm:
-                prebuilt._master = comm
             self._start_comm(comm)
         else:
-            comm = prebuilt if prebuilt is not None else Comm(
+            comm = Comm(
                 mailbox, payload=payload, size=size, src_actor=actor,
                 rate=rate, detached=detached, priority=priority, name=name)
-            comm.state = ActivityState.PENDING
-            comm._direction = "send"
             comm._engine = self
             comm.post_time = self.now
             mailbox.post_send(comm)
         return comm
 
     def _post_recv(self, actor: Actor, mailbox: Mailbox,
-                   rate: Optional[float],
-                   prebuilt: Optional[Comm] = None) -> Comm:
-        peer = mailbox.pop_matching_send()
-        if peer is not None:
-            comm = peer
+                   rate: Optional[float]) -> Comm:
+        comm = mailbox.pop_matching_send()
+        if comm is not None:
             comm.dst_actor = actor
             if rate is not None:
                 comm.rate = rate if comm.rate is None else min(comm.rate, rate)
-            if prebuilt is not None and prebuilt is not comm:
-                prebuilt._master = comm
             self._start_comm(comm)
         else:
-            comm = prebuilt if prebuilt is not None else Comm(
-                mailbox, dst_actor=actor, rate=rate)
-            comm.state = ActivityState.PENDING
-            comm._direction = "recv"
+            comm = Comm(mailbox, dst_actor=actor, rate=rate)
             comm._engine = self
             comm.post_time = self.now
             mailbox.post_recv(comm)
@@ -870,9 +847,6 @@ class Engine:
         comm.surf_action = action
         comm.state = ActivityState.STARTED
         comm.start_time = self.now
-        hook = getattr(comm.payload, "_on_comm_start", None)
-        if hook is not None:
-            hook(comm)
         if not action.is_running():
             # A link of the route was already down when the rendezvous
             # matched: the model failed the action synchronously, so it will
@@ -881,52 +855,9 @@ class Engine:
             return
         self._active_comms[comm] = None
 
-    # -- deferred (``*_init``) activities ---------------------------------------------------
-    def _do_start(self, actor: Actor, call: StartCall) -> None:
-        try:
-            activity = self._start_activity(actor, call.activity)
-        except HostFailureError as exc:
-            self._enqueue(actor, None, exc)
-            return
-        self._enqueue(actor, activity)
-
-    def _start_activity(self, actor: Actor, handle: Activity) -> Activity:
-        """Start a ``*_init`` activity; returns the canonical activity.
-
-        Starting a comm whose peer is already pending merges the handle
-        into the peer (the handle then forwards every query to it).
-        """
-        activity = handle._resolved()
-        if activity.state is not ActivityState.INITED:
-            return activity
-        if isinstance(activity, Comm):
-            if activity._direction == "send":
-                return self._post_send(
-                    activity.src_actor, activity.mailbox, activity.payload,
-                    activity.size, activity.rate, activity.detached,
-                    priority=activity.priority, name=activity.name,
-                    prebuilt=activity)
-            return self._post_recv(activity.dst_actor, activity.mailbox,
-                                   activity.rate, prebuilt=activity)
-        if isinstance(activity, Exec):
-            if not activity.host.is_on:
-                raise HostFailureError(f"host {activity.host.name} is down")
-            self._start_exec(activity)
-            return activity
-        if isinstance(activity, Sleep):
-            self._start_sleep(activity)
-            return activity
-        raise TypeError(f"cannot start {activity!r}")
-
     # -- waiting -----------------------------------------------------------------------
     def _do_wait(self, actor: Actor, call: WaitCall) -> None:
-        activity: Activity = call.activity._resolved()
-        if activity.state is ActivityState.INITED:
-            try:
-                activity = self._start_activity(actor, activity)._resolved()
-            except HostFailureError as exc:
-                self._enqueue(actor, None, exc)
-                return
+        activity: Activity = call.activity
         if activity.is_over():
             value, exc = self._activity_result(actor, activity)
             self._enqueue(actor, value, exc)
@@ -934,25 +865,9 @@ class Engine:
         activity.add_waiter(actor)
         self._block_on(actor, "wait", [activity], timeout=call.timeout)
 
-    def _resolve_and_start(self, actor: Actor, handles) -> List[Activity]:
-        """Resolve handles, auto-starting any still-INITED ones."""
-        activities = []
-        for handle in handles:
-            activity = handle._resolved()
-            if activity.state is ActivityState.INITED:
-                activity = self._start_activity(actor, activity)._resolved()
-            activities.append(activity)
-        return activities
-
     def _do_wait_any(self, actor: Actor, call: WaitAnyCall) -> None:
-        try:
-            activities = self._resolve_and_start(actor, call.activities)
-        except HostFailureError as exc:
-            self._enqueue(actor, None, exc)
-            return
-        if not activities:
-            raise ValueError("wait_any needs at least one activity")
-        for idx, activity in enumerate(activities):
+        activities = call.activities
+        for activity in activities:
             if activity.is_over():
                 self._block_on(actor, "wait_any", activities,
                                owner=call.owner)
@@ -966,13 +881,7 @@ class Engine:
                        owner=call.owner)
 
     def _do_wait_all(self, actor: Actor, call: WaitAllCall) -> None:
-        try:
-            activities = self._resolve_and_start(actor, call.activities)
-        except HostFailureError as exc:
-            self._enqueue(actor, None, exc)
-            return
-        if not activities:
-            raise ValueError("wait_all needs at least one activity")
+        activities = call.activities
         over = [a for a in activities if a.is_over()]
         failed = next((a for a in over if not a.succeeded()), None)
         if failed is not None:
@@ -1114,7 +1023,6 @@ class Engine:
     # ------------------------------------------------------------------------------
     def cancel_activity(self, activity: Activity) -> None:
         """Cancel an activity: stop its action/timer, wake its waiters."""
-        activity = activity._resolved()
         if activity.is_over():
             return
         if (activity.surf_action is not None
@@ -1188,29 +1096,9 @@ class Engine:
         self._clear_wait(actor)
         self._enqueue(actor, value, exc)
 
-    def _reap_owner_any(self, owner, activity: Activity
-                        ) -> Optional[Activity]:
-        """Remove the completed ``activity`` from its ActivitySet owner.
-
-        Returns the removed *member* — the very handle the user pushed,
-        which may be a ``*_init`` comm that was merged into a peer — so
-        identity checks on the caller side keep working.
-        """
-        if owner is None:
-            return None
-        for member in owner.activities:
-            if member._resolved() is activity:
-                owner.erase(member)
-                return member
-        return None
-
     def _reap_owner_all(self, owner, activities) -> None:
-        if owner is None:
-            return
-        targets = {id(a) for a in activities}
-        for member in owner.activities:
-            if id(member._resolved()) in targets:
-                owner.erase(member)
+        for activity in activities:
+            owner.erase(activity)
 
     def _activity_result(self, actor: Actor, activity: Activity
                          ) -> Tuple[object, Optional[BaseException]]:
@@ -1219,18 +1107,11 @@ class Engine:
         # ActivitySet being reaped: otherwise a failed member would make
         # every subsequent wait_any raise the same error forever and the
         # set could never empty.
-        member = None
-        if kind in ("wait_any", "wait_all") and activity.is_over():
-            member = self._reap_owner_any(actor._wait_owner, activity)
+        if kind in ("wait_any", "wait_all"):
+            actor._wait_owner.erase(activity)
         if activity.state is ActivityState.DONE:
             if kind == "wait_any":
-                if actor._wait_owner is not None:
-                    return (member if member is not None else activity), None
-                try:
-                    index = actor._wait_activities.index(activity)
-                except ValueError:
-                    index = 0
-                return index, None
+                return activity, None
             if isinstance(activity, Comm) and (
                     activity.dst_actor is actor):
                 return activity.payload, None

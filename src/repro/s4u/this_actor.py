@@ -23,7 +23,7 @@ from typing import Optional
 from repro.s4u.actor import Actor, current_actor
 
 __all__ = [
-    "exec_async", "exec_init", "execute", "exit", "get_engine", "get_host",
+    "exec_async", "execute", "exit", "get_engine", "get_host",
     "get_name", "get_pid", "is_suspended", "mailbox", "self_", "sleep_async",
     "sleep_for", "sleep_until", "suspend", "yield_",
 ]
@@ -68,13 +68,6 @@ def execute(flops: float, priority: float = 1.0,
     """Execute ``flops`` on the current host (blocking)."""
     return current_actor().execute(flops, priority=priority, bound=bound,
                                    name=name)
-
-
-def exec_init(flops: float, priority: float = 1.0,
-              bound: Optional[float] = None, name: str = "compute"):
-    """Create an unstarted ``Exec`` future on the current host."""
-    return current_actor().exec_init(flops, priority=priority, bound=bound,
-                                     name=name)
 
 
 def exec_async(flops: float, priority: float = 1.0,

@@ -359,8 +359,7 @@ class Communicator:
                     self._inflight.cancel()
                     self._inflight = None
                 raise
-            if self._inflight is not None and \
-                    done._resolved() is self._inflight._resolved():
+            if done is self._inflight:
                 envelope = self._take_completed_inflight()
                 for idx, request in active:
                     if request.kind == "recv" and self._matches(

@@ -137,7 +137,7 @@ def _check_invariants(log, activities):
     assert all(a <= b for a, b in zip(dates, dates[1:])), dates
     # No zombie: nothing that started is still running after the run.
     for activity in activities:
-        assert activity._resolved().state is not ActivityState.STARTED, activity
+        assert activity.state is not ActivityState.STARTED, activity
 
 
 # Explicit schedules: (date, host-or-link, target index, downtime).

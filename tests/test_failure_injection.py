@@ -448,6 +448,101 @@ class TestFailureEdgeCases:
         assert trace_dates == explicit_dates
 
 
+class TestDeadPosterComms:
+    """A comm posted by an actor that died since is not matchable.
+
+    ``_detach_from_waits`` withdraws what a dying actor was *waiting on*;
+    an async comm it had posted and left stays queued, and must not
+    swallow the next message (nor be visible to the probes).
+    """
+
+    @pytest.mark.parametrize("death", ["kill", "host_off"])
+    def test_dead_receivers_get_async_does_not_swallow_a_message(self, death):
+        engine = s4u.Engine(make_star(3))
+        box = engine.mailbox("box")
+        outcome = {}
+
+        def zombie(actor):
+            yield box.get_async()
+            yield actor.sleep_for(100.0)
+
+        def sender(actor):
+            yield actor.sleep_for(2.0)
+            yield box.put("hello", size=1e3, timeout=5.0)
+            outcome["sent"] = engine.now
+
+        def receiver(actor):
+            yield actor.sleep_for(3.0)
+            outcome["got"] = yield box.get(timeout=5.0)
+
+        victim = engine.add_actor("zombie", "leaf-1", zombie)
+        engine.add_actor("sender", "leaf-0", sender)
+        engine.add_actor("receiver", "leaf-2", receiver)
+        if death == "kill":
+            engine.timers.schedule(1.0, victim.kill)
+        else:
+            engine.timers.schedule(1.0, engine.host("leaf-1").turn_off)
+        engine.run()
+        assert not victim.is_alive
+        assert outcome["got"] == "hello"
+        # The put rendezvoused with the live receiver, not at t=2 with the
+        # dead one.
+        assert outcome["sent"] > 3.0
+        assert box.empty
+
+    def test_rebooted_actor_receives_on_its_own_get_async(self):
+        """The previous incarnation's comm must not shadow the fresh one."""
+        engine = s4u.Engine(make_star(3))
+        host = engine.host("leaf-1")
+        got = []
+
+        def daemon(actor):
+            comm = yield engine.mailbox("box").get_async()
+            yield actor.sleep_for(0.5)
+            got.append((yield comm.wait(timeout=5.0)))
+
+        def sender(actor):
+            yield actor.sleep_for(2.0)
+            yield engine.mailbox("box").put("hello", size=1e3, timeout=5.0)
+
+        engine.add_actor("daemon", host, daemon, daemon=True,
+                         auto_restart=True)
+        engine.add_actor("sender", "leaf-0", sender)
+        engine.timers.schedule(0.25, host.turn_off)
+        engine.timers.schedule(1.0, host.turn_on)
+        engine.run()
+        assert engine.restart_count == 1
+        assert got == ["hello"]
+
+    def test_dead_senders_put_async_is_delivered_only_when_detached(self):
+        engine = s4u.Engine(make_star(3))
+        box = engine.mailbox("box")
+        seen = {}
+
+        def zombie(actor):
+            yield box.put_async("lost", size=1e3)
+            yield box.put_async("kept", size=1e3, detached=True)
+            yield actor.sleep_for(100.0)
+
+        def receiver(actor):
+            yield actor.sleep_for(2.0)
+            seen["probes"] = (box.listen(), box.waiting_send_count(),
+                              box.peek_payload(), box.pending_payloads())
+            seen["first"] = yield box.get(timeout=5.0)
+            try:
+                yield box.get(timeout=5.0)
+            except SimTimeoutError:
+                seen["second"] = "timeout"
+
+        victim = engine.add_actor("zombie", "leaf-1", zombie)
+        engine.add_actor("receiver", "leaf-2", receiver)
+        engine.timers.schedule(1.0, victim.kill)
+        engine.run()
+        assert seen["probes"] == (True, 1, "kept", ["kept"])
+        assert seen["first"] == "kept"
+        assert seen["second"] == "timeout"
+
+
 class TestFailureInjector:
     def test_requires_a_stop_bound(self):
         engine = s4u.Engine(make_star(num_hosts=2))

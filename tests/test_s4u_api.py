@@ -1,5 +1,8 @@
 """Tests for the s4u actor/activity API: futures, ActivitySet, timeouts."""
 
+import os
+import sys
+
 import pytest
 
 from repro import s4u
@@ -117,44 +120,6 @@ class TestActivityFutures:
         engine.add_actor("r", "bob", receiver)
         engine.run()
         assert got["payload"] == "hello"
-
-    def test_put_init_start_then_wait(self):
-        engine = Engine(pair_platform())
-        times = {}
-
-        def sender(actor):
-            comm = engine.mailbox("box").put_init("data", size=1e6)
-            assert comm.is_inited()
-            yield this_actor.sleep_for(2.0)        # defer the start
-            yield comm.start()
-            yield comm.wait()
-            times["sent"] = actor.now
-
-        def receiver(actor):
-            payload = yield engine.mailbox("box").get()
-            times["payload"] = payload
-            times["received"] = actor.now
-
-        engine.add_actor("s", "alice", sender)
-        engine.add_actor("r", "bob", receiver)
-        engine.run()
-        assert times["payload"] == "data"
-        # started at t=2, 1 MB at 1 MB/s
-        assert times["received"] == pytest.approx(3.0)
-        assert times["sent"] == pytest.approx(3.0)
-
-    def test_wait_auto_starts_inited_activity(self):
-        engine = Engine(pair_platform(speed=1e9))
-        times = {}
-
-        def worker(actor):
-            comp = this_actor.exec_init(1e9)
-            yield comp.wait()                      # wait() starts it
-            times["done"] = actor.now
-
-        engine.add_actor("w", "alice", worker)
-        engine.run()
-        assert times["done"] == pytest.approx(1.0)
 
     def test_sleep_async_is_waitable(self):
         engine = Engine(pair_platform())
@@ -329,47 +294,6 @@ class TestActivitySet:
         assert got["timed_out_at"] == pytest.approx(1.0)
         assert got["payload"] == "late"
         assert got["received_at"] == pytest.approx(3.5)
-
-    def test_wait_any_auto_starts_inited_members(self):
-        engine = Engine(pair_platform())
-        got = {}
-
-        def receiver(actor):
-            comm = engine.mailbox("box").get_init()
-            assert comm.is_inited()
-            pending = ActivitySet([comm])
-            done = yield pending.wait_any()              # starts it first
-            got["payload"] = done.get_payload()
-
-        def sender(actor):
-            yield engine.mailbox("box").put("hi", size=1e6)
-
-        engine.add_actor("r", "alice", receiver)
-        engine.add_actor("s", "bob", sender)
-        engine.run()
-        assert got["payload"] == "hi"
-        assert not engine.deadlocked
-
-    def test_wait_any_returns_the_pushed_handle_after_merge(self):
-        """A put_init handle merged into an already-pending peer must come
-        back from wait_any by its own identity."""
-        engine = Engine(pair_platform())
-        got = {}
-
-        def receiver(actor):
-            yield engine.mailbox("box").get()
-
-        def sender(actor):
-            yield this_actor.sleep_for(1.0)      # receiver posts first
-            comm = engine.mailbox("box").put_init("x", size=1e3)
-            pending = ActivitySet([comm])
-            done = yield pending.wait_any()      # starts + merges into peer
-            got["same_handle"] = done is comm
-
-        engine.add_actor("r", "alice", receiver)
-        engine.add_actor("s", "bob", sender)
-        engine.run()
-        assert got["same_handle"] is True
 
     def test_test_any_polls_without_blocking(self):
         engine = Engine(pair_platform(speed=1e9))
@@ -555,6 +479,52 @@ class TestActorLifecycle:
     def test_current_actor_outside_simulation_raises(self):
         with pytest.raises(RuntimeError):
             s4u.current_actor()
+
+
+class TestCallsPerActivity:
+    """The s4u layer's cost per activity, pinned without a clock."""
+
+    def test_overlap_fleet_stays_under_the_s4u_call_ceiling(self):
+        workers = 100
+        engine = Engine(make_star(num_hosts=workers))
+        box = engine.mailbox("sink")
+        received = []
+
+        def worker(actor):
+            comp = yield actor.exec_async(5e7)
+            comm = yield box.put_async(actor.name, size=1e4)
+            pending = ActivitySet([comp, comm])
+            while not pending.empty():
+                yield pending.wait_any()
+
+        def sink(actor):
+            for _ in range(workers):
+                received.append((yield box.get()))
+
+        engine.add_actor("sink", "center", sink)
+        for i in range(workers):
+            engine.add_actor(f"worker-{i}", f"leaf-{i}", worker)
+
+        # Python frames of repro/s4u/ only: the count does not depend on
+        # which builtins the interpreter happens to implement in C.
+        layer = os.sep + os.path.join("repro", "s4u") + os.sep
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            if event == "call" and layer in frame.f_code.co_filename:
+                calls += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            engine.run()
+        finally:
+            sys.setprofile(previous)
+        assert len(received) == workers
+        # One exec and one comm per worker.  58.6 before the deferred-start
+        # path went (PR 17), 51.6 after; the same at 400 workers.
+        assert calls / (2 * workers) <= 55
 
 
 class TestRemovedMsgShim:
