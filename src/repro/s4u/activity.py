@@ -28,6 +28,7 @@ from typing import Any, Iterable, List, Optional, TYPE_CHECKING
 from repro.kernel.simcall import (
     TestCall, WaitAllCall, WaitAnyCall, WaitCall,
 )
+from repro.s4u.actor import current_actor
 from repro.surf.action import Action
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -50,13 +51,8 @@ class ActivityState(enum.Enum):
     TIMEOUT = "timeout"      # the waiter's timeout fired first
 
 
-_OVER_STATES = frozenset((ActivityState.DONE, ActivityState.FAILED,
-                          ActivityState.CANCELLED, ActivityState.TIMEOUT))
-
-
 def _submit(simcall):
     """Route a simcall through the calling actor's context."""
-    from repro.s4u.actor import current_actor
     return current_actor()._submit(simcall)
 
 
@@ -88,7 +84,9 @@ class Activity:
 
     def is_over(self) -> bool:
         """Finished, successfully or not."""
-        return self.state in _OVER_STATES
+        state = self.state
+        return (state is not ActivityState.PENDING
+                and state is not ActivityState.STARTED)
 
     def succeeded(self) -> bool:
         return self.state is ActivityState.DONE

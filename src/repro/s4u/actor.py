@@ -104,6 +104,10 @@ class Actor:
         #: How the actor died (False = body returned normally); only
         #: meaningful once the actor is DEAD.
         self._exit_failed = False
+        #: The exception that escaped the body, if one did: the engine
+        #: terminates the actor (``on_exit(failed=True)``, joiners woken)
+        #: and re-raises it out of ``Engine.run``.  ``None`` otherwise —
+        #: normal return, kill and host failure included.
         self.exit_status: Optional[BaseException] = None
 
     # ------------------------------------------------------------------------------

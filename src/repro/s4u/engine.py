@@ -37,7 +37,7 @@ from repro.exceptions import (
 from repro.kernel.context import FINISHED, make_context_factory
 from repro.kernel.simcall import (
     ExecAsyncCall, ExecuteCall, IrecvCall, IsendCall, JoinCall, KillCall,
-    RecvCall, ResumeCall, SendCall, Simcall, SleepAsyncCall, SleepCall,
+    RecvCall, ResumeCall, SendCall, SleepAsyncCall, SleepCall,
     SuspendCall, TestCall, WaitAllCall, WaitAnyCall, WaitCall, YieldCall,
 )
 from repro.kernel.timer import TimerQueue
@@ -54,6 +54,9 @@ from repro.surf.network import LinkResource
 __all__ = ["Engine"]
 
 _EPS = 1e-12
+# The two live states, compared by identity on the hot path ("is over" is
+# "is neither"): a set lookup would run Enum.__hash__, a Python frame.
+_PENDING, _STARTED = ActivityState.PENDING, ActivityState.STARTED
 
 
 class Engine:
@@ -497,10 +500,18 @@ class Engine:
     def run(self, until: Optional[float] = None) -> float:
         """Run the simulation until it ends (or until the given date).
 
-        Returns the final simulated time.
+        Returns the final simulated time.  A date that already passed is
+        "nothing to do": the call returns :attr:`now` without stepping.
+        An exception escaping an actor body propagates out of this call
+        after the actor was terminated (see :attr:`Actor.exit_status`), so
+        the engine stays consistent and a later :meth:`run` finishes the
+        healthy actors.
         """
         limit = math.inf if until is None else float(until)
+        if limit < self.now:
+            return self.now
         self._tearing_down = False
+        self._deadlocked = False
         managed_gc = self._enter_gc_policy()
         try:
             self._run_loop(limit, until)
@@ -510,36 +521,53 @@ class Engine:
         return self.now
 
     def _run_loop(self, limit: float, until: Optional[float]) -> None:
+        # Bound once per run: the callees of every turn.  ``surf.step``
+        # and ``timers.fire_until`` stay real calls, once per event.
+        schedule_ready = self._schedule_ready
+        simulation_over = self._simulation_over
+        finish = self._finish_activity
+        next_date = self.timers.next_date
+        fire_until = self.timers.fire_until
+        step = self.surf.step
+        done, failed = ActivityState.DONE, ActivityState.FAILED
         while True:
-            self._schedule_ready()
-            if self._simulation_over():
+            schedule_ready()
+            if simulation_over():
                 break
-            bound = min(self.timers.next_date(), limit)
-            result = self.surf.step(until=bound)
+            bound = next_date()
+            if limit < bound:
+                bound = limit
+            result = step(until=bound)
             if result is None:
                 # No action can complete, no trace event, no timer, no limit:
                 # the remaining actors (if any) are deadlocked.
                 self._handle_deadlock()
                 break
             now = result.time
-            self._handle_state_changes(result.state_changes)
-            self._handle_speed_changes(result.speed_changes)
+            if result.state_changes:
+                self._handle_state_changes(result.state_changes)
+            if result.speed_changes:
+                self._handle_speed_changes(result.speed_changes)
             for action in result.failed:
                 activity = action.data
                 if isinstance(activity, Activity):
-                    self._finish_activity(activity, ActivityState.FAILED)
+                    finish(activity, failed)
             for action in result.completed:
                 activity = action.data
                 if isinstance(activity, Activity):
-                    self._finish_activity(activity, ActivityState.DONE)
-            self.timers.fire_until(now)
+                    finish(activity, done)
+            fire_until(now)
             if until is not None and now >= limit - _EPS:
-                self._schedule_ready()
+                schedule_ready()
                 break
 
     @property
     def deadlocked(self) -> bool:
-        """True when the last run ended because of a deadlock."""
+        """True when the last :meth:`run` ended because of a deadlock.
+
+        Reset at the start of every run, so a deadlocked phase followed
+        by a healthy one reads False.
+        """
         return self._deadlocked
 
     @property
@@ -559,28 +587,48 @@ class Engine:
         self._ready.append((actor, value, exception))
 
     def _schedule_ready(self) -> None:
-        while self._ready:
-            actor, value, exception = self._ready.popleft()
-            if actor.state == ActorState.DEAD:
+        """Run every ready actor up to its next simcall, and handle it.
+
+        The whole actor turn is this one loop: pop, resume the body
+        (``Context.resume`` — the only call per turn besides the handler),
+        dispatch the simcall it answered with by concrete type.  An
+        ``*_async`` handler answers through the back of this same queue,
+        so the queue order is the event order.
+        """
+        ready = self._ready
+        popleft = ready.popleft
+        handlers = self._simcall_handlers
+        dead, runnable, blocked = (ActorState.DEAD, ActorState.RUNNABLE,
+                                   ActorState.BLOCKED)
+        while ready:
+            actor, value, exception = popleft()
+            if actor.state == dead:
                 continue
             if actor._suspended:
                 actor._parked_resume = (value, exception)
                 continue
-            self._run_actor(actor, value, exception)
-
-    def _run_actor(self, actor: Actor, value=None,
-                   exception: Optional[BaseException] = None) -> None:
-        actor.state = ActorState.RUNNABLE
-        previous = _actor_mod._current
-        _actor_mod._current = actor
-        try:
-            request = actor.context.resume(value, exception)
-        finally:
+            actor.state = runnable
+            previous = _actor_mod._current
+            _actor_mod._current = actor
+            try:
+                request = actor.context.resume(value, exception)
+            except BaseException as exc:
+                # The body is gone: bury the actor (exit hooks, joiners,
+                # counters) before the error leaves run(), or the next
+                # run() would report the corpse as a deadlock.
+                _actor_mod._current = previous
+                actor.exit_status = exc
+                self._terminate_actor(actor, failed=True)
+                raise
             _actor_mod._current = previous
-        if request is FINISHED:
-            self._terminate_actor(actor)
-            return
-        self._handle_simcall(actor, request)
+            if request is FINISHED:
+                self._terminate_actor(actor)
+                continue
+            actor.state = blocked
+            handler = handlers.get(type(request))
+            if handler is None:
+                raise TypeError(f"unknown simcall {request!r}")
+            handler(actor, request)
 
     def _simulation_over(self) -> bool:
         if self._ready:
@@ -632,7 +680,7 @@ class Engine:
 
     def _handle_speed_changes(self, speed_changes) -> None:
         """Forward trace-driven availability changes to the speed observers."""
-        if not speed_changes or not self._speed_listeners:
+        if not self._speed_listeners:
             return
         for resource, _factor in speed_changes:
             if isinstance(resource, CpuResource):
@@ -677,13 +725,6 @@ class Engine:
     # ------------------------------------------------------------------------------
     # simcall handling
     # ------------------------------------------------------------------------------
-    def _handle_simcall(self, actor: Actor, call: Simcall) -> None:
-        actor.state = ActorState.BLOCKED
-        handler = self._simcall_handlers.get(type(call))
-        if handler is None:
-            raise TypeError(f"unknown simcall {call!r}")
-        handler(actor, call)
-
     def _do_test(self, actor: Actor, call: TestCall) -> None:
         self._enqueue(actor, call.activity.is_over())
 
@@ -868,15 +909,20 @@ class Engine:
     def _do_wait_any(self, actor: Actor, call: WaitAnyCall) -> None:
         activities = call.activities
         for activity in activities:
-            if activity.is_over():
+            state = activity.state
+            if state is not _PENDING and state is not _STARTED:
                 self._block_on(actor, "wait_any", activities,
                                owner=call.owner)
                 value, exc = self._activity_result(actor, activity)
                 self._clear_wait(actor)
                 self._enqueue(actor, value, exc)
                 return
+        # One back-pointer per member, registered once; the completion
+        # that fires first wakes the actor and withdraws the others.
         for activity in activities:
-            activity.add_waiter(actor)
+            waiters = activity.waiters
+            if actor not in waiters:
+                waiters.append(actor)
         self._block_on(actor, "wait_any", activities, timeout=call.timeout,
                        owner=call.owner)
 
@@ -1035,26 +1081,31 @@ class Engine:
         self._finish_activity(activity, ActivityState.CANCELLED)
 
     def _finish_activity(self, activity: Activity, state: ActivityState) -> None:
-        if activity.is_over():
+        current = activity.state
+        if current is not _PENDING and current is not _STARTED:
             return
         activity.state = state
-        activity.finish_time = self.now
+        activity.finish_time = self.surf.clock
         if isinstance(activity, Comm):
             self._active_comms.pop(activity, None)
-        self._record_activity(activity)
+        if self.recorder is not None:
+            self._record_activity(activity)
         # Break the activity <-> action reference cycle: once finished,
         # the pair would otherwise only ever be reclaimed by a gc cycle
         # pass, which at 10⁵ actors dominates the collector's work.
         action = activity.surf_action
         if action is not None and action.data is activity:
             action.data = None
-        waiters = list(activity.waiters)
-        activity.waiters.clear()
-        for actor in waiters:
-            self._wake_from_activity(actor, activity)
+        waiters = activity.waiters
+        if waiters:
+            # A finished activity never gains a waiter again: hand the
+            # list over instead of copying it.
+            activity.waiters = []
+            for actor in waiters:
+                self._wake_from_activity(actor, activity)
 
     def _record_activity(self, activity: Activity) -> None:
-        if self.recorder is None or activity.start_time is None:
+        if activity.start_time is None:
             return
         start = activity.start_time
         end = activity.finish_time if activity.finish_time is not None else start
@@ -1074,27 +1125,32 @@ class Engine:
                     start=start, end=end, label=label)
 
     def _wake_from_activity(self, actor: Actor, activity: Activity) -> None:
-        if actor.state == ActorState.DEAD:
+        kind = actor._wait_kind
+        if kind is None or actor.state == ActorState.DEAD:
             return
-        if actor._wait_kind is None:
-            return
-        if actor._wait_kind == "wait_all" and activity.succeeded():
+        waited = actor._wait_activities
+        if kind == "wait_all" and activity.state is ActivityState.DONE:
             # Keep waiting until every member completed.
-            pending = [a for a in actor._wait_activities
-                       if isinstance(a, Activity) and not a.is_over()]
-            if pending:
-                return
-            self._reap_owner_all(actor._wait_owner, actor._wait_activities)
-            self._clear_wait(actor)
-            self._enqueue(actor, None)
-            return
-        # Detach the actor from every other activity it was waiting on.
-        for other in actor._wait_activities:
-            if other is not activity and isinstance(other, Activity):
-                other.remove_waiter(actor)
-        value, exc = self._activity_result(actor, activity)
-        self._clear_wait(actor)
-        self._enqueue(actor, value, exc)
+            for other in waited:
+                if other.state is _PENDING or other.state is _STARTED:
+                    return
+            self._reap_owner_all(actor._wait_owner, waited)
+            value = exc = None
+        else:
+            if len(waited) > 1:
+                # Detach the actor from every other activity it waited on.
+                for other in waited:
+                    if other is not activity:
+                        other.remove_waiter(actor)
+            value, exc = self._activity_result(actor, activity)
+        timer = actor._wait_timer
+        if timer is not None:
+            timer.cancel()
+            actor._wait_timer = None
+        actor._wait_kind = None
+        actor._wait_activities = []
+        actor._wait_owner = None
+        self._ready.append((actor, value, exc))
 
     def _reap_owner_all(self, owner, activities) -> None:
         for activity in activities:

@@ -16,7 +16,7 @@ from collections import deque
 from typing import Any, Deque, Optional, TYPE_CHECKING
 
 from repro.kernel.simcall import IrecvCall, IsendCall, RecvCall, SendCall
-from repro.s4u.activity import ActivityState
+from repro.s4u.activity import ActivityState, _submit
 from repro.s4u.actor import ActorState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -68,7 +68,7 @@ class Mailbox:
             priority: float = 1.0, name: Optional[str] = None):
         """Send ``payload`` (``size`` simulated bytes); blocks until the
         receiver has fully received it (rendezvous semantics)."""
-        return self._submit(SendCall(
+        return _submit(SendCall(
             mailbox=self, payload=payload, size=float(size), rate=rate,
             timeout=timeout, priority=priority,
             name=name or _payload_name(payload)))
@@ -77,25 +77,20 @@ class Mailbox:
             rate: Optional[float] = None):
         """Receive the next payload; blocks until a sender shows up and the
         transfer completed.  The result is the payload."""
-        return self._submit(RecvCall(mailbox=self, timeout=timeout,
-                                     rate=rate))
+        return _submit(RecvCall(mailbox=self, timeout=timeout, rate=rate))
 
     def put_async(self, payload: Any, size: float = 0.0,
                   rate: Optional[float] = None, detached: bool = False,
                   priority: float = 1.0, name: Optional[str] = None):
         """Start an asynchronous send; the result is a ``Comm`` future."""
-        return self._submit(IsendCall(
+        return _submit(IsendCall(
             mailbox=self, payload=payload, size=float(size), rate=rate,
             detached=detached, priority=priority,
             name=name or _payload_name(payload)))
 
     def get_async(self, rate: Optional[float] = None):
         """Start an asynchronous receive; the result is a ``Comm`` future."""
-        return self._submit(IrecvCall(mailbox=self, rate=rate))
-
-    def _submit(self, simcall):
-        from repro.s4u.actor import current_actor
-        return current_actor()._submit(simcall)
+        return _submit(IrecvCall(mailbox=self, rate=rate))
 
     # ------------------------------------------------------------------------------
     # kernel-side matching (used by the engine)

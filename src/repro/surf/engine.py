@@ -226,7 +226,10 @@ class SurfEngine:
 
     def has_running_actions(self) -> bool:
         """True when at least one action is still running in any model."""
-        return any(bool(model.running) for model in self.models)
+        for model in self.models:
+            if model.running:
+                return True
+        return False
 
     # -- main loop ---------------------------------------------------------------------
     def step(self, until: float = math.inf) -> Optional[StepResult]:
@@ -249,14 +252,20 @@ class SurfEngine:
 
         min_delta = self._share_phase(now)
 
-        trace_date = self.next_trace_event_date()
-        delta_trace = trace_date - now if not math.isinf(trace_date) else math.inf
-        delta_bound = until - now if not math.isinf(until) else math.inf
-
-        delta = min(min_delta, delta_trace, delta_bound)
-        if math.isinf(delta):
+        # Earliest of: action event, trace event, caller bound.  A missing
+        # one is +inf, and inf - now is inf, so plain compares do.
+        trace_heap = self._trace_heap
+        delta_trace = trace_heap[0][0] - now if trace_heap else math.inf
+        delta_bound = until - now
+        delta = min_delta
+        if delta_trace < delta:
+            delta = delta_trace
+        if delta_bound < delta:
+            delta = delta_bound
+        if delta == math.inf:
             return None
-        delta = max(0.0, delta)
+        if delta < 0.0:
+            delta = 0.0
 
         new_time = now + delta
         self.clock = new_time
@@ -266,13 +275,13 @@ class SurfEngine:
         state_changes: List[Tuple[Resource, bool]] = []
         speed_changes: List[Tuple[Resource, float]] = []
         failed: List[Action] = []
-        if self._trace_heap:
+        if trace_heap:
             failed.extend(self._fire_trace_events(new_time, state_changes,
                                                   speed_changes))
 
         reached_bound = (delta_bound <= min_delta + _TIME_EPSILON
                          and delta_bound <= delta_trace + _TIME_EPSILON
-                         and not math.isinf(until))
+                         and until != math.inf)
 
         # Spin guard: a model reporting "something completes in 0 s" while
         # nothing actually completes would loop here forever without

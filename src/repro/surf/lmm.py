@@ -490,6 +490,31 @@ class MaxMinSystem:
             cns_seen: Set[Constraint] = set()
             var_seen: Set[Variable] = set()
             for seed in seeds:
+                elements = seed.elements
+                if _subsolver is None and (not elements or (
+                        len(elements) == 1
+                        and len(elements[0].variable.elements) == 1)):
+                    # An empty constraint, or one whose only variable
+                    # crosses nothing else, is its own component by
+                    # inspection — no graph walk can reach or leave it.
+                    # Counters, token and values move exactly as on the
+                    # general path (the token is pickled state).
+                    start = len(changed)
+                    self.constraints_solved += 1
+                    self._token = token = self._token + 1
+                    if elements:
+                        var = elements[0].variable
+                        self.variables_solved += 1
+                        old = var.value
+                        var.value = 0.0
+                        if var.weight > EPSILON:
+                            var._stamp = token
+                            self._solve_single(seed, [var], token)
+                        if var.value != old:
+                            changed.append(var)
+                    if groups is not None:
+                        groups.append((seed.id, start, len(changed)))
+                    continue
                 if seed in cns_seen:
                     continue
                 cnss, variables = self._component(seed, cns_seen, var_seen)

@@ -138,10 +138,17 @@ class FluidModel:
         system = self.system
         if system._modified or system._detached_dirty:
             self._adopt_solved_rates(system.solve(), now)
-        next_date = self.next_event_date()
-        if math.isinf(next_date):
-            return math.inf
-        return max(0.0, next_date - now)
+        # Peek the heap in place (the loop of next_event_date, minus its
+        # frame): stale heads are dropped, the first live one answers.
+        heap = self._heap
+        running = ActionState.RUNNING
+        while heap:
+            date, _, version, action = heap[0]
+            if version != action._event_version or action.state is not running:
+                heapq.heappop(heap)
+                continue
+            return date - now if date > now else 0.0
+        return math.inf
 
     @staticmethod
     def _adopt_solved_rates(variables, now: float) -> None:
@@ -205,9 +212,13 @@ class FluidModel:
 
     def _complete(self, action: Action, now: float,
                   finished: List[Action]) -> None:
-        action.sync_remaining(now)
+        # ``Action.finish(now, DONE)`` for an action known to be running
+        # and about to read zero: nothing left to sync.
         action._remaining = 0.0
-        action.finish(now, ActionState.DONE)
+        action.last_sync = now
+        action.state = ActionState.DONE
+        action.finish_time = now
+        self.on_action_finished(action)
         finished.append(action)
 
     # -- failures ----------------------------------------------------------------

@@ -219,6 +219,213 @@ def test_property_incremental_solver_matches_reference_solver(script):
 
 
 # ----------------------------------------------------------------------------------
+# by-inspection components: the short-circuit == the general path, counters too
+# ----------------------------------------------------------------------------------
+
+COUNTERS = ("constraints_solved", "variables_solved", "elements_visited",
+            "heap_pops")
+
+
+def play(script, short_circuit):
+    """Interpret a mutation script; return what every solve reported.
+
+    ``short_circuit=False`` passes ``_subsolver=system._solve_subsystem``:
+    the same filling, but every seed walks ``_component`` — the path the
+    reference oracle takes.  Per solve the trace holds the changed ids,
+    ``solve_grouped``'s groups, the four work counters (``golden.json``
+    pins them, so equality is the contract), every value, and how many
+    seeds walked the graph.
+    """
+    system = MaxMinSystem()
+    constraints, variables, trace = [], [], []
+    walks = [0]
+    component = system._component
+
+    def counting_component(*args):
+        walks[0] += 1
+        return component(*args)
+
+    system._component = counting_component
+    for op, *args in script:
+        if op == "cns":
+            capacity, shared = args
+            constraints.append(system.new_constraint(capacity, shared=shared))
+        elif op == "var":
+            weight, bound, crossings = args
+            var = system.new_variable(weight=weight, bound=bound)
+            for index, usage in crossings:
+                system.expand(constraints[index], var, usage)
+            variables.append(var)
+        elif op == "remove":
+            system.remove_variable(variables[args[0]])
+        elif op == "weight":
+            system.update_variable_weight(variables[args[0]], args[1])
+        elif op == "bound":
+            system.update_variable_bound(variables[args[0]], args[1])
+        elif op == "capacity":
+            system.update_constraint_capacity(constraints[args[0]], args[1])
+        else:
+            assert op == "solve"
+            walks[0] = 0
+            changed, groups = system.solve_grouped(
+                _subsolver=None if short_circuit
+                else system._solve_subsystem)
+            assert_matches_reference(system, use_reference_solver=True)
+            trace.append(([var.id for var in changed], groups,
+                          [getattr(system, name) for name in COUNTERS],
+                          {var.id: var.value for var in system.variables},
+                          walks[0]))
+    return trace
+
+
+def assert_short_circuit_is_invisible(script):
+    """Both paths report the same thing; returns the graph walks of each."""
+    fast = play(script, short_circuit=True)
+    general = play(script, short_circuit=False)
+    assert [step[:4] for step in fast] == [step[:4] for step in general]
+    return [step[4] for step in fast], [step[4] for step in general]
+
+
+class TestComponentShortCircuit:
+    """The shapes ``_solve_into`` recognises by inspection, and their
+    neighbours that must keep walking the graph."""
+
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("bound", [None, 30.0, 400.0])
+    def test_single_variable_constraint(self, shared, bound):
+        script = [("cns", 100.0, shared), ("var", 2.0, bound, [(0, 1.5)]),
+                  ("solve",), ("capacity", 0, 60.0), ("solve",)]
+        fast, general = assert_short_circuit_is_invisible(script)
+        assert fast == [0, 0] and general == [1, 1]
+
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("offset", [-1.5e-9, -4e-10, 0.0, 4e-10, 1.5e-9])
+    def test_bound_inside_the_near_tie_band(self, shared, offset):
+        # Constraint level 100 / (2 * 5) = 10; the bound level lands
+        # within (or just outside) EPSILON of it on either side.
+        script = [("cns", 100.0, shared),
+                  ("var", 5.0, (10.0 + offset) * 5.0, [(0, 2.0)]),
+                  ("solve",)]
+        fast, general = assert_short_circuit_is_invisible(script)
+        assert fast == [0] and general == [1]
+
+    def test_constraint_emptied_by_remove_variable(self):
+        script = [("cns", 100.0, True), ("cns", 50.0, False),
+                  ("var", 1.0, None, [(0, 1.0)]),
+                  ("var", 1.0, None, [(1, 1.0)]), ("solve",),
+                  ("remove", 0), ("remove", 1), ("solve",)]
+        fast, general = assert_short_circuit_is_invisible(script)
+        # Two empty seeds in one solve: counted, nothing to walk.
+        assert fast == [0, 0] and general == [2, 2]
+        assert play(script, True)[-1][1] == [(0, 0, 0), (1, 0, 0)]
+
+    def test_zero_weight_single_variable_resets_to_zero(self):
+        script = [("cns", 100.0, True), ("var", 1.0, None, [(0, 1.0)]),
+                  ("solve",), ("weight", 0, 0.0), ("solve",),
+                  ("weight", 0, 3.0), ("solve",)]
+        fast, general = assert_short_circuit_is_invisible(script)
+        assert fast == [0, 0, 0]
+        values = [step[3][0] for step in play(script, True)]
+        assert values == [100.0, 0.0, 100.0]
+
+    def test_variable_crossing_a_second_constraint_walks_the_graph(self):
+        script = [("cns", 100.0, True), ("cns", 80.0, True),
+                  ("var", 1.0, None, [(0, 1.0), (1, 1.0)]), ("solve",),
+                  ("capacity", 0, 60.0), ("solve",)]
+        fast, general = assert_short_circuit_is_invisible(script)
+        # One element on the seed, but its variable reaches further.
+        assert fast == general == [1, 1]
+
+    def test_zero_weight_bridge_to_a_second_constraint_walks_too(self):
+        script = [("cns", 100.0, True), ("cns", 80.0, True),
+                  ("var", 0.0, None, [(0, 1.0), (1, 1.0)]),
+                  ("var", 1.0, None, [(1, 1.0)]), ("solve",),
+                  ("capacity", 0, 60.0), ("solve",)]
+        fast, general = assert_short_circuit_is_invisible(script)
+        assert fast[1] == general[1] == 1
+
+    def test_two_dirty_single_variable_seeds_in_one_solve(self):
+        script = [("cns", 100.0, True), ("cns", 80.0, False),
+                  ("cns", 10.0, True),
+                  ("var", 1.0, None, [(0, 1.0)]),
+                  ("var", 2.0, 20.0, [(1, 1.0)]),
+                  ("var", 1.0, None, [(2, 1.0)]),
+                  ("var", 1.0, None, [(2, 1.0)]), ("solve",),
+                  ("capacity", 1, 70.0), ("capacity", 0, 90.0),
+                  ("capacity", 2, 12.0), ("solve",)]
+        fast, general = assert_short_circuit_is_invisible(script)
+        # The two 1×1 seeds are taken by inspection, the shared pair walks.
+        assert fast == [1, 1] and general == [3, 3]
+        changed, groups = play(script, True)[-1][:2]
+        assert groups == [(0, 0, 1), (1, 1, 1), (2, 1, 3)]
+        assert changed == [0, 2, 3]
+
+
+@st.composite
+def sparse_system_script(draw):
+    """Mutation scripts over mostly-private constraints: the fleet shape.
+
+    Most variables cross one constraint nobody else uses (a host running
+    one exec, a private link carrying one flow), so most dirty seeds are
+    empty or 1×1; some share a constraint or cross a second one, so both
+    sides of the by-inspection test stay exercised.
+    """
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    num_constraints = draw(st.integers(min_value=1, max_value=8))
+    num_rounds = draw(st.integers(min_value=1, max_value=10))
+    script = [("cns", rng.uniform(1.0, 1000.0), rng.random() > 0.3)
+              for _ in range(num_constraints)]
+    live, created = [], 0
+
+    def new_variable():
+        nonlocal created
+        first = rng.randrange(num_constraints)
+        crossings = [(first, rng.uniform(0.5, 2.0))]
+        if num_constraints > 1 and rng.random() < 0.2:
+            second = rng.choice([i for i in range(num_constraints)
+                                 if i != first])
+            crossings.append((second, rng.uniform(0.5, 2.0)))
+        weight = 0.0 if rng.random() < 0.15 else rng.uniform(0.1, 10.0)
+        bound = rng.uniform(0.5, 500.0) if rng.random() < 0.4 else None
+        live.append(created)
+        created += 1
+        return ("var", weight, bound, crossings)
+
+    for _ in range(rng.randint(0, num_constraints)):
+        script.append(new_variable())
+    script.append(("solve",))
+    for _ in range(num_rounds):
+        # Up to three mutations between two solves: several dirty seeds.
+        for _ in range(rng.randint(1, 3)):
+            op = rng.randrange(5)
+            if op == 0 and live:
+                script.append(("weight", rng.choice(live), rng.choice(
+                    [0.0, rng.uniform(0.1, 10.0)])))
+            elif op == 1 and live:
+                script.append(("bound", rng.choice(live), rng.choice(
+                    [None, rng.uniform(0.5, 500.0)])))
+            elif op == 2:
+                script.append(("capacity", rng.randrange(num_constraints),
+                               rng.uniform(1.0, 1000.0)))
+            elif op == 3 and live:
+                script.append(("remove",
+                               live.pop(rng.randrange(len(live)))))
+            else:
+                script.append(new_variable())
+        script.append(("solve",))
+    return script
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(sparse_system_script())
+def test_property_component_short_circuit_is_invisible(script):
+    """Values vs the reference oracle; changed, groups and the four work
+    counters vs the same system with the short-circuit disabled."""
+    fast, general = assert_short_circuit_is_invisible(script)
+    assert sum(fast) <= sum(general)
+
+
+# ----------------------------------------------------------------------------------
 # complexity counters: dense bottleneck stays near-linear (wall-clock-free)
 # ----------------------------------------------------------------------------------
 
