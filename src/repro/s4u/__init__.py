@@ -7,9 +7,9 @@ clock; :class:`~repro.s4u.actor.Actor`\\ s run on
 :class:`~repro.s4u.mailbox.Mailbox`\\ es; everything that takes simulated
 time is a first-class :class:`~repro.s4u.activity.Activity` future
 (:class:`~repro.s4u.activity.Comm`, :class:`~repro.s4u.activity.Exec`,
-:class:`~repro.s4u.activity.Sleep`) that can be ``start()``-ed,
-``test()``-ed, ``wait()``-ed and ``cancel()``-ed, and reaped in groups
-with :class:`~repro.s4u.activity.ActivitySet`.
+:class:`~repro.s4u.activity.Sleep`), started by the call that creates
+it, that can be ``test()``-ed, ``wait()``-ed and ``cancel()``-ed, and
+reaped in groups with :class:`~repro.s4u.activity.ActivitySet`.
 
 Quickstart (generator contexts: blocking calls are ``yield``-ed)::
 

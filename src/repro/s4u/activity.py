@@ -113,7 +113,7 @@ class Activity:
         for every other activity.  A timeout only abandons the *wait*, not
         the activity (S4U semantics): a pending comm stays posted on its
         mailbox and can be waited on again — :meth:`cancel` it explicitly
-        to withdraw it.
+        to withdraw it.  The peer of a comm notices nothing.
         """
         return _submit(WaitCall(activity=self, timeout=timeout))
 

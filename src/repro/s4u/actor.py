@@ -71,7 +71,7 @@ class Actor:
     __slots__ = ("engine", "name", "host", "func", "args", "kwargs",
                  "daemon", "auto_restart", "pid", "state", "context", "data",
                  "_wait_activities", "_wait_timer", "_wait_kind",
-                 "_wait_owner", "_suspended", "_parked_resume", "_joiners",
+                 "_wait_owner", "_suspended", "_parked_resume", "_exit",
                  "_on_exit_callbacks", "_exit_failed", "exit_status")
 
     def __init__(self, engine: "Engine", name: str, host: "Host",
@@ -92,14 +92,17 @@ class Actor:
         self.context: Optional[Context] = None
         #: Application-visible storage: the kernel never reads it.
         self.data: Dict[str, Any] = {}
-        # kernel bookkeeping
-        self._wait_activities: List[Any] = []
+        # kernel bookkeeping; the four _wait_* slots are written only by
+        # Engine._block_on and Engine._unblock
+        self._wait_activities = ()
         self._wait_timer = None
         self._wait_kind: Optional[str] = None
         self._wait_owner = None  # ActivitySet being reaped, if any
         self._suspended = False
         self._parked_resume: Optional[tuple] = None
-        self._joiners: List["Actor"] = []
+        #: The activity ``join`` waits on, created by the first joiner and
+        #: finished when the actor terminates.
+        self._exit = None
         self._on_exit_callbacks: List[Any] = []
         #: How the actor died (False = body returned normally); only
         #: meaningful once the actor is DEAD.
@@ -233,5 +236,10 @@ class Actor:
         return self._submit_as_caller(ResumeCall(process=self))
 
     def join(self, timeout: Optional[float] = None):
-        """Block the calling actor until this actor terminates."""
+        """Block the calling actor until this actor terminates.
+
+        A ``timeout`` that fires first raises ``SimTimeoutError`` in the
+        caller and only ends its wait: this actor runs on and can be
+        joined again.
+        """
         return self._submit_as_caller(JoinCall(process=self, timeout=timeout))

@@ -23,6 +23,7 @@ import gc
 import math
 import pickle
 from collections import deque
+from functools import partial
 from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.exceptions import (
@@ -179,15 +180,6 @@ class Engine:
         """Current simulated time in seconds."""
         return self.surf.clock
 
-    @property
-    def engine(self):
-        """The underlying :class:`~repro.surf.engine.SurfEngine`.
-
-        Kept under its historical name so pre-s4u call sites keep
-        working.
-        """
-        return self.surf
-
     def kernel_stats(self) -> dict:
         """Aggregated kernel observability (solver + caches + shards).
 
@@ -237,8 +229,8 @@ class Engine:
                 f"[{alive}] at t={self.now:g} — run() the current phase to "
                 f"completion first")
         # Lazily-deleted timer entries (cancelled timeouts of completed
-        # waits) can hold closures over dead actors; they never fire, so
-        # drop them rather than pickle them.
+        # waits) can reach dead actors whose bodies were closures; they
+        # never fire, so drop them rather than pickle them.
         self.timers.compact()
         return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
 
@@ -365,11 +357,7 @@ class Engine:
         """Turn a host off: its activities fail, its actors are killed."""
         if not host.is_on:
             return
-        failed = self.surf.fail_host(host.cpu)
-        for action in failed:
-            activity = action.data
-            if isinstance(activity, Activity):
-                self._finish_activity(activity, ActivityState.FAILED)
+        self._fail_actions(self.surf.fail_host(host.cpu))
         self._on_host_down(host)
 
     def restore_host(self, host: Host) -> None:
@@ -384,11 +372,7 @@ class Engine:
         link_obj = link if isinstance(link, Link) else self.link_by_name(link)
         if not link_obj.is_on:
             return
-        failed = self.surf.fail_link(link_obj.resource)
-        for action in failed:
-            activity = action.data
-            if isinstance(activity, Activity):
-                self._finish_activity(activity, ActivityState.FAILED)
+        self._fail_actions(self.surf.fail_link(link_obj.resource))
         self._notify_link_state(link_obj, False)
 
     def restore_link(self, link: Union[str, Link]) -> None:
@@ -738,92 +722,65 @@ class Engine:
         self._enqueue(actor, None)
 
     # -- execution ---------------------------------------------------------------------
-    def _start_exec(self, activity: Exec) -> None:
-        """Create the SURF action realising an Exec and mark it started."""
-        activity.post_time = self.now
-        activity.start_time = self.now
-        action = self.surf.execute(activity.host.cpu,
-                                   activity.flops,
-                                   priority=activity.priority,
-                                   bound=activity.bound)
+    def _new_exec(self, actor: Actor, call) -> Optional[Exec]:
+        """Create and start the Exec of an ``execute`` / ``exec_async`` call.
+
+        On a host that is down the caller is answered with the failure
+        and there is no activity.
+        """
+        host: Host = call.host if isinstance(call.host, Host) else actor.host
+        if not host.is_on:
+            self._enqueue(actor, None,
+                          HostFailureError(f"host {host.name} is down"))
+            return None
+        activity = Exec(actor, host, call.flops, call.name,
+                        priority=call.priority, bound=call.bound)
+        activity.post_time = activity.start_time = self.now
+        action = self.surf.execute(host.cpu, call.flops,
+                                   priority=call.priority, bound=call.bound)
         action.data = activity
         activity.surf_action = action
         activity.state = ActivityState.STARTED
         activity._engine = self
+        return activity
 
     def _do_execute(self, actor: Actor, call: ExecuteCall) -> None:
-        host: Host = call.host if isinstance(call.host, Host) else actor.host
-        if not host.is_on:
-            self._enqueue(actor, None,
-                          HostFailureError(f"host {host.name} is down"))
-            return
-        activity = Exec(actor, host, call.flops, call.name,
-                        priority=call.priority, bound=call.bound)
-        self._start_exec(activity)
-        activity.add_waiter(actor)
-        self._block_on(actor, "exec", [activity])
+        activity = self._new_exec(actor, call)
+        if activity is not None:
+            self._wait_one(actor, "exec", activity)
 
     def _do_exec_async(self, actor: Actor, call: ExecAsyncCall) -> None:
-        host: Host = call.host if isinstance(call.host, Host) else actor.host
-        if not host.is_on:
-            self._enqueue(actor, None,
-                          HostFailureError(f"host {host.name} is down"))
-            return
-        activity = Exec(actor, host, call.flops, call.name,
-                        priority=call.priority, bound=call.bound)
-        self._start_exec(activity)
-        self._enqueue(actor, activity)
+        activity = self._new_exec(actor, call)
+        if activity is not None:
+            self._enqueue(actor, activity)
 
     def _do_sleep(self, actor: Actor, call: SleepCall) -> None:
-        wake_date = self.now + call.duration
-
-        def _wake() -> None:
-            if actor.state == ActorState.DEAD:
-                return
-            self._clear_wait(actor)
-            self._enqueue(actor, None)
-
-        timer = self.timers.schedule(wake_date, _wake)
-        actor._wait_kind = "sleep"
-        actor._wait_activities = []
-        actor._wait_timer = timer
+        # A wait on nothing whose timeout is its completion: a bare timer
+        # (no Sleep activity), disarmed by _unblock like any other wait's.
+        self._block_on(actor, "sleep", (), call.duration)
 
     def _do_sleep_async(self, actor: Actor, call: SleepAsyncCall) -> None:
         activity = Sleep(actor, call.duration)
-        self._start_sleep(activity)
-        self._enqueue(actor, activity)
-
-    def _start_sleep(self, activity: Sleep) -> None:
-        activity.post_time = self.now
-        activity.start_time = self.now
+        activity.post_time = activity.start_time = self.now
         activity.state = ActivityState.STARTED
         activity._engine = self
         activity._timer = self.timers.schedule(
-            self.now + activity.duration,
-            lambda: self._finish_activity(activity, ActivityState.DONE))
+            self.now + call.duration,
+            partial(self._finish_activity, activity, ActivityState.DONE))
+        self._enqueue(actor, activity)
 
     # -- communications -------------------------------------------------------------------
     def _do_send(self, actor: Actor, call: SendCall) -> None:
         comm = self._post_send(actor, call.mailbox, call.payload, call.size,
                                call.rate, detached=False,
                                priority=call.priority, name=call.name)
-        if comm.is_over():
-            # Matching can terminate the comm synchronously (the route was
-            # broken): wake the caller now, it never became a waiter.
-            value, exc = self._activity_result(actor, comm)
-            self._enqueue(actor, value, exc)
-            return
-        comm.add_waiter(actor)
-        self._block_on(actor, "send", [comm], timeout=call.timeout)
+        # Matching can terminate the comm synchronously (the route was
+        # broken): _wait_one then answers at once.
+        self._wait_one(actor, "send", comm, call.timeout)
 
     def _do_recv(self, actor: Actor, call: RecvCall) -> None:
         comm = self._post_recv(actor, call.mailbox, call.rate)
-        if comm.is_over():
-            value, exc = self._activity_result(actor, comm)
-            self._enqueue(actor, value, exc)
-            return
-        comm.add_waiter(actor)
-        self._block_on(actor, "recv", [comm], timeout=call.timeout)
+        self._wait_one(actor, "recv", comm, call.timeout)
 
     def _do_isend(self, actor: Actor, call: IsendCall) -> None:
         comm = self._post_send(actor, call.mailbox, call.payload, call.size,
@@ -897,25 +854,33 @@ class Engine:
         self._active_comms[comm] = None
 
     # -- waiting -----------------------------------------------------------------------
-    def _do_wait(self, actor: Actor, call: WaitCall) -> None:
-        activity: Activity = call.activity
-        if activity.is_over():
+    # An actor blocks by waiting on activities: _block_on is the only
+    # place a wait starts and _unblock the only place it ends, whichever
+    # of completion, timeout, kill or host failure ends it.
+    def _wait_one(self, actor: Actor, kind: str, activity: Activity,
+                  timeout: Optional[float] = None) -> None:
+        """Answer ``actor`` with the outcome of ``activity``: now if it is
+        already over, else when it ends or ``timeout`` fires."""
+        state = activity.state
+        if state is not _PENDING and state is not _STARTED:
             value, exc = self._activity_result(actor, activity)
-            self._enqueue(actor, value, exc)
+            self._ready.append((actor, value, exc))
             return
-        activity.add_waiter(actor)
-        self._block_on(actor, "wait", [activity], timeout=call.timeout)
+        activity.waiters.append(actor)
+        self._block_on(actor, kind, (activity,), timeout)
+
+    def _do_wait(self, actor: Actor, call: WaitCall) -> None:
+        self._wait_one(actor, "wait", call.activity, call.timeout)
 
     def _do_wait_any(self, actor: Actor, call: WaitAnyCall) -> None:
         activities = call.activities
         for activity in activities:
             state = activity.state
             if state is not _PENDING and state is not _STARTED:
-                self._block_on(actor, "wait_any", activities,
-                               owner=call.owner)
-                value, exc = self._activity_result(actor, activity)
-                self._clear_wait(actor)
-                self._enqueue(actor, value, exc)
+                call.owner.erase(activity)
+                exc = self._activity_result(actor, activity)[1]
+                self._ready.append(
+                    (actor, activity if exc is None else None, exc))
                 return
         # One back-pointer per member, registered once; the completion
         # that fires first wakes the actor and withdraws the others.
@@ -923,89 +888,70 @@ class Engine:
             waiters = activity.waiters
             if actor not in waiters:
                 waiters.append(actor)
-        self._block_on(actor, "wait_any", activities, timeout=call.timeout,
-                       owner=call.owner)
+        self._block_on(actor, "wait_any", activities, call.timeout,
+                       call.owner)
 
     def _do_wait_all(self, actor: Actor, call: WaitAllCall) -> None:
         activities = call.activities
-        over = [a for a in activities if a.is_over()]
-        failed = next((a for a in over if not a.succeeded()), None)
-        if failed is not None:
-            self._block_on(actor, "wait_all", activities, owner=call.owner)
-            value, exc = self._activity_result(actor, failed)
-            self._clear_wait(actor)
-            self._enqueue(actor, value, exc)
-            return
-        if len(over) == len(activities):
-            self._reap_owner_all(call.owner, activities)
+        owner = call.owner
+        live = []
+        for activity in activities:
+            state = activity.state
+            if state is _PENDING or state is _STARTED:
+                live.append(activity)
+            elif state is not ActivityState.DONE:
+                owner.erase(activity)
+                self._enqueue(actor, *self._activity_result(actor, activity))
+                return
+        if not live:
+            for activity in activities:
+                owner.erase(activity)
             self._enqueue(actor, None)
             return
-        for activity in activities:
-            if not activity.is_over():
-                activity.add_waiter(actor)
-        self._block_on(actor, "wait_all", activities, timeout=call.timeout,
-                       owner=call.owner)
+        for activity in live:
+            activity.add_waiter(actor)
+        self._block_on(actor, "wait_all", activities, call.timeout, owner)
 
-    def _block_on(self, actor: Actor, kind: str,
-                  activities: List[Activity],
-                  timeout: Optional[float] = None,
-                  owner=None) -> None:
+    def _block_on(self, actor: Actor, kind: str, activities,
+                  timeout: Optional[float] = None, owner=None) -> None:
+        """Start a wait of ``actor`` on ``activities`` (it already sits in
+        their ``waiters``); ``owner`` is the ActivitySet being reaped."""
         actor._wait_kind = kind
-        actor._wait_activities = list(activities)
+        actor._wait_activities = activities
         actor._wait_owner = owner
-        actor._wait_timer = None
-        if timeout is not None:
-            deadline = self.now + timeout
-            actor._wait_timer = self.timers.schedule(
-                deadline, lambda: self._on_wait_timeout(actor))
+        actor._wait_timer = None if timeout is None else self.timers.schedule(
+            self.now + timeout, partial(self._on_wait_timeout, actor))
 
-    def _clear_wait(self, actor: Actor) -> None:
-        if actor._wait_timer is not None:
-            actor._wait_timer.cancel()
-        actor._wait_timer = None
+    def _unblock(self, actor: Actor, but: Optional[Activity] = None) -> None:
+        """End the wait of ``actor``: disarm its timeout and withdraw it
+        from every waited activity except ``but``, the one waking it
+        (which already gave its waiter list away)."""
+        timer = actor._wait_timer
+        if timer is not None:
+            timer.cancel()
+            actor._wait_timer = None
+        for activity in actor._wait_activities:
+            if activity is not but:
+                activity.remove_waiter(actor)
         actor._wait_kind = None
-        actor._wait_activities = []
+        actor._wait_activities = ()
         actor._wait_owner = None
 
     def _on_wait_timeout(self, actor: Actor) -> None:
-        if actor.state == ActorState.DEAD or actor._wait_kind is None:
-            return
         kind = actor._wait_kind
-        activities = list(actor._wait_activities)
-        for entry in activities:
-            if isinstance(entry, Actor):  # join timeout
-                try:
-                    entry._joiners.remove(actor)
-                except ValueError:
-                    pass
-                continue
-            activity = entry
-            activity.remove_waiter(actor)
-            if isinstance(activity, Comm):
-                mine = (activity.src_actor is actor
-                        or activity.dst_actor is actor)
-                if activity.is_pending() and mine and kind in ("send", "recv"):
-                    # A synchronous send/recv owns its posted comm: abort it.
-                    # Waits on async handles only stop *waiting* — the comm
-                    # stays posted so the actor can wait on it again later.
-                    activity.mailbox.discard(activity)
-                    activity.state = ActivityState.TIMEOUT
-                elif activity.is_started() and mine and kind in ("send", "recv"):
-                    # Abort the rendezvous: the peer sees a transfer failure.
-                    if (activity.surf_action is not None
-                            and activity.surf_action.is_running()):
-                        activity.surf_action.cancel(self.now)
-                    self._active_comms.pop(activity, None)
-                    activity.state = ActivityState.TIMEOUT
-                    activity.finish_time = self.now
-                    for peer in list(activity.waiters):
-                        activity.remove_waiter(peer)
-                        self._clear_wait(peer)
-                        self._enqueue(peer, None, TransferFailureError(
-                            f"peer timed out on {activity.mailbox.name}"))
-        self._clear_wait(actor)
-        self._enqueue(actor, None, SimTimeoutError(
-            f"{kind} timed out at t={self.now:g}"))
+        waited = actor._wait_activities
+        self._unblock(actor)
+        if kind == "sleep":
+            self._ready.append((actor, None, None))
+            return
+        if kind == "send" or kind == "recv":
+            # A synchronous put/get owns its comm: abort it, which wakes
+            # the peer of a started rendezvous before the caller.  Waits on
+            # async handles only stop *waiting* — the comm stays posted so
+            # the actor can wait on it again later.
+            self._abort_activity(waited[0], ActivityState.TIMEOUT)
+        self._ready.append((actor, None, SimTimeoutError(
+            f"{kind} timed out at t={self.now:g}")))
 
     # -- actor control ------------------------------------------------------------------
     def _do_suspend(self, actor: Actor, call: SuspendCall) -> None:
@@ -1054,31 +1000,40 @@ class Engine:
         if not target.is_alive:
             self._enqueue(actor, None)
             return
-        target._joiners.append(actor)
-        actor._wait_kind = "join"
-        actor._wait_activities = [target]
-        actor._wait_owner = None
-        actor._wait_timer = None
-        if call.timeout is not None:
-            actor._wait_timer = self.timers.schedule(
-                self.now + call.timeout,
-                lambda: self._on_wait_timeout(actor))
+        if target._exit is None:
+            # Finished by _terminate_actor: a join is a wait like any other.
+            target._exit = Activity("exit")
+        self._wait_one(actor, "join", target._exit, call.timeout)
 
     # ------------------------------------------------------------------------------
     # activity completion
     # ------------------------------------------------------------------------------
     def cancel_activity(self, activity: Activity) -> None:
         """Cancel an activity: stop its action/timer, wake its waiters."""
-        if activity.is_over():
-            return
-        if (activity.surf_action is not None
-                and activity.surf_action.is_running()):
-            activity.surf_action.cancel(self.now)
-        if isinstance(activity, Sleep) and activity._timer is not None:
+        self._abort_activity(activity, ActivityState.CANCELLED)
+
+    def _abort_activity(self, activity: Activity, state: ActivityState) -> None:
+        """End a live activity early, in ``state``: a cancel, or a comm
+        one side of which timed out (``TIMEOUT``) or was killed.  Its
+        action or timer stops, a pending comm leaves its mailbox, and the
+        waiters — the peer of a comm — are woken like on any other ending.
+        Nothing happens to an activity that is already over.
+        """
+        action = activity.surf_action
+        if action is not None and action.is_running():
+            action.cancel(self.now)
+        elif isinstance(activity, Sleep):
             activity._timer.cancel()
-        if isinstance(activity, Comm) and activity.is_pending():
+        elif activity.state is _PENDING and isinstance(activity, Comm):
             activity.mailbox.discard(activity)
-        self._finish_activity(activity, ActivityState.CANCELLED)
+        self._finish_activity(activity, state)
+
+    def _fail_actions(self, actions) -> None:
+        """Fail the activities behind the actions a resource took down."""
+        for action in actions:
+            activity = action.data
+            if isinstance(activity, Activity):
+                self._finish_activity(activity, ActivityState.FAILED)
 
     def _finish_activity(self, activity: Activity, state: ActivityState) -> None:
         current = activity.state
@@ -1126,65 +1081,49 @@ class Engine:
 
     def _wake_from_activity(self, actor: Actor, activity: Activity) -> None:
         kind = actor._wait_kind
-        if kind is None or actor.state == ActorState.DEAD:
-            return
-        waited = actor._wait_activities
         if kind == "wait_all" and activity.state is ActivityState.DONE:
             # Keep waiting until every member completed.
+            waited = actor._wait_activities
             for other in waited:
                 if other.state is _PENDING or other.state is _STARTED:
                     return
-            self._reap_owner_all(actor._wait_owner, waited)
+            owner = actor._wait_owner
+            for member in waited:
+                owner.erase(member)
             value = exc = None
         else:
-            if len(waited) > 1:
-                # Detach the actor from every other activity it waited on.
-                for other in waited:
-                    if other is not activity:
-                        other.remove_waiter(actor)
             value, exc = self._activity_result(actor, activity)
-        timer = actor._wait_timer
-        if timer is not None:
-            timer.cancel()
-            actor._wait_timer = None
-        actor._wait_kind = None
-        actor._wait_activities = []
-        actor._wait_owner = None
+            if kind == "wait_any" or kind == "wait_all":
+                # Whatever the outcome, a terminated member leaves the
+                # ActivitySet being reaped: otherwise a failed one would
+                # make every later wait_any raise the same error forever.
+                actor._wait_owner.erase(activity)
+                if kind == "wait_any" and exc is None:
+                    value = activity
+        self._unblock(actor, activity)
         self._ready.append((actor, value, exc))
-
-    def _reap_owner_all(self, owner, activities) -> None:
-        for activity in activities:
-            owner.erase(activity)
 
     def _activity_result(self, actor: Actor, activity: Activity
                          ) -> Tuple[object, Optional[BaseException]]:
-        kind = actor._wait_kind
-        # Whatever the outcome, a terminated activity must leave the
-        # ActivitySet being reaped: otherwise a failed member would make
-        # every subsequent wait_any raise the same error forever and the
-        # set could never empty.
-        if kind in ("wait_any", "wait_all"):
-            actor._wait_owner.erase(activity)
-        if activity.state is ActivityState.DONE:
-            if kind == "wait_any":
-                return activity, None
-            if isinstance(activity, Comm) and (
-                    activity.dst_actor is actor):
+        """What waiting on a terminated activity answers ``actor``: the
+        payload on the receiving side of a comm, else its failure."""
+        state = activity.state
+        if state is ActivityState.DONE:
+            if isinstance(activity, Comm) and activity.dst_actor is actor:
                 return activity.payload, None
             return None, None
-        if activity.state is ActivityState.FAILED:
-            if isinstance(activity, Comm):
-                return None, TransferFailureError(
-                    f"transfer {activity.name!r} failed at t={self.now:g}")
-            return None, HostFailureError(
-                f"host failed during {activity.name!r} at t={self.now:g}")
-        if activity.state is ActivityState.CANCELLED:
+        if state is ActivityState.CANCELLED:
             return None, CancelledError(
                 f"activity {activity.name!r} was cancelled")
-        if activity.state is ActivityState.TIMEOUT:
-            return None, SimTimeoutError(
-                f"activity {activity.name!r} timed out")
-        return None, None
+        if not isinstance(activity, Comm):
+            return None, HostFailureError(
+                f"host failed during {activity.name!r} at t={self.now:g}")
+        if state is ActivityState.TIMEOUT:
+            # Only the peer of the side that gave up ever reads this state.
+            return None, TransferFailureError(
+                f"peer timed out on {activity.mailbox.name}")
+        return None, TransferFailureError(
+            f"transfer {activity.name!r} failed at t={self.now:g}")
 
     # ------------------------------------------------------------------------------
     # death
@@ -1192,42 +1131,25 @@ class Engine:
     def _kill_actor(self, target: Actor) -> None:
         if not target.is_alive:
             return
-        self._detach_from_waits(target)
+        # A kill cancels what the victim is blocked on and nothing else:
+        # its own Exec and the comm it is one side of (a detached comm
+        # already in flight completes without it).  Un-waited async
+        # handles keep running.
+        waited = target._wait_activities
+        self._unblock(target)
+        for activity in waited:
+            if isinstance(activity, Exec):
+                if activity.actor is target:
+                    self._abort_activity(activity, ActivityState.CANCELLED)
+            elif isinstance(activity, Comm) and (
+                    activity.src_actor is target
+                    or activity.dst_actor is target):
+                if activity.is_pending():
+                    self._abort_activity(activity, ActivityState.CANCELLED)
+                elif not activity.detached:
+                    self._abort_activity(activity, ActivityState.FAILED)
         target.context.kill()
         self._terminate_actor(target, failed=True)
-
-    def _detach_from_waits(self, target: Actor) -> None:
-        if target._wait_timer is not None:
-            target._wait_timer.cancel()
-        for entry in list(target._wait_activities):
-            if isinstance(entry, Actor):
-                try:
-                    entry._joiners.remove(target)
-                except ValueError:
-                    pass
-                continue
-            activity = entry
-            activity.remove_waiter(target)
-            if isinstance(activity, Exec) and activity.actor is target:
-                if not activity.is_over():
-                    activity.cancel()
-            elif isinstance(activity, Comm):
-                mine = (activity.src_actor is target
-                        or activity.dst_actor is target)
-                if not mine:
-                    continue
-                if activity.is_pending():
-                    activity.mailbox.discard(activity)
-                    activity.state = ActivityState.CANCELLED
-                elif activity.is_started() and not activity.detached:
-                    if (activity.surf_action is not None
-                            and activity.surf_action.is_running()):
-                        activity.surf_action.cancel(self.now)
-                    self._finish_activity(activity, ActivityState.FAILED)
-        target._wait_kind = None
-        target._wait_activities = []
-        target._wait_owner = None
-        target._wait_timer = None
 
     def _terminate_actor(self, actor: Actor, failed: bool = False) -> None:
         if actor.state == ActorState.DEAD:
@@ -1245,11 +1167,8 @@ class Engine:
         actor.context = None
         if not actor.daemon:
             self._alive_nondaemon -= 1
-        for joiner in actor._joiners:
-            if joiner.is_alive and joiner._wait_kind == "join":
-                self._clear_wait(joiner)
-                self._enqueue(joiner, None)
-        actor._joiners = []
+        if actor._exit is not None:
+            self._finish_activity(actor._exit, ActivityState.DONE)
         # on_exit callbacks run in kernel context (no blocking simcalls);
         # ``failed`` is False only when the body returned normally.
         callbacks, actor._on_exit_callbacks = actor._on_exit_callbacks, []

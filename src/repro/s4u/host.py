@@ -32,11 +32,6 @@ class Host:
         self.data: Dict[str, Any] = {}
         self.actors: List["Actor"] = []
 
-    @property
-    def processes(self) -> List["Actor"]:
-        """MSG-era alias of :attr:`actors` (same list object)."""
-        return self.actors
-
     # -- static information ---------------------------------------------------------
     @property
     def speed(self) -> float:
@@ -68,10 +63,6 @@ class Host:
         """Number of simulated actors currently hosted here."""
         return len(self.actors)
 
-    def process_count(self) -> int:
-        """MSG-era alias of :meth:`actor_count`."""
-        return len(self.actors)
-
     # -- control ----------------------------------------------------------------------
     def turn_off(self) -> None:
         """Fail the host: running activities fail, its actors are killed."""
@@ -92,10 +83,6 @@ class Host:
         """
         self._engine.set_host_speed(self, speed)
         return self
-
-    def compute_duration(self, flops: float) -> float:
-        """Time to compute ``flops`` alone on this host at full availability."""
-        return flops / self.speed if self.speed > 0 else float("inf")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Host(name={self.name!r}, speed={self.speed:g})"

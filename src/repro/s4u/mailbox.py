@@ -67,7 +67,16 @@ class Mailbox:
             rate: Optional[float] = None, timeout: Optional[float] = None,
             priority: float = 1.0, name: Optional[str] = None):
         """Send ``payload`` (``size`` simulated bytes); blocks until the
-        receiver has fully received it (rendezvous semantics)."""
+        receiver has fully received it (rendezvous semantics).
+
+        A ``timeout`` that fires first raises ``SimTimeoutError`` and
+        aborts the comm, unlike a timed-out :meth:`Comm.wait
+        <repro.s4u.activity.Activity.wait>`: unmatched, it leaves the
+        mailbox; mid-transfer, the receiver gets a
+        ``TransferFailureError`` — now if it is waiting, at its next wait
+        on the handle otherwise — and the comm leaves the ``ActivitySet``
+        it was reaped through.  :meth:`get` does the same to its sender.
+        """
         return _submit(SendCall(
             mailbox=self, payload=payload, size=float(size), rate=rate,
             timeout=timeout, priority=priority,

@@ -189,32 +189,10 @@ class Action:
         if self.model is not None:
             self.model.on_action_priority_changed(self)
 
-    def set_bound(self, bound: Optional[float]) -> None:
-        """Set the maximum rate of the action (``None`` removes the cap)."""
-        if bound is not None and bound < 0:
-            raise ValueError("action bound must be >= 0 or None")
-        self.bound = bound
-        if self.model is not None:
-            self.model.on_action_priority_changed(self)
-
     # -- progress ----------------------------------------------------------------
     def effective_weight(self) -> float:
         """Weight to hand to the LMM system (0 when suspended)."""
         return 0.0 if self._suspended else self.priority
-
-    def time_to_completion(self) -> float:
-        """Time needed to finish at the current rate (inf if stalled)."""
-        if not self.is_running():
-            return 0.0
-        remaining = self.remaining
-        if remaining <= 0:
-            return 0.0
-        rate = self.rate
-        if rate <= 0:
-            return math.inf
-        if math.isinf(rate):
-            return 0.0
-        return remaining / rate
 
     def progress(self) -> float:
         """Fraction of the work already performed, in ``[0, 1]``."""

@@ -171,10 +171,6 @@ class Variable:
         """Constraints this variable crosses."""
         return [e.constraint for e in self.elements]
 
-    def usage_of(self, constraint: "Constraint") -> float:
-        """Total usage coefficient of this variable on ``constraint``."""
-        return sum(e.usage for e in self.elements if e.constraint is constraint)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Variable(id={self.id}, weight={self.weight}, "
                 f"bound={self.bound}, value={self.value:.6g})")

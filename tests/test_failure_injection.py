@@ -451,7 +451,7 @@ class TestFailureEdgeCases:
 class TestDeadPosterComms:
     """A comm posted by an actor that died since is not matchable.
 
-    ``_detach_from_waits`` withdraws what a dying actor was *waiting on*;
+    ``_kill_actor`` withdraws what a dying actor was *waiting on*;
     an async comm it had posted and left stays queued, and must not
     swallow the next message (nor be visible to the probes).
     """
@@ -595,7 +595,7 @@ class TestTimeoutFailureRaces:
 
     The loop's contract: SURF completions are processed before timers at
     each date, and same-date timers fire in arm order with the loser's
-    entry cancelled by ``_clear_wait`` — so exactly one outcome reaches
+    entry cancelled by ``_unblock`` — so exactly one outcome reaches
     the waiting actor, and no timer entry survives the run.
     """
 
@@ -660,6 +660,55 @@ class TestTimeoutFailureRaces:
         # timeout, is delivered at t=2.0.
         assert outcome["done"] == pytest.approx(2.0)
         assert len(engine.timers) == 0
+
+    def test_sync_put_timeout_on_a_started_comm_finishes_it(self):
+        """A put that times out mid-transfer ends the comm like any other
+        failure: one error for the peer, which leaves its ActivitySet,
+        the activity<->action cycle broken, the interval recorded."""
+        from repro.tracing.recorder import Recorder
+
+        recorder = Recorder()
+        engine = s4u.Engine(make_star(2, link_bandwidth=125e6),
+                            recorder=recorder)
+        box = engine.mailbox("b")
+        seen = {"errors": []}
+
+        def sender(actor):
+            with pytest.raises(SimTimeoutError):
+                yield box.put("x", size=1e9, timeout=0.5)
+
+        def receiver(actor):
+            comm = seen["comm"] = yield box.get_async()
+            pending = seen["set"] = ActivitySet([comm])
+            try:
+                yield pending.wait_any()
+            except TransferFailureError as exc:
+                seen["errors"].append(str(exc))
+            seen["size"] = pending.size()
+
+        def latecomer(actor):
+            # Waits on the abandoned handle after the fact: same error as
+            # the peer that was blocked on it at the time.
+            yield actor.sleep_for(1.0)
+            with pytest.raises(TransferFailureError,
+                               match="peer timed out on b"):
+                yield seen["comm"].wait()
+            seen["late"] = actor.now
+
+        engine.add_actor("snd", "leaf-0", sender)
+        engine.add_actor("rcv", "leaf-1", receiver)
+        engine.add_actor("late", "leaf-1", latecomer)
+        engine.run()
+        comm = seen["comm"]
+        assert seen["errors"] == ["peer timed out on b"]
+        assert seen["size"] == 0
+        assert comm.state is ActivityState.TIMEOUT
+        assert comm.finish_time == 0.5 and seen["late"] == 1.0
+        assert comm.surf_action.data is None
+        assert [(i.category, i.start, i.end) for i in recorder.intervals] == [
+            ("comm-send", comm.start_time, 0.5),
+            ("comm-recv", comm.start_time, 0.5)]
+        assert not engine._active_comms
 
     def test_wait_any_completion_at_exact_timeout_date_wins(self):
         from repro.s4u import ActivitySet

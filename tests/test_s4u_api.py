@@ -1,12 +1,14 @@
 """Tests for the s4u actor/activity API: futures, ActivitySet, timeouts."""
 
+import ast
 import os
+import pathlib
 import sys
 
 import pytest
 
 from repro import s4u
-from repro.exceptions import SimTimeoutError
+from repro.exceptions import SimGridError, SimTimeoutError
 from repro.platform import Platform, make_star
 from repro.s4u import ActivitySet, Engine, this_actor
 
@@ -672,6 +674,271 @@ class TestCallsPerActivity:
                          "step": 2 * workers + 1,
                          "fire_until": 2 * workers + 1,
                          "solve": 2 * workers + 2}
+
+
+# -- every kind of wait x every way it ends ------------------------------------
+#
+# Each blocking call below starts at t=0 and would complete around t=2;
+# the ending under test happens at t=1 (suspend_resume: suspended at 1,
+# resumed at 3, i.e. across the wake).
+
+def _block_execute(world, actor, timeout):
+    yield actor.execute(2e9)
+
+
+def _block_sleep_for(world, actor, timeout):
+    yield actor.sleep_for(2.0)
+
+
+def _reaping_peer(world, actor, post):
+    """The other side of the waiter's put/get, reaped through a set."""
+    if post == "get_async":
+        comm = yield world.box.get_async()
+    else:
+        comm = yield world.box.put_async("x", size=2.5e7)
+    world.track(comm)
+    world.peer_set = ActivitySet([comm])
+    try:
+        yield world.peer_set.wait_any()
+    except SimGridError as exc:
+        world.peer_outcomes.append(type(exc).__name__)
+    else:
+        world.peer_outcomes.append("ok")
+
+
+def _block_put(world, actor, timeout):
+    world.spawn("peer", "leaf-1", _reaping_peer, "get_async")
+    yield world.box.put("x", size=2.5e7, timeout=timeout)
+
+
+def _block_get(world, actor, timeout):
+    world.spawn("peer", "leaf-1", _reaping_peer, "put_async")
+    yield world.box.get(timeout=timeout)
+
+
+def _block_handle_wait(world, actor, timeout):
+    handle = world.cancellable = world.track((yield actor.exec_async(2e9)))
+    yield handle.wait(timeout=timeout)
+
+
+def _block_wait_any(world, actor, timeout):
+    first = world.cancellable = world.track((yield actor.exec_async(2e9)))
+    world.track((yield actor.sleep_async(5.0)))
+    world.set = ActivitySet(world.activities)
+    yield world.set.wait_any(timeout=timeout)
+    assert first not in world.set
+
+
+def _block_wait_all(world, actor, timeout):
+    world.track((yield actor.exec_async(5e8)))
+    world.cancellable = world.track((yield actor.sleep_async(2.0)))
+    world.set = ActivitySet(world.activities)
+    yield world.set.wait_all(timeout=timeout)
+    assert world.set.empty()
+
+
+def _block_join(world, actor, timeout):
+    target = world.spawn("target", "leaf-2", _block_sleep_for, None)
+    try:
+        yield target.join(timeout=timeout)
+    finally:
+        world.track(target._exit)
+
+
+_NO_HANDLE = {"completion", "kill", "host_off", "suspend_resume"}
+_WAITS = {
+    # call: (body, the endings that apply to it)
+    "execute": (_block_execute, _NO_HANDLE),
+    "sleep_for": (_block_sleep_for, _NO_HANDLE),
+    "put": (_block_put, _NO_HANDLE | {"timeout"}),
+    "get": (_block_get, _NO_HANDLE | {"timeout"}),
+    "handle.wait": (_block_handle_wait, _NO_HANDLE | {"timeout", "cancel"}),
+    "wait_any": (_block_wait_any, _NO_HANDLE | {"timeout", "cancel"}),
+    "wait_all": (_block_wait_all, _NO_HANDLE | {"timeout", "cancel"}),
+    "join": (_block_join, _NO_HANDLE | {"timeout"}),
+}
+_OUTCOMES = {"completion": "ok", "suspend_resume": "ok",
+             "timeout": "SimTimeoutError", "cancel": "CancelledError",
+             "kill": "ProcessKilledError", "host_off": "ProcessKilledError"}
+
+
+class _WaitWorld:
+    """One engine, one waiter, and what the invariants need to see."""
+
+    def __init__(self, context):
+        self.context = context
+        self.engine = Engine(make_star(num_hosts=3), context_factory=context)
+        self.box = self.engine.mailbox("box")
+        self.activities = []     # every handle a scenario got hold of
+        self.cancellable = None  # the one the "cancel" ending cancels
+        self.set = None          # the set the waiter reaps through, if any
+        self.outcomes = []       # (what reached the waiter, date)
+        self.peer_outcomes = []
+        self.peer_set = None
+
+    def spawn(self, name, host, body, *args):
+        """Bodies are generators over (world, actor, ...); a thread
+        context runs the same body, feeding each blocking call's own
+        result back where a generator context feeds the simcall's."""
+        def generator_body(actor):
+            yield from body(self, actor, *args)
+
+        def thread_body(actor):
+            result = None
+            try:
+                steps = body(self, actor, *args)
+                while True:
+                    result = steps.send(result)
+            except StopIteration:
+                pass
+
+        return self.engine.add_actor(
+            name, host,
+            thread_body if self.context == "thread" else generator_body)
+
+    def track(self, activity):
+        self.activities.append(activity)
+        return activity
+
+
+def _waiter(world, actor, block, timeout):
+    try:
+        yield from block(world, actor, timeout)
+    except SimGridError as exc:
+        world.outcomes.append((type(exc).__name__, actor.now))
+    else:
+        world.outcomes.append(("ok", actor.now))
+
+
+def _ender(world, actor, ending, waiter):
+    yield actor.sleep_for(1.0)
+    if ending == "kill":
+        yield waiter.kill()
+    elif ending == "host_off":
+        waiter.host.turn_off()
+    elif ending == "cancel":
+        world.cancellable.cancel()
+    elif ending == "suspend_resume":
+        yield waiter.suspend()
+        yield actor.sleep_for(2.0)
+        yield waiter.resume()
+
+
+class TestEveryWaitEveryEnding:
+    """The wait path's contract, one row per (blocking call, ending)."""
+
+    @pytest.mark.parametrize("context", ["generator", "thread"])
+    @pytest.mark.parametrize("call, ending", [
+        (call, ending) for call, (_, endings) in _WAITS.items()
+        for ending in sorted(endings)])
+    def test_one_outcome_and_nothing_left_behind(self, call, ending, context):
+        world = _WaitWorld(context)
+        engine = world.engine
+        waiter = world.spawn("waiter", "leaf-0", _waiter, _WAITS[call][0],
+                             1.0 if ending == "timeout" else None)
+        world.spawn("ender", "center", _ender, ending, waiter)
+        engine.run()
+
+        # Exactly one outcome reached the waiter, at the ending's date.
+        (outcome, date), = world.outcomes
+        assert outcome == _OUTCOMES[ending]
+        if ending == "completion":
+            assert 1.0 < date < 3.0
+        elif ending == "suspend_resume":
+            assert date >= 3.0
+        else:
+            assert date == 1.0
+        # Nobody is left waiting, on anything.
+        for actor in engine.actors:
+            assert not actor.is_alive
+            assert (actor._wait_kind, tuple(actor._wait_activities),
+                    actor._wait_owner, actor._wait_timer) == (
+                        None, (), None, None)
+        for activity in world.activities:
+            assert activity.waiters == []
+        # No timer of the wait survives (a dangling sleep_async may).
+        engine.timers.compact()
+        for _, _, timer in engine.timers._heap:
+            assert (getattr(timer.callback, "func", None)
+                    != engine._on_wait_timeout)
+        # What ended the wait left the set it was reaped through.
+        if ending == "cancel" and world.set is not None:
+            assert world.cancellable not in world.set
+        # The comm ended for both sides: one outcome for the peer, whose
+        # set emptied, and no transfer left in flight.
+        if call in ("put", "get"):
+            survived = ending in ("completion", "suspend_resume")
+            assert world.peer_outcomes == [
+                "ok" if survived else "TransferFailureError"]
+            assert world.peer_set.empty()
+        for activity in world.activities:
+            assert not (isinstance(activity, s4u.Comm)
+                        and activity.is_started())
+        assert not engine._active_comms
+
+
+class TestOneWaitPath:
+    """Structural guards: the single-writer property of the wait state and
+    picklable timer callbacks are what an event sink will hook and what a
+    snapshot relies on, so their erosion must fail here."""
+
+    SRC = pathlib.Path(s4u.__file__).resolve().parent.parent
+    WAIT_SLOTS = {"_wait_kind", "_wait_activities", "_wait_owner",
+                  "_wait_timer"}
+    WRITERS = {"Actor.__init__", "Engine._block_on", "Engine._unblock"}
+
+    @staticmethod
+    def _functions(tree):
+        """(qualified name, node) of every method and function."""
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        yield f"{node.name}.{item.name}", item
+            elif isinstance(node, ast.FunctionDef):
+                yield node.name, node
+
+    def test_wait_slots_have_three_writers(self):
+        writers = set()
+        for path in sorted((self.SRC / "s4u").glob("*.py")):
+            for name, function in self._functions(ast.parse(path.read_text())):
+                for node in ast.walk(function):
+                    targets = []
+                    if isinstance(node, ast.Assign):
+                        targets = node.targets
+                    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                        targets = [node.target]
+                    for target in targets:
+                        for leaf in ast.walk(target):
+                            if (isinstance(leaf, ast.Attribute)
+                                    and leaf.attr in self.WAIT_SLOTS):
+                                writers.add(name)
+        assert writers == self.WRITERS
+
+    def test_no_lambda_or_nested_function_is_scheduled_as_a_timer(self):
+        offenders = []
+        for package in ("s4u", "ft", "replay", "kernel"):
+            for path in sorted((self.SRC / package).glob("*.py")):
+                tree = ast.parse(path.read_text())
+                outer = {id(node) for _, node in self._functions(tree)}
+                nested = {node.name for node in ast.walk(tree)
+                          if isinstance(node, ast.FunctionDef)
+                          and id(node) not in outer}
+                for call in ast.walk(tree):
+                    if not (isinstance(call, ast.Call)
+                            and isinstance(call.func, ast.Attribute)
+                            and call.func.attr == "schedule"
+                            and getattr(call.func.value, "attr",
+                                        getattr(call.func.value, "id", None))
+                            == "timers"):
+                        continue
+                    for argument in call.args + call.keywords:
+                        for leaf in ast.walk(argument):
+                            if isinstance(leaf, ast.Lambda) or (
+                                    isinstance(leaf, ast.Name)
+                                    and leaf.id in nested):
+                                offenders.append(f"{path.name}:{call.lineno}")
+        assert offenders == []
 
 
 class TestRemovedMsgShim:
