@@ -20,54 +20,18 @@ from repro.kernel.context import (
     ThreadContextFactory,
     make_context_factory,
 )
-from repro.kernel.simcall import (
-    ExecAsyncCall,
-    ExecuteCall,
-    IrecvCall,
-    IsendCall,
-    JoinCall,
-    KillCall,
-    RecvCall,
-    ResumeCall,
-    SendCall,
-    Simcall,
-    SleepAsyncCall,
-    SleepCall,
-    SuspendCall,
-    TestCall,
-    WaitAllCall,
-    WaitAnyCall,
-    WaitCall,
-    YieldCall,
-)
+from repro.kernel.simcall import Simcall
 from repro.kernel.timer import Timer, TimerQueue
 
 __all__ = [
     "Context",
     "ContextFactory",
-    "ExecAsyncCall",
-    "ExecuteCall",
     "GeneratorContext",
     "GeneratorContextFactory",
-    "IrecvCall",
-    "IsendCall",
-    "JoinCall",
-    "KillCall",
-    "RecvCall",
-    "ResumeCall",
-    "SendCall",
     "Simcall",
-    "SleepAsyncCall",
-    "SleepCall",
-    "SuspendCall",
-    "TestCall",
     "ThreadContext",
     "ThreadContextFactory",
     "Timer",
     "TimerQueue",
-    "WaitAllCall",
-    "WaitAnyCall",
-    "WaitCall",
-    "YieldCall",
     "make_context_factory",
 ]

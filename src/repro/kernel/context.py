@@ -18,7 +18,8 @@ factories:
   how GRAS code looks in real-life mode.
 
 Both factories expose the same :class:`Context` interface to the scheduler:
-``start()``, ``resume(value, exception) -> Simcall | FINISHED``, ``kill()``.
+``start()``, ``resume(value, exception) -> Simcall | FINISHED``, ``kill()``,
+and ``submit(simcall)`` to the process body.
 """
 
 from __future__ import annotations
@@ -70,6 +71,12 @@ class Context:
         """
         raise NotImplementedError
 
+    def submit(self, simcall: Simcall) -> Any:
+        """Hand ``simcall`` to the kernel, from inside the process body:
+        a generator body gets it back to ``yield`` it, a thread body is
+        blocked here and gets the kernel's answer."""
+        raise NotImplementedError
+
     def kill(self) -> None:
         """Force the process body to terminate (its ``finally`` blocks run)."""
         raise NotImplementedError
@@ -113,6 +120,9 @@ class GeneratorContext(Context):
         else:
             self._gen = result
 
+    def submit(self, simcall: Simcall) -> Simcall:
+        return simcall
+
     def resume(self, value: Any = None,
                exception: Optional[BaseException] = None
                ) -> Union[Simcall, _Finished]:
@@ -136,7 +146,8 @@ class GeneratorContext(Context):
         if not isinstance(request, Simcall):
             raise TypeError(
                 f"simulated processes must yield Simcall objects, got "
-                f"{request!r}; use the Process helper methods")
+                f"{request!r}; yield what the s4u blocking calls return "
+                f"(actor.execute(...), mailbox.get(), activity.wait()...)")
         return request
 
     def kill(self) -> None:
@@ -180,9 +191,7 @@ class ThreadContext(Context):
 
     The kernel thread and the process thread alternate through two
     :class:`threading.Event` objects so that exactly one of them runs at a
-    time; this reproduces SimGrid's pthread context factory.  The process
-    body receives a ``channel`` object (this context) and calls
-    :meth:`block` to submit its simcalls.
+    time; this reproduces SimGrid's pthread context factory.
     """
 
     def __init__(self, func: Callable, args: tuple, kwargs: dict) -> None:
@@ -199,9 +208,8 @@ class ThreadContext(Context):
         self._finished = False
         self._kill_requested = False
 
-    # -- API used by the process body (via Process.block) -----------------------------
-    def block(self, simcall: Simcall) -> Any:
-        """Submit ``simcall`` to the kernel and wait for its result."""
+    # -- API used by the process body ------------------------------------------------
+    def submit(self, simcall: Simcall) -> Any:
         if self._kill_requested:
             raise ProcessKilledError("process killed")
         self._request = simcall

@@ -12,9 +12,8 @@ engine tracks.  Three concrete activities exist:
 * :class:`Sleep` — a pure simulated-time delay.
 
 :class:`ActivitySet` groups heterogeneous activities so an actor can reap
-them as they complete (``wait_any``) or in bulk (``wait_all``), built on
-the kernel's :class:`~repro.kernel.simcall.WaitAnyCall` /
-:class:`~repro.kernel.simcall.WaitAllCall`.
+them as they complete (``wait_any``) or in bulk (``wait_all``): one wait
+of the actor on every member, like any other blocking call.
 
 Every blocking method returns the simcall to ``yield`` under the generator
 context factory and blocks directly under the thread context factory.
@@ -25,10 +24,7 @@ from __future__ import annotations
 import enum
 from typing import Any, Iterable, List, Optional, TYPE_CHECKING
 
-from repro.kernel.simcall import (
-    TestCall, WaitAllCall, WaitAnyCall, WaitCall,
-)
-from repro.s4u.actor import current_actor
+from repro.s4u.actor import submit
 from repro.surf.action import Action
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -49,11 +45,6 @@ class ActivityState(enum.Enum):
     FAILED = "failed"        # a resource died
     CANCELLED = "cancelled"  # explicitly cancelled
     TIMEOUT = "timeout"      # the waiter's timeout fired first
-
-
-def _submit(simcall):
-    """Route a simcall through the calling actor's context."""
-    return current_actor()._submit(simcall)
 
 
 class Activity:
@@ -104,7 +95,7 @@ class Activity:
     # -- user-facing async API ---------------------------------------------------------
     def test(self):
         """Non-blocking completion probe; the result is a bool."""
-        return _submit(TestCall(activity=self))
+        return submit("_do_test", self)
 
     def wait(self, timeout: Optional[float] = None):
         """Block until completion; raises ``SimTimeoutError`` on timeout.
@@ -115,7 +106,9 @@ class Activity:
         mailbox and can be waited on again — :meth:`cancel` it explicitly
         to withdraw it.  The peer of a comm notices nothing.
         """
-        return _submit(WaitCall(activity=self, timeout=timeout))
+        if timeout is not None and not timeout >= 0:
+            raise ValueError(f"timeout must be None or >= 0: {timeout!r}")
+        return submit("_do_wait", self, timeout)
 
     def cancel(self) -> None:
         """Cancel the activity and wake its waiters with ``CancelledError``."""
@@ -277,15 +270,17 @@ class ActivitySet:
         """
         if not self._activities:
             raise ValueError("wait_any on an empty ActivitySet")
-        return _submit(WaitAnyCall(activities=list(self._activities),
-                                   timeout=timeout, owner=self))
+        if timeout is not None and not timeout >= 0:
+            raise ValueError(f"timeout must be None or >= 0: {timeout!r}")
+        return submit("_do_wait_any", list(self._activities), self, timeout)
 
     def wait_all(self, timeout: Optional[float] = None):
         """Block until every member completed; the set is emptied."""
         if not self._activities:
             raise ValueError("wait_all on an empty ActivitySet")
-        return _submit(WaitAllCall(activities=list(self._activities),
-                                   timeout=timeout, owner=self))
+        if timeout is not None and not timeout >= 0:
+            raise ValueError(f"timeout must be None or >= 0: {timeout!r}")
+        return submit("_do_wait_all", list(self._activities), self, timeout)
 
     def test_any(self):
         """Non-blocking reap: a completed member (removed) or ``None``."""

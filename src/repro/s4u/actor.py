@@ -22,19 +22,17 @@ threaded through every call::
 from __future__ import annotations
 
 import itertools
+from math import inf
 from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
-from repro.kernel.context import Context, ThreadContext
-from repro.kernel.simcall import (
-    ExecAsyncCall, ExecuteCall, JoinCall, KillCall, ResumeCall, Simcall,
-    SleepAsyncCall, SleepCall, SuspendCall, YieldCall,
-)
+from repro.kernel.context import Context
+from repro.kernel.simcall import Simcall
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.s4u.engine import Engine
     from repro.s4u.host import Host
 
-__all__ = ["Actor", "ActorState", "current_actor"]
+__all__ = ["Actor", "ActorState", "current_actor", "submit"]
 
 _pids = itertools.count(1)
 
@@ -53,6 +51,21 @@ def current_actor() -> "Actor":
             "no actor is running; s4u blocking helpers can only be used "
             "from inside a simulated actor")
     return _current
+
+
+def submit(name: str, *args):
+    """Hand the kernel the request ``Engine.<name>(running actor, *args)``.
+
+    The one way every blocking s4u call reaches the kernel.  The request
+    is always the *running* actor's, whichever object the call was made
+    on, and goes through its context: the result is the simcall to
+    ``yield`` under generator contexts and the kernel's answer under
+    thread contexts.
+    """
+    actor = _current
+    if actor is None:
+        actor = current_actor()  # raises: no actor is running
+    return actor.context.submit(Simcall(getattr(actor.engine, name), args))
 
 
 class ActorState:
@@ -151,49 +164,42 @@ class Actor:
         return self
 
     # ------------------------------------------------------------------------------
-    # simcall submission
-    # ------------------------------------------------------------------------------
-    def _submit(self, simcall: Simcall):
-        """Return the simcall (generator mode) or block on it (thread mode)."""
-        if isinstance(self.context, ThreadContext):
-            return self.context.block(simcall)
-        return simcall
-
-    def _submit_as_caller(self, simcall: Simcall):
-        """Submit through the *calling* actor's context when inside the
-        simulation, so ``other_actor.kill()`` works S4U-style."""
-        if _current is None:
-            raise RuntimeError(
-                "this operation must be called from inside a simulated "
-                "actor; use the Engine-level helpers from host code")
-        return _current._submit(simcall)
-
-    # ------------------------------------------------------------------------------
-    # blocking operations of the actor itself
+    # blocking operations (requests of the running actor)
     # ------------------------------------------------------------------------------
     def execute(self, flops: float, priority: float = 1.0,
                 bound: Optional[float] = None,
                 host: Optional["Host"] = None, name: str = "compute"):
-        """Execute ``flops`` on this actor's host (blocking)."""
-        return self._submit(ExecuteCall(flops=float(flops),
-                                        host=host or self.host,
-                                        priority=priority, bound=bound,
-                                        name=name))
+        """Execute ``flops`` on this actor's host (blocks the caller)."""
+        flops = float(flops)
+        if not 0.0 <= flops < inf:
+            raise ValueError(f"flops must be finite and >= 0: {flops!r}")
+        if not 0.0 <= priority < inf:
+            raise ValueError(f"priority must be finite and >= 0: {priority!r}")
+        if bound is not None and not bound > 0:
+            raise ValueError(f"bound must be None or > 0: {bound!r}")
+        return submit("_do_execute", flops, host or self.host, priority,
+                      bound, name)
 
     def exec_async(self, flops: float, priority: float = 1.0,
                    bound: Optional[float] = None,
                    host: Optional["Host"] = None, name: str = "compute"):
         """Start an asynchronous execution; the result is an ``Exec``."""
-        return self._submit(ExecAsyncCall(flops=float(flops),
-                                          host=host or self.host,
-                                          priority=priority, bound=bound,
-                                          name=name))
+        flops = float(flops)
+        if not 0.0 <= flops < inf:
+            raise ValueError(f"flops must be finite and >= 0: {flops!r}")
+        if not 0.0 <= priority < inf:
+            raise ValueError(f"priority must be finite and >= 0: {priority!r}")
+        if bound is not None and not bound > 0:
+            raise ValueError(f"bound must be None or > 0: {bound!r}")
+        return submit("_do_exec_async", flops, host or self.host, priority,
+                      bound, name)
 
     def sleep_for(self, duration: float):
-        """Do nothing for ``duration`` simulated seconds (blocking)."""
-        if duration < 0:
-            raise ValueError("sleep duration must be >= 0")
-        return self._submit(SleepCall(duration=duration))
+        """Do nothing for ``duration`` simulated seconds (blocks the
+        caller)."""
+        if not 0.0 <= duration < inf:
+            raise ValueError(f"duration must be finite and >= 0: {duration!r}")
+        return submit("_do_sleep", duration)
 
     def sleep_until(self, date: float):
         """Sleep until the absolute simulated ``date``."""
@@ -201,13 +207,13 @@ class Actor:
 
     def sleep_async(self, duration: float):
         """Start an asynchronous sleep; the result is a ``Sleep`` activity."""
-        if duration < 0:
-            raise ValueError("sleep duration must be >= 0")
-        return self._submit(SleepAsyncCall(duration=duration))
+        if not 0.0 <= duration < inf:
+            raise ValueError(f"duration must be finite and >= 0: {duration!r}")
+        return submit("_do_sleep_async", duration)
 
     def yield_(self):
         """Let other runnable actors run (no simulated time passes)."""
-        return self._submit(YieldCall())
+        return submit("_do_yield")
 
     # ------------------------------------------------------------------------------
     # lifecycle control (S4U style: the target is *this* actor)
@@ -217,23 +223,21 @@ class Actor:
         if _current is None:
             self.engine.kill_actor(self)
             return None
-        return self._submit_as_caller(KillCall(process=self))
+        return submit("_do_kill", self)
 
     def suspend(self):
         """Suspend this actor until someone resumes it."""
         if _current is None:
             self.engine.suspend_actor(self)
             return None
-        if _current is self:
-            return self._submit(SuspendCall(process=None))
-        return self._submit_as_caller(SuspendCall(process=self))
+        return submit("_do_suspend", self)
 
     def resume(self):
         """Resume this (suspended) actor."""
         if _current is None:
             self.engine.resume_actor(self)
             return None
-        return self._submit_as_caller(ResumeCall(process=self))
+        return submit("_do_resume_other", self)
 
     def join(self, timeout: Optional[float] = None):
         """Block the calling actor until this actor terminates.
@@ -242,4 +246,6 @@ class Actor:
         caller and only ends its wait: this actor runs on and can be
         joined again.
         """
-        return self._submit_as_caller(JoinCall(process=self, timeout=timeout))
+        if timeout is not None and not timeout >= 0:
+            raise ValueError(f"timeout must be None or >= 0: {timeout!r}")
+        return submit("_do_join", self, timeout)

@@ -36,11 +36,6 @@ from repro.exceptions import (
     TransferFailureError,
 )
 from repro.kernel.context import FINISHED, make_context_factory
-from repro.kernel.simcall import (
-    ExecAsyncCall, ExecuteCall, IrecvCall, IsendCall, JoinCall, KillCall,
-    RecvCall, ResumeCall, SendCall, SleepAsyncCall, SleepCall,
-    SuspendCall, TestCall, WaitAllCall, WaitAnyCall, WaitCall, YieldCall,
-)
 from repro.kernel.timer import TimerQueue
 from repro.s4u import actor as _actor_mod
 from repro.s4u.activity import Activity, ActivityState, Comm, Exec, Sleep
@@ -147,30 +142,6 @@ class Engine:
         # must check it: a respawn during teardown would never be
         # scheduled and would leave the engine non-quiescent.
         self._tearing_down = False
-        # Simcall dispatch by concrete type: the kernel handles one call
-        # per actor resume, so this lookup sits on the hottest path.
-        self._simcall_handlers = self._build_simcall_handlers()
-
-    def _build_simcall_handlers(self) -> Dict[type, Callable]:
-        return {
-            ExecuteCall: self._do_execute,
-            ExecAsyncCall: self._do_exec_async,
-            SleepCall: self._do_sleep,
-            SleepAsyncCall: self._do_sleep_async,
-            SendCall: self._do_send,
-            RecvCall: self._do_recv,
-            IsendCall: self._do_isend,
-            IrecvCall: self._do_irecv,
-            WaitCall: self._do_wait,
-            WaitAnyCall: self._do_wait_any,
-            WaitAllCall: self._do_wait_all,
-            TestCall: self._do_test,
-            KillCall: self._do_kill,
-            SuspendCall: self._do_suspend,
-            ResumeCall: self._do_resume_other,
-            JoinCall: self._do_join,
-            YieldCall: self._do_yield,
-        }
 
     # ------------------------------------------------------------------------------
     # world accessors
@@ -253,9 +224,8 @@ class Engine:
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        # Rebuilt on load: bound-method dispatch table and the two
-        # id()-keyed resource maps (object ids change across the trip).
-        state.pop("_simcall_handlers", None)
+        # Rebuilt on load: the two id()-keyed resource maps (object ids
+        # change across the trip).
         state.pop("_host_by_cpu", None)
         state.pop("_link_by_resource", None)
         # The historical actor list may reference finished bodies defined
@@ -269,7 +239,6 @@ class Engine:
         self._host_by_cpu = {id(h.cpu): h for h in self.hosts.values()}
         self._link_by_resource = {
             id(link.resource): link for link in self.links.values()}
-        self._simcall_handlers = self._build_simcall_handlers()
 
     def _materialize_host(self, name: str) -> Host:
         host = Host(self, self.platform.hosts[name],
@@ -575,13 +544,12 @@ class Engine:
 
         The whole actor turn is this one loop: pop, resume the body
         (``Context.resume`` — the only call per turn besides the handler),
-        dispatch the simcall it answered with by concrete type.  An
+        call the handler the simcall it answered with carries.  An
         ``*_async`` handler answers through the back of this same queue,
         so the queue order is the event order.
         """
         ready = self._ready
         popleft = ready.popleft
-        handlers = self._simcall_handlers
         dead, runnable, blocked = (ActorState.DEAD, ActorState.RUNNABLE,
                                    ActorState.BLOCKED)
         while ready:
@@ -609,10 +577,7 @@ class Engine:
                 self._terminate_actor(actor)
                 continue
             actor.state = blocked
-            handler = handlers.get(type(request))
-            if handler is None:
-                raise TypeError(f"unknown simcall {request!r}")
-            handler(actor, request)
+            request.handler(actor, *request.args)
 
     def _simulation_over(self) -> bool:
         if self._ready:
@@ -709,92 +674,100 @@ class Engine:
     # ------------------------------------------------------------------------------
     # simcall handling
     # ------------------------------------------------------------------------------
-    def _do_test(self, actor: Actor, call: TestCall) -> None:
-        self._enqueue(actor, call.activity.is_over())
+    # A handler is named by the ``submit("_do_...")`` of the s4u method
+    # making the request, and called with the requesting actor first.
+    def _do_test(self, actor: Actor, activity: Activity) -> None:
+        self._enqueue(actor, activity.is_over())
 
-    def _do_kill(self, actor: Actor, call: KillCall) -> None:
-        target = call.process
+    def _do_kill(self, actor: Actor, target: Actor) -> None:
         self._kill_actor(target)
         if target is not actor:
             self._enqueue(actor, None)
 
-    def _do_yield(self, actor: Actor, call: YieldCall) -> None:
+    def _do_yield(self, actor: Actor) -> None:
         self._enqueue(actor, None)
 
     # -- execution ---------------------------------------------------------------------
-    def _new_exec(self, actor: Actor, call) -> Optional[Exec]:
+    def _new_exec(self, actor: Actor, flops: float, host: Host,
+                  priority: float, bound: Optional[float],
+                  name: str) -> Optional[Exec]:
         """Create and start the Exec of an ``execute`` / ``exec_async`` call.
 
         On a host that is down the caller is answered with the failure
         and there is no activity.
         """
-        host: Host = call.host if isinstance(call.host, Host) else actor.host
         if not host.is_on:
             self._enqueue(actor, None,
                           HostFailureError(f"host {host.name} is down"))
             return None
-        activity = Exec(actor, host, call.flops, call.name,
-                        priority=call.priority, bound=call.bound)
+        activity = Exec(actor, host, flops, name,
+                        priority=priority, bound=bound)
         activity.post_time = activity.start_time = self.now
-        action = self.surf.execute(host.cpu, call.flops,
-                                   priority=call.priority, bound=call.bound)
+        action = self.surf.execute(host.cpu, flops,
+                                   priority=priority, bound=bound)
         action.data = activity
         activity.surf_action = action
         activity.state = ActivityState.STARTED
         activity._engine = self
         return activity
 
-    def _do_execute(self, actor: Actor, call: ExecuteCall) -> None:
-        activity = self._new_exec(actor, call)
+    def _do_execute(self, actor: Actor, flops: float, host: Host,
+                    priority: float, bound: Optional[float],
+                    name: str) -> None:
+        activity = self._new_exec(actor, flops, host, priority, bound, name)
         if activity is not None:
             self._wait_one(actor, "exec", activity)
 
-    def _do_exec_async(self, actor: Actor, call: ExecAsyncCall) -> None:
-        activity = self._new_exec(actor, call)
+    def _do_exec_async(self, actor: Actor, flops: float, host: Host,
+                       priority: float, bound: Optional[float],
+                       name: str) -> None:
+        activity = self._new_exec(actor, flops, host, priority, bound, name)
         if activity is not None:
             self._enqueue(actor, activity)
 
-    def _do_sleep(self, actor: Actor, call: SleepCall) -> None:
+    def _do_sleep(self, actor: Actor, duration: float) -> None:
         # A wait on nothing whose timeout is its completion: a bare timer
         # (no Sleep activity), disarmed by _unblock like any other wait's.
-        self._block_on(actor, "sleep", (), call.duration)
+        self._block_on(actor, "sleep", (), duration)
 
-    def _do_sleep_async(self, actor: Actor, call: SleepAsyncCall) -> None:
-        activity = Sleep(actor, call.duration)
+    def _do_sleep_async(self, actor: Actor, duration: float) -> None:
+        activity = Sleep(actor, duration)
         activity.post_time = activity.start_time = self.now
         activity.state = ActivityState.STARTED
         activity._engine = self
         activity._timer = self.timers.schedule(
-            self.now + call.duration,
+            self.now + duration,
             partial(self._finish_activity, activity, ActivityState.DONE))
         self._enqueue(actor, activity)
 
     # -- communications -------------------------------------------------------------------
-    def _do_send(self, actor: Actor, call: SendCall) -> None:
-        comm = self._post_send(actor, call.mailbox, call.payload, call.size,
-                               call.rate, detached=False,
-                               priority=call.priority, name=call.name)
+    def _do_send(self, actor: Actor, mailbox: Mailbox, payload, size: float,
+                 rate: Optional[float], timeout: Optional[float],
+                 priority: float, name: str) -> None:
+        comm = self._post_send(actor, mailbox, payload, size, rate, False,
+                               priority, name)
         # Matching can terminate the comm synchronously (the route was
         # broken): _wait_one then answers at once.
-        self._wait_one(actor, "send", comm, call.timeout)
+        self._wait_one(actor, "send", comm, timeout)
 
-    def _do_recv(self, actor: Actor, call: RecvCall) -> None:
-        comm = self._post_recv(actor, call.mailbox, call.rate)
-        self._wait_one(actor, "recv", comm, call.timeout)
+    def _do_recv(self, actor: Actor, mailbox: Mailbox,
+                 timeout: Optional[float], rate: Optional[float]) -> None:
+        comm = self._post_recv(actor, mailbox, rate)
+        self._wait_one(actor, "recv", comm, timeout)
 
-    def _do_isend(self, actor: Actor, call: IsendCall) -> None:
-        comm = self._post_send(actor, call.mailbox, call.payload, call.size,
-                               call.rate, detached=call.detached,
-                               priority=call.priority, name=call.name)
-        self._enqueue(actor, comm)
+    def _do_isend(self, actor: Actor, mailbox: Mailbox, payload, size: float,
+                  rate: Optional[float], detached: bool, priority: float,
+                  name: str) -> None:
+        self._enqueue(actor, self._post_send(
+            actor, mailbox, payload, size, rate, detached, priority, name))
 
-    def _do_irecv(self, actor: Actor, call: IrecvCall) -> None:
-        comm = self._post_recv(actor, call.mailbox, call.rate)
-        self._enqueue(actor, comm)
+    def _do_irecv(self, actor: Actor, mailbox: Mailbox,
+                  rate: Optional[float]) -> None:
+        self._enqueue(actor, self._post_recv(actor, mailbox, rate))
 
     def _post_send(self, actor: Actor, mailbox: Mailbox, payload,
                    size: float, rate: Optional[float], detached: bool,
-                   priority: float = 1.0, name: str = "") -> Comm:
+                   priority: float, name: str) -> Comm:
         comm = mailbox.pop_matching_recv()
         if comm is not None:
             comm.payload = payload
@@ -869,15 +842,18 @@ class Engine:
         activity.waiters.append(actor)
         self._block_on(actor, kind, (activity,), timeout)
 
-    def _do_wait(self, actor: Actor, call: WaitCall) -> None:
-        self._wait_one(actor, "wait", call.activity, call.timeout)
+    def _do_wait(self, actor: Actor, activity: Activity,
+                 timeout: Optional[float]) -> None:
+        self._wait_one(actor, "wait", activity, timeout)
 
-    def _do_wait_any(self, actor: Actor, call: WaitAnyCall) -> None:
-        activities = call.activities
+    def _do_wait_any(self, actor: Actor, activities, owner,
+                     timeout: Optional[float]) -> None:
+        """``activities`` is a snapshot of the members of ``owner``, the
+        ActivitySet being reaped; the member that ends first leaves it."""
         for activity in activities:
             state = activity.state
             if state is not _PENDING and state is not _STARTED:
-                call.owner.erase(activity)
+                owner.erase(activity)
                 exc = self._activity_result(actor, activity)[1]
                 self._ready.append(
                     (actor, activity if exc is None else None, exc))
@@ -888,12 +864,10 @@ class Engine:
             waiters = activity.waiters
             if actor not in waiters:
                 waiters.append(actor)
-        self._block_on(actor, "wait_any", activities, call.timeout,
-                       call.owner)
+        self._block_on(actor, "wait_any", activities, timeout, owner)
 
-    def _do_wait_all(self, actor: Actor, call: WaitAllCall) -> None:
-        activities = call.activities
-        owner = call.owner
+    def _do_wait_all(self, actor: Actor, activities, owner,
+                     timeout: Optional[float]) -> None:
         live = []
         for activity in activities:
             state = activity.state
@@ -910,7 +884,7 @@ class Engine:
             return
         for activity in live:
             activity.add_waiter(actor)
-        self._block_on(actor, "wait_all", activities, call.timeout, owner)
+        self._block_on(actor, "wait_all", activities, timeout, owner)
 
     def _block_on(self, actor: Actor, kind: str, activities,
                   timeout: Optional[float] = None, owner=None) -> None:
@@ -954,8 +928,7 @@ class Engine:
             f"{kind} timed out at t={self.now:g}")))
 
     # -- actor control ------------------------------------------------------------------
-    def _do_suspend(self, actor: Actor, call: SuspendCall) -> None:
-        target = call.process or actor
+    def _do_suspend(self, actor: Actor, target: Actor) -> None:
         if target is actor:
             target._suspended = True
             target.state = ActorState.SUSPENDED
@@ -975,8 +948,8 @@ class Engine:
             if isinstance(activity, Exec) and activity.surf_action:
                 activity.surf_action.suspend()
 
-    def _do_resume_other(self, actor: Actor, call: ResumeCall) -> None:
-        self.resume_actor(call.process)
+    def _do_resume_other(self, actor: Actor, target: Actor) -> None:
+        self.resume_actor(target)
         self._enqueue(actor, None)
 
     def resume_actor(self, target: Actor) -> None:
@@ -995,15 +968,15 @@ class Engine:
         else:
             target.state = ActorState.BLOCKED
 
-    def _do_join(self, actor: Actor, call: JoinCall) -> None:
-        target: Actor = call.process
+    def _do_join(self, actor: Actor, target: Actor,
+                 timeout: Optional[float]) -> None:
         if not target.is_alive:
             self._enqueue(actor, None)
             return
         if target._exit is None:
             # Finished by _terminate_actor: a join is a wait like any other.
             target._exit = Activity("exit")
-        self._wait_one(actor, "join", target._exit, call.timeout)
+        self._wait_one(actor, "join", target._exit, timeout)
 
     # ------------------------------------------------------------------------------
     # activity completion

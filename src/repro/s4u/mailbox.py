@@ -13,11 +13,11 @@ and rank.
 from __future__ import annotations
 
 from collections import deque
+from math import inf
 from typing import Any, Deque, Optional, TYPE_CHECKING
 
-from repro.kernel.simcall import IrecvCall, IsendCall, RecvCall, SendCall
-from repro.s4u.activity import ActivityState, _submit
-from repro.s4u.actor import ActorState
+from repro.s4u.activity import ActivityState
+from repro.s4u.actor import ActorState, submit
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.s4u.activity import Comm
@@ -77,29 +77,47 @@ class Mailbox:
         on the handle otherwise — and the comm leaves the ``ActivitySet``
         it was reaped through.  :meth:`get` does the same to its sender.
         """
-        return _submit(SendCall(
-            mailbox=self, payload=payload, size=float(size), rate=rate,
-            timeout=timeout, priority=priority,
-            name=name or _payload_name(payload)))
+        size = float(size)
+        if not 0.0 <= size < inf:
+            raise ValueError(f"size must be finite and >= 0: {size!r}")
+        if rate is not None and not rate > 0:
+            raise ValueError(f"rate must be None or > 0: {rate!r}")
+        if timeout is not None and not timeout >= 0:
+            raise ValueError(f"timeout must be None or >= 0: {timeout!r}")
+        if not 0.0 <= priority < inf:
+            raise ValueError(f"priority must be finite and >= 0: {priority!r}")
+        return submit("_do_send", self, payload, size, rate, timeout,
+                      priority, name or _payload_name(payload))
 
     def get(self, timeout: Optional[float] = None,
             rate: Optional[float] = None):
         """Receive the next payload; blocks until a sender shows up and the
         transfer completed.  The result is the payload."""
-        return _submit(RecvCall(mailbox=self, timeout=timeout, rate=rate))
+        if timeout is not None and not timeout >= 0:
+            raise ValueError(f"timeout must be None or >= 0: {timeout!r}")
+        if rate is not None and not rate > 0:
+            raise ValueError(f"rate must be None or > 0: {rate!r}")
+        return submit("_do_recv", self, timeout, rate)
 
     def put_async(self, payload: Any, size: float = 0.0,
                   rate: Optional[float] = None, detached: bool = False,
                   priority: float = 1.0, name: Optional[str] = None):
         """Start an asynchronous send; the result is a ``Comm`` future."""
-        return _submit(IsendCall(
-            mailbox=self, payload=payload, size=float(size), rate=rate,
-            detached=detached, priority=priority,
-            name=name or _payload_name(payload)))
+        size = float(size)
+        if not 0.0 <= size < inf:
+            raise ValueError(f"size must be finite and >= 0: {size!r}")
+        if rate is not None and not rate > 0:
+            raise ValueError(f"rate must be None or > 0: {rate!r}")
+        if not 0.0 <= priority < inf:
+            raise ValueError(f"priority must be finite and >= 0: {priority!r}")
+        return submit("_do_isend", self, payload, size, rate, detached,
+                      priority, name or _payload_name(payload))
 
     def get_async(self, rate: Optional[float] = None):
         """Start an asynchronous receive; the result is a ``Comm`` future."""
-        return _submit(IrecvCall(mailbox=self, rate=rate))
+        if rate is not None and not rate > 0:
+            raise ValueError(f"rate must be None or > 0: {rate!r}")
+        return submit("_do_irecv", self, rate)
 
     # ------------------------------------------------------------------------------
     # kernel-side matching (used by the engine)

@@ -1,8 +1,12 @@
-"""Tests for the kernel layer: timers and process contexts."""
+"""Tests for the kernel layer: timers, process contexts and the simcall."""
 
+import ast
 import math
+import pathlib
 
 import pytest
+
+import repro
 
 from repro.exceptions import ProcessKilledError
 from repro.kernel.context import (
@@ -11,7 +15,7 @@ from repro.kernel.context import (
     ThreadContextFactory,
     make_context_factory,
 )
-from repro.kernel.simcall import SleepCall, YieldCall
+from repro.kernel.simcall import Simcall
 from repro.kernel.timer import TimerQueue
 
 
@@ -66,148 +70,275 @@ class TestTimerQueue:
         assert fired == ["first", "nested"]
 
 
-class TestGeneratorContext:
-    def test_yields_simcalls_and_finishes(self):
-        def body(tag):
-            value = yield SleepCall(duration=1.0)
-            assert value == "woke"
-            yield YieldCall()
+def _handler(process, *args):
+    """Stands for an engine method: contexts only carry it."""
 
-        factory = GeneratorContextFactory()
-        ctx = factory.create(body, ("x",), {})
-        ctx.start()
+
+def _context(kind, steps, *args):
+    """A started context of ``kind`` whose body is ``steps(submit, *args)``.
+
+    ``steps`` is written once, generator style (``answer = yield
+    submit(simcall)``).  A generator context runs it as is; a thread
+    context pumps it, feeding each blocking ``submit``'s own result back
+    where a generator context feeds the simcall's.
+    """
+    def submit(simcall):
+        return ctx.submit(simcall)
+
+    def pumped():
+        body = steps(submit, *args)
+        answer = None
+        try:
+            while True:
+                answer = body.send(answer)
+        except StopIteration:
+            pass
+
+    if kind == "generator":
+        ctx = make_context_factory(kind).create(steps, (submit, *args), {})
+    else:
+        ctx = make_context_factory(kind).create(pumped, (), {})
+    ctx.start()
+    return ctx
+
+
+@pytest.mark.parametrize("kind", ["generator", "thread"])
+class TestOneSimcallThroughEitherContext:
+    """``Context.submit`` + ``Context.resume``: the same body, the same
+    requests and the same answers under both factories."""
+
+    def test_requests_reach_the_kernel_and_answers_come_back(self, kind):
+        sleep, other = Simcall(_handler, (2.0,)), Simcall(_handler)
+        answers = []
+
+        def steps(submit, tag):
+            answers.append((yield submit(sleep)))
+            answers.append((yield submit(other)))
+            answers.append(tag)
+
+        ctx = _context(kind, steps, "x")
         first = ctx.resume()
-        assert isinstance(first, SleepCall)
-        second = ctx.resume("woke")
-        assert isinstance(second, YieldCall)
-        assert ctx.resume() is FINISHED
+        assert first is sleep
+        assert (first.handler, first.args) == (_handler, (2.0,))
+        assert ctx.resume("woke") is other and other.args == ()
+        assert not ctx.finished
+        assert ctx.resume(None) is FINISHED
         assert ctx.finished
+        assert ctx.resume() is FINISHED
+        assert answers == ["woke", None, "x"]
 
+    def test_exception_is_delivered_where_the_body_blocked(self, kind):
+        caught = []
+
+        def steps(submit):
+            try:
+                yield submit(Simcall(_handler, (1.0,)))
+            except RuntimeError as exc:
+                caught.append(str(exc))
+
+        ctx = _context(kind, steps)
+        ctx.resume()
+        assert ctx.resume(exception=RuntimeError("boom")) is FINISHED
+        assert caught == ["boom"]
+
+    def test_kill_while_blocked_in_submit_runs_finally_blocks(self, kind):
+        cleaned = []
+
+        def steps(submit):
+            try:
+                yield submit(Simcall(_handler, (100.0,)))
+                cleaned.append("resumed")
+            finally:
+                cleaned.append(True)
+
+        ctx = _context(kind, steps)
+        ctx.resume()
+        ctx.kill()
+        assert ctx.finished
+        assert cleaned == [True]
+        assert ctx.resume() is FINISHED
+
+    def test_kill_before_the_first_resume(self, kind):
+        ran = []
+
+        def steps(submit):
+            ran.append(True)
+            yield submit(Simcall(_handler))
+
+        ctx = _context(kind, steps)
+        ctx.kill()
+        assert ctx.finished and ran == []
+
+    def test_body_exception_propagates_to_the_kernel(self, kind):
+        def steps(submit):
+            yield submit(Simcall(_handler))
+            raise ValueError("user bug")
+
+        ctx = _context(kind, steps)
+        ctx.resume()
+        with pytest.raises(ValueError, match="user bug"):
+            ctx.resume()
+
+
+class TestGeneratorContext:
     def test_plain_function_finishes_immediately(self):
         calls = []
 
         def body(tag):
             calls.append(tag)
 
-        factory = GeneratorContextFactory()
-        ctx = factory.create(body, ("ran",), {})
+        ctx = GeneratorContextFactory().create(body, ("ran",), {})
         ctx.start()
         assert ctx.resume() is FINISHED
         assert calls == ["ran"]
 
-    def test_exception_is_delivered_into_the_generator(self):
-        caught = []
-
-        def body():
-            try:
-                yield SleepCall(duration=1.0)
-            except RuntimeError as exc:
-                caught.append(str(exc))
-
-        factory = GeneratorContextFactory()
-        ctx = factory.create(body, (), {})
-        ctx.start()
-        ctx.resume()
-        assert ctx.resume(exception=RuntimeError("boom")) is FINISHED
-        assert caught == ["boom"]
+    def test_submit_returns_the_simcall_to_yield(self):
+        ctx = GeneratorContextFactory().create(lambda: None, (), {})
+        simcall = Simcall(_handler, (1,))
+        assert ctx.submit(simcall) is simcall
 
     def test_non_simcall_yield_rejected(self):
         def body():
             yield 42
 
-        factory = GeneratorContextFactory()
-        ctx = factory.create(body, (), {})
+        ctx = GeneratorContextFactory().create(body, (), {})
         ctx.start()
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="must yield Simcall objects, "
+                                           "got 42; yield what the s4u"):
             ctx.resume()
-
-    def test_kill_runs_finally_blocks(self):
-        cleaned = []
-
-        def body():
-            try:
-                yield SleepCall(duration=100.0)
-            finally:
-                cleaned.append(True)
-
-        factory = GeneratorContextFactory()
-        ctx = factory.create(body, (), {})
-        ctx.start()
-        ctx.resume()
-        ctx.kill()
-        assert ctx.finished
-        assert cleaned == [True]
-
-    def test_kill_before_start(self):
-        def body():
-            yield SleepCall(duration=1.0)
-
-        factory = GeneratorContextFactory()
-        ctx = factory.create(body, (), {})
-        ctx.start()
-        ctx.kill()
-        assert ctx.finished
 
 
 class TestThreadContext:
-    def test_blocking_calls_round_trip(self):
-        log = []
-
-        def body(ctx_holder):
-            result = ctx_holder["ctx"].block(SleepCall(duration=2.0))
-            log.append(result)
-
-        factory = ThreadContextFactory()
-        holder = {}
-        ctx = factory.create(body, (holder,), {})
-        holder["ctx"] = ctx
-        ctx.start()
-        request = ctx.resume()
-        assert isinstance(request, SleepCall)
-        assert request.duration == 2.0
-        assert ctx.resume("result-value") is FINISHED
-        assert log == ["result-value"]
-
-    def test_exception_delivered_to_thread(self):
-        caught = []
-
-        def body(holder):
-            try:
-                holder["ctx"].block(SleepCall(duration=1.0))
-            except RuntimeError as exc:
-                caught.append(str(exc))
-
-        factory = ThreadContextFactory()
-        holder = {}
-        ctx = factory.create(body, (holder,), {})
-        holder["ctx"] = ctx
-        ctx.start()
-        ctx.resume()
-        assert ctx.resume(exception=RuntimeError("bang")) is FINISHED
-        assert caught == ["bang"]
-
-    def test_kill_unblocks_thread(self):
-        def body(holder):
-            holder["ctx"].block(SleepCall(duration=100.0))
-
-        factory = ThreadContextFactory()
-        holder = {}
-        ctx = factory.create(body, (holder,), {})
-        holder["ctx"] = ctx
-        ctx.start()
-        ctx.resume()
-        ctx.kill()
-        assert ctx.finished
-
-    def test_body_exception_propagates_to_kernel(self):
+    def test_body_exception_before_any_simcall(self):
         def body():
             raise ValueError("user bug")
 
-        factory = ThreadContextFactory()
-        ctx = factory.create(body, (), {})
+        ctx = ThreadContextFactory().create(body, (), {})
         ctx.start()
         with pytest.raises(ValueError):
             ctx.resume()
+
+    def test_submit_after_a_kill_request_raises_in_the_body(self):
+        seen = []
+
+        def body(holder):
+            try:
+                holder["ctx"].submit(Simcall(_handler))
+            except ProcessKilledError:
+                # a body that swallows the kill cannot submit again
+                try:
+                    holder["ctx"].submit(Simcall(_handler))
+                except ProcessKilledError:
+                    seen.append("refused")
+
+        holder = {}
+        ctx = holder["ctx"] = ThreadContextFactory().create(
+            body, (holder,), {})
+        ctx.start()
+        ctx.resume()
+        ctx.kill()
+        assert ctx.finished and seen == ["refused"]
+
+
+class TestNonSimcallYieldBuriesTheActor:
+    def test_engine_raises_the_named_type_error_and_moves_on(self):
+        from repro.platform import make_star
+        from repro.s4u import ActorState, Engine
+
+        engine = Engine(make_star(num_hosts=2))
+        done = []
+
+        def confused(actor):
+            yield 42
+
+        def healthy(actor):
+            yield actor.sleep_for(1.0)
+            done.append(actor.now)
+
+        bad = engine.add_actor("confused", "leaf-0", confused)
+        engine.add_actor("healthy", "leaf-1", healthy)
+        with pytest.raises(TypeError, match="must yield Simcall objects"):
+            engine.run()
+        assert bad.state == ActorState.DEAD
+        assert isinstance(bad.exit_status, TypeError)
+        assert engine.run() == 1.0 and done == [1.0]
+        assert not engine.deadlocked
+
+
+class TestOneRequestType:
+    """Structural guards: a simcall is one class carrying its handler, and
+    ``submit("_do_x", ...)`` the one way to make one — no subclass, no
+    table from request type to handler, nothing to rebuild on restore."""
+
+    SRC = pathlib.Path(repro.__file__).resolve().parent
+
+    @classmethod
+    def _trees(cls):
+        for path in sorted(cls.SRC.rglob("*.py")):
+            yield path, ast.parse(path.read_text())
+
+    def test_nothing_subclasses_simcall(self):
+        classes = {(path.name, node.name): [ast.unparse(b) for b in node.bases]
+                   for path, tree in self._trees() for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef)}
+        assert [name for (module, name) in classes
+                if module == "simcall.py"] == ["Simcall"]
+        assert [key for key, bases in classes.items()
+                if any("Simcall" in base for base in bases)] == []
+
+    def test_every_submit_names_an_engine_method(self):
+        from repro.s4u import Engine
+
+        names = []
+        for path, tree in self._trees():
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id == "submit"):
+                    first = node.args[0]
+                    assert (isinstance(first, ast.Constant)
+                            and isinstance(first.value, str)), (
+                        f"{path.name}:{node.lineno}: not a literal")
+                    names.append(first.value)
+        assert len(set(names)) >= 17  # the walk did find the call sites
+        for name in names:
+            assert callable(vars(Engine).get(name)), name
+        # ... and only a context submits anything else.
+        simcall_makers = {path.name for path, tree in self._trees()
+                          for node in ast.walk(tree)
+                          if isinstance(node, ast.Call)
+                          and getattr(node.func, "id", None) == "Simcall"}
+        assert simcall_makers == {"actor.py"}
+
+    def test_engine_holds_no_dispatch_table(self):
+        from repro.platform import make_star
+        from repro.s4u import Engine
+
+        engine = Engine(make_star(num_hosts=2))
+
+        def bound_to_engine(value):
+            return getattr(value, "__self__", None) is engine
+
+        for name, value in vars(engine).items():
+            members = [value]
+            if isinstance(value, dict):
+                members = [*value, *value.values()]
+            elif isinstance(value, (list, tuple)):
+                members = list(value)
+            assert not any(map(bound_to_engine, members)), name
+        # Restoring rebuilds the two id()-keyed resource maps, nothing
+        # else: what dispatches a request travels with the request.
+        restored = Engine.restore(engine.snapshot())
+        assert set(vars(restored)) - set(engine.__getstate__()) == {
+            "_host_by_cpu", "_link_by_resource"}
+        done = []
+
+        def body(actor):
+            yield actor.sleep_for(1.0)
+            done.append((yield actor.exec_async(1e9)).host.name)
+
+        restored.add_actor("a", "leaf-0", body)
+        assert restored.run() == 1.0 and done == ["leaf-0"]
 
 
 class TestFactorySelection:

@@ -4,6 +4,7 @@ import ast
 import os
 import pathlib
 import sys
+import threading
 
 import pytest
 
@@ -590,9 +591,12 @@ class TestCallsPerActivity:
     #: Python frames per activity (one exec and one comm per worker) whose
     #: code lives under ``repro/<layer>/``.  s4u: 58.6 before the
     #: deferred-start path went (PR 17), 51.6 after, 35.1 with the fused
-    #: actor turn (PR 18).  surf (the LMM solver included): 73.0 before
-    #: PR 18, 49.6 after.  Lower them with each lever that lands.
-    CEILINGS = {"s4u": 40, "surf": 55}
+    #: actor turn (PR 18), 31.6 with the one ``submit`` (PR 20: two of a
+    #: simcall's four frames moved to ``repro/kernel/``, 7.0 -> 12.0
+    #: there, and the uncounted dataclass ``__init__`` went).  surf (the
+    #: LMM solver included): 73.0 before PR 18, 49.6 after.  Lower them
+    #: with each lever that lands.
+    CEILINGS = {"s4u": 35, "surf": 55}
 
     @pytest.mark.parametrize("workers", [100, 400])
     def test_overlap_fleet_stays_under_the_frame_ceilings(self, workers):
@@ -875,6 +879,138 @@ class TestEveryWaitEveryEnding:
             assert not (isinstance(activity, s4u.Comm)
                         and activity.is_started())
         assert not engine._active_comms
+
+
+class TestBlockingCallOnAnotherActorsObject:
+    """A blocking call is the *running* actor's request, whichever actor
+    object it is made on — under both context factories."""
+
+    @pytest.mark.parametrize("context", ["generator", "thread"])
+    def test_the_caller_pays_and_the_exec_runs_on_the_others_host(
+            self, context):
+        world = _WaitWorld(context)
+        marks = []
+
+        def bystander(world, actor):
+            yield actor.sleep_for(10.0)
+
+        def caller(world, actor, other):
+            yield actor.sleep_for(1.0)
+            yield other.execute(1e9)
+            marks.append(("execute", actor.now))
+            yield other.sleep_for(1.0)
+            marks.append(("sleep_for", actor.now))
+            comp = yield other.exec_async(1e9)
+            assert comp.actor is actor and comp.host is other.host
+            yield comp.wait()
+            marks.append(("exec_async", actor.now))
+
+        other = world.spawn("other", "leaf-1", bystander)
+        world.spawn("caller", "leaf-0", caller, other)
+        # Submitted through the wrong thread context, the call parks every
+        # thread in a C-level wait the hang watchdog cannot interrupt: run
+        # from a thread this test can give up on.
+        finals = []
+        runner = threading.Thread(
+            target=lambda: finals.append(world.engine.run()), daemon=True)
+        runner.start()
+        runner.join(timeout=10.0)
+        assert not runner.is_alive(), "the simulation wedged"
+        assert finals == [10.0]
+        assert marks == [("execute", 2.0), ("sleep_for", 3.0),
+                         ("exec_async", 4.0)]
+
+
+_NAN, _INF = float("nan"), float("inf")
+#: (the argument the ValueError must name, the call making it) — the
+#: call gets the world, the calling actor and a live Exec handle.
+_BAD_ARGUMENTS = {
+    "execute(-1)": ("flops", lambda w, a, h: a.execute(-1)),
+    "execute(nan)": ("flops", lambda w, a, h: a.execute(_NAN)),
+    "execute(inf)": ("flops", lambda w, a, h: a.execute(_INF)),
+    "exec_async(-1)": ("flops", lambda w, a, h: a.exec_async(-1)),
+    "exec_async(nan)": ("flops", lambda w, a, h: a.exec_async(_NAN)),
+    "execute(priority=-1)":
+        ("priority", lambda w, a, h: a.execute(1, priority=-1)),
+    "exec_async(priority=nan)":
+        ("priority", lambda w, a, h: a.exec_async(1, priority=_NAN)),
+    "execute(bound=0)": ("bound", lambda w, a, h: a.execute(1, bound=0)),
+    "exec_async(bound=nan)":
+        ("bound", lambda w, a, h: a.exec_async(1, bound=_NAN)),
+    "sleep_for(-1)": ("duration", lambda w, a, h: a.sleep_for(-1)),
+    "sleep_for(nan)": ("duration", lambda w, a, h: a.sleep_for(_NAN)),
+    "sleep_for(inf)": ("duration", lambda w, a, h: a.sleep_for(_INF)),
+    "sleep_async(nan)": ("duration", lambda w, a, h: a.sleep_async(_NAN)),
+    "this_actor.sleep_for(nan)":
+        ("duration", lambda w, a, h: this_actor.sleep_for(_NAN)),
+    "join(timeout=-1)": ("timeout", lambda w, a, h: w.bystander.join(-1)),
+    "put(size=-5)": ("size", lambda w, a, h: w.box.put("x", size=-5)),
+    "put(size=nan)": ("size", lambda w, a, h: w.box.put("x", size=_NAN)),
+    "put(rate=0)": ("rate", lambda w, a, h: w.box.put("x", rate=0)),
+    "put(timeout=-1)":
+        ("timeout", lambda w, a, h: w.box.put("x", timeout=-1)),
+    "put(priority=-1)":
+        ("priority", lambda w, a, h: w.box.put("x", priority=-1)),
+    "put_async(size=inf)":
+        ("size", lambda w, a, h: w.box.put_async("x", size=_INF)),
+    "put_async(rate=nan)":
+        ("rate", lambda w, a, h: w.box.put_async("x", rate=_NAN)),
+    "put_async(priority=nan)":
+        ("priority", lambda w, a, h: w.box.put_async("x", priority=_NAN)),
+    "get(timeout=-1)": ("timeout", lambda w, a, h: w.box.get(timeout=-1)),
+    "get(timeout=nan)": ("timeout", lambda w, a, h: w.box.get(timeout=_NAN)),
+    "get(rate=-1)": ("rate", lambda w, a, h: w.box.get(rate=-1)),
+    "get_async(rate=0)": ("rate", lambda w, a, h: w.box.get_async(rate=0)),
+    "wait(timeout=-1)": ("timeout", lambda w, a, h: h.wait(timeout=-1)),
+    "wait_any(timeout=-1)":
+        ("timeout", lambda w, a, h: ActivitySet([h]).wait_any(timeout=-1)),
+    "wait_all(timeout=nan)":
+        ("timeout", lambda w, a, h: ActivitySet([h]).wait_all(timeout=_NAN)),
+}
+
+
+def _bad_caller(world, actor, call):
+    # Not at t=0: a negative timeout is then a date in the past.
+    yield actor.sleep_for(5.0)
+    handle = world.track((yield actor.exec_async(1e9)))
+    try:
+        yield call(world, actor, handle)
+    except ValueError as exc:
+        world.outcomes.append((str(exc), actor.now))
+    yield handle.wait()
+    world.outcomes.append(("went on", actor.now))
+
+
+def _bystander(world, actor):
+    yield actor.sleep_for(7.0)
+    world.peer_outcomes.append(actor.now)
+
+
+class TestArgumentsAreCheckedInTheActor:
+    """An out-of-range amount is the caller's bug and the caller's alone:
+    ``ValueError`` at the call site, naming the argument, before anything
+    reaches the kernel — the run, the clock and the other actors never
+    notice."""
+
+    @pytest.mark.parametrize("context", ["generator", "thread"])
+    @pytest.mark.parametrize("bad", sorted(_BAD_ARGUMENTS))
+    def test_value_error_at_the_call_site_and_the_run_goes_on(
+            self, bad, context):
+        argument, call = _BAD_ARGUMENTS[bad]
+        world = _WaitWorld(context)
+        engine = world.engine
+        world.bystander = world.spawn("bystander", "leaf-1", _bystander)
+        world.spawn("caller", "leaf-0", _bad_caller, call)
+        assert engine.run() == 7.0
+        (message, date), went_on = world.outcomes
+        assert message.startswith(argument + " must be") and date == 5.0
+        assert went_on == ("went on", 6.0)
+        assert world.peer_outcomes == [7.0]
+        assert not engine.deadlocked and engine.actor_count() == 0
+        assert world.box.empty and not engine.timers
+        # Nothing is left to do: a second run is a no-op.
+        assert engine.run() == 7.0
+        assert len(world.outcomes) == 2 and world.peer_outcomes == [7.0]
 
 
 class TestOneWaitPath:
