@@ -98,7 +98,7 @@ class Actor:
         self.kwargs = kwargs or {}
         self.daemon = daemon
         #: Reboot this actor (fresh body, same function/arguments) when its
-        #: failed host is restored (see ``Engine.restore_host``).
+        #: failed host is restored (see ``Engine._set_state``).
         self.auto_restart = auto_restart
         self.pid = next(_pids)
         self.state = ActorState.CREATED

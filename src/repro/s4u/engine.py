@@ -31,6 +31,7 @@ from repro.exceptions import (
     DeadlockError,
     HostFailureError,
     PlatformError,
+    ProcessKilledError,
     SimTimeoutError,
     SnapshotError,
     TransferFailureError,
@@ -322,45 +323,80 @@ class Engine:
         """Suspend an actor from outside the simulation."""
         self._suspend_other(actor)
 
-    def fail_host(self, host: Host) -> None:
-        """Turn a host off: its activities fail, its actors are killed."""
-        if not host.is_on:
-            return
-        self._fail_actions(self.surf.fail_host(host.cpu))
-        self._on_host_down(host)
+    # -- resource state ------------------------------------------------------------------
+    def _set_state(self, resource, is_on: bool, failed=None) -> None:
+        """The one handler of a host or link going down or up.
 
-    def restore_host(self, host: Host) -> None:
-        """Turn a failed host back on, rebooting its auto-restart actors."""
-        if host.is_on:
-            return
-        self.surf.restore_host(host.cpu)
-        self._on_host_up(host)
+        ``Host`` / ``Link.turn_off()`` and ``turn_on()`` call it without
+        ``failed`` and it flips ``resource`` through
+        ``SurfEngine.set_state`` (nothing happens if the resource already
+        is in that state); the run loop calls it once per state-trace
+        flip, with the actions SURF failed.  Either way, in this order:
 
-    def fail_link(self, link: Union[str, Link]) -> None:
-        """Turn a link off: every transfer crossing it fails."""
-        link_obj = link if isinstance(link, Link) else self.link_by_name(link)
-        if not link_obj.is_on:
-            return
-        self._fail_actions(self.surf.fail_link(link_obj.resource))
-        self._notify_link_state(link_obj, False)
+        1. the activities of the failed actions fail;
+        2. a host going down fails the comms touching it and kills its
+           actors, queueing the ``auto_restart`` ones — a host coming up
+           reboots them, in creation order;
+        3. the state listeners observe the flip.
 
-    def restore_link(self, link: Union[str, Link]) -> None:
-        """Turn a failed link back on."""
-        link_obj = link if isinstance(link, Link) else self.link_by_name(link)
-        if link_obj.is_on:
+        An actor that turns off its own host dies in step 2 like the
+        others; the call then raises ``ProcessKilledError`` into its
+        body instead of returning.
+        """
+        if failed is None:
+            if resource.is_on == is_on:
+                return
+            failed = self.surf.set_state(resource, is_on)
+        for action in failed:
+            activity = action.data
+            if isinstance(activity, Activity):
+                self._finish_activity(activity, ActivityState.FAILED)
+        if isinstance(resource, LinkResource):
+            link = self._link_by_resource.get(id(resource))
+            if link is not None:
+                for callback in self._link_state_listeners:
+                    callback(link, is_on)
             return
-        self.surf.restore_link(link_obj.resource)
-        self._notify_link_state(link_obj, True)
+        host = self._host_by_cpu.get(id(resource))
+        if host is None:
+            return
+        if is_on:
+            for (name, func, args, kwargs,
+                 daemon) in self._pending_restarts.pop(host, []):
+                self.restart_count += 1
+                self.add_actor(name, host, func, *args, daemon=daemon,
+                               auto_restart=True, **kwargs)
+        else:
+            # Started comms only: _finish_activity removes a comm from
+            # _active_comms as it ends.
+            for comm in list(self._active_comms):
+                if comm.src_host is host or comm.dst_host is host:
+                    if comm.surf_action.is_running():
+                        comm.surf_action.cancel(self.now)
+                    self._finish_activity(comm, ActivityState.FAILED)
+            for actor in list(host.actors):
+                if not actor.is_alive:  # died in a sibling's on_exit
+                    continue
+                if actor.auto_restart:
+                    self._pending_restarts.setdefault(host, []).append(
+                        (actor.name, actor.func, actor.args, actor.kwargs,
+                         actor.daemon))
+                self._kill_actor(actor)
+        for callback in self._host_state_listeners:
+            callback(host, is_on)
+        running = _actor_mod._current
+        if running is not None and running.state == ActorState.DEAD:
+            raise ProcessKilledError(f"killed by turning off {host.name}")
 
     # -- resource state observers -------------------------------------------------------
     def on_host_state_change(self, callback: Callable[[Host, bool], None]
                              ) -> Callable[[Host, bool], None]:
         """Register ``callback(host, is_on)``, fired on every host flip.
 
-        Fired for explicit ``turn_off``/``turn_on`` calls and for
-        state-trace events alike, after the failure (or restart) side
-        effects were applied.  Returns the callback so it can be used as a
-        decorator.
+        Fired by the one state handler, so explicit ``turn_off`` /
+        ``turn_on`` calls, state-trace events and injector pulses are seen
+        alike, after the failure (or restart) side effects were applied.
+        Returns the callback so it can be used as a decorator.
         """
         self._host_state_listeners.append(callback)
         return callback
@@ -401,14 +437,6 @@ class Engine:
         self.surf.model_of(link.resource).set_link_bandwidth(
             link.resource, bandwidth)
         self._notify_speed_change(link, link.current_bandwidth)
-
-    def _notify_host_state(self, host: Host, is_on: bool) -> None:
-        for callback in self._host_state_listeners:
-            callback(host, is_on)
-
-    def _notify_link_state(self, link: Link, is_on: bool) -> None:
-        for callback in self._link_state_listeners:
-            callback(link, is_on)
 
     def _notify_speed_change(self, resource, available_speed: float) -> None:
         for callback in self._speed_listeners:
@@ -482,7 +510,7 @@ class Engine:
         next_date = self.timers.next_date
         fire_until = self.timers.fire_until
         step = self.surf.step
-        done, failed = ActivityState.DONE, ActivityState.FAILED
+        done = ActivityState.DONE
         while True:
             schedule_ready()
             if simulation_over():
@@ -497,14 +525,10 @@ class Engine:
                 self._handle_deadlock()
                 break
             now = result.time
-            if result.state_changes:
-                self._handle_state_changes(result.state_changes)
+            for resource, is_on, flip_failed in result.state_changes:
+                self._set_state(resource, is_on, flip_failed)
             if result.speed_changes:
                 self._handle_speed_changes(result.speed_changes)
-            for action in result.failed:
-                activity = action.data
-                if isinstance(activity, Activity):
-                    finish(activity, failed)
             for action in result.completed:
                 activity = action.data
                 if isinstance(activity, Activity):
@@ -565,10 +589,15 @@ class Engine:
             try:
                 request = actor.context.resume(value, exception)
             except BaseException as exc:
+                _actor_mod._current = previous
+                if actor.state == dead:
+                    # Killed inside its own turn (it turned off its own
+                    # host): the error is the ProcessKilledError that
+                    # unwound the body of an actor already buried.
+                    continue
                 # The body is gone: bury the actor (exit hooks, joiners,
                 # counters) before the error leaves run(), or the next
                 # run() would report the corpse as a deadlock.
-                _actor_mod._current = previous
                 actor.exit_status = exc
                 self._terminate_actor(actor, failed=True)
                 raise
@@ -612,21 +641,6 @@ class Engine:
                 f"simulation deadlocked at t={self.now:g}: "
                 f"actors [{names}] are blocked forever")
 
-    def _handle_state_changes(self, state_changes) -> None:
-        for resource, is_on in state_changes:
-            if isinstance(resource, CpuResource):
-                host = self._host_by_cpu.get(id(resource))
-                if host is None:
-                    continue
-                if is_on:
-                    self._on_host_up(host)
-                else:
-                    self._on_host_down(host)
-            elif isinstance(resource, LinkResource):
-                link = self._link_by_resource.get(id(resource))
-                if link is not None:
-                    self._notify_link_state(link, is_on)
-
     def _handle_speed_changes(self, speed_changes) -> None:
         """Forward trace-driven availability changes to the speed observers."""
         if not self._speed_listeners:
@@ -640,36 +654,6 @@ class Engine:
                 link = self._link_by_resource.get(id(resource))
                 if link is not None:
                     self._notify_speed_change(link, link.current_bandwidth)
-
-    def _on_host_down(self, host: Host) -> None:
-        # Fail every started communication touching this host.
-        for comm in list(self._active_comms):
-            if comm.is_over():
-                continue
-            if (comm.src_host is host) or (comm.dst_host is host):
-                if comm.surf_action is not None and comm.surf_action.is_running():
-                    comm.surf_action.cancel(self.now)
-                self._finish_activity(comm, ActivityState.FAILED)
-        # Kill every actor running on this host, remembering the ones to
-        # reboot when the host comes back (in their creation order).
-        for actor in list(host.actors):
-            if actor.is_alive:
-                if actor.auto_restart:
-                    self._pending_restarts.setdefault(host, []).append(
-                        (actor.name, actor.func, actor.args, actor.kwargs,
-                         actor.daemon))
-                self._kill_actor(actor)
-        self._notify_host_state(host, False)
-
-    def _on_host_up(self, host: Host) -> None:
-        for (name, func, args, kwargs,
-             daemon) in self._pending_restarts.pop(host, []):
-            self.restart_count += 1
-            self.add_actor(name, host, func, *args, daemon=daemon,
-                           auto_restart=True, **kwargs)
-        # Listeners observe the flip after the reboot side effects, like
-        # the down-notification follows the kills.
-        self._notify_host_state(host, True)
 
     # ------------------------------------------------------------------------------
     # simcall handling
@@ -1001,13 +985,6 @@ class Engine:
             activity.mailbox.discard(activity)
         self._finish_activity(activity, state)
 
-    def _fail_actions(self, actions) -> None:
-        """Fail the activities behind the actions a resource took down."""
-        for action in actions:
-            activity = action.data
-            if isinstance(activity, Activity):
-                self._finish_activity(activity, ActivityState.FAILED)
-
     def _finish_activity(self, activity: Activity, state: ActivityState) -> None:
         current = activity.state
         if current is not _PENDING and current is not _STARTED:
@@ -1121,7 +1098,11 @@ class Engine:
                     self._abort_activity(activity, ActivityState.CANCELLED)
                 elif not activity.detached:
                     self._abort_activity(activity, ActivityState.FAILED)
-        target.context.kill()
+        # The running actor (it turned off its own host) cannot be
+        # interrupted inside its own call: _set_state raises
+        # ProcessKilledError into its body once the flip is complete.
+        if target is not _actor_mod._current:
+            target.context.kill()
         self._terminate_actor(target, failed=True)
 
     def _terminate_actor(self, actor: Actor, failed: bool = False) -> None:

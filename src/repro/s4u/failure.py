@@ -4,10 +4,12 @@ The paper lists *trace-based simulation of dynamic resource failures* as a
 core SURF feature.  The kernel half (state traces failing actions, actor
 kill on host failure) has existed since the seed; this module adds the
 controller that *drives* failures at scale: a :class:`FailureInjector`
-turns hosts and links off and back on in random pulses from a seeded RNG —
-or replays an explicit :class:`~repro.surf.trace.Trace` — through the
-engine's timer queue, so the schedule interleaves deterministically with
-the simulation and the same seed always produces bit-identical dates.
+turns hosts and links off and back on in random pulses from a seeded RNG
+through the engine's timer queue, so the schedule interleaves
+deterministically with the simulation and the same seed always produces
+bit-identical dates.  A known schedule needs no injector: declare a state
+:class:`~repro.surf.trace.Trace` on the platform resource, or arm timers
+calling ``turn_off`` / ``turn_on``.
 
 Typical churn study::
 
@@ -21,10 +23,15 @@ Typical churn study::
     engine.run()
     print(injector.failures, "failures,", engine.restart_count, "restarts")
 
-Every failure uses the same path as an explicit ``turn_off()``: running
+There is one way a resource goes down or up, whoever drives it: a state
+trace, an explicit ``turn_off()`` / ``turn_on()`` (from host code, a
+timer or any actor — one on the failing host included) and an injector
+pulse all reach ``SurfEngine.set_state`` and the engine's one state
+handler, so each produces the same outcome for every observer: running
 activities fail (their waiters see the failure exception), actors on a
-failed host are killed, and ``auto_restart`` actors reboot when the
-injector restores the host.  The injector never keeps the simulation
+failed host are killed, ``auto_restart`` actors reboot when the host
+comes back, and the state listeners fire once per flip
+(``tests/test_state_path.py``).  The injector never keeps the simulation
 alive by itself being idle: pulses stop at ``max_failures`` and/or
 ``until``, and every injected failure schedules its own restore.
 """
@@ -32,9 +39,7 @@ alive by itself being idle: pulses stop at ``max_failures`` and/or
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Optional, Sequence, Tuple, Union, TYPE_CHECKING
-
-from repro.surf.trace import Trace
+from typing import Iterable, List, Optional, Tuple, Union, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.s4u.engine import Engine
@@ -184,46 +189,6 @@ class FailureInjector:
         target.turn_on()
         self.restores += 1
         self.events.append((self.engine.now, target.name, True))
-
-    # ------------------------------------------------------------------------------
-    # trace replay
-    # ------------------------------------------------------------------------------
-    def schedule_trace(self, target: Union[str, "Host", "Link"],
-                       trace: Trace, until: Optional[float] = None
-                       ) -> "FailureInjector":
-        """Replay a state :class:`Trace` as explicit off/on pulses.
-
-        Equivalent to attaching the trace to the resource at platform
-        definition time, but applied through the same s4u ``turn_off`` /
-        ``turn_on`` path as the random churn (so auto-restart and the state
-        observers fire identically).  Trace dates are interpreted relative
-        to the *current* simulated date, so a mid-run replay starts from
-        now rather than scheduling pulses in the past.  ``until`` bounds
-        the replay of periodic (infinite) traces — it is a relative
-        duration too, defaulting to the injector's own ``until``.
-        """
-        if isinstance(target, str):
-            # Resolve against the platform description, not engine.hosts:
-            # on a lazily realized platform the wrapper may not exist yet
-            # (engine.host materializes it).
-            target = (self.engine.host(target)
-                      if target in self.engine.platform.hosts
-                      else self.engine.link_by_name(target))
-        limit = until if until is not None else self.until
-        if trace.period is not None and limit is None:
-            raise ValueError("a periodic trace needs an `until` bound")
-        base = self.engine.now
-        iterator = trace.iter_from(0.0)
-        while True:
-            event = iterator.next_event()
-            if event is None:
-                break
-            date, value = event
-            if limit is not None and date > limit:
-                break
-            self.engine.timers.schedule(
-                base + date, _Pulse(self, target, is_on=value > 0))
-        return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"FailureInjector(seed={self.seed}, targets={len(self.targets)},"

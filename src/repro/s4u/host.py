@@ -65,12 +65,16 @@ class Host:
 
     # -- control ----------------------------------------------------------------------
     def turn_off(self) -> None:
-        """Fail the host: running activities fail, its actors are killed."""
-        self._engine.fail_host(self)
+        """Fail the host: running activities fail, its actors are killed.
+
+        Called by an actor on this very host, it kills the caller too:
+        the call raises ``ProcessKilledError`` instead of returning.
+        """
+        self._engine._set_state(self.cpu, False)
 
     def turn_on(self) -> None:
         """Bring a failed host back up (reboots its auto-restart actors)."""
-        self._engine.restore_host(self)
+        self._engine._set_state(self.cpu, True)
 
     def set_speed(self, speed: float) -> "Host":
         """Change the per-core speed at runtime; running execs are re-shared.

@@ -66,11 +66,11 @@ class Link:
     # -- control ----------------------------------------------------------------------
     def turn_off(self) -> None:
         """Fail the link: every transfer crossing it fails."""
-        self._engine.fail_link(self)
+        self._engine._set_state(self.resource, False)
 
     def turn_on(self) -> None:
         """Bring a failed link back up."""
-        self._engine.restore_link(self)
+        self._engine._set_state(self.resource, True)
 
     def set_bandwidth(self, bandwidth: float) -> "Link":
         """Change the link bandwidth; running flows are re-shared.

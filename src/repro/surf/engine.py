@@ -8,9 +8,9 @@ simulation loop (ROADMAP, "Kernel performance model"):
 2. find the earliest of: action completions, trace events (availability
    changes, failures), and the caller-provided bound (used by the upper
    layers for timers and sleeps);
-3. advance the clock to that date, update all running actions, apply the
-   trace events that fire, and fail the actions that were using a resource
-   that just died;
+3. advance the clock to that date, update all running actions and apply
+   the trace events that fire — a state event through :meth:`set_state`,
+   which fails the actions that were using a resource that just died;
 4. hand the completed and failed actions back to the caller (the s4u
    engine, under GRAS, SMPI and AMOK alike) which resumes the simulated
    actors waiting on them.
@@ -46,39 +46,44 @@ class StepResult:
         The new simulated date.
     completed:
         Actions that finished normally during the step.
-    failed:
-        Actions that failed because a resource they used was turned off.
     reached_bound:
         True when the step stopped at the caller-provided ``until`` bound
         rather than at an action completion or trace event.
     state_changes:
-        List of ``(resource, is_on)`` pairs for resources whose on/off state
-        changed during the step (used by the process layer to kill the
-        processes of a failed host).
+        List of ``(resource, is_on, failed)`` triples, one per resource
+        whose on/off state changed during the step, ``failed`` being the
+        actions that failed because the resource went down (the process
+        layer applies each flip through its one state handler).
     speed_changes:
         List of ``(resource, availability)`` pairs for resources whose
         availability factor changed during the step (trace-driven external
         load; the process layer forwards them to its speed observers).
     """
 
-    __slots__ = ("time", "completed", "failed", "reached_bound",
-                 "state_changes", "speed_changes")
+    __slots__ = ("time", "completed", "reached_bound", "state_changes",
+                 "speed_changes")
 
     def __init__(self, time: float, completed: List[Action],
-                 failed: List[Action], reached_bound: bool,
-                 state_changes: Optional[List[Tuple[Resource, bool]]] = None,
+                 reached_bound: bool,
+                 state_changes: Optional[List[Tuple[Resource, bool,
+                                                    List[Action]]]] = None,
                  speed_changes: Optional[List[Tuple[Resource, float]]] = None
                  ) -> None:
         self.time = time
         self.completed = completed
-        self.failed = failed
         self.reached_bound = reached_bound
         self.state_changes = state_changes or []
         self.speed_changes = speed_changes or []
 
+    @property
+    def failed(self) -> List[Action]:
+        """Every action a resource going down failed during the step."""
+        return [action for _, _, failed in self.state_changes
+                for action in failed]
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"StepResult(time={self.time}, completed={len(self.completed)},"
-                f" failed={len(self.failed)}, bound={self.reached_bound})")
+                f" flips={len(self.state_changes)}, bound={self.reached_bound})")
 
 
 class SurfEngine:
@@ -201,21 +206,21 @@ class SurfEngine:
         heapq.heappush(self._trace_heap,
                        (date, next(self._seq), resource, kind, value, iterator))
 
-    def schedule_failure(self, resource: Resource, at: float,
-                         restore_at: Optional[float] = None) -> None:
-        """Explicitly inject a transient failure without a trace file.
+    # -- resource state ----------------------------------------------------------------
+    def set_state(self, resource: Resource, is_on: bool) -> List[Action]:
+        """Turn ``resource`` on or off; return the actions that failed.
 
-        ``resource`` turns off at ``at`` and, if ``restore_at`` is given,
-        turns back on at that date.
+        The one way a resource changes state: state-trace events and the
+        s4u ``turn_off()`` / ``turn_on()`` calls both land here.  When the
+        resource goes down, every running action using it fails —
+        transfers still paying their route latency included (their
+        zero-weight LMM variable keeps them on the link's constraint).
         """
-        events = [(at, 0.0)]
-        if restore_at is not None:
-            if restore_at <= at:
-                raise ValueError("restore_at must be after the failure date")
-            events.append((restore_at, 1.0))
-        from repro.surf.trace import Trace
-        trace = Trace(events, name=f"failure:{resource.name}")
-        self._schedule_next(resource, TraceKind.STATE, trace.iter_from(0.0))
+        if is_on:
+            resource.turn_on()
+            return []
+        resource.turn_off()
+        return self.model_of(resource).fail_actions_on(resource, self.clock)
 
     # -- time queries -----------------------------------------------------------------
     def next_trace_event_date(self) -> float:
@@ -272,12 +277,10 @@ class SurfEngine:
 
         completed = self._update_phase(new_time, delta)
 
-        state_changes: List[Tuple[Resource, bool]] = []
+        state_changes: List[Tuple[Resource, bool, List[Action]]] = []
         speed_changes: List[Tuple[Resource, float]] = []
-        failed: List[Action] = []
         if trace_heap:
-            failed.extend(self._fire_trace_events(new_time, state_changes,
-                                                  speed_changes))
+            self._fire_trace_events(new_time, state_changes, speed_changes)
 
         reached_bound = (delta_bound <= min_delta + _TIME_EPSILON
                          and delta_bound <= delta_trace + _TIME_EPSILON
@@ -287,8 +290,8 @@ class SurfEngine:
         # nothing actually completes would loop here forever without
         # advancing the clock (the loopback-communication hang was exactly
         # that).  Turn such a wedge into a loud error instead.
-        if (delta <= 0 and not completed and not failed
-                and not state_changes and not reached_bound):
+        if (delta <= 0 and not completed and not state_changes
+                and not reached_bound):
             self._zero_progress_steps += 1
             if self._zero_progress_steps > 10000:
                 raise RuntimeError(
@@ -297,7 +300,7 @@ class SurfEngine:
                     f"steps without any action completing")
         else:
             self._zero_progress_steps = 0
-        return StepResult(new_time, completed, failed, reached_bound,
+        return StepResult(new_time, completed, reached_bound,
                           state_changes, speed_changes)
 
     def _share_phase(self, now: float) -> float:
@@ -332,13 +335,16 @@ class SurfEngine:
                 model.clock = now
         return completed
 
-    def _fire_trace_events(self, now: float,
-                           state_changes: Optional[List[Tuple[Resource, bool]]]
-                           = None,
-                           speed_changes: Optional[List[Tuple[Resource, float]]]
-                           = None) -> List[Action]:
-        """Apply every trace event due at or before ``now``."""
-        failed: List[Action] = []
+    def _fire_trace_events(
+            self, now: float,
+            state_changes: List[Tuple[Resource, bool, List[Action]]],
+            speed_changes: List[Tuple[Resource, float]]) -> None:
+        """Apply every trace event due at or before ``now``.
+
+        A state event (0 = off, anything else = on) that flips its
+        resource goes through :meth:`set_state` and is reported with the
+        actions it failed; one that does not flip it is dropped.
+        """
         while self._trace_heap and self._trace_heap[0][0] <= now + _TIME_EPSILON:
             date, _, resource, kind, value, iterator = heapq.heappop(
                 self._trace_heap)
@@ -349,15 +355,12 @@ class SurfEngine:
                 # (multi-core per-core bounds).
                 resource.set_availability(value)
                 self.model_of(resource).on_resource_capacity_changed(resource)
-                if speed_changes is not None:
-                    speed_changes.append((resource, value))
+                speed_changes.append((resource, value))
             else:
-                was_on = resource.is_on
-                resource.apply_state_value(value)
-                if was_on != resource.is_on and state_changes is not None:
-                    state_changes.append((resource, resource.is_on))
-                if was_on and not resource.is_on:
-                    failed.extend(self._fail_actions_using(resource, now))
+                is_on = value > 0
+                if is_on != resource.is_on:
+                    state_changes.append(
+                        (resource, is_on, self.set_state(resource, is_on)))
             # Re-arm the next event of this trace (periodic traces never end).
             nxt = iterator.next_event()
             if nxt is not None:
@@ -365,39 +368,6 @@ class SurfEngine:
                 heapq.heappush(self._trace_heap,
                                (ndate, next(self._seq), resource, kind,
                                 nvalue, iterator))
-        return failed
-
-    def _fail_actions_using(self, resource: Resource,
-                            now: float) -> List[Action]:
-        if isinstance(resource, (CpuResource, LinkResource)):
-            return list(self.model_of(resource).fail_actions_on(resource, now))
-        return []
-
-    def fail_host(self, cpu: CpuResource, now: Optional[float] = None) -> List[Action]:
-        """Immediately fail a CPU (used by explicit ``host.turn_off()``)."""
-        date = self.clock if now is None else now
-        cpu.turn_off()
-        return self.model_of(cpu).fail_actions_on(cpu, date)
-
-    def restore_host(self, cpu: CpuResource) -> None:
-        """Turn a failed CPU back on."""
-        cpu.turn_on()
-
-    def fail_link(self, link: LinkResource,
-                  now: Optional[float] = None) -> List[Action]:
-        """Immediately fail a link (explicit ``link.turn_off()``).
-
-        Every transfer whose route crosses the link fails, including
-        transfers still paying their route latency (their zero-weight LMM
-        variable keeps them registered on the link's constraint).
-        """
-        date = self.clock if now is None else now
-        link.turn_off()
-        return self.model_of(link).fail_actions_on(link, date)
-
-    def restore_link(self, link: LinkResource) -> None:
-        """Turn a failed link back on."""
-        link.turn_on()
 
     def run_until_idle(self, max_time: float = math.inf) -> float:
         """Convenience loop for model-level tests: run until nothing remains.

@@ -6,8 +6,9 @@ adds what the paper's SURF panel describes:
 * a *peak capacity* (CPU speed in flop/s, link bandwidth in byte/s);
 * an *availability* factor in ``[0, 1]`` driven by an availability trace
   ("performance variations due to external load");
-* an on/off *state* driven by a state trace or explicit failure injection
-  ("dynamic resource failures").
+* an on/off *state* driven by a state trace or an explicit ``turn_off()``
+  / ``turn_on()`` ("dynamic resource failures"), both applied through
+  :meth:`~repro.surf.engine.SurfEngine.set_state`.
 """
 
 from __future__ import annotations
@@ -98,7 +99,11 @@ class Resource:
         self._push_capacity()
 
     def turn_off(self) -> None:
-        """Fail the resource: every action using it must be failed by the model."""
+        """Fail the resource: its capacity drops to zero.
+
+        Only ``SurfEngine.set_state`` calls this (and ``turn_on``): it
+        also fails the actions the resource was carrying.
+        """
         if not self.is_on:
             return
         self.is_on = False
@@ -110,13 +115,6 @@ class Resource:
             return
         self.is_on = True
         self._push_capacity()
-
-    def apply_state_value(self, value: float) -> None:
-        """Interpret a state-trace value (0 = off, anything else = on)."""
-        if value > 0:
-            self.turn_on()
-        else:
-            self.turn_off()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"{type(self).__name__}(name={self.name!r}, "

@@ -408,8 +408,7 @@ class TestFailureEdgeCases:
 
         ``use_trace=True`` drives the churn with a periodic state trace
         attached to the platform host; ``use_trace=False`` replays the
-        very same pulses as explicit ``turn_off``/``turn_on`` calls
-        (through FailureInjector.schedule_trace).
+        very same pulses as timers calling ``turn_off``/``turn_on``.
         """
         trace = Trace([(0.3, 0.0), (0.5, 1.0)], period=0.8, name="churn")
         horizon = 2.4
@@ -435,8 +434,13 @@ class TestFailureEdgeCases:
                          auto_restart=True)
         engine.add_actor("clock", "safe", clock)
         if not use_trace:
-            injector = FailureInjector(engine, until=horizon)
-            injector.schedule_trace("victim", trace)
+            victim = engine.host("victim")
+            events = trace.iter_from(0.0)
+            date, value = events.next_event()
+            while date <= horizon:
+                engine.timers.schedule(
+                    date, victim.turn_on if value > 0 else victim.turn_off)
+                date, value = events.next_event()
         engine.run()
         return dates
 
@@ -553,24 +557,6 @@ class TestFailureInjector:
         engine = s4u.Engine(make_star(num_hosts=2))
         with pytest.raises(ValueError):
             FailureInjector(engine, max_failures=1).start()
-
-    def test_schedule_trace_mid_run_is_relative_to_now(self):
-        """Trace dates are offsets from the call date, not absolute."""
-        engine = s4u.Engine(make_star(num_hosts=2))
-        flips = []
-        engine.on_host_state_change(
-            lambda host, is_on: flips.append((is_on, engine.now)))
-        injector = FailureInjector(engine, until=10.0)
-        trace = Trace([(0.3, 0.0), (0.5, 1.0)], name="pulse")
-
-        def clock(actor):
-            yield actor.sleep_for(1.0)   # replay armed at t=1.0, not t=0
-            injector.schedule_trace("leaf-0", trace)
-            yield actor.sleep_for(2.0)
-
-        engine.add_actor("clock", "center", clock)
-        engine.run()
-        assert flips == [(False, 1.3), (True, 1.5)]
 
     def test_respects_max_failures(self):
         engine = s4u.Engine(make_star(num_hosts=4))
@@ -742,7 +728,7 @@ class TestTimeoutFailureRaces:
 
         def chaos(actor):
             yield actor.sleep_until(1.0)
-            engine.fail_host(engine.host("bob"))
+            engine.host("bob").turn_off()
 
         engine.add_actor("receiver", "bob", receiver)
         engine.add_actor("chaos", "alice", chaos)

@@ -63,9 +63,9 @@ def _one_shot(actor, log):
 
 def _churn_chaos(actor, host_name, down_at, up_at, until):
     yield actor.sleep_until(down_at)
-    actor.engine.fail_host(actor.engine.host(host_name))
+    actor.engine.host(host_name).turn_off()
     yield actor.sleep_until(up_at)
-    actor.engine.restore_host(actor.engine.host(host_name))
+    actor.engine.host(host_name).turn_on()
     if until > actor.now:
         yield actor.sleep_until(until)
 

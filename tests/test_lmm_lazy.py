@@ -17,6 +17,7 @@ from repro.surf.cpu import CpuModel
 from repro.surf.engine import SurfEngine
 from repro.surf.lmm import MaxMinSystem
 from repro.surf.network import NetworkModel
+from repro.surf.trace import Trace
 
 
 # ----------------------------------------------------------------------------------
@@ -662,9 +663,10 @@ class TestRunUntilIdleCompletions:
 
     def test_failed_actions_are_exposed(self):
         engine = SurfEngine()
-        cpu = engine.cpu_model.add_cpu("h", speed=1e9)
+        cpu = engine.cpu_model.add_cpu(
+            "h", speed=1e9, state_trace=Trace([(1.0, 0.0)], name="death"))
+        engine.register_resource_traces(cpu)
         action = engine.cpu_model.execute(cpu, 1e12)
-        engine.schedule_failure(cpu, at=1.0)
         engine.run_until_idle(max_time=5.0)
         assert action in engine.last_failed
         assert action not in engine.last_completed

@@ -283,17 +283,39 @@ class TestSurfEngine:
         assert action.state is ActionState.FAILED
         assert result.state_changes and result.state_changes[0][1] is False
 
-    def test_schedule_failure_and_restore(self):
+    def test_state_trace_failure_and_restore(self):
         engine = SurfEngine()
-        cpu = engine.cpu_model.add_cpu("h", speed=1e9)
-        engine.schedule_failure(cpu, at=1.0, restore_at=2.0)
-        engine.cpu_model.execute(cpu, 1e10)
+        trace = Trace([(1.0, 0.0), (2.0, 1.0)], name="blip")
+        cpu = engine.cpu_model.add_cpu("h", speed=1e9, state_trace=trace)
+        engine.register_resource_traces(cpu)
+        action = engine.cpu_model.execute(cpu, 1e10)
         result = engine.step()
         assert result.time == pytest.approx(1.0)
         assert not cpu.is_on
+        assert result.state_changes == [(cpu, False, [action])]
         result = engine.step()
         assert result.time == pytest.approx(2.0)
         assert cpu.is_on
+        assert result.state_changes == [(cpu, True, [])]
+
+    def test_set_state_fails_actions_only_going_down(self):
+        engine = SurfEngine()
+        link = engine.network_model.add_link("l", bandwidth=1e6, latency=0.5)
+        flow = engine.network_model.communicate([link], size=1e6)
+        assert engine.set_state(link, True) == []    # already on
+        assert engine.set_state(link, False) == [flow]
+        assert flow.state is ActionState.FAILED       # even in its latency
+        assert link.current_capacity == 0.0
+        assert engine.set_state(link, True) == []
+        assert link.current_capacity == link.peak_capacity
+
+    def test_state_event_that_flips_nothing_is_not_reported(self):
+        engine = SurfEngine()
+        trace = Trace([(1.0, 1.0), (2.0, 0.0)], name="on-then-off")
+        cpu = engine.cpu_model.add_cpu("h", speed=1e9, state_trace=trace)
+        engine.register_resource_traces(cpu)
+        assert engine.step().state_changes == []      # on while on
+        assert engine.step().state_changes == [(cpu, False, [])]
 
     def test_cannot_step_backwards(self):
         engine = SurfEngine()
