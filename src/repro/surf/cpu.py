@@ -16,6 +16,7 @@ whose LMM share changed.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional
 
 from repro.surf.action import Action
@@ -154,8 +155,9 @@ class CpuModel(FluidModel):
         re-solved, and the per-core bounds of its running multi-core
         executions are resynced through ``on_action_priority_changed``.
         """
-        if speed <= 0:
-            raise ValueError(f"cpu {cpu.name!r}: speed must be > 0")
+        if not (math.isfinite(speed) and speed > 0):
+            raise ValueError(
+                f"cpu {cpu.name!r}: speed must be finite and > 0, got {speed!r}")
         cpu.speed = float(speed)
         cpu.set_peak_capacity(cpu.speed * cpu.cores)
         self.on_resource_capacity_changed(cpu)

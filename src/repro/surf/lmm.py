@@ -90,16 +90,18 @@ the reference algorithm whenever the same bottleneck is selected — which
 is always, except for adversarial systems holding *distinct* saturation
 levels less than ``2 × EPSILON`` apart (continuous inputs never do).
 
-The pre-existing rescanning algorithm is preserved verbatim as
-:meth:`solve_reference` — the executable specification the equivalence
-test-suite compares the incremental solver against.
+The pre-existing rescanning algorithm is not shipped: it lives verbatim in
+the test suite (``tests/lmm_reference.py``), the executable specification
+the equivalence tests compare this solver against through the
+``_subsolver=`` hook of :meth:`MaxMinSystem.solve`.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from operator import attrgetter, itemgetter
+from typing import Dict, List, Optional, Set, Tuple
 
 __all__ = ["MaxMinSystem", "Variable", "Constraint", "Element"]
 
@@ -108,6 +110,10 @@ EPSILON = 1e-9
 
 #: Candidate-heap entry kinds (index 4 of an entry tuple).
 _SHARED, _FATPIPE, _BOUND = 0, 1, 2
+
+#: Sort keys: creation id, and the scan rank of a candidate entry.
+_BY_ID = attrgetter("id")
+_BY_RANK = itemgetter(1)
 
 
 class Element:
@@ -459,7 +465,7 @@ class MaxMinSystem:
         # Creation order keeps the changed-variables report — and therefore
         # the completion-event tie-breaking downstream — deterministic.
         if self._detached_dirty:
-            for var in sorted(self._detached_dirty, key=lambda v: v.id):
+            for var in sorted(self._detached_dirty, key=_BY_ID):
                 if var.elements:
                     continue  # got expanded meanwhile; handled below
                 if var.weight <= EPSILON:
@@ -481,7 +487,7 @@ class MaxMinSystem:
             if len(modified) == 1:
                 seeds = list(modified)
             else:
-                seeds = sorted(modified, key=lambda c: c.id)
+                seeds = sorted(modified, key=_BY_ID)
             modified.clear()
             cns_seen: Set[Constraint] = set()
             var_seen: Set[Variable] = set()
@@ -516,8 +522,8 @@ class MaxMinSystem:
                 cnss, variables = self._component(seed, cns_seen, var_seen)
                 # Creation order keeps the selective solve's tie-breaking
                 # identical to a from-scratch solve of the same component.
-                cnss.sort(key=lambda c: c.id)
-                variables.sort(key=lambda v: v.id)
+                cnss.sort(key=_BY_ID)
+                variables.sort(key=_BY_ID)
                 start = len(changed)
                 subsolve(cnss, variables, changed)
                 if groups is not None:
@@ -531,14 +537,13 @@ class MaxMinSystem:
         solve so overlapping traversals are not repeated.  Zero-weight
         variables belong to the component (their value must be reset to 0)
         but do not propagate it: they consume nothing, so the constraints
-        on their far side are unaffected.
+        on their far side are unaffected.  The caller sorts both lists, so
+        the walk order (breadth-first over ``cnss`` itself) is free.
         """
         cns_seen.add(seed)
         cnss: List[Constraint] = [seed]
-        stack: List[Constraint] = [seed]
         variables: List[Variable] = []
-        while stack:
-            cns = stack.pop()
+        for cns in cnss:
             for elem in cns.elements:
                 var = elem.variable
                 if var in var_seen:
@@ -547,10 +552,10 @@ class MaxMinSystem:
                 variables.append(var)
                 if var.weight > EPSILON:
                     for other in var.elements:
-                        if other.constraint not in cns_seen:
-                            cns_seen.add(other.constraint)
-                            cnss.append(other.constraint)
-                            stack.append(other.constraint)
+                        reached = other.constraint
+                        if reached not in cns_seen:
+                            cns_seen.add(reached)
+                            cnss.append(reached)
         return cnss, variables
 
     # -- incremental progressive filling -----------------------------------------
@@ -560,9 +565,9 @@ class MaxMinSystem:
         """Incremental progressive filling restricted to one component.
 
         See the module docstring ("Incremental progressive filling") for
-        the data structures; :meth:`_solve_subsystem_reference` is the
-        rescanning specification this must stay observationally (and, for
-        well-separated saturation levels, bit-) identical to.
+        the data structures; the reference rescanning filling of the test
+        suite is the specification this must stay observationally (and,
+        for well-separated saturation levels, bit-) identical to.
         """
         self.constraints_solved += len(cnss)
         self.variables_solved += len(variables)
@@ -699,7 +704,7 @@ class MaxMinSystem:
             winner_is_bound = True
             if clevel is not None and (b_lvl is None or clevel <= b_lvl):
                 if shared and not exact:
-                    # Exactify at surfacing time, like _peek_candidate.
+                    # Exactify at surfacing time, like the general path.
                     self.heap_pops += 1
                     self.elements_visited += len(elements)
                     denom = 0.0
@@ -754,7 +759,7 @@ class MaxMinSystem:
                 if winner_is_bound:
                     cands.append((b_lvl, b_rank, b_var))
                 cands.extend(extras)
-                cands.sort(key=lambda e: e[1])
+                cands.sort(key=_BY_RANK)
                 best = math.inf
                 sel = cands[0]
                 for cand in cands:
@@ -799,9 +804,20 @@ class MaxMinSystem:
 
     def _progressive_filling(self, cnss: List[Constraint],
                              active: List[Variable], token: int) -> None:
-        """Heap-driven water-filling over the ``active`` variables."""
+        """Heap-driven water-filling over the ``active`` variables.
+
+        Every round runs in this one frame — surfacing the winner and its
+        near-tie band, freezing, refreshing the touched candidates — with
+        the work counters and the heap sequence in locals stored once at
+        exit, and no builtin call per element: on a large component the
+        cost of this loop is interpreter overhead per element and round.
+        """
         heap: list = []
         push = heapq.heappush
+        pop = heapq.heappop
+        visited = 0
+        pops = 0
+        seq = self._seq
 
         # Seed the working aggregates and the candidate heap.  The initial
         # levels are exact: the shared denominators are fresh sums over the
@@ -810,7 +826,8 @@ class MaxMinSystem:
             cns._ver += 1
             cns._rank = rank
             elements = cns.elements
-            self.elements_visited += len(elements)
+            visited += len(elements)
+            capacity = cns.capacity
             if cns.shared:
                 denom = 0.0
                 live = 0
@@ -819,20 +836,19 @@ class MaxMinSystem:
                     if var._stamp == token:
                         denom += elem.usage * var.weight
                         live += 1
-                cns._rem = cns.capacity
+                cns._rem = capacity
                 cns._denom = denom
                 cns._live = live
                 if live and denom > EPSILON:
-                    self._seq += 1
-                    push(heap, (max(0.0, cns.capacity) / denom, rank,
-                                self._seq, cns._ver, _SHARED, True, cns))
+                    seq += 1
+                    push(heap, ((capacity if capacity > 0.0 else 0.0) / denom,
+                                rank, seq, cns._ver, _SHARED, True, cns))
             else:
                 # Fat pipe: each element's saturation level is static
                 # (capacity, not remaining, caps each variable), so the
                 # constraint's candidate is the min of a lazy-deletion heap.
                 fat: List[Tuple[float, int, Variable]] = []
                 live = 0
-                capacity = cns.capacity
                 for elem in elements:
                     var = elem.variable
                     if var._stamp == token:
@@ -844,21 +860,77 @@ class MaxMinSystem:
                 cns._fat = fat
                 cns._live = live
                 if fat:
-                    self._seq += 1
-                    push(heap, (fat[0][0], rank, self._seq, cns._ver,
-                                _FATPIPE, True, cns))
+                    seq += 1
+                    push(heap, (fat[0][0], rank, seq, cns._ver, _FATPIPE,
+                                True, cns))
 
         num_cns = len(cnss)
         for aidx, var in enumerate(active):
             if var.bound is not None:
-                self._seq += 1
-                push(heap, (var.bound / var.weight, num_cns + aidx,
-                            self._seq, 0, _BOUND, True, var))
+                seq += 1
+                push(heap, (var.bound / var.weight, num_cns + aidx, seq, 0,
+                            _BOUND, True, var))
 
         unassigned = len(active)
         while unassigned:
-            entry = self._peek_candidate(heap, token)
-            if entry is None:
+            # Surface the live minimum, then every live candidate below
+            # ``limit``: the near-tie band, re-ranked below.  Stale entries
+            # (version mismatch, no unassigned variable left) are dropped.
+            # A shared entry whose level came from the running sum is
+            # replaced by one recomputed the way the reference scan does —
+            # a fresh sum(usage × weight) over the still-unassigned
+            # elements, in element order — so the level a winner freezes
+            # variables at is bit-identical to the reference.
+            winner = None
+            band = None
+            while heap:
+                entry = heap[0]
+                obj = entry[6]
+                if entry[4] == _BOUND:
+                    if obj._stamp != token:
+                        pop(heap)
+                        pops += 1
+                        continue
+                elif entry[3] != obj._ver or obj._live <= 0:
+                    pop(heap)
+                    pops += 1
+                    continue
+                elif not entry[5]:
+                    pop(heap)
+                    pops += 1
+                    elements = obj.elements
+                    visited += len(elements)
+                    denom = 0.0
+                    found = False
+                    for elem in elements:
+                        var = elem.variable
+                        if var._stamp == token:
+                            denom += elem.usage * var.weight
+                            found = True
+                    obj._ver += 1
+                    if not found or denom <= EPSILON:
+                        continue
+                    obj._denom = denom
+                    rem = obj._rem
+                    seq += 1
+                    push(heap, ((rem if rem > 0.0 else 0.0) / denom,
+                                entry[1], seq, obj._ver, _SHARED, True, obj))
+                    continue
+                if winner is None:
+                    pop(heap)
+                    pops += 1
+                    winner = entry
+                    level = entry[0]
+                    limit = level + 2.0 * EPSILON + 1e-9 * level
+                    continue
+                if entry[0] >= limit:
+                    break
+                if band is None:
+                    band = [winner]
+                band.append(pop(heap))
+                pops += 1
+
+            if winner is None:
                 # No constraint limits the remaining variables: they are
                 # only limited by their bounds (handled above) or unbounded.
                 for var in active:
@@ -867,9 +939,6 @@ class MaxMinSystem:
                                      else math.inf)
                         var._stamp = 0
                 break
-            heapq.heappop(heap)
-            self.heap_pops += 1
-            winner = entry
 
             # Near-tie adjudication: the heap orders equal levels by scan
             # rank already, but candidates whose levels differ by less than
@@ -877,18 +946,8 @@ class MaxMinSystem:
             # sum) must be re-ranked with the reference acceptance rule —
             # scan order, accept when more than EPSILON better — on their
             # exact levels.  The band is almost always empty.
-            limit = winner[0] + 2.0 * EPSILON + 1e-9 * winner[0]
-            band = None
-            while True:
-                nxt = self._peek_candidate(heap, token)
-                if nxt is None or nxt[0] >= limit:
-                    break
-                if band is None:
-                    band = [winner]
-                band.append(heapq.heappop(heap))
-                self.heap_pops += 1
             if band is not None:
-                band.sort(key=lambda e: e[1])
+                band.sort(key=_BY_RANK)
                 best = math.inf
                 for cand in band:
                     if cand[0] < best - EPSILON:
@@ -902,34 +961,38 @@ class MaxMinSystem:
             if winner[4] == _BOUND:
                 frozen = (winner[6],)
             else:
-                bottleneck = winner[6]
-                self.elements_visited += len(bottleneck.elements)
-                frozen = [e.variable for e in bottleneck.elements
+                elements = winner[6].elements
+                visited += len(elements)
+                frozen = [e.variable for e in elements
                           if e.variable._stamp == token]
 
             # Freeze the saturated variables and maintain the running
             # aggregates of every constraint they cross — O(crossed).
-            touched: Dict[int, Constraint] = {}
+            touched: Dict[Constraint, None] = {}
             for var in frozen:
-                value = level * var.weight
-                if var.bound is not None:
-                    value = min(value, var.bound)
+                weight = var.weight
+                value = level * weight
+                bound = var.bound
+                if bound is not None and bound < value:
+                    value = bound
                 var.value = value
                 var._stamp = 0
                 unassigned -= 1
                 elements = var.elements
-                self.elements_visited += len(elements)
+                visited += len(elements)
                 for elem in elements:
                     cns = elem.constraint
                     if cns.shared:
-                        cns._rem = max(0.0, cns._rem - elem.usage * value)
-                        cns._denom -= elem.usage * var.weight
+                        usage = elem.usage
+                        rem = cns._rem - usage * value
+                        cns._rem = rem if rem > 0.0 else 0.0
+                        cns._denom -= usage * weight
                     cns._live -= 1
-                    touched[cns.id] = cns
+                    touched[cns] = None
 
             # One version bump + one refreshed candidate per touched
             # constraint (not per frozen variable crossing it).
-            for cns in touched.values():
+            for cns in touched:
                 cns._ver += 1
                 if cns._live <= 0:
                     continue
@@ -943,30 +1006,32 @@ class MaxMinSystem:
                         # elements would still pass the reference
                         # threshold.  Resync before deciding to drop the
                         # constraint from candidacy.
-                        self.elements_visited += len(cns.elements)
+                        elements = cns.elements
+                        visited += len(elements)
                         denom = 0.0
-                        for elem in cns.elements:
+                        for elem in elements:
                             var = elem.variable
                             if var._stamp == token:
                                 denom += elem.usage * var.weight
                         cns._denom = denom
                         exact = True
-                    # Approximate entries are exactified at pop time, which
-                    # applies the reference `denom <= EPSILON` threshold.
+                    # Approximate entries are exactified when they surface,
+                    # which applies the reference `denom <= EPSILON` rule.
                     if denom > EPSILON or (not exact
                                            and denom > 0.5 * EPSILON):
-                        self._seq += 1
-                        push(heap, (max(0.0, cns._rem) / denom,
-                                    cns._rank, self._seq, cns._ver,
-                                    _SHARED, exact, cns))
+                        rem = cns._rem
+                        seq += 1
+                        push(heap, ((rem if rem > 0.0 else 0.0) / denom,
+                                    cns._rank, seq, cns._ver, _SHARED,
+                                    exact, cns))
                 else:
                     fat = cns._fat
                     while fat and fat[0][2]._stamp != token:
-                        heapq.heappop(fat)
+                        pop(fat)
                     if fat:
-                        self._seq += 1
-                        push(heap, (fat[0][0], cns._rank, self._seq,
-                                    cns._ver, _FATPIPE, True, cns))
+                        seq += 1
+                        push(heap, (fat[0][0], cns._rank, seq, cns._ver,
+                                    _FATPIPE, True, cns))
 
         # The fat-pipe level heaps are per-solve working state; drop them
         # so their Variable references (and, through ``var.data``, the
@@ -974,184 +1039,9 @@ class MaxMinSystem:
         for cns in cnss:
             if not cns.shared:
                 cns._fat = []
-
-    def _peek_candidate(self, heap: list, token: int):
-        """Surface the heap's live minimum, with an *exact* level.
-
-        Drops stale entries (version mismatch, no unassigned variable
-        left).  A surfacing shared-constraint entry whose level came from
-        the running sum is replaced by one recomputed the way the
-        reference scan computes it — a fresh ``sum(usage × weight)`` over
-        the still-unassigned elements, in element order — so the level a
-        winner freezes variables at is bit-identical to the reference.
-        Returns the live entry without popping it, or ``None``.
-        """
-        pops = 0
-        result = None
-        while heap:
-            entry = heap[0]
-            kind = entry[4]
-            obj = entry[6]
-            if kind == _BOUND:
-                if obj._stamp == token:
-                    result = entry
-                    break
-                heapq.heappop(heap)
-                pops += 1
-                continue
-            if entry[3] != obj._ver or obj._live <= 0:
-                heapq.heappop(heap)
-                pops += 1
-                continue
-            if entry[5]:          # already exact
-                result = entry
-                break
-            # Stale-approximate shared entry: recompute exactly.
-            heapq.heappop(heap)
-            pops += 1
-            elements = obj.elements
-            self.elements_visited += len(elements)
-            denom = 0.0
-            found = False
-            for elem in elements:
-                var = elem.variable
-                if var._stamp == token:
-                    denom += elem.usage * var.weight
-                    found = True
-            obj._ver += 1
-            if not found or denom <= EPSILON:
-                continue
-            obj._denom = denom
-            self._seq += 1
-            heapq.heappush(heap, (max(0.0, obj._rem) / denom, entry[1],
-                                  self._seq, obj._ver, _SHARED, True, obj))
+        self.elements_visited += visited
         self.heap_pops += pops
-        return result
-
-    # -- reference algorithm (kept for the equivalence test-suite) ---------------
-    def solve_reference(self) -> List[Variable]:
-        """Force a from-scratch solve with the reference rescanning filling.
-
-        The pre-incremental progressive filling (a full rescan of every
-        constraint's elements at every round) is preserved verbatim as the
-        executable specification of the solver; only tests should call it.
-        """
-        self._modified.update(c for c in self.constraints if c.elements)
-        self._detached_dirty.update(v for v in self._vars.values()
-                                    if not v.elements)
-        return self.solve(_subsolver=self._solve_subsystem_reference)
-
-    def _solve_subsystem_reference(self, cnss: List[Constraint],
-                                   variables: List[Variable],
-                                   changed: List[Variable]) -> None:
-        """Reference progressive filling: per-round full rescans."""
-        self.constraints_solved += len(cnss)
-        self.variables_solved += len(variables)
-        old_values = [var.value for var in variables]
-
-        active: List[Variable] = []
-        for var in variables:
-            if var.weight <= EPSILON or not var.elements:
-                if var.weight <= EPSILON:
-                    var.value = 0.0
-                else:
-                    var.value = var.bound if var.bound is not None else math.inf
-            else:
-                var.value = 0.0
-                active.append(var)
-
-        remaining: Dict[int, float] = {c.id: c.capacity for c in cnss}
-        unassigned = set(id(v) for v in active)
-
-        # Guard: at most one round per variable (each round freezes >= 1 var).
-        for _round in range(len(active) + 1):
-            if not unassigned:
-                break
-
-            # 1. candidate level from each constraint
-            best_level = math.inf
-            best_constraint: Optional[Constraint] = None
-            for cns in cnss:
-                level = self._constraint_level(cns, remaining[cns.id],
-                                               unassigned)
-                if level is not None and level < best_level - EPSILON:
-                    best_level = level
-                    best_constraint = cns
-
-            # 2. candidate level from each still-unassigned bounded variable
-            best_bound_var: Optional[Variable] = None
-            for var in active:
-                if id(var) not in unassigned or var.bound is None:
-                    continue
-                level = var.bound / var.weight
-                if level < best_level - EPSILON:
-                    best_level = level
-                    best_constraint = None
-                    best_bound_var = var
-
-            if best_level is math.inf:
-                # No constraint limits the remaining variables: they are only
-                # limited by their bounds (handled above) or unbounded.
-                for var in active:
-                    if id(var) in unassigned:
-                        var.value = (var.bound if var.bound is not None
-                                     else math.inf)
-                        unassigned.discard(id(var))
-                break
-
-            if best_bound_var is not None:
-                frozen = [best_bound_var]
-            else:
-                assert best_constraint is not None
-                frozen = [v for v in best_constraint.variables
-                          if id(v) in unassigned]
-
-            for var in frozen:
-                value = best_level * var.weight
-                if var.bound is not None:
-                    value = min(value, var.bound)
-                var.value = value
-                unassigned.discard(id(var))
-                self.elements_visited += len(var.elements)
-                # subtract consumption from every shared constraint crossed
-                for elem in var.elements:
-                    if elem.constraint.shared:
-                        remaining[elem.constraint.id] = max(
-                            0.0,
-                            remaining[elem.constraint.id] - elem.usage * value,
-                        )
-
-        for var, old in zip(variables, old_values):
-            if var.value != old:
-                changed.append(var)
-
-    def _constraint_level(self, cns: Constraint, remaining: float,
-                          unassigned) -> Optional[float]:
-        """Saturation level of ``cns`` for its still-unassigned variables.
-
-        Returns ``None`` when no unassigned variable crosses the constraint.
-        """
-        self.elements_visited += len(cns.elements)
-        if cns.shared:
-            denom = 0.0
-            found = False
-            for elem in cns.elements:
-                if id(elem.variable) in unassigned:
-                    denom += elem.usage * elem.variable.weight
-                    found = True
-            if not found or denom <= EPSILON:
-                return None
-            return max(0.0, remaining) / denom
-        # Fat-pipe: each variable is individually limited to capacity/usage,
-        # i.e. level = capacity / (usage * weight); the constraint behaves as
-        # a per-variable bound, so the level is the smallest of those.
-        best = None
-        for elem in cns.elements:
-            if id(elem.variable) in unassigned and elem.usage > EPSILON:
-                level = cns.capacity / (elem.usage * elem.variable.weight)
-                if best is None or level < best:
-                    best = level
-        return best
+        self._seq = seq
 
     # -- validation helpers -------------------------------------------------------
     def solve_all(self) -> None:

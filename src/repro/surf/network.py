@@ -170,8 +170,9 @@ class NetworkModel(FluidModel):
         path, so the selective solve re-shares only the flows crossing this
         link.
         """
-        if bandwidth <= 0:
-            raise ValueError(f"link {link.name!r}: bandwidth must be > 0")
+        if not (math.isfinite(bandwidth) and bandwidth > 0):
+            raise ValueError(f"link {link.name!r}: bandwidth must be finite "
+                             f"and > 0, got {bandwidth!r}")
         link.bandwidth = bandwidth * self.config.bandwidth_factor
         link.set_peak_capacity(link.bandwidth)
 
@@ -182,8 +183,9 @@ class NetworkModel(FluidModel):
         transfer's route latency (and its TCP window bound) is computed once
         when the communication starts, exactly like SimGrid.
         """
-        if latency < 0:
-            raise ValueError(f"link {link.name!r}: latency must be >= 0")
+        if not (math.isfinite(latency) and latency >= 0):
+            raise ValueError(f"link {link.name!r}: latency must be finite "
+                             f"and >= 0, got {latency!r}")
         link.latency = float(latency)
 
     # -- action creation -----------------------------------------------------------

@@ -13,6 +13,7 @@ adds what the paper's SURF panel describes:
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from repro.surf.lmm import Constraint, MaxMinSystem
@@ -83,8 +84,9 @@ class Resource:
         ``update_constraint_capacity`` — the one write path the selective
         solve tracks — so only the affected component is re-solved.
         """
-        if capacity < 0:
-            raise ValueError(f"resource {self.name!r}: capacity must be >= 0")
+        if not (math.isfinite(capacity) and capacity >= 0):
+            raise ValueError(f"resource {self.name!r}: capacity must be "
+                             f"finite and >= 0, got {capacity!r}")
         self.peak_capacity = float(capacity)
         self._push_capacity()
 

@@ -5,16 +5,20 @@ variations due to external load* — CPU availability and network bandwidth
 scaled by a trace while the simulation runs.  These tests pin the
 hand-computed dates for activities spanning an availability dip, exercise
 the runtime ``Host.set_speed`` / ``Link.set_bandwidth`` write path, check
-the ``on_resource_speed_change`` observer, and prove the selective solve
-only re-solves the LMM component containing the modulated resource.
+the ``on_resource_speed_change`` observer, prove the selective solve
+only re-solves the LMM component containing the modulated resource, and
+check that the runtime setters reject non-finite values in the caller.
 """
+
+import math
 
 import pytest
 
-from repro.platform import Platform
+from repro.platform import Platform, make_star
 from repro.s4u import Engine, this_actor
 from repro.surf.engine import SurfEngine
 from repro.surf.trace import Trace
+from test_state_path import CONTEXTS, _World
 
 
 def dip_platform(cores=1, host_trace=None, link_trace=None):
@@ -265,3 +269,89 @@ class TestSelectiveResolve:
 
         surf.run_until_idle()
         assert surf.clock == pytest.approx(19.0)    # a: 1 + 9e9/5e8
+
+
+# -- runtime setters reject non-finite values ----------------------------------
+
+#: The runtime setters, by the argument each one checks.
+SETTERS = {
+    "speed": lambda engine, value: engine.host_by_name("leaf-0").set_speed(
+        value),
+    "bandwidth": lambda engine, value: engine.link_by_name(
+        "leaf-link-0").set_bandwidth(value),
+    "latency": lambda engine, value: engine.link_by_name(
+        "leaf-link-1").set_latency(value),
+}
+
+
+def _send(world, actor, box, size):
+    yield world.engine.mailbox(box).put(box, size=size)
+
+
+def _receive(world, actor, box):
+    yield world.engine.mailbox(box).get()
+    world.note("received", box)
+
+
+def _compute(world, actor):
+    yield actor.execute(1e9)
+    world.note("computed")
+
+
+def _admin(world, actor, setter, value):
+    yield actor.sleep_for(0.1)
+    if setter is not None:
+        try:
+            setter(world.engine, value)
+        except ValueError as exc:
+            world.note("rejected", str(exc))
+    yield from _send(world, actor, "late", 1e6)
+
+
+def _setter_world(context, setter=None, value=None):
+    """Star with two leaves: 10 MB from leaf-0 to leaf-1 and a 1 Gflop
+    exec on leaf-0 from t=0; at t=0.1, with both in flight, the centre
+    calls ``setter(engine, value)``, then sends 1 MB to leaf-1.  Returns
+    the world after run()."""
+    world = _World(context, make_star(num_hosts=2))
+    world.spawn("send", "leaf-0", _send, "early", 1e7)
+    world.spawn("receive", "leaf-1", _receive, "early")
+    world.spawn("compute", "leaf-0", _compute)
+    world.spawn("admin", "center", _admin, setter, value)
+    world.spawn("receive-late", "leaf-1", _receive, "late")
+    world.note("run returned", world.engine.run())
+    return world
+
+
+class TestSettersRejectNonFinite:
+    """NaN and infinities used to reach the solver: a NaN bandwidth or
+    speed starved the running transfer or exec (``run()`` returned with
+    it undelivered) and a NaN latency moved a later transfer's date."""
+
+    #: What the world of ``_setter_world`` logs without a setter call.
+    CLEAN_LOG = [("received", "late", 0.265), ("received", "early", 0.89),
+                 ("computed", 1.0), ("run returned", 1.0, 1.0)]
+
+    def test_clean_world(self):
+        assert _setter_world("generator").log == self.CLEAN_LOG
+
+    @pytest.mark.parametrize("context", CONTEXTS)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("argument", sorted(SETTERS))
+    def test_rejected_in_the_caller_and_nothing_moves(self, argument, value,
+                                                      context):
+        world = _setter_world(context, SETTERS[argument], value)
+        (_, message, date), *rest = [entry for entry in world.log
+                                         if entry[0] == "rejected"]
+        assert rest == [] and date == 0.1
+        assert f": {argument} must be finite" in message
+        assert [entry for entry in world.log if entry[0] != "rejected"] \
+            == self.CLEAN_LOG
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_resource_peak_capacity(self, value):
+        surf = SurfEngine()
+        cpu = surf.cpu_model.add_cpu("h", speed=1e9)
+        with pytest.raises(ValueError, match="capacity must be finite"):
+            cpu.set_peak_capacity(value)
+        assert cpu.peak_capacity == 1e9

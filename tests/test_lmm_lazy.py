@@ -7,12 +7,18 @@ would get.  These tests drive randomized systems through randomized
 mutation sequences and compare against the reference at every step.
 """
 
+import hashlib
+import json
 import math
+import pathlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lmm_reference import solve_reference
+from repro.surf import lmm
 from repro.surf.cpu import CpuModel
 from repro.surf.engine import SurfEngine
 from repro.surf.lmm import MaxMinSystem
@@ -28,7 +34,7 @@ def reference_values(system, use_reference_solver=False):
     """Map variable id -> value a from-scratch full solve would assign.
 
     With ``use_reference_solver=True`` the rebuilt clone is solved with
-    :meth:`MaxMinSystem.solve_reference` — the preserved pre-incremental
+    :func:`lmm_reference.solve_reference` — the preserved pre-incremental
     rescanning algorithm — instead of the incremental solver.
     """
     fresh = MaxMinSystem()
@@ -43,7 +49,7 @@ def reference_values(system, use_reference_solver=False):
             fresh.expand(cns_map[elem.constraint.id], var_map[var.id],
                          elem.usage)
     if use_reference_solver:
-        fresh.solve_reference()
+        solve_reference(fresh)
     else:
         fresh.solve()
     return {vid: clone.value for vid, clone in var_map.items()}
@@ -167,7 +173,7 @@ def test_property_incremental_solver_matches_reference_solver(script):
     zero-weight (suspended) and detached (constraint-free) variables are
     driven through random mutations; after every selective solve, the
     values must match a from-scratch clone solved with the *reference*
-    algorithm (``solve_reference``), not just the incremental one.
+    algorithm (``lmm_reference``), not just the incremental one.
     """
     seed, num_constraints, num_variables, num_mutations = script
     rng = random.Random(seed)
@@ -227,26 +233,11 @@ COUNTERS = ("constraints_solved", "variables_solved", "elements_visited",
             "heap_pops")
 
 
-def play(script, short_circuit):
-    """Interpret a mutation script; return what every solve reported.
-
-    ``short_circuit=False`` passes ``_subsolver=system._solve_subsystem``:
-    the same filling, but every seed walks ``_component`` — the path the
-    reference oracle takes.  Per solve the trace holds the changed ids,
-    ``solve_grouped``'s groups, the four work counters (``golden.json``
-    pins them, so equality is the contract), every value, and how many
-    seeds walked the graph.
-    """
-    system = MaxMinSystem()
-    constraints, variables, trace = [], [], []
-    walks = [0]
-    component = system._component
-
-    def counting_component(*args):
-        walks[0] += 1
-        return component(*args)
-
-    system._component = counting_component
+def interpret(system, script, solve):
+    """Apply a mutation script to ``system``, calling ``solve()`` at each
+    ``("solve",)`` step.  Scripts name constraints and variables by their
+    creation index."""
+    constraints, variables = [], []
     for op, *args in script:
         if op == "cns":
             capacity, shared = args
@@ -267,15 +258,40 @@ def play(script, short_circuit):
             system.update_constraint_capacity(constraints[args[0]], args[1])
         else:
             assert op == "solve"
-            walks[0] = 0
-            changed, groups = system.solve_grouped(
-                _subsolver=None if short_circuit
-                else system._solve_subsystem)
-            assert_matches_reference(system, use_reference_solver=True)
-            trace.append(([var.id for var in changed], groups,
-                          [getattr(system, name) for name in COUNTERS],
-                          {var.id: var.value for var in system.variables},
-                          walks[0]))
+            solve()
+
+
+def play(script, short_circuit):
+    """Interpret a mutation script; return what every solve reported.
+
+    ``short_circuit=False`` passes ``_subsolver=system._solve_subsystem``:
+    the same filling, but every seed walks ``_component`` — the path the
+    reference oracle takes.  Per solve the trace holds the changed ids,
+    ``solve_grouped``'s groups, the four work counters (``golden.json``
+    pins them, so equality is the contract), every value, and how many
+    seeds walked the graph.
+    """
+    system = MaxMinSystem()
+    trace = []
+    walks = [0]
+    component = system._component
+
+    def counting_component(*args):
+        walks[0] += 1
+        return component(*args)
+
+    def solve():
+        walks[0] = 0
+        changed, groups = system.solve_grouped(
+            _subsolver=None if short_circuit else system._solve_subsystem)
+        assert_matches_reference(system, use_reference_solver=True)
+        trace.append(([var.id for var in changed], groups,
+                      [getattr(system, name) for name in COUNTERS],
+                      {var.id: var.value for var in system.variables},
+                      walks[0]))
+
+    system._component = counting_component
+    interpret(system, script, solve)
     return trace
 
 
@@ -427,6 +443,284 @@ def test_property_component_short_circuit_is_invisible(script):
 
 
 # ----------------------------------------------------------------------------------
+# the general path pinned to the bit: values, reports, counters, seq and token
+# ----------------------------------------------------------------------------------
+
+#: Recorded before the filling loop was fused into one frame; a solver
+#: change that moves any of it changes what the solver computes.
+GENERAL_PATH_PINS = pathlib.Path(__file__).with_name(
+    "lmm_general_path_pins.json")
+
+
+def waxman_script(seed, num_nodes=14, num_flows=48):
+    """Multi-hop flows arriving and leaving on a Waxman graph.
+
+    Links join a node chain (so the graph is connected) plus the pairs the
+    Waxman rule draws; one link in eight is a fat pipe.  A flow follows
+    the fewest-hop route and carries a window bound half the time.  With
+    arrivals, departures and the odd capacity change interleaved, many
+    solves re-fill one component spanning most links — the shape of the
+    ``wan_contended`` benchmark workload.
+    """
+    rng = random.Random(seed)
+    points = [(rng.random(), rng.random()) for _ in range(num_nodes)]
+    span = max(math.dist(p, q) for p in points for q in points)
+    script, links = [], {}
+    neighbours = {node: [] for node in range(num_nodes)}
+    for i in range(num_nodes):
+        for j in range(i + 1, num_nodes):
+            near = 0.5 * math.exp(-math.dist(points[i], points[j])
+                                  / (0.25 * span))
+            if j == i + 1 or rng.random() < near:
+                links[i, j] = links[j, i] = len(script)
+                neighbours[i].append(j)
+                neighbours[j].append(i)
+                script.append(("cns", rng.uniform(1e7, 1e8),
+                               rng.random() > 0.125))
+    num_links = len(script)
+
+    def route(src, dst):
+        parent = {src: None}
+        queue = [src]
+        for node in queue:
+            for nxt in neighbours[node]:
+                if nxt not in parent:
+                    parent[nxt] = node
+                    queue.append(nxt)
+        hops = []
+        while parent[dst] is not None:
+            hops.append((links[parent[dst], dst], 1.0))
+            dst = parent[dst]
+        return hops
+
+    live = []
+    for flow in range(num_flows):
+        bound = rng.uniform(2e6, 4e7) if rng.random() < 0.5 else None
+        script.append(("var", rng.choice((1.0, 1.0, 2.0)), bound,
+                       route(*rng.sample(range(num_nodes), 2))))
+        live.append(flow)
+        if len(live) > 20 and rng.random() < 0.6:
+            script.append(("remove", live.pop(rng.randrange(len(live)))))
+        if rng.random() < 0.1:
+            script.append(("capacity", rng.randrange(num_links),
+                           rng.uniform(1e7, 1e8)))
+        script.append(("solve",))
+    while live:
+        script.append(("remove", live.pop(rng.randrange(len(live)))))
+        script.append(("solve",))
+    return script
+
+
+#: Offsets from a common level, all inside the 2 × EPSILON near-tie band.
+NEAR_TIE_OFFSETS = (-1.6e-9, -7e-10, -3e-10, 0.0, 2e-10, 6e-10, 1.1e-9,
+                    1.9e-9)
+
+
+def near_tie_script(seed):
+    """Distinct saturation levels less than ``2 × EPSILON`` apart, across
+    constraints and bounds.
+
+    A chain of constraints, each with a private variable, consecutive
+    ones bridged by a variable crossing both; capacities are scaled so
+    every constraint's first level is ``base + offset``, and freezing one
+    keeps its neighbours' next levels inside the band.  Bounds, capacity
+    changes and suspended bridges land in the band too.
+    """
+    rng = random.Random(seed)
+    base = rng.choice((1.0, 7.0, 40.0))
+    num = rng.randint(3, 6)
+    shared = [rng.random() > 0.25 for _ in range(num)]
+    scale = [(1 + (k > 0) + (k < num - 1)) if shared[k] else 1
+             for k in range(num)]
+
+    def level():
+        return base + rng.choice(NEAR_TIE_OFFSETS)
+
+    script = [("cns", scale[k] * level(), shared[k]) for k in range(num)]
+    for k in range(num):
+        bound = level() if rng.random() < 0.3 else None
+        script.append(("var", 1.0, bound, [(k, 1.0)]))
+    for k in range(num - 1):
+        script.append(("var", 1.0, None, [(k, 1.0), (k + 1, 1.0)]))
+    script.append(("solve",))
+    for _ in range(6):
+        k = rng.randrange(num)
+        op = rng.randrange(3)
+        if op == 0:
+            script.append(("capacity", k, scale[k] * level()))
+        elif op == 1:
+            script.append(("bound", k, rng.choice((None, level()))))
+        elif num > 1:
+            script.append(("weight", num + rng.randrange(num - 1),
+                           rng.choice((0.0, 1.0))))
+        script.append(("solve",))
+    return script
+
+
+def mixed_script(seed):
+    """Shared and fat-pipe constraints, bounds, zero-weight and detached
+    variables, through every kind of mutation."""
+    rng = random.Random(seed)
+    num_constraints = rng.randint(2, 7)
+    script = [("cns", rng.uniform(1.0, 1000.0), rng.random() > 0.3)
+              for _ in range(num_constraints)]
+    live, created = [], 0
+
+    def new_variable():
+        nonlocal created
+        weight = 0.0 if rng.random() < 0.15 else rng.uniform(0.1, 10.0)
+        bound = rng.uniform(0.5, 500.0) if rng.random() < 0.4 else None
+        crossings = [] if rng.random() < 0.12 else [
+            (index, rng.uniform(0.5, 2.0)) for index in rng.sample(
+                range(num_constraints), rng.randint(1, num_constraints))]
+        live.append(created)
+        created += 1
+        return ("var", weight, bound, crossings)
+
+    script.extend(new_variable() for _ in range(rng.randint(4, 14)))
+    script.append(("solve",))
+    for _ in range(10):
+        op = rng.randrange(5)
+        if op == 0:
+            script.append(("weight", rng.choice(live),
+                           rng.choice((0.0, rng.uniform(0.1, 10.0)))))
+        elif op == 1:
+            script.append(("bound", rng.choice(live),
+                           rng.choice((None, rng.uniform(0.5, 500.0)))))
+        elif op == 2:
+            script.append(("capacity", rng.randrange(num_constraints),
+                           rng.uniform(1.0, 1000.0)))
+        elif op == 3 and len(live) > 1:
+            script.append(("remove", live.pop(rng.randrange(len(live)))))
+        else:
+            script.append(new_variable())
+        script.append(("solve",))
+    return script
+
+
+def cancellation_script(dominant, minor):
+    """The running denominator cancels when a dominant term leaves.
+
+    Variable 0 crosses constraint 0 with usage ``dominant`` and freezes
+    first through a tiny bound; ``fl(dominant + minor) - dominant`` is
+    then 0.0 (a resync) or an approximate sum that exactification keeps
+    or drops on the ``EPSILON`` threshold.  Variable 1 bridges to a
+    second constraint so the component takes the general path.
+    """
+    return [("cns", 1e3, True), ("cns", 1e15, True),
+            ("var", 1.0, 1e-12, [(0, dominant)]),
+            ("var", 1.0, None, [(0, minor), (1, 1.0)]),
+            ("var", 1.0, None, [(1, 1.0)]), ("solve",),
+            ("capacity", 0, 2e3), ("solve",),
+            ("bound", 0, 2e-12), ("solve",),
+            ("capacity", 1, 40.0), ("solve",)]
+
+
+GENERAL_PATH_CORPUS = {
+    **{f"waxman-{seed}": waxman_script(seed) for seed in range(3)},
+    **{f"near-tie-{seed}": near_tie_script(seed) for seed in range(12)},
+    **{f"mixed-{seed}": mixed_script(seed) for seed in range(12)},
+    **{f"cancel-{dominant:g}-{minor:g}": cancellation_script(dominant, minor)
+       for dominant, minor in ((1e9, 1e-8), (1e9, 1e-9), (1e9, 3e-10),
+                               (1.0, 1.2e-9), (1.0, 7e-10),
+                               (1.0, 3e-10))},
+}
+
+
+def pin_trace(script):
+    """What every solve of ``script`` reported, exactly: the changed ids,
+    the groups, the four counters, ``_seq`` and ``_token``, and a digest
+    of every variable's ``float.hex`` value."""
+    system = MaxMinSystem()
+    trace = []
+
+    def solve():
+        changed, groups = system.solve_grouped()
+        values = " ".join(f"{var.id}:{var.value.hex()}"
+                          for var in system.variables)
+        trace.append({
+            "changed": [var.id for var in changed],
+            "groups": [list(group) for group in groups],
+            "counters": [getattr(system, name) for name in COUNTERS]
+                        + [system._seq, system._token],
+            "values": hashlib.sha256(values.encode()).hexdigest()[:16],
+        })
+
+    interpret(system, script, solve)
+    return trace
+
+
+@pytest.mark.parametrize("name", sorted(GENERAL_PATH_CORPUS))
+def test_general_path_is_pinned_to_the_bit(name):
+    """Every solve of the corpus reports exactly what was recorded."""
+    pinned = json.loads(GENERAL_PATH_PINS.read_text())[name]
+    trace = pin_trace(GENERAL_PATH_CORPUS[name])
+    assert len(trace) == len(pinned)
+    for step, (got, want) in enumerate(zip(trace, pinned)):
+        assert got == want, f"solve {step}"
+
+
+def test_general_path_pins_cover_the_corpus():
+    """The pins hold exactly the corpus, and the Waxman scripts re-fill
+    components spanning most of their links (15 or more constraints)."""
+    pins = json.loads(GENERAL_PATH_PINS.read_text())
+    assert sorted(pins) == sorted(GENERAL_PATH_CORPUS)
+    for name in ("waxman-0", "waxman-1", "waxman-2"):
+        solved = [step["counters"][0] for step in pins[name]]
+        assert max(b - a for a, b in zip(solved, solved[1:])) >= 15
+
+
+class TestFillingLoopIsOneFrame:
+    """A general-path sub-solve runs its rounds in one Python frame.
+
+    Counted with ``sys.setprofile``, no clock: the frames entered from
+    ``repro/surf/lmm.py`` during one solve must not grow with the number
+    of filling rounds.  Comprehension frames are not counted (Python
+    3.10/3.11 give them one, 3.12 inlines them).
+    """
+
+    COMPREHENSIONS = {"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"}
+
+    def frames_of_one_solve(self, num_flows):
+        # One shared link and a private access link per flow, most access
+        # links below the fair share: one component, ~one round per flow.
+        rng = random.Random(5)
+        system = MaxMinSystem()
+        backbone = system.new_constraint(1e9)
+        for flow in range(num_flows):
+            access = system.new_constraint(
+                1e9 / num_flows * rng.uniform(0.2, 1.5))
+            bound = 1e9 / num_flows * rng.uniform(0.2, 1.5) \
+                if flow % 3 == 0 else None
+            var = system.new_variable(weight=rng.uniform(0.5, 2.0),
+                                      bound=bound)
+            system.expand(backbone, var)
+            system.expand(access, var, rng.uniform(0.5, 2.0))
+        frames = {}
+
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if (event == "call" and code.co_filename == lmm.__file__
+                    and code.co_name not in self.COMPREHENSIONS):
+                frames[code.co_name] = frames.get(code.co_name, 0) + 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            system.solve()
+        finally:
+            sys.setprofile(previous)
+        return frames, system.heap_pops
+
+    def test_frames_do_not_grow_with_rounds(self):
+        small, small_pops = self.frames_of_one_solve(50)
+        large, large_pops = self.frames_of_one_solve(200)
+        assert large_pops > 3 * small_pops     # ~4x the rounds ...
+        assert large == small                  # ... in the same frames
+        assert small["_progressive_filling"] == 1
+
+
+# ----------------------------------------------------------------------------------
 # complexity counters: dense bottleneck stays near-linear (wall-clock-free)
 # ----------------------------------------------------------------------------------
 
@@ -463,9 +757,9 @@ class TestSolverComplexityCounters:
     def test_reference_solver_is_quadratic_on_dense_bottleneck(self):
         """The preserved reference shows the contrast on the same shape."""
         small = dense_bottleneck_system(200)
-        small.solve_reference()
+        solve_reference(small)
         large = dense_bottleneck_system(800)
-        large.solve_reference()
+        solve_reference(large)
         assert large.elements_visited / small.elements_visited > 10.0
 
     def test_dense_bottleneck_values_bitwise_equal_to_reference(self):
@@ -473,7 +767,7 @@ class TestSolverComplexityCounters:
         incremental = dense_bottleneck_system(800)
         incremental.solve()
         reference = dense_bottleneck_system(800)
-        reference.solve_reference()
+        solve_reference(reference)
         for a, b in zip(incremental.variables, reference.variables):
             assert a.value == b.value, f"var {a.id}"
 
@@ -717,3 +1011,15 @@ def test_network_transfer_remaining_during_and_after_latency():
 def test_cpu_model_has_no_sleep_pseudo_action():
     """Sleeps go through the engine timer queue, not the CPU model."""
     assert not hasattr(CpuModel, "sleep")
+
+
+if __name__ == "__main__":
+    # Re-record the general-path pins, one solve per line.  Only at a commit
+    # whose solver output is trusted; run from the repository root with
+    # ``PYTHONPATH=src python tests/test_lmm_lazy.py``.
+    entries = []
+    for name in sorted(GENERAL_PATH_CORPUS):
+        steps = ",\n".join(f"  {json.dumps(step)}"
+                           for step in pin_trace(GENERAL_PATH_CORPUS[name]))
+        entries.append(f"{json.dumps(name)}: [\n{steps}\n]")
+    GENERAL_PATH_PINS.write_text("{\n" + ",\n".join(entries) + "\n}\n")
