@@ -37,11 +37,6 @@ class Smpi:
         self.sampler = SmpiSampler(actor,
                                    reference_speed=world.reference_speed)
 
-    @property
-    def process(self) -> Actor:
-        """Pre-s4u name of :attr:`actor`."""
-        return self.actor
-
     def wtime(self) -> float:
         """Simulated time, like ``MPI_Wtime``."""
         return self.actor.now

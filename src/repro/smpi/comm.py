@@ -10,9 +10,10 @@ payloads with an explicit ``size`` — no per-message task wrapper is
 allocated.  Matching honours ``source``/``tag`` with the usual
 ``ANY_SOURCE`` / ``ANY_TAG`` wildcards and an unexpected-message queue; a
 single in-flight :class:`~repro.s4u.activity.Comm` future per communicator
-drains the rank's mailbox in arrival order, and :class:`Request` handles
-are completed through it (``wait`` / ``test`` / ``waitany`` over
-:class:`~repro.s4u.activity.ActivitySet`).
+drains the rank's mailbox in arrival order.  ``recv``, ``wait``, ``test``
+and ``waitany`` are all callers of one progress loop,
+:meth:`Communicator._progress`, the only code that posts the shared
+receive, blocks on a transfer or withdraws a receive.
 """
 
 from __future__ import annotations
@@ -112,23 +113,22 @@ class Communicator:
             raise MpiError(f"{what} rank {rank} out of range 0..{self.size - 1}")
 
     # -- point-to-point --------------------------------------------------------------------
-    def _post_eager(self, value: Any, dest: int, tag: int,
-                    count: Optional[int], datatype: Optional[Datatype]
-                    ) -> Comm:
-        """Deposit a message: a detached async put with an explicit size."""
+    def _post(self, value: Any, dest: int, tag: int, count: Optional[int],
+              datatype: Optional[Datatype], detached: bool) -> Comm:
+        """Deposit a message: an async put of an envelope with explicit size."""
         self._check_rank(dest, "destination")
         size = payload_size(value, count, datatype)
         envelope = _Envelope(source=self.rank, dest=dest, tag=tag,
                              value=value, size=size)
         return self._box(dest).put_async(
-            envelope, size=size, detached=True,
+            envelope, size=size, detached=detached,
             name=f"smpi:{self.rank}->{dest}:{tag}")
 
     def send(self, value: Any, dest: int, tag: int = 0,
              count: Optional[int] = None,
              datatype: Optional[Datatype] = None) -> None:
         """Standard-mode send (eager: returns once the message is deposited)."""
-        self._post_eager(value, dest, tag, count, datatype)
+        self._post(value, dest, tag, count, datatype, detached=True)
 
     def isend(self, value: Any, dest: int, tag: int = 0,
               count: Optional[int] = None,
@@ -138,7 +138,7 @@ class Communicator:
         The underlying detached comm is exposed on ``request.comm`` for
         callers that want to observe the transfer itself.
         """
-        comm = self._post_eager(value, dest, tag, count, datatype)
+        comm = self._post(value, dest, tag, count, datatype, detached=True)
         return Request(kind="send", source=self.rank, tag=tag,
                        completed=True, comm=comm)
 
@@ -152,101 +152,8 @@ class Communicator:
         :meth:`wait` / :meth:`test` / :meth:`waitany`, which drive the
         underlying (non-detached) s4u comm future.
         """
-        self._check_rank(dest, "destination")
-        size = payload_size(value, count, datatype)
-        envelope = _Envelope(source=self.rank, dest=dest, tag=tag,
-                             value=value, size=size)
-        comm = self._box(dest).put_async(
-            envelope, size=size,
-            name=f"smpi:{self.rank}->{dest}:{tag}")
+        comm = self._post(value, dest, tag, count, datatype, detached=False)
         return Request(kind="send", source=self.rank, tag=tag, comm=comm)
-
-    def _matches(self, envelope: _Envelope, source: int, tag: int) -> bool:
-        if source != ANY_SOURCE and envelope.source != source:
-            return False
-        if tag != ANY_TAG and envelope.tag != tag:
-            return False
-        return True
-
-    # -- the receive machinery -----------------------------------------------------------
-    def _ensure_inflight(self) -> Comm:
-        """The (single) outstanding receive on this rank's mailbox."""
-        if self._inflight is None:
-            self._inflight = self._box(self.rank).get_async()
-        return self._inflight
-
-    def _pull_envelope(self, timeout: Optional[float]) -> _Envelope:
-        """Wait for the next inbound message and consume the in-flight comm.
-
-        A timeout withdraws the posted receive (synchronous-recv
-        semantics, matching the pre-s4u behaviour): the mailbox must not
-        keep a stale receive that would silently eat a later message.
-        """
-        comm = self._ensure_inflight()
-        try:
-            envelope = comm.wait(timeout)
-        except SimTimeoutError:
-            comm.cancel()
-            self._inflight = None
-            raise
-        except Exception:
-            if comm.is_over():
-                self._inflight = None
-            raise
-        self._inflight = None
-        return envelope
-
-    def _take_completed_inflight(self) -> _Envelope:
-        """Consume the terminated in-flight comm; raise if it failed.
-
-        A failed/cancelled transfer must surface the same exception a
-        blocking receive would, not deliver a bogus payload.
-        """
-        comm = self._inflight
-        self._inflight = None
-        if not comm.succeeded():
-            comm.wait()          # raises the transfer's error
-        return comm.get_payload()
-
-    def _harvest_inflight(self) -> None:
-        """Fold a terminated in-flight receive into the unexpected queue.
-
-        Probes must see a message that already rendezvoused with the
-        shared ``get_async`` (e.g. posted by an earlier ``test``): it has
-        arrived even though no pending send sits on the mailbox anymore.
-        """
-        if self._inflight is not None and self._inflight.is_over():
-            self._unexpected.append(self._take_completed_inflight())
-
-    def _match_unexpected(self, source: int, tag: int) -> Optional[_Envelope]:
-        for idx, envelope in enumerate(self._unexpected):
-            if self._matches(envelope, source, tag):
-                return self._unexpected.pop(idx)
-        return None
-
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
-             timeout: Optional[float] = None,
-             return_status: bool = False):
-        """Blocking receive; returns the value (or ``(value, status)``)."""
-        if source != ANY_SOURCE:
-            self._check_rank(source, "source")
-        # 1. look in the unexpected queue
-        envelope = self._match_unexpected(source, tag)
-        if envelope is not None:
-            return self._deliver(envelope, return_status)
-        # 2. pull from the mailbox until a matching message arrives
-        while True:
-            envelope = self._pull_envelope(timeout)
-            if self._matches(envelope, source, tag):
-                return self._deliver(envelope, return_status)
-            self._unexpected.append(envelope)
-
-    def _deliver(self, envelope: _Envelope, return_status: bool):
-        status = Status(source=envelope.source, tag=envelope.tag,
-                        size=envelope.size)
-        if return_status:
-            return envelope.value, status
-        return envelope.value
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """Non-blocking receive request.
@@ -257,122 +164,134 @@ class Communicator:
         transfer dates are exactly those of a blocking receive issued at
         that point (the historical SMPI behaviour).
         """
+        if source != ANY_SOURCE:
+            self._check_rank(source, "source")
         return Request(kind="recv", source=source, tag=tag)
 
-    def _complete_recv(self, request: Request, envelope: _Envelope) -> None:
-        request.value = envelope.value
-        request.status = Status(source=envelope.source, tag=envelope.tag,
-                                size=envelope.size)
-        request.completed = True
+    def _matches(self, envelope: _Envelope, source: int, tag: int) -> bool:
+        if source != ANY_SOURCE and envelope.source != source:
+            return False
+        if tag != ANY_TAG and envelope.tag != tag:
+            return False
+        return True
+
+    def _take_unexpected(self, request: Request) -> bool:
+        """Complete a receive with the oldest matching unexpected message."""
+        for pos, envelope in enumerate(self._unexpected):
+            if self._matches(envelope, request.source, request.tag):
+                del self._unexpected[pos]
+                request.value = envelope.value
+                request.status = Status(source=envelope.source,
+                                        tag=envelope.tag, size=envelope.size)
+                request.completed = True
+                return True
+        return False
+
+    # -- the one progress path --------------------------------------------------------
+    def _progress(self, requests: List[Request],
+                  timeout: Optional[float] = None,
+                  block: bool = True) -> Optional[int]:
+        """Drive ``requests`` until one completes; returns its index.
+
+        With ``block=False`` this is a probe: ``None`` when nothing
+        completed.  Receives match the unexpected queue first; only then
+        is the single shared ``get_async`` posted (lazily, so transfer
+        dates are those of a blocking receive issued here).  An arrived
+        message that matches no request joins the unexpected queue.
+        ``timeout`` is one deadline for the whole call: on expiry the
+        posted receive is withdrawn, so the mailbox keeps no stale receive
+        that would eat a later message.  A failed transfer raises its
+        error (``TransferFailureError``...).
+        """
+        deadline = None if timeout is None else self._actor.now + timeout
+        while True:
+            for idx, request in enumerate(requests):
+                if request.completed:
+                    return idx
+            for idx, request in enumerate(requests):
+                if request.kind == "recv" and self._take_unexpected(request):
+                    return idx
+            pending = [r.comm for r in requests if r.kind == "send"]
+            receiving = len(pending) < len(requests)
+            if receiving and self._inflight is None:
+                self._inflight = self._box(self.rank).get_async()
+            inflight = self._inflight
+            # A finished in-flight receive is always reaped, even when no
+            # request waits on it (iprobe), so that its message or its
+            # failure is never lost.
+            if inflight is not None and (receiving or inflight.is_over()):
+                pending.insert(0, inflight)
+            try:
+                if not block:
+                    done = next((a for a in pending if a.test()), None)
+                    if done is None:
+                        return None
+                    if not done.succeeded():
+                        done.wait()          # raises the transfer's error
+                elif len(pending) == 1:
+                    done = pending[0]
+                    done.wait(timeout)
+                else:
+                    done = ActivitySet(pending).wait_any(timeout)
+            except SimTimeoutError:
+                if receiving:                # only a receive waited on
+                    inflight.cancel()
+                raise
+            finally:
+                if inflight is not None and inflight.is_over():
+                    self._inflight = None
+                    if inflight.succeeded():
+                        self._unexpected.append(inflight.get_payload())
+            # An arrived message now sits in the unexpected queue: the next
+            # round matches it (or leaves it buffered and waits again).
+            if done is not inflight:         # a synchronous send completed
+                idx = next(idx for idx, r in enumerate(requests)
+                           if r.comm is done)
+                requests[idx].completed = True
+                return idx
+            if deadline is not None:
+                timeout = max(0.0, deadline - self._actor.now)
+
+    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
+             timeout: Optional[float] = None,
+             return_status: bool = False):
+        """Blocking receive; returns the value (or ``(value, status)``)."""
+        request = self.irecv(source, tag)
+        self._progress([request], timeout)
+        if return_status:
+            return request.value, request.status
+        return request.value
 
     def wait(self, request: Request, timeout: Optional[float] = None) -> Any:
-        """Complete a request; returns the received value for receives."""
-        if request.completed:
-            return request.value
-        if request.kind == "recv":
-            value, status = self.recv(request.source, request.tag,
-                                      timeout=timeout, return_status=True)
-            request.value = value
-            request.status = status
-            request.completed = True
-            return value
-        if request.comm is not None and not request.comm.is_over():
-            request.comm.wait(timeout)
-        request.completed = True
-        return None
+        """Complete a request; returns the received value for receives.
+
+        ``timeout`` bounds the whole call; a failed transfer raises.
+        """
+        self._progress([request], timeout)
+        return request.value
 
     def test(self, request: Request) -> bool:
         """Non-blocking completion probe (``MPI_Test``); drives progress.
 
         A failed transfer raises the same exception :meth:`wait` would.
         """
-        if request.completed:
-            return True
-        if request.kind == "send":
-            if request.comm is None:
-                request.completed = True
-            elif request.comm.test():
-                if not request.comm.succeeded():
-                    request.comm.wait()      # raises the transfer's error
-                request.completed = True
-            return request.completed
-        envelope = self._match_unexpected(request.source, request.tag)
-        if envelope is not None:
-            self._complete_recv(request, envelope)
-            return True
-        while True:
-            comm = self._ensure_inflight()
-            if not comm.test():
-                return False
-            envelope = self._take_completed_inflight()
-            if self._matches(envelope, request.source, request.tag):
-                self._complete_recv(request, envelope)
-                return True
-            self._unexpected.append(envelope)
+        return self._progress([request], block=False) is not None
 
     def waitany(self, requests: List[Request],
                 timeout: Optional[float] = None) -> Tuple[int, Any]:
         """Block until one request completes; returns ``(index, value)``.
 
-        Mixed send/receive request lists are reaped through an s4u
-        :class:`~repro.s4u.activity.ActivitySet` racing the underlying
-        comm futures.  A request already returned by a previous
-        ``waitany`` is inactive (like ``MPI_REQUEST_NULL``) and skipped.
+        A request already returned by a previous ``waitany`` is inactive
+        (like ``MPI_REQUEST_NULL``) and skipped.
         """
-        active = [(idx, r) for idx, r in enumerate(requests) if not r.reaped]
         if not requests:
             raise MpiError("waitany needs at least one request")
+        active = [idx for idx, r in enumerate(requests) if not r.reaped]
         if not active:
             raise MpiError("waitany: every request was already reaped")
-
-        def _reap(idx: int, request: Request) -> Tuple[int, Any]:
-            request.reaped = True
-            return idx, request.value
-
-        while True:
-            for idx, request in active:
-                if request.completed:
-                    return _reap(idx, request)
-            for idx, request in active:
-                if request.kind == "recv":
-                    envelope = self._match_unexpected(request.source,
-                                                      request.tag)
-                    if envelope is not None:
-                        self._complete_recv(request, envelope)
-                        return _reap(idx, request)
-            pending = ActivitySet()
-            if any(r.kind == "recv" for _, r in active):
-                pending.push(self._ensure_inflight())
-            for _, request in active:
-                if request.kind == "send" and request.comm is not None:
-                    pending.push(request.comm)
-            if pending.empty():
-                raise MpiError("waitany: no completable request")
-            try:
-                done = pending.wait_any(timeout)
-            except SimTimeoutError:
-                # Withdraw the posted receive (same contract as
-                # _pull_envelope): leaving it on the mailbox would let the
-                # next send rendezvous before the rank's next progress
-                # call, breaking the lazy-post timing.
-                if self._inflight is not None and not self._inflight.is_over():
-                    self._inflight.cancel()
-                    self._inflight = None
-                raise
-            if done is self._inflight:
-                envelope = self._take_completed_inflight()
-                for idx, request in active:
-                    if request.kind == "recv" and self._matches(
-                            envelope, request.source, request.tag):
-                        self._complete_recv(request, envelope)
-                        return _reap(idx, request)
-                self._unexpected.append(envelope)
-            else:
-                for idx, request in active:
-                    if (request.kind == "send" and request.comm is not None
-                            and request.comm.is_over()):
-                        request.completed = True
-                        return _reap(idx, request)
+        idx = active[self._progress([requests[i] for i in active], timeout)]
+        requests[idx].reaped = True
+        return idx, requests[idx].value
 
     def waitall(self, requests: List[Request]) -> List[Any]:
         """Complete every request, in order."""
@@ -384,10 +303,6 @@ class Communicator:
         self.send(send_value, dest, tag=send_tag)
         return self.recv(source=source, tag=recv_tag)
 
-    def probe_unexpected(self) -> int:
-        """Number of buffered unexpected messages (introspection for tests)."""
-        return len(self._unexpected)
-
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
         """Non-blocking ``MPI_Iprobe``: is a matching message available?
 
@@ -396,7 +311,7 @@ class Communicator:
         the mailbox's pending sends (a matching message may sit behind a
         non-matching one).  Nothing is consumed and no receive is posted.
         """
-        self._harvest_inflight()
+        self._progress([], block=False)     # reap a finished receive
         if any(self._matches(envelope, source, tag)
                for envelope in self._unexpected):
             return True

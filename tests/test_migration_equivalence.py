@@ -99,17 +99,17 @@ class TestSmpiDates:
         world = SmpiWorld(make_cluster(num_hosts=4), num_ranks=4)
         final = world.run(_smpi_mixed_program(dates))
 
-        assert dates["recv_done"] == pytest.approx(0.004600064, rel=REL)
-        assert dates["barrier_0"] == pytest.approx(0.005200128, rel=REL)
-        assert dates["barrier_1"] == pytest.approx(0.005800256, rel=REL)
-        assert dates["barrier_2"] == pytest.approx(0.005800256, rel=REL)
-        assert dates["barrier_3"] == pytest.approx(0.00640032, rel=REL)
-        assert dates["done_0"][0] == pytest.approx(0.011800768, rel=REL)
-        assert dates["done_2"][0] == pytest.approx(0.008200576, rel=REL)
-        assert dates["done_3"][0] == pytest.approx(0.010400704, rel=REL)
+        assert dates["recv_done"].hex() == "0x1.2d7844708386fp-8"  # 0.004600064
+        assert dates["barrier_0"].hex() == "0x1.54cbabb1ec6e2p-8"  # 0.005200128
+        assert dates["barrier_1"].hex() == "0x1.7c2025d413d7cp-8"  # 0.005800256
+        assert dates["barrier_2"].hex() == "0x1.7c2025d413d7cp-8"  # 0.005800256
+        assert dates["barrier_3"].hex() == "0x1.a3738d157cbefp-8"  # 0.00640032
+        assert dates["done_0"][0].hex() == "0x1.82b0045057ed7p-7"  # 0.011800768
+        assert dates["done_2"][0].hex() == "0x1.0cb76add3afb8p-7"  # 0.008200576
+        assert dates["done_3"][0].hex() == "0x1.54cf6dc48736bp-7"  # 0.010400704
         # values, not just dates: allreduce total, bcast length, gather
         assert dates["done_0"][1:] == (6, 100000, [0, 2, 4, 6])
-        assert final == pytest.approx(0.011800768, rel=REL)
+        assert final.hex() == "0x1.82b0045057ed7p-7"  # 0.011800768
 
     def test_wan_grid_dates_match_pre_port(self):
         dates = {}
@@ -119,12 +119,12 @@ class TestSmpiDates:
                           num_ranks=4)
         final = world.run(_smpi_mixed_program(dates))
 
-        assert dates["recv_done"] == pytest.approx(0.0042, rel=REL)
-        assert dates["barrier_0"] == pytest.approx(0.050606528, rel=REL)
-        assert dates["barrier_2"] == pytest.approx(0.100812928, rel=REL)
-        assert dates["done_0"][0] == pytest.approx(0.43243872, rel=REL)
+        assert dates["recv_done"].hex() == "0x1.13404ea4a8c15p-8"  # 0.0042
+        assert dates["barrier_0"].hex() == "0x1.9e9194d72be53p-5"  # 0.050606528
+        assert dates["barrier_2"].hex() == "0x1.9cee044c6250bp-4"  # 0.100812928
+        assert dates["done_0"][0].hex() == "0x1.bad1373fb247bp-2"  # 0.43243872
         assert dates["done_0"][1:] == (6, 100000, [0, 2, 4, 6])
-        assert final == pytest.approx(0.43243872, rel=REL)
+        assert final.hex() == "0x1.bad1373fb247bp-2"  # 0.43243872
 
     def test_isend_irecv_dates_match_pre_port(self):
         """Eager isend completes at deposit; irecv is posted lazily at wait."""
@@ -147,8 +147,8 @@ class TestSmpiDates:
 
         final = world.run(program)
         assert dates["send_wait"] == 0.0       # eager: already deposited
-        assert dates["recv_wait"] == pytest.approx(1.0166, rel=REL)
-        assert final == pytest.approx(1.0166, rel=REL)
+        assert dates["recv_wait"].hex() == "0x1.043fe5c91d14ep+0"  # 1.0166
+        assert final.hex() == "0x1.043fe5c91d14ep+0"  # 1.0166
 
 
 # ---------------------------------------------------------------------------------
@@ -368,8 +368,8 @@ class TestPortPrimitives:
         world.run(program)
         # unlike eager isend, the issend completes only at reception time
         assert results["send_done_at"] > 1.0
-        assert results["send_done_at"] == pytest.approx(
-            results["recv_done_at"])
+        assert results["send_done_at"].hex() == \
+            results["recv_done_at"].hex() == "0x1.02339c0ebedfap+0"
 
     def test_smpi_waitany_races_a_live_issend(self):
         world = SmpiWorld(make_cluster(num_hosts=2), num_ranks=2)
@@ -457,7 +457,7 @@ class TestPortPrimitives:
                 comm.send("late", dest=0, tag=5)
 
         world.run(program)
-        assert results["timed_out_at"] == pytest.approx(0.25)
+        assert results["timed_out_at"].hex() == "0x1.0000000000000p-2"
         assert results["value"] == "late"
         # lazy-post contract: the transfer starts at rank 0's wait (t=2.25),
         # not at rank 1's send (t=1)
@@ -481,5 +481,5 @@ class TestPortPrimitives:
                 results["value"] = comm.recv(source=0, tag=0)
 
         world.run(program)
-        assert results["timed_out_at"] == pytest.approx(0.5)
+        assert results["timed_out_at"].hex() == "0x1.0000000000000p-1"
         assert results["value"] == "go"

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.exceptions import MpiError
+from repro.exceptions import MpiError, SimTimeoutError, TransferFailureError
 from repro.platform import make_cluster, make_two_site_grid
 from repro.smpi import (
     ANY_SOURCE,
     ANY_TAG,
+    MPI_BYTE,
     MPI_DOUBLE,
     MPI_INT,
     SmpiWorld,
@@ -291,6 +292,116 @@ class TestCollectives:
         assert errors == ["caught"]
 
 
+def _outcome(call):
+    """What ``call()`` did: ``("returned", value)`` or ``("raised", type)``."""
+    try:
+        return "returned", call()
+    except Exception as error:          # noqa: BLE001 - the outcome is the test
+        return "raised", type(error)
+
+
+class TestRequestProgress:
+    """recv / wait / test / waitany share one progress path, so they agree
+    on deadlines, transfer failures and rank checks."""
+
+    @pytest.mark.parametrize("call", ["recv", "wait", "waitany"])
+    def test_timeout_is_a_deadline_across_nonmatching_messages(self, call):
+        results = {}
+
+        def program(mpi):
+            comm = mpi.COMM_WORLD
+            if comm.rank == 0:
+                if call == "recv":
+                    op = lambda: comm.recv(source=1, tag=1, timeout=0.5)
+                elif call == "wait":
+                    op = lambda: comm.wait(comm.irecv(source=1, tag=1), 0.5)
+                else:
+                    op = lambda: comm.waitany([comm.irecv(source=1, tag=1)],
+                                              timeout=0.5)
+                results["outcome"] = _outcome(op)
+                results["at"] = mpi.wtime()
+            elif comm.rank == 2:
+                # noise: a non-matching message every 0.3 s
+                for i in range(10):
+                    mpi.compute(0.3e9)
+                    comm.send(i, dest=0, tag=2)
+
+        run_world(3, program)
+        assert results["outcome"] == ("raised", SimTimeoutError)
+        assert results["at"] == 0.5
+
+    @pytest.mark.parametrize("call, outcome", [
+        ("wait", ("raised", TransferFailureError)),
+        ("test", ("raised", TransferFailureError)),
+        ("waitany", ("raised", TransferFailureError)),
+    ])
+    def test_failed_issend_raises(self, call, outcome):
+        results = {}
+
+        def program(mpi):
+            comm = mpi.COMM_WORLD
+            if comm.rank == 0:
+                req = comm.issend("big", dest=1, count=100_000_000,
+                                  datatype=MPI_BYTE)
+                mpi.compute(2e9)           # the transfer fails meanwhile
+                if call == "waitany":
+                    results["outcome"] = _outcome(lambda: comm.waitany([req]))
+                else:
+                    results["outcome"] = _outcome(
+                        lambda: getattr(comm, call)(req))
+            elif comm.rank == 1:
+                comm.recv(source=0)
+            else:
+                mpi.compute(0.1e9)         # mid-transfer: take rank 1 down
+                mpi.world.engine.host(mpi.world.rank_hosts[1]).turn_off()
+
+        run_world(3, program)
+        assert results["outcome"] == outcome
+
+    @pytest.mark.parametrize("call", ["wait", "waitany"])
+    def test_send_timeout_keeps_the_posted_receive(self, call):
+        """A timed-out wait on a send leaves a receive posted by an earlier
+        ``test`` alone, even while a message is transferring into it."""
+        results = {}
+
+        def program(mpi):
+            comm = mpi.COMM_WORLD
+            if comm.rank == 0:
+                req = comm.irecv(source=1)
+                assert not comm.test(req)  # posts the shared receive
+                sreq = comm.issend("s", dest=2, count=1000, datatype=MPI_BYTE)
+                if call == "waitany":
+                    op = lambda: comm.waitany([sreq], timeout=0.5)
+                else:
+                    op = lambda: comm.wait(sreq, 0.5)
+                results["send"] = _outcome(op), mpi.wtime()
+                results["value"] = comm.wait(req)
+                results["at"] = mpi.wtime()
+            elif comm.rank == 1:
+                comm.send("big", dest=0, count=200_000_000, datatype=MPI_BYTE)
+
+        run_world(3, program)
+        assert results["send"] == (("raised", SimTimeoutError), 0.5)
+        assert results["value"] == "big"
+        assert results["at"].hex() == "0x1.99c0ebedfa440p+0"
+
+    @pytest.mark.parametrize("call", ["send", "issend", "recv", "irecv"])
+    def test_out_of_range_rank_raises_at_the_call(self, call):
+        results = {}
+
+        def program(mpi):
+            comm = mpi.COMM_WORLD
+            if comm.rank == 0:
+                if call in ("send", "issend"):
+                    op = lambda: getattr(comm, call)(1, dest=99)
+                else:
+                    op = lambda: getattr(comm, call)(source=99)
+                results["outcome"] = _outcome(op)
+
+        run_world(2, program)
+        assert results["outcome"] == ("raised", MpiError)
+
+
 class TestBenchAndHeterogeneity:
     def test_bench_once_runs_block_once(self):
         counts = {"ran": 0}
@@ -313,7 +424,7 @@ class TestBenchAndHeterogeneity:
             times["t"] = mpi.wtime()
 
         run_world(1, program)          # cluster hosts run at 1 Gflop/s
-        assert times["t"] == pytest.approx(3.0)
+        assert times["t"].hex() == "0x1.8000000000000p+1"
 
     def test_heterogeneous_platform_slower_than_cluster(self):
         def program(mpi):
@@ -362,3 +473,37 @@ def test_property_allreduce_sum_is_rank_independent(num_ranks, offset):
     world.run(program)
     expected = sum(range(num_ranks)) + offset * num_ranks
     assert results == [expected] * num_ranks
+
+
+class TestOneSmpiProgressPath:
+    """Structural guard: every SMPI request makes progress through
+    ``Communicator._progress``.  A second copy of the post / block /
+    withdraw logic is how the deadline, failure and lazy-post semantics
+    drift apart again, so it must fail here."""
+
+    ACTIVITY_CALLS = {"wait", "wait_any", "test", "cancel", "get_async"}
+
+    def test_only_progress_drives_activities(self):
+        import ast
+        import pathlib
+
+        from repro.smpi import comm as module
+
+        tree = ast.parse(pathlib.Path(module.__file__).read_text())
+        callers = set()
+        for scope in ast.walk(tree):
+            if not isinstance(scope, (ast.ClassDef, ast.Module)):
+                continue
+            prefix = f"{scope.name}." if isinstance(scope, ast.ClassDef) else ""
+            for function in scope.body:
+                if not isinstance(function, ast.FunctionDef):
+                    continue
+                for node in ast.walk(function):
+                    # calls on ``self`` are the communicator's own API
+                    if (isinstance(node, ast.Call)
+                            and isinstance(node.func, ast.Attribute)
+                            and node.func.attr in self.ACTIVITY_CALLS
+                            and not (isinstance(node.func.value, ast.Name)
+                                     and node.func.value.id == "self")):
+                        callers.add(prefix + function.name)
+        assert callers == {"Communicator._progress"}
