@@ -8,22 +8,18 @@ either in simulation or in real-life mode:
 * :mod:`repro.amok.bandwidth` — active bandwidth and RTT measurement
   between two GRAS processes;
 * :mod:`repro.amok.saturation` — saturate a path to measure interference;
-* :mod:`repro.amok.peer` — lightweight peer registry;
 * :mod:`repro.amok.topology` — infer the platform interconnect structure
   from pairwise bandwidth measurements (clustering hosts that share a
   bottleneck).
 """
 
 from repro.amok.bandwidth import BandwidthMeter, MeasurementResult
-from repro.amok.peer import Peer, PeerManager
 from repro.amok.saturation import SaturationExperiment
 from repro.amok.topology import TopologyInference
 
 __all__ = [
     "BandwidthMeter",
     "MeasurementResult",
-    "Peer",
-    "PeerManager",
     "SaturationExperiment",
     "TopologyInference",
 ]

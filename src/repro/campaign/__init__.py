@@ -11,10 +11,10 @@ workflow, built on two pieces:
   (:meth:`Engine.restore`) with bit-identical future dates, instead of
   replaying the warmed common prefix per run;
 * **the runner** (:func:`run_campaign`) — fans a grid of ``(seed,
-  config)`` experiments across forked worker processes (fork lazily,
-  degrade to serial on worker death, leak nothing) and aggregates the
-  per-run metric dicts into distribution summaries (min/median/p95...)
-  written as BENCH-style JSON.
+  config)`` experiments, each in its own forked process (at most
+  ``workers`` at once, a dead or hung run retried once, nothing leaked),
+  and aggregates the per-run metric dicts into distribution summaries
+  (min/median/p95...) written as BENCH-style JSON.
 
 Quickstart::
 
@@ -49,7 +49,6 @@ from repro.campaign.runner import (
     CampaignResult,
     ExperimentSpec,
     default_campaign_workers,
-    default_run_timeout,
     grid,
     run_campaign,
     summarize,
@@ -60,7 +59,6 @@ __all__ = [
     "CampaignResult",
     "ExperimentSpec",
     "default_campaign_workers",
-    "default_run_timeout",
     "grid",
     "run_campaign",
     "summarize",

@@ -10,13 +10,15 @@ One campaign = one ``run_fn`` applied to a list of :class:`ExperimentSpec`
   (platform realization + warm-up phase) is paid once instead of once
   per run.
 
-Process discipline: ``fork``-context workers over pipes, static
-round-robin task assignment (deterministic — the result of a campaign is
-a pure function of ``run_fn`` and the grid, independent of ``workers``),
-and any worker death degrades that worker's share to serial execution in
-the parent instead of failing the campaign.  The snapshot blob and
-``run_fn`` travel to the workers by fork inheritance, never by pickle,
-so ``run_fn`` may be a closure and the blob is shared copy-on-write.
+Process discipline: every run gets its own ``fork``-context process and
+pipe, at most ``workers`` of them alive at once, and results land in grid
+order (the result of a campaign is a pure function of ``run_fn`` and the
+grid, independent of ``workers``).  A run whose process dies without
+replying, or outlives the optional ``run_timeout`` watchdog, is retried
+once in a fresh process; a second loss fails the campaign.  The snapshot
+blob and ``run_fn`` reach each run process by fork inheritance, never by
+pickle, so ``run_fn`` may be a closure and the blob is shared
+copy-on-write.
 
 Results are plain per-run metric dicts (numbers, or nested dicts of
 numbers — ``solver_stats()`` / ``kernel_stats()`` drop in directly);
@@ -30,8 +32,11 @@ import json
 import math
 import multiprocessing
 import os
+import time
 import traceback
+from collections import deque
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple, Union)
 
@@ -42,7 +47,6 @@ __all__ = [
     "CampaignResult",
     "ExperimentSpec",
     "default_campaign_workers",
-    "default_run_timeout",
     "grid",
     "run_campaign",
     "summarize",
@@ -181,119 +185,102 @@ def _execute_one(run_fn: Callable[..., Mapping[str, Any]],
     return metrics
 
 
-def _worker_main(conn, run_fn, tasks: List[Tuple[int, ExperimentSpec]],
+def _worker_main(conn, run_fn, spec: ExperimentSpec,
                  snapshot: Optional[bytes]) -> None:
-    """Worker body: execute an assigned share, stream (index, status, payload).
+    """Run-process body: execute one run, send ``(status, payload)`` once.
 
-    Every task answers exactly once — errors travel as formatted
-    tracebacks rather than killing the worker, so one failed experiment
-    does not discard its siblings' results.
+    Errors travel as formatted tracebacks rather than killing the
+    process, so the parent tells an experiment that raised from a process
+    that died.
     """
     try:
-        for index, spec in tasks:
-            try:
-                payload: Any = dict(_execute_one(run_fn, spec, snapshot))
-                reply = (index, "ok", payload)
-            except BaseException:
-                reply = (index, "error", traceback.format_exc())
-            try:
-                conn.send(reply)
-            except (BrokenPipeError, OSError):  # parent gone; stop quietly
-                return
-            except Exception:
-                conn.send((index, "error",
-                           f"seed={spec.seed}: result not picklable:\n"
-                           + traceback.format_exc()))
+        try:
+            reply = ("ok", dict(_execute_one(run_fn, spec, snapshot)))
+        except BaseException:
+            reply = ("error", traceback.format_exc())
+        try:
+            conn.send(reply)
+        except (BrokenPipeError, OSError):  # parent gone; stop quietly
+            return
+        except Exception:
+            conn.send(("error", f"seed={spec.seed}: result not picklable:\n"
+                       + traceback.format_exc()))
     finally:
         conn.close()
 
 
-def _run_parallel(run_fn, tasks: List[Tuple[int, ExperimentSpec]],
-                  snapshot: Optional[bytes], workers: int,
-                  results: List[Optional[Mapping[str, Any]]],
-                  errors: Dict[int, str],
-                  run_timeout: Optional[float] = None
-                  ) -> Tuple[int, int, List[int]]:
-    """Fan ``tasks`` (global-index, spec pairs) over fork workers.
+def _run_forked(run_fn, specs: List[ExperimentSpec],
+                snapshot: Optional[bytes], workers: int,
+                run_timeout: Optional[float],
+                results: List[Optional[Mapping[str, Any]]],
+                errors: Dict[int, str]) -> Tuple[int, int, int]:
+    """Run every spec in its own forked process, ``workers`` at a time.
 
-    Tasks are assigned round-robin *before* starting (static, so the
-    assignment is deterministic); a worker that dies mid-share simply
-    leaves its unanswered tasks for the caller to recover.
-
-    ``run_timeout`` (wall-clock seconds) arms a per-run watchdog: workers
-    answer their share in task order, so when no reply arrives within the
-    timeout the share's first unanswered task is the hung one — the
-    worker is terminated and the share's remainder is left for recovery.
-
-    Returns ``(deaths, timeouts, lost)``: worker-death count, watchdog
-    firings, and the task indices left unanswered.
+    A run is lost when its process dies without replying or outlives
+    ``run_timeout`` from its own start; a lost run goes back to the end
+    of the queue once, and a second loss is recorded in ``errors``.
+    Returns ``(deaths, timeouts, retries)``.
     """
     ctx = multiprocessing.get_context("fork")
-    shares: List[List[Tuple[int, ExperimentSpec]]] = [
-        [] for _ in range(workers)]
-    for position, task in enumerate(tasks):
-        shares[position % workers].append(task)
-    procs = []
-    for share in shares:
-        if not share:
-            continue
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(target=_worker_main,
-                           args=(child_conn, run_fn, share, snapshot),
-                           daemon=True)
-        proc.start()
-        child_conn.close()
-        procs.append((parent_conn, proc, share))
-    deaths = 0
-    timeouts = 0
-    lost: List[int] = []
-    for parent_conn, proc, share in procs:
-        answered = 0
-        hung = False
-        try:
-            while answered < len(share):
-                if run_timeout is not None and not parent_conn.poll(
-                        run_timeout):
-                    hung = True
-                    timeouts += 1
-                    break
-                index, status, payload = parent_conn.recv()
-                answered += 1
-                if status == "ok":
-                    results[index] = payload
-                else:
-                    errors[index] = payload
-        except (EOFError, OSError):
-            deaths += 1  # leftover tasks recovered by the caller
-        finally:
-            parent_conn.close()
-        if hung:
-            proc.terminate()
-        proc.join(timeout=30.0)
-        if proc.is_alive():  # pragma: no cover - defensive
-            proc.terminate()
-            proc.join()
-        for index, _spec in share:
-            if results[index] is None and index not in errors:
-                lost.append(index)
-    return deaths, timeouts, lost
-
-
-def default_run_timeout() -> Optional[float]:
-    """Per-run watchdog from ``REPRO_CAMPAIGN_RUN_TIMEOUT`` (seconds).
-
-    Unset, empty, unparsable or non-positive all disable the watchdog —
-    it is strictly opt-in, since a legitimate long run is
-    indistinguishable from a hang without a budget from the caller.
-    """
-    raw = os.environ.get("REPRO_CAMPAIGN_RUN_TIMEOUT", "").strip()
-    if not raw:
-        return None
+    # (index, why the previous attempt was lost, or None on a first try)
+    queue = deque((index, None) for index in range(len(specs)))
+    running: Dict[Any, Tuple[int, Optional[str], Any, float]] = {}
+    deaths = timeouts = retries = 0
     try:
-        value = float(raw)
-    except ValueError:
-        return None
-    return value if value > 0 else None
+        while queue or running:
+            while queue and len(running) < workers:
+                index, lost_before = queue.popleft()
+                parent_conn, child_conn = ctx.Pipe(duplex=False)
+                proc = ctx.Process(
+                    target=_worker_main, daemon=True,
+                    args=(child_conn, run_fn, specs[index], snapshot))
+                proc.start()
+                child_conn.close()
+                running[parent_conn] = (index, lost_before, proc,
+                                        time.monotonic())
+            budget = None
+            if run_timeout is not None:
+                oldest = min(start for *_, start in running.values())
+                budget = max(0.0, oldest + run_timeout - time.monotonic())
+            ready = wait(list(running), budget)
+            now = time.monotonic()
+            for conn in list(running):
+                index, lost_before, proc, start = running[conn]
+                lost = None
+                if conn in ready:
+                    try:
+                        status, payload = conn.recv()
+                    except (EOFError, OSError):
+                        deaths += 1
+                        lost = "its process died without replying"
+                    else:
+                        if status == "ok":
+                            results[index] = payload
+                        else:
+                            errors[index] = payload
+                elif run_timeout is not None and now - start >= run_timeout:
+                    timeouts += 1
+                    lost = f"hung past the {run_timeout}s watchdog"
+                    proc.kill()
+                else:
+                    continue
+                del running[conn]
+                conn.close()
+                proc.join()
+                if lost is None:
+                    continue
+                if lost_before is None:
+                    retries += 1
+                    queue.append((index, lost))
+                else:
+                    errors[index] = (f"seed={specs[index].seed}: run lost "
+                                     f"twice — {lost_before}, then {lost}")
+    finally:
+        for conn, (_, _, proc, _) in running.items():
+            conn.close()
+            proc.kill()
+            proc.join()
+    return deaths, timeouts, retries
 
 
 def run_campaign(run_fn: Callable[..., Mapping[str, Any]],
@@ -301,21 +288,21 @@ def run_campaign(run_fn: Callable[..., Mapping[str, Any]],
                  workers: Optional[int] = None,
                  snapshot: Optional[bytes] = None,
                  run_timeout: Optional[float] = None) -> "CampaignResult":
-    """Run every experiment, in-process or over forked workers.
+    """Run every experiment, in-process or each in its own forked process.
 
     Parameters
     ----------
     run_fn:
         ``run_fn(seed, config) -> metrics`` without a snapshot, or
         ``run_fn(engine, seed, config) -> metrics`` with one — the engine
-        is freshly restored from the blob for each run and closed after.
+        is freshly restored from the blob for each run.
         Must be deterministic in its arguments: the campaign result is
         then independent of ``workers``.
     experiments:
         :class:`ExperimentSpec` items (see :func:`grid`); bare ints are
         promoted to config-less specs.
     workers:
-        Worker process count; ``None`` reads
+        Most run processes alive at once; ``None`` reads
         :func:`default_campaign_workers`, ``0`` runs serially in-process.
         Forking requires the POSIX ``fork`` start method; where that is
         unavailable the campaign silently runs serially.
@@ -323,16 +310,16 @@ def run_campaign(run_fn: Callable[..., Mapping[str, Any]],
         Warmed-engine blob from :meth:`Engine.snapshot`; enables the
         fork-per-run mode described above.
     run_timeout:
-        Per-run wall-clock watchdog in seconds (``None`` reads
-        ``REPRO_CAMPAIGN_RUN_TIMEOUT``; unset/non-positive disables it).
-        Only meaningful with ``workers >= 1``: a run that produces no
-        reply within the budget is declared hung, its worker is
-        terminated, and the run is retried once in a fresh single-task
-        worker (as are runs lost to a worker death).  A run hung or lost
-        twice fails the campaign — after the rest of the grid completed.
+        Per-run wall-clock watchdog in seconds, counted from that run's
+        own start; ``None`` disables it.  Only meaningful with
+        ``workers >= 1``: a run past the budget is declared hung and its
+        process killed.
 
-    Raises :class:`CampaignError` if any experiment raised (after all
-    others finished), so a result always covers the full grid.
+    With ``workers >= 1`` a run whose process dies without replying, or
+    hangs, is retried once in a fresh process; a run lost twice fails the
+    campaign.  Raises :class:`CampaignError` if any experiment raised or
+    was lost twice (after all others finished), so a result always covers
+    the full grid.
     """
     specs: List[ExperimentSpec] = [
         spec if isinstance(spec, ExperimentSpec) else ExperimentSpec(int(spec))
@@ -342,8 +329,6 @@ def run_campaign(run_fn: Callable[..., Mapping[str, Any]],
     if workers is None:
         workers = default_campaign_workers()
     workers = min(int(workers), len(specs))
-    if run_timeout is None:
-        run_timeout = default_run_timeout()
     try:
         multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX
@@ -351,30 +336,12 @@ def run_campaign(run_fn: Callable[..., Mapping[str, Any]],
 
     results: List[Optional[Mapping[str, Any]]] = [None] * len(specs)
     errors: Dict[int, str] = {}
-    fallbacks = 0
-    timeouts = 0
-    retries = 0
+    fallbacks = timeouts = retries = 0
     if workers >= 1:
-        fallbacks, timeouts, lost = _run_parallel(
-            run_fn, list(enumerate(specs)), snapshot, workers, results,
-            errors, run_timeout)
-        if lost and run_timeout is not None:
-            # One bounded retry, each lost run alone in a fresh worker
-            # (single-task shares), still under the watchdog.
-            retries = len(lost)
-            _, late_timeouts, still_lost = _run_parallel(
-                run_fn, [(index, specs[index]) for index in lost],
-                snapshot, len(lost), results, errors, run_timeout)
-            timeouts += late_timeouts
-            for index in still_lost:
-                errors[index] = (
-                    f"seed={specs[index].seed}: run lost twice — hung past "
-                    f"the {run_timeout}s watchdog or its worker died, on "
-                    f"both the original attempt and the retry")
-    for index, spec in enumerate(specs):  # serial mode + death leftovers
-        if results[index] is None and index not in errors:
-            if workers >= 1:
-                retries += 1
+        fallbacks, timeouts, retries = _run_forked(
+            run_fn, specs, snapshot, workers, run_timeout, results, errors)
+    else:
+        for index, spec in enumerate(specs):
             try:
                 results[index] = dict(_execute_one(run_fn, spec, snapshot))
             except Exception:
@@ -401,9 +368,9 @@ class CampaignResult:
     runs: List[Dict[str, Any]]
     workers: int
     forked: bool
+    #: Runs whose process died without replying, watchdog firings (runs
+    #: declared hung), and runs re-executed after either loss.
     fallbacks: int = 0
-    #: Watchdog firings (runs declared hung) and runs re-executed after
-    #: being lost to a hang or a worker death.
     timeouts: int = 0
     retries: int = 0
 

@@ -15,18 +15,9 @@ recorded duration afterwards) used by SMPI.
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Dict, Optional
+from typing import Dict
 
-__all__ = ["BenchRecorder", "measure_block"]
-
-
-def measure_block(func: Callable[[], object]) -> tuple:
-    """Run ``func`` and return ``(result, elapsed_wall_clock_seconds)``."""
-    start = time.perf_counter()
-    result = func()
-    elapsed = time.perf_counter() - start
-    return result, elapsed
+__all__ = ["BenchRecorder"]
 
 
 class BenchRecorder:

@@ -80,21 +80,6 @@ class SimGrasProcess(GrasProcess):
         box = self._mailbox(self.host_name, self._ensure_listen_port())
         return box.get(timeout=timeout if not math.isinf(timeout) else None)
 
-    def msg_waiting(self, msgtype_name: Optional[str] = None) -> bool:
-        """Non-blocking probe: would ``msg_wait`` return without blocking?
-
-        Checks the reorder buffer and the mailbox's pending sends (via the
-        s4u probe primitives) without consuming anything.
-        """
-        if any(msgtype_name is None or m.msgtype == msgtype_name
-               for m in self._buffer):
-            return True
-        box = self._mailbox(self.host_name, self._ensure_listen_port())
-        return any(isinstance(message, GrasMessage)
-                   and (msgtype_name is None
-                        or message.msgtype == msgtype_name)
-                   for message in box.pending_payloads())
-
     # -- time ---------------------------------------------------------------------------
     def os_time(self) -> float:
         return self._actor.now

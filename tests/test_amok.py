@@ -1,10 +1,9 @@
-"""Tests for the AMOK toolbox: bandwidth measurement, peers, topology, saturation."""
+"""Tests for the AMOK toolbox: bandwidth measurement, topology, saturation."""
 
 import pytest
 
 from repro.amok import (
     BandwidthMeter,
-    PeerManager,
     SaturationExperiment,
     TopologyInference,
 )
@@ -57,29 +56,6 @@ class TestBandwidthMeter:
     def test_invalid_payload_rejected(self):
         with pytest.raises(ValueError):
             BandwidthMeter(payload_bytes=0)
-
-
-class TestPeerManager:
-    def test_register_lookup_and_pairs(self):
-        manager = PeerManager()
-        manager.register("a", "host-a", 4000, site="one")
-        manager.register("b", "host-b", 4000)
-        manager.register("c", "host-c", 4000)
-        assert len(manager) == 3
-        assert "a" in manager
-        assert manager.get("a").address == "host-a:4000"
-        assert manager.get("missing") is None
-        pairs = list(manager.pairs())
-        assert len(pairs) == 3          # C(3, 2)
-        manager.unregister("b")
-        assert len(list(manager.pairs())) == 1
-
-    def test_reregistering_replaces(self):
-        manager = PeerManager()
-        manager.register("a", "host-a", 4000)
-        manager.register("a", "host-a", 5000)
-        assert manager.get("a").port == 5000
-        assert len(manager) == 1
 
 
 class TestTopologyInference:

@@ -1,8 +1,9 @@
 """Campaign driver: grids, aggregation, pool discipline, snapshot fanout.
 
 The runner's contract: the result of a campaign is a pure function of
-``run_fn`` and the grid — bit-identical whether it ran serially, over N
-forked workers, or degraded to serial because a worker died mid-share.
+``run_fn`` and the grid — bit-identical whether it ran serially or one
+forked process per run, and whether or not a run had to be retried after
+its process died or hung.
 With a snapshot attached, forked runs must match a cold per-seed loop
 exactly.
 """
@@ -92,7 +93,7 @@ class TestWorkerDefaults:
 
 
 # ---------------------------------------------------------------------------
-# execution: serial ≡ parallel ≡ fallback
+# execution: serial ≡ parallel
 # ---------------------------------------------------------------------------
 
 def _simulate(seed, config):
@@ -136,18 +137,24 @@ class TestRunCampaign:
         assert parallel.summary() == serial.summary()
         assert parallel.workers == 3 and serial.workers == 0
 
-    def test_worker_death_degrades_to_serial(self):
+    def test_run_killing_every_process_fails_by_seed(self, tmp_path):
         parent_pid = os.getpid()
 
-        def fragile(seed, config):
-            if seed == 2 and os.getpid() != parent_pid:
-                os._exit(1)  # kill the worker mid-share, no reply sent
+        def lethal(seed, config):
+            if seed == 2:
+                if os.getpid() == parent_pid:
+                    (tmp_path / "ran-in-parent").write_text("x")
+                else:
+                    os._exit(3)  # kill whichever run process it lands in
+            (tmp_path / f"done-{seed}").write_text("ok")
             return {"value": seed * 2.0}
 
-        result = run_campaign(fragile, grid(range(6)), workers=2)
-        assert result.fallbacks == 1
-        assert [r["metrics"]["value"] for r in result.runs] == [
-            0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
+        with pytest.raises(CampaignError, match="run lost twice") as excinfo:
+            run_campaign(lethal, grid(range(6)), workers=2)
+        assert "seed=2" in str(excinfo.value)
+        assert not (tmp_path / "ran-in-parent").exists()
+        for seed in (0, 1, 3, 4, 5):
+            assert (tmp_path / f"done-{seed}").exists()
 
     def test_experiment_error_fails_the_campaign(self):
         def boom(seed, config):
@@ -174,16 +181,6 @@ class TestRunCampaign:
 # ---------------------------------------------------------------------------
 
 class TestRunWatchdog:
-    def test_run_timeout_env_parsing(self, monkeypatch):
-        from repro.campaign import default_run_timeout
-        monkeypatch.delenv("REPRO_CAMPAIGN_RUN_TIMEOUT", raising=False)
-        assert default_run_timeout() is None        # strictly opt-in
-        monkeypatch.setenv("REPRO_CAMPAIGN_RUN_TIMEOUT", "2.5")
-        assert default_run_timeout() == 2.5
-        for off in ("", "0", "-1", "nonsense"):
-            monkeypatch.setenv("REPRO_CAMPAIGN_RUN_TIMEOUT", off)
-            assert default_run_timeout() is None
-
     def test_hung_run_times_out_and_retries_elsewhere(self, tmp_path):
         import time
         parent_pid = os.getpid()
@@ -248,6 +245,59 @@ class TestRunWatchdog:
         # finished before the campaign failed.
         for seed in (0, 2, 3):
             assert (tmp_path / f"done-{seed}").exists()
+
+    @pytest.mark.parametrize("run_timeout", [None, 30.0])
+    def test_one_death_retries_one_run_within_the_worker_cap(
+            self, tmp_path, run_timeout):
+        import time
+        parent_pid = os.getpid()
+        alive = tmp_path / "alive"
+        peaks = tmp_path / "peaks"
+        alive.mkdir()
+        peaks.mkdir()
+        sentinel = tmp_path / "died-once"
+
+        def fragile(seed, config):
+            marker = alive / str(os.getpid())
+            marker.write_text("")
+            (peaks / f"{seed}-{os.getpid()}").write_text(
+                str(len(list(alive.iterdir()))))
+            time.sleep(0.02)
+            marker.unlink()
+            if seed == 0 and os.getpid() != parent_pid \
+                    and not sentinel.exists():
+                sentinel.write_text("dying")
+                os._exit(1)
+            return {"value": seed * 2.0}
+
+        result = run_campaign(fragile, grid(range(16)), workers=2,
+                              run_timeout=run_timeout)
+        assert result.fallbacks == 1
+        assert result.retries == 1
+        assert result.timeouts == 0
+        assert [r["metrics"]["value"] for r in result.runs] == [
+            seed * 2.0 for seed in range(16)]
+        assert max(int(peak.read_text()) for peak in peaks.iterdir()) <= 2
+
+    @pytest.mark.parametrize("run_timeout", [None, 30.0])
+    def test_every_run_dying_once_still_completes(self, tmp_path,
+                                                  run_timeout):
+        parent_pid = os.getpid()
+
+        def fragile(seed, config):
+            sentinel = tmp_path / f"died-{seed}"
+            if os.getpid() != parent_pid and not sentinel.exists():
+                sentinel.write_text("dying")
+                os._exit(1)
+            return {"value": seed * 2.0}
+
+        result = run_campaign(fragile, grid(range(8)), workers=2,
+                              run_timeout=run_timeout)
+        assert result.retries == 8
+        assert result.fallbacks == 8
+        assert result.timeouts == 0
+        assert [r["metrics"]["value"] for r in result.runs] == [
+            seed * 2.0 for seed in range(8)]
 
     def test_no_timeout_means_no_watchdog_fields_move(self):
         result = run_campaign(_simulate, grid(range(3)), workers=2)

@@ -18,6 +18,8 @@ from repro.kernel.context import (
 from repro.kernel.simcall import Simcall
 from repro.kernel.timer import TimerQueue
 
+from pump import pump
+
 
 class TestTimerQueue:
     def test_fire_in_order(self):
@@ -78,26 +80,17 @@ def _context(kind, steps, *args):
     """A started context of ``kind`` whose body is ``steps(submit, *args)``.
 
     ``steps`` is written once, generator style (``answer = yield
-    submit(simcall)``).  A generator context runs it as is; a thread
-    context pumps it, feeding each blocking ``submit``'s own result back
-    where a generator context feeds the simcall's.
+    submit(simcall)``), and pumped under a thread context (see
+    :mod:`pump`).
     """
     def submit(simcall):
         return ctx.submit(simcall)
 
-    def pumped():
-        body = steps(submit, *args)
-        answer = None
-        try:
-            while True:
-                answer = body.send(answer)
-        except StopIteration:
-            pass
-
     if kind == "generator":
         ctx = make_context_factory(kind).create(steps, (submit, *args), {})
     else:
-        ctx = make_context_factory(kind).create(pumped, (), {})
+        ctx = make_context_factory(kind).create(
+            pump, (steps(submit, *args),), {})
     ctx.start()
     return ctx
 

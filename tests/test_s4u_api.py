@@ -13,6 +13,8 @@ from repro.exceptions import SimGridError, SimTimeoutError
 from repro.platform import Platform, make_star
 from repro.s4u import ActivitySet, Engine, this_actor
 
+from pump import actor_body
+
 
 def pair_platform(speed=1e9, bandwidth=1e6, latency=0.0):
     platform = Platform("pair")
@@ -781,24 +783,11 @@ class _WaitWorld:
         self.peer_set = None
 
     def spawn(self, name, host, body, *args):
-        """Bodies are generators over (world, actor, ...); a thread
-        context runs the same body, feeding each blocking call's own
-        result back where a generator context feeds the simcall's."""
-        def generator_body(actor):
-            yield from body(self, actor, *args)
-
-        def thread_body(actor):
-            result = None
-            try:
-                steps = body(self, actor, *args)
-                while True:
-                    result = steps.send(result)
-            except StopIteration:
-                pass
-
+        """Bodies are generators over (world, actor, ...), pumped under a
+        thread context (see :mod:`pump`)."""
         return self.engine.add_actor(
             name, host,
-            thread_body if self.context == "thread" else generator_body)
+            actor_body(self.context, lambda actor: body(self, actor, *args)))
 
     def track(self, activity):
         self.activities.append(activity)

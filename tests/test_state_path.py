@@ -23,6 +23,8 @@ from repro.s4u import Engine, FailureInjector
 from repro.s4u.failure import _Pulse
 from repro.surf.trace import Trace
 
+from pump import actor_body
+
 CONTEXTS = ["generator", "thread"]
 #: Host Y and link xz go down and come back at these dates.
 HOST_DOWN, HOST_UP = 1.0, 2.0
@@ -80,24 +82,12 @@ class _World:
         self.log.append((*what, self.engine.now))
 
     def spawn(self, name, host, body, *args, **kwargs):
-        """Bodies are generators over (world, actor, ...); a thread context
-        runs the same body, feeding each blocking call's own result back
-        where a generator context feeds the simcall's."""
-        def generator_body(actor):
-            yield from body(self, actor, *args)
-
-        def thread_body(actor):
-            result = None
-            try:
-                steps = body(self, actor, *args)
-                while True:
-                    result = steps.send(result)
-            except StopIteration:
-                pass
-
+        """Bodies are generators over (world, actor, ...), pumped under a
+        thread context (see :mod:`pump`)."""
         return self.engine.add_actor(
             name, host,
-            thread_body if self.context == "thread" else generator_body,
+            actor_body(self.context,
+                       lambda actor: body(self, actor, *args)),
             **kwargs)
 
 
