@@ -41,6 +41,7 @@ from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple, Union)
 
 from repro.exceptions import SimGridError
+from repro.kernel.collector import paused_collector
 
 __all__ = [
     "CampaignError",
@@ -194,17 +195,18 @@ def _worker_main(conn, run_fn, spec: ExperimentSpec,
     that died.
     """
     try:
-        try:
-            reply = ("ok", dict(_execute_one(run_fn, spec, snapshot)))
-        except BaseException:
-            reply = ("error", traceback.format_exc())
-        try:
-            conn.send(reply)
-        except (BrokenPipeError, OSError):  # parent gone; stop quietly
-            return
-        except Exception:
-            conn.send(("error", f"seed={spec.seed}: result not picklable:\n"
-                       + traceback.format_exc()))
+        with paused_collector():
+            try:
+                reply = ("ok", dict(_execute_one(run_fn, spec, snapshot)))
+            except BaseException:
+                reply = ("error", traceback.format_exc())
+            try:
+                conn.send(reply)
+            except (BrokenPipeError, OSError):  # parent gone; stop quietly
+                return
+            except Exception:
+                conn.send(("error", f"seed={spec.seed}: result not "
+                           "picklable:\n" + traceback.format_exc()))
     finally:
         conn.close()
 
@@ -320,6 +322,15 @@ def run_campaign(run_fn: Callable[..., Mapping[str, Any]],
     campaign.  Raises :class:`CampaignError` if any experiment raised or
     was lost twice (after all others finished), so a result always covers
     the full grid.
+
+    Each run executes with Python's cyclic collector paused and ends in
+    one ``gc.collect(0)`` (:func:`~repro.kernel.collector.paused_collector`):
+    serially, the pause spans the run *and* its :meth:`Engine.restore`, so
+    the young pass frees that run's engine — and any cyclic garbage its
+    actor bodies created — while its objects are still generation 0,
+    before the next run starts; a forked run pauses its whole process and
+    leaves the parent's collector as it was.  A caller that paused the
+    collector itself keeps it paused: the runner then makes no pass.
     """
     specs: List[ExperimentSpec] = [
         spec if isinstance(spec, ExperimentSpec) else ExperimentSpec(int(spec))
@@ -342,10 +353,12 @@ def run_campaign(run_fn: Callable[..., Mapping[str, Any]],
             run_fn, specs, snapshot, workers, run_timeout, results, errors)
     else:
         for index, spec in enumerate(specs):
-            try:
-                results[index] = dict(_execute_one(run_fn, spec, snapshot))
-            except Exception:
-                errors[index] = traceback.format_exc()
+            with paused_collector():
+                try:
+                    results[index] = dict(
+                        _execute_one(run_fn, spec, snapshot))
+                except Exception:
+                    errors[index] = traceback.format_exc()
     if errors:
         first = min(errors)
         raise CampaignError(

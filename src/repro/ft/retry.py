@@ -133,7 +133,9 @@ class RetryPolicy:
         attempt fails, :class:`RetryError` is raised with the final
         failure chained.
         """
-        last: Optional[BaseException] = None
+        # No failure outlives its ``except`` clause (no ``last``; the
+        # backoff sleeps outside it): its traceback holds this frame, so
+        # keeping it here would leave a cycle per call that ever failed.
         for attempt in range(1, self.max_attempts + 1):
             self.attempts += 1
             try:
@@ -144,17 +146,15 @@ class RetryPolicy:
                     outcome = yield outcome.wait(timeout=self.attempt_timeout)
                 return outcome
             except self.retry_on as exc:
-                last = exc
                 if attempt == self.max_attempts:
-                    break
-                self.retries += 1
-                delay = self.backoff(attempt)
-                if delay > 0:
-                    yield this_actor.sleep_for(delay)
-        self.giveups += 1
-        raise RetryError(
-            f"gave up after {self.max_attempts} attempts: "
-            f"{type(last).__name__}: {last}") from last
+                    self.giveups += 1
+                    raise RetryError(
+                        f"gave up after {self.max_attempts} attempts: "
+                        f"{type(exc).__name__}: {exc}") from exc
+            self.retries += 1
+            delay = self.backoff(attempt)
+            if delay > 0:
+                yield this_actor.sleep_for(delay)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"RetryPolicy(max_attempts={self.max_attempts}, "

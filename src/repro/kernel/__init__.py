@@ -11,6 +11,7 @@ SMPI and AMOK ride on s4u — the layering of the paper's architecture
 diagram (every API sits on top of SURF through one kernel).
 """
 
+from repro.kernel.collector import paused_collector
 from repro.kernel.context import (
     Context,
     ContextFactory,
@@ -34,4 +35,5 @@ __all__ = [
     "Timer",
     "TimerQueue",
     "make_context_factory",
+    "paused_collector",
 ]

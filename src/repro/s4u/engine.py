@@ -19,7 +19,6 @@ simulation loop in the package and this is it.
 
 from __future__ import annotations
 
-import gc
 import math
 import pickle
 from collections import deque
@@ -36,6 +35,7 @@ from repro.exceptions import (
     SnapshotError,
     TransferFailureError,
 )
+from repro.kernel.collector import paused_collector
 from repro.kernel.context import FINISHED, make_context_factory
 from repro.kernel.timer import TimerQueue
 from repro.s4u import actor as _actor_mod
@@ -84,8 +84,7 @@ class Engine:
                  context_factory: str = "generator",
                  recorder=None,
                  raise_on_deadlock: bool = False,
-                 sharded: bool = False,
-                 manage_gc: Optional[bool] = None) -> None:
+                 sharded: bool = False) -> None:
         self.platform = platform
         if not platform.realized:
             platform.realize(sharded=sharded)
@@ -93,12 +92,9 @@ class Engine:
         self.context_factory = make_context_factory(context_factory)
         self.recorder = recorder
         self.raise_on_deadlock = raise_on_deadlock
-        #: Cyclic-collector policy during :meth:`run` (None = auto by
-        #: simulation size, see ``_enter_gc_policy``).
-        self.manage_gc = manage_gc
-
-        # Vestige, never read: perfbench's golden.json pins the snapshot
-        # blob size; goes at the next benchmark re-gold.
+        # Vestiges, never read: perfbench's golden.json pins the snapshot
+        # blob size; both go at the next benchmark re-gold.
+        self.manage_gc = None
         self._lazy_platform = True
         # Only the already-materialized resources (those carrying traces)
         # get wrappers up front; the rest materialize on first lookup,
@@ -445,39 +441,6 @@ class Engine:
     # ------------------------------------------------------------------------------
     # the main loop
     # ------------------------------------------------------------------------------
-    #: Simulations with at least this many live actors get the gc policy
-    #: by default: below it a full collect + freeze costs more than the
-    #: generational passes it avoids.
-    _GC_POLICY_MIN_ACTORS = 5000
-
-    def _enter_gc_policy(self) -> bool:
-        """Freeze the setup heap for the duration of the event loop.
-
-        A large simulation builds its object graph (hosts, links, actors,
-        mailboxes, generator frames) before ``run`` and keeps it alive to
-        the end; the cyclic collector re-scans those millions of objects
-        on every full generational pass even though none of them is
-        garbage.  ``gc.freeze`` moves the pre-loop heap to the permanent
-        generation so collections during the run only trace the young
-        objects the loop actually churns (activities, actions, tuples).
-        The kernel keeps its hot object graph cycle-free by construction
-        (activity<->action and actor<->context backlinks are broken on
-        completion), so deferring cycle detection of the frozen set to
-        the end of the run leaks nothing.
-        """
-        manage = self.manage_gc
-        if manage is None:
-            manage = len(self._alive_actors) >= self._GC_POLICY_MIN_ACTORS
-        if not manage or not gc.isenabled():
-            return False
-        gc.collect()
-        gc.freeze()
-        return True
-
-    def _exit_gc_policy(self) -> None:
-        """Thaw the heap frozen by ``_enter_gc_policy``."""
-        gc.unfreeze()
-
     def run(self, until: Optional[float] = None) -> float:
         """Run the simulation until it ends (or until the given date).
 
@@ -487,18 +450,22 @@ class Engine:
         after the actor was terminated (see :attr:`Actor.exit_status`), so
         the engine stays consistent and a later :meth:`run` finishes the
         healthy actors.
+
+        The loop runs with Python's cyclic collector paused and the call
+        ends in one ``gc.collect(0)`` that re-enables it, exception or
+        not (:func:`~repro.kernel.collector.paused_collector`): no
+        collector pass happens inside a run, and cyclic garbage an actor
+        body creates is freed when the run ends.  A caller that paused
+        the collector itself (a campaign run, ``gc.disable()``) keeps it
+        paused, and makes the pass itself.
         """
         limit = math.inf if until is None else float(until)
         if limit < self.now:
             return self.now
         self._tearing_down = False
         self._deadlocked = False
-        managed_gc = self._enter_gc_policy()
-        try:
+        with paused_collector():
             self._run_loop(limit, until)
-        finally:
-            if managed_gc:
-                self._exit_gc_policy()
         return self.now
 
     def _run_loop(self, limit: float, until: Optional[float]) -> None:

@@ -8,11 +8,14 @@ With a snapshot attached, forked runs must match a cold per-seed loop
 exactly.
 """
 
+import gc
 import json
 import os
+import weakref
 
 import pytest
 
+from gc_probe import collector_paused_by_caller, recorded_passes
 from repro import s4u
 from repro.campaign import (
     CampaignError,
@@ -364,6 +367,60 @@ class TestSnapshotFanout:
         parallel = run_campaign(_measured_phase, specs, workers=2,
                                 snapshot=blob)
         assert serial.metrics() == parallel.metrics()
+
+
+# ---------------------------------------------------------------------------
+# the collector: paused for each run, one young pass after it
+# ---------------------------------------------------------------------------
+
+class TestCollectorPolicy:
+    def test_serial_snapshot_campaign_makes_one_young_pass_per_run(self):
+        blob, _ = _warm_blob()
+        with recorded_passes() as passes:
+            run_campaign(_measured_phase, grid(range(4)), workers=0,
+                         snapshot=blob)
+        assert [generation for generation, _ in passes] == [0] * 4
+
+    @pytest.mark.parametrize("forked", [True, False],
+                             ids=["snapshot", "cold"])
+    def test_each_run_engine_is_freed_before_the_next_starts(self, forked):
+        refs, alive_at_start = [], []
+
+        def measured(engine, seed, config):
+            alive_at_start.append(sum(ref() is not None for ref in refs))
+            refs.append(weakref.ref(engine))
+            return _measured_phase(engine, seed, config)
+
+        def cold(seed, config):
+            engine = s4u.Engine(make_star(num_hosts=3, host_speed=1e9,
+                                          link_bandwidth=1e7,
+                                          link_latency=1e-4))
+            return measured(engine, seed, config)
+
+        blob = _warm_blob()[0] if forked else None
+        gc.collect()
+        run_campaign(measured if forked else cold, grid(range(4)),
+                     workers=0, snapshot=blob)
+        assert alive_at_start == [0, 0, 0, 0]
+        assert all(ref() is None for ref in refs)
+        assert gc.collect() == 0
+
+    def test_forked_run_pauses_its_own_process_only(self):
+        def probe(seed, config):
+            return {"collector_enabled": gc.isenabled()}
+
+        result = run_campaign(probe, [1, 2], workers=1)
+        assert gc.isenabled()
+        assert [m["collector_enabled"] for m in result.metrics()] == [
+            False, False]
+
+    def test_caller_paused_collector_is_left_alone(self):
+        blob, _ = _warm_blob()
+        with recorded_passes() as passes, collector_paused_by_caller():
+            run_campaign(_measured_phase, grid(range(3)), workers=0,
+                         snapshot=blob)
+            assert not gc.isenabled()
+            assert passes == []
 
 
 # ---------------------------------------------------------------------------

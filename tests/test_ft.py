@@ -16,10 +16,12 @@ Covers the PR-10 ``repro.ft`` package:
   churn restores from ``engine.snapshot()`` with bit-identical events.
 """
 
+import gc
 import pickle
 
 import pytest
 
+from gc_probe import collector_paused_by_caller
 from repro import s4u
 from repro.exceptions import SimTimeoutError
 from repro.ft import (
@@ -135,6 +137,29 @@ class TestRetryPolicy:
         assert first == second
         assert first["counters"] == (2, 1, 0)
         assert first["done"] > 1.5  # finished after the outage
+
+    def test_retried_call_leaves_no_cyclic_garbage(self):
+        # A failure kept in the policy's frame past its except clause is
+        # an exception -> traceback -> frame -> exception cycle, one per
+        # call that failed at least once.
+        out = {}
+
+        def worker(actor):
+            remote = actor.engine.host("leaf-0")
+            policy = RetryPolicy(max_attempts=5, base_delay=0.5, seed=42)
+            yield from policy.run(lambda: actor.exec_async(2e9, host=remote))
+            out["counters"] = (policy.attempts, policy.retries,
+                               policy.giveups)
+
+        engine = s4u.Engine(star(1))
+        engine.add_actor("w", "center", worker)
+        engine.add_actor("chaos", "center", _churn_chaos,
+                         "leaf-0", 1.0, 1.5, 0.0)
+        gc.collect()
+        with collector_paused_by_caller():
+            engine.run()
+            assert out["counters"] == (2, 1, 0)
+            assert gc.collect() == 0
 
     def test_exhaustion_raises_retry_error_with_cause(self):
         out = {}
