@@ -30,13 +30,11 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import os
 import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
-from multiprocessing.connection import wait
 from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple, Union)
 
@@ -211,19 +209,21 @@ def _worker_main(conn, run_fn, spec: ExperimentSpec,
         conn.close()
 
 
-def _run_forked(run_fn, specs: List[ExperimentSpec],
+def _run_forked(ctx, run_fn, specs: List[ExperimentSpec],
                 snapshot: Optional[bytes], workers: int,
                 run_timeout: Optional[float],
                 results: List[Optional[Mapping[str, Any]]],
                 errors: Dict[int, str]) -> Tuple[int, int, int]:
-    """Run every spec in its own forked process, ``workers`` at a time.
+    """Run every spec in its own process forked from ``ctx``, ``workers``
+    at a time.
 
     A run is lost when its process dies without replying or outlives
     ``run_timeout`` from its own start; a lost run goes back to the end
     of the queue once, and a second loss is recorded in ``errors``.
     Returns ``(deaths, timeouts, retries)``.
     """
-    ctx = multiprocessing.get_context("fork")
+    from multiprocessing.connection import wait
+
     # (index, why the previous attempt was lost, or None on a first try)
     queue = deque((index, None) for index in range(len(specs)))
     running: Dict[Any, Tuple[int, Optional[str], Any, float]] = {}
@@ -340,17 +340,21 @@ def run_campaign(run_fn: Callable[..., Mapping[str, Any]],
     if workers is None:
         workers = default_campaign_workers()
     workers = min(int(workers), len(specs))
-    try:
-        multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX
-        workers = 0
+    if workers >= 1:
+        # Imported for a pool only: a serial campaign never loads it.
+        import multiprocessing
+        try:
+            ctx = multiprocessing.get_context("fork")
+        except ValueError:  # pragma: no cover - non-POSIX
+            workers = 0
 
     results: List[Optional[Mapping[str, Any]]] = [None] * len(specs)
     errors: Dict[int, str] = {}
     fallbacks = timeouts = retries = 0
     if workers >= 1:
         fallbacks, timeouts, retries = _run_forked(
-            run_fn, specs, snapshot, workers, run_timeout, results, errors)
+            ctx, run_fn, specs, snapshot, workers, run_timeout, results,
+            errors)
     else:
         for index, spec in enumerate(specs):
             with paused_collector():

@@ -176,11 +176,15 @@ class HeartbeatMonitor:
         return []
 
     def _scan(self, now: float) -> List[Tuple[str, str]]:
+        # Runs every check period over every watched host: the lookups
+        # are hoisted out of the loop.
         flips: List[Tuple[str, str]] = []
+        suspected = self.suspected
+        last_seen = self._last_seen
+        timeout = self.timeout
         for name in self.hosts:
-            if (name not in self.suspected
-                    and now - self._last_seen[name] > self.timeout):
-                self.suspected[name] = now
+            if name not in suspected and now - last_seen[name] > timeout:
+                suspected[name] = now
                 self.events.append((now, "suspect", name))
                 if self.on_suspect is not None:
                     self.on_suspect(name, now)

@@ -5,15 +5,19 @@ completion of a SURF action: process sleeps, communication timeouts, GRAS
 ``gras_msg_wait`` deadlines, SMPI probes...
 
 The queue is a lazy-deletion binary heap: cancelling a timer marks it dead
-and it is skipped when popped.
+and it is skipped when popped.  The per-event queries (``next_date``,
+``fire_until``, ``bool``) drop the dead entries at the head of the heap
+and answer from the first live one, reading the two flags directly: a
+timer costs compares and slot reads, never a property or a scan of the
+heap.  Only ``len`` and ``compact``, off the per-event path, scan it.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
-from typing import Callable, List, Optional, Tuple
+from heapq import heapify, heappop, heappush
+from typing import Callable, List, Tuple
 
 __all__ = ["Timer", "TimerQueue"]
 
@@ -24,7 +28,10 @@ class Timer:
     Attributes
     ----------
     date:
-        Absolute simulated date at which the timer fires.
+        Absolute simulated date at which the timer fires: a number
+        ``>= 0``, or ``inf`` for a timer that never fires (``timeout=inf``).
+        A NaN date is rejected with ``ValueError``: it compares false with
+        everything and would break the heap order of every other timer.
     callback:
         Callable invoked (with no argument) when the timer fires.
     """
@@ -32,8 +39,8 @@ class Timer:
     __slots__ = ("date", "callback", "cancelled", "fired")
 
     def __init__(self, date: float, callback: Callable[[], None]) -> None:
-        if date < 0:
-            raise ValueError("timer date must be >= 0")
+        if not date >= 0:
+            raise ValueError(f"timer date must be >= 0, got {date!r}")
         self.date = date
         self.callback = callback
         self.cancelled = False
@@ -55,7 +62,7 @@ class Timer:
 
 
 class TimerQueue:
-    """Min-heap of timers ordered by firing date."""
+    """Min-heap of timers ordered by firing date, ties in arm order."""
 
     def __init__(self) -> None:
         self._heap: List[Tuple[float, int, Timer]] = []
@@ -64,30 +71,35 @@ class TimerQueue:
     def schedule(self, date: float, callback: Callable[[], None]) -> Timer:
         """Arm a timer at absolute ``date``."""
         timer = Timer(date, callback)
-        heapq.heappush(self._heap, (date, next(self._seq), timer))
+        heappush(self._heap, (date, next(self._seq), timer))
         return timer
 
     def next_date(self) -> float:
         """Date of the next pending timer, or ``inf`` when none remain."""
-        self._drop_dead()
-        if not self._heap:
-            return math.inf
-        return self._heap[0][0]
-
-    def _drop_dead(self) -> None:
-        while self._heap and not self._heap[0][2].pending:
-            heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            timer = entry[2]
+            if timer.cancelled or timer.fired:
+                heappop(heap)
+                continue
+            return entry[0]
+        return math.inf
 
     def fire_until(self, now: float) -> int:
         """Fire every pending timer with ``date <= now``; return the count."""
+        heap = self._heap
+        horizon = now + 1e-12
         fired = 0
-        while True:
-            self._drop_dead()
-            if not self._heap or self._heap[0][0] > now + 1e-12:
-                break
-            _, _, timer = heapq.heappop(self._heap)
-            if not timer.pending:
+        while heap:
+            entry = heap[0]
+            timer = entry[2]
+            if timer.cancelled or timer.fired:
+                heappop(heap)
                 continue
+            if entry[0] > horizon:
+                break
+            heappop(heap)
             timer.fired = True
             timer.callback()
             fired += 1
@@ -101,15 +113,25 @@ class TimerQueue:
         callbacks often close over actor state that cannot be pickled, so
         the snapshot path compacts the queue first — removing a dead entry
         never changes what fires.  Surviving entries keep their original
-        ``(date, seq)`` keys, so tie-breaks are unchanged.
+        ``(date, seq)`` keys, so tie-breaks are unchanged.  The heap is
+        rewritten in place: a timer callback may compact the queue while
+        :meth:`fire_until` walks it.
         """
-        before = len(self._heap)
-        self._heap = [entry for entry in self._heap if entry[2].pending]
-        heapq.heapify(self._heap)
-        return before - len(self._heap)
+        heap = self._heap
+        before = len(heap)
+        heap[:] = [entry for entry in heap if entry[2].pending]
+        heapify(heap)
+        return before - len(heap)
 
     def __len__(self) -> int:
         return sum(1 for _, _, t in self._heap if t.pending)
 
     def __bool__(self) -> bool:
-        return any(t.pending for _, _, t in self._heap)
+        heap = self._heap
+        while heap:
+            timer = heap[0][2]
+            if timer.cancelled or timer.fired:
+                heappop(heap)
+                continue
+            return True
+        return False

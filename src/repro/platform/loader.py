@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import os
-import xml.etree.ElementTree as ET
 from typing import Dict, List, Optional, Union
 
 from repro.exceptions import PlatformError
@@ -206,6 +205,10 @@ def parse_quantity(text: Union[str, float, int]) -> float:
 
 
 def _load_xml(text: str) -> Platform:
+    # Imported here, not at module level: ``import repro`` never loads the
+    # XML parser unless an XML platform is read.
+    import xml.etree.ElementTree as ET
+
     root = ET.fromstring(text)
     if root.tag != "platform":
         # SimGrid XML wraps everything in <platform><AS>...</AS></platform>

@@ -140,7 +140,7 @@ class Actor:
     @property
     def now(self) -> float:
         """Current simulated time."""
-        return self.engine.now
+        return self.engine.surf.clock
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"{type(self).__name__}(pid={self.pid}, name={self.name!r}, "

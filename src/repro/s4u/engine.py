@@ -194,8 +194,8 @@ class Engine:
             raise SnapshotError(
                 f"snapshot needs a quiescent engine (actor bodies are live "
                 f"generator frames and cannot be pickled); still alive: "
-                f"[{alive}] at t={self.now:g} — run() the current phase to "
-                f"completion first")
+                f"[{alive}] at t={self.surf.clock:g} — run() the current "
+                f"phase to completion first")
         # Lazily-deleted timer entries (cancelled timeouts of completed
         # waits) can reach dead actors whose bodies were closures; they
         # never fire, so drop them rather than pickle them.
@@ -368,7 +368,7 @@ class Engine:
             for comm in list(self._active_comms):
                 if comm.src_host is host or comm.dst_host is host:
                     if comm.surf_action.is_running():
-                        comm.surf_action.cancel(self.now)
+                        comm.surf_action.cancel(self.surf.clock)
                     self._finish_activity(comm, ActivityState.FAILED)
             for actor in list(host.actors):
                 if not actor.is_alive:  # died in a sibling's on_exit
@@ -460,13 +460,13 @@ class Engine:
         paused, and makes the pass itself.
         """
         limit = math.inf if until is None else float(until)
-        if limit < self.now:
-            return self.now
+        if limit < self.surf.clock:
+            return self.surf.clock
         self._tearing_down = False
         self._deadlocked = False
         with paused_collector():
             self._run_loop(limit, until)
-        return self.now
+        return self.surf.clock
 
     def _run_loop(self, limit: float, until: Optional[float]) -> None:
         # Bound once per run: the callees of every turn.  ``surf.step``
@@ -605,7 +605,7 @@ class Engine:
         if self.raise_on_deadlock:
             names = ", ".join(a.name for a in survivors)
             raise DeadlockError(
-                f"simulation deadlocked at t={self.now:g}: "
+                f"simulation deadlocked at t={self.surf.clock:g}: "
                 f"actors [{names}] are blocked forever")
 
     def _handle_speed_changes(self, speed_changes) -> None:
@@ -653,7 +653,7 @@ class Engine:
             return None
         activity = Exec(actor, host, flops, name,
                         priority=priority, bound=bound)
-        activity.post_time = activity.start_time = self.now
+        activity.post_time = activity.start_time = self.surf.clock
         action = self.surf.execute(host.cpu, flops,
                                    priority=priority, bound=bound)
         action.data = activity
@@ -683,11 +683,11 @@ class Engine:
 
     def _do_sleep_async(self, actor: Actor, duration: float) -> None:
         activity = Sleep(actor, duration)
-        activity.post_time = activity.start_time = self.now
+        activity.post_time = activity.start_time = self.surf.clock
         activity.state = ActivityState.STARTED
         activity._engine = self
         activity._timer = self.timers.schedule(
-            self.now + duration,
+            self.surf.clock + duration,
             partial(self._finish_activity, activity, ActivityState.DONE))
         self._enqueue(actor, activity)
 
@@ -736,7 +736,7 @@ class Engine:
                 mailbox, payload=payload, size=size, src_actor=actor,
                 rate=rate, detached=detached, priority=priority, name=name)
             comm._engine = self
-            comm.post_time = self.now
+            comm.post_time = self.surf.clock
             mailbox.post_send(comm)
         return comm
 
@@ -751,7 +751,7 @@ class Engine:
         else:
             comm = Comm(mailbox, dst_actor=actor, rate=rate)
             comm._engine = self
-            comm.post_time = self.now
+            comm.post_time = self.surf.clock
             mailbox.post_recv(comm)
         return comm
 
@@ -768,7 +768,7 @@ class Engine:
         action.data = comm
         comm.surf_action = action
         comm.state = ActivityState.STARTED
-        comm.start_time = self.now
+        comm.start_time = self.surf.clock
         if not action.is_running():
             # A link of the route was already down when the rendezvous
             # matched: the model failed the action synchronously, so it will
@@ -845,7 +845,7 @@ class Engine:
         actor._wait_activities = activities
         actor._wait_owner = owner
         actor._wait_timer = None if timeout is None else self.timers.schedule(
-            self.now + timeout, partial(self._on_wait_timeout, actor))
+            self.surf.clock + timeout, partial(self._on_wait_timeout, actor))
 
     def _unblock(self, actor: Actor, but: Optional[Activity] = None) -> None:
         """End the wait of ``actor``: disarm its timeout and withdraw it
@@ -876,7 +876,7 @@ class Engine:
             # the actor can wait on it again later.
             self._abort_activity(waited[0], ActivityState.TIMEOUT)
         self._ready.append((actor, None, SimTimeoutError(
-            f"{kind} timed out at t={self.now:g}")))
+            f"{kind} timed out at t={self.surf.clock:g}")))
 
     # -- actor control ------------------------------------------------------------------
     def _do_suspend(self, actor: Actor, target: Actor) -> None:
@@ -945,7 +945,7 @@ class Engine:
         """
         action = activity.surf_action
         if action is not None and action.is_running():
-            action.cancel(self.now)
+            action.cancel(self.surf.clock)
         elif isinstance(activity, Sleep):
             activity._timer.cancel()
         elif activity.state is _PENDING and isinstance(activity, Comm):
@@ -1034,13 +1034,14 @@ class Engine:
                 f"activity {activity.name!r} was cancelled")
         if not isinstance(activity, Comm):
             return None, HostFailureError(
-                f"host failed during {activity.name!r} at t={self.now:g}")
+                f"host failed during {activity.name!r} "
+                f"at t={self.surf.clock:g}")
         if state is ActivityState.TIMEOUT:
             # Only the peer of the side that gave up ever reads this state.
             return None, TransferFailureError(
                 f"peer timed out on {activity.mailbox.name}")
         return None, TransferFailureError(
-            f"transfer {activity.name!r} failed at t={self.now:g}")
+            f"transfer {activity.name!r} failed at t={self.surf.clock:g}")
 
     # ------------------------------------------------------------------------------
     # death

@@ -38,6 +38,8 @@ from repro.surf.lmm import Variable
 
 __all__ = ["Action", "ActionState"]
 
+_INF = math.inf
+
 
 class ActionState(enum.Enum):
     """Lifecycle states of an action."""
@@ -46,6 +48,11 @@ class ActionState(enum.Enum):
     DONE = "done"
     FAILED = "failed"
     CANCELLED = "cancelled"
+
+
+# Compared by identity on the hot path, read as a module global rather
+# than through the enum class.
+_RUNNING = ActionState.RUNNING
 
 
 class Action:
@@ -77,7 +84,7 @@ class Action:
         self.priority = float(priority)
         self.state = ActionState.RUNNING
         self.variable: Optional[Variable] = None
-        self.start_time: float = getattr(model, "clock", 0.0) if model else 0.0
+        self.start_time: float = model.clock if model is not None else 0.0
         self.finish_time: Optional[float] = None
         self.data = None          # opaque back-pointer (activity, simcall...)
         self._suspended = False
@@ -108,24 +115,27 @@ class Action:
     def remaining(self) -> float:
         """Remaining work, extrapolated to the model's current clock."""
         rem = self._remaining
-        if (self.is_running() and self.last_rate > 0.0
+        rate = self.last_rate
+        if (self.state is _RUNNING and rate > 0.0
                 and self.model is not None):
-            if math.isinf(self.last_rate):
+            if rate == _INF:
                 return 0.0
-            elapsed = getattr(self.model, "clock", self.last_sync) - self.last_sync
+            elapsed = self.model.clock - self.last_sync
             if elapsed > 0:
-                rem = max(0.0, rem - self.last_rate * elapsed)
+                rem -= rate * elapsed
+                rem = rem if rem > 0.0 else 0.0
         return rem
 
     @remaining.setter
     def remaining(self, value: float) -> None:
         self._remaining = float(value)
-        self.last_sync = getattr(self.model, "clock", 0.0) if self.model else 0.0
+        model = self.model
+        self.last_sync = model.clock if model is not None else 0.0
         # The completion heap is the only thing that finishes actions now,
         # so an external write to the remaining amount must displace the
         # previously predicted completion date.
-        if self.model is not None and self.is_running():
-            self.model._reschedule_action(self, self.last_sync)
+        if model is not None and self.state is _RUNNING:
+            model._reschedule_action(self, self.last_sync)
 
     def sync_remaining(self, now: float) -> float:
         """Fold the progress made since ``last_sync`` into the stored amount.
@@ -133,23 +143,26 @@ class Action:
         Must be called (by the owning model) whenever the action's rate is
         about to change, so the interval [last_sync, now] is accounted at
         the rate that was actually in force.  Returns the updated amount.
+        ``x if x > 0.0 else 0.0`` is ``max(0.0, x)`` as a compare: the same
+        double for every input, NaN included.
         """
-        if self.is_running():
-            if math.isinf(self.last_rate):
+        if self.state is _RUNNING:
+            rate = self.last_rate
+            if rate == _INF:
                 self._remaining = 0.0
-            elif self.last_rate > 0.0 and now > self.last_sync:
-                self._remaining = max(
-                    0.0, self._remaining - self.last_rate * (now - self.last_sync))
+            elif rate > 0.0 and now > self.last_sync:
+                rem = self._remaining - rate * (now - self.last_sync)
+                self._remaining = rem if rem > 0.0 else 0.0
         self.last_sync = now
         return self._remaining
 
     # -- state transitions --------------------------------------------------------
     def is_running(self) -> bool:
-        return self.state is ActionState.RUNNING
+        return self.state is _RUNNING
 
     def finish(self, now: float, state: ActionState) -> None:
         """Terminate the action in ``state`` at date ``now``."""
-        if not self.is_running():
+        if self.state is not _RUNNING:
             return
         self.sync_remaining(now)
         self.state = state
@@ -167,7 +180,7 @@ class Action:
 
     def suspend(self) -> None:
         """Stop the action's progress without discarding its state."""
-        if self._suspended or not self.is_running():
+        if self._suspended or self.state is not _RUNNING:
             return
         self._suspended = True
         if self.model is not None:
@@ -175,7 +188,7 @@ class Action:
 
     def resume(self) -> None:
         """Resume a suspended action."""
-        if not self._suspended or not self.is_running():
+        if not self._suspended or self.state is not _RUNNING:
             return
         self._suspended = False
         if self.model is not None:
@@ -190,10 +203,6 @@ class Action:
             self.model.on_action_priority_changed(self)
 
     # -- progress ----------------------------------------------------------------
-    def effective_weight(self) -> float:
-        """Weight to hand to the LMM system (0 when suspended)."""
-        return 0.0 if self._suspended else self.priority
-
     def progress(self) -> float:
         """Fraction of the work already performed, in ``[0, 1]``."""
         if self.cost <= 0:

@@ -73,7 +73,7 @@ class CpuAction(Action):
     def __init__(self, model: "CpuModel", cpu: CpuResource, cost: float,
                  priority: float = 1.0,
                  user_bound: Optional[float] = None) -> None:
-        super().__init__(model, cost, priority)
+        Action.__init__(self, model, cost, priority)
         self.cpu = cpu
         self.user_bound = user_bound
 
@@ -119,10 +119,13 @@ class CpuModel(FluidModel):
         action = CpuAction(self, cpu, flops, priority, user_bound=bound)
         effective_bound = self._merged_bound(cpu, bound)
         action.bound = effective_bound
-        var = self.system.new_variable(weight=action.effective_weight(),
-                                       bound=effective_bound, data=action)
+        # A new action is not suspended: its effective weight is its
+        # priority.
+        system = self.system
+        var = system.new_variable(weight=action.priority,
+                                  bound=effective_bound, data=action)
         action.variable = var
-        self.system.expand(cpu.constraint, var, 1.0)
+        system.expand(cpu.constraint, var, 1.0)
         self.running.add(action)
         if not cpu.is_on:
             # Executing on a dead host fails immediately at the next step.
@@ -141,8 +144,11 @@ class CpuModel(FluidModel):
         """
         if cpu.cores <= 1:
             return user_bound
+        # ``min(user_bound, core_cap)`` as a compare: the same value.
         core_cap = cpu.core_speed
-        return core_cap if user_bound is None else min(user_bound, core_cap)
+        if user_bound is None or core_cap < user_bound:
+            return core_cap
+        return user_bound
 
     # -- dynamic reconfiguration ---------------------------------------------------
     def set_cpu_speed(self, cpu: CpuResource, speed: float) -> None:

@@ -21,9 +21,9 @@ unit-tested (and benchmarked) with raw actions.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
+from heapq import heappop, heappush
 from typing import List, Optional, Tuple
 
 from repro.surf.action import Action
@@ -69,11 +69,13 @@ class StepResult:
                                                     List[Action]]]] = None,
                  speed_changes: Optional[List[Tuple[Resource, float]]] = None
                  ) -> None:
+        # The lists handed in are kept, empty or not: a step allocates
+        # its two lists once.
         self.time = time
         self.completed = completed
         self.reached_bound = reached_bound
-        self.state_changes = state_changes or []
-        self.speed_changes = speed_changes or []
+        self.state_changes = [] if state_changes is None else state_changes
+        self.speed_changes = [] if speed_changes is None else speed_changes
 
     @property
     def failed(self) -> List[Action]:
@@ -203,8 +205,8 @@ class SurfEngine:
         if nxt is None:
             return
         date, value = nxt
-        heapq.heappush(self._trace_heap,
-                       (date, next(self._seq), resource, kind, value, iterator))
+        heappush(self._trace_heap,
+                 (date, next(self._seq), resource, kind, value, iterator))
 
     # -- resource state ----------------------------------------------------------------
     def set_state(self, resource: Resource, is_on: bool) -> List[Action]:
@@ -279,7 +281,7 @@ class SurfEngine:
 
         state_changes: List[Tuple[Resource, bool, List[Action]]] = []
         speed_changes: List[Tuple[Resource, float]] = []
-        if trace_heap:
+        if trace_heap and trace_heap[0][0] <= new_time + _TIME_EPSILON:
             self._fire_trace_events(new_time, state_changes, speed_changes)
 
         reached_bound = (delta_bound <= min_delta + _TIME_EPSILON
@@ -345,9 +347,10 @@ class SurfEngine:
         resource goes through :meth:`set_state` and is reported with the
         actions it failed; one that does not flip it is dropped.
         """
-        while self._trace_heap and self._trace_heap[0][0] <= now + _TIME_EPSILON:
-            date, _, resource, kind, value, iterator = heapq.heappop(
-                self._trace_heap)
+        heap = self._trace_heap
+        horizon = now + _TIME_EPSILON
+        while heap and heap[0][0] <= horizon:
+            date, _, resource, kind, value, iterator = heappop(heap)
             if kind is TraceKind.AVAILABILITY:
                 # The capacity flows through update_constraint_capacity
                 # (the only-write-path rule); the owning model then
@@ -365,8 +368,7 @@ class SurfEngine:
             nxt = iterator.next_event()
             if nxt is not None:
                 ndate, nvalue = nxt
-                heapq.heappush(self._trace_heap,
-                               (ndate, next(self._seq), resource, kind,
+                heappush(heap, (ndate, next(self._seq), resource, kind,
                                 nvalue, iterator))
 
     def run_until_idle(self, max_time: float = math.inf) -> float:

@@ -406,8 +406,11 @@ class MaxMinSystem:
         self._modified.add(constraint)
 
     def _mark_variable(self, variable: Variable) -> None:
-        if variable.elements:
-            self._modified.update(e.constraint for e in variable.elements)
+        elements = variable.elements
+        if elements:
+            modified = self._modified
+            for elem in elements:
+                modified.add(elem.constraint)
         elif variable.id in self._vars:
             self._detached_dirty.add(variable)
 
@@ -489,8 +492,9 @@ class MaxMinSystem:
             else:
                 seeds = sorted(modified, key=_BY_ID)
             modified.clear()
-            cns_seen: Set[Constraint] = set()
-            var_seen: Set[Variable] = set()
+            # Allocated by the first component that needs a graph walk.
+            cns_seen: Optional[Set[Constraint]] = None
+            var_seen: Optional[Set[Variable]] = None
             for seed in seeds:
                 elements = seed.elements
                 if _subsolver is None and (not elements or (
@@ -517,7 +521,10 @@ class MaxMinSystem:
                     if groups is not None:
                         groups.append((seed.id, start, len(changed)))
                     continue
-                if seed in cns_seen:
+                if cns_seen is None:
+                    cns_seen = set()
+                    var_seen = set()
+                elif seed in cns_seen:
                     continue
                 cnss, variables = self._component(seed, cns_seen, var_seen)
                 # Creation order keeps the selective solve's tie-breaking
@@ -615,7 +622,9 @@ class MaxMinSystem:
         list with a skip-frozen pointer replaces the heap.  Values are
         bit-identical to the general path: every level that freezes a
         variable is the same reference summation over the same elements
-        in the same order.
+        in the same order.  Like the filling loop, it writes
+        ``max(0.0, x)`` and ``min(value, bound)`` as compares (the same
+        double for every input).
         """
         elements = cns.elements
         self.elements_visited += len(elements)
@@ -675,12 +684,12 @@ class MaxMinSystem:
                         if var._stamp == token:
                             denom += elem.usage * var.weight
                     exact = True
-                    clevel = (max(0.0, rem) / denom
+                    clevel = ((rem if rem > 0.0 else 0.0) / denom
                               if denom > EPSILON else None)
                 elif exact and denom <= EPSILON:
                     clevel = None
                 else:
-                    clevel = max(0.0, rem) / denom
+                    clevel = (rem if rem > 0.0 else 0.0) / denom
             else:
                 while fi < nfat and fat[fi][2]._stamp != token:
                     fi += 1
@@ -715,7 +724,7 @@ class MaxMinSystem:
                     exact = True
                     if denom <= EPSILON:
                         continue
-                    clevel = max(0.0, rem) / denom
+                    clevel = (rem if rem > 0.0 else 0.0) / denom
                     winner_is_bound = (b_lvl is not None and clevel > b_lvl)
                 else:
                     winner_is_bound = False
@@ -745,7 +754,7 @@ class MaxMinSystem:
                                 denom += elem.usage * var.weight
                         exact = True
                         if denom > EPSILON:
-                            clevel = max(0.0, rem) / denom
+                            clevel = (rem if rem > 0.0 else 0.0) / denom
                             cns_in_band = clevel < limit
                 elif clevel < limit:
                     cns_in_band = True
@@ -774,8 +783,9 @@ class MaxMinSystem:
                 # A bound freezes one variable; maintain the running
                 # aggregates like the general path's freeze loop.
                 value = w_lvl * sel_var.weight
-                if sel_var.bound is not None:
-                    value = min(value, sel_var.bound)
+                bound = sel_var.bound
+                if bound is not None and bound < value:
+                    value = bound
                 sel_var.value = value
                 sel_var._stamp = 0
                 unassigned -= 1
@@ -783,7 +793,8 @@ class MaxMinSystem:
                 self.elements_visited += len(velems)
                 if shared:
                     for elem in velems:
-                        rem = max(0.0, rem - elem.usage * value)
+                        rem -= elem.usage * value
+                        rem = rem if rem > 0.0 else 0.0
                         denom -= elem.usage * sel_var.weight
                     exact = False
                 live -= 1
@@ -795,8 +806,9 @@ class MaxMinSystem:
                     var = elem.variable
                     if var._stamp == token:
                         value = w_lvl * var.weight
-                        if var.bound is not None:
-                            value = min(value, var.bound)
+                        bound = var.bound
+                        if bound is not None and bound < value:
+                            value = bound
                         var.value = value
                         var._stamp = 0
                         unassigned -= 1

@@ -27,9 +27,9 @@ completion heap) would miss the change.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
+from heapq import heappop, heappush
 from typing import List, Set, Tuple
 
 from repro.surf.action import Action, ActionState
@@ -41,6 +41,9 @@ __all__ = ["FluidModel"]
 COMPLETION_EPSILON = 1e-6
 #: Date slack when popping due events (mirrors the engine's epsilon).
 TIME_EPSILON = 1e-9
+
+_INF = math.inf
+_RUNNING, _DONE = ActionState.RUNNING, ActionState.DONE
 
 
 class FluidModel:
@@ -80,9 +83,9 @@ class FluidModel:
     # -- event heap -------------------------------------------------------------
     def _schedule_event(self, action: Action, date: float) -> None:
         """(Re)schedule the single live event of ``action`` at ``date``."""
-        action._event_version += 1
-        heapq.heappush(self._heap,
-                       (date, next(self._seq), action._event_version, action))
+        version = action._event_version + 1
+        action._event_version = version
+        heappush(self._heap, (date, next(self._seq), version, action))
 
     def _unschedule_event(self, action: Action) -> None:
         """Invalidate the live event of ``action`` (lazy heap removal)."""
@@ -91,27 +94,31 @@ class FluidModel:
     def next_event_date(self) -> float:
         """Date of the earliest live event (inf when none is scheduled)."""
         heap = self._heap
-        running = ActionState.RUNNING
         while heap:
             date, _, version, action = heap[0]
-            if version != action._event_version or action.state is not running:
-                heapq.heappop(heap)
+            if (version != action._event_version
+                    or action.state is not _RUNNING):
+                heappop(heap)
                 continue
             return date
-        return math.inf
+        return _INF
 
     # -- LMM write paths ---------------------------------------------------------
     def on_action_priority_changed(self, action: Action) -> None:
         """Model hook: push new weight/bound to the LMM system.
 
         This is the *only* path by which an action's weight or bound reaches
-        the solver; the solver's dirtiness tracking hinges on it.
+        the solver; the solver's dirtiness tracking hinges on it.  The
+        weight is 0 while the action is suspended, its priority otherwise
+        (the network model overrides this for the latency phase).
         """
-        if action.variable is None:
+        var = action.variable
+        if var is None:
             return
-        self.system.update_variable_weight(action.variable,
-                                           action.effective_weight())
-        self.system.update_variable_bound(action.variable, action.bound)
+        system = self.system
+        system.update_variable_weight(
+            var, 0.0 if action._suspended else action.priority)
+        system.update_variable_bound(var, action.bound)
 
     def on_resource_capacity_changed(self, resource) -> None:
         """Model hook: a resource's effective capacity changed at runtime.
@@ -141,14 +148,14 @@ class FluidModel:
         # Peek the heap in place (the loop of next_event_date, minus its
         # frame): stale heads are dropped, the first live one answers.
         heap = self._heap
-        running = ActionState.RUNNING
         while heap:
             date, _, version, action = heap[0]
-            if version != action._event_version or action.state is not running:
-                heapq.heappop(heap)
+            if (version != action._event_version
+                    or action.state is not _RUNNING):
+                heappop(heap)
                 continue
             return date - now if date > now else 0.0
-        return math.inf
+        return _INF
 
     @staticmethod
     def _adopt_solved_rates(variables, now: float) -> None:
@@ -159,10 +166,9 @@ class FluidModel:
         sharded engine passes several systems' results merged into flat
         order) and each action is rescheduled by the model it lives in.
         """
-        running = ActionState.RUNNING
         for var in variables:
             action = var.data
-            if action is None or action.state is not running:
+            if action is None or action.state is not _RUNNING:
                 continue
             # The interval since the last sync ran at the previous
             # rate; account it before adopting the new one.
@@ -180,7 +186,7 @@ class FluidModel:
         if rate <= 0.0:
             self._unschedule_event(action)
             return
-        if math.isinf(rate) or action._remaining <= COMPLETION_EPSILON:
+        if rate == _INF or action._remaining <= COMPLETION_EPSILON:
             self._schedule_event(action, now)
             return
         self._schedule_event(action, now + action._remaining / rate)
@@ -190,15 +196,16 @@ class FluidModel:
         self.clock = now
         finished: List[Action] = []
         heap = self._heap
-        running = ActionState.RUNNING
+        horizon = now + TIME_EPSILON
         while heap:
             date, _, version, action = heap[0]
-            if version != action._event_version or action.state is not running:
-                heapq.heappop(heap)
+            if (version != action._event_version
+                    or action.state is not _RUNNING):
+                heappop(heap)
                 continue
-            if date > now + TIME_EPSILON:
+            if date > horizon:
                 break
-            heapq.heappop(heap)
+            heappop(heap)
             action._event_version += 1
             # The heap may be shared by every model of this kind (sharded
             # engine): the action's own model handles its event.
@@ -216,7 +223,7 @@ class FluidModel:
         # and about to read zero: nothing left to sync.
         action._remaining = 0.0
         action.last_sync = now
-        action.state = ActionState.DONE
+        action.state = _DONE
         action.finish_time = now
         self.on_action_finished(action)
         finished.append(action)
@@ -234,7 +241,7 @@ class FluidModel:
         """Fail every running action using ``resource`` (resource failure)."""
         failed: List[Action] = []
         for action in self._actions_using(resource):
-            if action.is_running():
+            if action.state is _RUNNING:
                 action.fail(now)
                 failed.append(action)
         return failed

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence
 
 from repro.surf.action import Action
@@ -44,6 +45,7 @@ from repro.surf.trace import Trace
 __all__ = ["NetworkModel", "NetworkModelConfig", "LinkResource", "NetworkAction"]
 
 _LATENCY_EPSILON = 1e-12
+_LATENCY = attrgetter("latency")
 
 
 @dataclass
@@ -111,21 +113,10 @@ class NetworkAction(Action):
 
     def __init__(self, model: "NetworkModel", links: Sequence[LinkResource],
                  size: float, latency: float, priority: float = 1.0) -> None:
-        super().__init__(model, size, priority)
+        Action.__init__(self, model, size, priority)
         self.links: List[LinkResource] = list(links)
         self.total_latency = float(latency)
         self.latency_remaining = float(latency)
-
-    @property
-    def in_latency_phase(self) -> bool:
-        """True while the transfer is still paying the route latency."""
-        return self.latency_remaining > _LATENCY_EPSILON
-
-    def effective_weight(self) -> float:
-        """No bandwidth is consumed while the latency is being paid."""
-        if self.in_latency_phase:
-            return 0.0
-        return super().effective_weight()
 
 
 class NetworkModel(FluidModel):
@@ -211,48 +202,79 @@ class NetworkModel(FluidModel):
         priority:
             Sharing weight of the flow.
         """
-        route_latency = (sum(l.latency for l in links) + extra_latency)
-        route_latency *= self.config.latency_factor
+        # ``sum`` over the links, never a ``+=`` loop: the builtin's float
+        # summation differs between Python versions, and the route
+        # latency must be the same double as it always was.
+        config = self.config
+        route_latency = sum(map(_LATENCY, links)) + extra_latency
+        route_latency *= config.latency_factor
         action = NetworkAction(self, links, size, route_latency, priority)
 
+        # ``min(rate, tcp_bound)`` as a compare: the same value, NaN included.
         bound = rate
-        if self.config.tcp_gamma > 0 and route_latency > 0:
-            tcp_bound = self.config.tcp_gamma / (2.0 * route_latency)
-            bound = tcp_bound if bound is None else min(bound, tcp_bound)
+        gamma = config.tcp_gamma
+        if gamma > 0 and route_latency > 0:
+            tcp_bound = gamma / (2.0 * route_latency)
+            if bound is None or tcp_bound < bound:
+                bound = tcp_bound
         action.bound = bound
 
-        var = self.system.new_variable(weight=action.effective_weight(),
-                                       bound=bound, data=action)
+        # The latency phase and the initial weight (no bandwidth while the
+        # latency is paid) are decided once, here.
+        in_latency = action.latency_remaining > _LATENCY_EPSILON
+        system = self.system
+        var = system.new_variable(
+            weight=0.0 if in_latency else action.priority, bound=bound,
+            data=action)
         action.variable = var
+        link_down = False
         for link in links:
-            self.system.expand(link.constraint, var, 1.0)
+            system.expand(link.constraint, var, 1.0)
+            if not link.is_on:
+                link_down = True
         self.running.add(action)
 
-        if action.in_latency_phase:
+        if in_latency:
             # The latency phase ends at a known absolute date; schedule it
             # now so the heap drives the phase switch.
             self._schedule_event(action, self.clock + action.latency_remaining)
 
-        if any(not link.is_on for link in links):
+        if link_down:
             action.fail(action.start_time)
         return action
 
     # -- event handling ------------------------------------------------------------
-    def _reschedule_action(self, action: Action, now: float) -> None:
-        if isinstance(action, NetworkAction) and action.in_latency_phase:
+    def on_action_priority_changed(self, action: NetworkAction) -> None:
+        """Push the weight and bound of a transfer (see FluidModel).
+
+        No bandwidth is consumed while the latency is being paid: the
+        weight stays 0 until the latency-end event flips it.
+        """
+        var = action.variable
+        if var is None:
+            return
+        system = self.system
+        system.update_variable_weight(
+            var, 0.0 if (action._suspended
+                         or action.latency_remaining > _LATENCY_EPSILON)
+            else action.priority)
+        system.update_variable_bound(var, action.bound)
+
+    def _reschedule_action(self, action: NetworkAction, now: float) -> None:
+        if action.latency_remaining > _LATENCY_EPSILON:
             # The latency-end event is already in the heap; a solve that
             # touched the flow's links must not displace it.
             return
-        super()._reschedule_action(action, now)
+        FluidModel._reschedule_action(self, action, now)
 
-    def _fire_event(self, action: Action, now: float,
+    def _fire_event(self, action: NetworkAction, now: float,
                     finished: List[Action]) -> None:
-        if isinstance(action, NetworkAction) and action.in_latency_phase:
+        if action.latency_remaining > _LATENCY_EPSILON:
             # End of the latency phase.
             action.latency_remaining = 0.0
             action.last_sync = now
             if (action._remaining <= COMPLETION_EPSILON
-                    or math.isinf(action.last_rate)):
+                    or action.last_rate == math.inf):
                 # A zero-byte message completes right at the end of latency.
                 self._complete(action, now, finished)
                 return

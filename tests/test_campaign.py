@@ -11,10 +11,13 @@ exactly.
 import gc
 import json
 import os
+import subprocess
+import sys
 import weakref
 
 import pytest
 
+import repro
 from gc_probe import collector_paused_by_caller, recorded_passes
 from repro import s4u
 from repro.campaign import (
@@ -177,6 +180,27 @@ class TestRunCampaign:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             run_campaign(_simulate, [], workers=0)
+
+    def test_serial_campaign_loads_neither_multiprocessing_nor_xml(self):
+        # A fresh interpreter: this one already imported both.  The pool
+        # imports multiprocessing when it forks, the loader the XML parser
+        # when it reads XML; importing the package and running serially
+        # loads neither.
+        code = (
+            "import sys\n"
+            "import repro, repro.campaign, repro.replay\n"
+            "result = repro.campaign.run_campaign(\n"
+            "    lambda seed, config: {'seed': seed}, [1, 2], workers=0)\n"
+            "assert result.workers == 0\n"
+            "print(sorted(name for name in sys.modules if name.split('.')[0]\n"
+            "             in ('multiprocessing', 'xml')))\n")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("REPRO_CAMPAIGN_WORKERS", None)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

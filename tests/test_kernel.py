@@ -3,8 +3,10 @@
 import ast
 import math
 import pathlib
+from functools import partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 
@@ -17,6 +19,8 @@ from repro.kernel.context import (
 )
 from repro.kernel.simcall import Simcall
 from repro.kernel.timer import TimerQueue
+from repro.platform import make_star
+from repro.s4u import Engine
 
 from pump import pump
 
@@ -59,6 +63,39 @@ class TestTimerQueue:
         with pytest.raises(ValueError):
             queue.schedule(-1.0, lambda: None)
 
+    def test_nan_date_rejected_inf_date_armed_forever(self):
+        queue = TimerQueue()
+        with pytest.raises(ValueError, match="nan"):
+            queue.schedule(math.nan, lambda: None)
+        fired = []
+        queue.schedule(math.inf, lambda: fired.append("inf"))
+        assert len(queue) == 1 and queue.next_date() == math.inf
+        assert queue.fire_until(1e300) == 0 and fired == []
+
+    def test_a_nan_date_cannot_break_the_heap(self):
+        # A NaN date compares false with everything: once in the heap it
+        # made the 0.5 and 2.0 timers below fire at 3.0, out of order.
+        engine = Engine(make_star(2))
+        fired = []
+
+        def arm(date):
+            engine.timers.schedule(
+                date, lambda: fired.append((date, engine.now)))
+
+        for date in (3.0, math.nan, 1.0, 2.0, 0.5):
+            if math.isnan(date):
+                with pytest.raises(ValueError, match="nan"):
+                    arm(date)
+            else:
+                arm(date)
+
+        def sleeper(actor):
+            yield actor.sleep_for(5)
+
+        engine.add_actor("sleeper", "leaf-0", sleeper)
+        assert engine.run() == 5.0
+        assert fired == [(0.5, 0.5), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]
+
     def test_timer_scheduled_during_fire_is_honoured(self):
         queue = TimerQueue()
         fired = []
@@ -70,6 +107,61 @@ class TestTimerQueue:
         queue.schedule(1.0, first)
         queue.fire_until(2.0)
         assert fired == ["first", "nested"]
+
+
+# Few distinct dates, so same-date ties are common; ``inf`` is a legal date
+# that never comes due at a finite clock.
+_TIMER_DATES = st.one_of(st.sampled_from([0.0, 1.0, 2.5, math.inf]),
+                         st.floats(min_value=0.0, max_value=10.0))
+_TIMER_OPS = st.lists(st.one_of(
+    st.tuples(st.just("schedule"), _TIMER_DATES),
+    st.tuples(st.just("cancel"), st.integers(0, 63)),
+    st.tuples(st.just("fire_until"), st.floats(min_value=0.0, max_value=12.0)),
+    st.tuples(st.just("compact"), st.none())), max_size=60)
+
+
+class TestTimerQueueModel:
+    """``TimerQueue`` against a sorted list of every timer ever armed."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_TIMER_OPS, st.booleans())
+    def test_queue_matches_a_sorted_list_oracle(self, ops, bool_first):
+        queue = TimerQueue()
+        timers = []
+        fired = []
+        # [date, arm index, state] per timer, in arm order.
+        model = []
+        for op, arg in ops:
+            if op == "schedule":
+                index = len(timers)
+                timers.append(
+                    queue.schedule(arg, partial(fired.append, index)))
+                model.append([arg, index, "armed"])
+            elif op == "cancel" and timers:
+                index = arg % len(timers)
+                timers[index].cancel()
+                if model[index][2] == "armed":
+                    model[index][2] = "cancelled"
+            elif op == "fire_until":
+                # Due timers fire by date, same-date ties in arm order.
+                due = sorted((date, index) for date, index, state in model
+                             if state == "armed" and date <= arg + 1e-12)
+                for _, index in due:
+                    model[index][2] = "fired"
+                start = len(fired)
+                assert queue.fire_until(arg) == len(due)
+                assert fired[start:] == [index for _, index in due]
+            elif op == "compact":
+                queue.compact()
+                assert len(queue._heap) == len(queue)
+            armed = sorted((date, index) for date, index, state in model
+                           if state == "armed")
+            # The queries drop dead heads as they go: vary their order.
+            if bool_first:
+                assert bool(queue) == bool(armed)
+            assert queue.next_date() == (armed[0][0] if armed else math.inf)
+            assert bool(queue) == bool(armed)
+            assert len(queue) == len(armed)
 
 
 def _handler(process, *args):

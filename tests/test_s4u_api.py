@@ -1,6 +1,7 @@
 """Tests for the s4u actor/activity API: futures, ActivitySet, timeouts."""
 
 import ast
+import math
 import os
 import pathlib
 import sys
@@ -596,9 +597,15 @@ class TestCallsPerActivity:
     #: actor turn (PR 18), 31.6 with the one ``submit`` (PR 20: two of a
     #: simcall's four frames moved to ``repro/kernel/``, 7.0 -> 12.0
     #: there, and the uncounted dataclass ``__init__`` went).  surf (the
-    #: LMM solver included): 73.0 before PR 18, 49.6 after.  Lower them
-    #: with each lever that lands.
-    CEILINGS = {"s4u": 35, "surf": 55}
+    #: LMM solver included): 73.0 before PR 18, 49.6 after, 47.5 before
+    #: the per-event code below s4u read slots instead of calling
+    #: properties and helpers, 38.5 after; kernel 12.0 -> 10.0 there.
+    #: Lower them with each lever that lands.
+    CEILINGS = {"s4u": 35, "surf": 45, "kernel": 11}
+
+    #: Builtins the layers below s4u do not call per activity: each has a
+    #: compare or a slot read that yields the same value.
+    BANNED = (max, min, math.isinf, any, getattr)
 
     @pytest.mark.parametrize("workers", [100, 400])
     def test_overlap_fleet_stays_under_the_frame_ceilings(self, workers):
@@ -608,13 +615,27 @@ class TestCallsPerActivity:
         layers = {os.sep + os.path.join("repro", layer) + os.sep: layer
                   for layer in self.CEILINGS}
         frames = dict.fromkeys(self.CEILINGS, 0)
+        # Below s4u: builtin calls from the list above, and generator
+        # expressions (a frame per element stream), by caller.
+        below = {}
 
         def count(frame, event, arg):
+            if event != "call" and event != "c_call":
+                return
+            filename = frame.f_code.co_filename
+            for marker, layer in layers.items():
+                if marker in filename:
+                    break
+            else:
+                return
+            name = frame.f_code.co_name
             if event == "call":
-                filename = frame.f_code.co_filename
-                for marker, layer in layers.items():
-                    if marker in filename:
-                        frames[layer] += 1
+                frames[layer] += 1
+                if name == "<genexpr>" and layer != "s4u":
+                    below[name] = below.get(name, 0) + 1
+            elif layer != "s4u" and any(arg is f for f in self.BANNED):
+                key = f"{arg.__name__} in {name}"
+                below[key] = below.get(key, 0) + 1
 
         previous = sys.getprofile()
         sys.setprofile(count)
@@ -627,6 +648,7 @@ class TestCallsPerActivity:
         # with the fleet is the scale decay the ceilings exist to catch.
         for layer, ceiling in self.CEILINGS.items():
             assert frames[layer] / (2 * workers) <= ceiling, layer
+        assert below == {}
 
     @pytest.mark.parametrize("workers", [7, 100])
     def test_every_traced_seam_is_still_a_call_per_event(self, workers):

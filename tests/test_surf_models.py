@@ -32,13 +32,14 @@ class TestActionStateMachine:
         assert action.finish_time == 1.0
 
     def test_suspend_blocks_progress(self):
-        action = Action(None, cost=10.0)
+        model = CpuModel()
+        action = model.execute(model.add_cpu("host", speed=1e9), 10.0)
         action.suspend()
         assert action.suspended
-        assert action.effective_weight() == 0.0
+        assert action.variable.weight == 0.0
         action.resume()
         assert not action.suspended
-        assert action.effective_weight() == 1.0
+        assert action.variable.weight == 1.0
 
     def test_negative_cost_rejected(self):
         with pytest.raises(ValueError):
@@ -126,7 +127,8 @@ class TestNetworkModel:
         delta = model.share_resources(0.0)
         assert delta == pytest.approx(0.1)
         model.update_actions_state(0.1, 0.1)
-        assert not action.in_latency_phase
+        assert action.latency_remaining == 0.0
+        assert action.variable.weight == 1.0
         delta = model.share_resources(0.1)
         assert delta == pytest.approx(1.0)
         done = model.update_actions_state(1.1, 1.0)
