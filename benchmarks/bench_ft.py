@@ -3,8 +3,8 @@
 The fault-tolerance toolkit end to end: a :class:`~repro.replay.ClusterReplay`
 in ``at_least_once`` mode — seq-numbered jobs, a heartbeat failure
 detector driving resubmission, dedup at the collector — with the worker
-fleet held up by a :class:`~repro.ft.Supervisor` instead of bare
-``auto_restart``, while a seeded injector hammers the nodes.  The fleet
+fleet held up by a :class:`~repro.ft.Supervisor` (every replay fleet
+is supervised), while a seeded injector hammers the nodes.  The fleet
 absorbs every scheduled host failure and must still lose **zero** jobs;
 the scenario asserts both, so a regression in any layer (detector,
 resubmitter, supervisor respawn, dedup) fails it.
@@ -27,7 +27,7 @@ def run_ft_supervisor_churn(num_jobs: int = 256, num_hosts: int = 16,
                            churn_mtbf=churn_mtbf,
                            churn_downtime=churn_downtime,
                            churn_max_failures=max_failures,
-                           semantics="at_least_once", supervised=True)
+                           semantics="at_least_once")
     metrics = replay.run()
     if metrics["injected_failures"] != max_failures:
         raise AssertionError(

@@ -32,6 +32,9 @@ from repro.s4u import this_actor
 
 __all__ = ["HeartbeatMonitor"]
 
+#: Size of a heartbeat and of a forwarded event, bytes.
+PAYLOAD_SIZE = 64.0
+
 
 # -- actor bodies (module-level so snapshotted engines can name them) ----------
 
@@ -41,7 +44,7 @@ def _hb_emitter(actor, monitor: "HeartbeatMonitor"):
     seq = 0
     while True:
         yield box.put_async((actor.host.name, seq),
-                            size=monitor.payload_size, detached=True)
+                            size=PAYLOAD_SIZE, detached=True)
         seq += 1
         yield this_actor.sleep_for(monitor.period)
 
@@ -56,7 +59,7 @@ def _hb_monitor(actor, monitor: "HeartbeatMonitor"):
     while True:
         flips: List[Tuple[str, str]] = []
         try:
-            name, seq = yield box.get(timeout=monitor.check_period)
+            name, seq = yield box.get(timeout=monitor.period)
             flips += monitor._record(name, seq, actor.now)
         except (SimTimeoutError, TransferFailureError):
             pass  # no beat this scan window (or one died mid-transfer)
@@ -64,8 +67,7 @@ def _hb_monitor(actor, monitor: "HeartbeatMonitor"):
         if notify is not None:
             for kind, host_name in flips:
                 yield notify.put_async((kind, host_name, actor.now),
-                                       size=monitor.payload_size,
-                                       detached=True)
+                                       size=PAYLOAD_SIZE, detached=True)
 
 
 class HeartbeatMonitor:
@@ -81,13 +83,12 @@ class HeartbeatMonitor:
         The host running the monitor actor.  It must be reliable: a
         churned monitor is itself a failure study, not a detector.
     period:
-        Emitter beat interval, simulated seconds.
+        Emitter beat interval and monitor scan interval, simulated
+        seconds.
     timeout:
         Freshness deadline: a host is suspected once no beat arrived for
         more than this.  Must be at least ``2 * period`` so one beat lost
         to an unluckily timed receive cannot falsely suspect a live host.
-    check_period:
-        Monitor scan interval (defaults to ``period``).
     on_suspect / on_alive:
         Optional callbacks ``cb(host_name, date)`` fired from the monitor
         actor's context at each flip.
@@ -98,11 +99,10 @@ class HeartbeatMonitor:
 
     def __init__(self, engine, hosts: Iterable[str], monitor_host: str,
                  period: float = 0.5, timeout: Optional[float] = None,
-                 check_period: Optional[float] = None,
                  on_suspect: Optional[Callable[[str, float], None]] = None,
                  on_alive: Optional[Callable[[str, float], None]] = None,
                  notify_mailbox: Optional[str] = None,
-                 payload_size: float = 64.0, name: str = "hb") -> None:
+                 name: str = "hb") -> None:
         if period <= 0:
             raise ValueError("period must be > 0")
         self.engine = engine
@@ -117,12 +117,9 @@ class HeartbeatMonitor:
             raise ValueError(
                 "timeout must be >= 2 * period (one lost beat must not "
                 "falsely suspect a live host)")
-        self.check_period = (float(check_period) if check_period is not None
-                             else self.period)
         self.on_suspect = on_suspect
         self.on_alive = on_alive
         self.notify_mailbox = notify_mailbox
-        self.payload_size = float(payload_size)
         self.name = name
         self.beat_mailbox = f"{name}:beats"
         #: Chronological ``(date, kind, host_name)`` flip log — the replay

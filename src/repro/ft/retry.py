@@ -75,18 +75,15 @@ class RetryPolicy:
     attempt_timeout:
         Per-attempt ``wait()`` timeout applied when the factory returned
         an async :class:`Activity`; ``None`` waits forever.
-    retry_on:
-        Exception types that trigger a retry (``DEFAULT_RETRY_ON`` — the
-        kernel's failure exceptions).  Anything else propagates
-        immediately.
+
+    Only the kernel's failure exceptions (``DEFAULT_RETRY_ON``) trigger a
+    retry; anything else propagates immediately.
     """
 
     def __init__(self, max_attempts: int = 3, base_delay: float = 0.1,
                  factor: float = 2.0, max_delay: float = 60.0,
                  jitter: float = 0.5, seed: int = 0,
-                 attempt_timeout: Optional[float] = None,
-                 retry_on: Tuple[Type[BaseException], ...] = DEFAULT_RETRY_ON
-                 ) -> None:
+                 attempt_timeout: Optional[float] = None) -> None:
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if base_delay < 0 or max_delay < 0:
@@ -100,7 +97,6 @@ class RetryPolicy:
         self.jitter = float(jitter)
         self.seed = seed
         self.attempt_timeout = attempt_timeout
-        self.retry_on = tuple(retry_on)
         self._rng = random.Random(seed)
         #: Counters: attempts started, retries performed (= backoffs
         #: slept), calls that exhausted every attempt.
@@ -128,8 +124,8 @@ class RetryPolicy:
         ``factory()`` is invoked once per attempt and may return an async
         :class:`Activity` (the policy waits on it with
         ``attempt_timeout``), a blocking simcall (the call's own result
-        is returned) or a plain value.  On a ``retry_on`` failure the
-        policy sleeps the seeded backoff and tries again; when the last
+        is returned) or a plain value.  On a ``DEFAULT_RETRY_ON`` failure
+        the policy sleeps the seeded backoff and tries again; when the last
         attempt fails, :class:`RetryError` is raised with the final
         failure chained.
         """
@@ -145,7 +141,7 @@ class RetryPolicy:
                 if isinstance(outcome, Activity):
                     outcome = yield outcome.wait(timeout=self.attempt_timeout)
                 return outcome
-            except self.retry_on as exc:
+            except DEFAULT_RETRY_ON as exc:
                 if attempt == self.max_attempts:
                     self.giveups += 1
                     raise RetryError(

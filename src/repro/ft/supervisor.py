@@ -127,18 +127,13 @@ class Supervisor:
         Optional absolute simulated date at which the tree is shut down
         (children killed, supervisor returns) — the bounded-horizon knob
         for churn studies whose permanent children never finish.
-    on_escalate:
-        Optional ``cb(supervisor)`` invoked (kernel context, no simcalls)
-        when the intensity bound trips, before the children are killed.
     """
 
     def __init__(self, engine, children: Iterable[ChildSpec], *,
                  strategy: str = "one_for_one", max_restarts: int = 3,
                  window: float = 5.0, name: str = "supervisor",
                  host: Optional[str] = None, daemon: bool = False,
-                 deadline: Optional[float] = None,
-                 on_escalate: Optional[Callable[["Supervisor"], None]] = None
-                 ) -> None:
+                 deadline: Optional[float] = None) -> None:
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}; "
                              f"pick one of {STRATEGIES}")
@@ -163,7 +158,6 @@ class Supervisor:
             else host.name
         self.daemon = daemon
         self.deadline = deadline
-        self.on_escalate = on_escalate
         #: Chronological ``(date, event, child_name)`` log; events are
         #: ``start``, ``restart``, ``park``, ``finish``, ``escalate``,
         #: ``deadline`` and ``stop`` — the replay fingerprint of a tree.
@@ -331,8 +325,6 @@ class Supervisor:
     def _escalate(self) -> None:
         self.escalated = True
         self.events.append((self.engine.now, "escalate", ""))
-        if self.on_escalate is not None:
-            self.on_escalate(self)
         self._shutdown(None)
         # Die failed, so a parent supervisor sees a child failure (its
         # own policy decides whether the subtree is rebuilt).

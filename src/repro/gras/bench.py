@@ -10,12 +10,16 @@ is measured with :func:`time.perf_counter`; the backend then either injects
 an equivalent simulated execution (simulation mode) or does nothing more
 (real-life mode).  A :class:`BenchRecorder` additionally supports the
 ``ONCE`` variants (run the block for real only the first time, replay the
-recorded duration afterwards) used by SMPI.
+recorded duration afterwards).  Both policies live here once: GRAS and
+SMPI only supply the ``charge`` hook that turns seconds into simulated
+computation.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+import contextlib
+import time
+from typing import Callable, Dict, Iterator
 
 __all__ = ["BenchRecorder"]
 
@@ -57,6 +61,36 @@ class BenchRecorder:
 
     def count_of(self, key: str) -> int:
         return self._counts.get(key, 0)
+
+    @contextlib.contextmanager
+    def always(self, key: str, charge: Callable[[float], None]
+               ) -> Iterator[None]:
+        """Measure the block every time and ``charge`` its duration.
+
+        An empty ``key`` charges the duration without recording it.
+        """
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            elapsed = time.perf_counter() - start
+            if key:
+                self.record(key, elapsed)
+            charge(elapsed)
+
+    @contextlib.contextmanager
+    def once(self, key: str, charge: Callable[[float], None]
+             ) -> Iterator[bool]:
+        """Yield ``True`` the first time only (the block must really run
+        and is measured); every time, ``charge`` the recorded duration."""
+        should_run = not self.has(key)
+        start = time.perf_counter()
+        try:
+            yield should_run
+        finally:
+            if should_run:
+                self.record(key, time.perf_counter() - start)
+            charge(self.duration_of(key))
 
     def clear(self) -> None:
         self._measurements.clear()

@@ -17,8 +17,7 @@ functions.
 
 from __future__ import annotations
 
-import contextlib
-from typing import Any, Callable, Iterator, List, Tuple
+from typing import Any, Callable, ContextManager, List, Tuple
 
 from repro.exceptions import SimTimeoutError, UnknownMessageError
 from repro.gras.arch import ARCHITECTURES, Architecture, LOCAL_ARCH
@@ -171,25 +170,15 @@ class GrasProcess:
         """Account for ``duration`` seconds of computation (backend hook)."""
         raise NotImplementedError
 
-    @contextlib.contextmanager
-    def bench_always(self, key: str = "") -> Iterator[None]:
+    def bench_always(self, key: str = "") -> ContextManager[None]:
         """``GRAS_BENCH_ALWAYS_BEGIN/END``: measure the block every time.
 
         The real duration of the block is measured and, in simulation mode,
         injected as simulated computation on the process's host.
         """
-        import time as _time
-        start = _time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = _time.perf_counter() - start
-            if key:
-                self.bench_recorder.record(key, elapsed)
-            self._inject_computation(elapsed)
+        return self.bench_recorder.always(key, self._inject_computation)
 
-    @contextlib.contextmanager
-    def bench_once(self, key: str) -> Iterator[bool]:
+    def bench_once(self, key: str) -> ContextManager[bool]:
         """``SMPI_BENCH_ONCE``-style sampling: run the block once for real.
 
         The context manager yields ``True`` when the block should really
@@ -202,16 +191,7 @@ class GrasProcess:
                 if should_run:
                     expensive_kernel()
         """
-        import time as _time
-        should_run = not self.bench_recorder.has(key)
-        start = _time.perf_counter()
-        try:
-            yield should_run
-        finally:
-            if should_run:
-                elapsed = _time.perf_counter() - start
-                self.bench_recorder.record(key, elapsed)
-            self._inject_computation(self.bench_recorder.duration_of(key))
+        return self.bench_recorder.once(key, self._inject_computation)
 
     # -- lifecycle -----------------------------------------------------------------------------------------
     def exit(self) -> None:

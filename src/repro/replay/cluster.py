@@ -14,24 +14,20 @@ Everything is seeded, so a replay is a pure function of
 ``(workload, churn options, kernel flavour)`` — the equivalence tests run
 the same workload on the flat and sharded kernels and compare dates.
 
-Two delivery semantics (PR 10):
+One pipeline, two delivery semantics: every job travels as ``(seq, job)``, every ack as ``(date, seq, job)``, the
+collector deduplicates by sequence number, and the workers are the
+``permanent`` children of a :class:`~repro.ft.supervisor.Supervisor`
+(which parks a worker whose host died and respawns it on host-up).
 
-* ``at_most_once`` (default) — the original fire-and-forget pipeline: a
-  job consumed by a worker that dies mid-compute is simply lost and shows
-  up in ``metrics["lost"]``;
-* ``at_least_once`` — jobs carry sequence numbers, a
-  :class:`~repro.ft.heartbeat.HeartbeatMonitor` watches the nodes, and a
-  resubmitter actor re-sends the outstanding jobs of suspected nodes
-  (plus an ack-timeout sweep for blips too short for the detector).
-  Duplicate executions are deduplicated at the collector, so
-  ``metrics["lost"]`` is zero whenever every node is eventually up long
-  enough before the horizon — at the price of ``metrics["duplicates"]``
-  redundant executions.
-
-``supervised=True`` additionally replaces the workers' ``auto_restart``
-flag with a :class:`~repro.ft.supervisor.Supervisor` tree (one
-``permanent`` child per node), exercising the same host-down park/respawn
-path through the supervision machinery.
+* ``at_most_once`` (default) — nothing watches the nodes: a job consumed
+  by a worker that dies mid-compute is lost and shows up in
+  ``metrics["lost"]``;
+* ``at_least_once`` — a :class:`~repro.ft.heartbeat.HeartbeatMonitor`
+  watches the nodes, and a resubmitter actor re-sends the outstanding
+  jobs of suspected nodes (plus an ack-timeout sweep for blips too short
+  for the detector).  ``metrics["lost"]`` is zero whenever every node is
+  eventually up long enough before the horizon — at the price of
+  ``metrics["duplicates"]`` redundant executions.
 """
 
 from __future__ import annotations
@@ -52,6 +48,16 @@ from repro.surf.trace import Trace
 
 __all__ = ["ClusterJob", "ClusterWorkload", "ClusterReplay",
            "synthetic_workload"]
+
+# HOST_SPEED sizes both the platform and the workload horizon, so the
+# two cannot disagree.
+HOST_SPEED = 1e9              # flop/s
+LINK_BANDWIDTH = 1.25e7       # B/s
+NODE_PREFIX = "node"
+DISPATCH_SIZE = 1e4           # bytes per job dispatch
+LOAD_PERIOD, DIP = 4.0, 0.5   # availability trace: period, dipped speed
+# Worker supervisor intensity: host churn parks a worker, spending none.
+SUPERVISOR_MAX_RESTARTS, SUPERVISOR_WINDOW = 1000, 1.0
 
 
 @dataclass(frozen=True)
@@ -89,10 +95,7 @@ class ClusterWorkload:
 def synthetic_workload(seed: int, num_hosts: int = 8, num_jobs: int = 32,
                        mean_interarrival: float = 0.5,
                        mean_flops: float = 2e9,
-                       host_speed: float = 1e9,
-                       load_period: float = 4.0, dip: float = 0.5,
-                       failing_fraction: float = 0.25,
-                       node_prefix: str = "node") -> ClusterWorkload:
+                       failing_fraction: float = 0.25) -> ClusterWorkload:
     """A seeded workload with the statistical shape of a cluster log.
 
     Job arrivals are Poisson (exponential inter-arrival times), sizes
@@ -109,7 +112,7 @@ def synthetic_workload(seed: int, num_hosts: int = 8, num_jobs: int = 32,
     clock = 0.0
     for index in range(num_jobs):
         clock += rng.expovariate(1.0 / mean_interarrival)
-        pinned = (f"{node_prefix}-{rng.randrange(num_hosts)}"
+        pinned = (f"{NODE_PREFIX}-{rng.randrange(num_hosts)}"
                   if rng.random() < 0.5 else None)
         jobs.append(ClusterJob(submit=clock,
                                flops=rng.uniform(0.5, 1.5) * mean_flops,
@@ -117,11 +120,11 @@ def synthetic_workload(seed: int, num_hosts: int = 8, num_jobs: int = 32,
     availability: Dict[str, Trace] = {}
     state: Dict[str, Trace] = {}
     for index in range(num_hosts):
-        node = f"{node_prefix}-{index}"
-        phase = rng.uniform(0.5, load_period - 1.5)
+        node = f"{NODE_PREFIX}-{index}"
+        phase = rng.uniform(0.5, LOAD_PERIOD - 1.5)
         availability[node] = Trace(
-            [(0.0, 1.0), (phase, dip), (phase + 1.0, 1.0)],
-            period=load_period, name=f"{node}-load")
+            [(0.0, 1.0), (phase, DIP), (phase + 1.0, 1.0)],
+            period=LOAD_PERIOD, name=f"{node}-load")
         if rng.random() < failing_fraction:
             down_at = rng.uniform(1.0, 0.5 * num_jobs * mean_interarrival)
             downtime = rng.uniform(0.5, 2.0)
@@ -131,7 +134,7 @@ def synthetic_workload(seed: int, num_hosts: int = 8, num_jobs: int = 32,
     # Generous tail: total work spread over the fleet at the dipped speed,
     # tripled — enough for every non-lost job to land before the horizon.
     work = sum(job.flops for job in jobs)
-    tail = 3.0 * work / (num_hosts * host_speed * dip) + 5.0
+    tail = 3.0 * work / (num_hosts * HOST_SPEED * DIP) + 5.0
     return ClusterWorkload(num_hosts=num_hosts, jobs=jobs,
                            availability=availability, state=state,
                            horizon=last_submit + tail)
@@ -146,18 +149,14 @@ def _dispatcher(actor, replay):
     for index, job in enumerate(replay.workload.jobs):
         if job.submit > actor.now:
             yield this_actor.sleep_for(job.submit - actor.now)
-        node = job.host or f"{replay.node_prefix}-{index % replay.workload.num_hosts}"
-        if replay.at_least_once:
-            # Record the outstanding entry before the send: the
-            # resubmitter must never observe an unacked job it cannot see.
-            replay.outstanding[index] = [node, job, actor.now]
-            payload = (index, job)
-        else:
-            payload = job
+        node = job.host or f"{NODE_PREFIX}-{index % replay.workload.num_hosts}"
+        # Record the outstanding entry before the send: the resubmitter
+        # must never observe an unacked job it cannot see.
+        replay.outstanding[index] = [node, job, actor.now]
         # Detached: a dispatch to a currently-dead node waits in the
-        # mailbox and is redelivered when its auto-restart worker reboots.
-        yield engine.mailbox(node).put_async(payload,
-                                             size=replay.dispatch_size,
+        # mailbox and is delivered when the supervisor respawns its worker.
+        yield engine.mailbox(node).put_async((index, job),
+                                             size=DISPATCH_SIZE,
                                              detached=True)
         replay.dispatched += 1
     horizon = replay.horizon
@@ -170,30 +169,27 @@ def _worker(actor, replay):
     engine = actor.engine
     box = engine.mailbox(actor.host.name)
     while True:
-        msg = yield box.get()
-        seq, job = msg if replay.at_least_once else (None, msg)
+        seq, job = yield box.get()
         try:
             yield actor.execute(job.flops)
         except HostFailureError:
             # The exec died but the actor survived (link-level failure
             # modes); a host failure kills the actor instead and the
-            # auto-restart reboot re-enters this loop with a fresh body.
+            # supervisor's respawn re-enters this loop with a fresh body.
             replay.metrics["failed_execs"] += 1
             continue
-        ack = ((actor.now, seq, job) if replay.at_least_once
-               else (actor.now, job))
         yield engine.mailbox("acks").put_async(
-            ack, size=replay.ack_size, detached=True)
+            (actor.now, seq, job), size=replay.ack_size, detached=True)
 
 
 def _collector(actor, replay):
     """Bank acks on the frontend until the run ends.
 
-    In at-least-once mode this is where duplicates die: the first ack of
-    a sequence number retires its outstanding entry, later ones only
-    bump the ``duplicates`` counter.  An ack whose node is killed while
-    it is in flight fails the matched receive; it is counted
-    (``acks_failed``) and the resubmitter re-sends the job.
+    This is where duplicates die: the first ack of a sequence number
+    retires its outstanding entry, later ones only bump the
+    ``duplicates`` counter.  An ack whose node is killed while it is in
+    flight fails the matched receive; it is counted (``acks_failed``)
+    and the at-least-once resubmitter re-sends the job.
     """
     box = actor.engine.mailbox("acks")
     while True:
@@ -202,15 +198,12 @@ def _collector(actor, replay):
         except TransferFailureError:
             replay.metrics["acks_failed"] += 1
             continue
-        if replay.at_least_once:
-            done_at, seq, job = msg
-            if seq in replay.acked:
-                replay.metrics["duplicates"] += 1
-                continue
-            replay.acked.add(seq)
-            replay.outstanding.pop(seq, None)
-        else:
-            done_at, job = msg
+        done_at, seq, job = msg
+        if seq in replay.acked:
+            replay.metrics["duplicates"] += 1
+            continue
+        replay.acked.add(seq)
+        replay.outstanding.pop(seq, None)
         replay.completed.append((actor.now, job.name))
 
 
@@ -245,7 +238,7 @@ def _resubmitter(actor, replay):
             entry[2] = actor.now
             replay.metrics["resubmitted"] += 1
             yield engine.mailbox(node).put_async(
-                (seq, job), size=replay.dispatch_size, detached=True)
+                (seq, job), size=DISPATCH_SIZE, detached=True)
 
 
 class ClusterReplay:
@@ -260,17 +253,11 @@ class ClusterReplay:
     ``semantics`` selects the delivery mode (see the module docstring);
     ``detector_period``/``detector_timeout`` parameterize the heartbeat
     detector of the at-least-once pipeline and ``ack_timeout`` its
-    periodic resubmission sweep.  ``supervised`` swaps the workers'
-    ``auto_restart`` flag for a :class:`~repro.ft.supervisor.Supervisor`
-    tree.
+    periodic resubmission sweep.  The workers are always supervised.
     """
 
     def __init__(self, workload: ClusterWorkload,
-                 host_speed: float = 1e9,
-                 link_bandwidth: float = 1.25e7,
                  link_latency: float = 1e-4,
-                 node_prefix: str = "node",
-                 dispatch_size: float = 1e4,
                  ack_size: float = 1e4,
                  churn_seed: Optional[int] = None,
                  churn_mtbf: float = 2.0,
@@ -280,39 +267,34 @@ class ClusterReplay:
                  detector_period: float = 0.25,
                  detector_timeout: Optional[float] = None,
                  ack_timeout: float = 5.0,
-                 supervised: bool = False,
-                 supervisor_max_restarts: int = 1000,
-                 supervisor_window: float = 1.0) -> None:
+                 supervised: bool = True) -> None:
         if semantics not in ("at_most_once", "at_least_once"):
             raise ValueError(f"unknown semantics {semantics!r}; pick "
                              "'at_most_once' or 'at_least_once'")
+        # Vestige: perfbench/workloads.py passes supervised=True and
+        # perfbench is frozen; the keyword goes at the next benchmark
+        # re-gold.
+        if supervised is not True:
+            raise ValueError("every ClusterReplay fleet is supervised")
         self.workload = workload
-        self.host_speed = host_speed
-        self.link_bandwidth = link_bandwidth
         self.link_latency = link_latency
-        self.node_prefix = node_prefix
-        self.dispatch_size = dispatch_size
         self.ack_size = ack_size
         self.churn_seed = churn_seed
         self.churn_mtbf = churn_mtbf
         self.churn_downtime = churn_downtime
         self.churn_max_failures = churn_max_failures
         self.semantics = semantics
-        self.at_least_once = semantics == "at_least_once"
         self.detector_period = detector_period
         self.detector_timeout = detector_timeout
         self.ack_timeout = ack_timeout
-        self.supervised = supervised
-        self.supervisor_max_restarts = supervisor_max_restarts
-        self.supervisor_window = supervisor_window
         self.horizon = (workload.horizon if workload.horizon is not None
                         else (workload.jobs[-1].submit + 30.0
                               if workload.jobs else 1.0))
         self.completed: List[tuple] = []
         self.dispatched = 0
         self.metrics: Dict[str, float] = {}
-        #: At-least-once state: seq -> [node, job, last-sent date] for
-        #: unacked jobs; the set of seqs already acked (dedup).
+        #: seq -> [node, job, last-sent date] for unacked jobs; the set
+        #: of seqs already acked (dedup).
         self.outstanding: Dict[int, list] = {}
         self.acked: set = set()
         self.supervisor: Optional[Supervisor] = None
@@ -322,14 +304,14 @@ class ClusterReplay:
     def build_platform(self) -> Platform:
         workload = self.workload
         platform = Platform("cluster-replay")
-        platform.add_host("frontend", self.host_speed)
+        platform.add_host("frontend", HOST_SPEED)
         for index in range(workload.num_hosts):
-            node = f"{self.node_prefix}-{index}"
+            node = f"{NODE_PREFIX}-{index}"
             host = platform.add_host(
-                node, self.host_speed,
+                node, HOST_SPEED,
                 availability_trace=workload.availability.get(node),
                 state_trace=workload.state.get(node))
-            link = platform.add_link(f"{node}-link", self.link_bandwidth,
+            link = platform.add_link(f"{node}-link", LINK_BANDWIDTH,
                                      self.link_latency)
             platform.connect(host.name, "frontend", link.name)
         return platform
@@ -345,7 +327,6 @@ class ClusterReplay:
         self.dispatched = 0
         self.outstanding = {}
         self.acked = set()
-        self.supervisor = None
         self.detector = None
         self.metrics = {"failed_execs": 0, "speed_changes": 0,
                         "host_downs": 0, "host_ups": 0,
@@ -355,28 +336,20 @@ class ClusterReplay:
         engine.on_resource_speed_change(self._count_speed_change)
         engine.on_host_state_change(self._count_state_change)
 
-        nodes = [f"{self.node_prefix}-{i}"
-                 for i in range(workload.num_hosts)]
+        nodes = [f"{NODE_PREFIX}-{i}" for i in range(workload.num_hosts)]
         engine.add_actor("dispatcher", "frontend", _dispatcher, self)
         engine.add_actor("collector", "frontend", _collector, self,
                          daemon=True)
-        if self.supervised:
-            self.supervisor = Supervisor(
-                engine,
-                [ChildSpec(f"worker-{index}", node, _worker, self,
-                           restart="permanent", daemon=True)
-                 for index, node in enumerate(nodes)],
-                strategy="one_for_one",
-                max_restarts=self.supervisor_max_restarts,
-                window=self.supervisor_window,
-                name="worker-supervisor", host="frontend", daemon=True)
-            self.supervisor.start()
-        else:
-            for index, node in enumerate(nodes):
-                engine.add_actor(f"worker-{index}", node,
-                                 _worker, self, daemon=True,
-                                 auto_restart=True)
-        if self.at_least_once:
+        self.supervisor = Supervisor(
+            engine,
+            [ChildSpec(f"worker-{index}", node, _worker, self,
+                       restart="permanent", daemon=True)
+             for index, node in enumerate(nodes)],
+            strategy="one_for_one",
+            max_restarts=SUPERVISOR_MAX_RESTARTS, window=SUPERVISOR_WINDOW,
+            name="worker-supervisor", host="frontend", daemon=True)
+        self.supervisor.start()
+        if self.semantics == "at_least_once":
             self.detector = HeartbeatMonitor(
                 engine, nodes, "frontend",
                 period=self.detector_period,
@@ -402,8 +375,7 @@ class ClusterReplay:
             makespan=(max(date for date, _ in self.completed)
                       if self.completed else 0.0),
             injected_failures=injector.failures if injector else 0,
-            worker_restarts=(self.supervisor.restarts if self.supervisor
-                             else engine.restart_count),
+            worker_restarts=self.supervisor.restarts,
             suspects=(len([e for e in self.detector.events
                            if e[1] == "suspect"]) if self.detector else 0),
             final_time=final,

@@ -16,9 +16,7 @@ local kernel (the CBLAS ``dgemm`` call) so that:
 
 from __future__ import annotations
 
-import contextlib
-import time
-from typing import Iterator, Optional
+from typing import ContextManager, Optional
 
 from repro.gras.bench import BenchRecorder
 from repro.s4u.actor import Actor
@@ -38,8 +36,7 @@ class SmpiSampler:
         #: benchmark ran on this very machine".
         self.reference_speed = reference_speed or actor.host.speed
 
-    @contextlib.contextmanager
-    def bench_once(self, key: str) -> Iterator[bool]:
+    def bench_once(self, key: str) -> ContextManager[bool]:
         """Run the block for real only the first time; always charge it.
 
         Yields ``True`` when the block must actually execute.  The charged
@@ -47,25 +44,11 @@ class SmpiSampler:
         host_speed``, which is how SMPI lets a measurement taken on a
         homogeneous platform drive the simulation of a heterogeneous one.
         """
-        should_run = not self.recorder.has(key)
-        start = time.perf_counter()
-        try:
-            yield should_run
-        finally:
-            if should_run:
-                self.recorder.record(key, time.perf_counter() - start)
-            self._charge(self.recorder.duration_of(key))
+        return self.recorder.once(key, self._charge)
 
-    @contextlib.contextmanager
-    def bench_always(self, key: str) -> Iterator[None]:
+    def bench_always(self, key: str) -> ContextManager[None]:
         """Run and measure the block every time (``SMPI_BENCH_ALWAYS``)."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            duration = time.perf_counter() - start
-            self.recorder.record(key, duration)
-            self._charge(duration)
+        return self.recorder.always(key, self._charge)
 
     def charge_flops(self, flops: float) -> None:
         """Directly charge a known amount of computation to this rank."""

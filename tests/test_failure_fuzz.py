@@ -226,7 +226,7 @@ HB_HORIZON = 12.0
 # A suspicion is *justified* only within this long of a real down-event:
 # the last pre-failure beat lands at most one period before the outage,
 # staleness is declared strictly past ``timeout`` and the monitor scans on
-# the ``check_period`` (= period) grid, plus beat delivery latency.
+# the ``period`` grid, plus beat delivery latency.
 HB_ACCURACY_BOUND = HB_TIMEOUT + 2 * HB_PERIOD + 0.01
 
 

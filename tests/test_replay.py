@@ -1,7 +1,11 @@
 """Cluster replay frontend: workload generation and fleet replay."""
 
+import ast
+import inspect
+
 import pytest
 
+from repro.replay import cluster
 from repro.replay import ClusterJob, ClusterReplay, ClusterWorkload, \
     synthetic_workload
 from repro.surf.trace import Trace
@@ -67,7 +71,7 @@ class TestClusterReplay:
     def test_mailbox_queued_job_redelivered_after_restart(self):
         # One node, down from t=1 to t=3 via its state trace.  A job
         # submitted during the outage waits in the node mailbox and is
-        # executed by the rebooted auto-restart worker.
+        # executed by the worker the supervisor respawns on host-up.
         workload = ClusterWorkload(
             num_hosts=1,
             jobs=[ClusterJob(submit=2.0, flops=1e9, host="node-0")],
@@ -152,7 +156,7 @@ class TestAtLeastOnce:
     def test_at_least_once_deterministic_across_kernels(self):
         workload = synthetic_workload(seed=23, num_hosts=4, num_jobs=8)
         replays = [ClusterReplay(workload, churn_seed=7,
-                                 semantics="at_least_once", supervised=True)
+                                 semantics="at_least_once")
                    for _ in range(3)]
         flat = replays[0].run(sharded=False)
         again = replays[1].run(sharded=False)
@@ -163,8 +167,7 @@ class TestAtLeastOnce:
         workload = synthetic_workload(seed=3, num_hosts=4, num_jobs=16)
         metrics = ClusterReplay(workload, churn_seed=7,
                                 churn_max_failures=10,
-                                semantics="at_least_once",
-                                supervised=True).run()
+                                semantics="at_least_once").run()
         assert metrics["injected_failures"] == 10
         assert metrics["lost"] == 0
         assert metrics["completed"] == 16
@@ -183,19 +186,48 @@ class TestAtLeastOnce:
         metrics = ClusterReplay(workload, churn_seed=1795269057,
                                 churn_mtbf=0.5, churn_downtime=0.5,
                                 churn_max_failures=12,
-                                semantics="at_least_once",
-                                supervised=True).run()
+                                semantics="at_least_once").run()
         assert metrics["acks_failed"] == 1
         assert metrics["injected_failures"] == 12
         assert metrics["lost"] == 0 and metrics["completed"] == 48
         assert metrics["final_time"] == pytest.approx(29.6)
 
-    def test_at_most_once_pipeline_is_untouched_by_supervision(self):
-        # The supervised flag only swaps the restart machinery: a calm
-        # at-most-once run completes identically either way.
-        workload = synthetic_workload(seed=11, num_hosts=4, num_jobs=10,
-                                      failing_fraction=0.0)
-        plain = ClusterReplay(workload).run()
-        supervised = ClusterReplay(workload, supervised=True).run()
-        assert supervised["completed"] == plain["completed"] == 10
-        assert supervised["makespan"] == plain["makespan"]
+
+class TestOnePipeline:
+    """One worker-restart path (a Supervisor) and one message format:
+    the delivery semantics only decide whether the heartbeat detector
+    and the resubmitter are deployed."""
+
+    def test_no_auto_restart_worker(self):
+        assert "auto_restart" not in inspect.getsource(cluster)
+
+    def test_semantics_read_only_in_run(self):
+        tree = ast.parse(inspect.getsource(cluster))
+        readers = set()
+        for scope in ast.walk(tree):
+            if not isinstance(scope, ast.FunctionDef):
+                continue
+            for node in ast.walk(scope):
+                reads_mode = (isinstance(node, ast.Attribute)
+                              and node.attr in ("semantics", "at_least_once")
+                              and isinstance(node.ctx, ast.Load))
+                compares_mode = (isinstance(node, ast.Compare) and any(
+                    isinstance(side, ast.Constant)
+                    and side.value == "at_least_once"
+                    for side in [node.left, *node.comparators]))
+                if reads_mode or compares_mode:
+                    readers.add(scope.name)
+        assert readers == {"_run"}
+
+    def test_unsupervised_fleet_is_refused(self):
+        with pytest.raises(ValueError):
+            ClusterReplay(_mid_exec_outage_workload(), supervised=False)
+
+    def test_at_most_once_worker_restarts_come_from_the_supervisor(self):
+        # The outage kills the only worker; the supervisor parks it and
+        # respawns it on host-up, with no detector deployed.
+        replay = ClusterReplay(_mid_exec_outage_workload())
+        metrics = replay.run()
+        assert replay.detector is None
+        assert metrics["worker_restarts"] == replay.supervisor.restarts == 1
+        assert metrics["lost"] == 1 and metrics["suspects"] == 0
