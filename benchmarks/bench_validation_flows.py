@@ -62,6 +62,19 @@ def packet_rates(flow_bytes=FLOW_BYTES):
     return [by_id[idx] for idx in range(NUM_FLOWS)]
 
 
+def test_e1_no_fluid_flow_beats_its_bottleneck():
+    """The fluid side of E1 on its own: every flow gets a positive rate
+    no higher than the narrowest link of its route."""
+    rates, flows = fluid_rates()
+    topology = make_waxman_topology(num_nodes=NUM_NODES, seed=TOPOLOGY_SEED)
+    for rate, (src, dst) in zip(rates, flows):
+        bottleneck = min(topology.links[name].bandwidth
+                         for name in topology.route_links(src, dst))
+        assert 0.0 < rate <= bottleneck, (
+            f"flow {src}->{dst} at {rate:.4g} B/s over a "
+            f"{bottleneck:.4g} B/s bottleneck")
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "a model gap, not noise: link-6 (5.70 MB/s) carries 7 of the 10 flows; "
     "max-min gives each 5.70/7 = 0.8145 MB/s while the packet-level side "

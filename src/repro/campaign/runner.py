@@ -82,6 +82,7 @@ def grid(seeds: Iterable[int],
     the campaign: serial and parallel execution both report results in
     grid order.
     """
+    seed_list = list(seeds)
     config_list: List[Optional[Mapping[str, Any]]] = (
         list(configs) if configs is not None else [None])
     if not config_list:
@@ -93,7 +94,7 @@ def grid(seeds: Iterable[int],
             label = str(config["label"])
         elif len(config_list) > 1:
             label = f"cfg{index}"
-        for seed in seeds:
+        for seed in seed_list:
             specs.append(ExperimentSpec(int(seed), config, label))
     if not specs:
         raise ValueError("the seed iterable produced no experiments")

@@ -50,11 +50,6 @@ class Timer:
         """Prevent the timer from firing (no-op if it already fired)."""
         self.cancelled = True
 
-    @property
-    def pending(self) -> bool:
-        """True while the timer is armed (not fired, not cancelled)."""
-        return not self.cancelled and not self.fired
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = ("cancelled" if self.cancelled
                  else "fired" if self.fired else "pending")
@@ -119,12 +114,14 @@ class TimerQueue:
         """
         heap = self._heap
         before = len(heap)
-        heap[:] = [entry for entry in heap if entry[2].pending]
+        heap[:] = [entry for entry in heap
+                   if not (entry[2].cancelled or entry[2].fired)]
         heapify(heap)
         return before - len(heap)
 
     def __len__(self) -> int:
-        return sum(1 for _, _, t in self._heap if t.pending)
+        return sum(1 for _, _, t in self._heap
+                   if not (t.cancelled or t.fired))
 
     def __bool__(self) -> bool:
         heap = self._heap

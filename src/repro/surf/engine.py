@@ -148,7 +148,7 @@ class SurfEngine:
         """Start a computation on ``cpu`` in its owning model."""
         return self.model_of(cpu).execute(cpu, flops, priority, bound)
 
-    def communicate(self, links, size: float, extra_latency: float = 0.0,
+    def communicate(self, links, size: float,
                     rate: Optional[float] = None, priority: float = 1.0):
         """Start a transfer over ``links`` in the owning network model.
 
@@ -156,8 +156,7 @@ class SurfEngine:
         handed off: link constraints spread over several shards migrate
         into the root shard before the flow is created.
         """
-        return self.network_model.communicate(links, size, extra_latency,
-                                              rate, priority)
+        return self.network_model.communicate(links, size, rate, priority)
 
     def kernel_stats(self) -> dict:
         """Aggregated kernel observability counters.

@@ -266,17 +266,17 @@ class MaxMinSystem:
         assert flow1.value == flow2.value == 0.5e9
     """
 
-    def __init__(self, var_ids=None) -> None:
+    def __init__(self) -> None:
         self._vars: Dict[int, Variable] = {}
         self.constraints: List[Constraint] = []
         self._next_var_id = 0
         self._next_cns_id = 0
         # Optional shared variable-id allocator (an ``itertools.count``):
-        # the sharded kernel hands the same allocator to every shard's
+        # the sharded kernel sets the same allocator on every shard's
         # system so variable creation order — and therefore every
         # id-based tie-break — is global, exactly like a single flat
         # system would number them.
-        self._var_ids = var_ids
+        self._var_ids = None
         # Vestige, never read: perfbench's golden.json pins the snapshot
         # blob size; goes at the next benchmark re-gold.
         self.executor = None

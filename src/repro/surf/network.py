@@ -181,7 +181,6 @@ class NetworkModel(FluidModel):
 
     # -- action creation -----------------------------------------------------------
     def communicate(self, links: Sequence[LinkResource], size: float,
-                    extra_latency: float = 0.0,
                     rate: Optional[float] = None,
                     priority: float = 1.0) -> NetworkAction:
         """Start the transfer of ``size`` bytes over ``links``.
@@ -190,12 +189,9 @@ class NetworkModel(FluidModel):
         ----------
         links:
             The route, in order.  May be empty for a loopback communication
-            (only ``extra_latency`` applies then).
+            (no latency then).
         size:
             Payload size in bytes.
-        extra_latency:
-            Additional latency (e.g. from the route description) added to
-            the sum of the link latencies.
         rate:
             Optional application-level cap on the transfer rate
             (``MSG_task_put_bounded``).
@@ -206,7 +202,7 @@ class NetworkModel(FluidModel):
         # summation differs between Python versions, and the route
         # latency must be the same double as it always was.
         config = self.config
-        route_latency = sum(map(_LATENCY, links)) + extra_latency
+        route_latency = sum(map(_LATENCY, links))
         route_latency *= config.latency_factor
         action = NetworkAction(self, links, size, route_latency, priority)
 

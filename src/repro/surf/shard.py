@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import itertools
 from operator import attrgetter, itemgetter
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.surf.cpu import CpuModel, CpuResource
 from repro.surf.engine import SurfEngine
 from repro.surf.lmm import Constraint, MaxMinSystem
 from repro.surf.model import FluidModel
-from repro.surf.network import LinkResource, NetworkModel, NetworkModelConfig
+from repro.surf.network import LinkResource, NetworkModel
 from repro.surf.resource import Resource
 
 __all__ = ["ShardedSurfEngine", "default_workers"]
@@ -64,9 +64,8 @@ class ShardedSurfEngine(SurfEngine):
     bit.
     """
 
-    def __init__(self, shard_names=(),
-                 network_config: Optional[NetworkModelConfig] = None) -> None:
-        super().__init__(CpuModel(), NetworkModel(network_config))
+    def __init__(self, shard_names=()) -> None:
+        super().__init__(CpuModel(), NetworkModel())
         #: Shard key "" is the root shard.
         self.cpu_shards: Dict[str, CpuModel] = {"": self.cpu_model}
         self.net_shards: Dict[str, NetworkModel] = {"": self.network_model}
@@ -80,9 +79,9 @@ class ShardedSurfEngine(SurfEngine):
         # the flat kernel, and one shared heap pops in flat order.
         for kind_list in (self._cpu_list, self._net_list):
             root = kind_list[0]
-            var_ids = itertools.count()
+            allocator = itertools.count()
             for model in kind_list:
-                model.system._var_ids = var_ids
+                model.system._var_ids = allocator
                 model._seq = root._seq
                 model._heap = root._heap
         self.models = self._cpu_list + self._net_list
@@ -126,8 +125,7 @@ class ShardedSurfEngine(SurfEngine):
                               state_trace=state_trace, index=index)
 
     # -- gateway handoff ---------------------------------------------------------
-    def communicate(self, links, size, extra_latency=0.0, rate=None,
-                    priority=1.0):
+    def communicate(self, links, size, rate=None, priority=1.0):
         """Start a transfer, migrating cross-zone routes to the root shard.
 
         A route wholly inside one shard runs in that shard's network
@@ -144,7 +142,7 @@ class ShardedSurfEngine(SurfEngine):
             model = self.network_model
             if owners:
                 self._migrate_links(links)
-        return model.communicate(links, size, extra_latency, rate, priority)
+        return model.communicate(links, size, rate, priority)
 
     def _migrate_links(self, links) -> None:
         root_system = self.network_model.system

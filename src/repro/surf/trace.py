@@ -50,11 +50,14 @@ class Trace:
     Parameters
     ----------
     events:
-        Iterable of ``(time, value)`` pairs.  Times must be non-decreasing.
+        Iterable of ``(time, value)`` pairs.  Times must be non-decreasing
+        and not NaN: a NaN date compares false with everything, so it
+        would head SURF's trace heap and stop every later event of the
+        trace.
     period:
         If given, the trace repeats with this period: after the last event,
         the sequence restarts shifted by ``period``.  Must be strictly
-        greater than the last event time.
+        greater than the last event time (so never NaN).
     name:
         Optional label used in error messages and exports.
     """
@@ -63,6 +66,10 @@ class Trace:
                  period: Optional[float] = None,
                  name: str = "") -> None:
         evts = [TraceEvent(float(t), float(v)) for t, v in events]
+        for position, evt in enumerate(evts):
+            if math.isnan(evt.time):
+                raise ValueError(
+                    f"trace {name!r}: event #{position} has a NaN time")
         for prev, nxt in zip(evts, evts[1:]):
             if nxt.time < prev.time:
                 raise ValueError(
@@ -71,7 +78,7 @@ class Trace:
         if period is not None:
             if not evts:
                 raise ValueError("a periodic trace needs at least one event")
-            if period <= evts[-1].time:
+            if not period > evts[-1].time:
                 raise ValueError(
                     f"trace {name!r}: period ({period}) must exceed the last "
                     f"event time ({evts[-1].time})")

@@ -11,6 +11,7 @@ exactly.
 import gc
 import json
 import os
+import random
 import subprocess
 import sys
 import weakref
@@ -46,6 +47,13 @@ class TestGrid:
     def test_single_unlabelled_config_gets_empty_label(self):
         specs = grid([7], [{"x": 1}])
         assert specs[0].label == ""
+
+    def test_seed_iterator_is_crossed_with_every_config(self):
+        # A generator is consumed once: the second config used to get no
+        # seed at all.
+        specs = grid((seed for seed in range(3)), [{"a": 1}, {"b": 2}])
+        assert specs == grid(range(3), [{"a": 1}, {"b": 2}])
+        assert [s.seed for s in specs] == [0, 1, 2, 0, 1, 2]
 
     def test_no_configs_means_config_none(self):
         specs = grid(range(3))
@@ -335,7 +343,7 @@ class TestRunWatchdog:
 # snapshot fanout
 # ---------------------------------------------------------------------------
 
-def _warm_blob():
+def _warm_engine():
     engine = s4u.Engine(make_star(num_hosts=3, host_speed=1e9,
                                   link_bandwidth=1e7, link_latency=1e-4))
 
@@ -345,6 +353,11 @@ def _warm_blob():
     for index in range(3):
         engine.add_actor(f"warm{index}", f"leaf-{index}", warm, index)
     engine.run()
+    return engine
+
+
+def _warm_blob():
+    engine = _warm_engine()
     blob = engine.snapshot()
     engine.close()
     return blob, engine.now
@@ -367,21 +380,83 @@ def _measured_phase(engine, seed, config):
     return {"simulated_time_s": final, "failures": injector.failures}
 
 
+FANOUT_HOSTS = 24
+ROUNDS_CONFIGS = [{"rounds": 2}, {"label": "x", "rounds": 3}]
+FLOPS_CONFIGS = [{"label": "light", "flops": 4e6},
+                 {"label": "heavy", "flops": 1.2e7}]
+
+
+def _exchange(engine, rounds, flops, tag, rng=None):
+    """``rounds`` jobs per leaf, each result gathered on the center host;
+    ``rng`` scales every job, making dates a pure function of the seed."""
+    def worker(actor, index):
+        sink = engine.mailbox(tag)
+        scale = 1.0 if rng is None else rng.uniform(0.5, 1.5)
+        for round_no in range(rounds):
+            yield actor.execute(flops * scale * (1 + (index + round_no) % 3))
+            comm = yield sink.put_async(index, size=1e4)
+            yield comm.wait()
+
+    def master(actor):
+        sink = engine.mailbox(tag)
+        for _ in range(rounds * FANOUT_HOSTS):
+            yield sink.get()
+
+    engine.add_actor(f"{tag}-master", "center", master)
+    for index in range(FANOUT_HOSTS):
+        engine.add_actor(f"{tag}-w{index}", f"leaf-{index}", worker, index)
+    engine.run()
+
+
+def _fanout_warm_engine():
+    """A 24-leaf star after a 12-round warm-up exchange."""
+    engine = s4u.Engine(make_star(num_hosts=FANOUT_HOSTS, host_speed=1e9,
+                                  link_bandwidth=125e6, link_latency=1e-4))
+    _exchange(engine, 12, 5e6, "warm")
+    return engine
+
+
+def _fanout_measured_phase(engine, seed, config):
+    _exchange(engine, 3, config["flops"], f"measured-{seed}",
+              rng=random.Random(seed))
+    return {"simulated_time_s": engine.now}
+
+
 class TestSnapshotFanout:
-    def test_forked_campaign_equals_cold_loop(self):
-        blob, warm_date = _warm_blob()
-        specs = grid(range(5), [{"rounds": 2}, {"label": "x", "rounds": 3}])
-        forked = run_campaign(_measured_phase, specs, workers=2,
+    # ``campaign_fanout`` is 16 seeds x 2 configs over a warm prefix
+    # long enough that the blob carries a real engine, serially and over
+    # two workers.
+    @pytest.mark.parametrize(
+        "warm_engine, measured_phase, seeds, configs, workers", [
+            pytest.param(_warm_engine, _measured_phase, 5, ROUNDS_CONFIGS,
+                         2, id="5-seeds"),
+            pytest.param(_fanout_warm_engine, _fanout_measured_phase, 16,
+                         FLOPS_CONFIGS, 0, id="campaign_fanout-serial"),
+            pytest.param(_fanout_warm_engine, _fanout_measured_phase, 16,
+                         FLOPS_CONFIGS, 2, id="campaign_fanout-2-workers"),
+        ])
+    def test_forked_campaign_equals_cold_replays(
+            self, warm_engine, measured_phase, seeds, configs, workers):
+        engine = warm_engine()
+        warm_date = engine.now
+        blob = engine.snapshot()
+        engine.close()
+        specs = grid(range(seeds), configs)
+        forked = run_campaign(measured_phase, specs, workers=workers,
                               snapshot=blob)
         assert forked.forked
 
-        cold = []
-        for spec in specs:
-            engine = s4u.Engine.restore(blob)
-            cold.append(_measured_phase(engine, spec.seed, spec.config))
-            engine.close()
-        assert forked.metrics() == cold
-        assert all(m["simulated_time_s"] > warm_date for m in cold)
+        def cold_replay(seed, config):
+            # Rebuild the world and replay the warm prefix in every run.
+            engine = warm_engine()
+            try:
+                return measured_phase(engine, seed, config)
+            finally:
+                engine.close()
+
+        cold = run_campaign(cold_replay, specs, workers=workers)
+        assert forked.metrics() == cold.metrics()
+        assert all(m["simulated_time_s"] > warm_date for m in cold.metrics())
 
     def test_forked_serial_equals_forked_parallel(self):
         blob, _ = _warm_blob()

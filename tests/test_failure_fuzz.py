@@ -31,8 +31,9 @@ from repro.exceptions import (
     SimTimeoutError,
     TransferFailureError,
 )
-from repro.platform import make_star
+from repro.platform import Platform, make_star
 from repro.s4u import ActivityState, FailureInjector
+from repro.surf.trace import Trace
 
 NUM_WORKERS = 3
 ROUNDS = 4
@@ -295,14 +296,57 @@ def test_detector_accuracy_under_churn(seed_base):
     assert total_flips > 0      # the sweep actually exercised the detector
 
 
-def test_churn_fleet_survives_fifty_failures():
-    """Acceptance: an auto-restart fleet absorbs >= 50 host failures."""
+def _traced_star(num_workers, period=2.0, dip=0.5):
+    """A star whose leaves all carry phase-shifted availability dips."""
+    platform = Platform("availability-star")
+    platform.add_host("center", 1e9)
+    for i in range(num_workers):
+        phase = 0.1 + (i % 16) * (period - 0.4) / 16.0
+        trace = Trace([(0.0, 1.0), (phase, dip), (phase + 0.2, 1.0)],
+                      period=period, name=f"leaf-load-{i}")
+        host = platform.add_host(f"leaf-{i}", 1e9, availability_trace=trace)
+        link = platform.add_link(f"leaf-link-{i}", 125e6, 1e-4)
+        platform.connect(host.name, "center", link.name)
+    return platform
+
+
+@pytest.mark.parametrize(
+    "num_workers, target, flops, size, traced, churn, floors", [
+        pytest.param(16, 600, 1e6, 1e3, False,
+                     dict(mtbf=0.001, mean_downtime=0.008, max_failures=120),
+                     (50, 25, 0), id="16-workers"),
+        pytest.param(64, 64 * 30, 1e6, 1e3, False,
+                     dict(mtbf=0.002, mean_downtime=0.01, max_failures=200),
+                     (100, 1, 0), id="failure_churn"),
+        pytest.param(16, 16 * 15, 5e7, 1e4, True,
+                     dict(mtbf=0.01, mean_downtime=0.05, max_failures=50),
+                     (1, 1, 1), id="availability_churn"),
+    ])
+def test_churn_fleet_banks_every_result(num_workers, target, flops, size,
+                                        traced, churn, floors):
+    """An auto-restart fleet under seeded host churn banks every result.
+
+    Daemon workers loop compute-then-report; the injector keeps killing
+    worker hosts and the restored hosts reboot their workers, until the
+    sink banked ``target`` results.  ``floors`` are the least host
+    failures, worker restarts and availability events the run must see:
+    ``failure_churn`` is the size at which 100+ failures land, and
+    ``availability_churn`` puts a phase-shifted availability trace on
+    every leaf, so the trace heap, the capacity write path and the
+    failure path run at once.
+    """
     from repro.exceptions import TransferFailureError
 
-    num_workers, target = 16, 600
-    engine = s4u.Engine(make_star(num_hosts=num_workers, host_speed=1e9,
-                                  link_bandwidth=125e6, link_latency=1e-4))
+    if traced:
+        platform = _traced_star(num_workers)
+    else:
+        platform = make_star(num_hosts=num_workers, host_speed=1e9,
+                             link_bandwidth=125e6, link_latency=1e-4)
+    engine = s4u.Engine(platform)
     received = [0]
+    speed_events = []
+    engine.on_resource_speed_change(
+        lambda resource, speed: speed_events.append(speed))
 
     def sink(actor):
         box = engine.mailbox("sink")
@@ -316,8 +360,8 @@ def test_churn_fleet_survives_fifty_failures():
     def worker(actor, index):
         box = engine.mailbox("sink")
         while True:
-            yield actor.execute(1e6)
-            yield box.put(index, size=1e3)
+            yield actor.execute(flops)
+            yield box.put(index, size=size)
 
     engine.add_actor("sink", "center", sink)
     for i in range(num_workers):
@@ -325,10 +369,12 @@ def test_churn_fleet_survives_fifty_failures():
                          daemon=True, auto_restart=True)
     injector = FailureInjector(
         engine, seed=42, hosts=[f"leaf-{i}" for i in range(num_workers)],
-        mtbf=0.001, mean_downtime=0.008, max_failures=120)
+        **churn)
     injector.start()
     engine.run()
 
+    min_failures, min_restarts, min_speed_events = floors
     assert received[0] == target          # all work completed despite churn
-    assert injector.failures >= 50        # the churn was real
-    assert engine.restart_count >= 25     # and auto-restart did the saving
+    assert injector.failures >= min_failures          # the churn was real
+    assert engine.restart_count >= min_restarts       # auto-restart saved it
+    assert len(speed_events) >= min_speed_events      # the trace heap fired

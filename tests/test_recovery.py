@@ -60,11 +60,14 @@ class TestRecoveryExperiment:
 
 
 class TestCompareRecoveryPolicies:
-    def test_compare_over_seeds_serial(self):
-        report = compare_recovery_policies([1, 2, 3], workers=0)
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_compare_over_seeds(self, workers):
+        report = compare_recovery_policies([1, 2, 3], workers=workers)
         summary = report["summary"]
         assert set(summary) == {"periodic", "event"}
-        assert summary["periodic"]["completed"]["n"] == 3
+        for policy in summary:
+            assert summary[policy]["completed"]["n"] == 3
+            assert summary[policy]["completed"]["min"] >= 1
         assert summary["periodic"]["checkpoints"]["min"] > 0
         # Under churn the lazy policy re-does more work per kill.
         assert (summary["event"]["wasted_flops"]["mean"]

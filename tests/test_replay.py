@@ -97,6 +97,17 @@ class TestClusterReplay:
         assert metrics["dispatched"] == 1
         assert metrics["final_time"] == pytest.approx(8.0)
 
+    def test_churn_replay_completes_jobs(self):
+        # At-most-once under injected churn: jobs killed mid-exec are
+        # lost, but the fleet keeps completing the rest.
+        workload = synthetic_workload(seed=7, num_hosts=8, num_jobs=32,
+                                      mean_interarrival=0.1, mean_flops=5e8)
+        metrics = ClusterReplay(workload, churn_seed=11, churn_mtbf=1.0,
+                                churn_downtime=0.3,
+                                churn_max_failures=8).run()
+        assert metrics["injected_failures"] == 8
+        assert metrics["completed"] >= 1
+
     def test_platform_carries_workload_traces(self):
         workload = synthetic_workload(seed=19, num_hosts=3, num_jobs=4)
         platform = ClusterReplay(workload).build_platform()
@@ -163,14 +174,27 @@ class TestAtLeastOnce:
         shard = replays[2].run(sharded=True)
         assert flat == again == shard
 
-    def test_supervised_churn_fleet_loses_nothing(self):
-        workload = synthetic_workload(seed=3, num_hosts=4, num_jobs=16)
-        metrics = ClusterReplay(workload, churn_seed=7,
-                                churn_max_failures=10,
-                                semantics="at_least_once").run()
-        assert metrics["injected_failures"] == 10
+    # ``ft_supervisor_churn`` is the size at which the fleet absorbs 100
+    # host failures: detector, resubmitter, supervisor respawns and
+    # collector dedup all run many times over.
+    @pytest.mark.parametrize("workload_kwargs, churn", [
+        pytest.param(dict(seed=3, num_hosts=4, num_jobs=16),
+                     dict(churn_seed=7, churn_max_failures=10),
+                     id="16-jobs"),
+        pytest.param(dict(seed=7, num_hosts=16, num_jobs=128,
+                          mean_interarrival=0.1, mean_flops=5e8),
+                     dict(churn_seed=11, churn_mtbf=0.5, churn_downtime=0.5,
+                          churn_max_failures=100),
+                     id="ft_supervisor_churn"),
+    ])
+    def test_supervised_churn_fleet_loses_nothing(self, workload_kwargs,
+                                                  churn):
+        workload = synthetic_workload(**workload_kwargs)
+        metrics = ClusterReplay(workload, semantics="at_least_once",
+                                **churn).run()
+        assert metrics["injected_failures"] == churn["churn_max_failures"]
         assert metrics["lost"] == 0
-        assert metrics["completed"] == 16
+        assert metrics["completed"] == workload_kwargs["num_jobs"]
         assert metrics["worker_restarts"] >= 1   # supervisor respawns
 
     def test_collector_survives_node_killed_with_ack_in_flight(self):

@@ -1,5 +1,7 @@
 """Tests for trace parsing, querying and iteration (repro.surf.trace)."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,6 +31,21 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Trace([], period=5.0)
 
+    # A NaN date compares false with everything: it would head SURF's
+    # trace heap and no later event of the trace would ever fire.
+    @pytest.mark.parametrize("events", [
+        [(0.0, 1.0), (math.nan, 1.0), (5.0, 0.0)],
+        [(math.nan, 1.0)],
+        [(0.0, 1.0), (math.nan, 0.0)],
+    ])
+    def test_nan_event_time_rejected_naming_the_trace(self, events):
+        with pytest.raises(ValueError, match="'a-state'.*NaN"):
+            Trace(events, name="a-state")
+
+    def test_nan_period_rejected_naming_the_trace(self):
+        with pytest.raises(ValueError, match="'a-load'.*nan"):
+            Trace([(0.0, 1.0), (1.0, 0.5)], period=math.nan, name="a-load")
+
     def test_constant_helper(self):
         trace = Trace.constant(0.7)
         assert trace.value_at(0.0) == 0.7
@@ -55,6 +72,12 @@ class TestParsing:
     def test_parse_bad_line_raises(self):
         with pytest.raises(ValueError):
             Trace.parse("0 1 extra\n")
+
+    @pytest.mark.parametrize("text", ["0 1\nnan 1\n5 0\n",
+                                      "PERIODICITY nan\n0 1\n"])
+    def test_parse_rejects_nan_dates(self, text):
+        with pytest.raises(ValueError, match="'a.trace'"):
+            Trace.parse(text, name="a.trace")
 
 
 class TestValueAt:
