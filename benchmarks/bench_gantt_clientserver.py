@@ -5,86 +5,24 @@ clients.  Dark portions denote computations, light portions denote
 communications.  Concurrent communications interfere with each other as the
 TCP flows share network links."*
 
-The harness replays the paper's client/server code (30 MFlop / 3.2 MB
-requests, 10.5 MFlop local tasks, 10 KB acks) with 3 clients and 2 servers
-on the hub/switch/router/Internet platform, prints the resulting Gantt rows
-and asserts the figure's qualitative features.
+The harness drives ``examples/client_server_gantt.py`` (30 MFlop / 3.2 MB
+requests, 10.5 MFlop local tasks, 10 KB acks, 3 clients and 2 servers on
+the hub/switch/router/Internet platform), which prints the Gantt rows, and
+asserts the figure's qualitative features.
 """
 
-import pytest
-
-from bench_util import print_table
-from repro.platform import make_client_server_lan
-from repro.s4u import Engine
-from repro.tracing import GanttChart, Recorder, render_ascii_gantt
-
-MFLOP = 1e6
-MBYTE = 1e6
-NUM_CLIENTS = 3
-NUM_SERVERS = 2
-REQUESTS_PER_CLIENT = 3
+from examples.client_server_gantt import run
 
 
-def client(actor, server_name, client_index):
-    requests = actor.engine.mailbox(f"{server_name}:req")
-    acks = actor.engine.mailbox(f"client-{client_index}:ack")
-    for round_idx in range(REQUESTS_PER_CLIENT):
-        yield requests.put((acks.name, 30.0 * MFLOP), size=3.2 * MBYTE,
-                           name=f"Remote-c{client_index}-r{round_idx}")
-        yield actor.execute(10.50 * MFLOP,
-                            name=f"Local-c{client_index}-r{round_idx}")
-        yield acks.get()
-
-
-def server(actor, name, expected_requests):
-    requests = actor.engine.mailbox(f"{name}:req")
-    for _ in range(expected_requests):
-        reply_to, flops = yield requests.get()
-        yield actor.execute(flops)
-        yield actor.engine.mailbox(reply_to).put("Ack", size=0.01 * MBYTE)
-
-
-def simulate():
-    platform = make_client_server_lan(num_clients=NUM_CLIENTS,
-                                      num_servers=NUM_SERVERS)
-    recorder = Recorder()
-    engine = Engine(platform, recorder=recorder)
-    requests_per_server = [0] * NUM_SERVERS
-    for c in range(NUM_CLIENTS):
-        requests_per_server[c % NUM_SERVERS] += REQUESTS_PER_CLIENT
-    for s in range(NUM_SERVERS):
-        engine.add_actor(f"server-{s}", f"server-{s}", server,
-                         f"server-{s}", requests_per_server[s])
-    for c in range(NUM_CLIENTS):
-        engine.add_actor(f"client-{c}", f"client-{c}", client,
-                         f"server-{c % NUM_SERVERS}", c)
-    makespan = engine.run()
-    return makespan, recorder
-
-
-def test_e4_client_server_gantt_chart(benchmark):
-    makespan, recorder = benchmark(simulate)
-    chart = GanttChart(recorder)
-
-    print("\n=== E4: client/server Gantt chart "
-          "(# = computation, - = communication) ===")
-    print(render_ascii_gantt(chart, width=70))
-    rows = [(name, f"{totals['compute']:.3f}", f"{totals['comm']:.3f}",
-             f"{totals['idle']:.3f}")
-            for name, totals in sorted(chart.summary().items())]
-    print_table("E4: per-host busy/idle seconds",
-                ("host", "compute (dark)", "comm (light)", "idle"), rows)
-    print(f"makespan = {makespan:.2f} s, overlapping communication pairs = "
-          f"{chart.overlapping_comms()}")
-
+def test_e4_client_server_gantt_chart():
+    makespan, chart = run()
     summary = chart.summary()
+    servers = ("server-0", "server-1")
+    clients = ("client-0", "client-1", "client-2")
     # every client and server appears on the chart
-    assert len(summary) == NUM_CLIENTS + NUM_SERVERS
+    assert set(summary) == {*servers, *clients}
     # dark portions: every server computed; every client computed locally
-    assert all(summary[f"server-{s}"]["compute"] > 0
-               for s in range(NUM_SERVERS))
-    assert all(summary[f"client-{c}"]["compute"] > 0
-               for c in range(NUM_CLIENTS))
+    assert all(summary[host]["compute"] > 0 for host in servers + clients)
     # light portions dominate (the 3.2 MB transfers cross a slow hub link)
     assert all(totals["comm"] > totals["compute"]
                for totals in summary.values())
@@ -92,11 +30,5 @@ def test_e4_client_server_gantt_chart(benchmark):
     assert chart.overlapping_comms() > 0
     # interference check: with a single client (no sharing), each request
     # round is faster than the average round of the contended run
-    single_platform = make_client_server_lan(num_clients=1, num_servers=1)
-    single_recorder = Recorder()
-    single_engine = Engine(single_platform, recorder=single_recorder)
-    single_engine.add_actor("server-0", "server-0", server, "server-0",
-                            REQUESTS_PER_CLIENT)
-    single_engine.add_actor("client-0", "client-0", client, "server-0", 0)
-    single_makespan = single_engine.run()
+    single_makespan, _ = run(num_clients=1, num_servers=1, verbose=False)
     assert makespan > single_makespan

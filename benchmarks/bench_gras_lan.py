@@ -10,9 +10,7 @@ GRAS is the fastest stack everywhere, XML the slowest, MPICH is unavailable
 across heterogeneous pairs, and every time lands in the millisecond range.
 """
 
-import pytest
-
-from bench_util import print_table
+from benchmarks.bench_util import print_table
 from repro.platform import make_star
 from repro.wire import ExchangeModel, PASTRY_MESSAGE_DESC, make_pastry_message
 
@@ -32,8 +30,8 @@ def compute_table():
     return model.table(PASTRY_MESSAGE_DESC, message, architectures=ARCHS)
 
 
-def test_e2_lan_pastry_exchange_table(benchmark):
-    table = benchmark(compute_table)
+def test_e2_lan_pastry_exchange_table():
+    table = compute_table()
 
     rows = []
     for pair, results in sorted(table.items()):

@@ -10,14 +10,10 @@ message exchange) and checks that the WAN/LAN separation and the codec
 ordering match the paper.
 """
 
-import pytest
-
-from bench_util import print_table
-from repro.platform import make_star, make_two_site_grid
+from benchmarks.bench_gras_lan import ARCHS, CODE_NAMES, build_lan_model
+from benchmarks.bench_util import print_table
+from repro.platform import make_two_site_grid
 from repro.wire import ExchangeModel, PASTRY_MESSAGE_DESC, make_pastry_message
-
-ARCHS = ("powerpc", "sparc", "x86")
-CODE_NAMES = ("GRAS", "MPICH", "OmniORB", "PBIO", "XML")
 
 
 def build_wan_model():
@@ -26,12 +22,6 @@ def build_wan_model():
                                   wan_latency=80e-3, name="california-france")
     # conversion rate unchanged; only the network differs from E2
     return ExchangeModel(platform, "siteA-0", "siteB-0")
-
-
-def build_lan_model():
-    platform = make_star(num_hosts=2, link_bandwidth=12.5e6,
-                         link_latency=5e-5)
-    return ExchangeModel(platform, "leaf-0", "leaf-1")
 
 
 def compute_tables():
@@ -43,8 +33,8 @@ def compute_tables():
     return wan, lan
 
 
-def test_e3_wan_pastry_exchange_table(benchmark):
-    wan, lan = benchmark(compute_tables)
+def test_e3_wan_pastry_exchange_table():
+    wan, lan = compute_tables()
 
     rows = []
     for dst in ARCHS:                      # the paper shows the x86 sender row

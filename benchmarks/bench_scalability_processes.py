@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from bench_util import print_table
+from benchmarks.bench_util import print_table
 from repro.platform import make_star
 from repro.s4u import Engine
 
@@ -49,7 +49,7 @@ def master_worker(num_workers: int) -> float:
     return engine.run()
 
 
-def test_e9_process_count_scalability(benchmark):
+def test_e9_process_count_scalability():
     counts = (16, 64, 256)
     rows = []
     wall_clocks = {}
@@ -75,6 +75,3 @@ def test_e9_process_count_scalability(benchmark):
     scale = counts[-1] / counts[0]
     assert ratio < scale ** 2, (
         f"wall clock grew {ratio:.1f}x for {scale}x more processes")
-
-    # the benchmarked figure: one mid-size run
-    benchmark(master_worker, 64)

@@ -3,46 +3,25 @@
 The paper's SMPI example distributes matrices by vertical strips, broadcasts
 one column block per step and calls a local GEMM wrapped in
 ``SMPI_BENCH_ONCE``.  Its purpose is to *"study how an existing MPI
-application reacts to platform heterogeneity"* — so the harness simulates
-the same program on a homogeneous commodity cluster and on a heterogeneous
-two-site grid, sweeping the rank count, and reports the simulated execution
-times and the heterogeneity slowdown.
+application reacts to platform heterogeneity"* — so the harness runs
+``parallel_mat_mult`` from ``examples/smpi_matmul.py`` (at M = N = K = 64)
+on a homogeneous commodity cluster and on a heterogeneous two-site grid,
+sweeping the rank count, and reports the simulated execution times and the
+heterogeneity slowdown.
 """
 
-import numpy as np
-import pytest
-
-from bench_util import print_table
+from benchmarks.bench_util import print_table
+from examples.smpi_matmul import parallel_mat_mult
 from repro.platform import make_cluster, make_two_site_grid
 from repro.smpi import SmpiWorld
 
 MATRIX_SIZE = 64        # M = N = K
 
 
-def parallel_mat_mult(mpi, M=MATRIX_SIZE, N=MATRIX_SIZE, K=MATRIX_SIZE):
-    comm = mpi.COMM_WORLD
-    num_proc = comm.size
-    my_id = comm.rank
-    KK = max(1, K // num_proc)
-    NN = max(1, N // num_proc)
-    rng = np.random.default_rng(my_id)
-    A = rng.random((M, KK))
-    B = rng.random((K, NN))
-    C = np.zeros((M, NN))
-    for k in range(K):
-        owner = min(k // KK, num_proc - 1)
-        buf_col = (np.ascontiguousarray(A[:, k % KK])
-                   if owner == my_id else None)
-        buf_col = comm.bcast(buf_col, root=owner)
-        with mpi.sampler.bench_once("dgemm") as run_for_real:
-            if run_for_real:
-                C += np.outer(buf_col, B[k, :])
-    return C
-
-
 def simulate(platform_factory, num_ranks):
     world = SmpiWorld(platform_factory(num_ranks), num_ranks=num_ranks)
-    return world.run(parallel_mat_mult)
+    return world.run(parallel_mat_mult, M=MATRIX_SIZE, N=MATRIX_SIZE,
+                     K=MATRIX_SIZE)
 
 
 def homogeneous_platform(num_ranks):
@@ -55,15 +34,17 @@ def heterogeneous_platform(num_ranks):
                               wan_latency=50e-3)
 
 
-def test_e6_smpi_matmul_homogeneous_vs_heterogeneous(benchmark):
+def test_e6_smpi_matmul_homogeneous_vs_heterogeneous():
     rank_counts = (2, 4, 8)
     rows = []
-    slowdowns = {}
+    homogeneous_times = []
+    slowdowns = []
     for num_ranks in rank_counts:
         homogeneous = simulate(homogeneous_platform, num_ranks)
         heterogeneous = simulate(heterogeneous_platform, num_ranks)
         slowdown = heterogeneous / homogeneous
-        slowdowns[num_ranks] = slowdown
+        homogeneous_times.append(homogeneous)
+        slowdowns.append(slowdown)
         rows.append((num_ranks, f"{homogeneous:.3f}s", f"{heterogeneous:.3f}s",
                      f"{slowdown:.1f}x"))
     print_table("E6: 1-D MPI matrix multiply under SMPI "
@@ -72,12 +53,7 @@ def test_e6_smpi_matmul_homogeneous_vs_heterogeneous(benchmark):
                  "slowdown"), rows)
 
     # Heterogeneity hurts: the WAN-crossing broadcasts dominate.
-    assert all(s > 2.0 for s in slowdowns.values())
+    assert all(s > 2.0 for s in slowdowns)
     # More ranks do not help once the WAN is the bottleneck; on the cluster
     # the simulated time must stay bounded as ranks increase.
-    homogeneous_times = [simulate(homogeneous_platform, n)
-                         for n in rank_counts]
     assert homogeneous_times[-1] < homogeneous_times[0] * 4
-
-    # benchmark the 4-rank homogeneous simulation itself
-    benchmark(simulate, homogeneous_platform, 4)

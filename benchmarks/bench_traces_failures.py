@@ -9,7 +9,7 @@ transient failure interrupts a host — and verifies the timing consequences.
 
 import pytest
 
-from bench_util import print_table
+from benchmarks.bench_util import print_table
 from repro.exceptions import ProcessKilledError, TransferFailureError
 from repro.platform import Platform
 from repro.s4u import Engine
@@ -71,9 +71,9 @@ def simulate(with_traces: bool):
     return outcome
 
 
-def test_e8_traces_and_transient_failures(benchmark):
+def test_e8_traces_and_transient_failures():
     stable = simulate(with_traces=False)
-    volatile = benchmark(simulate, True)
+    volatile = simulate(True)
 
     rows = [
         ("20 Gflop computation", f"{stable['compute_end']:.2f}s",

@@ -1,39 +1,52 @@
-"""Experiment E1 — the paper's validation figure.
+"""Experiments E1 and E7 — fluid flow rates against a packet-level simulator.
 
-*"Random topology generated with BRITE (random bandwidths and latencies);
-10 random flows for 10 random source-destination pairs; each flow transfers
-100 MBytes (operation in steady-state); comparison between NS2, GTNets, and
-SimGrid.  Flow transfer rates simulated by SimGrid are within +/-15% of
-those obtained with packet-level simulators, with most within only a few
-percents."*
+E1, the paper's validation figure: *"Random topology generated with BRITE
+(random bandwidths and latencies); 10 random flows for 10 random
+source-destination pairs; each flow transfers 100 MBytes (operation in
+steady-state); comparison between NS2, GTNets, and SimGrid.  Flow transfer
+rates simulated by SimGrid are within +/-15% of those obtained with
+packet-level simulators, with most within only a few percents."*
 
-This harness regenerates the per-flow bar chart: for every flow it reports
-the rate according to the fluid (MaxMin) model and according to the
-packet-level comparator, plus the relative difference.  Flow sizes are
-scaled down from 100 MB to keep the packet-level side tractable in pure
-Python; both simulators see the same sizes, so the comparison is unchanged
-(the flows still reach steady state).
+E7, from the same validation text: the fluid simulation runs *orders of
+magnitude faster* than packet-level simulators on the same scenario.
+
+One pair of helpers, :func:`fluid_rates` and :func:`packet_rates`, runs a
+list of flows through either simulator.  E1 regenerates the per-flow bar
+chart, E7 times both sides, and three smaller checks (a dumbbell, a small
+BRITE topology, the TCP window-bound ablation) test the same property at
+sizes quick enough for every run.  Flow sizes are scaled down from 100 MB
+to keep the packet-level side tractable in pure Python; both simulators
+see the same sizes, so the comparison is unchanged (the flows still reach
+steady state).
 """
 
 import statistics
+import time
 
 import pytest
 
-from bench_util import print_table
+from benchmarks.bench_util import print_table
 from repro.packet import FlowSpec, PacketSimulator
+from repro.platform import make_dumbbell
 from repro.platform.brite import make_waxman_topology, random_flows
 from repro.s4u import Engine
+from repro.surf.engine import SurfEngine
+from repro.surf.network import NetworkModel, NetworkModelConfig
 
 NUM_NODES = 10
 NUM_FLOWS = 10
 FLOW_BYTES = 20e6        # scaled-down stand-in for the paper's 100 MB
+SPEED_FLOW_BYTES = 10e6  # E7 keeps the packet side test-friendly
 TOPOLOGY_SEED = 42
 FLOW_SEED = 7
+#: The paper claims +/-15%; 35% is allowed on the dumbbell, where 20 MB
+#: flows still feel TCP slow-start in the packet-level average.
+TOLERANCE = 0.35
 
 
-def fluid_rates(flow_bytes=FLOW_BYTES):
-    platform = make_waxman_topology(num_nodes=NUM_NODES, seed=TOPOLOGY_SEED)
-    flows = random_flows(platform, num_flows=NUM_FLOWS, seed=FLOW_SEED)
+def fluid_rates(platform, flows, size):
+    """Simulate one s4u sender/receiver pair per flow with the fluid
+    model; return the bytes/s of every flow, in order."""
     engine = Engine(platform)
     durations = {}
 
@@ -46,30 +59,36 @@ def fluid_rates(flow_bytes=FLOW_BYTES):
         durations[key] = actor.now - start
 
     for idx, (src, dst) in enumerate(flows):
-        engine.add_actor(f"s{idx}", src, sender, f"f{idx}", flow_bytes)
-        engine.add_actor(f"r{idx}", dst, receiver, f"f{idx}", idx)
+        engine.add_actor(f"send-{idx}", src, sender, f"flow-{idx}", size)
+        engine.add_actor(f"recv-{idx}", dst, receiver, f"flow-{idx}", idx)
     engine.run()
-    return [flow_bytes / durations[idx] for idx in range(NUM_FLOWS)], flows
+    return [size / durations[idx] for idx in range(len(flows))]
 
 
-def packet_rates(flow_bytes=FLOW_BYTES):
-    platform = make_waxman_topology(num_nodes=NUM_NODES, seed=TOPOLOGY_SEED)
-    flows = random_flows(platform, num_flows=NUM_FLOWS, seed=FLOW_SEED)
-    sim = PacketSimulator(platform)
-    results = sim.run([FlowSpec(src, dst, flow_bytes, flow_id=idx)
-                       for idx, (src, dst) in enumerate(flows)])
+def packet_rates(platform, flows, size):
+    """The same flows through the packet-level comparator."""
+    results = PacketSimulator(platform).run(
+        [FlowSpec(src, dst, size, flow_id=idx)
+         for idx, (src, dst) in enumerate(flows)])
     by_id = {r.flow_id: r.throughput for r in results}
-    return [by_id[idx] for idx in range(NUM_FLOWS)]
+    return [by_id[idx] for idx in range(len(flows))]
+
+
+def waxman(num_nodes=NUM_NODES, num_flows=NUM_FLOWS):
+    """A fresh BRITE-like topology and its random flows (E1 and E7)."""
+    platform = make_waxman_topology(num_nodes=num_nodes, seed=TOPOLOGY_SEED)
+    return platform, random_flows(platform, num_flows=num_flows,
+                                  seed=FLOW_SEED)
 
 
 def test_e1_no_fluid_flow_beats_its_bottleneck():
     """The fluid side of E1 on its own: every flow gets a positive rate
     no higher than the narrowest link of its route."""
-    rates, flows = fluid_rates()
-    topology = make_waxman_topology(num_nodes=NUM_NODES, seed=TOPOLOGY_SEED)
+    platform, flows = waxman()
+    rates = fluid_rates(platform, flows, FLOW_BYTES)
     for rate, (src, dst) in zip(rates, flows):
-        bottleneck = min(topology.links[name].bandwidth
-                         for name in topology.route_links(src, dst))
+        bottleneck = min(platform.links[name].bandwidth
+                         for name in platform.route_links(src, dst))
         assert 0.0 < rate <= bottleneck, (
             f"flow {src}->{dst} at {rate:.4g} B/s over a "
             f"{bottleneck:.4g} B/s bottleneck")
@@ -82,10 +101,11 @@ def test_e1_no_fluid_flow_beats_its_bottleneck():
     "latency get 1.73/1.93 MB/s, the three with 62-75 ms get 0.51-0.63), "
     "so median |gap| is 0.55 against < 0.25.  RTT-aware weights would "
     "move every pinned date: parked under ROADMAP 'accuracy campaign'."))
-def test_e1_flow_rates_fluid_vs_packet(benchmark):
+def test_e1_flow_rates_fluid_vs_packet():
     """Regenerates the per-flow transfer-rate comparison (bar chart)."""
-    fluid, flows = benchmark(fluid_rates)
-    packet = packet_rates()
+    platform, flows = waxman()
+    fluid = fluid_rates(platform, flows, FLOW_BYTES)
+    packet = packet_rates(waxman()[0], flows, FLOW_BYTES)
 
     rows = []
     gaps = []
@@ -110,3 +130,71 @@ def test_e1_flow_rates_fluid_vs_packet(benchmark):
     assert max(gaps) < 0.60
     # and the two simulators agree on the aggregate bandwidth delivered
     assert sum(fluid) == pytest.approx(sum(packet), rel=0.25)
+
+
+def test_e7_fluid_simulation_speed_advantage():
+    start = time.perf_counter()
+    packet_rates(*waxman(), SPEED_FLOW_BYTES)
+    packet_wall = time.perf_counter() - start
+
+    start = time.perf_counter()
+    fluid_rates(*waxman(), SPEED_FLOW_BYTES)
+    fluid_wall = max(time.perf_counter() - start, 1e-6)
+
+    speedup = packet_wall / fluid_wall
+    print_table("E7: wall-clock cost of simulating the E1 scenario",
+                ("simulator", "wall-clock (s)"),
+                [("packet-level (NS2/GTNetS stand-in)", f"{packet_wall:.3f}"),
+                 ("SimGrid fluid (SURF)", f"{fluid_wall:.4f}"),
+                 ("speedup", f"{speedup:.0f}x")])
+
+    # The paper says "orders of magnitude"; require at least 20x here
+    # (the packet side is scaled down to 10 MB flows to stay test-friendly —
+    # with the paper's 100 MB flows the gap only widens).
+    assert speedup > 20.0
+
+
+def test_dumbbell_rates_agree_within_tolerance():
+    flows = [("left-0", "right-0"), ("left-1", "right-1")]
+    fluid = fluid_rates(make_dumbbell(num_left=2, num_right=2), flows, 20e6)
+    packet = packet_rates(make_dumbbell(num_left=2, num_right=2), flows, 20e6)
+    for idx, (f_rate, p_rate) in enumerate(zip(fluid, packet)):
+        relative_gap = abs(f_rate - p_rate) / p_rate
+        assert relative_gap < TOLERANCE, (
+            f"flow {idx}: fluid {f_rate:.0f} vs packet {p_rate:.0f}")
+
+
+def test_both_models_rank_flows_identically_on_brite():
+    """On a random BRITE topology the two simulators agree on who wins."""
+    platform, flows = waxman(num_nodes=8, num_flows=4)
+    fluid = fluid_rates(platform, flows, 10e6)
+    packet = packet_rates(waxman(num_nodes=8, num_flows=4)[0], flows, 10e6)
+    # compare the relative ordering of the slowest and fastest flows
+    fluid_order = sorted(range(len(flows)), key=lambda i: fluid[i])
+    packet_order = sorted(range(len(flows)), key=lambda i: packet[i])
+    assert fluid_order[-1] == packet_order[-1] or \
+        fluid[fluid_order[-1]] == pytest.approx(fluid[packet_order[-1]],
+                                                rel=0.2)
+
+
+def test_tcp_gamma_bound_brings_fluid_closer_on_long_fat_pipes():
+    """Ablation: the window bound matters on high-latency bottlenecks."""
+    flows = [("left-0", "right-0")]
+    size = 20e6
+
+    def long_fat_pipe(tcp_gamma=None):
+        platform = make_dumbbell(num_left=1, num_right=1,
+                                 bottleneck_latency=50e-3,
+                                 bottleneck_bandwidth=125e6)
+        if tcp_gamma is not None:
+            platform.realize(SurfEngine(network_model=NetworkModel(
+                NetworkModelConfig(tcp_gamma=tcp_gamma))))
+        return platform
+
+    packet = packet_rates(long_fat_pipe(), flows, size)[0]
+    # without the window bound the fluid model grants the full 125 MB/s
+    # regardless of the 100 ms RTT; with it, the rate is capped near
+    # window / RTT, which is what real TCP (and the packet model) sees.
+    unbounded = fluid_rates(long_fat_pipe(0.0), flows, size)[0]
+    bounded = fluid_rates(long_fat_pipe(4194304.0), flows, size)[0]
+    assert abs(bounded - packet) <= abs(unbounded - packet)

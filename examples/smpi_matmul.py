@@ -28,7 +28,9 @@ def parallel_mat_mult(mpi, M=128, N=128, K=128, alpha=1.0, beta=0.0):
     comm = mpi.COMM_WORLD
     num_proc = comm.size
     my_id = comm.rank
-    KK = K // num_proc
+    # The last rank also owns the K % num_proc leftover columns, and a rank
+    # count above K leaves the extra ranks owning none.
+    KK = max(1, K // num_proc)
     NN = N // num_proc
 
     rng = np.random.default_rng(my_id)
@@ -38,7 +40,7 @@ def parallel_mat_mult(mpi, M=128, N=128, K=128, alpha=1.0, beta=0.0):
     C = np.zeros((M, NN))
 
     for k in range(K):
-        owner = k // KK
+        owner = min(k // KK, num_proc - 1)
         if owner == my_id:
             buf_col = np.ascontiguousarray(A[:, k % KK])
         else:

@@ -23,15 +23,16 @@ setup(
     version=_read_version(),
     description=(
         "Pure-Python reproduction of the SimGrid HPDC'06 framework: a "
-        "fluid (MaxMin) platform simulator with s4u actor/activity, MSG, "
-        "GRAS and SMPI APIs"
+        "fluid (MaxMin) platform simulator with s4u actor/activity, GRAS "
+        "and SMPI APIs"
     ),
     long_description=(
         "A reproduction of the SimGrid HPDC'06 system: the SURF fluid "
         "simulation core with MaxMin fairness, a unified s4u "
         "actor/activity API (Engine, Actor, Mailbox, Comm/Exec/Sleep "
-        "futures, ActivitySet), and the paper's MSG, GRAS and SMPI "
-        "interfaces rebased on it, plus a packet-level TCP validator, "
+        "futures, ActivitySet) that replaces the paper's MSG interface, "
+        "the paper's GRAS and SMPI interfaces rebased on it, plus a "
+        "packet-level TCP validator, "
         "wire-format comparators, the AMOK toolbox and Gantt tracing."
     ),
     author="paper-repo-growth",
@@ -40,7 +41,7 @@ setup(
     package_dir={"": "src"},
     python_requires=">=3.9",
     install_requires=[],  # standard library only, by design
-    extras_require={"test": ["pytest", "hypothesis"]},
+    extras_require={"test": ["pytest", "hypothesis", "numpy"]},
     classifiers=[
         "Development Status :: 4 - Beta",
         "Intended Audience :: Science/Research",

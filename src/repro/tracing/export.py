@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import io
-from typing import List, Optional, Sequence
+from typing import List
 
 from repro.tracing.gantt import COMM_CATEGORIES, COMPUTE_CATEGORIES, GanttChart
 from repro.tracing.recorder import Interval, Recorder
 
 __all__ = ["intervals_to_csv", "render_ascii_gantt"]
+
+#: Cell characters of the ASCII Gantt chart.
+COMPUTE_CHAR = "#"
+COMM_CHAR = "-"
+IDLE_CHAR = "."
 
 
 def intervals_to_csv(recorder: Recorder) -> str:
@@ -23,9 +28,7 @@ def intervals_to_csv(recorder: Recorder) -> str:
     return out.getvalue()
 
 
-def render_ascii_gantt(chart: GanttChart, width: int = 72,
-                       compute_char: str = "#", comm_char: str = "-",
-                       idle_char: str = ".") -> str:
+def render_ascii_gantt(chart: GanttChart, width: int = 72) -> str:
     """Render the Gantt chart as fixed-width ASCII art.
 
     ``#`` marks computation (the paper's dark portions), ``-`` marks
@@ -37,18 +40,14 @@ def render_ascii_gantt(chart: GanttChart, width: int = 72,
     lines: List[str] = []
     name_width = max((len(row.name) for row in chart.rows), default=0)
     for row in chart.rows:
-        cells = [idle_char] * width
+        cells = [IDLE_CHAR] * width
         # paint communications first so computations overwrite them
         for interval in row.intervals:
-            char: Optional[str] = None
             if interval.category in COMM_CATEGORIES:
-                char = comm_char
-            if char is None:
-                continue
-            _paint(cells, interval, horizon, width, char)
+                _paint(cells, interval, horizon, width, COMM_CHAR)
         for interval in row.intervals:
             if interval.category in COMPUTE_CATEGORIES:
-                _paint(cells, interval, horizon, width, compute_char)
+                _paint(cells, interval, horizon, width, COMPUTE_CHAR)
         lines.append(f"{row.name.ljust(name_width)} |{''.join(cells)}|")
     scale = (f"{'':{name_width}} |0{'':{max(0, width - 2)}}"
              f"{horizon:.3g}|")

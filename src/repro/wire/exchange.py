@@ -115,8 +115,7 @@ class ExchangeModel:
 
     # -- full table -----------------------------------------------------------------------
     def table(self, desc: DataDescription, value: Any,
-              architectures: Optional[Sequence[str]] = None,
-              codecs: Optional[Sequence[Codec]] = None
+              architectures: Optional[Sequence[str]] = None
               ) -> Dict[str, Dict[str, ExchangeResult]]:
         """Build the full (sender arch, receiver arch) -> codec table.
 
@@ -124,13 +123,13 @@ class ExchangeModel:
         exactly the structure of the paper's LAN and WAN tables.
         """
         archs = list(architectures or ("powerpc", "sparc", "x86"))
-        codec_list = list(codecs or all_codecs())
+        codecs = all_codecs()
         table: Dict[str, Dict[str, ExchangeResult]] = {}
         for src in archs:
             for dst in archs:
                 key = f"{src}->{dst}"
                 table[key] = {
                     codec.name: self.exchange(codec, desc, value, src, dst)
-                    for codec in codec_list
+                    for codec in codecs
                 }
         return table

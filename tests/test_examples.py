@@ -6,6 +6,10 @@ import sys
 
 import pytest
 
+from examples.smpi_matmul import parallel_mat_mult
+from repro.platform import make_cluster
+from repro.smpi import SmpiWorld
+
 EXAMPLES_DIR = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "examples")
 
@@ -28,22 +32,6 @@ class TestQuickstart:
         assert 2.8 < final_time < 3.0
 
 
-class TestClientServerGantt:
-    def test_gantt_shows_interfering_communications(self):
-        module = load_example("client_server_gantt")
-        final_time, chart = module.run(verbose=False)
-        assert final_time > 0
-        summary = chart.summary()
-        # every client and server row exists and did some communication
-        assert set(summary) == {"client-0", "client-1", "client-2",
-                                "server-0", "server-1"}
-        assert all(totals["comm"] > 0 for totals in summary.values())
-        # servers computed (dark blocks exist)
-        assert summary["server-0"]["compute"] > 0
-        # the paper's point: concurrent flows overlap in time
-        assert chart.overlapping_comms() > 0
-
-
 class TestGrasPingpong:
     def test_simulation_mode(self, capsys):
         module = load_example("gras_pingpong")
@@ -57,17 +45,22 @@ class TestGrasPingpong:
         assert "real-world run completed" in capsys.readouterr().out
 
 
-class TestSmpiMatmul:
-    def test_heterogeneous_platform_is_slower(self, capsys):
-        module = load_example("smpi_matmul")
-        homogeneous = module.simulate(
-            __import__("repro.platform", fromlist=["make_cluster"])
-            .make_cluster(num_hosts=4), 4, "homogeneous")
-        heterogeneous = module.simulate(
-            __import__("repro.platform", fromlist=["make_two_site_grid"])
-            .make_two_site_grid(hosts_per_site=2, wan_bandwidth=1.25e6,
-                                wan_latency=50e-3), 4, "heterogeneous")
-        assert heterogeneous > homogeneous
+class TestParallelMatMult:
+    @pytest.mark.parametrize("num_ranks, k", [(3, 64), (6, 4)],
+                             ids=["k-not-divisible", "more-ranks-than-k"])
+    def test_any_rank_count_runs_every_broadcast(self, num_ranks, k):
+        """K need not be a multiple of the rank count, nor at least as
+        large: every rank takes part in all K broadcasts and returns."""
+        finished = []
+
+        def program(mpi):
+            parallel_mat_mult(mpi, M=8, N=8, K=k)
+            finished.append(mpi.COMM_WORLD.rank)
+
+        world = SmpiWorld(make_cluster(num_hosts=num_ranks),
+                          num_ranks=num_ranks)
+        assert world.run(program) > 0
+        assert sorted(finished) == list(range(num_ranks))
 
 
 class TestP2pFilesharing:

