@@ -55,6 +55,8 @@ FINISHED = _Finished()
 class Context:
     """Interface between the scheduler and one simulated process body."""
 
+    __slots__ = ()
+
     def start(self) -> None:
         """Prepare the context (no user code runs yet)."""
 
@@ -102,6 +104,9 @@ class ContextFactory:
 class GeneratorContext(Context):
     """A simulated process implemented as a generator coroutine."""
 
+    __slots__ = ("_func", "_args", "_kwargs", "_gen", "_finished",
+                 "_started")
+
     def __init__(self, func: Callable, args: tuple, kwargs: dict) -> None:
         self._func = func
         self._args = args
@@ -128,22 +133,21 @@ class GeneratorContext(Context):
                ) -> Union[Simcall, _Finished]:
         if self._finished:
             return FINISHED
-        assert self._gen is not None
+        gen = self._gen
         try:
-            if not self._started:
+            if exception is not None:
                 self._started = True
-                if exception is not None:
-                    request = self._gen.throw(exception)
-                else:
-                    request = self._gen.send(None)
-            elif exception is not None:
-                request = self._gen.throw(exception)
+                request = gen.throw(exception)
+            elif self._started:
+                request = gen.send(value)
             else:
-                request = self._gen.send(value)
+                self._started = True
+                request = gen.send(None)
         except StopIteration:
             self._finished = True
             return FINISHED
-        if not isinstance(request, Simcall):
+        # A class compare, not isinstance: nothing subclasses Simcall.
+        if request.__class__ is not Simcall:
             raise TypeError(
                 f"simulated processes must yield Simcall objects, got "
                 f"{request!r}; yield what the s4u blocking calls return "

@@ -86,12 +86,6 @@ class Activity:
         if actor not in self.waiters:
             self.waiters.append(actor)
 
-    def remove_waiter(self, actor: "Actor") -> None:
-        try:
-            self.waiters.remove(actor)
-        except ValueError:
-            pass
-
     # -- user-facing async API ---------------------------------------------------------
     def test(self):
         """Non-blocking completion probe; the result is a bool."""

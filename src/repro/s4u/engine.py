@@ -45,6 +45,7 @@ from repro.s4u.host import Host
 from repro.s4u.link import Link
 from repro.s4u.mailbox import Mailbox
 from repro.platform.platform import Platform
+from repro.surf.action import ActionState
 from repro.surf.cpu import CpuResource
 from repro.surf.network import LinkResource
 
@@ -54,6 +55,7 @@ _EPS = 1e-12
 # The two live states, compared by identity on the hot path ("is over" is
 # "is neither"): a set lookup would run Enum.__hash__, a Python frame.
 _PENDING, _STARTED = ActivityState.PENDING, ActivityState.STARTED
+_RUNNING = ActionState.RUNNING
 
 
 class Engine:
@@ -345,7 +347,7 @@ class Engine:
             failed = self.surf.set_state(resource, is_on)
         for action in failed:
             activity = action.data
-            if isinstance(activity, Activity):
+            if activity is not None:
                 self._finish_activity(activity, ActivityState.FAILED)
         if isinstance(resource, LinkResource):
             link = self._link_by_resource.get(id(resource))
@@ -497,8 +499,9 @@ class Engine:
             if result.speed_changes:
                 self._handle_speed_changes(result.speed_changes)
             for action in result.completed:
+                # An engine action carries its Activity until it finishes.
                 activity = action.data
-                if isinstance(activity, Activity):
+                if activity is not None:
                     finish(activity, done)
             fire_until(now)
             if until is not None and now >= limit - _EPS:
@@ -647,7 +650,7 @@ class Engine:
         On a host that is down the caller is answered with the failure
         and there is no activity.
         """
-        if not host.is_on:
+        if not host.cpu.is_on:
             self._enqueue(actor, None,
                           HostFailureError(f"host {host.name} is down"))
             return None
@@ -674,7 +677,7 @@ class Engine:
                        name: str) -> None:
         activity = self._new_exec(actor, flops, host, priority, bound, name)
         if activity is not None:
-            self._enqueue(actor, activity)
+            self._ready.append((actor, activity, None))
 
     def _do_sleep(self, actor: Actor, duration: float) -> None:
         # A wait on nothing whose timeout is its completion: a bare timer
@@ -689,7 +692,7 @@ class Engine:
         activity._timer = self.timers.schedule(
             self.surf.clock + duration,
             partial(self._finish_activity, activity, ActivityState.DONE))
-        self._enqueue(actor, activity)
+        self._ready.append((actor, activity, None))
 
     # -- communications -------------------------------------------------------------------
     def _do_send(self, actor: Actor, mailbox: Mailbox, payload, size: float,
@@ -709,12 +712,14 @@ class Engine:
     def _do_isend(self, actor: Actor, mailbox: Mailbox, payload, size: float,
                   rate: Optional[float], detached: bool, priority: float,
                   name: str) -> None:
-        self._enqueue(actor, self._post_send(
-            actor, mailbox, payload, size, rate, detached, priority, name))
+        self._ready.append((actor, self._post_send(
+            actor, mailbox, payload, size, rate, detached, priority, name),
+            None))
 
     def _do_irecv(self, actor: Actor, mailbox: Mailbox,
                   rate: Optional[float]) -> None:
-        self._enqueue(actor, self._post_recv(actor, mailbox, rate))
+        self._ready.append((actor, self._post_recv(actor, mailbox, rate),
+                            None))
 
     def _post_send(self, actor: Actor, mailbox: Mailbox, payload,
                    size: float, rate: Optional[float], detached: bool,
@@ -759,7 +764,7 @@ class Engine:
         src_host = comm.src_actor.host
         dst_host = comm.dst_actor.host
         comm._engine = self
-        if not src_host.is_on or not dst_host.is_on:
+        if not src_host.cpu.is_on or not dst_host.cpu.is_on:
             self._finish_activity(comm, ActivityState.FAILED)
             return
         links = self.platform.route_resources(src_host.name, dst_host.name)
@@ -769,7 +774,7 @@ class Engine:
         comm.surf_action = action
         comm.state = ActivityState.STARTED
         comm.start_time = self.surf.clock
-        if not action.is_running():
+        if action.state is not _RUNNING:
             # A link of the route was already down when the rendezvous
             # matched: the model failed the action synchronously, so it will
             # never surface through a step result — report it here.
@@ -857,7 +862,10 @@ class Engine:
             actor._wait_timer = None
         for activity in actor._wait_activities:
             if activity is not but:
-                activity.remove_waiter(actor)
+                try:
+                    activity.waiters.remove(actor)
+                except ValueError:
+                    pass
         actor._wait_kind = None
         actor._wait_activities = ()
         actor._wait_owner = None
@@ -958,7 +966,7 @@ class Engine:
             return
         activity.state = state
         activity.finish_time = self.surf.clock
-        if isinstance(activity, Comm):
+        if activity.kind == "comm":
             self._active_comms.pop(activity, None)
         if self.recorder is not None:
             self._record_activity(activity)
@@ -1026,13 +1034,13 @@ class Engine:
         payload on the receiving side of a comm, else its failure."""
         state = activity.state
         if state is ActivityState.DONE:
-            if isinstance(activity, Comm) and activity.dst_actor is actor:
+            if activity.kind == "comm" and activity.dst_actor is actor:
                 return activity.payload, None
             return None, None
         if state is ActivityState.CANCELLED:
             return None, CancelledError(
                 f"activity {activity.name!r} was cancelled")
-        if not isinstance(activity, Comm):
+        if activity.kind != "comm":
             return None, HostFailureError(
                 f"host failed during {activity.name!r} "
                 f"at t={self.surf.clock:g}")

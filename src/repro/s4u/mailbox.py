@@ -27,7 +27,13 @@ __all__ = ["Mailbox"]
 
 def _payload_name(payload: Any) -> str:
     name = getattr(payload, "name", None)
+    if name is None:  # the common case pays no isinstance
+        return "comm"
     return name if isinstance(name, str) else "comm"
+
+
+_PENDING = ActivityState.PENDING
+_DEAD = ActorState.DEAD
 
 
 def _matchable(comm: "Comm") -> bool:
@@ -38,12 +44,12 @@ def _matchable(comm: "Comm") -> bool:
     not swallow the next message, while a detached send outlives its
     sender (mailbox redelivery after a reboot).
     """
-    if comm.state is not ActivityState.PENDING:
+    if comm.state is not _PENDING:
         return False
     if comm.detached:
         return True
     poster = comm.src_actor if comm.dst_actor is None else comm.dst_actor
-    return poster.state != ActorState.DEAD
+    return poster.state != _DEAD
 
 
 class Mailbox:

@@ -145,8 +145,9 @@ class SurfEngine:
 
     def execute(self, cpu: CpuResource, flops: float, priority: float = 1.0,
                 bound: Optional[float] = None):
-        """Start a computation on ``cpu`` in its owning model."""
-        return self.model_of(cpu).execute(cpu, flops, priority, bound)
+        """Start a computation on ``cpu`` in the CPU model (the sharded
+        engine overrides it with the owning shard's)."""
+        return self.cpu_model.execute(cpu, flops, priority, bound)
 
     def communicate(self, links, size: float,
                     rate: Optional[float] = None, priority: float = 1.0):

@@ -505,18 +505,66 @@ class MaxMinSystem:
                     # inspection — no graph walk can reach or leave it.
                     # Counters, token and values move exactly as on the
                     # general path (the token is pickled state).
-                    start = len(changed)
+                    if groups is not None:
+                        start = len(changed)
                     self.constraints_solved += 1
-                    self._token = token = self._token + 1
+                    self._token += 1
                     if elements:
-                        var = elements[0].variable
+                        elem = elements[0]
+                        var = elem.variable
                         self.variables_solved += 1
                         old = var.value
-                        var.value = 0.0
-                        if var.weight > EPSILON:
-                            var._stamp = token
-                            self._solve_single(seed, [var], token)
-                        if var.value != old:
+                        weight = var.weight
+                        if weight > EPSILON:
+                            # _solve_single in closed form: the constraint
+                            # (scan rank 0) and the bound are the only two
+                            # candidates, the counters move as it moves them.
+                            usage = elem.usage
+                            d = usage * weight
+                            if seed.shared:
+                                if d > EPSILON:
+                                    capacity = seed.capacity
+                                    level = (capacity if capacity > 0.0
+                                             else 0.0) / d
+                                else:
+                                    level = None
+                            elif usage > EPSILON:
+                                level = seed.capacity / d
+                            else:
+                                level = None
+                            bound = var.bound
+                            if bound is None:
+                                if level is None:
+                                    value = math.inf
+                                    self.elements_visited += 1
+                                else:
+                                    value = level * weight
+                                    self.elements_visited += 3
+                                    self.heap_pops += 1
+                            else:
+                                b_level = bound / weight
+                                # The constraint wins a tie inside the
+                                # near-tie band unless the bound sits a
+                                # full EPSILON below it.
+                                if level is not None and (
+                                        level <= b_level
+                                        or (level < b_level + 2.0 * EPSILON
+                                            + 1e-9 * b_level
+                                            and not b_level
+                                            < level - EPSILON)):
+                                    value = level * weight
+                                    self.elements_visited += 3
+                                else:
+                                    value = b_level * weight
+                                    self.elements_visited += 2
+                                self.heap_pops += 1
+                                if bound < value:
+                                    value = bound
+                            var._stamp = 0
+                        else:
+                            value = 0.0
+                        var.value = value
+                        if value != old:
                             changed.append(var)
                     if groups is not None:
                         groups.append((seed.id, start, len(changed)))
@@ -624,7 +672,9 @@ class MaxMinSystem:
         variable is the same reference summation over the same elements
         in the same order.  Like the filling loop, it writes
         ``max(0.0, x)`` and ``min(value, bound)`` as compares (the same
-        double for every input).
+        double for every input).  A one-variable component that
+        ``_solve_into`` recognises by inspection never gets here: it is
+        solved in closed form there, with the same values and counters.
         """
         elements = cns.elements
         self.elements_visited += len(elements)

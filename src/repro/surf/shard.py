@@ -124,6 +124,9 @@ class ShardedSurfEngine(SurfEngine):
                               bandwidth_trace=bandwidth_trace,
                               state_trace=state_trace, index=index)
 
+    def execute(self, cpu, flops, priority=1.0, bound=None):
+        return self.model_of(cpu).execute(cpu, flops, priority, bound)
+
     # -- gateway handoff ---------------------------------------------------------
     def communicate(self, links, size, rate=None, priority=1.0):
         """Start a transfer, migrating cross-zone routes to the root shard.

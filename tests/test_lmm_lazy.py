@@ -442,6 +442,70 @@ def test_property_component_short_circuit_is_invisible(script):
     assert sum(fast) <= sum(general)
 
 
+@st.composite
+def one_variable_system(draw):
+    """One variable on one constraint, drawn where the closed form of
+    ``_solve_into`` has its edges: shared and fat-pipe constraints, zero
+    and tiny capacities, usage and weight at and around EPSILON, and
+    bounds inside the near-tie band of the capacity level, 1e-12 to 1e-7
+    away (relative) or a few EPSILON away (absolute), on either side."""
+    eps = lmm.EPSILON
+    shared = draw(st.booleans())
+    capacity = draw(st.sampled_from([0.0, 1e-12, eps, 3e-9, math.inf])
+                    | st.floats(0.0, 1e9))
+    usage = draw(st.sampled_from([1e-12, eps, 1.0000001e-9, 2e-9])
+                 | st.floats(1e-3, 4.0))
+    weight = draw(st.sampled_from([0.0, eps, 1.0000001e-9, 2e-9])
+                  | st.floats(1e-3, 8.0))
+    level = capacity / (usage * weight) if weight > eps else math.inf
+    kind = draw(st.sampled_from(["none", "any", "relative", "absolute"]))
+    if kind == "none":
+        bound = None
+    elif kind == "any" or not 0.0 < level < math.inf:
+        bound = draw(st.sampled_from([0.0, 1e-10]) | st.floats(0.0, 1e9))
+    elif kind == "relative":
+        offset = draw(st.sampled_from([-1, 1])) * 10.0 ** draw(
+            st.floats(-12.0, -7.0))
+        bound = max(0.0, level * (1.0 + offset) * weight)
+    else:
+        offset = draw(st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]))
+        bound = max(0.0, (level + offset * eps) * weight)
+    return shared, capacity, usage, weight, bound
+
+
+def solve_one_variable(shape, general):
+    """Solve a one-variable system three times (as built, at half its
+    capacity, with the bound dropped) and report each solve exactly.
+    ``general`` sends every solve through ``_solve_subsystem``."""
+    shared, capacity, usage, weight, bound = shape
+    system = MaxMinSystem()
+    cns = system.new_constraint(capacity, shared=shared)
+    var = system.new_variable(weight=weight, bound=bound)
+    system.expand(cns, var, usage)
+    reports = []
+    for step in range(3):
+        if step == 1:
+            system.update_constraint_capacity(cns, capacity / 2.0)
+        elif step == 2:
+            system.update_variable_bound(var, None)
+        changed = system.solve(
+            _subsolver=system._solve_subsystem if general else None)
+        reports.append(([v.id for v in changed], var.value.hex(),
+                        [getattr(system, name) for name in COUNTERS],
+                        system._token, var._stamp))
+    return reports
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(one_variable_system())
+def test_property_one_variable_closed_form_matches_solve_single(shape):
+    """The closed form against ``_solve_single``, which a twin system's
+    general path reaches through ``_solve_subsystem``: the same double to
+    the bit, the same changed ids, the four counters and the token."""
+    assert solve_one_variable(shape, general=False) \
+        == solve_one_variable(shape, general=True)
+
+
 # ----------------------------------------------------------------------------------
 # the general path pinned to the bit: values, reports, counters, seq and token
 # ----------------------------------------------------------------------------------

@@ -52,7 +52,7 @@ RETIRED_NAMES = (
     # (_unblock): a second writer of an actor's wait state
     # (tests/test_s4u_api.py::TestOneWaitPath).
     r"_clear_wait", r"_detach_from_waits", r"_reap_owner_all",
-    r"_start_exec", r"_start_sleep", r"_joiners",
+    r"_start_exec", r"_start_sleep", r"_joiners", r"remove_waiter",
     # One request type, Simcall(handler, args), submitted by
     # s4u.actor.submit: no dispatch table, second submit helper or
     # Simcall subclass (tests/test_kernel.py::TestOneRequestType).
