@@ -207,18 +207,6 @@ class Supervisor:
         if not self._done:
             self._shutdown("stop")
 
-    def child(self, name: str):
-        """The currently live actor of child ``name`` (or None)."""
-        return self._live.get(name)
-
-    @property
-    def live_children(self) -> List[str]:
-        return sorted(self._live)
-
-    @property
-    def parked_children(self) -> List[str]:
-        return sorted(n for names in self._parked.values() for n in names)
-
     @property
     def done(self) -> bool:
         return self._done
@@ -368,5 +356,5 @@ class Supervisor:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Supervisor({self.name!r}, strategy={self.strategy!r}, "
-                f"live={self.live_children}, restarts={self.restarts}, "
+                f"live={len(self._live)}, restarts={self.restarts}, "
                 f"escalated={self.escalated})")

@@ -2,11 +2,12 @@
 
 The paper's GRAS tables exchange messages between **PowerPC**, **Sparc**
 and **x86** hosts.  What makes that hard (and what GRAS automates) is that
-those architectures disagree on byte order and on the size/alignment of C
-types.  An :class:`Architecture` records exactly that, and the data
-description layer uses it to encode values the way the *sender* lays them
-out and convert on the *receiver* ("receiver makes right", GRAS's NDR
-strategy).
+those architectures disagree on byte order and on the size of C types.
+An :class:`Architecture` records those two, and the data description
+layer uses it to encode values in the *sender*'s byte order and type
+sizes and convert on the *receiver* ("receiver makes right", GRAS's NDR
+strategy).  Alignment and struct padding are not modelled: fields are
+packed back to back.
 """
 
 from __future__ import annotations
@@ -19,12 +20,11 @@ __all__ = ["Architecture", "ARCHITECTURES", "LOCAL_ARCH"]
 
 @dataclass(frozen=True)
 class Architecture:
-    """Byte order and C-type sizes/alignments of one machine family."""
+    """Byte order and C-type sizes of one machine family."""
 
     name: str
     byte_order: str                       # "little" or "big"
     type_sizes: Dict[str, int] = field(default_factory=dict)
-    type_alignments: Dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.byte_order not in ("little", "big"):
@@ -33,11 +33,6 @@ class Architecture:
     def size_of(self, type_name: str) -> int:
         """Size in bytes of a scalar type on this architecture."""
         return self.type_sizes[type_name]
-
-    def alignment_of(self, type_name: str) -> int:
-        """Alignment in bytes of a scalar type on this architecture."""
-        return self.type_alignments.get(type_name,
-                                        self.type_sizes[type_name])
 
     @property
     def struct_byteorder_char(self) -> str:
@@ -60,8 +55,7 @@ _COMMON_64BIT_SIZES = dict(_COMMON_32BIT_SIZES, long=8, ulong=8, pointer=8)
 
 #: The three architectures of the paper's tables plus a modern 64-bit x86.
 ARCHITECTURES: Dict[str, Architecture] = {
-    "x86": Architecture("x86", "little", dict(_COMMON_32BIT_SIZES),
-                        {"double": 4, "int64": 4, "uint64": 4}),
+    "x86": Architecture("x86", "little", dict(_COMMON_32BIT_SIZES)),
     "x86_64": Architecture("x86_64", "little", dict(_COMMON_64BIT_SIZES)),
     "sparc": Architecture("sparc", "big", dict(_COMMON_32BIT_SIZES)),
     "powerpc": Architecture("powerpc", "big", dict(_COMMON_32BIT_SIZES)),

@@ -24,7 +24,7 @@ from repro.gras.arch import ARCHITECTURES, Architecture, LOCAL_ARCH
 
 __all__ = [
     "DataDescription", "ScalarDesc", "StringDesc", "ArrayDesc", "StructDesc",
-    "datadesc_by_name", "declare_struct", "registry_size",
+    "datadesc_by_name", "declare_struct",
 ]
 
 # ------------------------------------------------------------------------------------
@@ -323,8 +323,3 @@ def declare_struct(name: str,
     struct_desc = StructDesc(name, resolved)
     _REGISTRY[name] = struct_desc
     return struct_desc
-
-
-def registry_size() -> int:
-    """Number of registered descriptions (used by tests)."""
-    return len(_REGISTRY)

@@ -137,7 +137,8 @@ class RlGrasProcess(GrasProcess):
                 conn.sendall(frame)
         except OSError as exc:
             raise NetworkError(
-                f"cannot send {message.msgtype!r} to {socket.address}: {exc}"
+                f"cannot send {message.msgtype!r} to "
+                f"{socket.host}:{socket.port}: {exc}"
             ) from exc
 
     def _receive(self, timeout: float) -> GrasMessage:

@@ -134,7 +134,3 @@ class SimWorld:
     def run(self, until: Optional[float] = None) -> float:
         """Run the simulation; returns the final simulated time."""
         return self.engine.run(until)
-
-    @property
-    def now(self) -> float:
-        return self.engine.now

@@ -20,12 +20,3 @@ class GrasSocket:
     host: str
     port: int
     is_server: bool = False
-
-    @property
-    def address(self) -> str:
-        """Canonical ``host:port`` string."""
-        return f"{self.host}:{self.port}"
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        role = "server" if self.is_server else "peer"
-        return f"<GrasSocket {role} {self.address}>"

@@ -50,9 +50,6 @@ class EventQueue:
         heapq.heappush(self._heap, (event.time, next(self._seq), event))
         return event
 
-    def empty(self) -> bool:
-        return not any(not evt.cancelled for _, _, evt in self._heap)
-
     def run(self, until: float = math.inf,
             max_events: Optional[int] = None) -> int:
         """Process events in order until the queue drains or ``until``.

@@ -99,8 +99,3 @@ class PacketLink:
             self.busy = False
         else:
             self._start_transmission(nxt)
-
-    @property
-    def utilisation_bytes(self) -> float:
-        """Total payload bytes pushed through the link so far."""
-        return self.bytes_sent

@@ -134,11 +134,6 @@ class PacketSimulator:
         self.events.run(until=max_time, max_events=max_events)
         return sorted(self._results, key=lambda r: r.flow_id)
 
-    @property
-    def results(self) -> List[FlowResult]:
-        """Results of the flows completed so far."""
-        return sorted(self._results, key=lambda r: r.flow_id)
-
     def link_statistics(self) -> Dict[str, Dict[str, float]]:
         """Per-direction link statistics (bytes sent, packets, drops)."""
         stats: Dict[str, Dict[str, float]] = {}

@@ -123,13 +123,6 @@ class TcpFlow:
     def inflight(self) -> int:
         return self.next_seq - (self.highest_acked + 1)
 
-    def throughput(self) -> float:
-        """Average throughput in bytes/s (0 until the flow completes)."""
-        if self.finish_time is None or self.start_time is None:
-            return 0.0
-        duration = self.finish_time - self.start_time
-        return self.total_bytes / duration if duration > 0 else math.inf
-
     # -- sending -----------------------------------------------------------------------
     def _send_window(self) -> None:
         while (not self.completed

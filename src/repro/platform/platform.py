@@ -142,17 +142,6 @@ class Platform:
         self._route_cache: LRUCache = LRUCache(route_cache_size)
         self._resource_route_cache: LRUCache = LRUCache(route_cache_size)
 
-    # -- legacy flat views of the root zone -------------------------------------------
-    @property
-    def routes(self) -> Dict[Tuple[str, str], RouteSpec]:
-        """Explicit routes of the root zone (legacy flat attribute)."""
-        return self.root_zone.routes
-
-    @property
-    def adjacency(self) -> Dict[str, List[Tuple[str, str]]]:
-        """Graph edges of the root zone (legacy flat attribute)."""
-        return self.root_zone.adjacency
-
     # -- description ------------------------------------------------------------------
     def add_zone(self, name: str, routing: str = "Dijkstra",
                  parent: Optional[Union[str, NetZone]] = None,

@@ -322,11 +322,6 @@ class NetZone:
         """Declare a router inside this zone."""
         return self.platform.add_router(name, zone=self)
 
-    def add_link(self, name: str, bandwidth: float, latency: float = 0.0,
-                 **kwargs):
-        """Declare a link (links are platform-global; convenience alias)."""
-        return self.platform.add_link(name, bandwidth, latency, **kwargs)
-
     def connect(self, vertex_a: str, vertex_b: str, link_name: str) -> None:
         """Declare a graph edge between two vertices of this zone.
 
@@ -365,11 +360,6 @@ class NetZone:
         self._gateway = node_name
         self.version += 1
 
-    # -- introspection -----------------------------------------------------------------
-    def vertices(self) -> List[str]:
-        """This zone's vertices: direct nodes then child zones, in order."""
-        return list(self.nodes) + list(self.children)
-
     @property
     def gateway(self) -> str:
         """The gateway *node* of this zone, descending into child zones.
@@ -403,10 +393,6 @@ class NetZone:
         state = self.__dict__.copy()
         state.pop("_ancestry", None)        # derived; rebuilt on demand
         return state
-
-    def ancestry(self) -> List["NetZone"]:
-        """Zones from the root down to (and including) this zone."""
-        return list(self._ancestry)
 
     def iter_subtree(self) -> Iterable["NetZone"]:
         """This zone and every descendant, depth-first."""

@@ -261,10 +261,6 @@ class Engine:
             raise PlatformError(f"unknown host {name!r}")
         return host
 
-    def host_by_name(self, name: str) -> Host:
-        """Alias of :meth:`host` (``Engine.host_by_name``)."""
-        return self.host(name)
-
     def link_by_name(self, name: str) -> Link:
         """Lookup a link by name (S4U ``Link::by_name``)."""
         link = self.links.get(name)

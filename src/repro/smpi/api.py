@@ -94,7 +94,3 @@ class SmpiWorld:
             self.engine.add_actor(f"rank-{rank}", self.rank_hosts[rank],
                                   body, rank)
         return self.engine.run(until)
-
-    @property
-    def now(self) -> float:
-        return self.engine.now

@@ -10,8 +10,8 @@ payloads with an explicit ``size`` — no per-message task wrapper is
 allocated.  Matching honours ``source``/``tag`` with the usual
 ``ANY_SOURCE`` / ``ANY_TAG`` wildcards and an unexpected-message queue; a
 single in-flight :class:`~repro.s4u.activity.Comm` future per communicator
-drains the rank's mailbox in arrival order.  ``recv``, ``wait``, ``test``
-and ``waitany`` are all callers of one progress loop,
+drains the rank's mailbox in arrival order.  ``recv``, ``wait``, ``test``,
+``waitany`` and ``waitall`` are all callers of one progress loop,
 :meth:`Communicator._progress`, the only code that posts the shared
 receive, blocks on a transfer or withdraws a receive.
 """
@@ -69,9 +69,10 @@ class Request:
     value: Any = None
     status: Optional[Status] = None
     completed: bool = False
-    #: True once :meth:`Communicator.waitany` returned this request — it
-    #: then behaves like MPI's ``MPI_REQUEST_NULL`` and is skipped by
-    #: later ``waitany`` calls over the same list.
+    #: True once :meth:`Communicator.waitany` returned this request (or
+    #: :meth:`Communicator.waitall` completed it) — it then behaves like
+    #: MPI's ``MPI_REQUEST_NULL`` and is skipped by later ``waitany`` /
+    #: ``waitall`` calls over the same list.
     reaped: bool = False
     #: The s4u comm future realising the transfer (send requests; the
     #: receive side shares the communicator's single in-flight comm).
@@ -294,8 +295,20 @@ class Communicator:
         return idx, requests[idx].value
 
     def waitall(self, requests: List[Request]) -> List[Any]:
-        """Complete every request, in order."""
-        return [self.wait(request) for request in requests]
+        """Complete every request (``MPI_Waitall``); returns their values
+        in request order.
+
+        Every request makes progress at once, so a rank whose ``issend``
+        waits for a peer that in turn waits for this rank's ``irecv``
+        completes.  Each request ends reaped, like the ones ``waitany``
+        returned, and a request already reaped is skipped.
+        """
+        pending = [r for r in requests if not r.reaped]
+        while pending:
+            del pending[self._progress(pending)]
+        for request in requests:
+            request.reaped = True
+        return [request.value for request in requests]
 
     def sendrecv(self, send_value: Any, dest: int, source: int,
                  send_tag: int = 0, recv_tag: int = 0) -> Any:
@@ -351,11 +364,6 @@ class Communicator:
     def alltoall(self, values: List[Any]) -> List[Any]:
         from repro.smpi import collectives
         return collectives.alltoall(self, values)
-
-    # -- misc -----------------------------------------------------------------------------------
-    def wtime(self) -> float:
-        """Simulated time (``MPI_Wtime``)."""
-        return self._actor.now
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Communicator(id={self.id}, rank={self.rank}, size={self.size})"

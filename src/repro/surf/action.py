@@ -61,8 +61,7 @@ class Action:
     Parameters
     ----------
     model:
-        The owning model (CpuModel or NetworkModel); may be ``None`` in unit
-        tests exercising the state machine alone.
+        The owning model (CpuModel or NetworkModel).
     cost:
         Total amount of work (flops for computations, bytes for transfers).
     priority:
@@ -84,7 +83,7 @@ class Action:
         self.priority = float(priority)
         self.state = ActionState.RUNNING
         self.variable: Optional[Variable] = None
-        self.start_time: float = model.clock if model is not None else 0.0
+        self.start_time: float = model.clock
         self.finish_time: Optional[float] = None
         self.data = None          # opaque back-pointer (activity, simcall...)
         self._suspended = False
@@ -116,8 +115,7 @@ class Action:
         """Remaining work, extrapolated to the model's current clock."""
         rem = self._remaining
         rate = self.last_rate
-        if (self.state is _RUNNING and rate > 0.0
-                and self.model is not None):
+        if self.state is _RUNNING and rate > 0.0:
             if rate == _INF:
                 return 0.0
             elapsed = self.model.clock - self.last_sync
@@ -130,11 +128,11 @@ class Action:
     def remaining(self, value: float) -> None:
         self._remaining = float(value)
         model = self.model
-        self.last_sync = model.clock if model is not None else 0.0
+        self.last_sync = model.clock
         # The completion heap is the only thing that finishes actions now,
         # so an external write to the remaining amount must displace the
         # previously predicted completion date.
-        if model is not None and self.state is _RUNNING:
+        if self.state is _RUNNING:
             model._reschedule_action(self, self.last_sync)
 
     def sync_remaining(self, now: float) -> float:
@@ -167,8 +165,7 @@ class Action:
         self.sync_remaining(now)
         self.state = state
         self.finish_time = now
-        if self.model is not None:
-            self.model.on_action_finished(self)
+        self.model.on_action_finished(self)
 
     def cancel(self, now: float) -> None:
         """Cancel the action (``MSG_task_cancel``)."""
@@ -183,24 +180,21 @@ class Action:
         if self._suspended or self.state is not _RUNNING:
             return
         self._suspended = True
-        if self.model is not None:
-            self.model.on_action_priority_changed(self)
+        self.model.on_action_priority_changed(self)
 
     def resume(self) -> None:
         """Resume a suspended action."""
         if not self._suspended or self.state is not _RUNNING:
             return
         self._suspended = False
-        if self.model is not None:
-            self.model.on_action_priority_changed(self)
+        self.model.on_action_priority_changed(self)
 
     def set_priority(self, priority: float) -> None:
         """Change the sharing weight of the action."""
         if priority < 0:
             raise ValueError("action priority must be >= 0")
         self.priority = float(priority)
-        if self.model is not None:
-            self.model.on_action_priority_changed(self)
+        self.model.on_action_priority_changed(self)
 
     # -- progress ----------------------------------------------------------------
     def progress(self) -> float:

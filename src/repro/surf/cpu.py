@@ -17,7 +17,7 @@ whose LMM share changed.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.surf.action import Action
 from repro.surf.lmm import MaxMinSystem
@@ -102,10 +102,6 @@ class CpuModel(FluidModel):
                           availability_trace, state_trace, index=index)
         self.cpus[name] = cpu
         return cpu
-
-    @property
-    def resources(self) -> List[CpuResource]:
-        return list(self.cpus.values())
 
     # -- action creation -----------------------------------------------------------
     def execute(self, cpu: CpuResource, flops: float,

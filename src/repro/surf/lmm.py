@@ -171,12 +171,6 @@ class Variable:
         # ``id()``-hash membership set on the hot path).
         self._stamp = 0
 
-    # -- introspection helpers -------------------------------------------------
-    @property
-    def constraints(self) -> List["Constraint"]:
-        """Constraints this variable crosses."""
-        return [e.constraint for e in self.elements]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Variable(id={self.id}, weight={self.weight}, "
                 f"bound={self.bound}, value={self.value:.6g})")

@@ -147,10 +147,6 @@ class NetworkModel(FluidModel):
         self.links[name] = link
         return link
 
-    @property
-    def resources(self) -> List[LinkResource]:
-        return list(self.links.values())
-
     # -- dynamic reconfiguration ---------------------------------------------------
     def set_link_bandwidth(self, link: LinkResource, bandwidth: float) -> None:
         """Change a link's nominal bandwidth at runtime.
@@ -280,7 +276,3 @@ class NetworkModel(FluidModel):
             self.on_action_priority_changed(action)
             return
         self._complete(action, now, finished)
-
-    def resource_of(self, name: str) -> LinkResource:
-        """Lookup a link by name (raises ``KeyError`` if unknown)."""
-        return self.links[name]

@@ -25,10 +25,6 @@ class GanttRow:
     name: str
     intervals: List[Interval]
 
-    def busy_time(self) -> float:
-        """Total busy time (computations + communications)."""
-        return sum(i.duration for i in self.intervals)
-
     def compute_time(self) -> float:
         return sum(i.duration for i in self.intervals
                    if i.category in COMPUTE_CATEGORIES)

@@ -64,11 +64,6 @@ class Recorder:
         return sorted((i for i in self.intervals if i.row == row),
                       key=lambda i: (i.start, i.end))
 
-    def by_category(self, category: str) -> List[Interval]:
-        """All intervals of one category, ordered by start time."""
-        return sorted((i for i in self.intervals if i.category == category),
-                      key=lambda i: (i.start, i.end))
-
     def total_time(self, row: str, category: Optional[str] = None) -> float:
         """Total busy time of a row (optionally restricted to a category)."""
         return sum(i.duration for i in self.intervals

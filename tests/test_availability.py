@@ -67,7 +67,7 @@ class TestTraceDrivenDates:
     def test_trace_dip_fires_speed_observer(self):
         trace = Trace([(0.0, 1.0), (2.0, 0.5)], name="load")
         engine = Engine(dip_platform(host_trace=trace))
-        host = engine.host_by_name("a")
+        host = engine.host("a")
         seen = []
         engine.on_resource_speed_change(
             lambda resource, speed: seen.append(
@@ -104,7 +104,7 @@ class TestTraceDrivenDates:
 class TestRuntimeSpeedChange:
     def test_set_speed_reshapes_running_exec(self):
         engine = Engine(dip_platform())
-        host = engine.host_by_name("a")
+        host = engine.host("a")
         times = {}
 
         def worker(actor):
@@ -123,7 +123,7 @@ class TestRuntimeSpeedChange:
 
     def test_set_speed_fires_observer_with_host(self):
         engine = Engine(dip_platform())
-        host = engine.host_by_name("a")
+        host = engine.host("a")
         seen = []
         engine.on_resource_speed_change(
             lambda resource, speed: seen.append((resource, speed)))
@@ -141,7 +141,7 @@ class TestRuntimeSpeedChange:
         # under availability 0.5 the effective speed is 1e9.
         trace = Trace([(0.0, 0.5)], name="half")
         engine = Engine(dip_platform(host_trace=trace))
-        host = engine.host_by_name("a")
+        host = engine.host("a")
         times = {}
 
         def worker(actor):
@@ -187,7 +187,7 @@ class TestRuntimeSpeedChange:
     def test_set_speed_rejects_nonpositive(self):
         engine = Engine(dip_platform())
         with pytest.raises(ValueError):
-            engine.host_by_name("a").set_speed(0.0)
+            engine.host("a").set_speed(0.0)
 
 
 class TestMulticoreBoundResync:
@@ -210,7 +210,7 @@ class TestMulticoreBoundResync:
 
     def test_set_speed_resyncs_multicore_bounds(self):
         engine = Engine(dip_platform(cores=2))
-        host = engine.host_by_name("a")
+        host = engine.host("a")
         times = {}
 
         def worker(actor):
@@ -275,7 +275,7 @@ class TestSelectiveResolve:
 
 #: The runtime setters, by the argument each one checks.
 SETTERS = {
-    "speed": lambda engine, value: engine.host_by_name("leaf-0").set_speed(
+    "speed": lambda engine, value: engine.host("leaf-0").set_speed(
         value),
     "bandwidth": lambda engine, value: engine.link_by_name(
         "leaf-link-0").set_bandwidth(value),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import MpiError, SimTimeoutError, TransferFailureError
-from repro.platform import make_cluster, make_two_site_grid
+from repro.platform import make_cluster, make_star, make_two_site_grid
 from repro.smpi import (
     ANY_SOURCE,
     ANY_TAG,
@@ -400,6 +400,59 @@ class TestRequestProgress:
 
         run_world(2, program)
         assert results["outcome"] == ("raised", MpiError)
+
+
+def _symmetric_issend_exchange(complete):
+    """Two ranks on a star each post ``issend`` + ``irecv`` to the other,
+    then finish both requests with ``complete(comm, requests)``.
+
+    Returns what each rank's ``complete`` returned and the final date.
+    """
+    results = {}
+
+    def program(mpi):
+        comm = mpi.COMM_WORLD
+        peer = 1 - comm.rank
+        requests = [comm.issend(f"from {comm.rank}", dest=peer, tag=7),
+                    comm.irecv(source=peer, tag=7)]
+        results[comm.rank] = complete(comm, requests)
+
+    _, end = run_world(2, program, platform=make_star(2))
+    return results, end
+
+
+def _by_waitany(comm, requests):
+    for _ in requests:
+        comm.waitany(requests)
+    return [request.value for request in requests]
+
+
+class TestWaitall:
+    """``MPI_Waitall`` progresses every request at once.  Waiting on each
+    request in turn deadlocks the symmetric synchronous exchange: each
+    rank's ``issend`` waits for a receive its peer never posts."""
+
+    def test_symmetric_issend_exchange_completes_like_waitany(self):
+        results, end = _symmetric_issend_exchange(
+            lambda comm, requests: comm.waitall(requests))
+        twin, twin_end = _symmetric_issend_exchange(_by_waitany)
+        assert results == twin == {0: [None, "from 1"], 1: [None, "from 0"]}
+        assert end.hex() == twin_end.hex() == "0x1.47be2fa60aec2p-8"
+
+    def test_waitall_skips_and_reaps_requests(self):
+        """After ``waitany`` reaped one request, ``waitall`` completes the
+        other, and a later ``waitany`` finds every request reaped."""
+        outcomes = {}
+
+        def complete(comm, requests):
+            comm.waitany(requests)
+            values = comm.waitall(requests)
+            outcomes[comm.rank] = _outcome(lambda: comm.waitany(requests))
+            return values
+
+        values, _ = _symmetric_issend_exchange(complete)
+        assert values == {0: [None, "from 1"], 1: [None, "from 0"]}
+        assert outcomes == {0: ("raised", MpiError), 1: ("raised", MpiError)}
 
 
 class TestBenchAndHeterogeneity:

@@ -102,6 +102,14 @@ RETIRED_NAMES = (
     # The Gantt cell characters and the codec columns of the exchange
     # tables are module constants: no caller chose others.
     r"compute_char", r"comm_char", r"idle_char", r"\bcodecs:",
+    # Second readers of a fact that has one, and accessors no code ran
+    # (tests/never_run.py finds a dead re-addition; this rule finds one
+    # that comes back with a caller): Engine.host is the host lookup,
+    # PacketLink.bytes_sent the link's byte count, Supervisor.events the
+    # tree's fingerprint, and no data description reads alignment.
+    r"host_by_name", r"utilisation_bytes", r"by_category", r"busy_time",
+    r"live_children", r"parked_children", r"alignment_of",
+    r"type_alignments", r"registry_size",
 )
 
 

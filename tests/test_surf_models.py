@@ -13,19 +13,19 @@ from repro.surf.trace import Trace
 
 class TestActionStateMachine:
     def test_initial_state_running(self):
-        action = Action(None, cost=100.0)
+        action = Action(CpuModel(), cost=100.0)
         assert action.is_running()
         assert action.remaining == 100.0
         assert action.progress() == 0.0
 
     def test_finish_sets_state_and_time(self):
-        action = Action(None, cost=10.0)
+        action = Action(CpuModel(), cost=10.0)
         action.finish(5.0, ActionState.DONE)
         assert action.state is ActionState.DONE
         assert action.finish_time == 5.0
 
     def test_finish_twice_keeps_first_state(self):
-        action = Action(None, cost=10.0)
+        action = Action(CpuModel(), cost=10.0)
         action.cancel(1.0)
         action.finish(2.0, ActionState.DONE)
         assert action.state is ActionState.CANCELLED
@@ -43,10 +43,10 @@ class TestActionStateMachine:
 
     def test_negative_cost_rejected(self):
         with pytest.raises(ValueError):
-            Action(None, cost=-1.0)
+            Action(CpuModel(), cost=-1.0)
 
     def test_progress_fraction(self):
-        action = Action(None, cost=100.0)
+        action = Action(CpuModel(), cost=100.0)
         action.remaining = 25.0
         assert action.progress() == pytest.approx(0.75)
 

@@ -151,7 +151,7 @@ def run_modulated_workload(sharded=False):
         # A runtime speed change layered on top of the trace dips: the
         # write path must compose with availability on every kernel.
         yield s4u.this_actor.sleep_for(1.2)
-        actor.engine.host_by_name("site-0-host-0").set_speed(7e8)
+        actor.engine.host("site-0-host-0").set_speed(7e8)
 
     for i, (src, dst) in enumerate(pairs):
         engine.add_actor(f"s{i}", src, sender, i)
