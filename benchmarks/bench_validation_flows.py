@@ -14,10 +14,12 @@ One pair of helpers, :func:`fluid_rates` and :func:`packet_rates`, runs a
 list of flows through either simulator.  E1 regenerates the per-flow bar
 chart, E7 times both sides, and three smaller checks (a dumbbell, a small
 BRITE topology, the TCP window-bound ablation) test the same property at
-sizes quick enough for every run.  Flow sizes are scaled down from 100 MB
-to keep the packet-level side tractable in pure Python; both simulators
-see the same sizes, so the comparison is unchanged (the flows still reach
-steady state).
+sizes quick enough for every run.  E1's flows are scaled down from the
+paper's 100 MB to 20 MB to keep the packet-level side tractable in pure
+Python.  Both simulators see the same sizes, but 20 MB is not steady
+state: from 20 MB to 100 MB the packet-level rate of flow 6 goes
+1.71 -> 2.99 MB/s, flow 8 2.96 -> 4.84 and flow 1 4.03 -> 4.53
+(ROADMAP item 6).
 """
 
 import statistics
@@ -95,12 +97,14 @@ def test_e1_no_fluid_flow_beats_its_bottleneck():
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "a model gap, not noise: link-6 (5.70 MB/s) carries 7 of the 10 flows; "
-    "max-min gives each 5.70/7 = 0.8145 MB/s while the packet-level side "
-    "shows TCP's RTT bias on that link (the two flows with 13 ms one-way "
-    "latency get 1.73/1.93 MB/s, the three with 62-75 ms get 0.51-0.63), "
-    "so median |gap| is 0.55 against < 0.25.  RTT-aware weights would "
-    "move every pinned date: parked under ROADMAP 'accuracy campaign'."))
+    "measured, not noise: at 20 MB with neutral model factors median "
+    "|gap| is 0.552 and max 1.005 against < 0.25 and < 0.60, because the "
+    "20 MB packet-level flows are still ramping up (flow 6: 1.71 MB/s at "
+    "20 MB, 2.99 at 100 MB).  RTT-aware sharing is not the lever (median "
+    "0.55 -> 0.41 but max 1.01 -> 1.26 at 20 MB; worse at 100 MB).  The "
+    "paper's 100 MB with CM02's factors (bandwidth 0.92, latency 10.4, "
+    "passed explicitly, no default or pinned date moved) passes all three "
+    "thresholds: median 0.136, max 0.583, aggregate 1.06.  ROADMAP item 6."))
 def test_e1_flow_rates_fluid_vs_packet():
     """Regenerates the per-flow transfer-rate comparison (bar chart)."""
     platform, flows = waxman()

@@ -11,7 +11,6 @@ tests verify.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
 
 from repro.gras.datadesc import ArrayDesc, ScalarDesc, declare_struct
 from repro.gras.process import GrasProcess
@@ -25,6 +24,11 @@ MSG_PROBE_ACK = "amok:bw:probe-ack"
 MSG_PAYLOAD = "amok:bw:payload"
 MSG_PAYLOAD_ACK = "amok:bw:payload-ack"
 MSG_QUIT = "amok:bw:quit"
+
+#: Bytes of the latency probe.
+PROBE_BYTES = 64
+#: Seconds either side waits for a message before giving up.
+TIMEOUT = 120.0
 
 
 @dataclass
@@ -51,18 +55,13 @@ def _declare_messages(proc: GrasProcess) -> None:
 class BandwidthMeter:
     """The two halves of the AMOK bandwidth measurement protocol."""
 
-    def __init__(self, probe_bytes: int = 64,
-                 payload_bytes: int = 1_000_000,
-                 timeout: float = 120.0) -> None:
+    def __init__(self, payload_bytes: int = 1_000_000) -> None:
         if payload_bytes <= 0:
             raise ValueError("payload_bytes must be > 0")
-        self.probe_bytes = probe_bytes
         self.payload_bytes = payload_bytes
-        self.timeout = timeout
 
     # -- sink side ------------------------------------------------------------------------
-    def sink(self, proc: GrasProcess, port: int,
-             max_measurements: Optional[int] = None) -> None:
+    def sink(self, proc: GrasProcess, port: int) -> None:
         """Run the echo side: acknowledge probes and payloads until QUIT."""
         _declare_messages(proc)
         proc.socket_server(port)
@@ -84,14 +83,8 @@ class BandwidthMeter:
         proc.cb_register(MSG_PROBE, on_probe)
         proc.cb_register(MSG_PAYLOAD, on_payload)
         proc.cb_register(MSG_QUIT, on_quit)
-        handled = 0
-        while True:
-            if not proc.msg_handle(self.timeout):
-                return
-            handled += 1
-            if done["quit"]:
-                return
-            if max_measurements is not None and handled >= 2 * max_measurements:
+        while not done["quit"]:
+            if not proc.msg_handle(TIMEOUT):
                 return
 
     # -- source side -----------------------------------------------------------------------
@@ -104,15 +97,15 @@ class BandwidthMeter:
 
         # latency: RTT of a tiny probe
         t0 = proc.os_time()
-        proc.msg_send(peer, MSG_PROBE, self.probe_bytes)
-        proc.msg_wait(self.timeout, MSG_PROBE_ACK)
+        proc.msg_send(peer, MSG_PROBE, PROBE_BYTES)
+        proc.msg_wait(TIMEOUT, MSG_PROBE_ACK)
         probe_rtt = proc.os_time() - t0
 
         # bandwidth: one large payload, acknowledged
         payload = [0] * self.payload_bytes
         t1 = proc.os_time()
         proc.msg_send(peer, MSG_PAYLOAD, payload)
-        proc.msg_wait(self.timeout, MSG_PAYLOAD_ACK)
+        proc.msg_wait(TIMEOUT, MSG_PAYLOAD_ACK)
         duration = proc.os_time() - t1
 
         # subtract the round-trip latency contribution, then one-way time

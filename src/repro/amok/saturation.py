@@ -19,6 +19,10 @@ from repro.s4u.engine import Engine
 
 __all__ = ["SaturationExperiment", "SaturationResult"]
 
+#: Bytes of the saturating flow: far more than the probe, so it lasts
+#: the whole saturated measurement.
+SATURATION_BYTES = 1e9
+
 
 @dataclass
 class SaturationResult:
@@ -45,10 +49,8 @@ class SaturationResult:
 class SaturationExperiment:
     """Measure how much a saturating flow degrades a measured flow."""
 
-    def __init__(self, probe_bytes: float = 10e6,
-                 saturation_bytes: float = 1e9) -> None:
+    def __init__(self, probe_bytes: float = 10e6) -> None:
         self.probe_bytes = probe_bytes
-        self.saturation_bytes = saturation_bytes
 
     def _timed_transfer(self, platform_factory, src: str, dst: str,
                         saturate: Optional[Tuple[str, str]] = None) -> float:
@@ -74,7 +76,7 @@ class SaturationExperiment:
         if saturate is not None:
             sat_src, sat_dst = saturate
             engine.add_actor("sat-send", sat_src, sender, "amok:sat",
-                             self.saturation_bytes, "saturation", daemon=True)
+                             SATURATION_BYTES, "saturation", daemon=True)
             engine.add_actor("sat-recv", sat_dst, sink, "amok:sat",
                              daemon=True)
         engine.run()

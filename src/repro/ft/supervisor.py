@@ -179,15 +179,13 @@ class Supervisor:
     # ------------------------------------------------------------------------------
     # public surface
     # ------------------------------------------------------------------------------
-    def start(self, host: Optional[str] = None) -> "Supervisor":
+    def start(self) -> "Supervisor":
         """Spawn the supervisor actor (which spawns the children)."""
         if self._actor is not None:
             raise RuntimeError("the supervisor was already started")
-        where = host or self.host
-        if where is None:
+        if self.host is None:
             raise ValueError("no host given for the supervisor actor")
-        self.host = where
-        self.engine.add_actor(self.name, where, _supervisor_body, self,
+        self.engine.add_actor(self.name, self.host, _supervisor_body, self,
                               daemon=self.daemon)
         return self
 

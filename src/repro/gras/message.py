@@ -8,7 +8,7 @@ a specific type (``gras_msg_wait``) or register callbacks and let
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
 from repro.exceptions import UnknownMessageError
@@ -92,5 +92,3 @@ class GrasMessage:
     sender_arch: str
     sender_host: str
     sender_port: int
-    #: Decoded payload cache (filled by the receiving backend).
-    payload: Any = None

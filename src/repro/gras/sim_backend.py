@@ -99,10 +99,8 @@ class SimWorld:
     """A set of GRAS processes deployed on a simulated platform."""
 
     def __init__(self, platform: Platform,
-                 arch_by_host: Optional[Dict[str, str]] = None,
-                 recorder=None) -> None:
-        self.engine = Engine(platform, context_factory="thread",
-                             recorder=recorder)
+                 arch_by_host: Optional[Dict[str, str]] = None) -> None:
+        self.engine = Engine(platform, context_factory="thread")
         self.arch_by_host = arch_by_host or {}
         self.gras_processes: List[SimGrasProcess] = []
 

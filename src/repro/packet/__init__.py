@@ -5,10 +5,13 @@ the NS2 and GTNetS packet-level simulators.  Those are external C++
 projects, so this package provides a from-scratch packet-level simulator
 with the ingredients that matter for the comparison:
 
+* a discrete-event queue whose events are plain ``(date, seq, method,
+  arg)`` tuples (:mod:`repro.packet.event_queue`);
 * store-and-forward links with finite drop-tail queues, serialisation time
   and propagation latency (:mod:`repro.packet.nic`);
 * per-flow TCP Reno congestion control — slow start, congestion avoidance,
-  duplicate-ACK fast retransmit, retransmission timeouts
+  duplicate-ACK fast retransmit, retransmission timeouts, with NS2-like
+  constants for the segment size, windows and timers
   (:mod:`repro.packet.tcp`);
 * a :class:`~repro.packet.simulator.PacketSimulator` facade that consumes
   the very same :class:`~repro.platform.platform.Platform` and flow list as
@@ -16,17 +19,15 @@ with the ingredients that matter for the comparison:
 """
 
 from repro.packet.event_queue import EventQueue
-from repro.packet.nic import DropTailQueue, PacketLink
+from repro.packet.nic import PacketLink
 from repro.packet.simulator import FlowResult, FlowSpec, PacketSimulator
-from repro.packet.tcp import TcpFlow, TcpConfig
+from repro.packet.tcp import TcpFlow
 
 __all__ = [
-    "DropTailQueue",
     "EventQueue",
     "FlowResult",
     "FlowSpec",
     "PacketLink",
     "PacketSimulator",
-    "TcpConfig",
     "TcpFlow",
 ]

@@ -10,49 +10,20 @@ of packet forwarding:
 * **serialisation**: a packet of ``size`` bytes occupies the transmitter
   for ``size / bandwidth`` seconds;
 * **propagation**: after serialisation the packet takes ``latency`` seconds
-  to reach the other end.
+  to reach the other end, where its flow's ``forward`` method takes it on.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Optional, TYPE_CHECKING
+from typing import Deque, TYPE_CHECKING
 
 from repro.packet.event_queue import EventQueue
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.packet.tcp import Packet
 
-__all__ = ["DropTailQueue", "PacketLink"]
-
-
-class DropTailQueue:
-    """Bounded FIFO of packets; arrivals beyond the capacity are dropped."""
-
-    def __init__(self, capacity_packets: int = 100) -> None:
-        if capacity_packets < 1:
-            raise ValueError("queue capacity must be >= 1")
-        self.capacity = capacity_packets
-        self._queue: Deque["Packet"] = deque()
-        self.dropped = 0
-        self.enqueued = 0
-
-    def push(self, packet: "Packet") -> bool:
-        """Try to enqueue; returns False (and counts a drop) when full."""
-        if len(self._queue) >= self.capacity:
-            self.dropped += 1
-            return False
-        self._queue.append(packet)
-        self.enqueued += 1
-        return True
-
-    def pop(self) -> Optional["Packet"]:
-        if not self._queue:
-            return None
-        return self._queue.popleft()
-
-    def __len__(self) -> int:
-        return len(self._queue)
+__all__ = ["PacketLink"]
 
 
 class PacketLink:
@@ -64,38 +35,41 @@ class PacketLink:
             raise ValueError("bandwidth must be > 0")
         if latency < 0:
             raise ValueError("latency must be >= 0")
+        if queue_capacity < 1:
+            raise ValueError("queue capacity must be >= 1")
         self.name = name
         self.bandwidth = bandwidth
         self.latency = latency
         self.events = events
-        self.queue = DropTailQueue(queue_capacity)
+        #: Packets waiting for the transmitter, and how many it may hold.
+        self.queue: Deque["Packet"] = deque()
+        self.capacity = queue_capacity
+        self.dropped = 0
         self.busy = False
         self.bytes_sent = 0.0
         self.packets_sent = 0
 
-    def transmit(self, packet: "Packet",
-                 deliver: Callable[["Packet"], None]) -> None:
-        """Hand ``packet`` to this link; ``deliver`` runs at the far end."""
-        packet.pending_delivery = deliver
-        if self.busy:
-            self.queue.push(packet)  # dropped silently when full
-            return
-        self._start_transmission(packet)
+    def transmit(self, packet: "Packet") -> None:
+        """Hand ``packet`` to this link; a full queue drops it silently."""
+        if not self.busy:
+            self._start_transmission(packet)
+        elif len(self.queue) < self.capacity:
+            self.queue.append(packet)
+        else:
+            self.dropped += 1
 
     def _start_transmission(self, packet: "Packet") -> None:
         self.busy = True
-        tx_time = packet.size / self.bandwidth
         self.bytes_sent += packet.size
         self.packets_sent += 1
         # Delivery happens after serialisation + propagation; the link is
         # free for the next packet as soon as serialisation ends.
-        self.events.schedule(tx_time, lambda: self._end_serialisation(packet))
+        self.events.schedule(packet.size / self.bandwidth,
+                             self._end_serialisation, packet)
 
     def _end_serialisation(self, packet: "Packet") -> None:
-        deliver = packet.pending_delivery
-        self.events.schedule(self.latency, lambda: deliver(packet))
-        nxt = self.queue.pop()
-        if nxt is None:
-            self.busy = False
+        self.events.schedule(self.latency, packet.flow.forward, packet)
+        if self.queue:
+            self._start_transmission(self.queue.popleft())
         else:
-            self._start_transmission(nxt)
+            self.busy = False

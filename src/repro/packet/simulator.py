@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.packet.event_queue import EventQueue
 from repro.packet.nic import PacketLink
-from repro.packet.tcp import TcpConfig, TcpFlow
+from repro.packet.tcp import TcpFlow
 from repro.platform.platform import Platform
 
 __all__ = ["FlowSpec", "FlowResult", "PacketSimulator"]
@@ -62,10 +62,8 @@ class PacketSimulator:
     """Runs TCP flows at packet granularity over a platform description."""
 
     def __init__(self, platform: Platform,
-                 tcp_config: Optional[TcpConfig] = None,
                  queue_capacity: int = 100) -> None:
         self.platform = platform
-        self.tcp_config = tcp_config or TcpConfig()
         self.queue_capacity = queue_capacity
         self.events = EventQueue()
         # One PacketLink per (platform link, direction).
@@ -97,11 +95,16 @@ class PacketSimulator:
         return forward, reverse
 
     def add_flow(self, spec: FlowSpec) -> TcpFlow:
-        """Register a flow (it starts when :meth:`run` is called)."""
+        """Register a flow (it starts when :meth:`run` is called).
+
+        A flow without an explicit ``flow_id`` takes the number of flows
+        registered before it; two flows may not share an id.
+        """
         flow_id = spec.flow_id if spec.flow_id is not None else len(self.flows)
+        if flow_id in self._specs:
+            raise ValueError(f"duplicate flow id {flow_id}")
         forward, reverse = self._paths_for(spec.src, spec.dst)
         flow = TcpFlow(flow_id, self.events, forward, reverse, spec.size,
-                       config=self.tcp_config,
                        on_complete=self._on_flow_complete)
         self.flows.append(flow)
         self._specs[flow.id] = spec
@@ -117,9 +120,8 @@ class PacketSimulator:
             timeouts=flow.timeouts))
 
     # -- running ------------------------------------------------------------------------
-    def run(self, flows: Optional[Sequence[FlowSpec]] = None,
-            max_time: float = math.inf,
-            max_events: Optional[int] = None) -> List[FlowResult]:
+    def run(self, flows: Optional[Sequence[FlowSpec]] = None
+            ) -> List[FlowResult]:
         """Start every flow at t=0 and run until all complete.
 
         Returns the per-flow results ordered by flow id.
@@ -131,7 +133,7 @@ class PacketSimulator:
             return []
         for flow in self.flows:
             flow.start()
-        self.events.run(until=max_time, max_events=max_events)
+        self.events.run()
         return sorted(self._results, key=lambda r: r.flow_id)
 
     def link_statistics(self) -> Dict[str, Dict[str, float]]:
@@ -141,6 +143,6 @@ class PacketSimulator:
             stats[f"{name}:{direction}"] = {
                 "bytes": link.bytes_sent,
                 "packets": float(link.packets_sent),
-                "drops": float(link.queue.dropped),
+                "drops": float(link.dropped),
             }
         return stats

@@ -12,58 +12,48 @@ simulators (NS2, GTNetS) share bandwidth the way real TCP does:
   one segment and re-enters slow start.
 
 The receiver sends one cumulative ACK per received segment (no delayed
-ACKs, like NS2's default ``Agent/TCP`` + ``Agent/TCPSink``).
+ACKs, like NS2's default ``Agent/TCP`` + ``Agent/TCPSink``).  The TCP
+parameters are NS2-like module constants (``SEGMENT_SIZE`` ...
+``DUPACK_THRESHOLD``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
-from repro.packet.event_queue import EventQueue, ScheduledEvent
+from repro.packet.event_queue import EventQueue
 from repro.packet.nic import PacketLink
 
-__all__ = ["Packet", "TcpConfig", "TcpFlow"]
+__all__ = ["Packet", "TcpFlow"]
+
+SEGMENT_SIZE = 1500.0       # bytes per data segment
+ACK_SIZE = 40.0             # bytes per ACK
+INITIAL_CWND = 2.0          # segments
+INITIAL_SSTHRESH = 64.0     # segments
+MAX_CWND = 10000.0          # segments (window clamp)
+MIN_RTO = 0.2               # seconds
+RTO_ALPHA = 0.125           # RTT EWMA weight (RFC 6298)
+RTO_BETA = 0.25             # RTT variance EWMA weight
+DUPACK_THRESHOLD = 3
 
 
 class Packet:
-    """A data segment or an ACK travelling through the network."""
+    """A data segment or an ACK travelling along ``path``; ``hop`` is the
+    index of the next link to cross."""
 
-    __slots__ = ("flow", "seq", "size", "is_ack", "ack_seq",
-                 "pending_delivery", "path", "hop")
+    __slots__ = ("flow", "seq", "size", "path", "is_ack", "ack_seq", "hop")
 
     def __init__(self, flow: "TcpFlow", seq: int, size: float,
-                 is_ack: bool = False, ack_seq: int = 0) -> None:
+                 path: Sequence[PacketLink], is_ack: bool = False,
+                 ack_seq: int = 0) -> None:
         self.flow = flow
         self.seq = seq
         self.size = size
+        self.path = path
         self.is_ack = is_ack
         self.ack_seq = ack_seq
-        self.pending_delivery: Optional[Callable[["Packet"], None]] = None
-        self.path: Sequence[PacketLink] = ()
         self.hop = 0
-
-
-@dataclass
-class TcpConfig:
-    """Tunable TCP parameters (NS2-like defaults)."""
-
-    segment_size: float = 1500.0        # bytes per data segment
-    ack_size: float = 40.0              # bytes per ACK
-    initial_cwnd: float = 2.0           # segments
-    initial_ssthresh: float = 64.0      # segments
-    max_cwnd: float = 10000.0           # segments (window clamp)
-    min_rto: float = 0.2                # seconds
-    rto_alpha: float = 0.125            # RTT EWMA weight (RFC 6298)
-    rto_beta: float = 0.25              # RTT variance EWMA weight
-    dupack_threshold: int = 3
-
-    def __post_init__(self) -> None:
-        if self.segment_size <= 0:
-            raise ValueError("segment_size must be > 0")
-        if self.initial_cwnd < 1:
-            raise ValueError("initial_cwnd must be >= 1")
 
 
 class TcpFlow:
@@ -73,22 +63,20 @@ class TcpFlow:
                  forward_path: Sequence[PacketLink],
                  reverse_path: Sequence[PacketLink],
                  total_bytes: float,
-                 config: Optional[TcpConfig] = None,
                  on_complete: Optional[Callable[["TcpFlow"], None]] = None
                  ) -> None:
         self.id = flow_id
         self.events = events
         self.forward_path = list(forward_path)
         self.reverse_path = list(reverse_path)
-        self.config = config or TcpConfig()
         self.total_segments = max(1, int(math.ceil(
-            total_bytes / self.config.segment_size)))
+            total_bytes / SEGMENT_SIZE)))
         self.total_bytes = total_bytes
         self.on_complete = on_complete
 
         # sender state
-        self.cwnd = float(self.config.initial_cwnd)
-        self.ssthresh = float(self.config.initial_ssthresh)
+        self.cwnd = INITIAL_CWND
+        self.ssthresh = INITIAL_SSTHRESH
         self.next_seq = 0                 # next new segment to send
         self.highest_acked = -1           # last cumulatively acked segment
         self.dupacks = 0
@@ -106,7 +94,9 @@ class TcpFlow:
         self.srtt: Optional[float] = None
         self.rttvar: Optional[float] = None
         self.rto = 1.0
-        self._rto_event: Optional[ScheduledEvent] = None
+        # Bumped at every (re)arm: a timer event that carries an older
+        # stamp is stale and does nothing.
+        self._rto_stamp = 0
         self._send_times: Dict[int, float] = {}
 
         # statistics
@@ -133,17 +123,16 @@ class TcpFlow:
         self._arm_rto()
 
     def _send_segment(self, seq: int, retransmission: bool = False) -> None:
-        packet = Packet(self, seq, self.config.segment_size)
-        packet.path = self.forward_path
-        packet.hop = 0
+        packet = Packet(self, seq, SEGMENT_SIZE, self.forward_path)
         if retransmission:
             self.retransmissions += 1
         else:
             self._send_times[seq] = self.events.now
-        self._forward(packet)
+        self.forward(packet)
 
-    def _forward(self, packet: Packet) -> None:
-        """Send ``packet`` over the next hop of its path."""
+    def forward(self, packet: Packet) -> None:
+        """Send ``packet`` over the next hop of its path (every link
+        calls this when a packet reaches its far end)."""
         if packet.hop >= len(packet.path):
             # reached the destination
             if packet.is_ack:
@@ -153,18 +142,15 @@ class TcpFlow:
             return
         link = packet.path[packet.hop]
         packet.hop += 1
-        link.transmit(packet, self._forward)
+        link.transmit(packet)
 
     # -- receiver side -------------------------------------------------------------------
     def _on_data_arrival(self, packet: Packet) -> None:
         self.received.add(packet.seq)
         while self.next_expected in self.received:
             self.next_expected += 1
-        ack = Packet(self, packet.seq, self.config.ack_size, is_ack=True,
-                     ack_seq=self.next_expected - 1)
-        ack.path = self.reverse_path
-        ack.hop = 0
-        self._forward(ack)
+        self.forward(Packet(self, packet.seq, ACK_SIZE, self.reverse_path,
+                            is_ack=True, ack_seq=self.next_expected - 1))
 
     # -- sender side: ACK processing -------------------------------------------------------
     def _on_ack(self, ack: Packet) -> None:
@@ -185,7 +171,7 @@ class TcpFlow:
                         self.cwnd += 1.0                       # slow start
                     else:
                         self.cwnd += 1.0 / max(1.0, self.cwnd)  # cong. avoid
-            self.cwnd = min(self.cwnd, self.config.max_cwnd)
+            self.cwnd = min(self.cwnd, MAX_CWND)
             if self.highest_acked >= self.total_segments - 1:
                 self._complete()
                 return
@@ -193,11 +179,11 @@ class TcpFlow:
         else:
             # duplicate ACK
             self.dupacks += 1
-            if (self.dupacks == self.config.dupack_threshold
+            if (self.dupacks == DUPACK_THRESHOLD
                     and not self.in_fast_recovery):
                 # fast retransmit + fast recovery
                 self.ssthresh = max(2.0, self.cwnd / 2.0)
-                self.cwnd = self.ssthresh + self.config.dupack_threshold
+                self.cwnd = self.ssthresh + DUPACK_THRESHOLD
                 self.in_fast_recovery = True
                 self._send_segment(self.highest_acked + 1, retransmission=True)
             elif self.in_fast_recovery:
@@ -213,26 +199,25 @@ class TcpFlow:
             self.srtt = sample
             self.rttvar = sample / 2.0
         else:
-            alpha, beta = self.config.rto_alpha, self.config.rto_beta
-            self.rttvar = (1 - beta) * self.rttvar + beta * abs(self.srtt - sample)
-            self.srtt = (1 - alpha) * self.srtt + alpha * sample
-        self.rto = max(self.config.min_rto, self.srtt + 4 * self.rttvar)
+            self.rttvar = ((1 - RTO_BETA) * self.rttvar
+                           + RTO_BETA * abs(self.srtt - sample))
+            self.srtt = (1 - RTO_ALPHA) * self.srtt + RTO_ALPHA * sample
+        self.rto = max(MIN_RTO, self.srtt + 4 * self.rttvar)
 
     # -- timeouts ----------------------------------------------------------------------------
     def _arm_rto(self) -> None:
-        if self._rto_event is not None:
-            self._rto_event.cancel()
+        self._rto_stamp += 1
         if self.completed or self.inflight <= 0:
-            self._rto_event = None
             return
-        self._rto_event = self.events.schedule(self.rto, self._on_timeout)
+        self.events.schedule(self.rto, self._on_timeout, self._rto_stamp)
 
-    def _on_timeout(self) -> None:
-        if self.completed or self.inflight <= 0:
+    def _on_timeout(self, stamp: int) -> None:
+        if (stamp != self._rto_stamp or self.completed
+                or self.inflight <= 0):
             return
         self.timeouts += 1
         self.ssthresh = max(2.0, self.cwnd / 2.0)
-        self.cwnd = float(self.config.initial_cwnd)
+        self.cwnd = INITIAL_CWND
         self.in_fast_recovery = False
         self.dupacks = 0
         self.rto = min(60.0, self.rto * 2.0)  # exponential backoff
@@ -246,8 +231,5 @@ class TcpFlow:
     def _complete(self) -> None:
         self.completed = True
         self.finish_time = self.events.now
-        if self._rto_event is not None:
-            self._rto_event.cancel()
-            self._rto_event = None
         if self.on_complete is not None:
             self.on_complete(self)

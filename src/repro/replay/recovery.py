@@ -172,7 +172,6 @@ def _campaign_run(engine: Engine, seed: int,
 
 
 def compare_recovery_policies(seeds: Iterable[int],
-                              config: Optional[Mapping[str, Any]] = None,
                               workers: Optional[int] = None
                               ) -> Dict[str, Any]:
     """Periodic vs event-driven checkpoints over a seed grid.
@@ -182,9 +181,7 @@ def compare_recovery_policies(seeds: Iterable[int],
     :func:`~repro.campaign.summarize` distribution summary, plus the raw
     per-run metrics under ``"runs"``.
     """
-    cfg = dict(DEFAULT_RECOVERY_CONFIG)
-    if config:
-        cfg.update(config)
+    cfg = DEFAULT_RECOVERY_CONFIG
     blob = Engine(make_star(num_hosts=cfg["num_workers"],
                             host_speed=cfg["host_speed"])).snapshot()
     configs: List[Dict[str, Any]] = [

@@ -10,7 +10,7 @@ plain blocking code (thread contexts), exactly like real MPI ranks.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 from repro.exceptions import MpiError
 from repro.platform.platform import Platform
@@ -34,8 +34,7 @@ class Smpi:
         self.actor = actor
         self.COMM_WORLD = Communicator(self, world.comm_id, rank,
                                        world.num_ranks, actor)
-        self.sampler = SmpiSampler(actor,
-                                   reference_speed=world.reference_speed)
+        self.sampler = SmpiSampler(actor)
 
     def wtime(self) -> float:
         """Simulated time, like ``MPI_Wtime``."""
@@ -54,19 +53,14 @@ class Smpi:
 class SmpiWorld:
     """Deploys an MPI program over the hosts of a platform."""
 
-    def __init__(self, platform: Platform, num_ranks: int,
-                 hosts: Optional[Sequence[str]] = None,
-                 reference_speed: Optional[float] = None,
-                 recorder=None) -> None:
+    def __init__(self, platform: Platform, num_ranks: int) -> None:
         if num_ranks < 1:
             raise MpiError("need at least one rank")
         self.platform = platform
         self.num_ranks = num_ranks
         self.comm_id = next(_world_ids)
-        self.reference_speed = reference_speed
-        self.engine = Engine(platform, context_factory="thread",
-                             recorder=recorder)
-        host_names = list(hosts) if hosts is not None else platform.host_names()
+        self.engine = Engine(platform, context_factory="thread")
+        host_names = platform.host_names()
         if not host_names:
             raise MpiError("the platform has no host")
         #: Host assigned to each rank (round-robin when ranks > hosts).

@@ -16,7 +16,7 @@ local kernel (the CBLAS ``dgemm`` call) so that:
 
 from __future__ import annotations
 
-from typing import ContextManager, Optional
+from typing import ContextManager
 
 from repro.gras.bench import BenchRecorder
 from repro.s4u.actor import Actor
@@ -27,22 +27,21 @@ __all__ = ["SmpiSampler"]
 class SmpiSampler:
     """Per-rank sampling helper injected in rank code as ``mpi.sampler``."""
 
-    def __init__(self, actor: Actor,
-                 reference_speed: Optional[float] = None) -> None:
+    def __init__(self, actor: Actor) -> None:
         self._actor = actor
         self.recorder = BenchRecorder()
         #: Speed (flop/s) of the machine the real measurements were taken
-        #: on.  Defaults to the simulated host's own speed, meaning "the
-        #: benchmark ran on this very machine".
-        self.reference_speed = reference_speed or actor.host.speed
+        #: on: the simulated host's own, meaning "the benchmark ran on this
+        #: very machine".
+        self.reference_speed = actor.host.speed
 
     def bench_once(self, key: str) -> ContextManager[bool]:
         """Run the block for real only the first time; always charge it.
 
         Yields ``True`` when the block must actually execute.  The charged
         simulated duration is ``measured_time * reference_speed /
-        host_speed``, which is how SMPI lets a measurement taken on a
-        homogeneous platform drive the simulation of a heterogeneous one.
+        host_speed``; ``reference_speed`` being the rank's own host speed,
+        that is the measured time itself.
         """
         return self.recorder.once(key, self._charge)
 

@@ -19,7 +19,7 @@ receive, blocks on a transfer or withdraws a receive.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.exceptions import MpiError, SimTimeoutError
@@ -66,17 +66,18 @@ class Request:
     kind: str                       # "send" or "recv"
     source: int = ANY_SOURCE
     tag: int = ANY_TAG
-    value: Any = None
-    status: Optional[Status] = None
     completed: bool = False
+    #: The s4u comm future realising the transfer (send requests; the
+    #: receive side shares the communicator's single in-flight comm).
+    comm: Optional[Comm] = None
+    #: Completion state, never an input: the received value and status.
+    value: Any = field(default=None, init=False)
+    status: Optional[Status] = field(default=None, init=False)
     #: True once :meth:`Communicator.waitany` returned this request (or
     #: :meth:`Communicator.waitall` completed it) — it then behaves like
     #: MPI's ``MPI_REQUEST_NULL`` and is skipped by later ``waitany`` /
     #: ``waitall`` calls over the same list.
-    reaped: bool = False
-    #: The s4u comm future realising the transfer (send requests; the
-    #: receive side shares the communicator's single in-flight comm).
-    comm: Optional[Comm] = None
+    reaped: bool = field(default=False, init=False)
 
 
 class Communicator:

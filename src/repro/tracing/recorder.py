@@ -48,11 +48,9 @@ class Recorder:
         self.intervals.append(interval)
         return interval
 
-    def record_event(self, row: str, category: str, time: float,
-                     label: str = "") -> None:
+    def record_event(self, row: str, category: str, time: float) -> None:
         """Record a zero-duration point event."""
-        self.events.append({"row": row, "category": category, "time": time,
-                            "label": label})
+        self.events.append({"row": row, "category": category, "time": time})
 
     # -- querying ---------------------------------------------------------------------
     def rows(self) -> List[str]:

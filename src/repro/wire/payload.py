@@ -66,8 +66,7 @@ def _random_nodeid(rng: random.Random) -> List[int]:
     return [rng.getrandbits(32) for _ in range(NODEID_WORDS)]
 
 
-def make_pastry_message(seed: int = 1,
-                        routing_entries: int = ROUTING_ENTRIES) -> Dict:
+def make_pastry_message(seed: int = 1) -> Dict:
     """Build one Pastry-like message (deterministic for a given seed)."""
     rng = random.Random(seed)
     return {
@@ -86,6 +85,6 @@ def make_pastry_message(seed: int = 1,
                 "address": f"10.{rng.randint(0, 255)}.{rng.randint(0, 255)}."
                            f"{rng.randint(1, 254)}:{rng.randint(1024, 65535)}",
             }
-            for _ in range(routing_entries)
+            for _ in range(ROUTING_ENTRIES)
         ],
     }

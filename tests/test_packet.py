@@ -5,15 +5,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.packet import (
-    EventQueue,
-    DropTailQueue,
-    FlowSpec,
-    PacketSimulator,
-    TcpConfig,
-)
-from repro.packet.nic import PacketLink
-from repro.packet.tcp import Packet, TcpFlow
+from repro.packet import EventQueue, FlowSpec, PacketLink, PacketSimulator
+from repro.packet.tcp import INITIAL_CWND, Packet, TcpFlow
 from repro.platform import Platform, make_dumbbell
 
 
@@ -26,85 +19,100 @@ def single_link_platform(bandwidth=1e6, latency=1e-3):
     return platform
 
 
+class FarEnd:
+    """Stands in for a flow at a link's far end: records ``(seq, date)``
+    for every packet the link hands to :meth:`forward`."""
+
+    def __init__(self, events):
+        self.events = events
+        self.arrivals = []
+
+    def forward(self, packet):
+        self.arrivals.append((packet.seq, self.events.now))
+
+
 class TestEventQueue:
     def test_events_run_in_time_order(self):
         queue = EventQueue()
         order = []
-        queue.schedule(2.0, lambda: order.append("late"))
-        queue.schedule(1.0, lambda: order.append("early"))
+        queue.schedule(2.0, order.append, "late")
+        queue.schedule(1.0, order.append, "early")
         queue.run()
         assert order == ["early", "late"]
         assert queue.now == 2.0
 
-    def test_cancelled_event_skipped(self):
+    def test_same_date_events_run_in_scheduling_order(self):
         queue = EventQueue()
         order = []
-        event = queue.schedule(1.0, lambda: order.append("x"))
-        event.cancel()
+        for label in ("a", "b", "c"):
+            queue.schedule(1.0, order.append, label)
         queue.run()
-        assert order == []
+        assert order == ["a", "b", "c"]
 
     def test_run_until_bound(self):
         queue = EventQueue()
         order = []
-        queue.schedule(1.0, lambda: order.append(1))
-        queue.schedule(5.0, lambda: order.append(5))
+        queue.schedule(1.0, order.append, 1)
+        queue.schedule(5.0, order.append, 5)
         queue.run(until=2.0)
         assert order == [1]
 
     def test_schedule_in_past_rejected(self):
         queue = EventQueue()
-        queue.schedule(1.0, lambda: None)
-        queue.run()
         with pytest.raises(ValueError):
-            queue.schedule_at(0.5, lambda: None)
-        with pytest.raises(ValueError):
-            queue.schedule(-1.0, lambda: None)
-
-
-class TestDropTailQueue:
-    def test_drops_when_full(self):
-        queue = DropTailQueue(capacity_packets=2)
-        flow = object()
-        packets = [Packet(flow, seq, 100.0) for seq in range(3)]
-        assert queue.push(packets[0])
-        assert queue.push(packets[1])
-        assert not queue.push(packets[2])
-        assert queue.dropped == 1
-        assert len(queue) == 2
-
-    def test_fifo_order(self):
-        queue = DropTailQueue()
-        flow = object()
-        first, second = Packet(flow, 0, 1.0), Packet(flow, 1, 1.0)
-        queue.push(first)
-        queue.push(second)
-        assert queue.pop() is first
-        assert queue.pop() is second
-        assert queue.pop() is None
+            queue.schedule(-1.0, print, None)
 
 
 class TestPacketLink:
     def test_serialisation_plus_propagation_delay(self):
         events = EventQueue()
         link = PacketLink("l", bandwidth=1e6, latency=0.5, events=events)
-        arrivals = []
-        packet = Packet(object(), 0, 1e5)
-        link.transmit(packet, lambda p: arrivals.append(events.now))
+        far = FarEnd(events)
+        link.transmit(Packet(far, 0, 1e5, [link]))
         events.run()
         # 1e5 / 1e6 = 0.1 s serialisation + 0.5 s propagation
-        assert arrivals == [pytest.approx(0.6)]
+        assert far.arrivals == [(0, pytest.approx(0.6))]
 
     def test_back_to_back_packets_queue_behind_each_other(self):
         events = EventQueue()
         link = PacketLink("l", bandwidth=1e6, latency=0.0, events=events)
-        arrivals = []
+        far = FarEnd(events)
         for seq in range(3):
-            link.transmit(Packet(object(), seq, 1e6),
-                          lambda p: arrivals.append(events.now))
+            link.transmit(Packet(far, seq, 1e6, [link]))
         events.run()
-        assert arrivals == [pytest.approx(1.0), pytest.approx(2.0),
-                            pytest.approx(3.0)]
+        assert far.arrivals == [(0, pytest.approx(1.0)),
+                                (1, pytest.approx(2.0)),
+                                (2, pytest.approx(3.0))]
+
+    def test_queue_is_fifo(self):
+        """Queued packets leave in arrival order, whatever their sizes."""
+        events = EventQueue()
+        link = PacketLink("l", bandwidth=1e6, latency=0.0, events=events)
+        far = FarEnd(events)
+        for seq, size in enumerate((3e5, 2e5, 1e5, 4e5)):
+            link.transmit(Packet(far, seq, size, [link]))
+        events.run()
+        assert far.arrivals == [(0, pytest.approx(0.3)),
+                                (1, pytest.approx(0.5)),
+                                (2, pytest.approx(0.6)),
+                                (3, pytest.approx(1.0))]
+
+    def test_drops_when_full(self):
+        """One packet on the wire, ``queue_capacity`` waiting: the next
+        arrival is dropped, and link_statistics() reports it."""
+        sim = PacketSimulator(single_link_platform(), queue_capacity=2)
+        link = sim.add_flow(FlowSpec("src", "dst", 1e6)).forward_path[0]
+        far = FarEnd(sim.events)
+        for seq in range(4):
+            link.transmit(Packet(far, seq, 100.0, [link]))
+        sim.events.run()
+        assert [seq for seq, _ in far.arrivals] == [0, 1, 2]
+        assert sim.link_statistics()["wire:fwd"] == {
+            "bytes": 300.0, "packets": 3.0, "drops": 1.0}
+
+    def test_queue_capacity_validated(self):
+        with pytest.raises(ValueError):
+            PacketLink("l", 1e6, 0.0, EventQueue(), queue_capacity=0)
 
 
 class TestSingleFlow:
@@ -136,6 +144,15 @@ class TestSingleFlow:
     def test_invalid_flow_size_rejected(self):
         with pytest.raises(ValueError):
             FlowSpec("a", "b", 0.0)
+
+    def test_duplicate_flow_id_rejected(self):
+        """An explicit id and an implicit one (the count of flows before
+        it) may collide; the second flow is refused instead of its result
+        overwriting the first's."""
+        sim = PacketSimulator(make_dumbbell(num_left=2, num_right=2))
+        with pytest.raises(ValueError, match="duplicate flow id 1"):
+            sim.run([FlowSpec("left-0", "right-0", 1e6, flow_id=1),
+                     FlowSpec("left-1", "right-1", 3e6)])
 
 
 class TestSharing:
@@ -175,7 +192,7 @@ class TestTcpMachinery:
         flow.start()
         events.run()
         assert flow.completed
-        assert flow.cwnd > flow.config.initial_cwnd
+        assert flow.cwnd > INITIAL_CWND
 
     def test_rtt_estimation_converges(self):
         events = EventQueue()
@@ -187,12 +204,6 @@ class TestTcpMachinery:
         assert flow.srtt is not None
         assert flow.srtt >= 2 * 5e-3            # at least the propagation RTT
         assert flow.srtt < 0.1
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TcpConfig(segment_size=0)
-        with pytest.raises(ValueError):
-            TcpConfig(initial_cwnd=0)
 
 
 @settings(max_examples=10, deadline=None)

@@ -1,6 +1,6 @@
 """Source rules: imports and names that must not come back under ``src/``,
-and the timing fixture that must not come back under ``tests/`` or
-``benchmarks/``.
+options that no caller sets, and the timing fixture that must not come
+back under ``tests/`` or ``benchmarks/``.
 
 Each rule reads the source (line by line, like ``grep -nE``, or as a
 syntax tree) and fails listing every matching ``path:line``.  The
@@ -11,6 +11,7 @@ rule catches the regression in the source before any of it runs.
 import ast
 import pathlib
 import re
+from collections import defaultdict
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -110,6 +111,13 @@ RETIRED_NAMES = (
     r"host_by_name", r"utilisation_bytes", r"by_category", r"busy_time",
     r"live_children", r"parked_children", r"alignment_of",
     r"type_alignments", r"registry_size",
+    # The packet comparator's one event form: (date, seq, method, arg)
+    # heap entries, links calling their packet's flow directly, a stale
+    # retransmission timer recognised by its stamp, the drop-tail queue
+    # inside PacketLink and the TCP parameters as module constants
+    # (tests/test_packet.py).
+    r"TcpConfig", r"tcp_config", r"ScheduledEvent", r"DropTailQueue",
+    r"pending_delivery", r"schedule_at",
 )
 
 
@@ -171,3 +179,235 @@ def test_no_test_requests_the_timing_fixture():
     assert [f"{path.relative_to(ROOT)}:{line}: {what}"
             for path in files
             for line, what in _timing_plugin_uses(path)] == []
+
+
+#: The trees whose calls can set a parameter of ``src/repro``.
+CALLER_TREES = ("src", "tests", "benchmarks", "examples", "perfbench")
+
+#: Defaulted parameters that no call sets and that stay anyway, as
+#: ``path::qualname(param)`` (paths relative to ``src/repro``) with the
+#: reason.  Two classes only: (a) the pinned kernel and snapshot blob,
+#: whose turn comes with ROADMAP item 1, and (b) signatures that mirror
+#: MPI's.
+UNSET_BY_DESIGN = {
+    # (a) the pinned kernel and snapshot blob
+    "platform/platform.py::HostSpec(index)":
+        "(a) declaration index, assigned by add_host and pickled in "
+        "every snapshot",
+    "platform/platform.py::LinkSpec(index)":
+        "(a) declaration index, assigned by add_link and pickled in "
+        "every snapshot",
+    "platform/platform.py::Platform.__init__(route_cache_size)":
+        "(a) sizes the route caches that perfbench's route counters pin",
+    "surf/action.py::Action.__init__(priority)":
+        "(a) the LMM sharing weight of a kernel action (set_priority "
+        "changes it later)",
+    "surf/lmm.py::MaxMinSystem.check_feasible(tol)":
+        "(a) the tolerance of the LMM solver's feasibility check",
+    "surf/trace.py::Trace.constant(name)":
+        "(a) a SURF trace's name, which travels in the snapshot blob",
+    # (b) MPI call signatures
+    "smpi/comm.py::Communicator.isend(count)":
+        "(b) MPI_Isend's count argument",
+    "smpi/comm.py::Communicator.isend(datatype)":
+        "(b) MPI_Isend's datatype argument",
+    "smpi/comm.py::Communicator.sendrecv(send_tag)":
+        "(b) MPI_Sendrecv's sendtag argument",
+    "smpi/comm.py::Communicator.sendrecv(recv_tag)":
+        "(b) MPI_Sendrecv's recvtag argument",
+}
+
+
+def _names(nodes):
+    """The bare names of decorators or base classes."""
+    for node in nodes:
+        node = node.func if isinstance(node, ast.Call) else node
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def _defaulted(func, bound):
+    """``(position, name)`` of every defaulted parameter of ``func``;
+    ``bound`` drops ``self``/``cls``, keyword-only ones have position
+    None."""
+    args = func.args
+    positional = (args.posonlyargs + args.args)[1 if bound else 0:]
+    first = len(positional) - len(args.defaults)
+    return ([(index, arg.arg) for index, arg in enumerate(positional)
+             if index >= first]
+            + [(None, arg.arg) for arg, default
+               in zip(args.kwonlyargs, args.kw_defaults)
+               if default is not None])
+
+
+def _dataclass_fields(node):
+    """``(position, name)`` of every defaulted ``__init__`` field."""
+    position = 0
+    for stmt in node.body:
+        if (not isinstance(stmt, ast.AnnAssign)
+                or not isinstance(stmt.target, ast.Name)
+                or "ClassVar" in ast.dump(stmt.annotation)):
+            continue
+        value = stmt.value
+        options = {}
+        if isinstance(value, ast.Call) and "field" in _names([value]):
+            options = {k.arg: k.value for k in value.keywords}
+        init = options.get("init")
+        if isinstance(init, ast.Constant) and init.value is False:
+            continue
+        if value is not None and (not options or "default" in options
+                                  or "default_factory" in options):
+            yield position, stmt.target.id
+        position += 1
+
+
+def _public_callables(path):
+    """``(callee, qualname, defaulted)`` for every public module-level
+    function, public class (its ``__init__`` and dataclass fields are
+    reached by calling the class) and public method in ``path``."""
+    for node in ast.parse(path.read_text()).body:
+        if getattr(node, "name", "_").startswith("_"):
+            continue
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node.name, _defaulted(node, False)
+        elif isinstance(node, ast.ClassDef):
+            if "dataclass" in _names(node.decorator_list):
+                yield node.name, node.name, list(_dataclass_fields(node))
+            for method in node.body:
+                if (not isinstance(method, ast.FunctionDef)
+                        or method.name.startswith("_")
+                        and method.name != "__init__"):
+                    continue
+                decorators = set(_names(method.decorator_list))
+                if decorators & {"property", "setter"}:
+                    continue
+                callee = (node.name if method.name == "__init__"
+                          else method.name)
+                yield (callee, f"{node.name}.{method.name}",
+                       _defaulted(method, "staticmethod" not in decorators))
+
+
+class _CallShapes(ast.NodeVisitor):
+    """Every call in the caller trees as ``[positional, keywords, star]``
+    under its callee's bare name (``f(...)``, ``x.f(...)``;
+    ``super().__init__(...)`` calls each base class).
+
+    ``star`` is True for a ``*``/``**`` argument — it may set anything —
+    unless the argument only forwards the enclosing function's own
+    ``*args``/``**kwargs``: such a call sets what that function's callers
+    pass through it (:meth:`resolve_forwards`)."""
+
+    def __init__(self):
+        self.shapes = defaultdict(list)
+        self.forwards = []
+        self.functions = []
+        self.classes = []
+
+    def visit_ClassDef(self, node):
+        self.classes.append(node)
+        self.generic_visit(node)
+        self.classes.pop()
+
+    def visit_FunctionDef(self, node):
+        self.functions.append(node)
+        self.generic_visit(node)
+        self.functions.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        self.generic_visit(node)
+        func = node.func
+        if (isinstance(func, ast.Attribute) and func.attr == "__init__"
+                and isinstance(func.value, ast.Call)
+                and "super" in _names([func.value]) and self.classes):
+            callees = list(_names(self.classes[-1].bases))
+        else:
+            callees = list(_names([func]))
+        stars = [arg.value for arg in node.args
+                 if isinstance(arg, ast.Starred)]
+        stars += [kw.value for kw in node.keywords if kw.arg is None]
+        outer = self.functions[-1] if self.functions else None
+        own = ({arg.arg for arg in (outer.args.vararg, outer.args.kwarg)
+                if arg is not None} if outer else set())
+        forwarded = {star.id for star in stars
+                     if isinstance(star, ast.Name) and star.id in own}
+        forwards = bool(stars) and len(forwarded) == len(stars)
+        for callee in callees:
+            shape = [len([arg for arg in node.args
+                          if not isinstance(arg, ast.Starred)]),
+                     {kw.arg for kw in node.keywords if kw.arg},
+                     bool(stars) and not forwards]
+            self.shapes[callee].append(shape)
+            if forwards:
+                name = outer.name
+                if name == "__init__" and self.classes:
+                    name = self.classes[-1].name
+                self.forwards.append((shape, outer.args, name, forwarded))
+
+    def resolve_forwards(self):
+        """Add to each forwarding call what the enclosing function's
+        callers pass beyond its named parameters (one level: a forward of
+        a forward sets everything)."""
+        for shape, args, name, forwarded in self.forwards:
+            named = [arg.arg for arg in args.posonlyargs + args.args]
+            bound = bool(named) and named[0] in ("self", "cls")
+            keywords = set(named) | {arg.arg for arg in args.kwonlyargs}
+            extra = 0
+            for positional, passed, star in self.shapes[name]:
+                shape[2] = shape[2] or star
+                if args.vararg is not None and args.vararg.arg in forwarded:
+                    extra = max(extra, positional - len(named) + bound)
+                if args.kwarg is not None and args.kwarg.arg in forwarded:
+                    shape[1] = shape[1] | (passed - keywords)
+            shape[0] += extra
+
+
+def _unset_parameters():
+    """``path::qualname(param)`` of every defaulted parameter of a public
+    callable under ``src/repro`` that no call in the caller trees sets."""
+    visitor = _CallShapes()
+    bases = {}
+    for tree in CALLER_TREES:
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            module = ast.parse(path.read_text())
+            visitor.visit(module)
+            if tree == "src":
+                for node in ast.walk(module):
+                    if isinstance(node, ast.ClassDef) and not any(
+                            isinstance(stmt, ast.FunctionDef)
+                            and stmt.name == "__init__"
+                            for stmt in node.body):
+                        bases[node.name] = list(_names(node.bases))
+    visitor.resolve_forwards()
+    shapes = visitor.shapes
+    # Calling a subclass that has no __init__ of its own calls its base's.
+    for name, parents in bases.items():
+        for parent in parents:
+            shapes[parent].extend(shapes.get(name, []))
+    unset = []
+    for path in sorted(REPRO.rglob("*.py")):
+        where = path.relative_to(REPRO).as_posix()
+        for callee, qualname, defaulted in _public_callables(path):
+            for position, param in defaulted:
+                if not any(star or param in keywords
+                           or (position is not None and positional > position)
+                           for positional, keywords, star
+                           in shapes.get(callee, ())):
+                    unset.append(f"{where}::{qualname}({param})")
+    return unset
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    """An option that no caller sets is a configuration nobody exercises:
+    it becomes a module constant with its old default (a field that is
+    state becomes ``field(init=False)``, one nothing reads goes).  A call
+    sets a parameter by keyword, by position or through ``*``/``**``;
+    callees are matched by bare name.  Options that only tests set stay.
+    :data:`UNSET_BY_DESIGN` lists the exceptions; an entry that no longer
+    exists, or that a caller now sets, is stale and fails too."""
+    unset = _unset_parameters()
+    assert [entry for entry in unset if entry not in UNSET_BY_DESIGN] == []
+    assert sorted(set(UNSET_BY_DESIGN) - set(unset)) == []
