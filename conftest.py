@@ -7,6 +7,10 @@ keeps spinning (a zero-delta engine loop, a lost wakeup...) would otherwise
 freeze the whole suite.  The watchdog injects a ``TestHangError`` into the
 test thread after ``REPRO_TEST_TIMEOUT`` seconds (default 30) and dumps all
 thread stacks with :mod:`faulthandler` so the wedge point is visible.
+It also fails a passing test that leaves a ``sim-process`` thread (a
+thread context's body) alive for ``THREAD_GRACE`` seconds after it
+returns: a lost wakeup in the kernel/process handoff shows up in the
+test that lost it, not as a daemon thread nobody joins.
 """
 
 import ctypes
@@ -14,6 +18,8 @@ import faulthandler
 import os
 import sys
 import threading
+import time
+import traceback
 
 import pytest
 
@@ -23,6 +29,9 @@ if _SRC not in sys.path:
 
 #: Per-test wall-clock budget in seconds (0 disables the watchdog).
 TEST_TIMEOUT = float(os.environ.get("REPRO_TEST_TIMEOUT", "30"))
+
+#: Seconds a test's simulated-process threads get to end after it returns.
+THREAD_GRACE = 1.0
 
 
 class TestHangError(Exception):
@@ -54,8 +63,8 @@ def _arm_watchdog(target_thread_id, timeout, fired, done):
         # async exception only lands in a thread executing bytecode, never
         # in one blocked in C: target the test's main thread (generator-
         # context spins) and every simulated-process thread (thread-context
-        # spins — the main thread is then parked in Event.wait and killing
-        # the spinner unwinds it through the context handshake).
+        # spins — the main thread is then parked in a lock acquire, and
+        # the spinning body ends with the error and hands the turn back).
         targets = [target_thread_id]
         targets.extend(t.ident for t in threading.enumerate()
                        if t.name == "sim-process" and t.ident is not None)
@@ -69,21 +78,49 @@ def _arm_watchdog(target_thread_id, timeout, fired, done):
     return timer
 
 
-@pytest.hookimpl(hookwrapper=True)
+def _process_threads():
+    return [t for t in threading.enumerate() if t.name == "sim-process"]
+
+
+def _outliving(before):
+    """The ``sim-process`` threads not in ``before`` still alive after
+    joining them for up to ``THREAD_GRACE`` seconds in all."""
+    deadline = time.monotonic() + THREAD_GRACE
+    alive = []
+    for thread in _process_threads():
+        if thread not in before:
+            thread.join(max(0.0, deadline - time.monotonic()))
+            if thread.is_alive():
+                alive.append(thread)
+    return alive
+
+
+@pytest.hookimpl(wrapper=True)
 def pytest_runtest_call(item):
+    before = set(_process_threads())
     if TEST_TIMEOUT <= 0:
-        yield
-        return
-    fired = []
-    done = []
-    timer = _arm_watchdog(threading.get_ident(), TEST_TIMEOUT, fired, done)
-    try:
-        yield
-    finally:
-        done.append(True)
-        timer.cancel()
-        if fired:
-            item.add_report_section(
-                "call", "watchdog",
-                f"test killed by the repro hang watchdog after "
-                f"{TEST_TIMEOUT:g}s")
+        result = yield
+    else:
+        fired = []
+        done = []
+        timer = _arm_watchdog(threading.get_ident(), TEST_TIMEOUT, fired,
+                              done)
+        try:
+            result = yield
+        finally:
+            done.append(True)
+            timer.cancel()
+            if fired:
+                item.add_report_section(
+                    "call", "watchdog",
+                    f"test killed by the repro hang watchdog after "
+                    f"{TEST_TIMEOUT:g}s")
+    alive = _outliving(before)
+    if alive:
+        frames = sys._current_frames()
+        pytest.fail("\n".join(
+            f"sim-process thread {t.ident} outlived the test by "
+            f"{THREAD_GRACE:g}s, at:\n"
+            + "".join(traceback.format_stack(frames.get(t.ident)))
+            for t in alive), pytrace=False)
+    return result

@@ -13,8 +13,6 @@ diagram (every API sits on top of SURF through one kernel).
 
 from repro.kernel.collector import paused_collector
 from repro.kernel.context import (
-    Context,
-    ContextFactory,
     GeneratorContext,
     GeneratorContextFactory,
     ThreadContext,
@@ -25,8 +23,6 @@ from repro.kernel.simcall import Simcall
 from repro.kernel.timer import Timer, TimerQueue
 
 __all__ = [
-    "Context",
-    "ContextFactory",
     "GeneratorContext",
     "GeneratorContextFactory",
     "Simcall",

@@ -12,18 +12,25 @@ factories:
   scales to tens of thousands of processes.
 
 * :class:`ThreadContextFactory` — each simulated process is a real OS
-  thread; blocking operations go through a handshake so that exactly one
+  thread; blocking operations go through a handoff so that exactly one
   thread (either the kernel or one process) runs at a time.  Process code is
   then written without ``yield`` (plain blocking calls), which is closer to
   how GRAS code looks in real-life mode.
 
-Both factories expose the same :class:`Context` interface to the scheduler:
-``start()``, ``resume(value, exception) -> Simcall | FINISHED``, ``kill()``,
-and ``submit(simcall)`` to the process body.
+A factory's ``create(func, args, kwargs)`` returns a context ready to run.
+Both contexts give the scheduler ``resume(value, exception) -> Simcall |
+FINISHED``, which runs the body up to its next simcall (``value`` answers
+the previous one, or ``exception`` is raised where the body blocked; what
+escapes the body propagates), ``kill()``, which unwinds the body through
+its ``finally`` blocks (what they raise propagates), and ``finished``.
+The body hands each simcall over with ``submit(simcall)``: a generator
+body gets it back to ``yield`` it, a thread body blocks there until the
+kernel answers.
 """
 
 from __future__ import annotations
 
+import _thread
 import threading
 from typing import Any, Callable, Optional, Union
 
@@ -32,8 +39,6 @@ from repro.kernel.simcall import Simcall
 
 __all__ = [
     "FINISHED",
-    "Context",
-    "ContextFactory",
     "GeneratorContext",
     "GeneratorContextFactory",
     "ThreadContext",
@@ -52,78 +57,21 @@ class _Finished:
 FINISHED = _Finished()
 
 
-class Context:
-    """Interface between the scheduler and one simulated process body."""
-
-    __slots__ = ()
-
-    def start(self) -> None:
-        """Prepare the context (no user code runs yet)."""
-
-    def resume(self, value: Any = None,
-               exception: Optional[BaseException] = None
-               ) -> Union[Simcall, _Finished]:
-        """Run the process until its next simcall.
-
-        ``value`` is the result of the previous simcall; ``exception`` is
-        raised inside the process instead when not ``None``.  Returns the
-        next :class:`Simcall`, or :data:`FINISHED` when the process body
-        returned.  Exceptions escaping the process body propagate to the
-        caller.
-        """
-        raise NotImplementedError
-
-    def submit(self, simcall: Simcall) -> Any:
-        """Hand ``simcall`` to the kernel, from inside the process body:
-        a generator body gets it back to ``yield`` it, a thread body is
-        blocked here and gets the kernel's answer."""
-        raise NotImplementedError
-
-    def kill(self) -> None:
-        """Force the process body to terminate (its ``finally`` blocks run)."""
-        raise NotImplementedError
-
-    @property
-    def finished(self) -> bool:
-        raise NotImplementedError
-
-
-class ContextFactory:
-    """Builds contexts for process bodies."""
-
-    name = "abstract"
-
-    def create(self, func: Callable, args: tuple, kwargs: dict) -> Context:
-        raise NotImplementedError
-
-
 # --------------------------------------------------------------------------------
 # Generator contexts (default)
 # --------------------------------------------------------------------------------
 
-class GeneratorContext(Context):
+class GeneratorContext:
     """A simulated process implemented as a generator coroutine."""
 
-    __slots__ = ("_func", "_args", "_kwargs", "_gen", "_finished",
-                 "_started")
+    __slots__ = ("_gen", "_finished")
 
     def __init__(self, func: Callable, args: tuple, kwargs: dict) -> None:
-        self._func = func
-        self._args = args
-        self._kwargs = kwargs
-        self._gen = None
-        self._finished = False
-        self._started = False
-
-    def start(self) -> None:
-        result = self._func(*self._args, **self._kwargs)
-        if result is None or not hasattr(result, "send"):
-            # The body was a plain function that already ran to completion
-            # (a degenerate but legal process that performs no simcall).
-            self._gen = None
-            self._finished = True
-        else:
-            self._gen = result
+        gen = func(*args, **kwargs)
+        # A plain function has already run to completion: a degenerate but
+        # legal process that performs no simcall.
+        self._finished = not hasattr(gen, "send")
+        self._gen = None if self._finished else gen
 
     def submit(self, simcall: Simcall) -> Simcall:
         return simcall
@@ -133,16 +81,11 @@ class GeneratorContext(Context):
                ) -> Union[Simcall, _Finished]:
         if self._finished:
             return FINISHED
-        gen = self._gen
         try:
             if exception is not None:
-                self._started = True
-                request = gen.throw(exception)
-            elif self._started:
-                request = gen.send(value)
+                request = self._gen.throw(exception)
             else:
-                self._started = True
-                request = gen.send(None)
+                request = self._gen.send(value)
         except StopIteration:
             self._finished = True
             return FINISHED
@@ -155,34 +98,27 @@ class GeneratorContext(Context):
         return request
 
     def kill(self) -> None:
-        if self._finished or self._gen is None:
-            self._finished = True
+        if self._finished:
             return
+        self._finished = True
         try:
-            if not self._started:
-                # Never ran: just close it.
-                self._gen.close()
-            else:
-                self._gen.throw(ProcessKilledError("process killed"))
+            # A generator that never ran closes without running its body.
+            self._gen.throw(ProcessKilledError("process killed"))
         except (StopIteration, ProcessKilledError):
             pass
-        except RuntimeError:
-            # generator already executing / closed
-            pass
-        finally:
-            self._finished = True
 
     @property
     def finished(self) -> bool:
         return self._finished
 
 
-class GeneratorContextFactory(ContextFactory):
+class GeneratorContextFactory:
     """Factory of :class:`GeneratorContext` (the default)."""
 
     name = "generator"
 
-    def create(self, func: Callable, args: tuple, kwargs: dict) -> Context:
+    def create(self, func: Callable, args: tuple,
+               kwargs: dict) -> GeneratorContext:
         return GeneratorContext(func, args, kwargs)
 
 
@@ -190,116 +126,112 @@ class GeneratorContextFactory(ContextFactory):
 # Thread contexts
 # --------------------------------------------------------------------------------
 
-class ThreadContext(Context):
+class ThreadContext:
     """A simulated process running in its own OS thread.
 
-    The kernel thread and the process thread alternate through two
-    :class:`threading.Event` objects so that exactly one of them runs at a
-    time; this reproduces SimGrid's pthread context factory.
+    The kernel thread and the process thread hand the turn to each other
+    through two locks used as binary semaphores, so that exactly one of
+    them runs at a time; this reproduces SimGrid's pthread context
+    factory.  ``_message`` carries what the releasing side hands over: a
+    ``(value, exception)`` answer to the body, its next simcall (or
+    :data:`FINISHED`) to the kernel.  ``_thread`` is the body's thread
+    until the first ``resume`` starts it.
     """
 
     def __init__(self, func: Callable, args: tuple, kwargs: dict) -> None:
-        self._func = func
-        self._args = args
-        self._kwargs = kwargs
-        self._thread: Optional[threading.Thread] = None
-        self._kernel_turn = threading.Event()
-        self._process_turn = threading.Event()
-        self._request: Any = None
-        self._response: Any = None
-        self._response_exc: Optional[BaseException] = None
+        self._kernel = _thread.allocate_lock()
+        self._kernel.acquire()
+        self._process = _thread.allocate_lock()
+        self._process.acquire()
+        self._message: Any = None
         self._body_exc: Optional[BaseException] = None
         self._finished = False
         self._kill_requested = False
+        self._thread: Optional[threading.Thread] = threading.Thread(
+            target=self._run_body, args=(func, args, kwargs), daemon=True,
+            name="sim-process")
 
-    # -- API used by the process body ------------------------------------------------
+    # -- process side ----------------------------------------------------------------------
     def submit(self, simcall: Simcall) -> Any:
         if self._kill_requested:
             raise ProcessKilledError("process killed")
-        self._request = simcall
-        self._kernel_turn.set()
-        self._process_turn.wait()
-        self._process_turn.clear()
+        self._message = simcall
+        self._kernel.release()
+        self._process.acquire()
         if self._kill_requested:
             raise ProcessKilledError("process killed")
-        if self._response_exc is not None:
-            exc = self._response_exc
-            self._response_exc = None
-            raise exc
-        response = self._response
-        self._response = None
-        return response
+        value, exception = self._message
+        if exception is not None:
+            raise exception
+        return value
 
-    # -- thread body --------------------------------------------------------------------
-    def _run_body(self) -> None:
+    def _run_body(self, func: Callable, args: tuple, kwargs: dict) -> None:
         try:
-            self._func(*self._args, **self._kwargs)
+            func(*args, **kwargs)
         except ProcessKilledError:
             pass
         except BaseException as exc:  # noqa: BLE001 - forwarded to the kernel
             self._body_exc = exc
         finally:
-            self._request = FINISHED
+            self._message = FINISHED
             self._finished = True
-            self._kernel_turn.set()
+            self._kernel.release()
 
-    # -- Context interface ----------------------------------------------------------------
-    def start(self) -> None:
-        self._thread = threading.Thread(target=self._run_body, daemon=True,
-                                        name="sim-process")
+    # -- kernel side -----------------------------------------------------------------------
+    def _wait_for_the_body(self) -> None:
+        """Park the kernel until the body hands the turn back, and raise
+        what escaped the body, if anything did."""
+        self._kernel.acquire()
+        exc = self._body_exc
+        if exc is not None:
+            self._body_exc = None
+            raise exc
 
     def resume(self, value: Any = None,
                exception: Optional[BaseException] = None
                ) -> Union[Simcall, _Finished]:
         if self._finished:
             return FINISHED
-        assert self._thread is not None
-        if not self._thread.is_alive() and self._thread.ident is None:
-            # first resume: start the thread
-            self._thread.start()
+        thread = self._thread
+        if thread is None:
+            self._message = (value, exception)
+            self._process.release()
         else:
-            self._response = value
-            self._response_exc = exception
-            self._process_turn.set()
-        self._kernel_turn.wait()
-        self._kernel_turn.clear()
-        if self._body_exc is not None:
-            exc = self._body_exc
-            self._body_exc = None
-            raise exc
-        request = self._request
-        self._request = None
-        if request is FINISHED or self._finished:
-            self._finished = True
-            return FINISHED
-        return request
+            self._thread = None
+            thread.start()
+        self._wait_for_the_body()
+        message, self._message = self._message, None
+        return message
 
     def kill(self) -> None:
         if self._finished:
             return
+        if self._thread is not None:
+            # Never started: the body never runs.
+            self._thread = None
+            self._finished = True
+            return
+        # Wake the body so that it observes the kill flag and unwinds.
         self._kill_requested = True
-        if self._thread is not None and self._thread.is_alive():
-            # wake the thread so it observes the kill flag and unwinds
-            self._process_turn.set()
-            self._kernel_turn.wait()
-            self._kernel_turn.clear()
-        self._finished = True
+        self._process.release()
+        self._wait_for_the_body()
 
     @property
     def finished(self) -> bool:
         return self._finished
 
 
-class ThreadContextFactory(ContextFactory):
+class ThreadContextFactory:
     """Factory of :class:`ThreadContext`."""
 
     name = "thread"
 
-    def create(self, func: Callable, args: tuple, kwargs: dict) -> Context:
+    def create(self, func: Callable, args: tuple,
+               kwargs: dict) -> ThreadContext:
         return ThreadContext(func, args, kwargs)
 
 
-def make_context_factory(kind: str = "generator") -> ContextFactory:
+def make_context_factory(kind: str = "generator"):
     """Build a context factory by name (``"generator"`` or ``"thread"``)."""
     if kind == "generator":
         return GeneratorContextFactory()

@@ -5,9 +5,10 @@ needs something that takes simulated time (executing flops, transferring a
 payload, sleeping, waiting for another process...), it hands the kernel a
 :class:`Simcall` — the engine handler to run and the arguments to run it
 with — by yielding it (generator contexts) or through the context
-handshake (thread contexts); ``Context.submit`` hides which.  The kernel
-calls the handler with the requesting process first, and resumes the
-process with the result once the corresponding activity completes.
+handoff (thread contexts); the ``submit`` of both contexts in
+:mod:`repro.kernel.context` hides which.  The kernel calls the handler
+with the requesting process first, and resumes the process with the
+result once the corresponding activity completes.
 
 This mirrors SimGrid's simcall mechanism and keeps the user-facing APIs
 (s4u, and GRAS, SMPI and AMOK on top of it) thin translation layers.

@@ -25,7 +25,6 @@ import itertools
 from math import inf
 from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
-from repro.kernel.context import Context
 from repro.kernel.simcall import Simcall
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -102,7 +101,9 @@ class Actor:
         self.auto_restart = auto_restart
         self.pid = next(_pids)
         self.state = ActorState.CREATED
-        self.context: Optional[Context] = None
+        #: The body's context (see :mod:`repro.kernel.context`), set by
+        #: ``Engine.add_actor`` and dropped when the actor dies.
+        self.context = None
         #: Application-visible storage: the kernel never reads it.
         self.data: Dict[str, Any] = {}
         # kernel bookkeeping; the four _wait_* slots are written only by
@@ -122,8 +123,11 @@ class Actor:
         self._exit_failed = False
         #: The exception that escaped the body, if one did: the engine
         #: terminates the actor (``on_exit(failed=True)``, joiners woken)
-        #: and re-raises it out of ``Engine.run``.  ``None`` otherwise —
-        #: normal return, kill and host failure included.
+        #: and re-raises it out of ``Engine.run``.  A kill (host failure
+        #: included) whose unwinding raises in a ``finally`` block still
+        #: completes, and that error is recorded here without leaving
+        #: ``Engine.run``.  ``None`` otherwise: normal return, and a kill
+        #: the body unwound from cleanly.
         self.exit_status: Optional[BaseException] = None
 
     # ------------------------------------------------------------------------------

@@ -295,7 +295,6 @@ class Engine:
                       auto_restart=auto_restart)
         actor.context = self.context_factory.create(
             func, (actor, *args), kwargs)
-        actor.context.start()
         actor.state = ActorState.RUNNABLE
         self.actors.append(actor)
         self._alive_actors[actor] = None
@@ -532,11 +531,12 @@ class Engine:
     def _schedule_ready(self) -> None:
         """Run every ready actor up to its next simcall, and handle it.
 
-        The whole actor turn is this one loop: pop, resume the body
-        (``Context.resume`` — the only call per turn besides the handler),
-        call the handler the simcall it answered with carries.  An
-        ``*_async`` handler answers through the back of this same queue,
-        so the queue order is the event order.
+        The whole actor turn is this one loop: pop, resume the body (the
+        ``resume`` of either context of :mod:`repro.kernel.context` — the
+        only call per turn besides the handler), call the handler the
+        simcall it answered with carries.  An ``*_async`` handler answers
+        through the back of this same queue, so the queue order is the
+        event order.
         """
         ready = self._ready
         popleft = ready.popleft
@@ -1074,7 +1074,12 @@ class Engine:
         # interrupted inside its own call: _set_state raises
         # ProcessKilledError into its body once the flip is complete.
         if target is not _actor_mod._current:
-            target.context.kill()
+            try:
+                target.context.kill()
+            except Exception as exc:  # noqa: BLE001 - how the victim died
+                # A finally block raised while the body unwound: the kill
+                # still completes, and that error is the exit status.
+                target.exit_status = exc
         self._terminate_actor(target, failed=True)
 
     def _terminate_actor(self, actor: Actor, failed: bool = False) -> None:

@@ -3,6 +3,8 @@
 import ast
 import math
 import pathlib
+import sys
+import threading
 from functools import partial
 
 import pytest
@@ -20,9 +22,9 @@ from repro.kernel.context import (
 from repro.kernel.simcall import Simcall
 from repro.kernel.timer import TimerQueue
 from repro.platform import make_star
-from repro.s4u import Engine
+from repro.s4u import ActorState, Engine
 
-from pump import pump
+from pump import actor_body, pump
 
 
 class TestTimerQueue:
@@ -169,7 +171,7 @@ def _handler(process, *args):
 
 
 def _context(kind, steps, *args):
-    """A started context of ``kind`` whose body is ``steps(submit, *args)``.
+    """A context of ``kind`` whose body is ``steps(submit, *args)``.
 
     ``steps`` is written once, generator style (``answer = yield
     submit(simcall)``), and pumped under a thread context (see
@@ -183,14 +185,13 @@ def _context(kind, steps, *args):
     else:
         ctx = make_context_factory(kind).create(
             pump, (steps(submit, *args),), {})
-    ctx.start()
     return ctx
 
 
 @pytest.mark.parametrize("kind", ["generator", "thread"])
 class TestOneSimcallThroughEitherContext:
-    """``Context.submit`` + ``Context.resume``: the same body, the same
-    requests and the same answers under both factories."""
+    """``submit`` + ``resume``: the same body, the same requests and the
+    same answers under both factories."""
 
     def test_requests_reach_the_kernel_and_answers_come_back(self, kind):
         sleep, other = Simcall(_handler, (2.0,)), Simcall(_handler)
@@ -273,7 +274,6 @@ class TestGeneratorContext:
             calls.append(tag)
 
         ctx = GeneratorContextFactory().create(body, ("ran",), {})
-        ctx.start()
         assert ctx.resume() is FINISHED
         assert calls == ["ran"]
 
@@ -287,7 +287,6 @@ class TestGeneratorContext:
             yield 42
 
         ctx = GeneratorContextFactory().create(body, (), {})
-        ctx.start()
         with pytest.raises(TypeError, match="must yield Simcall objects, "
                                            "got 42; yield what the s4u"):
             ctx.resume()
@@ -299,7 +298,6 @@ class TestThreadContext:
             raise ValueError("user bug")
 
         ctx = ThreadContextFactory().create(body, (), {})
-        ctx.start()
         with pytest.raises(ValueError):
             ctx.resume()
 
@@ -319,17 +317,89 @@ class TestThreadContext:
         holder = {}
         ctx = holder["ctx"] = ThreadContextFactory().create(
             body, (holder,), {})
-        ctx.start()
         ctx.resume()
         ctx.kill()
         assert ctx.finished and seen == ["refused"]
 
 
+class TestThreadHandoff:
+    def test_a_round_trip_makes_no_python_call_into_threading(self):
+        """Once the body's thread runs, a kernel -> body -> kernel round
+        trip is two lock operations in C: no ``threading.py`` frame on
+        either side (an ``Event`` handshake enters set, wait and clear)."""
+        rounds = 200
+        request = Simcall(_handler)
+        answers = []
+        counting = [False]
+        threading_calls = []
+
+        def hook(frame, event, arg):
+            if (event == "call" and counting[0]
+                    and frame.f_code.co_filename == threading.__file__):
+                threading_calls.append(frame.f_code.co_name)
+
+        def body(holder):
+            for _ in range(rounds):
+                answers.append(holder["ctx"].submit(request))
+
+        holder = {}
+        previous = sys.getprofile(), threading.getprofile()
+        threading.setprofile(hook)
+        sys.setprofile(hook)
+        try:
+            ctx = holder["ctx"] = ThreadContextFactory().create(
+                body, (holder,), {})
+            assert ctx.resume() is request  # starts the thread
+            counting[0] = True
+            for answer in range(1, rounds):
+                assert ctx.resume(answer) is request
+            counting[0] = False
+            assert ctx.resume(rounds) is FINISHED
+        finally:
+            sys.setprofile(previous[0])
+            threading.setprofile(previous[1])
+        assert answers == list(range(1, rounds + 1))
+        assert threading_calls == []
+
+
+@pytest.mark.parametrize("error", [ValueError, RuntimeError])
+@pytest.mark.parametrize("kind", ["generator", "thread"])
+def test_a_kill_whose_cleanup_raises_still_buries_the_victim(kind, error):
+    """The kill completes under both contexts whatever the error type: the
+    victim is dead, its exit hooks ran, its joiner woke, the killer runs
+    on, and the cleanup error is the victim's exit status."""
+    engine = Engine(make_star(num_hosts=2), context_factory=kind)
+    exits, woke = [], []
+
+    def victim(actor):
+        try:
+            yield actor.sleep_for(10.0)
+        finally:
+            raise error("cleanup failed")
+
+    def killer(actor):
+        yield actor.sleep_for(1.0)
+        yield target.kill()
+        woke.append(("killer", actor.now))
+
+    def joiner(actor):
+        yield target.join()
+        woke.append(("joiner", actor.now))
+
+    target = engine.add_actor("victim", "leaf-0", actor_body(kind, victim))
+    target.on_exit(exits.append)
+    engine.add_actor("killer", "leaf-1", actor_body(kind, killer))
+    engine.add_actor("joiner", "leaf-1", actor_body(kind, joiner))
+    assert engine.run() == 1.0
+    assert target.state == ActorState.DEAD and not engine.deadlocked
+    assert exits == [True]
+    assert sorted(woke) == [("joiner", 1.0), ("killer", 1.0)]
+    assert type(target.exit_status) is error
+    assert str(target.exit_status) == "cleanup failed"
+
+
 class TestNonSimcallYieldBuriesTheActor:
     def test_engine_raises_the_named_type_error_and_moves_on(self):
-        from repro.platform import make_star
-        from repro.s4u import ActorState, Engine
-
         engine = Engine(make_star(num_hosts=2))
         done = []
 

@@ -118,6 +118,12 @@ RETIRED_NAMES = (
     # (tests/test_packet.py).
     r"TcpConfig", r"tcp_config", r"ScheduledEvent", r"DropTailQueue",
     r"pending_delivery", r"schedule_at",
+    # A context is its handoff: two contexts ready when created, no
+    # abstract base, no start(), and a thread context hands the turn over
+    # on a lock pair, not on Events (tests/test_kernel.py::TestThreadHandoff
+    # counts the threading.py calls of a round trip).
+    r"_kernel_turn", r"_process_turn", r"class Context\b",
+    r"\bContextFactory\b", r"context\.start\(",
 )
 
 
