@@ -59,12 +59,12 @@ class TestGrasDates:
         world.add_process("client", "leaf-1", client)
         final = world.run()
 
-        assert dates["reply_0"][0] == pytest.approx(0.0040912, rel=REL)
-        assert dates["reply_1"][0] == pytest.approx(0.0081824, rel=REL)
-        assert dates["reply_2"][0] == pytest.approx(0.0122736, rel=REL)
+        assert dates["reply_0"][0].hex() == "0x1.0c1ef2338ea2dp-8"  # 0.0040912
+        assert dates["reply_1"][0].hex() == "0x1.0c1ef2338ea2dp-7"  # 0.0081824
+        assert dates["reply_2"][0].hex() == "0x1.922e6b4d55f44p-7"  # 0.0122736
         assert [dates[f"reply_{i}"][1] for i in range(3)] == [2.0, 4.0, 6.0]
-        assert dates["server_done"] == pytest.approx(0.0122736, rel=REL)
-        assert final == pytest.approx(0.0122736, rel=REL)
+        assert dates["server_done"].hex() == "0x1.922e6b4d55f44p-7"
+        assert final.hex() == "0x1.922e6b4d55f44p-7"
 
 
 # ---------------------------------------------------------------------------------
@@ -186,13 +186,13 @@ class TestAmokDates:
         final = world.run()
 
         measurement = res["m"]
-        assert final == pytest.approx(1.6102688, rel=REL)
-        assert measurement.latency == pytest.approx(0.0020536, rel=REL)
-        assert measurement.bandwidth == pytest.approx(1249997.5000049998,
-                                                      rel=REL)
-        assert measurement.probe_rtt == pytest.approx(0.0041072, rel=REL)
-        assert measurement.payload_duration == pytest.approx(1.6041104,
-                                                             rel=REL)
+        assert final.hex() == "0x1.9c3a9379c4e80p+0"  # 1.6102688
+        assert measurement.latency.hex() == "0x1.0d2b61ad9a01ap-9"  # 0.0020536
+        # 1249997.5000049998
+        assert measurement.bandwidth.hex() == "0x1.312cd800053e2p+20"
+        assert measurement.probe_rtt.hex() == "0x1.0d2b61ad9a01ap-8"  # 0.0041072
+        # 1.6041104
+        assert measurement.payload_duration.hex() == "0x1.9aa6faab2c692p+0"
 
 
 # ---------------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Tests for the middleware wire-format comparators (GRAS tables E2/E3)."""
 
+import hashlib
 import math
 
 import pytest
 
-from benchmarks.bench_gras_lan import build_lan_model
+from benchmarks.bench_gras_lan import ARCHS, build_lan_model
+from benchmarks.bench_gras_wan import build_wan_model
 from repro.gras.arch import ARCHITECTURES
 from repro.platform import make_star, make_two_site_grid
 from repro.wire import (
@@ -136,3 +138,27 @@ class TestExchangeModel:
         platform = make_star(num_hosts=2)
         with pytest.raises(ValueError):
             ExchangeModel(platform, "leaf-0", "leaf-1", conversion_rate=0.0)
+
+
+class TestTablePins:
+    """The E2/E3 tables to the bit, not just their orderings."""
+
+    def test_lan_and_wan_cells_are_pinned(self):
+        """sha256 over ``(table, pair, codec, wire_bytes, total_time)`` of
+        all 90 cells (LAN and WAN x 9 architecture pairs x 5 codecs), the
+        floats as ``float.hex``."""
+        digest = hashlib.sha256()
+        cells = 0
+        for label, model in (("lan", build_lan_model()),
+                             ("wan", build_wan_model())):
+            table = model.table(PASTRY_MESSAGE_DESC, MESSAGE,
+                                architectures=ARCHS)
+            for pair in sorted(table):
+                for name, result in table[pair].items():
+                    fields = (label, pair, name, result.wire_bytes.hex(),
+                              result.total_time.hex())
+                    digest.update(repr(fields).encode() + b"\n")
+                    cells += 1
+        assert cells == 90
+        assert digest.hexdigest() == (
+            "0772df7e8b5b6f9b6233dd48b1266b77e2177ea0489448e5a4deaef781b22756")
