@@ -20,7 +20,7 @@ import struct as _struct
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import DataDescriptionError
-from repro.gras.arch import ARCHITECTURES, Architecture, LOCAL_ARCH
+from repro.gras.arch import Architecture, LOCAL_ARCH
 
 __all__ = [
     "DataDescription", "ScalarDesc", "StringDesc", "ArrayDesc", "StructDesc",
@@ -31,39 +31,39 @@ __all__ = [
 # scalar formats
 # ------------------------------------------------------------------------------------
 
-_STRUCT_CODES = {
-    # type_name: (signed struct code by size, unsigned struct code by size)
-    "int8": "b", "uint8": "B",
-    "int16": "h", "uint16": "H",
-    "int32": "i", "uint32": "I",
-    "int64": "q", "uint64": "Q",
-    "float": "f", "double": "d",
-    "char": "c",
-}
-
 _SIGNED_BY_SIZE = {1: "b", 2: "h", 4: "i", 8: "q"}
 _UNSIGNED_BY_SIZE = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
+def _unpack_length(name: str, data: bytes, src_arch: Architecture,
+                   offset: int) -> int:
+    """The 4-byte length prefix of a ``name`` value at ``offset``."""
+    try:
+        (length,) = _struct.unpack_from(
+            src_arch.struct_byteorder_char + "I", data, offset)
+    except _struct.error as exc:
+        raise DataDescriptionError(f"cannot decode {name}: {exc}") from None
+    return length
+
+
 class DataDescription:
-    """Base class of every data description."""
+    """Base class of every data description.
+
+    A description supplies two methods:
+
+    * ``encode(value, arch=LOCAL_ARCH) -> bytes``: ``value`` in ``arch``'s
+      native byte order and type sizes;
+    * ``decode(data, src_arch, offset=0) -> (value, new offset)``: read
+      back a value that ``src_arch`` wrote.
+
+    Both raise :class:`DataDescriptionError` for a value the description
+    cannot hold and for a truncated buffer.  A value's size on the wire is
+    ``len(encode(value, arch))``: there is no second walk that could
+    disagree with the encoding.
+    """
 
     name: str = ""
 
-    def wire_size(self, value: Any, arch: Architecture = LOCAL_ARCH) -> int:
-        """Number of bytes ``value`` occupies on the wire for ``arch``."""
-        raise NotImplementedError
-
-    def encode(self, value: Any, arch: Architecture = LOCAL_ARCH) -> bytes:
-        """Encode ``value`` using ``arch``'s native representation."""
-        raise NotImplementedError
-
-    def decode(self, data: bytes, src_arch: Architecture,
-               offset: int = 0) -> Tuple[Any, int]:
-        """Decode a value written by ``src_arch``; returns (value, new offset)."""
-        raise NotImplementedError
-
-    # convenience ---------------------------------------------------------------------
     def roundtrip(self, value: Any, src_arch: Architecture,
                   dst_arch: Architecture) -> Any:
         """Encode on ``src_arch`` and decode on ``dst_arch`` (for tests)."""
@@ -98,18 +98,13 @@ class ScalarDesc(DataDescription):
             raise DataDescriptionError(
                 f"{self.name}: no wire format for size {size}") from None
 
-    def wire_size(self, value: Any, arch: Architecture = LOCAL_ARCH) -> int:
-        return arch.size_of(self.name)
-
     def encode(self, value: Any, arch: Architecture = LOCAL_ARCH) -> bytes:
         code = self._code_for(arch)
-        if self.name == "char":
-            if isinstance(value, str):
-                value = value.encode("latin-1")[:1] or b"\x00"
-            return _struct.pack(arch.struct_byteorder_char + "c", value)
         try:
+            if self.name == "char" and isinstance(value, str):
+                value = value.encode("latin-1")[:1] or b"\x00"
             return _struct.pack(arch.struct_byteorder_char + code, value)
-        except _struct.error as exc:
+        except (_struct.error, UnicodeEncodeError) as exc:
             raise DataDescriptionError(
                 f"cannot encode {value!r} as {self.name}: {exc}") from None
 
@@ -133,24 +128,27 @@ class StringDesc(DataDescription):
 
     name = "string"
 
-    def wire_size(self, value: Any, arch: Architecture = LOCAL_ARCH) -> int:
-        encoded = str(value).encode("utf-8")
-        return 4 + len(encoded)
-
     def encode(self, value: Any, arch: Architecture = LOCAL_ARCH) -> bytes:
-        encoded = str(value).encode("utf-8")
+        try:
+            encoded = str(value).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise DataDescriptionError(
+                f"cannot encode {value!r} as {self.name}: {exc}") from None
         prefix = _struct.pack(arch.struct_byteorder_char + "I", len(encoded))
         return prefix + encoded
 
     def decode(self, data: bytes, src_arch: Architecture,
                offset: int = 0) -> Tuple[Any, int]:
-        (length,) = _struct.unpack_from(
-            src_arch.struct_byteorder_char + "I", data, offset)
+        length = _unpack_length(self.name, data, src_arch, offset)
         offset += 4
         raw = data[offset:offset + length]
         if len(raw) != length:
             raise DataDescriptionError("truncated string payload")
-        return raw.decode("utf-8"), offset + length
+        try:
+            return raw.decode("utf-8"), offset + length
+        except UnicodeDecodeError as exc:
+            raise DataDescriptionError(
+                f"cannot decode {self.name}: {exc}") from None
 
 
 class ArrayDesc(DataDescription):
@@ -183,13 +181,6 @@ class ArrayDesc(DataDescription):
             return None
         return f"{arch.struct_byteorder_char}{count}{element._code_for(arch)}"
 
-    def wire_size(self, value: Any, arch: Architecture = LOCAL_ARCH) -> int:
-        self._check_length(value)
-        header = 0 if self.fixed_length is not None else 4
-        if isinstance(self.element, ScalarDesc):    # fixed-size elements
-            return header + len(value) * arch.size_of(self.element.name)
-        return header + sum(self.element.wire_size(v, arch) for v in value)
-
     def encode(self, value: Any, arch: Architecture = LOCAL_ARCH) -> bytes:
         self._check_length(value)
         chunks: List[bytes] = []
@@ -211,8 +202,7 @@ class ArrayDesc(DataDescription):
     def decode(self, data: bytes, src_arch: Architecture,
                offset: int = 0) -> Tuple[Any, int]:
         if self.fixed_length is None:
-            (length,) = _struct.unpack_from(
-                src_arch.struct_byteorder_char + "I", data, offset)
+            length = _unpack_length(self.name, data, src_arch, offset)
             offset += 4
         else:
             length = self.fixed_length
@@ -244,10 +234,6 @@ class StructDesc(DataDescription):
             raise DataDescriptionError(f"struct {name!r} needs fields")
         self.name = name
         self.fields: List[Tuple[str, DataDescription]] = list(fields)
-
-    def wire_size(self, value: Any, arch: Architecture = LOCAL_ARCH) -> int:
-        return sum(desc.wire_size(self._field(value, fname), arch)
-                   for fname, desc in self.fields)
 
     def encode(self, value: Any, arch: Architecture = LOCAL_ARCH) -> bytes:
         return b"".join(desc.encode(self._field(value, fname), arch)

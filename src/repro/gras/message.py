@@ -4,17 +4,25 @@
 named message type with a typed payload; processes can then either block on
 a specific type (``gras_msg_wait``) or register callbacks and let
 ``gras_msg_handle`` dispatch incoming messages.
+
+A message costs :data:`HEADER_BYTES` plus the length of its type name plus
+its encoded payload: the simulation backend charges that many bytes, and
+the E2/E3 GRAS codec the same header.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.exceptions import UnknownMessageError
 from repro.gras.datadesc import DataDescription, datadesc_by_name
 
-__all__ = ["MessageType", "MessageRegistry", "GrasMessage"]
+__all__ = ["MessageType", "MessageRegistry", "GrasMessage", "HEADER_BYTES"]
+
+#: Fixed per-message protocol overhead on the wire, in bytes
+#: (message name, version, sender architecture, payload length).
+HEADER_BYTES = 48
 
 
 @dataclass(frozen=True)
@@ -23,19 +31,6 @@ class MessageType:
 
     name: str
     payload_desc: Optional[DataDescription] = None
-
-    #: Fixed per-message protocol overhead on the wire, in bytes
-    #: (message name, version, sender architecture, payload length).
-    HEADER_OVERHEAD = 48
-
-    def wire_size(self, payload: Any, arch=None) -> int:
-        """Bytes this message occupies on the wire for a given payload."""
-        from repro.gras.arch import LOCAL_ARCH
-        arch = arch or LOCAL_ARCH
-        size = self.HEADER_OVERHEAD + len(self.name)
-        if self.payload_desc is not None and payload is not None:
-            size += self.payload_desc.wire_size(payload, arch)
-        return size
 
 
 class MessageRegistry:
@@ -47,15 +42,10 @@ class MessageRegistry:
 
     # -- declaration ---------------------------------------------------------------
     def declare(self, name: str, payload_desc=None) -> MessageType:
-        """Declare a message type (idempotent if redeclared identically)."""
+        """Declare a message type; redeclaring a name replaces it."""
         if isinstance(payload_desc, str):
             payload_desc = datadesc_by_name(payload_desc)
         msgtype = MessageType(name, payload_desc)
-        existing = self._types.get(name)
-        if existing is not None and existing.payload_desc is not payload_desc:
-            # GRAS allows redeclaration as long as the description matches;
-            # we accept same-name redeclaration and keep the latest.
-            pass
         self._types[name] = msgtype
         return msgtype
 

@@ -31,10 +31,26 @@ __all__ = ["GrasProcess"]
 class GrasProcess:
     """The GRAS protocol over an abstract transport.
 
-    Message encoding, the reorder buffer, ``msg_wait``/``msg_handle`` and
-    the benchmarking macros live here, once; a backend supplies sockets,
-    a clock and the two transport hooks (:meth:`_transmit`,
-    :meth:`_receive`).
+    Message encoding, the reorder buffer, ``msg_wait``/``msg_handle``,
+    ``socket_client`` and the benchmarking macros live here, once.  A
+    backend supplies:
+
+    * ``host_name``: the address peers reply to (the simulated host name,
+      or localhost);
+    * ``socket_server(port) -> GrasSocket``: open a server socket
+      (``gras_socket_server``);
+    * ``_ensure_listen_port() -> int``: the port replies come back on,
+      opening one if needed;
+    * ``_transmit(socket, message)``: carry one :class:`GrasMessage` to
+      ``socket``;
+    * ``_receive(timeout) -> GrasMessage``: block until a *new* message
+      arrives on the listen port; ``timeout`` is in seconds of
+      ``os_time`` and may be infinite, and :class:`SimTimeoutError` is
+      raised when it elapses first;
+    * ``os_time()`` and ``os_sleep(duration)``: the simulated clock or
+      the wall clock;
+    * ``_inject_computation(duration)``: account for ``duration`` seconds
+      of computation measured by the benchmarking macros.
     """
 
     def __init__(self, name: str, arch: Architecture = LOCAL_ARCH) -> None:
@@ -42,7 +58,6 @@ class GrasProcess:
         self.arch = arch
         self.registry = MessageRegistry()
         self.bench_recorder = BenchRecorder()
-        self.properties: dict = {}
         #: Reorder buffer: messages received while waiting for another type.
         self._buffer: List[GrasMessage] = []
 
@@ -55,35 +70,9 @@ class GrasProcess:
         """Register ``callback(process, source_socket, payload)`` for a type."""
         self.registry.register_callback(msgtype_name, callback)
 
-    # -- sockets (backend-specific) ---------------------------------------------------------
-    #: Address peers reply to (the simulated host name, or localhost).
-    host_name: str
-
-    def socket_server(self, port: int) -> GrasSocket:
-        """Open a server socket on ``port`` (``gras_socket_server``)."""
-        raise NotImplementedError
-
     def socket_client(self, host: str, port: int) -> GrasSocket:
         """Create a client socket to ``host:port`` (``gras_socket_client``)."""
-        raise NotImplementedError
-
-    def _ensure_listen_port(self) -> int:
-        """The port replies come back on, opening one if needed."""
-        raise NotImplementedError
-
-    # -- transport (backend-specific) ----------------------------------------------------------
-    def _transmit(self, socket: GrasSocket, message: GrasMessage,
-                  wire_size: int) -> None:
-        """Carry one message of ``wire_size`` bytes to ``socket``."""
-        raise NotImplementedError
-
-    def _receive(self, timeout: float) -> GrasMessage:
-        """Block until a *new* message arrives on the listen port.
-
-        ``timeout`` is in seconds of :meth:`os_time` and may be infinite;
-        raises :class:`SimTimeoutError` when it elapses first.
-        """
-        raise NotImplementedError
+        return GrasSocket(host, port)
 
     # -- messaging -----------------------------------------------------------------------------
     def msg_send(self, socket: GrasSocket, msgtype_name: str,
@@ -100,8 +89,7 @@ class GrasProcess:
             sender_host=self.host_name,
             sender_port=self._ensure_listen_port(),
         )
-        self._transmit(socket, message,
-                       msgtype.wire_size(payload, self.arch))
+        self._transmit(socket, message)
 
     def _decode(self, message: GrasMessage) -> Tuple[GrasSocket, Any]:
         """``(source_socket, payload)`` of a received message."""
@@ -109,7 +97,7 @@ class GrasProcess:
         msgtype = self.registry.by_name(message.msgtype)
         if msgtype.payload_desc is None or not message.payload_bytes:
             return source, None
-        src_arch = ARCHITECTURES.get(message.sender_arch, LOCAL_ARCH)
+        src_arch = ARCHITECTURES[message.sender_arch]
         value, _ = msgtype.payload_desc.decode(message.payload_bytes, src_arch)
         return source, value
 
@@ -156,20 +144,7 @@ class GrasProcess:
         callback(self, *self._decode(message))
         return True
 
-    # -- time (backend-specific) -------------------------------------------------------------------
-    def os_time(self) -> float:
-        """Current time (simulated clock or wall clock)."""
-        raise NotImplementedError
-
-    def os_sleep(self, duration: float) -> None:
-        """Sleep (simulated or real)."""
-        raise NotImplementedError
-
     # -- benchmarking ----------------------------------------------------------------------------------
-    def _inject_computation(self, duration: float) -> None:
-        """Account for ``duration`` seconds of computation (backend hook)."""
-        raise NotImplementedError
-
     def bench_always(self, key: str = "") -> ContextManager[None]:
         """``GRAS_BENCH_ALWAYS_BEGIN/END``: measure the block every time.
 

@@ -9,6 +9,9 @@ framed over localhost TCP connections, time is the wall clock.
 The wire frame is self-describing enough for the receiver-makes-right
 conversion: it carries the sender's architecture name, its reply port, the
 message type name and the payload bytes encoded with the sender's layout.
+A frame that cannot be read (bad magic, an undecodable name, an unknown
+architecture, a peer that resets or stalls past ``_IO_TIMEOUT``) is dropped
+and the process keeps listening.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ __all__ = ["RlWorld", "RlGrasProcess"]
 
 _MAGIC = b"GRAS"
 _LOCALHOST = "127.0.0.1"
+#: Seconds a connection may stall while a frame is sent or received.
+_IO_TIMEOUT = 5.0
 
 
 def _pack_frame(message: GrasMessage) -> bytes:
@@ -46,7 +51,11 @@ def _read_exact(conn: _socket.socket, count: int) -> bytes:
     chunks = []
     remaining = count
     while remaining > 0:
-        chunk = conn.recv(remaining)
+        try:
+            # bounded: a corrupt length must not size the buffer
+            chunk = conn.recv(min(remaining, 1 << 16))
+        except OSError as exc:  # reset, or stalled past _IO_TIMEOUT
+            raise NetworkError(f"frame lost mid-read: {exc}") from None
         if not chunk:
             raise NetworkError("peer closed the connection mid-frame")
         chunks.append(chunk)
@@ -55,13 +64,19 @@ def _read_exact(conn: _socket.socket, count: int) -> bytes:
 
 
 def _unpack_frame(conn: _socket.socket) -> GrasMessage:
+    """Read one frame; a malformed one raises :class:`NetworkError`."""
     header = _read_exact(conn, _struct.calcsize("!4sH I H I"))
     magic, arch_len, reply_port, type_len, payload_len = _struct.unpack(
         "!4sH I H I", header)
     if magic != _MAGIC:
         raise NetworkError("bad frame magic")
-    arch = _read_exact(conn, arch_len).decode("ascii")
-    msgtype = _read_exact(conn, type_len).decode("utf-8")
+    try:
+        arch = _read_exact(conn, arch_len).decode("ascii")
+        msgtype = _read_exact(conn, type_len).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise NetworkError(f"malformed frame: {exc}") from None
+    if arch not in ARCHITECTURES:
+        raise NetworkError(f"frame from unknown architecture {arch!r}")
     payload = _read_exact(conn, payload_len) if payload_len else b""
     return GrasMessage(msgtype=msgtype, payload_bytes=payload,
                        sender_arch=arch, sender_host=_LOCALHOST,
@@ -77,7 +92,6 @@ class RlGrasProcess(GrasProcess):
         super().__init__(name, arch)
         self._inbox: "queue.Queue[GrasMessage]" = queue.Queue()
         self._server_socket: Optional[_socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
         self._listen_port: Optional[int] = None
         self._closing = threading.Event()
         self._start_wallclock = time.monotonic()
@@ -85,8 +99,7 @@ class RlGrasProcess(GrasProcess):
     # -- sockets ----------------------------------------------------------------------
     def socket_server(self, port: int) -> GrasSocket:
         if self._server_socket is not None:
-            return GrasSocket(_LOCALHOST, self._listen_port or port,
-                              is_server=True)
+            return GrasSocket(_LOCALHOST, self._listen_port or port)
         server = _socket.socket(_socket.AF_INET, _socket.SOCK_STREAM)
         server.setsockopt(_socket.SOL_SOCKET, _socket.SO_REUSEADDR, 1)
         server.bind((_LOCALHOST, port))
@@ -94,14 +107,9 @@ class RlGrasProcess(GrasProcess):
         server.settimeout(0.1)
         self._server_socket = server
         self._listen_port = server.getsockname()[1]
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, daemon=True,
-            name=f"gras-accept-{self.name}")
-        self._accept_thread.start()
-        return GrasSocket(_LOCALHOST, self._listen_port, is_server=True)
-
-    def socket_client(self, host: str, port: int) -> GrasSocket:
-        return GrasSocket(host, port)
+        threading.Thread(target=self._accept_loop, daemon=True,
+                         name=f"gras-accept-{self.name}").start()
+        return GrasSocket(_LOCALHOST, self._listen_port)
 
     def _ensure_listen_port(self) -> int:
         if self._listen_port is None:
@@ -120,20 +128,18 @@ class RlGrasProcess(GrasProcess):
                 break
             try:
                 with conn:
+                    conn.settimeout(_IO_TIMEOUT)
                     message = _unpack_frame(conn)
                 self._inbox.put(message)
             except NetworkError:
                 continue
 
     # -- transport -------------------------------------------------------------------
-    def _transmit(self, socket: GrasSocket, message: GrasMessage,
-                  wire_size: int) -> None:
-        # The frame's real length is what crosses the wire here; the
-        # modelled ``wire_size`` only matters to the simulator.
+    def _transmit(self, socket: GrasSocket, message: GrasMessage) -> None:
         frame = _pack_frame(message)
         try:
             with _socket.create_connection((socket.host, socket.port),
-                                           timeout=5.0) as conn:
+                                           timeout=_IO_TIMEOUT) as conn:
                 conn.sendall(frame)
         except OSError as exc:
             raise NetworkError(
@@ -175,7 +181,6 @@ class RlWorld:
     """A set of GRAS processes running for real on the local machine."""
 
     def __init__(self) -> None:
-        self.processes: List[RlGrasProcess] = []
         self._threads: List[threading.Thread] = []
         self._errors: List[BaseException] = []
 
@@ -184,7 +189,6 @@ class RlWorld:
         """Register ``func(gras_process, *args)`` to run in its own thread."""
         architecture = ARCHITECTURES[arch] if arch else LOCAL_ARCH
         process = RlGrasProcess(name, architecture)
-        self.processes.append(process)
 
         def body() -> None:
             try:

@@ -8,9 +8,10 @@ plain blocking calls — the very same code the real-life backend
 Message transport: each ``(host, port)`` server socket maps to the s4u
 mailbox ``"gras:<host>:<port>"``; the encoded
 :class:`~repro.gras.message.GrasMessage` is put on that mailbox with an
-explicit ``size`` equal to the wire size of the message, so the SURF network
-model charges exactly what the real message would cost.  No per-message
-wrapper object is allocated: the payload travels as-is through the mailbox.
+explicit ``size`` of :data:`~repro.gras.message.HEADER_BYTES` plus its type
+name plus its encoded payload, so the SURF network model charges the bytes
+the real message carries.  No per-message wrapper object is allocated: the
+payload travels as-is through the mailbox.
 The protocol itself (encoding, reorder buffer, ``msg_wait`` /
 ``msg_handle``) is :class:`~repro.gras.process.GrasProcess`'s, shared with
 the real-life backend.
@@ -19,10 +20,10 @@ the real-life backend.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.gras.arch import ARCHITECTURES, Architecture, LOCAL_ARCH
-from repro.gras.message import GrasMessage
+from repro.gras.message import GrasMessage, HEADER_BYTES
 from repro.gras.process import GrasProcess
 from repro.gras.socket import GrasSocket
 from repro.platform.platform import Platform
@@ -43,10 +44,8 @@ def _mailbox_name(host: str, port: int) -> str:
 class SimGrasProcess(GrasProcess):
     """A GRAS process executed inside the simulator (one s4u actor)."""
 
-    def __init__(self, world: "SimWorld", actor: Actor,
-                 arch: Architecture) -> None:
+    def __init__(self, actor: Actor, arch: Architecture) -> None:
         super().__init__(actor.name, arch)
-        self.world = world
         self._actor = actor
         self._listen_port: Optional[int] = None
 
@@ -57,10 +56,7 @@ class SimGrasProcess(GrasProcess):
 
     def socket_server(self, port: int) -> GrasSocket:
         self._listen_port = port
-        return GrasSocket(self.host_name, port, is_server=True)
-
-    def socket_client(self, host: str, port: int) -> GrasSocket:
-        return GrasSocket(host, port)
+        return GrasSocket(self.host_name, port)
 
     def _ensure_listen_port(self) -> int:
         if self._listen_port is None:
@@ -71,10 +67,10 @@ class SimGrasProcess(GrasProcess):
         return self._actor.engine.mailbox(_mailbox_name(host, port))
 
     # -- transport ------------------------------------------------------------------
-    def _transmit(self, socket: GrasSocket, message: GrasMessage,
-                  wire_size: int) -> None:
+    def _transmit(self, socket: GrasSocket, message: GrasMessage) -> None:
+        size = HEADER_BYTES + len(message.msgtype) + len(message.payload_bytes)
         self._mailbox(socket.host, socket.port).put(
-            message, size=wire_size, name=f"gras:{message.msgtype}")
+            message, size=size, name=f"gras:{message.msgtype}")
 
     def _receive(self, timeout: float) -> GrasMessage:
         box = self._mailbox(self.host_name, self._ensure_listen_port())
@@ -102,7 +98,6 @@ class SimWorld:
                  arch_by_host: Optional[Dict[str, str]] = None) -> None:
         self.engine = Engine(platform, context_factory="thread")
         self.arch_by_host = arch_by_host or {}
-        self.gras_processes: List[SimGrasProcess] = []
 
     def _arch_for(self, host_name: str,
                   arch: Optional[str]) -> Architecture:
@@ -120,12 +115,9 @@ class SimWorld:
         encoding of the messages it sends.
         """
         architecture = self._arch_for(host, arch)
-        world = self
 
         def body(actor: Actor, *fargs, **fkwargs):
-            gras_process = SimGrasProcess(world, actor, architecture)
-            world.gras_processes.append(gras_process)
-            func(gras_process, *fargs, **fkwargs)
+            func(SimGrasProcess(actor, architecture), *fargs, **fkwargs)
 
         return self.engine.add_actor(name, host, body, *args, **kwargs)
 

@@ -1,9 +1,9 @@
 """GRAS sockets: the endpoints messages are sent to / received from.
 
-A :class:`GrasSocket` is a lightweight address ``(host, port)`` plus a role
-(server sockets accept incoming messages, client sockets designate a peer).
-The same object is used by both backends; what differs is how the backend
-moves bytes (simulated tasks vs. real TCP connections).
+A :class:`GrasSocket` is a lightweight address ``(host, port)``: a server
+socket is the address a process listens on, a client socket the address of
+a peer.  The same object is used by both backends; what differs is how the
+backend moves bytes (simulated tasks vs. real TCP connections).
 """
 
 from __future__ import annotations
@@ -19,4 +19,3 @@ class GrasSocket:
 
     host: str
     port: int
-    is_server: bool = False

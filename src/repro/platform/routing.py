@@ -100,7 +100,11 @@ class LRUCache:
 # ----------------------------------------------------------------------------------
 
 class _Strategy:
-    """Base intra-zone strategy: resolve a route between two zone vertices."""
+    """Base intra-zone strategy: resolve a route between two zone vertices.
+
+    A strategy supplies ``route(src, dst) -> List[str]``, the link names
+    from ``src`` to ``dst``.
+    """
 
     #: Work counters (``Platform.routing_stats()`` sums them over zones).
     relaxations = 0
@@ -109,9 +113,6 @@ class _Strategy:
 
     def __init__(self, zone: "NetZone") -> None:
         self.zone = zone
-
-    def route(self, src: str, dst: str) -> List[str]:
-        raise NotImplementedError
 
     def _explicit(self, src: str, dst: str) -> Optional[List[str]]:
         spec = self.zone.routes.get((src, dst))

@@ -10,7 +10,7 @@ plain blocking code (thread contexts), exactly like real MPI ranks.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.exceptions import MpiError
 from repro.platform.platform import Platform
@@ -32,8 +32,8 @@ class Smpi:
         self.rank = rank
         self.size = world.num_ranks
         self.actor = actor
-        self.COMM_WORLD = Communicator(self, world.comm_id, rank,
-                                       world.num_ranks, actor)
+        self.COMM_WORLD = Communicator(world.comm_id, rank, world.num_ranks,
+                                       actor)
         self.sampler = SmpiSampler(actor)
 
     def wtime(self) -> float:
@@ -56,7 +56,6 @@ class SmpiWorld:
     def __init__(self, platform: Platform, num_ranks: int) -> None:
         if num_ranks < 1:
             raise MpiError("need at least one rank")
-        self.platform = platform
         self.num_ranks = num_ranks
         self.comm_id = next(_world_ids)
         self.engine = Engine(platform, context_factory="thread")
@@ -67,7 +66,6 @@ class SmpiWorld:
         self.rank_hosts: List[str] = [
             host_names[rank % len(host_names)] for rank in range(num_ranks)
         ]
-        self.ranks: Dict[int, Smpi] = {}
 
     def run(self, func: Callable, *args,
             until: Optional[float] = None, **kwargs) -> float:
@@ -77,12 +75,8 @@ class SmpiWorld:
         rank's :class:`Smpi` facade as first argument (plain blocking code,
         no ``yield``).
         """
-        world = self
-
         def body(actor: Actor, rank: int):
-            mpi = Smpi(world, rank, actor)
-            world.ranks[rank] = mpi
-            func(mpi, *args, **kwargs)
+            func(Smpi(self, rank, actor), *args, **kwargs)
 
         for rank in range(self.num_ranks):
             self.engine.add_actor(f"rank-{rank}", self.rank_hosts[rank],

@@ -18,25 +18,19 @@ receive, blocks on a transfer or withdraws a receive.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, List, Optional, Tuple
 
 from repro.exceptions import MpiError, SimTimeoutError
 from repro.s4u.activity import ActivitySet, Comm
 from repro.s4u.actor import Actor
 from repro.smpi.datatypes import Datatype, payload_size
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.smpi.api import Smpi
-
 __all__ = ["ANY_SOURCE", "ANY_TAG", "Status", "Request", "Communicator"]
 
 #: Wildcards, as in MPI.
 ANY_SOURCE = -1
 ANY_TAG = -1
-
-_comm_ids = itertools.count(0)
 
 
 @dataclass
@@ -88,9 +82,8 @@ class Communicator:
     ``MPI_COMM_WORLD``.
     """
 
-    def __init__(self, smpi: "Smpi", comm_id: int, rank: int, size: int,
+    def __init__(self, comm_id: int, rank: int, size: int,
                  actor: Actor) -> None:
-        self._smpi = smpi
         self.id = comm_id
         self.rank = rank
         self.size = size

@@ -1,12 +1,7 @@
 """Base class of the middleware wire-format comparators.
 
 A :class:`Codec` answers two questions about sending a structured message
-from one architecture to another:
-
-* :meth:`wire_size` — how many bytes end up on the wire;
-* :meth:`conversion_operations` — how many per-byte conversion operations
-  the sender and the receiver perform (byte swapping, copying into aligned
-  buffers, text formatting/parsing...).
+from one architecture to another (see its docstring for the methods).
 
 The exchange model (:mod:`repro.wire.exchange`) turns those into a time by
 charging the bytes to the network link and the conversion operations to the
@@ -18,7 +13,7 @@ unavailable across architectures).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Tuple
+from typing import Any
 
 from repro.exceptions import SimGridError
 from repro.gras.arch import Architecture
@@ -49,21 +44,24 @@ class ConversionCost:
 
 
 class Codec:
-    """One middleware's serialisation strategy."""
+    """One middleware's serialisation strategy.
+
+    A codec supplies ``name`` and two methods, both taking
+    ``(desc, value, sender, receiver)``: a data description, the value it
+    describes and the two :class:`~repro.gras.arch.Architecture` objects.
+
+    * ``wire_size(...) -> float``: how many bytes of one message end up on
+      the wire;
+    * ``conversion_operations(...) -> ConversionCost``: how many per-byte
+      conversion operations the sender and the receiver perform (byte
+      swapping, copying into aligned buffers, text formatting/parsing...).
+
+    A codec that cannot connect two architectures overrides
+    :meth:`supports`; its methods then call :meth:`check_supported`.
+    """
 
     #: Short name used in tables ("GRAS", "MPICH", "OmniORB", "PBIO", "XML").
     name: str = "abstract"
-
-    def wire_size(self, desc: DataDescription, value: Any,
-                  sender: Architecture, receiver: Architecture) -> float:
-        """Bytes on the wire for one message."""
-        raise NotImplementedError
-
-    def conversion_operations(self, desc: DataDescription, value: Any,
-                              sender: Architecture,
-                              receiver: Architecture) -> ConversionCost:
-        """Per-endpoint serialisation/deserialisation work."""
-        raise NotImplementedError
 
     def supports(self, sender: Architecture, receiver: Architecture) -> bool:
         """Whether this middleware can connect the two architectures."""
@@ -79,7 +77,7 @@ class Codec:
     @staticmethod
     def native_size(desc: DataDescription, value: Any,
                     arch: Architecture) -> float:
-        return float(desc.wire_size(value, arch))
+        return float(len(desc.encode(value, arch)))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Codec {self.name}>"

@@ -6,6 +6,7 @@ from typing import Any
 
 from repro.gras.arch import Architecture
 from repro.gras.datadesc import DataDescription
+from repro.gras.message import HEADER_BYTES
 from repro.wire.codec import Codec, ConversionCost
 
 __all__ = ["GrasCodec"]
@@ -27,12 +28,10 @@ class GrasCodec(Codec):
 
     name = "GRAS"
 
-    #: Per-message header: architecture id, message name, payload length.
-    HEADER_BYTES = 48.0
-
     def wire_size(self, desc: DataDescription, value: Any,
                   sender: Architecture, receiver: Architecture) -> float:
-        return self.native_size(desc, value, sender) + self.HEADER_BYTES
+        # The per-message header of the simulated GRAS messages.
+        return self.native_size(desc, value, sender) + HEADER_BYTES
 
     def conversion_operations(self, desc: DataDescription, value: Any,
                               sender: Architecture,

@@ -45,12 +45,10 @@ class XmlCodec(Codec):
             return (self.TAG_OVERHEAD
                     + sum(self._text_size(desc.element, item)
                           for item in value))
-        if isinstance(desc, StructDesc):
-            return (self.TAG_OVERHEAD
-                    + sum(self._text_size(fdesc, StructDesc._field(value, fname))
-                          for fname, fdesc in desc.fields))
-        # unknown description: fall back to the binary size, expanded
-        return desc.wire_size(value) * self.TEXT_EXPANSION
+        # the fourth and last description, a StructDesc
+        return (self.TAG_OVERHEAD
+                + sum(self._text_size(fdesc, StructDesc._field(value, fname))
+                      for fname, fdesc in desc.fields))
 
     def wire_size(self, desc: DataDescription, value: Any,
                   sender: Architecture, receiver: Architecture) -> float:

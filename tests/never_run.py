@@ -18,8 +18,6 @@ surface that a paper layer promises and nobody checks (test it: SMPI's
 Exemptions are mechanical, never by judgement:
 
 * ``__repr__`` and ``__str__`` (debugging aids);
-* stub bodies: after an optional docstring, nothing, a single ``pass``,
-  or a single ``raise NotImplementedError`` (abstract bases);
 * :data:`FORK_ONLY`, functions that run only in a forked child, where the
   parent's hook cannot see them.
 
@@ -44,27 +42,6 @@ FORK_ONLY = frozenset({"campaign/runner.py::_worker_main"})
 
 #: Method names exempt by name.
 EXEMPT_NAMES = frozenset({"__repr__", "__str__"})
-
-
-def _is_stub(node):
-    """True for an empty body, ``pass`` or ``raise NotImplementedError``
-    (after an optional docstring)."""
-    body = node.body
-    if (body and isinstance(body[0], ast.Expr)
-            and isinstance(body[0].value, ast.Constant)
-            and isinstance(body[0].value.value, str)):
-        body = body[1:]
-    if not body:
-        return True
-    if len(body) != 1:
-        return False
-    stmt = body[0]
-    if isinstance(stmt, ast.Pass):
-        return True
-    if isinstance(stmt, ast.Raise) and stmt.exc is not None:
-        exc = stmt.exc.func if isinstance(stmt.exc, ast.Call) else stmt.exc
-        return isinstance(exc, ast.Name) and exc.id == "NotImplementedError"
-    return False
 
 
 def functions(path):
@@ -93,8 +70,6 @@ def _exemption(name, node):
     """Why ``node`` may stay never entered, or None."""
     if node.name in EXEMPT_NAMES:
         return node.name
-    if _is_stub(node):
-        return "stub"
     if name in FORK_ONLY:
         return "fork-only"
     return None

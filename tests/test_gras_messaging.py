@@ -1,11 +1,15 @@
 """Tests for GRAS messaging: simulation backend, real-life backend, bench."""
 
+import socket
+import struct
+import threading
+
 import pytest
 
 from repro.exceptions import SimTimeoutError, UnknownMessageError
 from repro.gras import RlWorld, SimWorld
 from repro.gras.bench import BenchRecorder
-from repro.gras.message import MessageRegistry, MessageType
+from repro.gras.message import MessageRegistry
 from repro.gras.datadesc import datadesc_by_name
 from repro.platform import make_star, make_two_site_grid
 
@@ -36,11 +40,6 @@ class TestMessageRegistry:
         assert registry.callback_for("ok") is not None
         registry.unregister_callback("ok")
         assert registry.callback_for("ok") is None
-
-    def test_wire_size_includes_header_and_payload(self):
-        msgtype = MessageType("ping", datadesc_by_name("int"))
-        empty = MessageType("empty", None)
-        assert msgtype.wire_size(5) > empty.wire_size(None)
 
 
 class TestSimulationMode:
@@ -288,6 +287,79 @@ class TestRealLifeMode:
         world.add_process("client", client, arch="sparc")
         world.run(timeout=20.0)
         assert received["value"] == 123456789
+
+    @staticmethod
+    def _send_raw_then_ping(port, arch, payload):
+        """A client that sends one hand-made ``ping`` frame claiming
+        architecture ``arch`` (bytes), then a well-formed ``ping`` of 8."""
+        def client(proc):
+            proc.msgtype_declare("ping", "int")
+            proc.socket_server(0)
+            proc.os_sleep(0.2)
+            frame = struct.pack("!4sH I H I", b"GRAS", len(arch), 0, 4,
+                                len(payload)) + arch + b"ping" + payload
+            with socket.create_connection(("127.0.0.1", port)) as conn:
+                conn.sendall(frame)
+            proc.msg_send(proc.socket_client("127.0.0.1", port), "ping", 8)
+        return client
+
+    def _receive_pings(self, port, arch, payload):
+        received = []
+
+        def server(proc):
+            proc.msgtype_declare("ping", "int")
+            proc.socket_server(port)
+            received.append(proc.msg_wait(5.0, "ping")[1])
+            with pytest.raises(SimTimeoutError):
+                proc.msg_wait(0.3, "ping")
+
+        world = RlWorld()
+        world.add_process("server", server)
+        world.add_process("client", self._send_raw_then_ping(port, arch,
+                                                             payload))
+        world.run(timeout=20.0)
+        return received
+
+    def test_malformed_frame_is_dropped_and_the_next_one_delivered(self):
+        """Architecture bytes that are not ASCII once killed the accept
+        thread: every later message was lost."""
+        assert self._receive_pings(4313, b"\xff\xfe", b"") == [8]
+
+    def test_frame_from_unknown_architecture_is_dropped(self):
+        """It was decoded with the receiver's layout instead: a
+        big-endian 7 from ``vax`` came out as 117440512."""
+        assert self._receive_pings(4314, b"vax", (7).to_bytes(4, "big")) \
+            == [8]
+
+    def test_stalled_connection_is_dropped(self, monkeypatch):
+        """A peer that sends half a header and then neither writes nor
+        closes once held the accept loop until it closed."""
+        from repro.gras import rl_backend
+        monkeypatch.setattr(rl_backend, "_IO_TIMEOUT", 0.3)
+        received = []
+        done = threading.Event()
+
+        def server(proc):
+            proc.msgtype_declare("ping", "int")
+            proc.socket_server(4315)
+            received.append(proc.msg_wait(5.0, "ping")[1])
+            done.set()
+
+        def client(proc):
+            proc.msgtype_declare("ping", "int")
+            proc.socket_server(0)
+            proc.os_sleep(0.2)
+            with socket.create_connection(("127.0.0.1", 4315)) as conn:
+                conn.sendall(b"GRA")
+                proc.msg_send(proc.socket_client("127.0.0.1", 4315),
+                              "ping", 8)
+                done.wait(10.0)
+
+        world = RlWorld()
+        world.add_process("server", server)
+        world.add_process("client", client)
+        world.run(timeout=20.0)
+        assert received == [8]
 
     def test_rl_errors_are_reported(self):
         world = RlWorld()

@@ -40,15 +40,13 @@ class TestPayload:
         assert make_pastry_message(seed=3) != make_pastry_message(seed=4)
 
     def test_pastry_message_encodes_with_gras_datadesc(self):
-        size = PASTRY_MESSAGE_DESC.wire_size(MESSAGE, X86)
         encoded = PASTRY_MESSAGE_DESC.encode(MESSAGE, X86)
-        assert len(encoded) == size
         decoded, _ = PASTRY_MESSAGE_DESC.decode(encoded, X86)
         assert decoded["sender"] == MESSAGE["sender"]
         assert len(decoded["routing_table"]) == len(MESSAGE["routing_table"])
 
     def test_pastry_message_has_nontrivial_size(self):
-        size = PASTRY_MESSAGE_DESC.wire_size(MESSAGE, X86)
+        size = len(PASTRY_MESSAGE_DESC.encode(MESSAGE, X86))
         assert 2_000 < size < 50_000     # a few KB, like a real Pastry message
 
 
