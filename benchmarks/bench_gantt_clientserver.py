@@ -8,10 +8,26 @@ TCP flows share network links."*
 The harness drives ``examples/client_server_gantt.py`` (30 MFlop / 3.2 MB
 requests, 10.5 MFlop local tasks, 10 KB acks, 3 clients and 2 servers on
 the hub/switch/router/Internet platform), which prints the Gantt rows, and
-asserts the figure's qualitative features.
+asserts the figure's qualitative features, then pins every simulated
+total to the bit.
 """
 
+import hashlib
+
 from examples.client_server_gantt import run
+
+
+def table_digest(summary, makespan, single_makespan):
+    """sha256 over each host's compute, comm and idle time and both
+    makespans, the floats as ``float.hex``."""
+    digest = hashlib.sha256()
+    for host, totals in sorted(summary.items()):
+        fields = (host, totals["compute"].hex(), totals["comm"].hex(),
+                  totals["idle"].hex())
+        digest.update(repr(fields).encode() + b"\n")
+    fields = ("makespan", makespan.hex(), single_makespan.hex())
+    digest.update(repr(fields).encode() + b"\n")
+    return digest.hexdigest()
 
 
 def test_e4_client_server_gantt_chart():
@@ -32,3 +48,6 @@ def test_e4_client_server_gantt_chart():
     # round is faster than the average round of the contended run
     single_makespan, _ = run(num_clients=1, num_servers=1, verbose=False)
     assert makespan > single_makespan
+    # the whole table, to the bit
+    assert table_digest(summary, makespan, single_makespan) == (
+        "e713f154bd4361a66f59e70bd355d31558a35d0bd0328ad1b31fc0a74db922e5")

@@ -7,6 +7,8 @@ trace throttles the CPU, a bandwidth trace throttles the link, and a
 transient failure interrupts a host — and verifies the timing consequences.
 """
 
+import hashlib
+
 import pytest
 
 from benchmarks.bench_util import print_table
@@ -71,6 +73,20 @@ def simulate(with_traces: bool):
     return outcome
 
 
+def outcome_digest(stable, volatile):
+    """sha256 over ``compute_end``, ``transfer_end`` and the victim's
+    failure date of both runs, the floats as ``float.hex``."""
+    digest = hashlib.sha256()
+    for label, outcome in (("stable", stable), ("volatile", volatile)):
+        victim = outcome["victim_transfer"]
+        if not isinstance(victim, str):
+            victim = (victim[0], victim[1].hex())
+        fields = (label, outcome["compute_end"].hex(),
+                  outcome["transfer_end"].hex(), victim)
+        digest.update(repr(fields).encode() + b"\n")
+    return digest.hexdigest()
+
+
 def test_e8_traces_and_transient_failures():
     stable = simulate(with_traces=False)
     volatile = simulate(True)
@@ -101,3 +117,6 @@ def test_e8_traces_and_transient_failures():
     # The transient failure at t=4 s kills the victim's transfer.
     assert volatile["victim_transfer"][0] == "failed"
     assert volatile["victim_transfer"][1] == pytest.approx(4.0, abs=0.01)
+    # Both timelines, to the bit.
+    assert outcome_digest(stable, volatile) == (
+        "45752366206fa6559da4eacc2ecb4a5bd3a639cd078bfae612809ab593680874")
