@@ -79,16 +79,13 @@ from repro.platform import (
     NetZone,
     Platform,
     load_platform,
-    make_barabasi_albert_topology,
     make_client_server_lan,
     make_cluster,
     make_dumbbell,
-    make_hierarchical_topology,
     make_star,
     make_two_site_grid,
     make_waxman_topology,
     make_zoned_grid,
-    save_platform,
 )
 from repro.surf import (
     CpuModel,
@@ -158,16 +155,13 @@ __all__ = [
     "UnknownMessageError",
     "__version__",
     "load_platform",
-    "make_barabasi_albert_topology",
     "make_client_server_lan",
     "make_cluster",
     "make_dumbbell",
-    "make_hierarchical_topology",
     "make_star",
     "make_two_site_grid",
     "make_waxman_topology",
     "make_zoned_grid",
     "s4u",
-    "save_platform",
     "this_actor",
 ]

@@ -21,8 +21,8 @@ A factory's ``create(func, args, kwargs)`` returns a context ready to run.
 Both contexts give the scheduler ``resume(value, exception) -> Simcall |
 FINISHED``, which runs the body up to its next simcall (``value`` answers
 the previous one, or ``exception`` is raised where the body blocked; what
-escapes the body propagates), ``kill()``, which unwinds the body through
-its ``finally`` blocks (what they raise propagates), and ``finished``.
+escapes the body propagates), and ``kill()``, which unwinds the body
+through its ``finally`` blocks (what they raise propagates).
 The body hands each simcall over with ``submit(simcall)``: a generator
 body gets it back to ``yield`` it, a thread body blocks there until the
 kernel answers.
@@ -106,11 +106,6 @@ class GeneratorContext:
             self._gen.throw(ProcessKilledError("process killed"))
         except (StopIteration, ProcessKilledError):
             pass
-
-    @property
-    def finished(self) -> bool:
-        return self._finished
-
 
 class GeneratorContextFactory:
     """Factory of :class:`GeneratorContext` (the default)."""
@@ -215,11 +210,6 @@ class ThreadContext:
         self._kill_requested = True
         self._process.release()
         self._wait_for_the_body()
-
-    @property
-    def finished(self) -> bool:
-        return self._finished
-
 
 class ThreadContextFactory:
     """Factory of :class:`ThreadContext`."""

@@ -135,14 +135,3 @@ class PacketSimulator:
             flow.start()
         self.events.run()
         return sorted(self._results, key=lambda r: r.flow_id)
-
-    def link_statistics(self) -> Dict[str, Dict[str, float]]:
-        """Per-direction link statistics (bytes sent, packets, drops)."""
-        stats: Dict[str, Dict[str, float]] = {}
-        for (name, direction), link in self._links.items():
-            stats[f"{name}:{direction}"] = {
-                "bytes": link.bytes_sent,
-                "packets": float(link.packets_sent),
-                "drops": float(link.dropped),
-            }
-        return stats

@@ -8,8 +8,8 @@ independent of any simulation state; calling
 resources inside an engine.
 
 Topologies can be built programmatically, generated (clusters, stars,
-dumbbells, multi-site grids, BRITE-style random graphs) or loaded from
-simple JSON/XML files.
+dumbbells, multi-site grids, BRITE-style Waxman graphs) or loaded from
+SimGrid XML platform files.
 """
 
 from repro.platform.platform import (
@@ -30,11 +30,9 @@ from repro.platform.generators import (
 )
 from repro.platform.brite import (
     BriteConfig,
-    make_barabasi_albert_topology,
-    make_hierarchical_topology,
     make_waxman_topology,
 )
-from repro.platform.loader import load_platform, save_platform
+from repro.platform.loader import load_platform
 
 __all__ = [
     "BriteConfig",
@@ -46,14 +44,11 @@ __all__ = [
     "RealizedHost",
     "RouteSpec",
     "load_platform",
-    "make_barabasi_albert_topology",
     "make_client_server_lan",
     "make_cluster",
     "make_dumbbell",
-    "make_hierarchical_topology",
     "make_star",
     "make_two_site_grid",
     "make_waxman_topology",
     "make_zoned_grid",
-    "save_platform",
 ]

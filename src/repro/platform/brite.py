@@ -1,10 +1,9 @@
 """BRITE-style random topology generation.
 
 The paper's validation experiment uses a *"random topology generated with
-BRITE (random bandwidths and latencies)"*.  BRITE's router-level models are
-the Waxman model and the Barabási–Albert preferential-attachment model;
-this module implements both from scratch and turns the resulting graphs into
-:class:`~repro.platform.platform.Platform` objects:
+BRITE (random bandwidths and latencies)"*.  This module
+implements BRITE's Waxman router-level model from scratch and turns the
+resulting graph into a :class:`~repro.platform.platform.Platform`:
 
 * every graph vertex becomes a *host* (so flows can start and end anywhere),
 * every edge becomes a link with a bandwidth and latency drawn uniformly
@@ -16,8 +15,7 @@ The generator is deterministic given a seed, so the fluid and packet-level
 simulators of experiment E1 run on the *same* topology.  The BRITE knobs
 no caller varies are module constants: the plane side (``PLANE_SIZE``),
 Waxman's ``WAXMAN_BETA``, the distance-derived latency scale
-(``LAT_MAX_DISTANCE``), every host's ``HOST_SPEED``, and the hierarchical
-mode's seed and site LAN links (``HIERARCHICAL_SEED``, ``SITE_*``).
+(``LAT_MAX_DISTANCE``) and every host's ``HOST_SPEED``.
 """
 
 from __future__ import annotations
@@ -29,9 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.platform.platform import Platform
 
-__all__ = ["BriteConfig", "make_waxman_topology",
-           "make_barabasi_albert_topology", "make_hierarchical_topology",
-           "random_flows"]
+__all__ = ["BriteConfig", "make_waxman_topology", "random_flows"]
 
 #: Vertices are placed uniformly in a square of this side.
 PLANE_SIZE = 1000.0
@@ -41,10 +37,6 @@ WAXMAN_BETA = 0.4
 LAT_MAX_DISTANCE = 0.05
 #: CPU speed of every host (flop/s).
 HOST_SPEED = 1e9
-#: Seed and per-host LAN link of :func:`make_hierarchical_topology`.
-HIERARCHICAL_SEED = 42
-SITE_BANDWIDTH = 125e6
-SITE_LATENCY = 100e-6
 
 
 @dataclass
@@ -172,95 +164,6 @@ def make_waxman_topology(num_nodes: int = 10, seed: int = 42,
     _ensure_connected(num_nodes, edges, rng)
     return _build_platform(num_nodes, edges, positions, rng, config,
                            "brite-waxman")
-
-
-def make_barabasi_albert_topology(num_nodes: int = 10, m: int = 2,
-                                  seed: int = 42) -> Platform:
-    """Generate a Barabási–Albert topology (BRITE's ``RTBarabasiAlbert``).
-
-    Nodes join one at a time and attach ``m`` edges to existing nodes with
-    probability proportional to their degree (preferential attachment).
-    """
-    if num_nodes < 2:
-        raise ValueError("need at least two nodes")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    rng = random.Random(seed)
-    positions = _place_nodes(num_nodes, rng)
-    edges: List[Tuple[int, int]] = []
-    # start from a small seed clique of size m+1 (or num_nodes if smaller)
-    seed_size = min(m + 1, num_nodes)
-    for i in range(seed_size):
-        for j in range(i + 1, seed_size):
-            edges.append((i, j))
-    degree = [0] * num_nodes
-    for a, b in edges:
-        degree[a] += 1
-        degree[b] += 1
-    for new in range(seed_size, num_nodes):
-        targets = set()
-        # preferential attachment by repeated weighted draws
-        candidates = list(range(new))
-        weights = [degree[c] + 1e-9 for c in candidates]
-        total = sum(weights)
-        while len(targets) < min(m, new):
-            r = rng.random() * total
-            acc = 0.0
-            for cand, w in zip(candidates, weights):
-                acc += w
-                if acc >= r:
-                    targets.add(cand)
-                    break
-        for target in targets:
-            edges.append((new, target))
-            degree[new] += 1
-            degree[target] += 1
-    _ensure_connected(num_nodes, edges, rng)
-    return _build_platform(num_nodes, edges, positions, rng, BriteConfig(),
-                           "brite-ba")
-
-
-def make_hierarchical_topology(num_sites: int = 8, hosts_per_site: int = 16,
-                               site_routing: str = "Dijkstra") -> Platform:
-    """BRITE's *top-down hierarchical* mode as a tree of routing zones.
-
-    The AS level is a Waxman random graph over ``num_sites`` gateway
-    routers — same placement, edge probability, bandwidth and latency
-    draws as :func:`make_waxman_topology` — and each AS is a
-    :class:`~repro.platform.routing.NetZone` holding ``hosts_per_site``
-    hosts in a LAN star of ``SITE_*`` links behind its gateway
-    (``site_routing``, by default ``"Dijkstra"`` shortest paths: the access
-    hosts are leaves, so a site shares one sealed tree per direction).
-    Deterministic (seeded with ``HIERARCHICAL_SEED``), and
-    O(hosts + wan_edges) to build: no per-pair table is ever stored, so
-    10⁵-host instances are practical.
-    """
-    if num_sites < 2:
-        raise ValueError("need at least two sites")
-    if hosts_per_site < 1:
-        raise ValueError("need at least one host per site")
-    config = BriteConfig()
-    rng = random.Random(HIERARCHICAL_SEED)
-    positions = _place_nodes(num_sites, rng)
-    edges = _waxman_edges(positions, rng, config)
-    _ensure_connected(num_sites, edges, rng)
-
-    platform = Platform("brite-hier")
-    for s in range(num_sites):
-        site = platform.add_zone(f"as-{s}", routing=site_routing)
-        gw = site.add_router(f"as-{s}-gw")   # first node => default gateway
-        for i in range(hosts_per_site):
-            host = site.add_host(f"as-{s}-host-{i}", HOST_SPEED)
-            link = platform.add_link(f"as-{s}-lan-{i}", SITE_BANDWIDTH,
-                                     SITE_LATENCY)
-            site.connect(host.name, gw, link.name)
-    # WAN edges join the zones in the root zone (entered via gateways).
-    for idx, (a, b) in enumerate(edges):
-        bandwidth = rng.uniform(config.bw_min, config.bw_max)
-        latency = _link_latency(positions[a], positions[b], rng, config)
-        link = platform.add_link(f"wan-{idx}", bandwidth, latency)
-        platform.connect(f"as-{a}", f"as-{b}", link.name)
-    return platform
 
 
 def random_flows(platform: Platform, num_flows: int = 10,

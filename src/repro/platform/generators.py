@@ -209,11 +209,9 @@ def make_zoned_grid(num_sites: int = 4, hosts_per_site: int = 8,
     storing a per-pair table, so construction and memory stay O(hosts)
     even at 10⁵ hosts.
 
-    ``site_routing`` picks the intra-site strategy: ``"Dijkstra"`` (the
-    default) resolves shortest paths — every host is a leaf of its
-    gateway, so a whole site shares one sealed tree per direction — while
-    ``"Full"`` declares the O(hosts_per_site²) explicit pair routes (small
-    sites only).
+    ``site_routing`` names the intra-site strategy, ``"Dijkstra"`` (alias
+    ``"Floyd"``): every host is a leaf of its gateway, so a whole site
+    shares one sealed tree per direction.
     """
     if num_sites < 1:
         raise ValueError("a zoned grid needs at least one site")
@@ -228,14 +226,7 @@ def make_zoned_grid(num_sites: int = 4, hosts_per_site: int = 8,
             host = site.add_host(f"site-{s}-host-{i}", host_speed)
             link = platform.add_link(f"site-{s}-lan-{i}", lan_bandwidth,
                                      lan_latency)
-            if site_routing == "Full":
-                # Full has no transitive closure: declare every pair.
-                site.add_route(host.name, gw, [link.name])
-                for j in range(i):
-                    site.add_route(f"site-{s}-host-{j}", host.name,
-                                   [f"site-{s}-lan-{j}", link.name])
-            else:
-                site.connect(host.name, gw, link.name)
+            site.connect(host.name, gw, link.name)
         platform.add_link(f"wan-{s}", wan_bandwidth, wan_latency)
         platform.connect(hub, site.name, f"wan-{s}")
     return platform

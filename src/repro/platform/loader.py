@@ -1,170 +1,23 @@
-"""Loading and saving platform descriptions.
+"""Loading SimGrid XML platform files.
 
-Two formats are supported:
-
-* a **JSON** format native to this reproduction (round-trips everything the
-  :class:`~repro.platform.platform.Platform` API can express except traces,
-  which are referenced by inline event lists);
-* a minimal subset of the classic **SimGrid XML** platform format
-  (``<host>``, ``<link>``, ``<route>`` with ``<link_ctn>``) so that simple
-  platform files written for the original tool can be reused.
+A minimal subset of the classic **SimGrid XML** platform format:
+``<host>``, ``<router>``, ``<link>`` and ``<route>`` with ``<link_ctn>``,
+directly under ``<platform>`` or inside ``<AS>`` / ``<zone>`` containers,
+so that simple platform files written for the original tool can be
+reused.  A malformed file raises :class:`~repro.exceptions.PlatformError`
+naming the element at fault.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from typing import Dict, List, Optional, Union
+from typing import Optional
 
 from repro.exceptions import PlatformError
 from repro.platform.platform import Platform
-from repro.surf.trace import Trace
 
-__all__ = ["load_platform", "save_platform", "platform_to_dict",
-           "platform_from_dict"]
+__all__ = ["load_platform"]
 
-
-# ----------------------------------------------------------------------------------
-# JSON format
-# ----------------------------------------------------------------------------------
-
-def platform_to_dict(platform: Platform) -> Dict:
-    """Serialize a platform description (not its realization) to a dict.
-
-    The zone tree round-trips: each zone records its routing strategy,
-    parent and gateway; hosts and routers carry a ``zone`` field when
-    declared outside the root zone; edges and explicit routes are
-    collected across every zone (re-adding them infers the zone from the
-    vertices).  A flat platform serializes exactly as before (no
-    ``zones`` key, plain router name list).
-    """
-    def trace_to_list(trace: Optional[Trace]):
-        if trace is None:
-            return None
-        return {"events": [[e.time, e.value] for e in trace.events],
-                "period": trace.period}
-
-    def zone_name(node: str) -> Optional[str]:
-        zone = platform.zone_of(node)
-        return None if zone is platform.root_zone else zone.name
-
-    all_zones = [zone for zone in platform.root_zone.iter_subtree()
-                 if zone is not platform.root_zone]
-    data = {
-        "name": platform.name,
-        "hosts": [
-            {
-                "name": spec.name,
-                "speed": spec.speed,
-                "cores": spec.cores,
-                "availability_trace": trace_to_list(spec.availability_trace),
-                "state_trace": trace_to_list(spec.state_trace),
-                "properties": spec.properties,
-                **({"zone": zone_name(spec.name)}
-                   if zone_name(spec.name) else {}),
-            }
-            for spec in platform.hosts.values()
-        ],
-        "routers": [
-            name if zone_name(name) is None
-            else {"name": name, "zone": zone_name(name)}
-            for name in sorted(platform.routers)
-        ],
-        "links": [
-            {
-                "name": spec.name,
-                "bandwidth": spec.bandwidth,
-                "latency": spec.latency,
-                "shared": spec.shared,
-                "bandwidth_trace": trace_to_list(spec.bandwidth_trace),
-                "state_trace": trace_to_list(spec.state_trace),
-            }
-            for spec in platform.links.values()
-        ],
-        "edges": [
-            {"a": a, "b": b, "link": link}
-            for zone in platform.root_zone.iter_subtree()
-            for a, neighbours in sorted(zone.adjacency.items())
-            for b, link in neighbours
-            if a < b  # each undirected edge appears once
-        ],
-        "routes": [
-            {"src": spec.src, "dst": spec.dst, "links": spec.links,
-             "symmetric": spec.symmetric}
-            for zone in platform.root_zone.iter_subtree()
-            for spec in zone.routes.values()
-        ],
-    }
-    def effective_gateway(zone) -> Optional[str]:
-        # Serialize the *resolved* gateway node: the implicit default is
-        # "first declared node", which reloading would not preserve (hosts
-        # are re-declared before routers), so pin it explicitly.
-        try:
-            return zone.gateway
-        except PlatformError:
-            return None
-
-    if all_zones:
-        data["zones"] = [
-            {
-                "name": zone.name,
-                "routing": zone.routing,
-                "parent": (None if zone.parent is platform.root_zone
-                           else zone.parent.name),
-                "gateway": effective_gateway(zone),
-            }
-            for zone in all_zones
-        ]
-    return data
-
-
-def platform_from_dict(data: Dict) -> Platform:
-    """Rebuild a platform description from :func:`platform_to_dict` output."""
-    def trace_from(obj) -> Optional[Trace]:
-        if obj is None:
-            return None
-        return Trace([(t, v) for t, v in obj["events"]],
-                     period=obj.get("period"))
-
-    platform = Platform(data.get("name", "platform"))
-    # Zones first (depth-first serialization order guarantees parents
-    # precede children), then the nodes that reference them.
-    for zone in data.get("zones", []):
-        platform.add_zone(zone["name"], routing=zone.get("routing",
-                                                         "Dijkstra"),
-                          parent=zone.get("parent"),
-                          gateway=zone.get("gateway"))
-    for host in data.get("hosts", []):
-        platform.add_host(host["name"], host["speed"],
-                          cores=host.get("cores", 1),
-                          availability_trace=trace_from(
-                              host.get("availability_trace")),
-                          state_trace=trace_from(host.get("state_trace")),
-                          properties=host.get("properties") or {},
-                          zone=host.get("zone"))
-    for router in data.get("routers", []):
-        if isinstance(router, dict):
-            platform.add_router(router["name"], zone=router.get("zone"))
-        else:
-            platform.add_router(router)
-    for link in data.get("links", []):
-        platform.add_link(link["name"], link["bandwidth"],
-                          latency=link.get("latency", 0.0),
-                          shared=link.get("shared", True),
-                          bandwidth_trace=trace_from(
-                              link.get("bandwidth_trace")),
-                          state_trace=trace_from(link.get("state_trace")))
-    for edge in data.get("edges", []):
-        platform.connect(edge["a"], edge["b"], edge["link"])
-    for route in data.get("routes", []):
-        platform.add_route(route["src"], route["dst"], route["links"],
-                           symmetric=route.get("symmetric", True))
-    return platform
-
-
-# ----------------------------------------------------------------------------------
-# SimGrid-style XML format (subset)
-# ----------------------------------------------------------------------------------
 
 #: SI prefixes accepted in front of the base units (case matters: ``M`` is
 #: mega; ``k`` and ``K`` are both kilo, as SimGrid platform files use either).
@@ -178,14 +31,12 @@ _BASE_UNITS = {"Bps": 1.0, "bps": 1.0 / 8.0, "f": 1.0, "F": 1.0,
                "flops": 1.0, "s": 1.0, "B": 1.0, "b": 1.0 / 8.0}
 
 
-def parse_quantity(text: Union[str, float, int]) -> float:
+def parse_quantity(text: str) -> float:
     """Parse ``"100MBps"``, ``"1Gbps"``, ``"1Gf"``, ``"50us"`` quantities.
 
     Case is significant where it matters: ``MBps`` is megabytes per second,
     ``Mbps`` megabits per second (both forms appear in SimGrid platforms).
     """
-    if isinstance(text, (int, float)):
-        return float(text)
     value = text.strip()
     idx = len(value)
     while idx > 0 and not (value[idx - 1].isdigit() or value[idx - 1] == "."):
@@ -204,12 +55,35 @@ def parse_quantity(text: Union[str, float, int]) -> float:
     raise PlatformError(f"unknown unit {unit!r} in {text!r}")
 
 
+def _describe(element) -> str:
+    name = element.get("id")
+    return f"<{element.tag}>" if name is None else f"<{element.tag} {name!r}>"
+
+
+def _attribute(element, name: str, default: Optional[str] = None) -> str:
+    value = element.get(name, default)
+    if value is None:
+        raise PlatformError(f"{_describe(element)} has no {name!r} attribute")
+    return value
+
+
+def _quantity(element, name: str, default: Optional[str] = None) -> float:
+    text = _attribute(element, name, default)
+    try:
+        return parse_quantity(text)
+    except PlatformError as err:
+        raise PlatformError(f"{_describe(element)}: {err}") from None
+
+
 def _load_xml(text: str) -> Platform:
     # Imported here, not at module level: ``import repro`` never loads the
     # XML parser unless an XML platform is read.
     import xml.etree.ElementTree as ET
 
-    root = ET.fromstring(text)
+    try:
+        root = ET.fromstring(text)
+    except ET.ParseError as err:
+        raise PlatformError(f"malformed platform XML: {err}") from None
     if root.tag != "platform":
         # SimGrid XML wraps everything in <platform><AS>...</AS></platform>
         raise PlatformError("XML root element must be <platform>")
@@ -217,46 +91,33 @@ def _load_xml(text: str) -> Platform:
     containers = [root] + root.findall(".//AS") + root.findall(".//zone")
     for container in containers:
         for host in container.findall("host"):
-            platform.add_host(host.get("id"),
-                              parse_quantity(host.get("speed",
-                                                      host.get("power", "1Gf"))),
-                              cores=int(host.get("core", "1")))
+            name = _attribute(host, "id")
+            cores = _attribute(host, "core", "1")
+            if not cores.isdigit():
+                raise PlatformError(f"{_describe(host)}: core {cores!r} is "
+                                    "not a whole number")
+            platform.add_host(name, _quantity(host, "speed",
+                                              host.get("power", "1Gf")),
+                              cores=int(cores))
         for router in container.findall("router"):
-            platform.add_router(router.get("id"))
+            platform.add_router(_attribute(router, "id"))
         for link in container.findall("link"):
-            platform.add_link(link.get("id"),
-                              parse_quantity(link.get("bandwidth")),
-                              latency=parse_quantity(link.get("latency", "0s")),
+            platform.add_link(_attribute(link, "id"),
+                              _quantity(link, "bandwidth"),
+                              latency=_quantity(link, "latency", "0s"),
                               shared=link.get("sharing_policy",
                                               "SHARED").upper() != "FATPIPE")
         for route in container.findall("route"):
-            links = [ctn.get("id") for ctn in route.findall("link_ctn")]
-            platform.add_route(route.get("src"), route.get("dst"), links,
+            links = [_attribute(ctn, "id") for ctn in route.findall("link_ctn")]
+            platform.add_route(_attribute(route, "src"),
+                               _attribute(route, "dst"), links,
                                symmetric=route.get("symmetrical",
                                                    "yes").lower() in
                                ("yes", "true", "1"))
     return platform
 
 
-# ----------------------------------------------------------------------------------
-# public entry points
-# ----------------------------------------------------------------------------------
-
 def load_platform(path: str) -> Platform:
-    """Load a platform description from a ``.json`` or ``.xml`` file."""
-    path = os.fspath(path)
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    if path.endswith(".xml") or text.lstrip().startswith("<"):
-        return _load_xml(text)
-    return platform_from_dict(json.loads(text))
-
-
-def save_platform(platform: Platform, path: str) -> None:
-    """Save a platform description to a JSON file."""
-    data = platform_to_dict(platform)
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    """Load a platform description from a SimGrid XML file."""
+    with open(os.fspath(path), "r", encoding="utf-8") as handle:
+        return _load_xml(handle.read())

@@ -2,16 +2,12 @@
 
 Routing is hierarchical (see :mod:`repro.platform.routing`): the platform
 is a tree of :class:`~repro.platform.routing.NetZone` objects, each with a
-pluggable intra-zone strategy:
-
-* **Full** — a route (ordered list of links) is declared for each pair of
-  vertices, like SimGrid platform files do;
-* **Dijkstra** — links are edges of a graph; routes are shortest paths on
-  the link latencies (explicit routes win), read off predecessor trees
-  sealed on first use.  This is what the BRITE-generated random
-  topologies of the validation experiment use, and the default of the
-  root zone — a flat platform built through the zone-less API behaves
-  exactly as it always did.  ``Floyd`` names the same strategy.
+Dijkstra intra-zone strategy: links are edges of a graph; routes are
+shortest paths on the link latencies (explicit routes win), read off
+predecessor trees sealed on first use.  This is what the BRITE-generated
+random topologies of the validation experiment use, and a flat platform
+built through the zone-less API is one root zone routed that way.
+``Floyd`` names the same strategy.
 
 End-to-end routes are concatenations of intra-zone segments up and down
 the zone tree, resolved on demand behind an LRU-bounded cache, so a fully
@@ -51,6 +47,8 @@ class HostSpec:
     cores: int = 1
     availability_trace: Optional[Trace] = None
     state_trace: Optional[Trace] = None
+    # Vestige, never read since the JSON platform format went: pickled
+    # in every snapshot; goes at the next benchmark re-gold.
     properties: Dict[str, str] = field(default_factory=dict)
     # Declaration index, set by Platform.add_host: pins the SURF
     # constraint id so every materialization order (and both kernels)
@@ -148,9 +146,9 @@ class Platform:
                  gateway: Optional[str] = None) -> NetZone:
         """Create a routing zone (child of ``parent``, default the root).
 
-        ``routing`` picks the intra-zone strategy (``"Full"`` or
-        ``"Dijkstra"``, alias ``"Floyd"``); ``gateway`` optionally names the
-        node (or child zone) through which routes enter and leave.
+        ``routing`` names the intra-zone strategy (``"Dijkstra"``, alias
+        ``"Floyd"``); ``gateway`` optionally names the node (or child zone)
+        through which routes enter and leave.
         """
         self._check_not_realized()
         parent_zone = self._resolve_zone(parent)
@@ -162,18 +160,6 @@ class Platform:
         self._invalidate_route_caches()
         return zone
 
-    def zone(self, name: str) -> NetZone:
-        """Lookup a zone by name (the root zone is ``platform.root_zone``)."""
-        try:
-            return self.zones[name]
-        except KeyError:
-            raise PlatformError(f"unknown zone {name!r}") from None
-
-    def zone_of(self, node_name: str) -> NetZone:
-        """The zone a host or router was declared in."""
-        self._check_node(node_name)
-        return self._node_zone[node_name]
-
     def _resolve_zone(self, zone: Optional[Union[str, NetZone]]) -> NetZone:
         if zone is None:
             return self.root_zone
@@ -182,12 +168,14 @@ class Platform:
                 raise PlatformError(
                     f"zone {zone.name!r} belongs to another platform")
             return zone
-        return self.zone(zone)
+        try:
+            return self.zones[zone]
+        except KeyError:
+            raise PlatformError(f"unknown zone {zone!r}") from None
 
     def add_host(self, name: str, speed: float, cores: int = 1,
                  availability_trace: Optional[Trace] = None,
                  state_trace: Optional[Trace] = None,
-                 properties: Optional[Dict[str, str]] = None,
                  zone: Optional[Union[str, NetZone]] = None) -> HostSpec:
         """Declare a host.  ``speed`` is in flop/s."""
         self._check_not_realized()
@@ -197,8 +185,7 @@ class Platform:
             # Fail at declaration, naming the trace, not mid-step when the
             # bad scaling factor would finally be applied.
             availability_trace.validate_availability()
-        spec = HostSpec(name, speed, cores, availability_trace, state_trace,
-                        dict(properties or {}))
+        spec = HostSpec(name, speed, cores, availability_trace, state_trace)
         spec.index = len(self.hosts)
         self.hosts[name] = spec
         zone_obj.nodes[name] = None
@@ -321,10 +308,6 @@ class Platform:
             links = tuple(resolve_route(self, src, dst))
             self._route_cache.put(key, links)
         return list(links)
-
-    def route_latency(self, src: str, dst: str) -> float:
-        """Sum of the latencies along the route from ``src`` to ``dst``."""
-        return sum(self.links[name].latency for name in self.route_links(src, dst))
 
     def route_cache_stats(self) -> Dict[str, Dict[str, int]]:
         """Counters of the two route caches (routing's observable contract)."""
@@ -498,10 +481,6 @@ class Platform:
     def host_names(self) -> List[str]:
         """Sorted list of host names."""
         return sorted(self.hosts)
-
-    def link_names(self) -> List[str]:
-        """Sorted list of link names."""
-        return sorted(self.links)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Platform(name={self.name!r}, hosts={len(self.hosts)}, "

@@ -1,14 +1,12 @@
-"""Hierarchical zone routing: a tree of NetZones with pluggable strategies.
+"""Hierarchical zone routing: a tree of NetZones routed by shortest paths.
 
 Flat per-pair route tables are O(hosts²) once fully touched, which caps
 platforms at a few thousand hosts.  This module provides SimGrid-style
 nested *routing zones* instead: the platform is a tree of
 :class:`NetZone` objects, each routing between its own *vertices* (the
-hosts/routers declared directly in it, plus its child zones) with a
-pluggable strategy:
+hosts/routers declared directly in it, plus its child zones) with one
+strategy:
 
-* ``"Full"``     — every vertex pair needs an explicit route (an ordered
-  list of link names), O(1) lookup, O(V²) declaration;
 * ``"Dijkstra"`` — latency-weighted shortest paths (explicit routes still
   win for their exact pair), read off predecessor trees sealed on first
   use: O(E log V) per tree, O(path) per route, and every host hanging off
@@ -35,7 +33,7 @@ from __future__ import annotations
 import heapq
 from collections import OrderedDict
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import NoRouteError, PlatformError
 
@@ -83,12 +81,6 @@ class LRUCache:
     def clear(self) -> None:
         self._data.clear()
 
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, key) -> bool:
-        return key in self._data
-
     def stats(self) -> Dict[str, int]:
         """Cache counters (observable contract of the routing subsystem)."""
         return {"size": len(self._data), "hits": self.hits,
@@ -96,51 +88,15 @@ class LRUCache:
 
 
 # ----------------------------------------------------------------------------------
-# intra-zone routing strategies
+# the intra-zone routing strategy
 # ----------------------------------------------------------------------------------
-
-class _Strategy:
-    """Base intra-zone strategy: resolve a route between two zone vertices.
-
-    A strategy supplies ``route(src, dst) -> List[str]``, the link names
-    from ``src`` to ``dst``.
-    """
-
-    #: Work counters (``Platform.routing_stats()`` sums them over zones).
-    relaxations = 0
-    trees_sealed = 0
-    tree_lookups = 0
-
-    def __init__(self, zone: "NetZone") -> None:
-        self.zone = zone
-
-    def _explicit(self, src: str, dst: str) -> Optional[List[str]]:
-        spec = self.zone.routes.get((src, dst))
-        if spec is not None:
-            return list(spec.links)
-        return None
-
-    def _no_route(self, src: str, dst: str) -> NoRouteError:
-        return NoRouteError(
-            f"no route from {src!r} to {dst!r} in zone {self.zone.name!r}")
-
-
-class FullRouting(_Strategy):
-    """Every vertex pair must have an explicit route (SimGrid ``Full``)."""
-
-    def route(self, src: str, dst: str) -> List[str]:
-        links = self._explicit(src, dst)
-        if links is None:
-            raise self._no_route(src, dst)
-        return links
-
 
 #: Predecessor entries one zone may hold across all its sealed trees; the
 #: tree-count bound of a zone is this budget over its vertex count.
 _TREE_ENTRY_BUDGET = 1 << 18
 
 
-class DijkstraRouting(_Strategy):
+class DijkstraRouting:
     """Latency-weighted shortest paths; explicit routes take precedence.
 
     The one shortest-path strategy — registered as ``"Dijkstra"`` and as
@@ -171,9 +127,13 @@ class DijkstraRouting(_Strategy):
     """
 
     _trees: Optional[LRUCache] = None
+    #: Work counters (``Platform.routing_stats()`` sums them over zones).
+    relaxations = 0
+    trees_sealed = 0
+    tree_lookups = 0
 
     def __init__(self, zone: "NetZone") -> None:
-        super().__init__(zone)
+        self.zone = zone
         self._path_cache: Dict[Tuple[str, str], List[str]] = {}
         self._cached_version = -1
 
@@ -195,6 +155,16 @@ class DijkstraRouting(_Strategy):
         if path is None:
             path = self._path_cache[(src, dst)] = self._resolve(src, dst)
         return list(path)
+
+    def _explicit(self, src: str, dst: str) -> Optional[List[str]]:
+        spec = self.zone.routes.get((src, dst))
+        if spec is not None:
+            return list(spec.links)
+        return None
+
+    def _no_route(self, src: str, dst: str) -> NoRouteError:
+        return NoRouteError(
+            f"no route from {src!r} to {dst!r} in zone {self.zone.name!r}")
 
     def _resolve(self, src: str, dst: str) -> List[str]:
         zone = self.zone
@@ -260,7 +230,6 @@ class DijkstraRouting(_Strategy):
 
 
 ROUTING_STRATEGIES = {
-    "Full": FullRouting,
     "Dijkstra": DijkstraRouting,
     "Floyd": DijkstraRouting,
 }
@@ -276,9 +245,8 @@ class NetZone:
     A vertex is either a host/router declared directly in this zone or a
     child zone (represented in this zone's graph by its name; physically
     entered and left through its *gateway* node).  Zones are created via
-    :meth:`repro.platform.platform.Platform.add_zone` (or
-    :meth:`add_zone` on a parent zone) — the platform always has a root
-    zone that the flat, zone-less API targets.
+    :meth:`repro.platform.platform.Platform.add_zone` — the platform
+    always has a root zone that the flat, zone-less API targets.
     """
 
     def __init__(self, platform, name: str, parent: Optional["NetZone"],
@@ -301,7 +269,7 @@ class NetZone:
         #: Graph edges: vertex -> list of (vertex, link name).
         self.adjacency: Dict[str, List[Tuple[str, str]]] = {}
         self.routing = routing
-        self.strategy: _Strategy = strategy_cls(self)
+        self.strategy = strategy_cls(self)
         self._gateway = gateway
         #: Bumped on every mutation; lets precomputed strategies re-seal.
         self.version = 0
@@ -309,12 +277,6 @@ class NetZone:
             parent.children[name] = self
 
     # -- construction (delegates to the platform for global bookkeeping) ---------------
-    def add_zone(self, name: str, routing: str = "Dijkstra",
-                 gateway: Optional[str] = None) -> "NetZone":
-        """Create a child zone."""
-        return self.platform.add_zone(name, routing=routing, parent=self,
-                                      gateway=gateway)
-
     def add_host(self, name: str, speed: float, **kwargs):
         """Declare a host inside this zone (see ``Platform.add_host``)."""
         return self.platform.add_host(name, speed, zone=self, **kwargs)
@@ -356,11 +318,6 @@ class NetZone:
         self.version += 1
         return spec
 
-    def set_gateway(self, node_name: str) -> None:
-        """Name the node through which routes enter and leave this zone."""
-        self._gateway = node_name
-        self.version += 1
-
     @property
     def gateway(self) -> str:
         """The gateway *node* of this zone, descending into child zones.
@@ -394,12 +351,6 @@ class NetZone:
         state = self.__dict__.copy()
         state.pop("_ancestry", None)        # derived; rebuilt on demand
         return state
-
-    def iter_subtree(self) -> Iterable["NetZone"]:
-        """This zone and every descendant, depth-first."""
-        yield self
-        for child in self.children.values():
-            yield from child.iter_subtree()
 
     def _check_vertex(self, name: str) -> None:
         if name not in self.nodes and name not in self.children:

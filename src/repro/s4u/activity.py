@@ -70,9 +70,6 @@ class Activity:
     def is_pending(self) -> bool:
         return self.state is ActivityState.PENDING
 
-    def is_started(self) -> bool:
-        return self.state is ActivityState.STARTED
-
     def is_over(self) -> bool:
         """Finished, successfully or not."""
         state = self.state
@@ -240,19 +237,8 @@ class ActivitySet:
     def size(self) -> int:
         return len(self._activities)
 
-    def __len__(self) -> int:
-        return len(self._activities)
-
-    def __iter__(self):
-        return iter(self._activities)
-
     def __contains__(self, activity: Activity) -> bool:
         return activity in self._activities
-
-    @property
-    def activities(self) -> List[Activity]:
-        """A snapshot of the current members."""
-        return list(self._activities)
 
     # -- blocking API ------------------------------------------------------------------
     def wait_any(self, timeout: Optional[float] = None):

@@ -429,7 +429,7 @@ class Engine:
         """Change a link's nominal bandwidth (``Link.set_bandwidth``)."""
         self.surf.model_of(link.resource).set_link_bandwidth(
             link.resource, bandwidth)
-        self._notify_speed_change(link, link.current_bandwidth)
+        self._notify_speed_change(link, link.resource.current_capacity)
 
     def _notify_speed_change(self, resource, available_speed: float) -> None:
         for callback in self._speed_listeners:
@@ -619,7 +619,8 @@ class Engine:
             elif isinstance(resource, LinkResource):
                 link = self._link_by_resource.get(id(resource))
                 if link is not None:
-                    self._notify_speed_change(link, link.current_bandwidth)
+                    self._notify_speed_change(
+                        link, link.resource.current_capacity)
 
     # ------------------------------------------------------------------------------
     # simcall handling

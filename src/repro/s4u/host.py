@@ -1,7 +1,7 @@
 """S4U hosts: the machines actors run on.
 
 Facade over a platform host and its realized CPU resource.  It exposes the
-host speed and load, carries the per-host "data" dictionary applications
+host speed, carries the per-host "data" dictionary applications
 can hang state on, and lists the actors currently running on it.
 """
 
@@ -51,17 +51,6 @@ class Host:
     def available_speed(self) -> float:
         """Current speed of one core, after the availability trace."""
         return self.cpu.core_speed
-
-    # -- dynamic information ----------------------------------------------------------
-    @property
-    def load(self) -> int:
-        """Number of computations currently running on this host."""
-        return sum(1 for elem in self.cpu.constraint.elements
-                   if elem.variable.data.is_running())
-
-    def actor_count(self) -> int:
-        """Number of simulated actors currently hosted here."""
-        return len(self.actors)
 
     # -- control ----------------------------------------------------------------------
     def turn_off(self) -> None:

@@ -51,18 +51,6 @@ class Link:
         """Whether the link is currently up."""
         return self.resource.is_on
 
-    # -- dynamic information -----------------------------------------------------------
-    @property
-    def current_bandwidth(self) -> float:
-        """Bandwidth after availability scaling (0 when failed)."""
-        return self.resource.current_bandwidth
-
-    @property
-    def load(self) -> int:
-        """Number of transfers currently registered on this link."""
-        constraint = self.resource.constraint
-        return 0 if constraint is None else len(constraint.elements)
-
     # -- control ----------------------------------------------------------------------
     def turn_off(self) -> None:
         """Fail the link: every transfer crossing it fails."""

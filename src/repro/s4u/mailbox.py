@@ -170,13 +170,9 @@ class Mailbox:
         """True when no communication is waiting on this mailbox."""
         return not self.pending_sends and not self.pending_recvs
 
-    def waiting_send_count(self) -> int:
-        """Number of sender-side communications currently queued (probe)."""
-        return sum(1 for c in self.pending_sends if _matchable(c))
-
     def listen(self) -> bool:
         """True when a ``get`` would match an already-posted send."""
-        return self.waiting_send_count() > 0
+        return any(_matchable(c) for c in self.pending_sends)
 
     def peek_payload(self) -> Any:
         """Payload of the oldest pending send, without consuming it.

@@ -24,7 +24,7 @@ from repro.s4u.actor import Actor, current_actor
 
 __all__ = [
     "exec_async", "execute", "exit", "get_engine", "get_host",
-    "get_name", "get_pid", "is_suspended", "mailbox", "self_", "sleep_async",
+    "get_name", "get_pid", "mailbox", "self_", "sleep_async",
     "sleep_for", "sleep_until", "suspend", "yield_",
 ]
 
@@ -57,10 +57,6 @@ def get_pid() -> int:
 def get_host():
     """Host the current actor runs on."""
     return current_actor().host
-
-
-def is_suspended() -> bool:
-    return current_actor().is_suspended
 
 
 def execute(flops: float, priority: float = 1.0,

@@ -96,19 +96,6 @@ class Action:
         # the model's heap entries carry the version they were pushed with.
         self._event_version = 0
 
-    # -- rate -------------------------------------------------------------------
-    @property
-    def rate(self) -> float:
-        """Instantaneous progress rate from the last LMM solve."""
-        if self.variable is None or self._suspended:
-            return 0.0
-        return self.variable.value
-
-    @property
-    def suspended(self) -> bool:
-        """Whether the action is currently suspended (rate forced to 0)."""
-        return self._suspended
-
     # -- lazy remaining ----------------------------------------------------------
     @property
     def remaining(self) -> float:
@@ -123,17 +110,6 @@ class Action:
                 rem -= rate * elapsed
                 rem = rem if rem > 0.0 else 0.0
         return rem
-
-    @remaining.setter
-    def remaining(self, value: float) -> None:
-        self._remaining = float(value)
-        model = self.model
-        self.last_sync = model.clock
-        # The completion heap is the only thing that finishes actions now,
-        # so an external write to the remaining amount must displace the
-        # previously predicted completion date.
-        if self.state is _RUNNING:
-            model._reschedule_action(self, self.last_sync)
 
     def sync_remaining(self, now: float) -> float:
         """Fold the progress made since ``last_sync`` into the stored amount.
@@ -188,20 +164,6 @@ class Action:
             return
         self._suspended = False
         self.model.on_action_priority_changed(self)
-
-    def set_priority(self, priority: float) -> None:
-        """Change the sharing weight of the action."""
-        if priority < 0:
-            raise ValueError("action priority must be >= 0")
-        self.priority = float(priority)
-        self.model.on_action_priority_changed(self)
-
-    # -- progress ----------------------------------------------------------------
-    def progress(self) -> float:
-        """Fraction of the work already performed, in ``[0, 1]``."""
-        if self.cost <= 0:
-            return 1.0 if not self.is_running() or self.remaining <= 0 else 0.0
-        return 1.0 - self.remaining / self.cost
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"{type(self).__name__}(cost={self.cost}, "

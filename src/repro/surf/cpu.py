@@ -181,7 +181,3 @@ class CpuModel(FluidModel):
                 continue
             action.bound = self._merged_bound(cpu, action.user_bound)
             action.model.on_action_priority_changed(action)
-
-    def resource_of(self, name: str) -> CpuResource:
-        """Lookup a CPU by name (raises ``KeyError`` if unknown)."""
-        return self.cpus[name]

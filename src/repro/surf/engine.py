@@ -77,12 +77,6 @@ class StepResult:
         self.state_changes = [] if state_changes is None else state_changes
         self.speed_changes = [] if speed_changes is None else speed_changes
 
-    @property
-    def failed(self) -> List[Action]:
-        """Every action a resource going down failed during the step."""
-        return [action for _, _, failed in self.state_changes
-                for action in failed]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"StepResult(time={self.time}, completed={len(self.completed)},"
                 f" flips={len(self.state_changes)}, bound={self.reached_bound})")
@@ -106,7 +100,8 @@ class SurfEngine:
         # must not double-schedule every event.
         self._trace_registered: set = set()
         self._zero_progress_steps = 0
-        #: Actions completed/failed during the last :meth:`run_until_idle`.
+        # Vestiges, never read since run_until_idle went: the snapshot
+        # blob pins them; they go at the next benchmark re-gold.
         self.last_completed: List[Action] = []
         self.last_failed: List[Action] = []
         # Vestige, never read: perfbench's golden.json pins the snapshot
@@ -370,26 +365,3 @@ class SurfEngine:
                 ndate, nvalue = nxt
                 heappush(heap, (ndate, next(self._seq), resource, kind,
                                 nvalue, iterator))
-
-    def run_until_idle(self, max_time: float = math.inf) -> float:
-        """Convenience loop for model-level tests: run until nothing remains.
-
-        Returns the final simulated date.  The actions that completed or
-        failed along the way — including those of the final step — are
-        exposed as :attr:`last_completed` and :attr:`last_failed` so
-        model-level benchmarks and tests can assert on them.
-        """
-        self.last_completed: List[Action] = []
-        self.last_failed: List[Action] = []
-        while True:
-            result = self.step(until=max_time)
-            if result is None:
-                break
-            self.last_completed.extend(result.completed)
-            self.last_failed.extend(result.failed)
-            if result.time >= max_time:
-                break
-            if (not self.has_running_actions()
-                    and math.isinf(self.next_trace_event_date())):
-                break
-        return self.clock

@@ -296,11 +296,6 @@ class MaxMinSystem:
         """Live variables, in creation order."""
         return list(self._vars.values())
 
-    @property
-    def _dirty(self) -> bool:
-        """True when the next solve() has work to do (kept for introspection)."""
-        return bool(self._modified or self._detached_dirty)
-
     # -- construction -----------------------------------------------------------
     def new_variable(self, weight: float = 1.0,
                      bound: Optional[float] = None, data=None) -> Variable:
@@ -1100,17 +1095,6 @@ class MaxMinSystem:
         self._seq = seq
 
     # -- validation helpers -------------------------------------------------------
-    def solve_all(self) -> None:
-        """Force a from-scratch re-solve of the whole system.
-
-        Used by tests to compare the selective path against the reference
-        progressive-filling result.
-        """
-        self._modified.update(c for c in self.constraints if c.elements)
-        self._detached_dirty.update(v for v in self._vars.values()
-                                    if not v.elements)
-        self.solve()
-
     def check_feasible(self, tol: float = 1e-6) -> bool:
         """Return True when the solved values violate no constraint.
 

@@ -100,11 +100,6 @@ class LinkResource(Resource):
         self.bandwidth = float(bandwidth)
         self.latency = float(latency)
 
-    @property
-    def current_bandwidth(self) -> float:
-        """Bandwidth after availability scaling (0 when failed)."""
-        return self.current_capacity
-
 
 class NetworkAction(Action):
     """One data transfer over a fixed sequence of links."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 __all__ = ["Trace", "TraceEvent", "TraceKind", "TraceIterator"]
 
@@ -99,23 +99,20 @@ class Trace:
         """
         events: List[Tuple[float, float]] = []
         period: Optional[float] = None
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+        for number, raw in enumerate(text.splitlines(), 1):
+            parts = raw.split("#", 1)[0].split()
+            if not parts:
                 continue
-            parts = line.split()
-            if parts[0].upper() in ("PERIODICITY", "LOOPAFTER"):
-                period = float(parts[1])
-                continue
-            if len(parts) != 2:
-                raise ValueError(f"trace {name!r}: cannot parse line {raw!r}")
-            events.append((float(parts[0]), float(parts[1])))
+            try:
+                first, second = parts
+                if first.upper() in ("PERIODICITY", "LOOPAFTER"):
+                    period = float(second)
+                else:
+                    events.append((float(first), float(second)))
+            except ValueError:
+                raise ValueError(f"trace {name!r}: cannot parse line "
+                                 f"{number} {raw!r}") from None
         return cls(events, period=period, name=name)
-
-    @classmethod
-    def constant(cls, value: float, name: str = "") -> "Trace":
-        """A trace holding ``value`` forever."""
-        return cls([(0.0, value)], name=name)
 
     # -- validation --------------------------------------------------------------
     def validate_availability(self) -> "Trace":
@@ -137,37 +134,9 @@ class Trace:
                     f"event #{position} (t={evt.time}) is outside [0, 1]")
         return self
 
-    # -- querying ---------------------------------------------------------------
-    def value_at(self, time: float) -> Optional[float]:
-        """Value in force at ``time`` (last event at or before ``time``).
-
-        Returns ``None`` if no event occurred yet at that date.
-        """
-        if time < 0:
-            raise ValueError("time must be >= 0")
-        if not self.events:
-            return None
-        base = time
-        if self.period is not None and time >= self.period:
-            base = math.fmod(time, self.period)
-        current: Optional[float] = None
-        for evt in self.events:
-            if evt.time <= base + 1e-12:
-                current = evt.value
-            else:
-                break
-        if current is None and self.period is not None and time >= self.period:
-            # wrapped before the first event of the cycle: the last event of
-            # the previous cycle is still in force
-            current = self.events[-1].value
-        return current
-
     def iter_from(self, start: float = 0.0) -> "TraceIterator":
         """Iterator over absolute-dated events starting at ``start``."""
         return TraceIterator(self, start)
-
-    def __len__(self) -> int:
-        return len(self.events)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Trace(name={self.name!r}, nevents={len(self.events)}, "
@@ -175,10 +144,11 @@ class Trace:
 
 
 class TraceIterator:
-    """Stateful iterator yielding ``(absolute_time, value)`` pairs.
+    """Stateful cursor: :meth:`next_event` returns the next
+    ``(absolute_time, value)`` pair.
 
-    For a periodic trace the iterator is infinite; for a finite trace it
-    stops after the last event.
+    For a periodic trace the cursor never runs out; for a finite trace it
+    returns ``None`` after the last event.
     """
 
     def __init__(self, trace: Trace, start: float = 0.0) -> None:
@@ -220,22 +190,9 @@ class TraceIterator:
             self._index = 0
             self._cycle_offset += trace.period
 
-    def peek(self) -> Optional[Tuple[float, float]]:
-        """Next event without consuming it (``None`` when exhausted)."""
-        return self._peek()
-
     def next_event(self) -> Optional[Tuple[float, float]]:
         """Consume and return the next event (``None`` when exhausted)."""
         nxt = self._peek()
         if nxt is not None:
             self._advance()
-        return nxt
-
-    def __iter__(self) -> Iterator[Tuple[float, float]]:
-        return self
-
-    def __next__(self) -> Tuple[float, float]:
-        nxt = self.next_event()
-        if nxt is None:
-            raise StopIteration
         return nxt

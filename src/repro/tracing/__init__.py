@@ -10,7 +10,6 @@ intervals into a printable/exportable chart.
 
 from repro.tracing.recorder import Interval, Recorder
 from repro.tracing.gantt import GanttChart
-from repro.tracing.export import intervals_to_csv, render_ascii_gantt
+from repro.tracing.export import render_ascii_gantt
 
-__all__ = ["Interval", "Recorder", "GanttChart", "intervals_to_csv",
-           "render_ascii_gantt"]
+__all__ = ["Interval", "Recorder", "GanttChart", "render_ascii_gantt"]

@@ -1,31 +1,18 @@
-"""Exporting traces: CSV rows and ASCII-art Gantt charts."""
+"""Exporting traces: ASCII-art Gantt charts."""
 
 from __future__ import annotations
 
-import io
 from typing import List
 
 from repro.tracing.gantt import COMM_CATEGORIES, COMPUTE_CATEGORIES, GanttChart
-from repro.tracing.recorder import Interval, Recorder
+from repro.tracing.recorder import Interval
 
-__all__ = ["intervals_to_csv", "render_ascii_gantt"]
+__all__ = ["render_ascii_gantt"]
 
 #: Cell characters of the ASCII Gantt chart.
 COMPUTE_CHAR = "#"
 COMM_CHAR = "-"
 IDLE_CHAR = "."
-
-
-def intervals_to_csv(recorder: Recorder) -> str:
-    """Serialise recorded intervals as CSV text (row,category,start,end,label)."""
-    out = io.StringIO()
-    out.write("row,category,start,end,label\n")
-    for interval in sorted(recorder.intervals,
-                           key=lambda i: (i.row, i.start, i.end)):
-        label = interval.label.replace(",", ";")
-        out.write(f"{interval.row},{interval.category},"
-                  f"{interval.start:.9g},{interval.end:.9g},{label}\n")
-    return out.getvalue()
 
 
 def render_ascii_gantt(chart: GanttChart, width: int = 72) -> str:

@@ -70,12 +70,6 @@ class GanttChart:
         """End date of the chart (the simulation makespan)."""
         return self.recorder.makespan()
 
-    def row(self, name: str) -> GanttRow:
-        for row in self.rows:
-            if row.name == name:
-                return row
-        raise KeyError(name)
-
     def summary(self) -> Dict[str, Dict[str, float]]:
         """Per-row totals: compute, communication and idle time."""
         horizon = self.horizon

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import List
 
 __all__ = ["Interval", "Recorder"]
 
@@ -28,7 +28,7 @@ class Interval:
 
 
 class Recorder:
-    """Collects intervals and point events during a simulation.
+    """Collects intervals during a simulation.
 
     Attach an instance to an :class:`~repro.s4u.engine.Engine`
     (``Engine(platform, recorder=recorder)``) and it will receive one
@@ -37,7 +37,6 @@ class Recorder:
 
     def __init__(self) -> None:
         self.intervals: List[Interval] = []
-        self.events: List[Dict] = []
 
     # -- recording -------------------------------------------------------------------
     def record_interval(self, row: str, category: str, start: float,
@@ -47,10 +46,6 @@ class Recorder:
                             label=label)
         self.intervals.append(interval)
         return interval
-
-    def record_event(self, row: str, category: str, time: float) -> None:
-        """Record a zero-duration point event."""
-        self.events.append({"row": row, "category": category, "time": time})
 
     # -- querying ---------------------------------------------------------------------
     def rows(self) -> List[str]:
@@ -62,22 +57,8 @@ class Recorder:
         return sorted((i for i in self.intervals if i.row == row),
                       key=lambda i: (i.start, i.end))
 
-    def total_time(self, row: str, category: Optional[str] = None) -> float:
-        """Total busy time of a row (optionally restricted to a category)."""
-        return sum(i.duration for i in self.intervals
-                   if i.row == row and (category is None
-                                        or i.category == category))
-
     def makespan(self) -> float:
         """Date of the last recorded interval end (0 when empty)."""
         if not self.intervals:
             return 0.0
         return max(i.end for i in self.intervals)
-
-    def clear(self) -> None:
-        """Drop everything recorded so far."""
-        self.intervals.clear()
-        self.events.clear()
-
-    def __len__(self) -> int:
-        return len(self.intervals)

@@ -29,6 +29,7 @@ collected by tier-1: ``pytest.ini`` collects ``test_*.py`` and
 """
 
 import ast
+import contextlib
 import os
 import pathlib
 import sys
@@ -99,15 +100,12 @@ def never_entered(entered):
     return missing, exempt
 
 
-def run_tier1():
-    """Run tier-1 under the profile hook; return (exit code, entered)."""
+def run_tier1(args=("-x", "-q")):
+    """Run ``pytest args`` (tier-1 by default) under the profile hook;
+    return (exit code, entered)."""
     import pytest
 
     codes = set()
-
-    def hook(frame, event, arg):
-        if event == "call":
-            codes.add(frame.f_code)
 
     class Reinstall:
         """Put the hook back before each test: a profiler (cProfile, a
@@ -122,17 +120,34 @@ def run_tier1():
     # conftest.py hang watchdog.
     os.environ.setdefault("REPRO_TEST_TIMEOUT", "150")
     os.chdir(ROOT)
+    with profiled(codes) as hook:
+        status = pytest.main([*args, "-p", "no:cacheprovider"],
+                             plugins=[Reinstall()])
+    return int(status), entered_of(codes)
+
+
+@contextlib.contextmanager
+def profiled(codes):
+    """Add every code object entered on any thread inside the block to
+    ``codes``; the block gets the hook."""
+    def hook(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
     threading.setprofile(hook)
     sys.setprofile(hook)
     try:
-        status = pytest.main(["-x", "-q", "-p", "no:cacheprovider"],
-                             plugins=[Reinstall()])
+        yield hook
     finally:
         sys.setprofile(None)
         threading.setprofile(None)
-    entered = {(os.path.realpath(code.co_filename), code.co_firstlineno,
-                code.co_name) for code in codes}
-    return int(status), entered
+
+
+def entered_of(codes):
+    """``codes`` as the ``(realpath, co_firstlineno, co_name)`` set that
+    :func:`never_entered` takes."""
+    return {(os.path.realpath(code.co_filename), code.co_firstlineno,
+             code.co_name) for code in codes}
 
 
 def main():

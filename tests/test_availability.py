@@ -267,7 +267,8 @@ class TestSelectiveResolve:
         assert after["constraints_solved"] - before["constraints_solved"] == 1
         assert after["variables_solved"] - before["variables_solved"] == 1
 
-        surf.run_until_idle()
+        while surf.step() is not None:
+            pass
         assert surf.clock == pytest.approx(19.0)    # a: 1 + 9e9/5e8
 
 

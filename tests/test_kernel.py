@@ -207,9 +207,7 @@ class TestOneSimcallThroughEitherContext:
         assert first is sleep
         assert (first.handler, first.args) == (_handler, (2.0,))
         assert ctx.resume("woke") is other and other.args == ()
-        assert not ctx.finished
         assert ctx.resume(None) is FINISHED
-        assert ctx.finished
         assert ctx.resume() is FINISHED
         assert answers == ["woke", None, "x"]
 
@@ -240,7 +238,6 @@ class TestOneSimcallThroughEitherContext:
         ctx = _context(kind, steps)
         ctx.resume()
         ctx.kill()
-        assert ctx.finished
         assert cleaned == [True]
         assert ctx.resume() is FINISHED
 
@@ -253,7 +250,7 @@ class TestOneSimcallThroughEitherContext:
 
         ctx = _context(kind, steps)
         ctx.kill()
-        assert ctx.finished and ran == []
+        assert ctx.resume() is FINISHED and ran == []
 
     def test_body_exception_propagates_to_the_kernel(self, kind):
         def steps(submit):
@@ -319,7 +316,7 @@ class TestThreadContext:
             body, (holder,), {})
         ctx.resume()
         ctx.kill()
-        assert ctx.finished and seen == ["refused"]
+        assert ctx.resume() is FINISHED and seen == ["refused"]
 
 
 class TestThreadHandoff:

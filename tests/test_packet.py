@@ -99,7 +99,7 @@ class TestPacketLink:
 
     def test_drops_when_full(self):
         """One packet on the wire, ``queue_capacity`` waiting: the next
-        arrival is dropped, and link_statistics() reports it."""
+        arrival is dropped, and the link counts it."""
         sim = PacketSimulator(single_link_platform(), queue_capacity=2)
         link = sim.add_flow(FlowSpec("src", "dst", 1e6)).forward_path[0]
         far = FarEnd(sim.events)
@@ -107,8 +107,8 @@ class TestPacketLink:
             link.transmit(Packet(far, seq, 100.0, [link]))
         sim.events.run()
         assert [seq for seq, _ in far.arrivals] == [0, 1, 2]
-        assert sim.link_statistics()["wire:fwd"] == {
-            "bytes": 300.0, "packets": 3.0, "drops": 1.0}
+        assert (link.bytes_sent, link.packets_sent, link.dropped) == (
+            300.0, 3, 1)
 
     def test_queue_capacity_validated(self):
         with pytest.raises(ValueError):
@@ -129,13 +129,13 @@ class TestSingleFlow:
     def test_flow_statistics_recorded(self):
         platform = single_link_platform()
         sim = PacketSimulator(platform)
-        results = sim.run([FlowSpec("src", "dst", 1e6)])
+        flow = sim.add_flow(FlowSpec("src", "dst", 1e6))
+        results = sim.run()
         result = results[0]
         assert result.size == 1e6
         assert result.finish_time > result.start_time
-        stats = sim.link_statistics()
-        assert stats["wire:fwd"]["bytes"] >= 1e6
-        assert stats["wire:rev"]["packets"] > 0     # the ACK stream
+        assert flow.forward_path[0].bytes_sent >= 1e6
+        assert flow.reverse_path[0].packets_sent > 0     # the ACK stream
 
     def test_empty_run(self):
         sim = PacketSimulator(single_link_platform())
@@ -172,11 +172,12 @@ class TestSharing:
         platform = make_dumbbell(num_left=2, num_right=2,
                                  bottleneck_bandwidth=2.5e6)
         sim = PacketSimulator(platform, queue_capacity=10)
-        results = sim.run([FlowSpec("left-0", "right-0", 5e6),
-                           FlowSpec("left-1", "right-1", 5e6)])
+        flows = [sim.add_flow(FlowSpec("left-0", "right-0", 5e6)),
+                 sim.add_flow(FlowSpec("left-1", "right-1", 5e6))]
+        results = sim.run()
         total_retx = sum(r.retransmissions for r in results)
-        drops = sum(stats["drops"]
-                    for stats in sim.link_statistics().values())
+        drops = sum(link.dropped for link in
+                    {link for flow in flows for link in flow.forward_path})
         assert drops > 0
         assert total_retx > 0
         # despite the losses, both transfers complete

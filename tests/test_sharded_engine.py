@@ -9,16 +9,13 @@ victims sit on cross-zone routes, and while a cross-zone flow migrates a
 closure whose actions have live heap entries.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import s4u
 from zoned_scenarios import (
     run_burst_workload,
     run_churn_workload,
     run_exchange_workload,
     run_modulated_workload,
-    zoned_platform,
 )
 
 
@@ -83,27 +80,6 @@ class TestBurstsWhileClosuresMigrate:
         # The bursts are real: several events share one date.
         dates = [entry[0] for entry in flat_log]
         assert len(set(dates)) < len(dates)
-
-
-class TestHostLoad:
-    @pytest.mark.parametrize("sharded", [False, True])
-    def test_load_counts_running_execs_of_a_host_inside_a_zone(self, sharded):
-        engine = s4u.Engine(zoned_platform(), sharded=sharded)
-        loads = []
-
-        def body(actor):
-            first = yield actor.exec_async(1e9)
-            second = yield actor.exec_async(2e9)
-            loads.append(actor.host.load)
-            yield first.wait()
-            loads.append(actor.host.load)
-            yield second.wait()
-            loads.append(actor.host.load)
-
-        engine.add_actor("busy", "site-1-host-1", body)
-        engine.run()
-        assert loads == [2, 1, 0]
-        assert engine.host("site-1-host-2").load == 0
 
 
 class TestShardStats:

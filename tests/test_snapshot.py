@@ -397,6 +397,11 @@ def _surf_with_actions():
     return surf
 
 
+def _failed(result):
+    """How many actions a resource going down failed during the step."""
+    return sum(len(failed) for _, _, failed in result.state_changes)
+
+
 def _drain(surf):
     """Step to idle; returns the (time, #completed, #failed) trajectory."""
     trajectory = []
@@ -405,7 +410,7 @@ def _drain(surf):
         if result is None:
             break
         trajectory.append((result.time, len(result.completed),
-                           len(result.failed)))
+                           _failed(result)))
     return trajectory
 
 
@@ -439,7 +444,7 @@ def _drain_actions(surf):
     while surf.has_running_actions():
         result = surf.step()
         trajectory.append((result.time, len(result.completed),
-                           len(result.failed)))
+                           _failed(result)))
     return trajectory
 
 

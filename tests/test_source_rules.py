@@ -132,6 +132,24 @@ RETIRED_NAMES = (
     # (tests/test_gras_datadesc.py, tests/test_wire_codecs.py).
     r"def wire_size\(self, value", r"NotImplementedError", r"_STRUCT_CODES",
     r"HEADER_OVERHEAD", r"gras_processes", r"is_server",
+    # Only what a user reaches (tests/user_reach.py): the JSON platform
+    # format (the SimGrid XML reader is the one platform file format),
+    # the Barabasi-Albert and hierarchical BRITE modes (E1 is Waxman),
+    # Full routing (no platform file can select it) and readers that
+    # only their own unit tests called.  Platform.route_latency ignored
+    # the network model's latency_factor; the route latency is SURF's.
+    r"platform_to_dict", r"platform_from_dict", r"save_platform",
+    r"def zone_of\b", r"iter_subtree", r"set_gateway",
+    r"make_barabasi_albert", r"make_hierarchical_topology",
+    r"HIERARCHICAL_SEED", r"FullRouting", r"\"Full\"", r"class _Strategy",
+    r"value_at", r"def constant\b", r"def peek\b", r"def progress\b",
+    r"def set_priority\b", r"@remaining\.setter", r"def resource_of\b",
+    r"def _dirty\b", r"def route_latency\b", r"def link_names\b",
+    r"def run_until_idle\b", r"current_bandwidth", r"link_statistics",
+    r"intervals_to_csv", r"record_event", r"def total_time\(self, row",
+    r"def row\(self", r"def finished\b", r"waiting_send_count",
+    r"def is_started\b", r"def is_suspended\(\)", r"def load\(self\)",
+    r"def activities\b", r"def solve_all\b",
 )
 
 
@@ -208,18 +226,18 @@ UNSET_BY_DESIGN = {
     "platform/platform.py::HostSpec(index)":
         "(a) declaration index, assigned by add_host and pickled in "
         "every snapshot",
+    "platform/platform.py::HostSpec(properties)":
+        "(a) a host's property map, which only the JSON platform format "
+        "set; pickled in every snapshot",
     "platform/platform.py::LinkSpec(index)":
         "(a) declaration index, assigned by add_link and pickled in "
         "every snapshot",
     "platform/platform.py::Platform.__init__(route_cache_size)":
         "(a) sizes the route caches that perfbench's route counters pin",
     "surf/action.py::Action.__init__(priority)":
-        "(a) the LMM sharing weight of a kernel action (set_priority "
-        "changes it later)",
+        "(a) the LMM sharing weight of a kernel action, pickled with it",
     "surf/lmm.py::MaxMinSystem.check_feasible(tol)":
         "(a) the tolerance of the LMM solver's feasibility check",
-    "surf/trace.py::Trace.constant(name)":
-        "(a) a SURF trace's name, which travels in the snapshot blob",
     # (b) MPI call signatures
     "smpi/comm.py::Communicator.isend(count)":
         "(b) MPI_Isend's count argument",

@@ -1,11 +1,11 @@
-"""Tests for the tracing layer: recorder, Gantt chart, exports."""
+"""Tests for the tracing layer: recorder, Gantt chart, ASCII export."""
 
 import pytest
 
 from repro import Recorder, GanttChart
 from repro.platform import Platform
 from repro.s4u import Engine
-from repro.tracing import intervals_to_csv, render_ascii_gantt
+from repro.tracing import render_ascii_gantt
 from repro.tracing.recorder import Interval
 
 
@@ -16,22 +16,15 @@ class TestRecorder:
         recorder.record_interval("h1", "comm-send", 2.0, 3.0, "msg")
         recorder.record_interval("h2", "compute", 1.0, 4.0, "job2")
         assert recorder.rows() == ["h1", "h2"]
-        assert len(recorder.by_row("h1")) == 2
-        assert recorder.total_time("h1") == pytest.approx(3.0)
-        assert recorder.total_time("h1", "compute") == pytest.approx(2.0)
+        assert [i.label for i in recorder.by_row("h1")] == ["job", "msg"]
         assert recorder.makespan() == pytest.approx(4.0)
 
     def test_invalid_interval_rejected(self):
         with pytest.raises(ValueError):
             Interval(row="h", category="c", start=2.0, end=1.0)
 
-    def test_clear(self):
-        recorder = Recorder()
-        recorder.record_interval("h", "compute", 0, 1)
-        recorder.record_event("h", "mark", 0.5)
-        recorder.clear()
-        assert len(recorder) == 0
-        assert recorder.makespan() == 0.0
+    def test_empty_recorder_has_no_makespan(self):
+        assert Recorder().makespan() == 0.0
 
 
 class TestGanttChart:
@@ -71,13 +64,6 @@ class TestGanttChart:
         for totals in summary.values():
             assert totals["idle"] >= 0
 
-    def test_row_lookup_and_missing_row(self):
-        recorder = self._simulate()
-        chart = GanttChart(recorder)
-        assert chart.row("client").name == "client"
-        with pytest.raises(KeyError):
-            chart.row("ghost")
-
     def test_overlapping_comms_counted(self):
         recorder = Recorder()
         recorder.record_interval("a", "comm-send", 0.0, 2.0)
@@ -93,16 +79,6 @@ class TestGanttChart:
 
 
 class TestExports:
-    def test_csv_export_contains_all_intervals(self):
-        recorder = Recorder()
-        recorder.record_interval("h1", "compute", 0.0, 1.5, "phase,one")
-        recorder.record_interval("h2", "comm-send", 0.5, 2.0, "msg")
-        csv_text = intervals_to_csv(recorder)
-        lines = csv_text.strip().splitlines()
-        assert lines[0] == "row,category,start,end,label"
-        assert len(lines) == 3
-        assert "phase;one" in csv_text          # commas escaped
-
     def test_ascii_gantt_renders_rows_and_marks(self):
         recorder = Recorder()
         recorder.record_interval("alpha", "compute", 0.0, 5.0)
