@@ -116,6 +116,14 @@ class TestRouting:
         with pytest.raises(PlatformError):
             platform.route_links("a", "ghost")
 
+    def test_zero_byte_message_costs_the_route_latency(self):
+        """The latency of a route is the sum of its links' latencies."""
+        platform = small_platform()
+        engine = platform.realize()
+        engine.network_model.communicate(platform.route_resources("a", "b"),
+                                         0.0)
+        assert engine.step().time == pytest.approx(0.003)
+
 
 class TestRealization:
     def test_realize_materializes_on_first_touch(self):
@@ -198,8 +206,34 @@ class TestXmlLoading:
          "<host 'h'>: core 'two' is not a whole number"),
         ('<platform><host id="h" speed="1Gf">',
          "malformed platform XML"),
+        ('<platform><link bandwidth="1MBps"/></platform>',
+         "<link> has no 'id' attribute"),
+        ('<platform><router/></platform>',
+         "<router> has no 'id' attribute"),
+        ('<platform><host id="a"/><host id="b"/>'
+         '<link id="l" bandwidth="1MBps"/>'
+         '<route src="a" dst="b"><link_ctn/></route></platform>',
+         "<link_ctn> has no 'id' attribute"),
+        ('<platform><host id="a"/><link id="l" bandwidth="1MBps"/>'
+         '<route src="a"><link_ctn id="l"/></route></platform>',
+         "<route> has no 'dst' attribute"),
+        ('<platform><host id="h" speed="fast"/></platform>',
+         "<host 'h'>: cannot parse quantity 'fast'"),
+        ('<platform><link id="l" bandwidth="10Qbps"/></platform>',
+         "<link 'l'>: unknown unit 'Qbps'"),
+        ('<platform><link id="l" bandwidth="1MBps" latency="soon"/>'
+         '</platform>',
+         "<link 'l'>: cannot parse quantity 'soon'"),
+        ('<zone id="z"><host id="h"/></zone>',
+         "XML root element must be <platform>"),
+        ('<platform><host id="a"/><host id="b"/>'
+         '<route src="a" dst="b"><link_ctn id="ghost"/></route></platform>',
+         "unknown link 'ghost'"),
     ], ids=["link-without-bandwidth", "host-without-id", "core-not-a-number",
-            "unclosed"])
+            "unclosed", "link-without-id", "router-without-id",
+            "link-ctn-without-id", "route-without-dst", "speed-not-a-quantity",
+            "unknown-bandwidth-unit", "latency-not-a-quantity", "wrong-root",
+            "route-through-unknown-link"])
     def test_malformed_xml_rejected_naming_the_element(self, tmp_path, xml,
                                                         message):
         path = os.path.join(tmp_path, "bad.xml")
@@ -208,6 +242,61 @@ class TestXmlLoading:
         with pytest.raises(PlatformError) as err:
             load_platform(path)
         assert message in str(err.value)
+
+    @staticmethod
+    def _load(tmp_path, xml):
+        path = os.path.join(tmp_path, "p.xml")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(xml)
+        return load_platform(path)
+
+    def test_loaded_platform_times_a_transfer(self, tmp_path):
+        """A 1 MB message over a 100 MBps, 50 us link ends at 50 us + 10 ms."""
+        platform = self._load(tmp_path, """<platform version="4">
+          <host id="alpha" speed="1Gf"/>
+          <host id="beta" speed="1Gf"/>
+          <link id="lnk" bandwidth="100MBps" latency="50us"/>
+          <route src="alpha" dst="beta"><link_ctn id="lnk"/></route>
+        </platform>""")
+        engine = platform.realize()
+        flow = engine.network_model.communicate(
+            platform.route_resources("alpha", "beta"), 1e6)
+        assert engine.step().time == pytest.approx(50e-6)   # latency phase
+        result = engine.step()
+        assert flow in result.completed
+        assert result.time == pytest.approx(50e-6 + 1e6 / 100e6)
+
+    def test_fatpipe_sharing_policy_is_not_shared(self, tmp_path):
+        platform = self._load(tmp_path, """<platform>
+          <link id="shared" bandwidth="1MBps"/>
+          <link id="backbone" bandwidth="1MBps" sharing_policy="FATPIPE"/>
+        </platform>""")
+        assert platform.links["shared"].shared
+        assert not platform.links["backbone"].shared
+
+    def test_hosts_inside_zone_and_as_elements_are_loaded(self, tmp_path):
+        platform = self._load(tmp_path, """<platform version="4">
+          <zone id="site" routing="Full">
+            <host id="h0" speed="1Gf"/>
+            <host id="h1" power="2Gf"/>
+            <link id="l" bandwidth="1MBps"/>
+            <route src="h0" dst="h1"><link_ctn id="l"/></route>
+          </zone>
+          <AS id="legacy" routing="Full"><host id="h2"/></AS>
+        </platform>""")
+        assert platform.host_names() == ["h0", "h1", "h2"]
+        assert platform.hosts["h1"].speed == pytest.approx(2e9)
+        assert platform.route_links("h1", "h0") == ["l"]
+
+    def test_asymmetric_route_has_no_reverse(self, tmp_path):
+        platform = self._load(tmp_path, """<platform>
+          <host id="a"/><host id="b"/>
+          <link id="l" bandwidth="1MBps"/>
+          <route src="a" dst="b" symmetrical="NO"><link_ctn id="l"/></route>
+        </platform>""")
+        assert platform.route_links("a", "b") == ["l"]
+        with pytest.raises(NoRouteError):
+            platform.route_links("b", "a")
 
 
 class TestQuantityParsing:
@@ -219,9 +308,19 @@ class TestQuantityParsing:
         ("50us", 50e-6),
         ("10ms", 0.01),
         ("3", 3.0),
+        ("1kBps", 1e3),
+        ("1GiBps", 1024.0 ** 3),
+        ("8Mbps", 1e6),
+        ("3ns", 3e-9),
+        ("1TF", 1e12),
     ])
     def test_parse_quantity(self, text, expected):
         assert parse_quantity(text) == pytest.approx(expected)
+
+    @pytest.mark.parametrize("text", ["", "fast", "Gf", "10Qbps"])
+    def test_malformed_quantity_rejected_naming_it(self, text):
+        with pytest.raises(PlatformError, match=repr(text)):
+            parse_quantity(text)
 
     def test_unknown_unit_rejected(self):
         with pytest.raises(PlatformError):

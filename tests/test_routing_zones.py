@@ -103,6 +103,35 @@ class TestZoneVsFlatIdentity:
         assert set(platform.root_zone.nodes) == set(all_nodes(platform))
 
 
+def zero_byte_dates(platform, pairs):
+    """Date a zero-byte message sent at 0 on each route ends at."""
+    engine = platform.realize()
+    flows = {engine.network_model.communicate(
+        platform.route_resources(src, dst), 0.0): (src, dst)
+        for src, dst in pairs}
+    dates = {}
+    while (result := engine.step()) is not None:
+        for flow in result.completed:
+            dates[flows[flow]] = result.time
+    return dates
+
+
+class TestZoneVsFlatLatency:
+    """A zero-byte message costs its route's latency, zoned or flat."""
+
+    @pytest.mark.parametrize("generator", FLAT_GENERATORS)
+    def test_zero_byte_dates_match_zoned_and_flat(self, generator):
+        flat = generator()
+        zoned = wrap_in_zone(flat)
+        pairs = list(itertools.permutations(flat.host_names()[:6], 2))
+        dates = zero_byte_dates(flat, pairs)
+        assert zero_byte_dates(zoned, pairs) == dates
+        for src, dst in pairs:
+            latency = sum(flat.links[name].latency
+                          for name in flat.route_links(src, dst))
+            assert dates[src, dst] == pytest.approx(latency), (src, dst)
+
+
 class TestStrategyEquivalence:
     """Dijkstra and Floyd resolve identical routes, on demand vs sealed."""
 

@@ -255,6 +255,21 @@ class TestSurfEngine:
         assert engine.clock == pytest.approx(5.0)
         assert not engine.has_running_actions()
 
+    def test_every_step_reports_its_completions(self):
+        engine = SurfEngine()
+        cpu = engine.cpu_model.add_cpu("h", speed=1e9)
+        fast = engine.cpu_model.execute(cpu, 1e9)
+        slow = engine.cpu_model.execute(cpu, 3e9)
+        link = engine.network_model.add_link("l", bandwidth=1e6, latency=0.0)
+        flow = engine.network_model.communicate([link], 2e6)
+        steps = []
+        while (result := engine.step()) is not None:
+            steps.append((result.time, set(result.completed)))
+        # Both executions share the CPU until ``fast`` ends at 2 s; ``slow``
+        # then has 2 Gflop left at full speed.
+        assert steps == [(pytest.approx(2.0), {fast, flow}),
+                         (pytest.approx(4.0), {slow})]
+
     def test_availability_trace_slows_computation(self):
         engine = SurfEngine()
         trace = Trace([(0.0, 1.0), (1.0, 0.5)], name="load")

@@ -68,7 +68,13 @@ class TestParsing:
         ("0 1 extra\n", "line 1 '0 1 extra'"),
         ("0 1\nPERIODICITY\n", "line 2 'PERIODICITY'"),
         ("# header\n0 x\n", "line 2 '0 x'"),
-    ], ids=["extra-field", "periodicity-without-value", "not-a-number"])
+        ("0 1\nLOOPAFTER\n", "line 2 'LOOPAFTER'"),
+        ("0 1\n\n5\n", "line 3 '5'"),
+        ("PERIODICITY ten\n0 1\n", "line 1 'PERIODICITY ten'"),
+        ("x 1\n", "line 1 'x 1'"),
+    ], ids=["extra-field", "periodicity-without-value", "not-a-number",
+            "loopafter-without-value", "date-without-value",
+            "periodicity-not-a-number", "date-not-a-number"])
     def test_parse_bad_line_raises(self, text, line):
         """The error names the trace and the line, whatever is wrong."""
         with pytest.raises(ValueError, match=f"'a.trace'.*{line}"):
@@ -215,6 +221,34 @@ class TestAvailabilityValidation:
                                        availability_trace=bad)
         with pytest.raises(TraceError, match="direct"):
             engine.register_resource_traces(cpu)
+
+
+def finish_date(trace, flops):
+    """Date a ``flops`` execution on a 1 Gflop/s CPU under ``trace`` ends."""
+    from repro.surf.engine import SurfEngine
+    engine = SurfEngine()
+    cpu = engine.cpu_model.add_cpu("h", speed=1e9, availability_trace=trace)
+    engine.register_resource_traces(cpu)
+    action = engine.cpu_model.execute(cpu, flops)
+    while True:     # a periodic trace keeps the engine busy forever
+        if action in engine.step().completed:
+            return engine.clock
+
+
+class TestTraceDrivesAvailability:
+    """A trace's value at a date is the CPU's availability at that date."""
+
+    def test_nominal_speed_before_the_first_event(self):
+        # 2 s at full speed (2 Gflop), then 1 Gflop at 0.5 Gflop/s.
+        assert finish_date(Trace([(2.0, 0.5)]), 3e9) == pytest.approx(4.0)
+
+    def test_last_value_holds_after_the_last_event(self):
+        assert finish_date(Trace([(0.0, 0.25)]), 1e9) == pytest.approx(4.0)
+
+    def test_periodic_trace_wraps(self):
+        # [0, 5) full: 5 Gflop; [5, 10) half: 2.5 Gflop; then full again.
+        trace = Trace([(0.0, 1.0), (5.0, 0.5)], period=10.0)
+        assert finish_date(trace, 10e9) == pytest.approx(12.5)
 
 
 class TestRegisterIdempotency:

@@ -26,6 +26,15 @@ class TestRecorder:
     def test_empty_recorder_has_no_makespan(self):
         assert Recorder().makespan() == 0.0
 
+    def test_rows_are_sorted_and_by_row_orders_by_start(self):
+        recorder = Recorder()
+        recorder.record_interval("zeta", "compute", 5.0, 6.0, "late")
+        recorder.record_interval("alpha", "compute", 0.0, 1.0)
+        recorder.record_interval("zeta", "comm-recv", 1.0, 2.0, "early")
+        assert recorder.rows() == ["alpha", "zeta"]
+        assert [i.label for i in recorder.by_row("zeta")] == ["early", "late"]
+        assert recorder.by_row("ghost") == []
+
 
 class TestGanttChart:
     def _simulate(self):
