@@ -7,9 +7,11 @@ a statement about scalability.  This harness measures how the simulator
 behaves as the number of simulated actors grows (a master/worker
 application from 16 to 512 workers) and verifies that the wall-clock cost
 grows roughly linearly — i.e. the generator-based context factory scales —
-and that simulated results stay exact at every scale.
+and that simulated results stay exact at every scale: the three makespans
+are pinned to the bit.
 """
 
+import hashlib
 import time
 
 import pytest
@@ -49,6 +51,14 @@ def master_worker(num_workers: int) -> float:
     return engine.run()
 
 
+def makespan_digest(simulated):
+    """sha256 over each worker count and its makespan as ``float.hex``."""
+    digest = hashlib.sha256()
+    for count, makespan in sorted(simulated.items()):
+        digest.update(repr((count, makespan.hex())).encode() + b"\n")
+    return digest.hexdigest()
+
+
 def test_e9_process_count_scalability():
     counts = (16, 64, 256)
     rows = []
@@ -70,6 +80,9 @@ def test_e9_process_count_scalability():
     for count in counts:
         assert simulated[count] == pytest.approx(simulated[counts[0]],
                                                  rel=0.5)
+    # the three makespans, to the bit
+    assert makespan_digest(simulated) == (
+        "8909252366ced8e89f60439c97a87ceee3a9ee16efddc74d906db0905fa1b385")
     # wall-clock grows sub-quadratically with the process count
     ratio = wall_clocks[counts[-1]] / max(wall_clocks[counts[0]], 1e-4)
     scale = counts[-1] / counts[0]
