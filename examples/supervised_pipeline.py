@@ -105,7 +105,7 @@ def run(seed=42, verbose=True):
         engine,
         [ChildSpec(f"worker-{i}", leaves[i], worker, i)
          for i in range(NUM_WORKERS)],
-        strategy="one_for_one", max_restarts=50, window=10.0,
+        max_restarts=50, window=10.0,
         name="pipeline-supervisor", host="center", daemon=True)
     supervisor.start()
     monitor = HeartbeatMonitor(engine, leaves, "center",

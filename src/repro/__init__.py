@@ -56,7 +56,6 @@ from repro.s4u import (
     Host,
     Link,
     Mailbox,
-    Sleep,
     this_actor,
 )
 
@@ -148,7 +147,6 @@ __all__ = [
     "Recorder",
     "SimGridError",
     "SimTimeoutError",
-    "Sleep",
     "SurfEngine",
     "Trace",
     "TransferFailureError",

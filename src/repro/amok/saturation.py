@@ -1,4 +1,4 @@
-"""Link saturation experiments.
+"""Link saturation experiments (AMOK's ``amok_bw_saturate_*``).
 
 AMOK's saturation module floods a path with traffic while another pair of
 processes measures the bandwidth they still obtain — that is how the
@@ -32,18 +32,6 @@ class SaturationResult:
     saturating_pair: Tuple[str, str]
     baseline_bandwidth: float
     saturated_bandwidth: float
-
-    @property
-    def interference_ratio(self) -> float:
-        """1.0 = no interference, 0.5 = the measured flow lost half its rate."""
-        if self.baseline_bandwidth <= 0:
-            return 1.0
-        return self.saturated_bandwidth / self.baseline_bandwidth
-
-    @property
-    def shares_bottleneck(self) -> bool:
-        """Heuristic: a >20% rate drop means the two pairs share a link."""
-        return self.interference_ratio < 0.8
 
 
 class SaturationExperiment:

@@ -28,17 +28,6 @@ class InferredTopology:
     intra_bandwidth: Dict[int, float]
     inter_bandwidth: Dict[Tuple[int, int], float]
 
-    def cluster_of(self, host: str) -> int:
-        """Index of the cluster containing ``host``."""
-        for idx, members in enumerate(self.clusters):
-            if host in members:
-                return idx
-        raise KeyError(host)
-
-    @property
-    def num_clusters(self) -> int:
-        return len(self.clusters)
-
 
 class TopologyInference:
     """Cluster hosts by bandwidth locality.

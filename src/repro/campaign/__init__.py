@@ -13,8 +13,7 @@ workflow, built on two pieces:
 * **the runner** (:func:`run_campaign`) — fans a grid of ``(seed,
   config)`` experiments, each in its own forked process (at most
   ``workers`` at once, a dead or hung run retried once, nothing leaked),
-  and aggregates the per-run metric dicts into distribution summaries
-  (min/median/p95...) written as BENCH-style JSON.
+  and returns the per-run metric dicts in grid order.
 
 Quickstart::
 
@@ -36,12 +35,10 @@ Quickstart::
 
     result = run_campaign(experiment, grid(range(32), [{"mtbf": 0.01}]),
                           snapshot=blob, workers=4)
-    print(result.summary()["simulated_time_s"])   # min/median/p95/max/mean
-    result.write_json("campaign.json")
+    times = [m["simulated_time_s"] for m in result.metrics()]
 
 Without ``snapshot=`` the runner calls ``run_fn(seed, config)`` and each
-run builds its own world — the cold-replay baseline the fork mode is
-benchmarked against (``campaign_fanout`` in ``benchmarks/``).
+run builds its own world: the cold replay that the fork mode saves.
 """
 
 from repro.campaign.runner import (
@@ -51,7 +48,6 @@ from repro.campaign.runner import (
     default_campaign_workers,
     grid,
     run_campaign,
-    summarize,
 )
 
 __all__ = [
@@ -61,5 +57,4 @@ __all__ = [
     "default_campaign_workers",
     "grid",
     "run_campaign",
-    "summarize",
 ]

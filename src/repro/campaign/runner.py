@@ -20,16 +20,12 @@ blob and ``run_fn`` reach each run process by fork inheritance, never by
 pickle, so ``run_fn`` may be a closure and the blob is shared
 copy-on-write.
 
-Results are plain per-run metric dicts (numbers, or nested dicts of
-numbers — ``solver_stats()`` / ``kernel_stats()`` drop in directly);
-:func:`summarize` flattens them and reduces each metric across runs to
-``{min, median, p95, max, mean, n}``.
+Results are the per-run metric dicts ``run_fn`` returned, in grid order
+(:meth:`CampaignResult.metrics`).
 """
 
 from __future__ import annotations
 
-import json
-import math
 import os
 import time
 import traceback
@@ -48,7 +44,6 @@ __all__ = [
     "default_campaign_workers",
     "grid",
     "run_campaign",
-    "summarize",
 ]
 
 
@@ -114,57 +109,6 @@ def default_campaign_workers() -> int:
     except ValueError:
         return 0
     return max(0, workers)
-
-
-# ------------------------------------------------------------------------------
-# aggregation
-# ------------------------------------------------------------------------------
-def _flatten(metrics: Mapping[str, Any], prefix: str,
-             out: Dict[str, float]) -> None:
-    for key in metrics:
-        value = metrics[key]
-        name = f"{prefix}{key}"
-        if isinstance(value, Mapping):
-            _flatten(value, name + ".", out)
-        elif isinstance(value, bool):
-            out[name] = float(value)
-        elif isinstance(value, (int, float)):
-            out[name] = float(value)
-        # non-numeric leaves (labels, lists...) are identity, not metrics
-
-
-def _percentile(sorted_values: List[float], q: float) -> float:
-    """Nearest-rank percentile (no interpolation) of an ascending list."""
-    rank = max(1, math.ceil(q * len(sorted_values)))
-    return sorted_values[rank - 1]
-
-
-def summarize(metric_dicts: Sequence[Mapping[str, Any]]
-              ) -> Dict[str, Dict[str, float]]:
-    """Reduce per-run metric dicts to per-metric distribution summaries.
-
-    Nested dicts flatten with dotted keys (``kernel.updates``); each
-    metric present in at least one run maps to ``{min, median, p95, max,
-    mean, n}`` where ``n`` counts the runs reporting it.
-    """
-    series: Dict[str, List[float]] = {}
-    for metrics in metric_dicts:
-        flat: Dict[str, float] = {}
-        _flatten(metrics, "", flat)
-        for name, value in flat.items():
-            series.setdefault(name, []).append(value)
-    summary: Dict[str, Dict[str, float]] = {}
-    for name in sorted(series):
-        values = sorted(series[name])
-        summary[name] = {
-            "min": values[0],
-            "median": _percentile(values, 0.5),
-            "p95": _percentile(values, 0.95),
-            "max": values[-1],
-            "mean": sum(values) / len(values),
-            "n": len(values),
-        }
-    return summary
 
 
 # ------------------------------------------------------------------------------
@@ -395,32 +339,6 @@ class CampaignResult:
     def metrics(self) -> List[Mapping[str, Any]]:
         """The raw per-run metric dicts, in grid order."""
         return [run["metrics"] for run in self.runs]
-
-    def summary(self) -> Dict[str, Dict[str, float]]:
-        """Per-metric distribution summaries (see :func:`summarize`)."""
-        return summarize(self.metrics())
-
-    def to_report(self, scenario: str = "campaign") -> Dict[str, Any]:
-        """BENCH-style JSON document: identity, summaries, per-run rows."""
-        return {
-            "schema": "repro-campaign/1",
-            "scenario": scenario,
-            "runs": len(self.runs),
-            "workers": self.workers,
-            "forked": self.forked,
-            "fallbacks": self.fallbacks,
-            "timeouts": self.timeouts,
-            "retries": self.retries,
-            "metrics": self.summary(),
-            "per_run": self.runs,
-        }
-
-    def write_json(self, path: str, scenario: str = "campaign") -> None:
-        """Write :meth:`to_report` to ``path`` (pretty-printed, trailing \\n)."""
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_report(scenario), handle, indent=2,
-                      sort_keys=False)
-            handle.write("\n")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"CampaignResult(runs={len(self.runs)}, workers={self.workers},"

@@ -13,9 +13,10 @@ of per-frontend copies:
   suspect/alive callbacks consistent with the ground-truth
   ``on_host_state_change`` events;
 * :class:`~repro.ft.supervisor.Supervisor` /
-  :class:`~repro.ft.supervisor.ChildSpec` — supervision trees with
-  one-for-one / all-for-one restart strategies and bounded restart
-  intensity, built purely on ``on_exit`` + ``add_actor``.
+  :class:`~repro.ft.supervisor.ChildSpec` — one-for-one restart of a
+  worker fleet (permanent / transient / temporary children, host-down
+  parking) with a bounded restart intensity that escalates, built
+  purely on ``on_exit`` + ``add_actor``.
 
 Everything is deterministic under a fixed seed and follows the PR-8
 snapshot rules: no lambdas in timer callbacks, no ``id()``-keyed state,

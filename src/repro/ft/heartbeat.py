@@ -147,9 +147,6 @@ class HeartbeatMonitor:
                               _hb_monitor, self, daemon=True)
         return self
 
-    def is_suspected(self, host_name: str) -> bool:
-        return host_name in self.suspected
-
     # -- monitor-side bookkeeping (called from the monitor actor) ------------------
     def _arm(self, now: float) -> None:
         for host in self.hosts:

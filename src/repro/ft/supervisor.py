@@ -1,27 +1,22 @@
-"""Supervision trees: declarative restart of actor fleets.
+"""Supervision: declarative restart of an actor fleet.
 
 A :class:`Supervisor` owns a set of children described by
-:class:`ChildSpec` entries and restarts them when they die, Erlang/OTP
-style, built purely on the public surface — ``Actor.on_exit`` for death
-notification, ``engine.add_actor`` for the respawn, the host-state
-observer for parking children whose host is down.  Two strategies:
+:class:`ChildSpec` entries and restarts them one for one when they die,
+Erlang/OTP style, built purely on the public surface — ``Actor.on_exit``
+for death notification, ``engine.add_actor`` for the respawn, the
+host-state observer for parking children whose host is down.
 
-* ``one_for_one`` — a dead child is restarted alone;
-* ``all_for_one`` — a dead child takes its siblings down with it and the
-  whole group is restarted in declaration order.
+Restart intensity is bounded: more than ``max_restarts`` restarts within
+a sliding ``window`` escalates — the supervisor kills its remaining
+children and dies *failed*.  A child that dies with its host is parked
+and respawned when the host comes back, and spends no restart.
 
-Restart intensity is bounded: more than ``max_restarts`` restart cycles
-within a sliding ``window`` escalates — the supervisor kills its
-remaining children and dies *failed*, so a parent supervisor (a
-supervisor is itself supervisable via :meth:`Supervisor.as_child`) sees
-an ordinary child failure and applies its own policy.  Trees nest.
-
-Everything here runs in kernel context (``on_exit`` callbacks, timer
-callbacks, host-state observers) and therefore never blocks; the
-supervisor actor itself just parks on ``suspend()`` until the tree
-reaches a terminal state.  All callbacks are named picklable objects and
-children are keyed by spec name — never by ``id()`` — so a mid-churn
-``engine.snapshot()`` restores a live tree bit-identically.
+Everything here runs in kernel context (``on_exit`` callbacks and
+host-state observers) and therefore never blocks; the supervisor actor
+itself just parks on ``suspend()`` until every child is done for good.
+All callbacks are named picklable objects and children are keyed by
+spec name — never by ``id()`` — so a mid-churn ``engine.snapshot()``
+restores a live fleet bit-identically.
 """
 
 from __future__ import annotations
@@ -34,8 +29,6 @@ __all__ = ["ChildSpec", "Supervisor"]
 
 #: Valid ``ChildSpec.restart`` values.
 RESTART_POLICIES = ("permanent", "transient", "temporary")
-#: Valid ``Supervisor`` strategies.
-STRATEGIES = ("one_for_one", "all_for_one")
 
 
 class ChildSpec:
@@ -78,25 +71,13 @@ class _ChildExit:
         self.supervisor._child_exited(self.child, failed)
 
 
-class _DeadlineStop:
-    """Picklable timer callback: shuts the tree down at its deadline."""
-
-    __slots__ = ("supervisor",)
-
-    def __init__(self, supervisor: "Supervisor") -> None:
-        self.supervisor = supervisor
-
-    def __call__(self) -> None:
-        self.supervisor._deadline_fired()
-
-
 def _supervisor_body(actor, sup: "Supervisor"):
     """The supervisor actor: spawn the children, then park until done.
 
-    All real work happens in kernel context (exit hooks, host observers,
-    the deadline timer); the body only exists so the tree has a liveness
-    anchor — a non-daemon supervisor keeps ``engine.run()`` going while
-    any child may still be restarted.
+    All real work happens in kernel context (exit hooks, host observers);
+    the body only exists so the fleet has a liveness anchor — a
+    non-daemon supervisor keeps ``engine.run()`` going while any child
+    may still be restarted.
     """
     sup._attach(actor)
     while not sup._done:
@@ -104,39 +85,28 @@ def _supervisor_body(actor, sup: "Supervisor"):
 
 
 class Supervisor:
-    """Restart controller for a group of child actors.
+    """One-for-one restart controller for a group of child actors.
 
     Parameters
     ----------
     engine:
         The :class:`~repro.s4u.engine.Engine` to deploy on.
     children:
-        The :class:`ChildSpec` entries, in declaration order (the
-        ``all_for_one`` restart order).
-    strategy:
-        ``one_for_one`` or ``all_for_one``.
+        The :class:`ChildSpec` entries, in declaration (spawn) order.
     max_restarts / window:
-        Intensity bound: strictly more than ``max_restarts`` restart
-        cycles within ``window`` simulated seconds escalates.
+        Intensity bound: strictly more than ``max_restarts`` restarts
+        within ``window`` simulated seconds escalates.
     host:
         Host of the supervisor actor itself (should be reliable).
     daemon:
         Spawn the supervisor actor as a daemon.  Keep the default
         (non-daemon) when the supervisor is the run's liveness anchor.
-    deadline:
-        Optional absolute simulated date at which the tree is shut down
-        (children killed, supervisor returns) — the bounded-horizon knob
-        for churn studies whose permanent children never finish.
     """
 
     def __init__(self, engine, children: Iterable[ChildSpec], *,
-                 strategy: str = "one_for_one", max_restarts: int = 3,
-                 window: float = 5.0, name: str = "supervisor",
-                 host: Optional[str] = None, daemon: bool = False,
-                 deadline: Optional[float] = None) -> None:
-        if strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r}; "
-                             f"pick one of {STRATEGIES}")
+                 max_restarts: int = 3, window: float = 5.0,
+                 name: str = "supervisor", host: Optional[str] = None,
+                 daemon: bool = False) -> None:
         if max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
         if window <= 0:
@@ -150,35 +120,25 @@ class Supervisor:
             raise ValueError("child names must be unique")
         self._spec_by_name: Dict[str, ChildSpec] = {
             spec.name: spec for spec in self.specs}
-        self.strategy = strategy
         self.max_restarts = int(max_restarts)
         self.window = float(window)
         self.name = name
         self.host = host if (host is None or isinstance(host, str)) \
             else host.name
         self.daemon = daemon
-        self.deadline = deadline
         #: Chronological ``(date, event, child_name)`` log; events are
-        #: ``start``, ``restart``, ``park``, ``finish``, ``escalate``,
-        #: ``deadline`` and ``stop`` — the replay fingerprint of a tree.
+        #: ``start``, ``restart``, ``park``, ``finish`` and ``escalate``
+        #: — the replay fingerprint of a fleet.
         self.events: List[Tuple[float, str, str]] = []
         self.restarts = 0
         self.escalated = False
-        self.timed_out = False
         self._live: Dict[str, "object"] = {}     # name -> Actor
         self._parked: Dict[str, List[str]] = {}  # host name -> child names
         self._finished: set = set()              # names done for good
         self._restart_dates: List[float] = []
         self._actor = None
-        self._deadline_timer = None
         self._done = False
-        self._stopping = False
-        self._suppress = False  # we are killing children ourselves
-        self._observing = False
 
-    # ------------------------------------------------------------------------------
-    # public surface
-    # ------------------------------------------------------------------------------
     def start(self) -> "Supervisor":
         """Spawn the supervisor actor (which spawns the children)."""
         if self._actor is not None:
@@ -189,47 +149,12 @@ class Supervisor:
                               daemon=self.daemon)
         return self
 
-    def as_child(self, restart: str = "transient") -> ChildSpec:
-        """This tree as a child spec for a parent supervisor (nesting).
-
-        An escalated subtree dies *failed*, so the parent sees a regular
-        child failure and applies its own strategy/intensity to it.
-        """
-        if self.host is None:
-            raise ValueError("set the supervisor host before nesting")
-        return ChildSpec(self.name, self.host, _supervisor_body, self,
-                         restart=restart, daemon=self.daemon)
-
-    def stop(self) -> None:
-        """Shut the tree down: kill the children, let the actor return."""
-        if not self._done:
-            self._shutdown("stop")
-
-    @property
-    def done(self) -> bool:
-        return self._done
-
     # ------------------------------------------------------------------------------
     # kernel-context machinery
     # ------------------------------------------------------------------------------
     def _attach(self, actor) -> None:
-        # A nested tree restarted by its parent re-enters here with the
-        # same Supervisor object: reset the terminal state so the new
-        # incarnation starts clean (the events log keeps accumulating).
         self._actor = actor
-        self._done = False
-        self._stopping = False
-        self._suppress = False
-        self._restart_dates = []
-        self._finished = set()
-        self._live = {}
-        self._parked = {}
-        if not self._observing:
-            self._observing = True
-            self.engine.on_host_state_change(self._host_state)
-        if self.deadline is not None:
-            self._deadline_timer = self.engine.timers.schedule(
-                self.deadline, _DeadlineStop(self))
+        self.engine.on_host_state_change(self._host_state)
         for spec in self.specs:
             self._spawn(spec, "start")
 
@@ -254,15 +179,14 @@ class Supervisor:
 
     def _host_state(self, host, is_on: bool) -> None:
         """Respawn children parked on a host that just came back up."""
-        if not is_on or self._done or self._stopping:
+        if not is_on or self._done:
             return
         for name in self._parked.pop(host.name, []):
             self._spawn(self._spec_by_name[name], "restart")
 
     def _child_exited(self, name: str, failed: bool) -> None:
         self._live.pop(name, None)
-        if (self._done or self._stopping or self._suppress
-                or self.engine.is_tearing_down):
+        if self._done or self.engine.is_tearing_down:
             return
         spec = self._spec_by_name[name]
         wants_restart = (spec.restart == "permanent"
@@ -270,36 +194,24 @@ class Supervisor:
         if not wants_restart:
             self._finished.add(name)
             self.events.append((self.engine.now, "finish", name))
-            self._check_done()
+            if len(self._finished) == len(self.specs):
+                # Every child is done for good: the supervisor returns.
+                self._done = True
+                self._actor.resume()
             return
-        if (self.strategy == "one_for_one"
-                and not self.engine.host(spec.host).is_on):
+        if not self.engine.host(spec.host).is_on:
             # The child died with its host: park it for the host-up
             # respawn without spending an intensity token — host churn
             # mirrors ``auto_restart``, which is unbounded by design.
             self._park(spec)
             return
-        if not self._spend_restart_token():
-            self._escalate()
-            return
-        if self.strategy == "all_for_one":
-            self._suppress = True
-            try:
-                for other in list(self._live.values()):
-                    self.engine.kill_actor(other)
-            finally:
-                self._suppress = False
-            self._live.clear()
-            self._parked.clear()
-            for sibling in self.specs:
-                if sibling.name not in self._finished:
-                    self._spawn(sibling, "restart")
-        else:
+        if self._spend_restart_token():
             self._spawn(spec, "restart")
-        self._check_done()
+        else:
+            self._escalate()
 
     def _spend_restart_token(self) -> bool:
-        """One token per restart cycle; False when the bound is tripped."""
+        """One token per restart; False when the bound is tripped."""
         now = self.engine.now
         cutoff = now - self.window
         self._restart_dates = [d for d in self._restart_dates if d > cutoff]
@@ -309,50 +221,16 @@ class Supervisor:
         return True
 
     def _escalate(self) -> None:
+        """Give up: kill the remaining children, then die failed."""
         self.escalated = True
+        self._done = True
         self.events.append((self.engine.now, "escalate", ""))
-        self._shutdown(None)
-        # Die failed, so a parent supervisor sees a child failure (its
-        # own policy decides whether the subtree is rebuilt).
-        if self._actor is not None and self._actor.is_alive:
-            self.engine.kill_actor(self._actor)
-
-    def _deadline_fired(self) -> None:
-        if self._done or self._stopping:
-            return
-        self.timed_out = True
-        self._shutdown("deadline")
-
-    def _shutdown(self, event: Optional[str]) -> None:
-        self._stopping = True
-        if event is not None:
-            self.events.append((self.engine.now, event, ""))
-        self._suppress = True
-        try:
-            for child in list(self._live.values()):
-                if child.is_alive:
-                    self.engine.kill_actor(child)
-        finally:
-            self._suppress = False
+        for child in list(self._live.values()):
+            child.kill()
         self._live.clear()
         self._parked.clear()
-        self._finish()
-
-    def _check_done(self) -> None:
-        if self._live or any(self._parked.values()):
-            return
-        if len(self._finished) == len(self.specs):
-            self._finish()
-
-    def _finish(self) -> None:
-        self._done = True
-        if self._deadline_timer is not None:
-            self._deadline_timer.cancel()
-            self._deadline_timer = None
-        if self._actor is not None and self._actor.is_alive:
-            self.engine.resume_actor(self._actor)
+        self._actor.kill()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Supervisor({self.name!r}, strategy={self.strategy!r}, "
-                f"live={len(self._live)}, restarts={self.restarts}, "
-                f"escalated={self.escalated})")
+        return (f"Supervisor({self.name!r}, live={len(self._live)}, "
+                f"restarts={self.restarts}, escalated={self.escalated})")

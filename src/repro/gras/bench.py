@@ -91,7 +91,3 @@ class BenchRecorder:
             if should_run:
                 self.record(key, time.perf_counter() - start)
             charge(self.duration_of(key))
-
-    def clear(self) -> None:
-        self._measurements.clear()
-        self._counts.clear()

@@ -64,17 +64,6 @@ class DataDescription:
 
     name: str = ""
 
-    def roundtrip(self, value: Any, src_arch: Architecture,
-                  dst_arch: Architecture) -> Any:
-        """Encode on ``src_arch`` and decode on ``dst_arch`` (for tests)."""
-        del dst_arch  # receiver-makes-right: decoding only needs the source
-        data = self.encode(value, src_arch)
-        decoded, consumed = self.decode(data, src_arch)
-        if consumed != len(data):
-            raise DataDescriptionError(
-                f"{self.name}: {len(data) - consumed} trailing bytes")
-        return decoded
-
 
 class ScalarDesc(DataDescription):
     """A scalar C type (integers of various widths, float, double, char)."""

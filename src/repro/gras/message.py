@@ -57,17 +57,11 @@ class MessageRegistry:
             raise UnknownMessageError(
                 f"message type {name!r} was never declared") from None
 
-    def is_declared(self, name: str) -> bool:
-        return name in self._types
-
     # -- callbacks ------------------------------------------------------------------
     def register_callback(self, msgtype_name: str, callback: Callable) -> None:
         """Attach a callback to a message type (``gras_cb_register``)."""
         self.by_name(msgtype_name)  # ensure declared
         self._callbacks[msgtype_name] = callback
-
-    def unregister_callback(self, msgtype_name: str) -> None:
-        self._callbacks.pop(msgtype_name, None)
 
     def callback_for(self, msgtype_name: str) -> Optional[Callable]:
         return self._callbacks.get(msgtype_name)

@@ -1,14 +1,13 @@
-"""Trace-driven cluster replay and recovery policies on top of s4u.
+"""Trace-driven cluster replay on top of s4u.
 
 ``repro.replay`` is a frontend, not kernel code: it composes the platform
 description (availability/state traces attached at declaration), the s4u
-actor API (auto-restart daemons, detached sends), the failure injector
-and the campaign runner into the paper's validation workloads — replaying
-cluster-log shapes and comparing checkpoint/recovery policies under
-seeded churn.  Import from here::
+actor API, the failure injector and the ``repro.ft`` supervisor and
+heartbeat detector into the paper's validation workload — replaying
+cluster-log shapes under seeded churn, with at-most-once or
+at-least-once job delivery.  Import from here::
 
     from repro.replay import ClusterReplay, synthetic_workload
-    from repro.replay import compare_recovery_policies
 """
 
 from repro.replay.cluster import (
@@ -17,18 +16,10 @@ from repro.replay.cluster import (
     ClusterWorkload,
     synthetic_workload,
 )
-from repro.replay.recovery import (
-    RECOVERY_POLICIES,
-    compare_recovery_policies,
-    run_recovery_experiment,
-)
 
 __all__ = [
     "ClusterJob",
     "ClusterReplay",
     "ClusterWorkload",
     "synthetic_workload",
-    "RECOVERY_POLICIES",
-    "compare_recovery_policies",
-    "run_recovery_experiment",
 ]

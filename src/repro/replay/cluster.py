@@ -345,7 +345,6 @@ class ClusterReplay:
             [ChildSpec(f"worker-{index}", node, _worker, self,
                        restart="permanent", daemon=True)
              for index, node in enumerate(nodes)],
-            strategy="one_for_one",
             max_restarts=SUPERVISOR_MAX_RESTARTS, window=SUPERVISOR_WINDOW,
             name="worker-supervisor", host="frontend", daemon=True)
         self.supervisor.start()

@@ -4,11 +4,10 @@ Mirrors SimGrid's S4U ("SimGrid for you") interface: one
 :class:`~repro.s4u.engine.Engine` owns the platform and the simulated
 clock; :class:`~repro.s4u.actor.Actor`\\ s run on
 :class:`~repro.s4u.host.Host`\\ s and exchange payloads through named
-:class:`~repro.s4u.mailbox.Mailbox`\\ es; everything that takes simulated
-time is a first-class :class:`~repro.s4u.activity.Activity` future
-(:class:`~repro.s4u.activity.Comm`, :class:`~repro.s4u.activity.Exec`,
-:class:`~repro.s4u.activity.Sleep`), started by the call that creates
-it, that can be ``test()``-ed, ``wait()``-ed and ``cancel()``-ed, and
+:class:`~repro.s4u.mailbox.Mailbox`\\ es; a computation or a transfer
+is a first-class :class:`~repro.s4u.activity.Activity` future
+(:class:`~repro.s4u.activity.Exec`, :class:`~repro.s4u.activity.Comm`),
+started by the call that creates it, that can be ``test()``-ed, ``wait()``-ed and ``cancel()``-ed, and
 reaped in groups with :class:`~repro.s4u.activity.ActivitySet`.
 
 Quickstart (generator contexts: blocking calls are ``yield``-ed)::
@@ -46,7 +45,6 @@ from repro.s4u.activity import (
     ActivityState,
     Comm,
     Exec,
-    Sleep,
 )
 from repro.s4u.actor import Actor, ActorState, current_actor
 from repro.s4u.engine import Engine
@@ -68,7 +66,6 @@ __all__ = [
     "Host",
     "Link",
     "Mailbox",
-    "Sleep",
     "current_actor",
     "this_actor",
 ]

@@ -5,11 +5,12 @@ that realises it and exposes the asynchronous lifecycle of SimGrid's S4U
 API: :meth:`test`, :meth:`wait`, :meth:`cancel`.  An activity is created
 and started by the engine in one step (``*_async`` calls and the blocking
 ``execute``/``put``/``get``), so a handle is always the one object the
-engine tracks.  Three concrete activities exist:
+engine tracks.  Two concrete activities exist:
 
 * :class:`Exec` — a computation on one host;
-* :class:`Comm` — a payload transfer through a :class:`~repro.s4u.mailbox.Mailbox`;
-* :class:`Sleep` — a pure simulated-time delay.
+* :class:`Comm` — a payload transfer through a :class:`~repro.s4u.mailbox.Mailbox`.
+
+A blocking ``sleep_for`` is a wait on no activity at all.
 
 :class:`ActivitySet` groups heterogeneous activities so an actor can reap
 them as they complete (``wait_any``) or in bulk (``wait_all``): one wait
@@ -32,15 +33,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.s4u.host import Host
     from repro.s4u.mailbox import Mailbox
 
-__all__ = ["Activity", "ActivityState", "ActivitySet", "Comm", "Exec",
-           "Sleep"]
+__all__ = ["Activity", "ActivityState", "ActivitySet", "Comm", "Exec"]
 
 
 class ActivityState(enum.Enum):
     """Lifecycle of an activity."""
 
     PENDING = "pending"      # posted, not started (comm waiting for a peer)
-    STARTED = "started"      # the SURF action (or timer) is running
+    STARTED = "started"      # the SURF action is running
     DONE = "done"
     FAILED = "failed"        # a resource died
     CANCELLED = "cancelled"  # explicitly cancelled
@@ -79,13 +79,10 @@ class Activity:
     def succeeded(self) -> bool:
         return self.state is ActivityState.DONE
 
-    def add_waiter(self, actor: "Actor") -> None:
-        if actor not in self.waiters:
-            self.waiters.append(actor)
-
     # -- user-facing async API ---------------------------------------------------------
     def test(self):
-        """Non-blocking completion probe; the result is a bool."""
+        """Non-blocking completion probe; the result is a bool
+        (``MSG_comm_test``)."""
         return submit("_do_test", self)
 
     def wait(self, timeout: Optional[float] = None):
@@ -102,8 +99,9 @@ class Activity:
         return submit("_do_wait", self, timeout)
 
     def cancel(self) -> None:
-        """Cancel the activity and wake its waiters with ``CancelledError``."""
-        self._engine.cancel_activity(self)
+        """Cancel the activity and wake its waiters with ``CancelledError``
+        (``MSG_task_cancel``)."""
+        self._engine._abort_activity(self, ActivityState.CANCELLED)
 
     @property
     def remaining(self) -> float:
@@ -171,17 +169,6 @@ class Comm(Activity):
         """The transported payload (valid once the comm succeeded)."""
         return self.payload
 
-    def detach(self) -> "Comm":
-        """Turn this comm into a fire-and-forget transfer (S4U ``detach``).
-
-        A detached comm needs no waiter: the sender can terminate (or be
-        killed) while the transfer is still in flight and the payload is
-        still delivered.  SMPI's eager-protocol sends are detached comms.
-        Returns the comm itself so ``put_async(...).detach()`` chains.
-        """
-        self.detached = True
-        return self
-
     @property
     def src_host(self) -> Optional["Host"]:
         src = self.src_actor
@@ -191,20 +178,6 @@ class Comm(Activity):
     def dst_host(self) -> Optional["Host"]:
         dst = self.dst_actor
         return dst.host if dst is not None else None
-
-
-class Sleep(Activity):
-    """A pure delay, as a waitable activity (async ``sleep``)."""
-
-    kind = "sleep"
-
-    __slots__ = ("actor", "duration", "_timer")
-
-    def __init__(self, actor: "Actor", duration: float) -> None:
-        super().__init__("sleep")
-        self.actor = actor
-        self.duration = duration
-        self._timer = None
 
 
 class ActivitySet:
@@ -219,11 +192,6 @@ class ActivitySet:
         self._activities: List[Activity] = list(activities)
 
     # -- container protocol ------------------------------------------------------------
-    def push(self, activity: Activity) -> None:
-        """Add an activity to the set."""
-        if activity not in self._activities:
-            self._activities.append(activity)
-
     def erase(self, activity: Activity) -> None:
         """Remove an activity from the set (no-op when absent)."""
         try:
@@ -233,9 +201,6 @@ class ActivitySet:
 
     def empty(self) -> bool:
         return not self._activities
-
-    def size(self) -> int:
-        return len(self._activities)
 
     def __contains__(self, activity: Activity) -> bool:
         return activity in self._activities
@@ -255,7 +220,8 @@ class ActivitySet:
         return submit("_do_wait_any", list(self._activities), self, timeout)
 
     def wait_all(self, timeout: Optional[float] = None):
-        """Block until every member completed; the set is emptied."""
+        """Block until every member completed; the set is emptied
+        (``MSG_comm_waitall``)."""
         if not self._activities:
             raise ValueError("wait_all on an empty ActivitySet")
         if timeout is not None and not timeout >= 0:
@@ -263,7 +229,8 @@ class ActivitySet:
         return submit("_do_wait_all", list(self._activities), self, timeout)
 
     def test_any(self):
-        """Non-blocking reap: a completed member (removed) or ``None``."""
+        """Non-blocking reap: a completed member (removed) or ``None``
+        (``MSG_comm_testany``)."""
         for activity in self._activities:
             if activity.is_over():
                 self.erase(activity)

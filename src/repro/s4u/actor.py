@@ -35,8 +35,12 @@ __all__ = ["Actor", "ActorState", "current_actor", "submit"]
 
 _pids = itertools.count(1)
 
-#: The actor the engine is currently running (None between schedulings).
+#: The actor the engine is currently running (None between schedulings,
+#: and while the hooks of a resource flip run: they are kernel code).
 _current: Optional["Actor"] = None
+#: The actor whose own call flipped a resource, while that flip's hooks
+#: run (see ``Engine._set_state``); None otherwise.
+_flipping: Optional["Actor"] = None
 
 
 def current_actor() -> "Actor":
@@ -186,7 +190,7 @@ class Actor:
 
     def exec_async(self, flops: float, priority: float = 1.0,
                    bound: Optional[float] = None,
-                   host: Optional["Host"] = None, name: str = "compute"):
+                   host: Optional["Host"] = None):
         """Start an asynchronous execution; the result is an ``Exec``."""
         flops = float(flops)
         if not 0.0 <= flops < inf:
@@ -196,7 +200,7 @@ class Actor:
         if bound is not None and not bound > 0:
             raise ValueError(f"bound must be None or > 0: {bound!r}")
         return submit("_do_exec_async", flops, host or self.host, priority,
-                      bound, name)
+                      bound)
 
     def sleep_for(self, duration: float):
         """Do nothing for ``duration`` simulated seconds (blocks the
@@ -205,41 +209,31 @@ class Actor:
             raise ValueError(f"duration must be finite and >= 0: {duration!r}")
         return submit("_do_sleep", duration)
 
-    def sleep_until(self, date: float):
-        """Sleep until the absolute simulated ``date``."""
-        return self.sleep_for(max(0.0, date - self.engine.now))
-
-    def sleep_async(self, duration: float):
-        """Start an asynchronous sleep; the result is a ``Sleep`` activity."""
-        if not 0.0 <= duration < inf:
-            raise ValueError(f"duration must be finite and >= 0: {duration!r}")
-        return submit("_do_sleep_async", duration)
-
-    def yield_(self):
-        """Let other runnable actors run (no simulated time passes)."""
-        return submit("_do_yield")
-
     # ------------------------------------------------------------------------------
     # lifecycle control (S4U style: the target is *this* actor)
     # ------------------------------------------------------------------------------
+    # From kernel context (a timer, an ``on_exit`` hook, a state
+    # listener, host code) these act at once; from an actor they are
+    # that actor's request.
     def kill(self):
-        """Kill this actor (from another actor, itself, or host code)."""
+        """Kill this actor (``MSG_process_kill``)."""
         if _current is None:
-            self.engine.kill_actor(self)
+            self.engine._kill_actor(self)
             return None
         return submit("_do_kill", self)
 
     def suspend(self):
-        """Suspend this actor until someone resumes it."""
+        """Suspend this actor until someone resumes it
+        (``MSG_process_suspend``)."""
         if _current is None:
-            self.engine.suspend_actor(self)
+            self.engine._suspend_other(self)
             return None
         return submit("_do_suspend", self)
 
     def resume(self):
-        """Resume this (suspended) actor."""
+        """Resume this (suspended) actor (``MSG_process_resume``)."""
         if _current is None:
-            self.engine.resume_actor(self)
+            self.engine._resume_other(self)
             return None
         return submit("_do_resume_other", self)
 

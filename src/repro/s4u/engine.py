@@ -39,7 +39,7 @@ from repro.kernel.collector import paused_collector
 from repro.kernel.context import FINISHED, make_context_factory
 from repro.kernel.timer import TimerQueue
 from repro.s4u import actor as _actor_mod
-from repro.s4u.activity import Activity, ActivityState, Comm, Exec, Sleep
+from repro.s4u.activity import Activity, ActivityState, Comm, Exec
 from repro.s4u.actor import Actor, ActorState
 from repro.s4u.host import Host
 from repro.s4u.link import Link
@@ -308,14 +308,6 @@ class Engine:
         """Number of actors still alive."""
         return len(self._alive_actors)
 
-    def kill_actor(self, actor: Actor) -> None:
-        """Kill an actor from outside the simulation (tests, controllers)."""
-        self._kill_actor(actor)
-
-    def suspend_actor(self, actor: Actor) -> None:
-        """Suspend an actor from outside the simulation."""
-        self._suspend_other(actor)
-
     # -- resource state ------------------------------------------------------------------
     def _set_state(self, resource, is_on: bool, failed=None) -> None:
         """The one handler of a host or link going down or up.
@@ -332,54 +324,67 @@ class Engine:
            reboots them, in creation order;
         3. the state listeners observe the flip.
 
-        An actor that turns off its own host dies in step 2 like the
-        others; the call then raises ``ProcessKilledError`` into its
-        body instead of returning.
+        All three run in kernel context, also when an actor's own call
+        got here: the ``on_exit`` hooks and listeners they fire see no
+        running actor, so their ``kill()``, ``suspend()`` and ``resume()``
+        act at once, as from a timer.  An actor that turns off its own
+        host dies in step 2 like the others; the call then raises
+        ``ProcessKilledError`` into its body instead of returning.
         """
         if failed is None:
             if resource.is_on == is_on:
                 return
             failed = self.surf.set_state(resource, is_on)
-        for action in failed:
-            activity = action.data
-            if activity is not None:
-                self._finish_activity(activity, ActivityState.FAILED)
-        if isinstance(resource, LinkResource):
-            link = self._link_by_resource.get(id(resource))
-            if link is not None:
-                for callback in self._link_state_listeners:
-                    callback(link, is_on)
-            return
-        host = self._host_by_cpu.get(id(resource))
-        if host is None:
-            return
-        if is_on:
-            for (name, func, args, kwargs,
-                 daemon) in self._pending_restarts.pop(host, []):
-                self.restart_count += 1
-                self.add_actor(name, host, func, *args, daemon=daemon,
-                               auto_restart=True, **kwargs)
-        else:
-            # Started comms only: _finish_activity removes a comm from
-            # _active_comms as it ends.
-            for comm in list(self._active_comms):
-                if comm.src_host is host or comm.dst_host is host:
-                    if comm.surf_action.is_running():
-                        comm.surf_action.cancel(self.surf.clock)
-                    self._finish_activity(comm, ActivityState.FAILED)
-            for actor in list(host.actors):
-                if not actor.is_alive:  # died in a sibling's on_exit
-                    continue
-                if actor.auto_restart:
-                    self._pending_restarts.setdefault(host, []).append(
-                        (actor.name, actor.func, actor.args, actor.kwargs,
-                         actor.daemon))
-                self._kill_actor(actor)
-        for callback in self._host_state_listeners:
-            callback(host, is_on)
+        # A hook's own flip nests here with no running actor: it keeps
+        # the actor of the outer flip.
         running = _actor_mod._current
+        flipping = _actor_mod._flipping
+        _actor_mod._current = None
+        if running is not None:
+            _actor_mod._flipping = running
+        try:
+            for action in failed:
+                activity = action.data
+                if activity is not None:
+                    self._finish_activity(activity, ActivityState.FAILED)
+            host = None
+            if isinstance(resource, LinkResource):
+                link = self._link_by_resource.get(id(resource))
+                if link is not None:
+                    for callback in self._link_state_listeners:
+                        callback(link, is_on)
+            else:
+                host = self._host_by_cpu.get(id(resource))
+            if host is not None and is_on:
+                for (name, func, args, kwargs,
+                     daemon) in self._pending_restarts.pop(host, []):
+                    self.restart_count += 1
+                    self.add_actor(name, host, func, *args, daemon=daemon,
+                                   auto_restart=True, **kwargs)
+            elif host is not None:
+                # Started comms only: _finish_activity removes a comm
+                # from _active_comms as it ends.
+                for comm in list(self._active_comms):
+                    if comm.src_host is host or comm.dst_host is host:
+                        if comm.surf_action.is_running():
+                            comm.surf_action.cancel(self.surf.clock)
+                        self._finish_activity(comm, ActivityState.FAILED)
+                for actor in list(host.actors):
+                    if not actor.is_alive:  # died in a sibling's on_exit
+                        continue
+                    if actor.auto_restart:
+                        self._pending_restarts.setdefault(host, []).append(
+                            (actor.name, actor.func, actor.args,
+                             actor.kwargs, actor.daemon))
+                    self._kill_actor(actor)
+            if host is not None:
+                for callback in self._host_state_listeners:
+                    callback(host, is_on)
+        finally:
+            _actor_mod._current = running
+            _actor_mod._flipping = flipping
         if running is not None and running.state == ActorState.DEAD:
-            raise ProcessKilledError(f"killed by turning off {host.name}")
+            raise ProcessKilledError(f"killed by turning off {resource.name}")
 
     # -- resource state observers -------------------------------------------------------
     def on_host_state_change(self, callback: Callable[[Host, bool], None]
@@ -413,23 +418,6 @@ class Engine:
         """
         self._speed_listeners.append(callback)
         return callback
-
-    def set_host_speed(self, host: Host, speed: float) -> None:
-        """Change a host's per-core speed at runtime (``Host.set_speed``).
-
-        The new capacity flows through the CPU model's
-        ``set_cpu_speed`` — constraint capacity plus the per-core bounds
-        of running multi-core executions, all via the sanctioned LMM
-        write paths — then the speed observers fire.
-        """
-        self.surf.model_of(host.cpu).set_cpu_speed(host.cpu, speed)
-        self._notify_speed_change(host, host.available_speed)
-
-    def set_link_bandwidth(self, link: Link, bandwidth: float) -> None:
-        """Change a link's nominal bandwidth (``Link.set_bandwidth``)."""
-        self.surf.model_of(link.resource).set_link_bandwidth(
-            link.resource, bandwidth)
-        self._notify_speed_change(link, link.resource.current_capacity)
 
     def _notify_speed_change(self, resource, available_speed: float) -> None:
         for callback in self._speed_listeners:
@@ -635,9 +623,6 @@ class Engine:
         if target is not actor:
             self._enqueue(actor, None)
 
-    def _do_yield(self, actor: Actor) -> None:
-        self._enqueue(actor, None)
-
     # -- execution ---------------------------------------------------------------------
     def _new_exec(self, actor: Actor, flops: float, host: Host,
                   priority: float, bound: Optional[float],
@@ -670,26 +655,16 @@ class Engine:
             self._wait_one(actor, "exec", activity)
 
     def _do_exec_async(self, actor: Actor, flops: float, host: Host,
-                       priority: float, bound: Optional[float],
-                       name: str) -> None:
-        activity = self._new_exec(actor, flops, host, priority, bound, name)
+                       priority: float, bound: Optional[float]) -> None:
+        activity = self._new_exec(actor, flops, host, priority, bound,
+                                  "compute")
         if activity is not None:
             self._ready.append((actor, activity, None))
 
     def _do_sleep(self, actor: Actor, duration: float) -> None:
         # A wait on nothing whose timeout is its completion: a bare timer
-        # (no Sleep activity), disarmed by _unblock like any other wait's.
+        # (no activity), disarmed by _unblock like any other wait's.
         self._block_on(actor, "sleep", (), duration)
-
-    def _do_sleep_async(self, actor: Actor, duration: float) -> None:
-        activity = Sleep(actor, duration)
-        activity.post_time = activity.start_time = self.surf.clock
-        activity.state = ActivityState.STARTED
-        activity._engine = self
-        activity._timer = self.timers.schedule(
-            self.surf.clock + duration,
-            partial(self._finish_activity, activity, ActivityState.DONE))
-        self._ready.append((actor, activity, None))
 
     # -- communications -------------------------------------------------------------------
     def _do_send(self, actor: Actor, mailbox: Mailbox, payload, size: float,
@@ -836,7 +811,8 @@ class Engine:
             self._enqueue(actor, None)
             return
         for activity in live:
-            activity.add_waiter(actor)
+            if actor not in activity.waiters:
+                activity.waiters.append(actor)
         self._block_on(actor, "wait_all", activities, timeout, owner)
 
     def _block_on(self, actor: Actor, kind: str, activities,
@@ -905,11 +881,10 @@ class Engine:
                 activity.surf_action.suspend()
 
     def _do_resume_other(self, actor: Actor, target: Actor) -> None:
-        self.resume_actor(target)
+        self._resume_other(target)
         self._enqueue(actor, None)
 
-    def resume_actor(self, target: Actor) -> None:
-        """Resume a suspended actor (engine-level API)."""
+    def _resume_other(self, target: Actor) -> None:
         if not target.is_alive or not target._suspended:
             return
         target._suspended = False
@@ -937,22 +912,16 @@ class Engine:
     # ------------------------------------------------------------------------------
     # activity completion
     # ------------------------------------------------------------------------------
-    def cancel_activity(self, activity: Activity) -> None:
-        """Cancel an activity: stop its action/timer, wake its waiters."""
-        self._abort_activity(activity, ActivityState.CANCELLED)
-
     def _abort_activity(self, activity: Activity, state: ActivityState) -> None:
         """End a live activity early, in ``state``: a cancel, or a comm
         one side of which timed out (``TIMEOUT``) or was killed.  Its
-        action or timer stops, a pending comm leaves its mailbox, and the
-        waiters — the peer of a comm — are woken like on any other ending.
+        action stops, a pending comm leaves its mailbox, and the waiters
+        — the peer of a comm — are woken like on any other ending.
         Nothing happens to an activity that is already over.
         """
         action = activity.surf_action
         if action is not None and action.is_running():
             action.cancel(self.surf.clock)
-        elif isinstance(activity, Sleep):
-            activity._timer.cancel()
         elif activity.state is _PENDING and isinstance(activity, Comm):
             activity.mailbox.discard(activity)
         self._finish_activity(activity, state)
@@ -1071,10 +1040,10 @@ class Engine:
                     self._abort_activity(activity, ActivityState.CANCELLED)
                 elif not activity.detached:
                     self._abort_activity(activity, ActivityState.FAILED)
-        # The running actor (it turned off its own host) cannot be
-        # interrupted inside its own call: _set_state raises
-        # ProcessKilledError into its body once the flip is complete.
-        if target is not _actor_mod._current:
+        # The actor whose call flipped a resource cannot be interrupted
+        # inside that call: _set_state raises ProcessKilledError into its
+        # body once the flip is complete.
+        if target is not _actor_mod._flipping:
             try:
                 target.context.kill()
             except Exception as exc:  # noqa: BLE001 - how the victim died

@@ -69,12 +69,14 @@ class Host:
         """Change the per-core speed at runtime; running execs are re-shared.
 
         The change reaches the solver exclusively through the CPU model's
-        capacity write path (constraint capacity + multi-core per-core
+        ``set_cpu_speed`` (constraint capacity + multi-core per-core
         bounds), so only the LMM component containing this host is
         re-solved; the engine's ``on_resource_speed_change`` observers
         fire afterwards.  Availability traces keep scaling the new peak.
         """
-        self._engine.set_host_speed(self, speed)
+        engine = self._engine
+        engine.surf.model_of(self.cpu).set_cpu_speed(self.cpu, speed)
+        engine._notify_speed_change(self, self.available_speed)
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -66,7 +66,10 @@ class Link:
         The engine's ``on_resource_speed_change`` observers fire after
         the new capacity reached the solver.
         """
-        self._engine.set_link_bandwidth(self, bandwidth)
+        engine = self._engine
+        engine.surf.model_of(self.resource).set_link_bandwidth(
+            self.resource, bandwidth)
+        engine._notify_speed_change(self, self.resource.current_capacity)
         return self
 
     def set_latency(self, latency: float) -> "Link":

@@ -171,23 +171,9 @@ class Mailbox:
         return not self.pending_sends and not self.pending_recvs
 
     def listen(self) -> bool:
-        """True when a ``get`` would match an already-posted send."""
+        """True when a ``get`` would match an already-posted send
+        (``MSG_task_listen``)."""
         return any(_matchable(c) for c in self.pending_sends)
-
-    def peek_payload(self) -> Any:
-        """Payload of the oldest pending send, without consuming it.
-
-        The probe half of a selective receive (GRAS ``msg_wait``): a
-        receiver can inspect what the next ``get`` would match before
-        committing to the rendezvous.  Returns ``None`` when no send is
-        pending — check :meth:`listen` first to tell "empty" from "None
-        payload".  To search beyond the queue head use
-        :meth:`pending_payloads`.
-        """
-        for comm in self.pending_sends:
-            if _matchable(comm):
-                return comm.payload
-        return None
 
     def pending_payloads(self) -> list:
         """Payloads of every pending send, oldest first, non-consuming.

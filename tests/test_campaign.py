@@ -1,4 +1,4 @@
-"""Campaign driver: grids, aggregation, pool discipline, snapshot fanout.
+"""Campaign driver: grids, pool discipline, snapshot fanout.
 
 The runner's contract: the result of a campaign is a pure function of
 ``run_fn`` and the grid — bit-identical whether it ran serially or one
@@ -9,7 +9,6 @@ exactly.
 """
 
 import gc
-import json
 import os
 import random
 import subprocess
@@ -27,14 +26,13 @@ from repro.campaign import (
     default_campaign_workers,
     grid,
     run_campaign,
-    summarize,
 )
 from repro.platform import make_star
 from repro.s4u import FailureInjector
 
 
 # ---------------------------------------------------------------------------
-# grid + aggregation (pure functions)
+# grid (a pure function)
 # ---------------------------------------------------------------------------
 
 class TestGrid:
@@ -65,28 +63,6 @@ class TestGrid:
             grid([])
         with pytest.raises(ValueError):
             grid([1], [])
-
-
-class TestSummarize:
-    def test_distribution_fields(self):
-        runs = [{"t": float(v)} for v in [5, 1, 3, 2, 4]]
-        summary = summarize(runs)["t"]
-        assert summary == {"min": 1.0, "median": 3.0, "p95": 5.0,
-                           "max": 5.0, "mean": 3.0, "n": 5}
-
-    def test_nested_dicts_flatten_with_dots(self):
-        summary = summarize([{"kernel": {"solver": {"pops": 4}}, "t": 1.0}])
-        assert summary["kernel.solver.pops"]["max"] == 4.0
-        assert summary["t"]["n"] == 1
-
-    def test_non_numeric_leaves_ignored(self):
-        summary = summarize([{"t": 1.0, "name": "run-a", "tags": [1, 2]}])
-        assert set(summary) == {"t"}
-
-    def test_metric_missing_from_some_runs_counts_n(self):
-        summary = summarize([{"t": 1.0, "extra": 9.0}, {"t": 3.0}])
-        assert summary["t"]["n"] == 2
-        assert summary["extra"]["n"] == 1
 
 
 class TestWorkerDefaults:
@@ -148,7 +124,6 @@ class TestRunCampaign:
         serial = run_campaign(_simulate, specs, workers=0)
         parallel = run_campaign(_simulate, specs, workers=3)
         assert parallel.metrics() == serial.metrics()
-        assert parallel.summary() == serial.summary()
         assert parallel.workers == 3 and serial.workers == 0
 
     def test_run_killing_every_process_fails_by_seed(self, tmp_path):
@@ -237,8 +212,6 @@ class TestRunWatchdog:
         assert result.fallbacks == 0
         assert [r["metrics"]["value"] for r in result.runs] == [
             0.0, 2.0, 4.0, 6.0]
-        report = result.to_report("watchdog")
-        assert report["timeouts"] == 1 and report["retries"] == 1
 
     def test_worker_death_retried_in_fresh_worker(self, tmp_path):
         parent_pid = os.getpid()
@@ -520,23 +493,3 @@ class TestCollectorPolicy:
                          snapshot=blob)
             assert not gc.isenabled()
             assert passes == []
-
-
-# ---------------------------------------------------------------------------
-# reporting
-# ---------------------------------------------------------------------------
-
-class TestReport:
-    def test_report_shape_and_json_roundtrip(self, tmp_path):
-        result = run_campaign(_simulate, grid(range(3)), workers=0)
-        report = result.to_report("unit-test")
-        assert report["schema"] == "repro-campaign/1"
-        assert report["scenario"] == "unit-test"
-        assert report["runs"] == 3 and not report["forked"]
-        stats = report["metrics"]["simulated_time_s"]
-        assert set(stats) == {"min", "median", "p95", "max", "mean", "n"}
-        assert stats["min"] <= stats["median"] <= stats["p95"] <= stats["max"]
-
-        path = tmp_path / "campaign.json"
-        result.write_json(str(path), "unit-test")
-        assert json.loads(path.read_text()) == report

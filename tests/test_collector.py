@@ -168,8 +168,7 @@ def supervised_pipeline(workers, jobs=6):
         ChildSpec(f"w{i}", f"leaf-{i}", _retrying_worker, box,
                   f"leaf-{(i + 1) % workers}", jobs, i, policies, done,
                   restart="transient") for i in range(workers)],
-        host="center", max_restarts=100, window=100.0,
-        deadline=100.0).start()
+        host="center", max_restarts=100, window=100.0).start()
     FailureInjector(engine, seed=5,
                     hosts=[f"leaf-{i}" for i in range(workers)],
                     mtbf=0.01, mean_downtime=0.005,

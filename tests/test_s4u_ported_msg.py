@@ -309,20 +309,6 @@ class TestLifecycle:
         assert final == pytest.approx(10.0)
         assert engine.actor_count() == 1   # still alive, simply not finished
 
-    def test_yield_lets_other_actors_run(self):
-        engine = Engine(pair_platform())
-        order = []
-
-        def chatty(actor, tag, rounds):
-            for _ in range(rounds):
-                order.append(tag)
-                yield actor.yield_()
-
-        engine.add_actor("a", "alice", chatty, "a", 3)
-        engine.add_actor("b", "alice", chatty, "b", 3)
-        engine.run()
-        # actors alternate instead of running to completion one by one
-        assert order[:4] == ["a", "b", "a", "b"]
 
     def test_thread_context_factory(self):
         """The same rendezvous scenario runs under the thread contexts."""

@@ -191,8 +191,7 @@ def _background_sender(actor, index):
 
 
 def _background_receiver(actor, index):
-    comm = yield actor.engine.mailbox(f"bg-{index}").get_async()
-    comm.detach()
+    yield actor.engine.mailbox(f"bg-{index}").get_async()
 
 
 class TestShardedHeapSharingSurvivesSnapshots:
@@ -320,33 +319,6 @@ class TestSnapshotGuards:
         assert len(restored.timers) == 1
         engine.close()
         restored.close()
-
-
-    def test_unreaped_sleep_async_travels_with_the_blob(self):
-        """An armed ``sleep_async`` nobody waits on is a pending timer of
-        a quiescent engine: its callback must pickle like every other
-        timer callback (a partial over a bound method, not a lambda)."""
-        engine = _make_engine()
-        handles = []
-        engine.add_actor("napper", "center", _abandon_a_sleep, handles)
-        assert engine.run() == 0.0 and len(engine.timers) == 1
-        restored = s4u.Engine.restore(engine.snapshot())
-        assert len(restored.timers) == 1
-        for each in (engine, restored):
-            each.add_actor("late", "center", _sleep_twenty)
-            assert each.run().hex() == "0x1.4000000000000p+4"
-            assert len(each.timers) == 0
-        sleep, = handles
-        assert sleep.state is s4u.ActivityState.DONE
-        assert sleep.finish_time == 10.0
-
-
-def _abandon_a_sleep(actor, handles):
-    handles.append((yield actor.sleep_async(10.0)))
-
-
-def _sleep_twenty(actor):
-    yield actor.sleep_for(20.0)
 
 
 def _noop_timer():

@@ -1,6 +1,7 @@
 """Source rules: imports and names that must not come back under ``src/``,
-options that no caller sets, and the timing fixture that must not come
-back under ``tests/`` or ``benchmarks/``.
+options that no caller sets, the timing fixture that must not come back
+under ``tests/`` or ``benchmarks/``, and the tests that the user-reach
+verdicts cite.
 
 Each rule reads the source (line by line, like ``grep -nE``, or as a
 syntax tree) and fails listing every matching ``path:line``.  The
@@ -150,6 +151,33 @@ RETIRED_NAMES = (
     r"def row\(self", r"def finished\b", r"waiting_send_count",
     r"def is_started\b", r"def is_suspended\(\)", r"def load\(self\)",
     r"def activities\b", r"def solve_all\b",
+    # One public name per s4u operation (tests/user_reach.py's second
+    # pass): the Engine forwards that duplicated an Actor, Activity, Host
+    # or Link method, the this_actor twins and the asynchronous sleep no
+    # MSG call stands for (sleep_for waits on no activity), Comm.detach
+    # beside put_async(detached=True), and readers only their own tests
+    # called.
+    r"\bkill_actor\b", r"\bsuspend_actor\b", r"\bresume_actor\b",
+    r"\bcancel_activity\b", r"def set_host_speed\b",
+    r"def set_link_bandwidth\(self, link: Link\b",
+    r"engine\.set_(host_speed|link_bandwidth)\b",
+    r"^def (self_|get_engine|mailbox|exec_async|sleep_until|sleep_async|"
+    r"yield_|exit)\b", r"def sleep_until\b", r"def sleep_async\b",
+    r"def yield_\b", r"_do_yield", r"_do_sleep_async", r"\bclass Sleep\b",
+    r"def detach\b", r"\.detach\(\)", r"def add_waiter\b", r"def push\b",
+    r"def size\b", r"peek_payload",
+    # A one-for-one supervisor: no strategy option, no nesting, deadline
+    # or stop (tests/test_ft.py::TestSupervisor); no recovery scenario no
+    # user ran; no campaign aggregation no user read.
+    r"all_for_one", r"\bSTRATEGIES\b", r"def as_child\b", r"_DeadlineStop",
+    r"timed_out", r"_deadline_fired", r"def stop\b", r"def done\b",
+    r"recovery_polic", r"run_recovery_experiment", r"_recovery_worker",
+    r"RECOVERY_POLICIES", r"def summarize\b", r"def _flatten\b",
+    r"_percentile", r"to_report", r"write_json",
+    # AMOK, GRAS and ft readers only their own unit tests called.
+    r"interference_ratio", r"shares_bottleneck", r"def cluster_of\b",
+    r"num_clusters", r"def roundtrip\b", r"is_declared",
+    r"unregister_callback", r"is_suspected",
 )
 
 
@@ -443,3 +471,43 @@ def test_every_defaulted_parameter_has_a_caller():
     unset = _unset_parameters()
     assert [entry for entry in unset if entry not in UNSET_BY_DESIGN] == []
     assert sorted(set(UNSET_BY_DESIGN) - set(unset)) == []
+
+
+#: A test a verdict cites: ``tests/<file>.py::Name`` or ``...::Class::test``.
+CITATION = re.compile(r"(tests/[\w/]+\.py)((?:::[\w\[\]-]+)+)")
+
+
+def _unresolved(citation):
+    """Why ``tests/file.py::A::B`` names nothing, or None when the file
+    exists and defines ``A`` at its top level (and ``B`` inside class
+    ``A``)."""
+    match = CITATION.fullmatch(citation)
+    path = ROOT / match.group(1)
+    if not path.is_file():
+        return "no such file"
+    scope = ast.parse(path.read_text()).body
+    for name in match.group(2).split("::")[1:]:
+        name = name.split("[")[0]  # a parametrized id names its function
+        found = [node for node in scope
+                 if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                 and node.name == name]
+        if not found:
+            return f"{name} is not defined there"
+        scope = found[0].body if isinstance(found[0], ast.ClassDef) else []
+    return None
+
+
+def test_every_kept_verdict_cites_a_test_that_exists():
+    """A verdict of ``tests/user_reach.py``'s ``KEPT`` table says which
+    test covers the definition it keeps: a renamed or deleted test would
+    leave the verdict pointing at nothing, so every cited
+    ``tests/…::Name`` must resolve (the file exists and defines the class
+    or function, and the method inside that class)."""
+    import user_reach
+
+    cited = {citation.group(0)
+             for verdict in user_reach.KEPT.values()
+             for citation in CITATION.finditer(verdict)}
+    assert len(cited) >= 20  # the pattern did find the citations
+    assert sorted(f"{citation}: {why}" for citation in cited
+                  for why in [_unresolved(citation)] if why) == []

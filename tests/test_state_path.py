@@ -148,13 +148,13 @@ def _remote_controller(world, actor):
     """On X: flips the link, then host Y, from another host."""
     engine = world.engine
     link, host = engine.link_by_name("xz"), engine.host("Y")
-    yield actor.sleep_until(LINK_DOWN)
+    yield actor.sleep_for(LINK_DOWN - actor.now)
     link.turn_off()
-    yield actor.sleep_until(LINK_UP)
+    yield actor.sleep_for(LINK_UP - actor.now)
     link.turn_on()
-    yield actor.sleep_until(HOST_DOWN)
+    yield actor.sleep_for(HOST_DOWN - actor.now)
     host.turn_off()
-    yield actor.sleep_until(HOST_UP)
+    yield actor.sleep_for(HOST_UP - actor.now)
     host.turn_on()
 
 
@@ -162,11 +162,11 @@ def _own_host_controller(world, actor):
     """On Y: flips the link, then turns off the host it runs on (a timer
     brings it back — nobody is left on Y to do it)."""
     link = world.engine.link_by_name("xz")
-    yield actor.sleep_until(LINK_DOWN)
+    yield actor.sleep_for(LINK_DOWN - actor.now)
     link.turn_off()
-    yield actor.sleep_until(LINK_UP)
+    yield actor.sleep_for(LINK_UP - actor.now)
     link.turn_on()
-    yield actor.sleep_until(HOST_DOWN)
+    yield actor.sleep_for(HOST_DOWN - actor.now)
     actor.host.turn_off()
     world.note("turn_off returned")   # never: the caller died in it
 
@@ -337,6 +337,162 @@ class TestTurningOffOwnHost:
         assert engine.restart_count == 1 and engine.actor_count() == 0
 
 
+# -- hooks a turn-off fires ------------------------------------------------------
+
+def _sleeper(world, actor):
+    yield actor.sleep_for(100.0)
+
+
+def _idle(world, actor, seconds):
+    yield actor.sleep_for(seconds)
+
+
+def _turn_off_then_idle(world, actor, resource):
+    yield actor.sleep_for(HOST_DOWN)
+    resource.turn_off()
+    yield actor.sleep_for(HOST_DOWN)
+
+
+def _bystander_sleeps(world, actor):
+    yield actor.sleep_for(50.0)
+    world.note("bystander woke")
+
+
+def _bystander_computes(world, actor):
+    yield actor.execute(2e9)
+    world.note("bystander computed")
+
+
+def _bystander_waits_for_resume(world, actor):
+    yield actor.suspend()
+    world.note("bystander resumed")
+
+
+#: Per operation: the bystander's body, and what the hook's call leaves
+#: in the log when it takes effect at the turn-off date, with the date
+#: run() returns (the suspended bystander is resumed by a timer at 3 s).
+HOOKED_OPERATIONS = {
+    "kill": (_bystander_sleeps,
+             ("bystander on_exit", True, HOST_DOWN), 2 * HOST_DOWN),
+    "suspend": (_bystander_computes, ("bystander computed", 4.0), 4.0),
+    "resume": (_bystander_waits_for_resume,
+               ("bystander resumed", HOST_DOWN), 2 * HOST_DOWN),
+}
+
+
+class TestHooksDuringATurnOff:
+    """``kill()``, ``suspend()`` and ``resume()`` called from a hook that a
+    turn-off fires — the ``on_exit`` of an actor the host took down, a
+    host or a link state listener — act at once in kernel context, the
+    same whether a timer or an actor's own ``turn_off()`` flipped the
+    resource.  Hooks fired inside an actor's turn once took the call for
+    a request of that actor: under generator contexts it was dropped."""
+
+    @staticmethod
+    def _run(operation, hook, context, driver):
+        world = _World(context, _triangle())
+        engine = world.engine
+        resource = (engine.link_by_name("xz") if hook == "link listener"
+                    else engine.host("Y"))
+        body = HOOKED_OPERATIONS[operation][0]
+        bystander = world.spawn("bystander", "Z", body)
+        bystander.on_exit(
+            lambda failed: world.note("bystander on_exit", failed))
+
+        def act():
+            getattr(bystander, operation)()
+
+        if hook == "on_exit":
+            world.spawn("victim", "Y", _sleeper).on_exit(
+                lambda failed: act())
+        elif hook == "host listener":
+            engine.on_host_state_change(
+                lambda host, is_on: None if is_on else act())
+        else:
+            engine.on_link_state_change(
+                lambda link, is_on: None if is_on else act())
+        if operation == "suspend":
+            engine.timers.schedule(3.0, bystander.resume)
+        if driver == "timer":
+            engine.timers.schedule(HOST_DOWN, resource.turn_off)
+            world.spawn("flipper", "X", _idle, 2 * HOST_DOWN)
+        else:
+            world.spawn("flipper", "X", _turn_off_then_idle, resource)
+        return _run_bounded(engine), world.log
+
+    @pytest.mark.parametrize("context", CONTEXTS)
+    @pytest.mark.parametrize("hook",
+                             ["on_exit", "host listener", "link listener"])
+    @pytest.mark.parametrize("operation", sorted(HOOKED_OPERATIONS))
+    def test_same_outcome_as_a_timer_turn_off(self, operation, hook,
+                                              context):
+        _, effect, final = HOOKED_OPERATIONS[operation]
+        by_timer = self._run(operation, hook, context, "timer")
+        assert by_timer[0] == final and effect in by_timer[1]
+        assert self._run(operation, hook, context, "actor") == by_timer
+
+    @pytest.mark.parametrize("context", CONTEXTS)
+    @pytest.mark.parametrize("hook", ["host listener", "link listener"])
+    def test_a_hook_killing_the_flipper_ends_its_call(self, hook, context):
+        """The actor whose ``turn_off()`` fired the hook dies like one
+        that turned off its own host: the call raises
+        ``ProcessKilledError`` once the flip is complete."""
+        world = _World(context, _triangle())
+        engine = world.engine
+        resource = (engine.link_by_name("xz") if hook == "link listener"
+                    else engine.host("Y"))
+
+        def flipper(world, actor):
+            try:
+                yield actor.sleep_for(HOST_DOWN)
+                resource.turn_off()
+                world.note("turn_off returned")
+            except ProcessKilledError:
+                world.note("killed")
+                raise
+            finally:
+                world.note("finally")
+
+        victim = world.spawn("flipper", "X", flipper)
+        victim.on_exit(lambda failed: world.note("flipper on_exit", failed))
+        register = (engine.on_link_state_change if hook == "link listener"
+                    else engine.on_host_state_change)
+        register(lambda flipped, is_on: victim.kill())
+        assert _run_bounded(engine) == HOST_DOWN
+        assert world.log[-3:] == [("flipper on_exit", True, HOST_DOWN),
+                                  ("killed", HOST_DOWN),
+                                  ("finally", HOST_DOWN)]
+        assert victim.exit_status is None and engine.actor_count() == 0
+
+    @pytest.mark.parametrize("context", CONTEXTS)
+    def test_a_hook_turning_off_the_flippers_host(self, context):
+        """A link listener that turns off the host of the actor whose
+        ``turn_off()`` fired it: the nested flip kills that actor like
+        any other on the host, and the outer call raises."""
+        world = _World(context, _triangle())
+        engine = world.engine
+
+        def flipper(world, actor):
+            try:
+                yield actor.sleep_for(HOST_DOWN)
+                engine.link_by_name("xz").turn_off()
+                world.note("turn_off returned")
+            except ProcessKilledError:
+                world.note("killed")
+                raise
+
+        victim = world.spawn("flipper", "Y", flipper)
+        victim.on_exit(lambda failed: world.note("flipper on_exit", failed))
+        engine.on_link_state_change(
+            lambda link, is_on: engine.host("Y").turn_off())
+        assert _run_bounded(engine) == HOST_DOWN
+        assert world.log == [("link", "xz", False, HOST_DOWN),
+                             ("flipper on_exit", True, HOST_DOWN),
+                             ("host", "Y", False, HOST_DOWN),
+                             ("killed", HOST_DOWN)]
+        assert victim.exit_status is None and engine.actor_count() == 0
+
+
 class TestOneStatePath:
     """Structural guards: one SURF entry point flips a resource, one s4u
     handler turns a flip into failures, kills, reboots and listener
@@ -395,7 +551,7 @@ class TestOneStatePath:
         # Every other kill is asked for: by an actor, by host code, or
         # by the end of the run.
         assert self._users("_kill_actor") == {
-            "Engine.kill_actor", "Engine._do_kill", "Engine._set_state",
+            "Actor.kill", "Engine._do_kill", "Engine._set_state",
             "Engine._kill_remaining_daemons", "Engine._handle_deadlock"}
 
     def test_activities_fail_in_three_places(self):

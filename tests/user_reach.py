@@ -16,9 +16,10 @@ runs, namely
   ``broken()``, ``counts()``.
 
 It prints ``unreached: <path>::<qualname>`` for every function that
-neither entered, with ``never_run.py``'s exemptions.  A function in a triaged
-package (:data:`TRIAGED_PACKAGES` and :data:`TRIAGED_READERS`) must have
-a verdict in :data:`KEPT` saying why it stays, or be deleted.  The exit
+neither entered, with ``never_run.py``'s exemptions, then one line per
+package with its unreached, kept and verdict-less counts.  A function in
+a triaged package (:data:`TRIAGED_PACKAGES`) must have a verdict in
+:data:`KEPT` saying why it stays, or be deleted.  The exit
 status is 1 for a triaged function with no verdict, for a :data:`KEPT`
 entry that is stale (now entered, or no longer defined), and if pytest
 failed or a workload reports itself broken; 0 otherwise.  Untriaged packages are listed but do not fail.
@@ -38,30 +39,8 @@ SEED = 1
 SCALE = 0.05
 
 #: Packages whose every unreached function has a verdict.
-TRIAGED_PACKAGES = ("surf/", "platform/", "tracing/", "kernel/", "packet/")
-
-#: The pure s4u readers, triaged the same way (the deleted ones too, so
-#: that one coming back without a verdict fails).
-TRIAGED_READERS = frozenset({
-    "s4u/host.py::Host.cores", "s4u/host.py::Host.load",
-    "s4u/host.py::Host.actor_count",
-    "s4u/link.py::Link.bandwidth", "s4u/link.py::Link.latency",
-    "s4u/link.py::Link.is_on", "s4u/link.py::Link.current_bandwidth",
-    "s4u/link.py::Link.load",
-    "s4u/engine.py::Engine.actor_count",
-    "s4u/activity.py::Activity.is_started",
-    "s4u/activity.py::Activity.remaining",
-    "s4u/activity.py::ActivitySet.__contains__",
-    "s4u/activity.py::ActivitySet.__iter__",
-    "s4u/activity.py::ActivitySet.__len__",
-    "s4u/activity.py::ActivitySet.activities",
-    "s4u/actor.py::Actor.is_suspended",
-    "s4u/mailbox.py::Mailbox.empty",
-    "s4u/mailbox.py::Mailbox.waiting_send_count",
-    "s4u/mailbox.py::Mailbox.pending_payloads",
-    "s4u/this_actor.py::get_name", "s4u/this_actor.py::get_pid",
-    "s4u/this_actor.py::is_suspended",
-})
+TRIAGED_PACKAGES = ("surf/", "platform/", "tracing/", "kernel/", "packet/",
+                    "s4u/", "ft/", "campaign/", "replay/", "amok/", "gras/")
 
 _XML = ("(b) the SimGrid XML platform format; "
         "tests/test_platform.py::TestXmlLoading")
@@ -72,15 +51,56 @@ _LINK = "tests/test_failure_injection.py::TestLinkApi::" \
 _LMM_ORACLE = ("oracle: tests/lmm_reference.py, the reference max-min "
                "filling that tests/test_lmm_lazy.py checks "
                "MaxMinSystem.solve against, reads it")
+_HOOKS = "tests/test_state_path.py::TestHooksDuringATurnOff"
+_KILL = ("(b) MSG_process_kill; tests/test_s4u_api.py::TestActorLifecycle::"
+         "test_kill_another_actor_s4u_style")
+_SUSPEND = ("(b) MSG_process_suspend; tests/test_s4u_api.py::"
+            "TestActorLifecycle::test_suspend_resume_across_actors")
+_RESUME = ("(b) MSG_process_resume; tests/test_s4u_api.py::"
+           "TestActorLifecycle::test_suspend_resume_across_actors")
+_JOIN = ("(b) MSG_process_join; tests/test_s4u_api.py::TestActorLifecycle::"
+         "test_join_waits_for_termination")
+_TEST = ("(b) MSG_comm_test; tests/test_s4u_api.py::TestActivityFutures::"
+         "test_test_polls_before_completion")
+_WAITALL = ("(b) MSG_comm_waitall; tests/test_s4u_api.py::TestActivitySet::"
+            "test_wait_all_blocks_until_every_member_is_done")
+_DEADLOCK = ("(s) deadlock detection; tests/test_s4u_ported_msg.py::"
+             "TestDeadlock::test_deadlock_raises_when_requested")
+_SPEED_TESTS = ("tests/test_availability.py::TestRuntimeSpeedChange, and "
+                "the zoned pins run it (tests/test_zoned_pins.py)")
+_SPEED = ("(b) the XML host's availability_file (SURF), set by hand; "
+          + _SPEED_TESTS)
+_BANDWIDTH_TEST = ("tests/test_failure_injection.py::TestLinkApi::"
+                   "test_set_bandwidth_reshapes_running_transfer")
+_BANDWIDTH = ("(b) the XML link's bandwidth_file (SURF), set by hand; "
+              + _BANDWIDTH_TEST)
+_LATENCY_TEST = ("tests/test_failure_injection.py::TestLinkApi::"
+                 "test_set_latency_only_affects_new_transfers")
+_LATENCY = ("(b) the XML link's latency_file (SURF), set by hand; "
+            + _LATENCY_TEST)
+_LINK_STATE = ("(b) the XML link's state_file (SURF link failures), "
+               "flipped by hand; " + _HOOKS)
+_INTENSITY = ("(s) the supervisor's restart-intensity bound; "
+              "tests/test_ft.py::TestSupervisor::"
+              "test_permanent_quitter_escalates_at_the_bound")
+_SATURATE = ("(b) amok_bw_saturate_start / amok_bw_saturate_stop; "
+             "tests/test_amok.py::TestSaturation")
+_DATADESC = ("(b) receiver-makes-right decoding of gras_datadesc_by_name("
+             "\"string\") and gras_datadesc_struct; "
+             "tests/test_gras_datadesc.py::TestCompositeTypes")
 
 #: Why an unreached, triaged function stays, as ``path::qualname``.
-#: "(b)": a paper layer's API promises it, and the named test covers it.
+#: "(b)": a paper layer's API promises it (the MSG, GRAS, SMPI or AMOK
+#: call, or the SimGrid platform file attribute it stands for), and the
+#: named test covers it.
 #: "oracle": the named test checks reached code against it.
-#: "deferred": its only callers are untriaged, or perfbench imports it.
+#: "(s)": a safety guard, and the named test trips it.
+#: "deferred": perfbench imports or pins it, or only SMPI (untriaged)
+#: calls it.
 KEPT = {
     # kernel/
     "kernel/context.py::ThreadContext.kill":
-        "deferred: Actor.kill under thread contexts",
+        "(b) MSG_process_kill under thread contexts; " + _HOOKS,
     "kernel/timer.py::TimerQueue.__len__":
         "oracle: counts the live timers that failure and snapshot paths "
         "leave; tests/test_failure_injection.py::TestTimeoutFailureRaces"
@@ -103,61 +123,140 @@ KEPT = {
         "(b) MSG_task_get_remaining_computation, through "
         "Activity.remaining; " + _RARE,
     "surf/action.py::Action.suspend":
-        "deferred: Actor.suspend (MSG_process_suspend)",
+        "(b) MSG_process_suspend of an actor blocked in an exec; "
+        "tests/test_s4u_api.py::TestEveryWaitEveryEnding",
     "surf/action.py::Action.resume":
-        "deferred: Actor.resume (MSG_process_resume)",
-    "surf/cpu.py::CpuModel.set_cpu_speed": "deferred: Host.set_speed",
+        "(b) MSG_process_resume of an actor blocked in an exec; "
+        "tests/test_s4u_api.py::TestEveryWaitEveryEnding",
+    "surf/cpu.py::CpuModel.set_cpu_speed":
+        "(b) Host.set_speed's SURF half; " + _SPEED_TESTS,
     "surf/engine.py::SurfEngine.next_trace_event_date":
-        "deferred: Engine._simulation_over's deadlock branch, before "
-        "Engine._handle_deadlock",
+        _DEADLOCK + " (Engine._simulation_over's deadlock branch reads it)",
     "surf/lmm.py::Constraint.variables": _LMM_ORACLE,
     "surf/lmm.py::MaxMinSystem.variables": _LMM_ORACLE,
     "surf/model.py::FluidModel.on_action_priority_changed":
-        "deferred: Action.suspend/resume and CpuModel.set_cpu_speed",
+        "(b) MSG_process_suspend/resume and Host.set_speed, through "
+        "Action.suspend/resume and CpuModel.set_cpu_speed; "
+        "tests/test_s4u_api.py::TestEveryWaitEveryEnding",
     "surf/network.py::NetworkModel.set_link_bandwidth":
-        "deferred: Link.set_bandwidth",
+        "(b) Link.set_bandwidth's SURF half; " + _BANDWIDTH_TEST,
     "surf/network.py::NetworkModel.set_link_latency":
-        "deferred: Link.set_latency",
+        "(b) Link.set_latency's SURF half; " + _LATENCY_TEST,
     "surf/resource.py::Resource.set_peak_capacity":
-        "deferred: Host.set_speed and Link.set_bandwidth",
+        "(b) the SURF half of Host.set_speed and Link.set_bandwidth; "
+        + _SPEED_TESTS,
     "surf/shard.py::default_workers": "deferred: perfbench/rep.py imports it",
     "surf/trace.py::Trace.parse":
         "(b) the SimGrid trace file format; "
         "tests/test_surf_trace.py::TestParsing",
-    # the s4u readers
+    # s4u/
+    "s4u/activity.py::Activity.test": _TEST,
+    "s4u/activity.py::Activity.cancel":
+        "(b) MSG_task_cancel; tests/test_s4u_api.py::TestActivityFutures::"
+        "test_cancel_wakes_waiter",
+    "s4u/activity.py::Activity.remaining":
+        "(b) MSG_task_get_remaining_computation; " + _RARE,
+    "s4u/activity.py::ActivitySet.__contains__":
+        "oracle: checks that wait_any reaped the member that ended it; "
+        "tests/test_s4u_api.py::TestEveryWaitEveryEnding",
+    "s4u/activity.py::ActivitySet.wait_all": _WAITALL,
+    "s4u/activity.py::ActivitySet.test_any":
+        "(b) MSG_comm_testany; tests/test_s4u_api.py::TestActivitySet::"
+        "test_test_any_polls_without_blocking",
+    "s4u/actor.py::Actor.is_suspended":
+        "(b) MSG_process_is_suspended; " + _RARE,
+    "s4u/actor.py::Actor.kill": _KILL,
+    "s4u/actor.py::Actor.resume": _RESUME,
+    "s4u/actor.py::Actor.join": _JOIN,
+    "s4u/engine.py::Engine.link_by_name":
+        "(b) the XML link's id, by which SURF names a link; " + _LINK,
+    "s4u/engine.py::Engine.actor_count":
+        "(b) MSG_process_get_number; tests/test_s4u_api.py::"
+        "TestActorLifecycle::test_spawn_join_reap_waves",
+    "s4u/engine.py::Engine.on_link_state_change":
+        "(b) observes the XML link's state_file flips, as "
+        "on_host_state_change does the hosts'; " + _HOOKS,
+    "s4u/engine.py::Engine.deadlocked": _DEADLOCK,
+    "s4u/engine.py::Engine._handle_deadlock": _DEADLOCK,
+    "s4u/engine.py::Engine._do_test": _TEST,
+    "s4u/engine.py::Engine._do_kill": _KILL,
+    "s4u/engine.py::Engine._do_wait_all": _WAITALL,
+    "s4u/engine.py::Engine._suspend_other": _SUSPEND,
+    "s4u/engine.py::Engine._do_resume_other": _RESUME,
+    "s4u/engine.py::Engine._resume_other": _RESUME,
+    "s4u/engine.py::Engine._do_join": _JOIN,
     "s4u/host.py::Host.cores":
         "(b) MSG_host_get_core_number, the XML core attribute; " + _RARE,
+    "s4u/host.py::Host.set_speed": _SPEED,
     "s4u/link.py::Link.bandwidth":
         "(b) the XML link's bandwidth attribute; " + _LINK,
     "s4u/link.py::Link.latency":
         "(b) the XML link's latency attribute; " + _LINK,
     "s4u/link.py::Link.is_on":
         "(b) SURF's link failures (state traces); " + _LINK,
-    "s4u/engine.py::Engine.actor_count":
-        "(b) MSG_process_get_number; tests/test_s4u_api.py::"
-        "TestActorLifecycle::test_spawn_join_reap_waves",
-    "s4u/activity.py::Activity.remaining":
-        "(b) MSG_task_get_remaining_computation; " + _RARE,
-    "s4u/activity.py::ActivitySet.__contains__":
-        "oracle: checks that wait_any reaped the member that ended it; "
-        "tests/test_s4u_api.py::TestEveryWaitEveryEnding",
-    "s4u/actor.py::Actor.is_suspended":
-        "(b) MSG_process_is_suspended; " + _RARE,
+    "s4u/link.py::Link.turn_off": _LINK_STATE,
+    "s4u/link.py::Link.turn_on": _LINK_STATE,
+    "s4u/link.py::Link.set_bandwidth": _BANDWIDTH,
+    "s4u/link.py::Link.set_latency": _LATENCY,
     "s4u/mailbox.py::Mailbox.empty":
         "oracle: checks that failure paths leave no comm queued; "
         "tests/test_failure_injection.py::TestFailureEdgeCases::"
         "test_peer_host_dies_before_rendezvous_matches",
+    "s4u/mailbox.py::Mailbox.listen":
+        "(b) MSG_task_listen; tests/test_migration_equivalence.py::"
+        "TestPortPrimitives::test_mailbox_listen_and_peek",
     "s4u/mailbox.py::Mailbox.pending_payloads":
         "deferred: SMPI's iprobe (smpi/comm.py)",
     "s4u/this_actor.py::get_name":
         "(b) MSG_process_get_name; "
         "tests/test_s4u_api.py::TestEngineBasics::test_this_actor_helpers",
     "s4u/this_actor.py::get_pid": "(b) MSG_process_get_PID; " + _RARE,
+    # ft/
+    "ft/supervisor.py::Supervisor._spend_restart_token": _INTENSITY,
+    "ft/supervisor.py::Supervisor._escalate": _INTENSITY,
+    # campaign/
+    "campaign/runner.py::default_campaign_workers":
+        "deferred: perfbench/rep.py imports it",
+    "campaign/runner.py::_run_forked":
+        "deferred: perfbench's campaign_fork runs workers=0 until a "
+        "benchmark row decides the pool; tests/test_campaign.py::"
+        "TestSnapshotFanout",
+    # amok/
+    "amok/saturation.py::SaturationExperiment.__init__": _SATURATE,
+    "amok/saturation.py::SaturationExperiment._timed_transfer": _SATURATE,
+    "amok/saturation.py::SaturationExperiment._timed_transfer.<locals>"
+    ".sender": _SATURATE,
+    "amok/saturation.py::SaturationExperiment._timed_transfer.<locals>"
+    ".receiver": _SATURATE,
+    "amok/saturation.py::SaturationExperiment._timed_transfer.<locals>"
+    ".sink": _SATURATE,
+    "amok/saturation.py::SaturationExperiment.run": _SATURATE,
+    # gras/
+    "gras/bench.py::BenchRecorder.count_of":
+        "oracle: checks how often a bench block really ran; "
+        "tests/test_bench_sampler.py::"
+        "test_sampler_runs_and_charges_the_recorded_duration",
+    "gras/datadesc.py::StringDesc.decode": _DATADESC,
+    "gras/datadesc.py::StructDesc.decode": _DATADESC,
+    "gras/datadesc.py::declare_struct":
+        "(b) gras_datadesc_struct; tests/test_gras_datadesc.py::"
+        "TestRegistry::test_declare_struct_registers_by_name",
+    "gras/process.py::GrasProcess.bench_once":
+        "(b) GRAS_BENCH_ONCE_RUN_ONCE_BEGIN/END; "
+        "tests/test_bench_sampler.py::"
+        "test_sampler_runs_and_charges_the_recorded_duration",
 }
 
 
 def triaged(name):
-    return name.startswith(TRIAGED_PACKAGES) or name in TRIAGED_READERS
+    return name.startswith(TRIAGED_PACKAGES)
+
+
+def package_of(name):
+    """``s4u/`` for ``s4u/actor.py::Actor.kill``; a module at the top of
+    the package is its own entry (``__init__.py``)."""
+    path = name.split("::")[0]
+    return path.split("/")[0] + "/" if "/" in path else path
 
 
 def run_workloads():
@@ -202,6 +301,14 @@ def main():
         why = "now entered" if name in defined else "no longer defined"
         print(f"stale KEPT entry: {name} ({why})")
         stale += 1
+    counts = {}
+    for name in missing:
+        row = counts.setdefault(package_of(name), [0, 0, 0])
+        row[0] += 1
+        row[1 if name in KEPT else 2] += 1
+    for package, (unreached, kept, open_) in sorted(counts.items()):
+        print(f"user_reach: {package} {unreached} unreached, {kept} kept, "
+              f"{open_} without a verdict")
     for name, problems in broken.items():
         print(f"user_reach: workload {name} broken: {problems}")
     if status != 0:

@@ -203,9 +203,10 @@ def run_burst_workload(num_sites, hosts_per_site, crossing, sharded):
 
     def sink(actor, site, expected):
         box = actor.engine.mailbox(f"sink-{site}")
-        pending = s4u.ActivitySet()
+        comms = []
         for _ in range(expected):
-            pending.push((yield box.get_async()))
+            comms.append((yield box.get_async()))
+        pending = s4u.ActivitySet(comms)
         while not pending.empty():
             done = yield pending.wait_any()
             log.append((actor.now, actor.name, done.get_payload()))
