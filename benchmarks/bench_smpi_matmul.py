@@ -8,14 +8,28 @@ application reacts to platform heterogeneity"* — so the harness runs
 on a homogeneous commodity cluster and on a heterogeneous two-site grid,
 sweeping the rank count, and reports the simulated execution times and the
 heterogeneity slowdown.
+
+The times charge a real measurement (``SMPI_BENCH_ONCE`` times the first
+local GEMM on this machine), so they differ from run to run in their last
+digits.  The bit pin therefore runs the same sweep with the bench clock
+stepping by a fixed duration per reading.
 """
+
+import hashlib
+import itertools
 
 from benchmarks.bench_util import print_table
 from examples.smpi_matmul import parallel_mat_mult
+from repro.gras import bench
 from repro.platform import make_cluster, make_two_site_grid
 from repro.smpi import SmpiWorld
 
 MATRIX_SIZE = 64        # M = N = K
+RANK_COUNTS = (2, 4, 8)
+#: The stand-in for one measured GEMM step in the pinned sweep: 2**-17 s
+#: (about 7.6 us), exact in binary, so every recorded duration is exactly
+#: this value.
+KERNEL_SECONDS = 2.0 ** -17
 
 
 def simulate(platform_factory, num_ranks):
@@ -34,8 +48,29 @@ def heterogeneous_platform(num_ranks):
                               wan_latency=50e-3)
 
 
+class SteppingClock:
+    """A stand-in for the ``time`` module whose ``perf_counter`` advances
+    by ``step`` at every reading."""
+
+    def __init__(self, step):
+        self._readings = itertools.count()
+        self._step = step
+
+    def perf_counter(self):
+        return next(self._readings) * self._step
+
+
+def times_digest(times):
+    """sha256 over each rank count and its two times as ``float.hex``."""
+    digest = hashlib.sha256()
+    for num_ranks, homogeneous, heterogeneous in times:
+        digest.update(repr((num_ranks, homogeneous.hex(),
+                            heterogeneous.hex())).encode() + b"\n")
+    return digest.hexdigest()
+
+
 def test_e6_smpi_matmul_homogeneous_vs_heterogeneous():
-    rank_counts = (2, 4, 8)
+    rank_counts = RANK_COUNTS
     rows = []
     homogeneous_times = []
     slowdowns = []
@@ -57,3 +92,15 @@ def test_e6_smpi_matmul_homogeneous_vs_heterogeneous():
     # More ranks do not help once the WAN is the bottleneck; on the cluster
     # the simulated time must stay bounded as ranks increase.
     assert homogeneous_times[-1] < homogeneous_times[0] * 4
+
+
+def test_e6_times_are_pinned_with_a_fixed_kernel_duration(monkeypatch):
+    """E6's six simulated times to the bit, with every measured GEMM step
+    replaced by :data:`KERNEL_SECONDS`: they are then a pure function of
+    the simulator."""
+    monkeypatch.setattr(bench, "time", SteppingClock(KERNEL_SECONDS))
+    times = [(num_ranks, simulate(homogeneous_platform, num_ranks),
+              simulate(heterogeneous_platform, num_ranks))
+             for num_ranks in RANK_COUNTS]
+    assert times_digest(times) == (
+        "b1df5ecdf5c896d0a02bf4a0bd12e28a1aa39ad07324ef517133bef54f1b1be7")

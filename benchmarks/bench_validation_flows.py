@@ -22,6 +22,7 @@ state: from 20 MB to 100 MB the packet-level rate of flow 6 goes
 (ROADMAP item 6).
 """
 
+import hashlib
 import statistics
 import time
 
@@ -83,11 +84,22 @@ def waxman(num_nodes=NUM_NODES, num_flows=NUM_FLOWS):
                                   seed=FLOW_SEED)
 
 
+def rates_digest(rates):
+    """sha256 over each flow's index and its rate as ``float.hex``."""
+    digest = hashlib.sha256()
+    for idx, rate in enumerate(rates):
+        digest.update(repr((idx, rate.hex())).encode() + b"\n")
+    return digest.hexdigest()
+
+
 def test_e1_no_fluid_flow_beats_its_bottleneck():
     """The fluid side of E1 on its own: every flow gets a positive rate
-    no higher than the narrowest link of its route."""
+    no higher than the narrowest link of its route, and the ten rates are
+    pinned to the bit."""
     platform, flows = waxman()
     rates = fluid_rates(platform, flows, FLOW_BYTES)
+    assert rates_digest(rates) == (
+        "607684f321e58bbe1188139fcccc28a9f9301020e497e34335cfe8bb380d41ac")
     for rate, (src, dst) in zip(rates, flows):
         bottleneck = min(platform.links[name].bandwidth
                          for name in platform.route_links(src, dst))
