@@ -9,10 +9,11 @@ on a homogeneous commodity cluster and on a heterogeneous two-site grid,
 sweeping the rank count, and reports the simulated execution times and the
 heterogeneity slowdown.
 
-The times charge a real measurement (``SMPI_BENCH_ONCE`` times the first
-local GEMM on this machine), so they differ from run to run in their last
-digits.  The bit pin therefore runs the same sweep with the bench clock
-stepping by a fixed duration per reading.
+``SMPI_BENCH_ONCE`` runs the first local GEMM for real and charges its
+measured duration to every step, so with a real clock the times differ
+from run to run in their last digits.  The sweep therefore reads a bench
+clock that steps by :data:`KERNEL_SECONDS` per reading: every GEMM step
+is charged exactly that, and the six times are pinned to the bit.
 """
 
 import hashlib
@@ -25,10 +26,8 @@ from repro.platform import make_cluster, make_two_site_grid
 from repro.smpi import SmpiWorld
 
 MATRIX_SIZE = 64        # M = N = K
-RANK_COUNTS = (2, 4, 8)
-#: The stand-in for one measured GEMM step in the pinned sweep: 2**-17 s
-#: (about 7.6 us), exact in binary, so every recorded duration is exactly
-#: this value.
+#: The stand-in for one measured GEMM step: 2**-17 s (about 7.6 us), exact
+#: in binary, so every recorded duration is exactly this value.
 KERNEL_SECONDS = 2.0 ** -17
 
 
@@ -69,17 +68,20 @@ def times_digest(times):
     return digest.hexdigest()
 
 
-def test_e6_smpi_matmul_homogeneous_vs_heterogeneous():
-    rank_counts = RANK_COUNTS
+def test_e6_smpi_matmul_homogeneous_vs_heterogeneous(monkeypatch):
+    monkeypatch.setattr(bench, "time", SteppingClock(KERNEL_SECONDS))
+    rank_counts = (2, 4, 8)
     rows = []
     homogeneous_times = []
     slowdowns = []
+    times = []
     for num_ranks in rank_counts:
         homogeneous = simulate(homogeneous_platform, num_ranks)
         heterogeneous = simulate(heterogeneous_platform, num_ranks)
         slowdown = heterogeneous / homogeneous
         homogeneous_times.append(homogeneous)
         slowdowns.append(slowdown)
+        times.append((num_ranks, homogeneous, heterogeneous))
         rows.append((num_ranks, f"{homogeneous:.3f}s", f"{heterogeneous:.3f}s",
                      f"{slowdown:.1f}x"))
     print_table("E6: 1-D MPI matrix multiply under SMPI "
@@ -92,15 +94,6 @@ def test_e6_smpi_matmul_homogeneous_vs_heterogeneous():
     # More ranks do not help once the WAN is the bottleneck; on the cluster
     # the simulated time must stay bounded as ranks increase.
     assert homogeneous_times[-1] < homogeneous_times[0] * 4
-
-
-def test_e6_times_are_pinned_with_a_fixed_kernel_duration(monkeypatch):
-    """E6's six simulated times to the bit, with every measured GEMM step
-    replaced by :data:`KERNEL_SECONDS`: they are then a pure function of
-    the simulator."""
-    monkeypatch.setattr(bench, "time", SteppingClock(KERNEL_SECONDS))
-    times = [(num_ranks, simulate(homogeneous_platform, num_ranks),
-              simulate(heterogeneous_platform, num_ranks))
-             for num_ranks in RANK_COUNTS]
+    # the six simulated times, to the bit
     assert times_digest(times) == (
         "b1df5ecdf5c896d0a02bf4a0bd12e28a1aa39ad07324ef517133bef54f1b1be7")

@@ -18,8 +18,14 @@ sizes quick enough for every run.  E1's flows are scaled down from the
 paper's 100 MB to 20 MB to keep the packet-level side tractable in pure
 Python.  Both simulators see the same sizes, but 20 MB is not steady
 state: from 20 MB to 100 MB the packet-level rate of flow 6 goes
-1.71 -> 2.99 MB/s, flow 8 2.96 -> 4.84 and flow 1 4.03 -> 4.53
-(ROADMAP item 6).
+1.71 -> 2.99 MB/s, flow 8 2.96 -> 4.84 and flow 1 4.03 -> 4.53.
+
+E1 is an expected failure, and the paper's size does not change that.  At
+100 MB with CM02's factors (bandwidth 0.92, latency 10.4), measured on
+five (topology, flow) seed pairs fixed before measuring, the three
+thresholds hold on 2 of 5: (42, 7) and (4, 4) pass, (1, 1) fails the
+median, (2, 2) the max, (3, 3) the max and the aggregate (ROADMAP item 6
+has the table).
 """
 
 import hashlib
@@ -111,12 +117,13 @@ def test_e1_no_fluid_flow_beats_its_bottleneck():
 @pytest.mark.xfail(strict=True, reason=(
     "measured, not noise: at 20 MB with neutral model factors median "
     "|gap| is 0.552 and max 1.005 against < 0.25 and < 0.60, because the "
-    "20 MB packet-level flows are still ramping up (flow 6: 1.71 MB/s at "
-    "20 MB, 2.99 at 100 MB).  RTT-aware sharing is not the lever (median "
-    "0.55 -> 0.41 but max 1.01 -> 1.26 at 20 MB; worse at 100 MB).  The "
-    "paper's 100 MB with CM02's factors (bandwidth 0.92, latency 10.4, "
-    "passed explicitly, no default or pinned date moved) passes all three "
-    "thresholds: median 0.136, max 0.583, aggregate 1.06.  ROADMAP item 6."))
+    "20 MB packet-level flows are still ramping up.  The paper's 100 MB "
+    "with CM02's factors (bandwidth 0.92, latency 10.4) does not rescue "
+    "it: on five seed pairs fixed before measuring, all three thresholds "
+    "hold on 2 of 5 ((42, 7), (4, 4)); (1, 1) fails the median, (2, 2) "
+    "the max, (3, 3) the max and the aggregate.  RTT-aware sharing is not "
+    "the lever (median 0.55 -> 0.41 but max 1.01 -> 1.26 at 20 MB).  "
+    "ROADMAP item 6."))
 def test_e1_flow_rates_fluid_vs_packet():
     """Regenerates the per-flow transfer-rate comparison (bar chart)."""
     platform, flows = waxman()

@@ -40,8 +40,8 @@ Quickstart (s4u, the canonical API)
 GRAS (:class:`repro.gras.SimWorld`), SMPI (:class:`repro.smpi.SmpiWorld`)
 and AMOK all drive this engine directly.  The paper's MSG API
 (``Environment``/``Process``/``Task``) was retired after a deprecation
-cycle: accessing those names now raises a clear :class:`ImportError`
-pointing at the s4u equivalents.
+cycle: ``repro.s4u.Engine``, ``Actor`` and a plain payload with
+``Mailbox.put(payload, size=...)`` replace them.
 """
 
 from repro import s4u
@@ -96,26 +96,6 @@ from repro.surf import (
 )
 from repro.tracing import GanttChart, Recorder
 from repro.version import __version__
-
-#: The retired MSG API and where each name went.  The deprecated
-#: compatibility shim (``repro.msg``) was removed after a deprecation
-#: cycle; resolving one of its names fails loudly with the s4u equivalent
-#: instead of an opaque AttributeError.
-_MSG_REMOVED = {
-    "Environment": "repro.s4u.Engine",
-    "Process": "repro.s4u.Actor",
-    "ProcessState": "repro.s4u.ActorState",
-    "Task": "a plain payload plus Mailbox.put(payload, size=...)",
-}
-
-
-def __getattr__(name):
-    if name in _MSG_REMOVED:
-        raise ImportError(
-            f"the deprecated MSG API was removed; repro.{name} is now "
-            f"{_MSG_REMOVED[name]} (see repro.s4u)")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "Activity",

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.gras.datadesc import ArrayDesc, ScalarDesc, declare_struct
+from repro.gras.datadesc import ArrayDesc, ScalarDesc
 from repro.gras.process import GrasProcess
-from repro.gras.socket import GrasSocket
 
 __all__ = ["BandwidthMeter", "MeasurementResult"]
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.platform.platform import Platform
 from repro.s4u.engine import Engine
 
 __all__ = ["SaturationExperiment", "SaturationResult"]

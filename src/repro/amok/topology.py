@@ -14,7 +14,7 @@ measurements, or the platform description itself in tests).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 __all__ = ["TopologyInference", "InferredTopology"]

@@ -318,8 +318,8 @@ def run_campaign(run_fn: Callable[..., Mapping[str, Any]],
         {"seed": spec.seed, "label": spec.label, "metrics": results[index]}
         for index, spec in enumerate(specs)]
     return CampaignResult(specs=specs, runs=runs, workers=workers,
-                          forked=snapshot is not None, fallbacks=fallbacks,
-                          timeouts=timeouts, retries=retries)
+                          fallbacks=fallbacks, timeouts=timeouts,
+                          retries=retries)
 
 
 @dataclass
@@ -329,7 +329,6 @@ class CampaignResult:
     specs: List[ExperimentSpec]
     runs: List[Dict[str, Any]]
     workers: int
-    forked: bool
     #: Runs whose process died without replying, watchdog firings (runs
     #: declared hung), and runs re-executed after either loss.
     fallbacks: int = 0
@@ -342,5 +341,5 @@ class CampaignResult:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"CampaignResult(runs={len(self.runs)}, workers={self.workers},"
-                f" forked={self.forked}, fallbacks={self.fallbacks},"
-                f" timeouts={self.timeouts}, retries={self.retries})")
+                f" fallbacks={self.fallbacks}, timeouts={self.timeouts},"
+                f" retries={self.retries})")

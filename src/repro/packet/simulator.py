@@ -10,7 +10,7 @@ paper does against NS2 and GTNetS).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.packet.event_queue import EventQueue

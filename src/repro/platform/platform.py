@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.exceptions import NoRouteError, PlatformError
+from repro.exceptions import PlatformError
 from repro.platform.routing import LRUCache, NetZone, resolve_route
 from repro.surf.cpu import CpuResource
 from repro.surf.engine import SurfEngine

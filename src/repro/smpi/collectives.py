@@ -19,8 +19,6 @@ rank's mailbox — no task wrappers anywhere on the collective hot path.
 
 from __future__ import annotations
 
-import operator
-from functools import reduce as _functools_reduce
 from typing import Any, Callable, List, Optional
 
 from repro.exceptions import MpiError

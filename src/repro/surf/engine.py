@@ -1,7 +1,7 @@
 """The SURF engine: advancing simulated time across all resource models.
 
 The engine owns the simulated clock and repeatedly performs the fluid
-simulation loop (ROADMAP, "Kernel performance model"):
+simulation loop (docs/INVARIANTS.md, "SURF & LMM"):
 
 1. ask every model to *share resources* (solve its MaxMin system) and report
    the date of its next action completion;

@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.gras.arch import ARCHITECTURES, Architecture
+from repro.gras.arch import ARCHITECTURES
 from repro.gras.datadesc import DataDescription
 from repro.platform.platform import Platform
-from repro.wire.codec import Codec, CodecUnavailableError
+from repro.wire.codec import Codec
 from repro.wire.gras_codec import GrasCodec
 from repro.wire.mpich_codec import MpichCodec
 from repro.wire.omniorb_codec import OmniOrbCodec

@@ -32,13 +32,19 @@ class TestExceptionHierarchy:
 
 
 class TestRemovedMsgApi:
-    """The deprecated MSG shim is gone; its names fail with clear errors."""
+    """The deprecated MSG shim is gone, and so are its names."""
 
     @pytest.mark.parametrize("name", ["Environment", "Process",
                                       "ProcessState", "Task"])
     def test_legacy_names_raise_import_error(self, name):
-        with pytest.raises(ImportError, match="repro.s4u"):
-            getattr(repro, name)
+        with pytest.raises(ImportError,
+                           match=f"cannot import name '{name}' from 'repro'"):
+            exec(f"from repro import {name}", {})
+
+    @pytest.mark.parametrize("name", ["Environment", "Process",
+                                      "ProcessState", "Task"])
+    def test_legacy_names_are_not_attributes(self, name):
+        assert not hasattr(repro, name)
 
     def test_msg_package_is_gone(self):
         with pytest.raises(ImportError):

@@ -13,8 +13,6 @@ Covers the PR-4 fault-tolerance layer:
   same pulses applied as explicit ``turn_off``/``turn_on`` calls.
 """
 
-import math
-
 import pytest
 
 from repro import s4u

@@ -11,7 +11,7 @@ from repro.gras import RlWorld, SimWorld
 from repro.gras.bench import BenchRecorder
 from repro.gras.message import MessageRegistry
 from repro.gras.datadesc import datadesc_by_name
-from repro.platform import make_star, make_two_site_grid
+from repro.platform import make_star
 
 
 def star(bandwidth=12.5e6, latency=5e-4):

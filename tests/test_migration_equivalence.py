@@ -14,7 +14,7 @@ cross-checked the (since removed) MSG compatibility shim.
 
 import pytest
 
-from repro import ActivitySet, Engine
+from repro import Engine
 from repro.amok import BandwidthMeter, SaturationExperiment
 from repro.exceptions import SimTimeoutError
 from repro.gras import SimWorld

@@ -1,7 +1,5 @@
 """Tests for the packet-level simulator (the NS2/GTNetS stand-in)."""
 
-import math
-
 import pytest
 from hypothesis import given, settings, strategies as st
 

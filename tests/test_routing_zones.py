@@ -437,8 +437,8 @@ class TestSealedTreesMatchFromScratchSearch:
 
 
 class TestRoutingWorkScaling:
-    """Wall-clock-free pin of route cost (ROADMAP open item 5): a leaf
-    source must not pay for its hub's edges."""
+    """Wall-clock-free pin of route cost (docs/INVARIANTS.md, "Platform &
+    routing"): a leaf source must not pay for its hub's edges."""
 
     def test_star_site_relaxations_are_linear_in_hosts(self):
         per_host = {}

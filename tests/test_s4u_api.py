@@ -1166,10 +1166,3 @@ class TestOneWaitPath:
                                     and leaf.id in nested):
                                 offenders.append(f"{path.name}:{call.lineno}")
         assert offenders == []
-
-
-class TestRemovedMsgShim:
-    def test_legacy_environment_points_at_s4u(self):
-        import repro
-        with pytest.raises(ImportError, match="s4u.Engine"):
-            repro.Environment

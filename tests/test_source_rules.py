@@ -1,7 +1,8 @@
 """Source rules: imports and names that must not come back under ``src/``,
-options that no caller sets, the timing fixture that must not come back
-under ``tests/`` or ``benchmarks/``, and the tests that the user-reach
-verdicts cite.
+options that no caller sets, imports that nothing reads, the timing
+fixture that must not come back under ``tests/`` or ``benchmarks/``, and
+the tests that the user-reach verdicts, ``docs/INVARIANTS.md`` and
+``ROADMAP.md`` cite.
 
 Each rule reads the source (line by line, like ``grep -nE``, or as a
 syntax tree) and fails listing every matching ``path:line``.  The
@@ -10,8 +11,10 @@ rule catches the regression in the source before any of it runs.
 """
 
 import ast
+import importlib.util
 import pathlib
 import re
+import sys
 from collections import defaultdict
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -174,6 +177,11 @@ RETIRED_NAMES = (
     r"recovery_polic", r"run_recovery_experiment", r"_recovery_worker",
     r"RECOVERY_POLICIES", r"def summarize\b", r"def _flatten\b",
     r"_percentile", r"to_report", r"write_json",
+    # Echoes of a fact the caller already holds: CampaignResult.forked
+    # (the caller passed the snapshot) and the MSG removal notice (Python's
+    # own ImportError names the missing name;
+    # tests/test_errors_and_api.py::TestRemovedMsgApi).
+    r"\.forked\b", r"_MSG_REMOVED",
     # AMOK, GRAS and ft readers only their own unit tests called.
     r"interference_ratio", r"shares_bottleneck", r"def cluster_of\b",
     r"num_clusters", r"def roundtrip\b", r"is_declared",
@@ -473,28 +481,42 @@ def test_every_defaulted_parameter_has_a_caller():
     assert sorted(set(UNSET_BY_DESIGN) - set(unset)) == []
 
 
-#: A test a verdict cites: ``tests/<file>.py::Name`` or ``...::Class::test``.
-CITATION = re.compile(r"(tests/[\w/]+\.py)((?:::[\w\[\]-]+)+)")
+#: A cited test or test helper: ``tests/<file>.py::Name``,
+#: ``perfbench/tests/<file>.py::Class::test``, ``benchmarks/<file>.py::test``
+#: or ``...::test[param]``.
+CITATION = re.compile(r"(?<![\w/])"
+                      r"((?:(?:perfbench/)?tests|benchmarks)/[\w/]+\.py)"
+                      r"((?:::[\w.\[\]-]+)+)")
 
 
-def _unresolved(citation):
-    """Why ``tests/file.py::A::B`` names nothing, or None when the file
-    exists and defines ``A`` at its top level (and ``B`` inside class
-    ``A``)."""
-    match = CITATION.fullmatch(citation)
-    path = ROOT / match.group(1)
-    if not path.is_file():
-        return "no such file"
-    scope = ast.parse(path.read_text()).body
-    for name in match.group(2).split("::")[1:]:
-        name = name.split("[")[0]  # a parametrized id names its function
-        found = [node for node in scope
-                 if isinstance(node, (ast.ClassDef, ast.FunctionDef))
-                 and node.name == name]
-        if not found:
-            return f"{name} is not defined there"
-        scope = found[0].body if isinstance(found[0], ast.ClassDef) else []
-    return None
+def _unresolved(citations):
+    """``citation: why`` for every citation that names nothing.  Each file
+    is the module pytest already imported from it, else a fresh load of
+    it; the names after the path are walked with ``getattr`` (``::`` or
+    ``.`` between them), a parametrized id naming its function."""
+    modules = {pathlib.Path(module.__file__).resolve(): module
+               for module in list(sys.modules.values())
+               if getattr(module, "__file__", None)}
+    problems = []
+    for citation in sorted(citations):
+        match = CITATION.fullmatch(citation)
+        path = ROOT / match.group(1)
+        if not path.is_file():
+            problems.append(f"{citation}: no such file")
+            continue
+        if path not in modules:
+            spec = importlib.util.spec_from_file_location(
+                f"_cited_{path.stem}", path)
+            modules[path] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(modules[path])
+        target = modules[path]
+        names = re.split(r"::|\.", re.sub(r"\[[^]]*\]?", "", match.group(2)))
+        for name in filter(None, names):  # a sentence's full stop names none
+            if not hasattr(target, name):
+                problems.append(f"{citation}: {name} is not defined there")
+                break
+            target = getattr(target, name)
+    return problems
 
 
 def test_every_kept_verdict_cites_a_test_that_exists():
@@ -509,5 +531,68 @@ def test_every_kept_verdict_cites_a_test_that_exists():
              for verdict in user_reach.KEPT.values()
              for citation in CITATION.finditer(verdict)}
     assert len(cited) >= 20  # the pattern did find the citations
-    assert sorted(f"{citation}: {why}" for citation in cited
-                  for why in [_unresolved(citation)] if why) == []
+    assert _unresolved(cited) == []
+
+
+#: The documents whose rules name the tests that hold them.
+CITING_DOCUMENTS = ("docs/INVARIANTS.md", "ROADMAP.md")
+
+#: A ``file.py:NNN`` citation, which rots with every edit above the line.
+LINE_CITATION = re.compile(r"[\w/.-]+\.py:\d+")
+
+
+def test_every_documented_rule_cites_a_test_that_exists():
+    """Each rule of ``docs/INVARIANTS.md`` ends in the node id of the test
+    that holds it, and ``ROADMAP.md`` cites tests the same way: every
+    ``tests/…::Name``, ``perfbench/tests/…::Name`` and
+    ``benchmarks/…::Name`` there must resolve, and neither file may cite
+    a source line by number."""
+    cited = set()
+    lines = []
+    for name in CITING_DOCUMENTS:
+        text = (ROOT / name).read_text()
+        cited |= {citation.group(0) for citation in CITATION.finditer(text)}
+        lines += [f"{name}:{number}: {match.group(0)}"
+                  for number, line in enumerate(text.splitlines(), 1)
+                  for match in LINE_CITATION.finditer(line)]
+    assert len(cited) >= 50  # the pattern did find the citations
+    assert _unresolved(cited) == []
+    assert lines == []
+
+
+#: An import kept on purpose (for its side effect, or to time it) says so.
+DELIBERATE_IMPORT = "noqa: F401"
+
+
+def _unused_imports(path):
+    """``path:line: name`` for every name an import binds in ``path`` that
+    nothing there reads: no ``Name`` node, ``__all__`` entry or string
+    annotation.  ``from __future__`` imports and imports marked
+    :data:`DELIBERATE_IMPORT` are left out."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read |= {node.value for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and node.value.isidentifier()}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Import)
+                or isinstance(node, ast.ImportFrom)
+                and node.module != "__future__") \
+                and DELIBERATE_IMPORT not in lines[node.lineno - 1]:
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name != "*" and name not in read:
+                    yield f"{path.relative_to(ROOT)}:{node.lineno}: {name}"
+
+
+def test_no_unused_import():
+    """An import nothing reads is a dependency that only looks real.  A
+    package's ``__init__.py`` re-exports what it imports, so it is left
+    out."""
+    files = sorted(path for tree in CALLER_TREES
+                   for path in (ROOT / tree).rglob("*.py")
+                   if path.name != "__init__.py")
+    assert [unused for path in files
+            for unused in _unused_imports(path)] == []

@@ -1,7 +1,5 @@
 """Tests for the SURF CPU and network models and the Action state machine."""
 
-import math
-
 import pytest
 
 from repro.surf.action import Action, ActionState
