@@ -661,7 +661,56 @@ def cancellation_script(dominant, minor):
             ("capacity", 1, 40.0), ("solve",)]
 
 
+#: Hand-built systems for the filling branches the generated scripts never
+#: enter.  Usages of 3e-10 sum to a denominator below ``EPSILON``: the
+#: solver counts such a variable as consuming nothing.
+EDGE_SCRIPTS = {
+    # One shared constraint.  Variable 0's bound freezes first; the running
+    # denominator left behind (about 6e-10) puts the constraint's level
+    # below variable 2's bound, so it is exactified at surfacing time and
+    # found below EPSILON.  Variable 2 then freezes at its bound, the next
+    # running denominator cancels to a resync, and variable 1 is left to
+    # the unconstrained tail.  Without variable 2's bound, the surfacing
+    # exactification leaves no candidate at all.
+    "edge-single-surfaces-below-epsilon": [
+        ("cns", 1.000001, True),
+        ("var", 1.0, 1.0, [(0, 1.0)]),
+        ("var", 1.0, None, [(0, 3e-10)]),
+        ("var", 1.0, 5000.0, [(0, 3e-10)]), ("solve",),
+        ("bound", 2, None), ("solve",),
+        ("remove", 0), ("solve",)],
+    # One shared constraint whose approximate level (9.0, after variable
+    # 0's bound froze) lands inside the near-tie band above variable 1's
+    # bound: it is exactified there and re-ranked with the bound, which
+    # loses (0.5e-9 below) and then wins (1.5e-9 below).
+    "edge-single-band-exactified": [
+        ("cns", 10.0, True),
+        ("var", 1.0, 1.0, [(0, 1.0)]),
+        ("var", 1.0, 9.0 - 5e-10, [(0, 1.0)]), ("solve",),
+        ("bound", 1, 9.0 - 1.5e-9), ("solve",)],
+    # One fat pipe.  Variable 0's bound freezes it below its own fat-pipe
+    # level, which then heads the level list stale; variable 2's bound
+    # level times its weight rounds above the bound (2.9 / (2/3) * (2/3)
+    # is 2.9000000000000004), so the freeze clamps it back.
+    "edge-single-fat-skips-frozen": [
+        ("cns", 10.0, False),
+        ("var", 1.0, 1.0, [(0, 4.0)]),
+        ("var", 1.0, None, [(0, 2.0)]),
+        ("var", 2.0 / 3.0, 2.9, [(0, 1.0)]), ("solve",),
+        ("capacity", 0, 20.0), ("solve",)],
+    # Two constraints, so the heap-driven filling: variable 0's usages are
+    # below EPSILON everywhere, so once variable 1's bound has frozen it
+    # the heap runs dry and variable 0 goes to the unconstrained tail.
+    "edge-filling-unconstrained-tail": [
+        ("cns", 10.0, True), ("cns", 10.0, False),
+        ("var", 1.0, None, [(0, 1e-12), (1, 1e-12)]),
+        ("var", 1.0, 2.0, [(0, 1.0), (1, 1.0)]), ("solve",),
+        ("remove", 1), ("solve",)],
+}
+
+
 GENERAL_PATH_CORPUS = {
+    **EDGE_SCRIPTS,
     **{f"waxman-{seed}": waxman_script(seed) for seed in range(3)},
     **{f"near-tie-{seed}": near_tie_script(seed) for seed in range(12)},
     **{f"mixed-{seed}": mixed_script(seed) for seed in range(12)},
