@@ -81,8 +81,9 @@ Tie-breaking is preserved exactly: heap entries order equal levels by
 *scan rank* (constraints in creation order first, then bounds in variable
 creation order) — the order the reference rescanning loop visits them —
 and before a winner is crowned, every candidate within the reference
-EPSILON slack of it is re-ranked with the reference acceptance rule on
-exactly recomputed levels.  A shared constraint's running sum is used only
+EPSILON slack of it is re-ranked with the reference acceptance rule
+(``_adjudicate``, the one copy both filling paths call) on exactly
+recomputed levels.  A shared constraint's running sum is used only
 to *order* the heap; the level that actually freezes variables is always
 recomputed with the reference summation (fresh pass over the unassigned
 elements, in element order), so the assigned values are bit-identical to
@@ -114,6 +115,35 @@ _SHARED, _FATPIPE, _BOUND = 0, 1, 2
 #: Sort keys: creation id, and the scan rank of a candidate entry.
 _BY_ID = attrgetter("id")
 _BY_RANK = itemgetter(1)
+
+
+def _adjudicate(band: list) -> tuple:
+    """The reference acceptance rule over a near-tie band of candidates.
+
+    ``band`` holds candidate tuples ``(level, scan rank, ...)`` whose
+    levels lie within the ``2 × EPSILON`` slack of the best one.  They are
+    re-ranked the way the reference scan visits them — scan order, a
+    candidate accepted only when more than ``EPSILON`` below the best so
+    far — and the accepted one is returned.  Both filling paths call it,
+    and only for a non-empty band.
+    """
+    band.sort(key=_BY_RANK)
+    best = math.inf
+    winner = band[0]
+    for cand in band:
+        if cand[0] < best - EPSILON:
+            best = cand[0]
+            winner = cand
+    return winner
+
+
+def _unconstrained_tail(active: List["Variable"], token: int) -> None:
+    """No candidate limits the variables still unassigned (stamped
+    ``token``): each takes its bound, or infinity without one."""
+    for var in active:
+        if var._stamp == token:
+            var.value = var.bound if var.bound is not None else math.inf
+            var._stamp = 0
 
 
 class Element:
@@ -458,8 +488,6 @@ class MaxMinSystem:
         # the completion-event tie-breaking downstream — deterministic.
         if self._detached_dirty:
             for var in sorted(self._detached_dirty, key=_BY_ID):
-                if var.elements:
-                    continue  # got expanded meanwhile; handled below
                 if var.weight <= EPSILON:
                     value = 0.0
                 else:
@@ -532,9 +560,11 @@ class MaxMinSystem:
                                     self.heap_pops += 1
                             else:
                                 b_level = bound / weight
-                                # The constraint wins a tie inside the
-                                # near-tie band unless the bound sits a
-                                # full EPSILON below it.
+                                # _adjudicate over a two-candidate band,
+                                # inline (no call per activity): the
+                                # constraint wins a tie inside the band
+                                # unless the bound sits a full EPSILON
+                                # below it.
                                 if level is not None and (
                                         level <= b_level
                                         or (level < b_level + 2.0 * EPSILON
@@ -621,15 +651,10 @@ class MaxMinSystem:
         token = self._token
         active: List[Variable] = []
         for var in variables:
-            if var.weight <= EPSILON or not var.elements:
-                # Suspended variables get no capacity.  Variables crossing
-                # no constraint are only limited by their bound.
-                if var.weight <= EPSILON:
-                    var.value = 0.0
-                else:
-                    var.value = var.bound if var.bound is not None else math.inf
-            else:
-                var.value = 0.0
+            # Suspended variables get no capacity.  Every variable crosses
+            # a constraint: the component walk reached it through one.
+            var.value = 0.0
+            if var.weight > EPSILON:
                 var._stamp = token
                 active.append(var)
 
@@ -670,25 +695,20 @@ class MaxMinSystem:
         shared = cns.shared
         fat: List[Tuple[float, int, Variable]] = []
         denom = 0.0
-        live = 0
         if shared:
             for elem in elements:
                 var = elem.variable
                 if var._stamp == token:
                     denom += elem.usage * var.weight
-                    live += 1
             rem = cns.capacity
         else:
             capacity = cns.capacity
             for elem in elements:
                 var = elem.variable
-                if var._stamp == token:
-                    live += 1
-                    if elem.usage > EPSILON:
-                        fat.append((capacity / (elem.usage * var.weight),
-                                    len(fat), var))
+                if var._stamp == token and elem.usage > EPSILON:
+                    fat.append((capacity / (elem.usage * var.weight),
+                                len(fat), var))
             fat.sort()
-            rem = 0.0
         exact = True
         fi = 0
         nfat = len(fat)
@@ -706,16 +726,39 @@ class MaxMinSystem:
         while unassigned:
             while bi < nb and bnds[bi][2]._stamp != token:
                 bi += 1
+            b_lvl = bnds[bi][0] if bi < nb else None
             # The constraint's current candidate level (None: not a
-            # candidate).  A shared level computed from the running
-            # aggregates is approximate until exactified; fat-pipe levels
-            # are static and always exact.
-            if shared:
-                if live <= 0:
-                    clevel = None
-                elif not exact and denom <= 0.5 * EPSILON:
-                    # Resync after catastrophic cancellation, like the
-                    # touched-constraint loop of the general path.
+            # candidate).  Fat-pipe levels are static and exact; a shared
+            # level computed from the running aggregates is approximate
+            # until exactified.
+            if not shared:
+                while fi < nfat and fat[fi][2]._stamp != token:
+                    fi += 1
+                clevel = fat[fi][0] if fi < nfat else None
+            elif not exact and denom <= 0.5 * EPSILON:
+                # Resync after catastrophic cancellation, like the
+                # touched-constraint loop of the general path.
+                self.elements_visited += len(elements)
+                denom = 0.0
+                for elem in elements:
+                    var = elem.variable
+                    if var._stamp == token:
+                        denom += elem.usage * var.weight
+                exact = True
+                clevel = ((rem if rem > 0.0 else 0.0) / denom
+                          if denom > EPSILON else None)
+            elif exact:
+                clevel = ((rem if rem > 0.0 else 0.0) / denom
+                          if denom > EPSILON else None)
+            else:
+                clevel = (rem if rem > 0.0 else 0.0) / denom
+                if (b_lvl is None or clevel <= b_lvl
+                        or clevel < b_lvl + 2.0 * EPSILON + 1e-9 * b_lvl):
+                    # The constraint would surface, or sits inside the
+                    # near-tie band of the bound that would: exactify it,
+                    # one pop and one visit, as the general path pops an
+                    # inexact heap entry and re-pushes it exact.
+                    self.heap_pops += 1
                     self.elements_visited += len(elements)
                     denom = 0.0
                     for elem in elements:
@@ -725,105 +768,43 @@ class MaxMinSystem:
                     exact = True
                     clevel = ((rem if rem > 0.0 else 0.0) / denom
                               if denom > EPSILON else None)
-                elif exact and denom <= EPSILON:
-                    clevel = None
-                else:
-                    clevel = (rem if rem > 0.0 else 0.0) / denom
-            else:
-                while fi < nfat and fat[fi][2]._stamp != token:
-                    fi += 1
-                clevel = fat[fi][0] if fi < nfat else None
 
-            if clevel is None and bi >= nb:
-                # Nothing limits the remaining variables.
-                for var in active:
-                    if var._stamp == token:
-                        var.value = (var.bound if var.bound is not None
-                                     else math.inf)
-                        var._stamp = 0
+            if clevel is None and b_lvl is None:
+                _unconstrained_tail(active, token)
                 break
 
-            if bi < nb:
-                b_lvl, b_rank, b_var = bnds[bi]
-            else:
-                b_lvl = None
             # Surfacing order: (level, rank) — the constraint (rank 0)
-            # wins exact ties against any bound entry.
-            winner_is_bound = True
+            # wins exact ties against any bound entry.  Its near-tie band
+            # (see _progressive_filling) holds the constraint when a bound
+            # won, and every live bound below ``limit``.
+            band = None
             if clevel is not None and (b_lvl is None or clevel <= b_lvl):
-                if shared and not exact:
-                    # Exactify at surfacing time, like the general path.
-                    self.heap_pops += 1
-                    self.elements_visited += len(elements)
-                    denom = 0.0
-                    for elem in elements:
-                        var = elem.variable
-                        if var._stamp == token:
-                            denom += elem.usage * var.weight
-                    exact = True
-                    if denom <= EPSILON:
-                        continue
-                    clevel = (rem if rem > 0.0 else 0.0) / denom
-                    winner_is_bound = (b_lvl is not None and clevel > b_lvl)
-                else:
-                    winner_is_bound = False
-
-            if winner_is_bound:
-                w_lvl, w_rank = b_lvl, b_rank
+                winner = (clevel, 0, None)
+                limit = clevel + 2.0 * EPSILON + 1e-9 * clevel
+                j = bi
             else:
-                w_lvl, w_rank = clevel, 0
-            # Near-tie adjudication band (see _progressive_filling).
-            limit = w_lvl + 2.0 * EPSILON + 1e-9 * w_lvl
-            extras: List[Tuple[float, int, Variable]] = []
-            j = bi + 1 if winner_is_bound else bi
+                winner = bnds[bi]
+                limit = b_lvl + 2.0 * EPSILON + 1e-9 * b_lvl
+                if clevel is not None and clevel < limit:
+                    band = [winner, (clevel, 0, None)]
+                j = bi + 1
             while j < nb and bnds[j][0] < limit:
                 if bnds[j][2]._stamp == token:
-                    extras.append(bnds[j])
+                    if band is None:
+                        band = [winner]
+                    band.append(bnds[j])
                 j += 1
-            cns_in_band = False
-            if winner_is_bound and clevel is not None:
-                if shared and not exact:
-                    if clevel < limit:
-                        self.heap_pops += 1
-                        self.elements_visited += len(elements)
-                        denom = 0.0
-                        for elem in elements:
-                            var = elem.variable
-                            if var._stamp == token:
-                                denom += elem.usage * var.weight
-                        exact = True
-                        if denom > EPSILON:
-                            clevel = (rem if rem > 0.0 else 0.0) / denom
-                            cns_in_band = clevel < limit
-                elif clevel < limit:
-                    cns_in_band = True
-            sel_var: Optional[Variable] = None
-            if winner_is_bound:
-                sel_var = b_var
-            if extras or (winner_is_bound and cns_in_band):
-                cands: List[Tuple[float, int, Optional[Variable]]] = []
-                if cns_in_band or not winner_is_bound:
-                    cands.append((clevel, 0, None))
-                if winner_is_bound:
-                    cands.append((b_lvl, b_rank, b_var))
-                cands.extend(extras)
-                cands.sort(key=_BY_RANK)
-                best = math.inf
-                sel = cands[0]
-                for cand in cands:
-                    if cand[0] < best - EPSILON:
-                        best = cand[0]
-                        sel = cand
-                w_lvl = sel[0]
-                sel_var = sel[2]
+            if band is not None:
+                winner = _adjudicate(band)
+            level, _, sel_var = winner
 
             self.heap_pops += 1
             if sel_var is not None:
                 # A bound freezes one variable; maintain the running
                 # aggregates like the general path's freeze loop.
-                value = w_lvl * sel_var.weight
+                value = level * sel_var.weight
                 bound = sel_var.bound
-                if bound is not None and bound < value:
+                if bound < value:
                     value = bound
                 sel_var.value = value
                 sel_var._stamp = 0
@@ -836,7 +817,6 @@ class MaxMinSystem:
                         rem = rem if rem > 0.0 else 0.0
                         denom -= elem.usage * sel_var.weight
                     exact = False
-                live -= 1
             else:
                 # The constraint freezes every remaining variable, in
                 # element order, at its (exact) level.
@@ -844,7 +824,7 @@ class MaxMinSystem:
                 for elem in elements:
                     var = elem.variable
                     if var._stamp == token:
-                        value = w_lvl * var.weight
+                        value = level * var.weight
                         bound = var.bound
                         if bound is not None and bound < value:
                             value = bound
@@ -982,28 +962,17 @@ class MaxMinSystem:
                 pops += 1
 
             if winner is None:
-                # No constraint limits the remaining variables: they are
-                # only limited by their bounds (handled above) or unbounded.
-                for var in active:
-                    if var._stamp == token:
-                        var.value = (var.bound if var.bound is not None
-                                     else math.inf)
-                        var._stamp = 0
+                _unconstrained_tail(active, token)
                 break
 
             # Near-tie adjudication: the heap orders equal levels by scan
             # rank already, but candidates whose levels differ by less than
             # the reference EPSILON slack (or by the ulp drift of a running
-            # sum) must be re-ranked with the reference acceptance rule —
-            # scan order, accept when more than EPSILON better — on their
-            # exact levels.  The band is almost always empty.
+            # sum) must be re-ranked on their exact levels.  A band of
+            # equal levels (a symmetric platform makes many) keeps the heap
+            # winner.
             if band is not None:
-                band.sort(key=_BY_RANK)
-                best = math.inf
-                for cand in band:
-                    if cand[0] < best - EPSILON:
-                        best = cand[0]
-                        winner = cand
+                winner = _adjudicate(band)
                 for cand in band:
                     if cand is not winner:
                         push(heap, cand)

@@ -764,6 +764,40 @@ def test_general_path_pins_cover_the_corpus():
         assert max(b - a for a, b in zip(solved, solved[1:])) >= 15
 
 
+def test_the_pinned_corpus_enters_every_line_of_the_filling():
+    """No branch of either filling path runs unpinned.
+
+    A ``sys.settrace`` hook, limited to the two filling frames of
+    ``repro/surf/lmm.py`` and reading no clock, records the lines the
+    corpus enters.  Every executable line of ``_solve_single`` and
+    ``_progressive_filling`` (from ``co_lines()``, the ``def`` line
+    aside) must be among them.
+    """
+    entered = {MaxMinSystem._solve_single.__code__: set(),
+               MaxMinSystem._progressive_filling.__code__: set()}
+
+    def trace_lines(frame, event, arg):
+        if event == "line":
+            entered[frame.f_code].add(frame.f_lineno)
+        return trace_lines
+
+    def trace_calls(frame, event, arg):
+        return trace_lines if frame.f_code in entered else None
+
+    previous = sys.gettrace()
+    sys.settrace(trace_calls)
+    try:
+        for name in sorted(GENERAL_PATH_CORPUS):
+            pin_trace(GENERAL_PATH_CORPUS[name])
+    finally:
+        sys.settrace(previous)
+    for code, lines in entered.items():
+        executable = {line for _, _, line in code.co_lines()
+                      if line is not None}
+        missed = sorted(executable - lines - {code.co_firstlineno})
+        assert not missed, f"{code.co_name} never enters lines {missed}"
+
+
 class TestFillingLoopIsOneFrame:
     """A general-path sub-solve runs its rounds in one Python frame.
 
