@@ -12,6 +12,13 @@ a heterogeneous two-site grid — and reports the simulated execution times,
 illustrating "study how an existing MPI application reacts to platform
 heterogeneity".
 
+The printed times are not reproducible to the last digit: the first
+``dgemm-step`` block runs for real, and ``SMPI_BENCH_ONCE`` charges its
+``time.perf_counter`` reading as the simulated duration of every step
+(``repro.gras.bench.BenchRecorder.once``), so two runs differ by the
+host's timing noise.  E6 (``benchmarks/bench_smpi_matmul.py``) pins the same
+sweep to the bit by running it on a fixed stepping clock instead.
+
 Run with::
 
     python examples/smpi_matmul.py

@@ -735,19 +735,17 @@ class MaxMinSystem:
                 while fi < nfat and fat[fi][2]._stamp != token:
                     fi += 1
                 clevel = fat[fi][0] if fi < nfat else None
-            elif not exact and denom <= 0.5 * EPSILON:
-                # Resync after catastrophic cancellation, like the
-                # touched-constraint loop of the general path.
-                self.elements_visited += len(elements)
-                denom = 0.0
-                for elem in elements:
-                    var = elem.variable
-                    if var._stamp == token:
-                        denom += elem.usage * var.weight
-                exact = True
-                clevel = ((rem if rem > 0.0 else 0.0) / denom
-                          if denom > EPSILON else None)
-            elif exact:
+            elif exact or denom <= 0.5 * EPSILON:
+                if not exact:
+                    # Resync after catastrophic cancellation, like the
+                    # touched-constraint loop of the general path.
+                    self.elements_visited += len(elements)
+                    denom = 0.0
+                    for elem in elements:
+                        var = elem.variable
+                        if var._stamp == token:
+                            denom += elem.usage * var.weight
+                    exact = True
                 clevel = ((rem if rem > 0.0 else 0.0) / denom
                           if denom > EPSILON else None)
             else:

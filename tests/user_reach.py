@@ -134,6 +134,11 @@ KEPT = {
         _DEADLOCK + " (Engine._simulation_over's deadlock branch reads it)",
     "surf/lmm.py::Constraint.variables": _LMM_ORACLE,
     "surf/lmm.py::MaxMinSystem.variables": _LMM_ORACLE,
+    "surf/lmm.py::_unconstrained_tail":
+        "(s) no candidate limits the variables left (every usage below "
+        "EPSILON, no bound): they take their bound or infinity instead "
+        "of spinning the round loop; tests/test_lmm_lazy.py::"
+        "test_the_pinned_corpus_enters_every_line_of_the_filling",
     "surf/model.py::FluidModel.on_action_priority_changed":
         "(b) MSG_process_suspend/resume and Host.set_speed, through "
         "Action.suspend/resume and CpuModel.set_cpu_speed; "
