@@ -121,7 +121,13 @@ def _execute_one(run_fn: Callable[..., Mapping[str, Any]],
         metrics = run_fn(spec.seed, spec.config)
     else:
         from repro.s4u.engine import Engine
-        metrics = run_fn(Engine.restore(snapshot), spec.seed, spec.config)
+        engine = Engine.restore(snapshot)
+        try:
+            metrics = run_fn(engine, spec.seed, spec.config)
+        finally:
+            # Reference counting frees the released engine as soon as
+            # this frame drops it: the young pass has nothing to trace.
+            engine.close()
     if not isinstance(metrics, Mapping):
         raise TypeError(
             f"run_fn must return a metrics mapping, got "
@@ -242,7 +248,7 @@ def run_campaign(run_fn: Callable[..., Mapping[str, Any]],
     run_fn:
         ``run_fn(seed, config) -> metrics`` without a snapshot, or
         ``run_fn(engine, seed, config) -> metrics`` with one — the engine
-        is freshly restored from the blob for each run.
+        is freshly restored from the blob for each run, and closed after.
         Must be deterministic in its arguments: the campaign result is
         then independent of ``workers``.
     experiments:
@@ -268,14 +274,19 @@ def run_campaign(run_fn: Callable[..., Mapping[str, Any]],
     was lost twice (after all others finished), so a result always covers
     the full grid.
 
-    Each run executes with Python's cyclic collector paused and ends in
-    one ``gc.collect(0)`` (:func:`~repro.kernel.collector.paused_collector`):
-    serially, the pause spans the run *and* its :meth:`Engine.restore`, so
-    the young pass frees that run's engine — and any cyclic garbage its
-    actor bodies created — while its objects are still generation 0,
-    before the next run starts; a forked run pauses its whole process and
-    leaves the parent's collector as it was.  A caller that paused the
-    collector itself keeps it paused: the runner then makes no pass.
+    Every engine restored for a run is closed when ``run_fn`` returns or
+    raises (:meth:`Engine.close`), serially and in a forked process alike:
+    reference counting frees it, and a kernel object ``run_fn`` returns
+    is dead.  Each run executes with Python's cyclic collector paused and
+    ends in one ``gc.collect(0)``
+    (:func:`~repro.kernel.collector.paused_collector`), which frees any
+    cyclic garbage the run's actor bodies created while it is still
+    generation 0 — the closed engine is already gone and costs that pass
+    nothing.  Serially the pause spans the restore and the run, so the
+    pass runs before the next run starts; a forked run pauses its whole
+    process and leaves the parent's collector as it was.  A caller that
+    paused the collector itself keeps it paused: the runner then makes
+    no pass.
     """
     specs: List[ExperimentSpec] = [
         spec if isinstance(spec, ExperimentSpec) else ExperimentSpec(int(spec))

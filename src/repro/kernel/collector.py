@@ -7,8 +7,13 @@ cycle-free by construction (activity↔action and actor↔context backlinks
 are broken on completion).  Generational passes during a run would only
 re-trace that graph to find nothing, so a run executes with the collector
 paused and ends in one young pass, which frees whatever cyclic garbage the
-run did leave (an actor body's own cycles, a dropped restored engine)
-while its objects are still generation 0.
+run did leave (an actor body's own cycles) while its objects are still
+generation 0.
+
+The engine itself is a graph of back-reference cycles, and
+``Engine.close()`` breaks them: the campaign runner closes every engine
+it restores, so reference counting frees each one as the run drops it and
+the young pass after the run has nothing to trace.
 
 :func:`paused_collector` is the only place that pauses the collector:
 ``Engine.run`` wraps its loop in it, the campaign runner wraps each run.

@@ -430,6 +430,15 @@ class Platform:
         stats["routing"] = self.routing_stats()
         return stats
 
+    def release(self) -> None:
+        """Break the zone tree's cycles (the s4u engine closed).
+
+        Every zone forgets its platform and its parent, and its strategy
+        forgets the zone; the stats stay readable.
+        """
+        for zone in (self.root_zone, *self.zones.values()):
+            zone.release()
+
     @property
     def realized(self) -> bool:
         """Whether :meth:`realize` has been called."""

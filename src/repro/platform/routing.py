@@ -352,6 +352,14 @@ class NetZone:
         state.pop("_ancestry", None)        # derived; rebuilt on demand
         return state
 
+    def release(self) -> None:
+        """Drop the references that close cycles through this zone: to
+        its platform, its parent, from its strategy, and its ancestry,
+        which ends with the zone itself."""
+        self.platform = self.parent = None
+        self.strategy.zone = None
+        self.__dict__.pop("_ancestry", None)
+
     def _check_vertex(self, name: str) -> None:
         if name not in self.nodes and name not in self.children:
             raise PlatformError(

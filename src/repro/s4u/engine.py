@@ -31,6 +31,7 @@ from repro.exceptions import (
     HostFailureError,
     PlatformError,
     ProcessKilledError,
+    SimGridError,
     SimTimeoutError,
     SnapshotError,
     TransferFailureError,
@@ -102,12 +103,10 @@ class Engine:
         # get wrappers up front; the rest materialize on first lookup,
         # keeping engine construction O(touched) for 10⁵-host platforms.
         self.hosts: Dict[str, Host] = {}
-        self._host_by_cpu: Dict[int, Host] = {}
         for name in platform.cpu_by_host:
             self._materialize_host(name)
 
         self.links: Dict[str, Link] = {}
-        self._link_by_resource: Dict[int, Link] = {}
         for name in list(platform.link_by_name):
             self._materialize_link(name)
 
@@ -159,11 +158,45 @@ class Engine:
         """
         return self.platform.kernel_stats()
 
-    def close(self) -> None:
-        """No-op: the kernel owns no OS resources.
+    #: Set by :meth:`close`; a class default, so no snapshot carries it.
+    _closed = False
 
-        Kept because ``perfbench/workloads.py`` calls it.
+    def close(self) -> None:
+        """Release the engine: break every back-reference cycle it owns.
+
+        An engine is a graph of cycles (host, link, actor and mailbox
+        facades point back at it, constraints at their resources, zones
+        at their platform): dropped as it is, only the cyclic collector
+        can free it.  After ``close()`` reference counting frees it as
+        soon as the last outside reference goes, so the young collector
+        pass that ends a campaign run has nothing left to trace.
+
+        Actors still alive are killed first, as at the end of a run.  Then
+        each layer drops the references it owns: this engine its hosts,
+        links, actors, mailboxes, timers, listeners and pending restarts;
+        the platform its zone tree; SURF its constraints' resources and
+        its running actions.  :attr:`now` and :meth:`kernel_stats` still
+        answer; :meth:`run` and :meth:`snapshot` raise
+        :class:`~repro.exceptions.SimGridError`.  Closing twice does
+        nothing.
         """
+        if self._closed:
+            return
+        self._tearing_down = True
+        for actor in list(self._alive_actors):
+            self._kill_actor(actor)
+        self._closed = True
+        for box in self.mailboxes.values():
+            box.pending_sends.clear()
+            box.pending_recvs.clear()
+        self.timers = TimerQueue()
+        for owned in (self.hosts, self.links, self.mailboxes, self.actors,
+                      self._ready, self._active_comms, self._pending_restarts,
+                      self._host_state_listeners, self._link_state_listeners,
+                      self._speed_listeners):
+            owned.clear()
+        self.platform.release()
+        self.surf.release()
 
     # ------------------------------------------------------------------------------
     # snapshot / fork
@@ -191,6 +224,8 @@ class Engine:
         bodies, pending payloads, state listeners) must be module-level so
         pickle can name them.
         """
+        if self._closed:
+            raise SimGridError("snapshot() on a closed engine")
         if self._alive_actors or self._ready:
             alive = ", ".join(a.name for a in self._alive_actors)
             raise SnapshotError(
@@ -223,33 +258,21 @@ class Engine:
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        # Rebuilt on load: the two id()-keyed resource maps (object ids
-        # change across the trip).
-        state.pop("_host_by_cpu", None)
-        state.pop("_link_by_resource", None)
         # The historical actor list may reference finished bodies defined
         # as closures (unpicklable by reference); only alive actors — none,
         # under the snapshot() quiescence rule — are simulation state.
         state["actors"] = [a for a in self.actors if a.is_alive]
         return state
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._host_by_cpu = {id(h.cpu): h for h in self.hosts.values()}
-        self._link_by_resource = {
-            id(link.resource): link for link in self.links.values()}
-
     def _materialize_host(self, name: str) -> Host:
         host = Host(self, self.platform.hosts[name],
                     self.platform.cpu_of(name))
         self.hosts[name] = host
-        self._host_by_cpu[id(host.cpu)] = host
         return host
 
     def _materialize_link(self, name: str) -> Link:
         link = Link(self, self.platform.link_resource(name))
         self.links[name] = link
-        self._link_by_resource[id(link.resource)] = link
         return link
 
     def host(self, name: str) -> Host:
@@ -347,14 +370,16 @@ class Engine:
                 activity = action.data
                 if activity is not None:
                     self._finish_activity(activity, ActivityState.FAILED)
+            # A CPU or link resource carries its host's or link's name; a
+            # facade never materialized has no listener to tell.
             host = None
             if isinstance(resource, LinkResource):
-                link = self._link_by_resource.get(id(resource))
+                link = self.links.get(resource.name)
                 if link is not None:
                     for callback in self._link_state_listeners:
                         callback(link, is_on)
             else:
-                host = self._host_by_cpu.get(id(resource))
+                host = self.hosts.get(resource.name)
             if host is not None and is_on:
                 for (name, func, args, kwargs,
                      daemon) in self._pending_restarts.pop(host, []):
@@ -444,6 +469,8 @@ class Engine:
         the collector itself (a campaign run, ``gc.disable()``) keeps it
         paused, and makes the pass itself.
         """
+        if self._closed:
+            raise SimGridError("run() on a closed engine")
         limit = math.inf if until is None else float(until)
         if limit < self.surf.clock:
             return self.surf.clock
@@ -601,11 +628,11 @@ class Engine:
             return
         for resource, _factor in speed_changes:
             if isinstance(resource, CpuResource):
-                host = self._host_by_cpu.get(id(resource))
+                host = self.hosts.get(resource.name)
                 if host is not None:
                     self._notify_speed_change(host, host.available_speed)
             elif isinstance(resource, LinkResource):
-                link = self._link_by_resource.get(id(resource))
+                link = self.links.get(resource.name)
                 if link is not None:
                     self._notify_speed_change(
                         link, link.resource.current_capacity)

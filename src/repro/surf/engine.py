@@ -226,6 +226,15 @@ class SurfEngine:
             return math.inf
         return self._trace_heap[0][0]
 
+    def release(self) -> None:
+        """Break the back-reference cycles of every model (and shard).
+
+        Called once, by the closing s4u engine; the clock and the solver
+        counters stay readable.
+        """
+        for model in self.models:
+            model.release()
+
     def has_running_actions(self) -> bool:
         """True when at least one action is still running in any model."""
         for model in self.models:

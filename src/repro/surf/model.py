@@ -138,6 +138,23 @@ class FluidModel:
         self._unschedule_event(action)
         self.running.discard(action)
 
+    def release(self) -> None:
+        """Break this model's back-reference cycles (its engine closed).
+
+        A running action and its model point at each other (``running``,
+        the event heap, ``action.model``), and so do an action and its
+        variable or its activity, a constraint and its resource: each
+        running action forgets its activity and leaves the solver and
+        the running set, the heap is emptied, and every constraint
+        forgets its resource.
+        """
+        for action in list(self.running):
+            action.data = None
+            self.on_action_finished(action)
+        self._heap.clear()
+        for constraint in self.system.constraints:
+            constraint.data = None
+
     # -- simulation steps --------------------------------------------------------
     def share_resources(self, now: float) -> float:
         """Re-solve what changed; return the delay until the next event."""

@@ -33,3 +33,21 @@ def collector_paused_by_caller():
     finally:
         if was_enabled:
             gc.enable()
+
+
+@contextmanager
+def collected_per_pass():
+    """Record ``(generation, collected)`` at the end of every collector
+    pass made inside the block."""
+    passes = []
+
+    def on_pass(phase, info):
+        if phase == "stop":
+            passes.append((info["generation"], info["collected"]))
+
+    gc.collect()
+    gc.callbacks.append(on_pass)
+    try:
+        yield passes
+    finally:
+        gc.callbacks.remove(on_pass)

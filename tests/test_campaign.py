@@ -18,7 +18,8 @@ import weakref
 import pytest
 
 import repro
-from gc_probe import collector_paused_by_caller, recorded_passes
+from gc_probe import (collected_per_pass, collector_paused_by_caller,
+                      recorded_passes)
 from repro import s4u
 from repro.campaign import (
     CampaignError,
@@ -446,11 +447,13 @@ class TestSnapshotFanout:
 
 class TestCollectorPolicy:
     def test_serial_snapshot_campaign_makes_one_young_pass_per_run(self):
+        """The runner closes every restored engine, so reference counting
+        frees it: each run's one young pass has nothing left to collect."""
         blob, _ = _warm_blob()
-        with recorded_passes() as passes:
+        with collected_per_pass() as passes:
             run_campaign(_measured_phase, grid(range(4)), workers=0,
                          snapshot=blob)
-        assert [generation for generation, _ in passes] == [0] * 4
+        assert passes == [(0, 0)] * 4
 
     @pytest.mark.parametrize("forked", [True, False],
                              ids=["snapshot", "cold"])
@@ -492,3 +495,5 @@ class TestCollectorPolicy:
                          snapshot=blob)
             assert not gc.isenabled()
             assert passes == []
+            # The restored engines were closed: nothing waits for a pass.
+            assert gc.collect() == 0

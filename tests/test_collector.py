@@ -12,7 +12,10 @@ here without a clock:
 * its premise — the kernel leaves no cyclic garbage, so pausing the
   collector for a run leaks nothing: with the collector paused,
   ``gc.collect()`` after a run finds 0 unreachable objects, at two sizes
-  of each scenario, so the garbage cannot grow with events.
+  of each scenario, so the garbage cannot grow with events;
+* the release — an engine is itself a graph of cycles, and
+  ``Engine.close()`` breaks them: a closed engine, restored or stopped
+  mid-run, is freed by reference counting alone, and it refuses to run.
 """
 
 import ast
@@ -26,10 +29,11 @@ from gc_probe import collector_paused_by_caller, recorded_passes
 from pump import actor_body
 import repro
 from repro import s4u
-from repro.exceptions import TransferFailureError
-from repro.ft import ChildSpec, RetryPolicy, Supervisor
+from repro.exceptions import SimGridError, TransferFailureError
+from repro.ft import ChildSpec, HeartbeatMonitor, RetryPolicy, Supervisor
 from repro.kernel import paused_collector
 from repro.platform import make_star, make_zoned_grid
+from repro.replay import ClusterReplay, synthetic_workload
 from repro.s4u import FailureInjector
 from repro.smpi import SmpiWorld
 
@@ -317,3 +321,96 @@ def test_a_run_leaves_no_cyclic_garbage(scenario):
     with collector_paused_by_caller():
         world = scenario()   # kept alive: only what the run dropped counts
         assert gc.collect() == 0
+
+
+# ---------------------------------------------------------------------------
+# the release: a closed engine needs no collector pass
+# ---------------------------------------------------------------------------
+
+class FlipLog:
+    """A state listener holding its engine: a cycle through the engine's
+    listener lists."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.flips = []
+
+    def __call__(self, resource, is_on):
+        self.flips.append((self.engine.now, resource.name, is_on))
+
+
+def armed_churn():
+    """A warm star with churn armed for the next phase (the injector's
+    pulse timers are pending) and a listener for each kind of flip."""
+    engine = star_fleet(8)
+    engine.on_host_state_change(FlipLog(engine))
+    engine.on_link_state_change(FlipLog(engine))
+    FailureInjector(engine, seed=7, hosts=[f"leaf-{i}" for i in range(8)],
+                    mtbf=0.01, mean_downtime=0.02, max_failures=5).start()
+    assert engine.timers
+    return engine
+
+
+def _sleep(actor, duration):
+    yield actor.sleep_for(duration)
+
+
+def heartbeat_replay():
+    """The trace-driven platform of a cluster replay watched by a
+    heartbeat monitor, stopped while node-3 is down: its emitter waits for
+    the reboot and unread beats wait in a mailbox."""
+    replay = ClusterReplay(synthetic_workload(3, num_hosts=6, num_jobs=24))
+    engine = s4u.Engine(replay.build_platform())
+    HeartbeatMonitor(engine, [f"node-{i}" for i in range(6)], "frontend",
+                     notify_mailbox="ft:notify").start()
+    engine.add_actor("until", "frontend", _sleep, 4.0)
+    engine.run()
+    assert [host.name for host in engine._pending_restarts] == ["node-3"]
+    assert any(box.pending_sends for box in engine.mailboxes.values())
+    return engine
+
+
+class TestClose:
+    @pytest.mark.parametrize("scenario", [
+        partial(star_fleet, 20),
+        partial(zoned_fleet, "generator", True),
+        armed_churn,
+        heartbeat_replay,
+    ], ids=["flat-star", "sharded-grid", "armed-churn", "heartbeat-replay"])
+    def test_a_closed_restored_engine_is_freed_without_the_collector(
+            self, scenario):
+        blob = scenario().snapshot()
+        gc.collect()
+        with collector_paused_by_caller():
+            engine = s4u.Engine.restore(blob)
+            engine.close()
+            del engine
+            assert gc.collect() == 0
+
+    @pytest.mark.parametrize("context", ["generator", "thread"])
+    def test_closing_mid_run_kills_the_actors_and_frees_everything(
+            self, context):
+        gc.collect()
+        with collector_paused_by_caller():
+            engine, _ = build_zoned_fleet(context, sharded=True)
+            engine.run(until=0.05)
+            assert engine.actor_count() == 3 * _HOSTS_PER_SITE
+            assert engine.surf.has_running_actions()
+            engine.close()
+            assert engine.actor_count() == 0
+            assert not engine.surf.has_running_actions()
+            del engine
+            assert gc.collect() == 0
+
+    def test_a_closed_engine_answers_now_and_refuses_to_run(self):
+        engine = star_fleet(4)
+        date = engine.now
+        solves = engine.kernel_stats()["solver"]["solve_calls"]
+        engine.close()
+        engine.close()
+        assert engine.now == date
+        assert engine.kernel_stats()["solver"]["solve_calls"] == solves
+        with pytest.raises(SimGridError, match="run.. on a closed engine"):
+            engine.run()
+        with pytest.raises(SimGridError, match="snapshot.. on a closed"):
+            engine.snapshot()

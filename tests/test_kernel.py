@@ -478,11 +478,10 @@ class TestOneRequestType:
             elif isinstance(value, (list, tuple)):
                 members = list(value)
             assert not any(map(bound_to_engine, members)), name
-        # Restoring rebuilds the two id()-keyed resource maps, nothing
-        # else: what dispatches a request travels with the request.
+        # Restoring rebuilds nothing: what dispatches a request travels
+        # with the request, and a resource reaches its facade by name.
         restored = Engine.restore(engine.snapshot())
-        assert set(vars(restored)) - set(engine.__getstate__()) == {
-            "_host_by_cpu", "_link_by_resource"}
+        assert set(vars(restored)) - set(engine.__getstate__()) == set()
         done = []
 
         def body(actor):

@@ -541,18 +541,20 @@ class TestOneStatePath:
         assert self._users("_set_state") == {
             "Host.turn_off", "Host.turn_on", "Link.turn_off",
             "Link.turn_on", "Engine._run_loop"}
-        # What a flip does happens in the handler and nowhere else.
+        # What a flip does happens in the handler and nowhere else;
+        # ``close`` only empties the bookkeeping of a dead engine.
         for state in ("_pending_restarts", "_host_state_listeners",
                       "_link_state_listeners"):
             assert self._users(state, calls_only=False) <= {
                 "Engine.__init__", "Engine._set_state",
                 "Engine.on_host_state_change",
-                "Engine.on_link_state_change"}, state
-        # Every other kill is asked for: by an actor, by host code, or
-        # by the end of the run.
+                "Engine.on_link_state_change", "Engine.close"}, state
+        # Every other kill is asked for: by an actor, by host code, by
+        # the end of the run, or by closing the engine.
         assert self._users("_kill_actor") == {
             "Actor.kill", "Engine._do_kill", "Engine._set_state",
-            "Engine._kill_remaining_daemons", "Engine._handle_deadlock"}
+            "Engine._kill_remaining_daemons", "Engine._handle_deadlock",
+            "Engine.close"}
 
     def test_activities_fail_in_three_places(self):
         """FAILED is written by the handler (a flip), by a rendezvous
