@@ -1,16 +1,11 @@
 """Experiment E9 — scalability of the simulation with the process count.
 
-The paper's architecture panel contrasts how the three interfaces map
-simulated processes onto execution vehicles (MSG: all in one process; GRAS:
-several per OS process; SMPI: one OS process per rank), which is ultimately
-a statement about scalability.  This harness measures how the simulator
-behaves as the number of simulated actors grows (a master/worker
-application from 16 to 512 workers) and verifies that the wall-clock cost
-grows roughly linearly — i.e. the generator-based context factory scales —
-and that simulated results stay exact at every scale: the three makespans
-are pinned to the bit.  A wall-clock-free twin counts the work instead:
-per worker, the solver counters and the generator resumes are the same at
-16, 64 and 256 workers, up to a constant.
+A master/worker application runs with 16, 64 and 256 workers, all on
+generator contexts.  Its three makespans are pinned to the bit, and its
+wall clock must grow less than quadratically with the worker count.  A
+wall-clock-free twin counts the work instead: the solver counters and the
+generator resumes are exactly affine in the worker count, so the work per
+worker is flat.
 """
 
 import hashlib

@@ -17,6 +17,11 @@ itself just parks on ``suspend()`` until every child is done for good.
 All callbacks are named picklable objects and children are keyed by
 spec name — never by ``id()`` — so a mid-churn ``engine.snapshot()``
 restores a live fleet bit-identically.
+
+A supervisor holds its own actor only while that actor is alive (the
+actor's arguments point back at the supervisor), so once the run ends
+nothing but the engine's own tables reaches either, and a closed engine
+frees them by reference counting.
 """
 
 from __future__ import annotations
@@ -136,15 +141,17 @@ class Supervisor:
         self._parked: Dict[str, List[str]] = {}  # host name -> child names
         self._finished: set = set()              # names done for good
         self._restart_dates: List[float] = []
-        self._actor = None
+        self._actor = None    # the supervisor actor, while it is alive
+        self._started = False
         self._done = False
 
     def start(self) -> "Supervisor":
         """Spawn the supervisor actor (which spawns the children)."""
-        if self._actor is not None:
+        if self._started:
             raise RuntimeError("the supervisor was already started")
         if self.host is None:
             raise ValueError("no host given for the supervisor actor")
+        self._started = True
         self.engine.add_actor(self.name, self.host, _supervisor_body, self,
                               daemon=self.daemon)
         return self
@@ -154,6 +161,7 @@ class Supervisor:
     # ------------------------------------------------------------------------------
     def _attach(self, actor) -> None:
         self._actor = actor
+        actor.on_exit(self._detach)
         self.engine.on_host_state_change(self._host_state)
         for spec in self.specs:
             self._spawn(spec, "start")
@@ -177,6 +185,10 @@ class Supervisor:
             names.append(spec.name)
             self.events.append((self.engine.now, "park", spec.name))
 
+    def _detach(self, failed: bool) -> None:
+        """The supervisor actor died: let go of it (it points back here)."""
+        self._actor = None
+
     def _host_state(self, host, is_on: bool) -> None:
         """Respawn children parked on a host that just came back up."""
         if not is_on or self._done:
@@ -197,7 +209,8 @@ class Supervisor:
             if len(self._finished) == len(self.specs):
                 # Every child is done for good: the supervisor returns.
                 self._done = True
-                self._actor.resume()
+                if self._actor is not None:
+                    self._actor.resume()
             return
         if not self.engine.host(spec.host).is_on:
             # The child died with its host: park it for the host-up
@@ -229,7 +242,8 @@ class Supervisor:
             child.kill()
         self._live.clear()
         self._parked.clear()
-        self._actor.kill()
+        if self._actor is not None:
+            self._actor.kill()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Supervisor({self.name!r}, live={len(self._live)}, "

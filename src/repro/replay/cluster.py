@@ -164,8 +164,13 @@ def _dispatcher(actor, replay):
         yield this_actor.sleep_for(horizon - actor.now)
 
 
-def _worker(actor, replay):
-    """One node: pull jobs from the node mailbox, compute, ack."""
+def _worker(actor, metrics, ack_size):
+    """One node: pull jobs from the node mailbox, compute, ack.
+
+    A worker gets the replay's metrics and its ack size, not the replay
+    itself: the supervisor keeps its children's arguments, and a replay
+    holds its supervisor.
+    """
     engine = actor.engine
     box = engine.mailbox(actor.host.name)
     while True:
@@ -176,10 +181,10 @@ def _worker(actor, replay):
             # The exec died but the actor survived (link-level failure
             # modes); a host failure kills the actor instead and the
             # supervisor's respawn re-enters this loop with a fresh body.
-            replay.metrics["failed_execs"] += 1
+            metrics["failed_execs"] += 1
             continue
         yield engine.mailbox("acks").put_async(
-            (actor.now, seq, job), size=replay.ack_size, detached=True)
+            (actor.now, seq, job), size=ack_size, detached=True)
 
 
 def _collector(actor, replay):
@@ -342,8 +347,8 @@ class ClusterReplay:
                          daemon=True)
         self.supervisor = Supervisor(
             engine,
-            [ChildSpec(f"worker-{index}", node, _worker, self,
-                       restart="permanent", daemon=True)
+            [ChildSpec(f"worker-{index}", node, _worker, self.metrics,
+                       self.ack_size, restart="permanent", daemon=True)
              for index, node in enumerate(nodes)],
             max_restarts=SUPERVISOR_MAX_RESTARTS, window=SUPERVISOR_WINDOW,
             name="worker-supervisor", host="frontend", daemon=True)

@@ -370,13 +370,31 @@ def heartbeat_replay():
     return engine
 
 
+def churned_cluster_replay():
+    """Shaped like perfbench's ``replay_ft`` at scale 0.02, after its
+    run: an at-least-once replay of 8 jobs on 4 nodes under seeded churn.
+    The engine's listeners still reach the replay, its supervisor and its
+    detector."""
+    workload = synthetic_workload(11, num_hosts=4, num_jobs=8,
+                                  mean_interarrival=0.1, mean_flops=5e8)
+    workload.horizon = 20.0 + 0.2 * 8
+    replay = ClusterReplay(workload, link_latency=1e-6, ack_size=1.0,
+                           churn_seed=12, churn_mtbf=0.5, churn_downtime=0.5,
+                           churn_max_failures=2, semantics="at_least_once")
+    metrics = replay.run()
+    assert metrics["lost"] == 0 and metrics["worker_restarts"] > 0
+    return replay
+
+
 class TestClose:
     @pytest.mark.parametrize("scenario", [
         partial(star_fleet, 20),
         partial(zoned_fleet, "generator", True),
         armed_churn,
         heartbeat_replay,
-    ], ids=["flat-star", "sharded-grid", "armed-churn", "heartbeat-replay"])
+        lambda: churned_cluster_replay().detector.engine,
+    ], ids=["flat-star", "sharded-grid", "armed-churn", "heartbeat-replay",
+            "cluster-replay"])
     def test_a_closed_restored_engine_is_freed_without_the_collector(
             self, scenario):
         blob = scenario().snapshot()
@@ -385,6 +403,17 @@ class TestClose:
             engine = s4u.Engine.restore(blob)
             engine.close()
             del engine
+            assert gc.collect() == 0
+
+    def test_a_closed_cluster_replay_is_freed_without_the_collector(self):
+        # Neither the replay nor its supervisor is on a cycle of its own:
+        # the workers' specs carry the metrics, not the replay, and the
+        # supervisor lets go of its actor when the actor dies.
+        gc.collect()
+        with collector_paused_by_caller():
+            replay = churned_cluster_replay()
+            replay.detector.engine.close()
+            del replay
             assert gc.collect() == 0
 
     @pytest.mark.parametrize("context", ["generator", "thread"])

@@ -67,6 +67,15 @@ def _one_shot(actor, log):
     log.append((actor.now, actor.name))
 
 
+def _kill_supervisor(actor, sup, date):
+    yield actor.sleep_for(date)
+    yield sup._actor.kill()
+
+
+def _hold(actor, until):
+    yield actor.sleep_for(until - actor.now)
+
+
 def _churn_chaos(actor, host_name, down_at, up_at, until):
     yield actor.sleep_for(down_at - actor.now)
     actor.engine.host(host_name).turn_off()
@@ -433,6 +442,26 @@ class TestSupervisor:
         final = engine.run()
         assert final == pytest.approx(0.2)
         assert engine.actor_count() == 0
+
+    def test_a_supervisor_lets_go_of_its_actor_when_it_dies(self):
+        # The actor's arguments point back at the supervisor: holding the
+        # dead actor would keep that cycle.  Children that outlive it
+        # still finish, and the last one wakes nobody.
+        log = []
+        engine = s4u.Engine(star(3))
+        sup = Supervisor(engine, [
+            ChildSpec(f"w{i}", f"leaf-{i}", _finishing_worker, log,
+                      1e9 * (i + 1), restart="transient")
+            for i in range(3)], host="center", daemon=True)
+        with pytest.raises(RuntimeError, match="already started"):
+            sup.start().start()
+        engine.add_actor("killer", "center", _kill_supervisor, sup, 0.5)
+        engine.add_actor("hold", "center", _hold, 4.0)
+        engine.run()
+        assert sup._actor is None
+        assert [name for _, name in log] == ["w0", "w1", "w2"]
+        assert [kind for _, kind, _ in sup.events] == ["start"] * 3 + [
+            "finish"] * 3
 
     def test_supervised_churn_fleet_is_deterministic(self):
         def run_once():
