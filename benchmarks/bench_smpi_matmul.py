@@ -9,30 +9,27 @@ on a homogeneous commodity cluster and on a heterogeneous two-site grid,
 sweeping the rank count, and reports the simulated execution times and the
 heterogeneity slowdown.
 
-``SMPI_BENCH_ONCE`` runs the first local GEMM for real and charges its
-measured duration to every step, so with a real clock the times differ
-from run to run in their last digits.  The sweep therefore reads a bench
-clock that steps by :data:`KERNEL_SECONDS` per reading: every GEMM step
-is charged exactly that, and the six times are pinned to the bit.
+``SMPI_BENCH_ONCE`` skips the local GEMM and charges the duration the
+world's record holds for it.  The sweep records :data:`KERNEL_SECONDS`
+per step, so the six times are pinned to the bit.
 """
 
 import hashlib
-import itertools
 
 from benchmarks.bench_util import print_table
 from examples.smpi_matmul import parallel_mat_mult
-from repro.gras import bench
 from repro.platform import make_cluster, make_two_site_grid
 from repro.smpi import SmpiWorld
 
 MATRIX_SIZE = 64        # M = N = K
-#: The stand-in for one measured GEMM step: 2**-17 s (about 7.6 us), exact
-#: in binary, so every recorded duration is exactly this value.
+#: The recorded duration of one GEMM step: 2**-17 s (about 7.6 us), exact
+#: in binary.
 KERNEL_SECONDS = 2.0 ** -17
 
 
 def simulate(platform_factory, num_ranks):
     world = SmpiWorld(platform_factory(num_ranks), num_ranks=num_ranks)
+    world.bench_record["dgemm-step"] = KERNEL_SECONDS
     return world.run(parallel_mat_mult, M=MATRIX_SIZE, N=MATRIX_SIZE,
                      K=MATRIX_SIZE)
 
@@ -47,18 +44,6 @@ def heterogeneous_platform(num_ranks):
                               wan_latency=50e-3)
 
 
-class SteppingClock:
-    """A stand-in for the ``time`` module whose ``perf_counter`` advances
-    by ``step`` at every reading."""
-
-    def __init__(self, step):
-        self._readings = itertools.count()
-        self._step = step
-
-    def perf_counter(self):
-        return next(self._readings) * self._step
-
-
 def times_digest(times):
     """sha256 over each rank count and its two times as ``float.hex``."""
     digest = hashlib.sha256()
@@ -68,8 +53,7 @@ def times_digest(times):
     return digest.hexdigest()
 
 
-def test_e6_smpi_matmul_homogeneous_vs_heterogeneous(monkeypatch):
-    monkeypatch.setattr(bench, "time", SteppingClock(KERNEL_SECONDS))
+def test_e6_smpi_matmul_homogeneous_vs_heterogeneous():
     rank_counts = (2, 4, 8)
     rows = []
     homogeneous_times = []

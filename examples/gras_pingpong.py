@@ -10,25 +10,45 @@ run twice with the *same* process functions:
    receiver-makes-right conversion);
 2. for real, over localhost TCP sockets and OS threads.
 
+The simulation charges the server's computation from a record measured
+once, before it starts (:func:`benchmark`); in real-world mode the block
+simply runs.
+
 Run with::
 
     python examples/gras_pingpong.py
 """
 
-from repro.gras import RlWorld, SimWorld
+import functools
+
+from repro.gras import BenchRecorder, RlWorld, SimWorld
 from repro.platform import make_star
 
 PORT = 4000
+
+
+def server_work():
+    """Some computation whose duration should be simulated."""
+    total = 0
+    for i in range(20000):
+        total += i * i
+    return total
+
+
+@functools.lru_cache(maxsize=None)
+def benchmark():
+    """The benchmark phase, run once per process: time ``server_work`` on
+    this machine."""
+    record = BenchRecorder()
+    record.measure("server-work", server_work)
+    return record
 
 
 def ping_callback(proc, source, payload):
     """Server-side callback for 'ping' messages (the paper's listing)."""
     msg = payload
     with proc.bench_always("server-work"):
-        # Some computation whose duration should be simulated.
-        total = 0
-        for i in range(20000):
-            total += i * i
+        server_work()
     # Send data back as payload of the pong message to the ping's source.
     reply_socket = proc.socket_client(source.host, source.port)
     proc.msg_send(reply_socket, "pong", msg)
@@ -67,6 +87,7 @@ def run_simulation():
                          link_bandwidth=12.5e6, link_latency=5e-4)
     world = SimWorld(platform, arch_by_host={"client-host-0": "x86",
                                              "server-host": "sparc"})
+    world.bench_record.update(benchmark())
     world.add_process("server", "server-host", server)
     world.add_process("client", "client-host-0", client, "server-host")
     final = world.run()

@@ -12,22 +12,28 @@ a heterogeneous two-site grid — and reports the simulated execution times,
 illustrating "study how an existing MPI application reacts to platform
 heterogeneity".
 
-The printed times are not reproducible to the last digit: the first
-``dgemm-step`` block runs for real, and ``SMPI_BENCH_ONCE`` charges its
-``time.perf_counter`` reading as the simulated duration of every step
-(``repro.gras.bench.BenchRecorder.once``), so two runs differ by the
-host's timing noise.  E6 (``benchmarks/bench_smpi_matmul.py``) pins the same
-sweep to the bit by running it on a fixed stepping clock instead.
+The kernel is benchmarked once, on this machine, before anything is
+simulated (:func:`benchmark`); both simulations then charge that record,
+so they read no clock and a second run in the same process prints the
+same times.
 
 Run with::
 
     python examples/smpi_matmul.py
 """
 
+import functools
+
 import numpy as np
 
+from repro.gras import BenchRecorder
 from repro.platform import make_cluster, make_two_site_grid
 from repro.smpi import SmpiWorld
+
+
+def gemm_step(alpha, column, row, beta, C):
+    """The local kernel of one step: ``alpha * column (x) row + beta * C``."""
+    return alpha * np.outer(column, row) + beta * C
 
 
 def parallel_mat_mult(mpi, M=128, N=128, K=128, alpha=1.0, beta=0.0):
@@ -54,16 +60,29 @@ def parallel_mat_mult(mpi, M=128, N=128, K=128, alpha=1.0, beta=0.0):
             buf_col = None
         buf_col = comm.bcast(buf_col, root=owner)
 
-        # Start benchmarking: the local GEMM runs for real only once, then
-        # the recorded duration is charged to the simulated host.
+        # Start benchmarking: in simulation the local GEMM is skipped and
+        # its recorded duration is charged to the simulated host.
         with mpi.sampler.bench_once("dgemm-step") as run_for_real:
             if run_for_real:
-                C = alpha * np.outer(buf_col, B[k, :]) + (1.0 if k else beta) * C
+                C = gemm_step(alpha, buf_col, B[k, :], 1.0 if k else beta, C)
     return C
+
+
+@functools.lru_cache(maxsize=None)
+def benchmark(num_ranks):
+    """The benchmark phase, run once per process: time one rank's GEMM
+    step at the default 128 x 128 size on this machine."""
+    rng = np.random.default_rng(0)
+    strip = 128 // num_ranks
+    record = BenchRecorder()
+    record.measure("dgemm-step", gemm_step, 1.0, rng.random(128),
+                   rng.random(strip), 1.0, np.zeros((128, strip)))
+    return record
 
 
 def simulate(platform, num_ranks, label):
     world = SmpiWorld(platform, num_ranks=num_ranks)
+    world.bench_record.update(benchmark(num_ranks))
     elapsed = world.run(parallel_mat_mult)
     print(f"  {label:35s} ranks={num_ranks}  simulated time = {elapsed:.4f} s")
     return elapsed

@@ -17,11 +17,10 @@ functions.
 
 from __future__ import annotations
 
-from typing import Any, Callable, ContextManager, List, Tuple
+from typing import Any, Callable, List, Tuple
 
 from repro.exceptions import SimTimeoutError, UnknownMessageError
 from repro.gras.arch import ARCHITECTURES, Architecture, LOCAL_ARCH
-from repro.gras.bench import BenchRecorder
 from repro.gras.message import GrasMessage, MessageRegistry
 from repro.gras.socket import GrasSocket
 
@@ -31,9 +30,8 @@ __all__ = ["GrasProcess"]
 class GrasProcess:
     """The GRAS protocol over an abstract transport.
 
-    Message encoding, the reorder buffer, ``msg_wait``/``msg_handle``,
-    ``socket_client`` and the benchmarking macros live here, once.  A
-    backend supplies:
+    Message encoding, the reorder buffer, ``msg_wait``/``msg_handle`` and
+    ``socket_client`` live here, once.  A backend supplies:
 
     * ``host_name``: the address peers reply to (the simulated host name,
       or localhost);
@@ -49,15 +47,21 @@ class GrasProcess:
       raised when it elapses first;
     * ``os_time()`` and ``os_sleep(duration)``: the simulated clock or
       the wall clock;
-    * ``_inject_computation(duration)``: account for ``duration`` seconds
-      of computation measured by the benchmarking macros.
+    * ``bench_once(key)`` and ``bench_always(key)``: the benchmarking
+      macros.  In simulation they charge the world's record for ``key``
+      (:mod:`repro.gras.bench`); ``bench_once`` yields ``False``, so the
+      block is skipped.  In real life the block runs and real time
+      passes::
+
+          with proc.bench_once("dgemm") as run_for_real:
+              if run_for_real:
+                  expensive_kernel()
     """
 
     def __init__(self, name: str, arch: Architecture = LOCAL_ARCH) -> None:
         self.name = name
         self.arch = arch
         self.registry = MessageRegistry()
-        self.bench_recorder = BenchRecorder()
         #: Reorder buffer: messages received while waiting for another type.
         self._buffer: List[GrasMessage] = []
 
@@ -143,30 +147,6 @@ class GrasProcess:
                 f"no callback registered for {message.msgtype!r}")
         callback(self, *self._decode(message))
         return True
-
-    # -- benchmarking ----------------------------------------------------------------------------------
-    def bench_always(self, key: str = "") -> ContextManager[None]:
-        """``GRAS_BENCH_ALWAYS_BEGIN/END``: measure the block every time.
-
-        The real duration of the block is measured and, in simulation mode,
-        injected as simulated computation on the process's host.
-        """
-        return self.bench_recorder.always(key, self._inject_computation)
-
-    def bench_once(self, key: str) -> ContextManager[bool]:
-        """``SMPI_BENCH_ONCE``-style sampling: run the block once for real.
-
-        The context manager yields ``True`` when the block should really
-        run (first time) and ``False`` afterwards; either way the recorded
-        duration is injected as simulated computation.
-
-        Usage::
-
-            with proc.bench_once("dgemm") as should_run:
-                if should_run:
-                    expensive_kernel()
-        """
-        return self.bench_recorder.once(key, self._inject_computation)
 
     # -- lifecycle -----------------------------------------------------------------------------------------
     def exit(self) -> None:

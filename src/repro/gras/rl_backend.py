@@ -16,13 +16,14 @@ and the process keeps listening.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import queue
 import socket as _socket
 import struct as _struct
 import threading
 import time
-from typing import Callable, List, Optional
+from typing import Callable, ContextManager, List, Optional
 
 from repro.exceptions import NetworkError, SimTimeoutError
 from repro.gras.arch import ARCHITECTURES, Architecture, LOCAL_ARCH
@@ -163,9 +164,12 @@ class RlGrasProcess(GrasProcess):
         time.sleep(duration)
 
     # -- benchmarking ------------------------------------------------------------------------------
-    def _inject_computation(self, duration: float) -> None:
-        # In real-life mode the computation really ran: nothing to inject.
-        return
+    # The block runs for real and real time passes: nothing to charge.
+    def bench_once(self, key: str) -> ContextManager[bool]:
+        return contextlib.nullcontext(True)
+
+    def bench_always(self, key: str) -> ContextManager[None]:
+        return contextlib.nullcontext()
 
     # -- lifecycle ------------------------------------------------------------------------------------
     def exit(self) -> None:

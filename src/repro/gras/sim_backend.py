@@ -14,15 +14,18 @@ the real message carries.  No per-message wrapper object is allocated: the
 payload travels as-is through the mailbox.
 The protocol itself (encoding, reorder buffer, ``msg_wait`` /
 ``msg_handle``) is :class:`~repro.gras.process.GrasProcess`'s, shared with
-the real-life backend.
+the real-life backend.  The bench macros charge the world's one
+:class:`~repro.gras.bench.BenchRecorder`, ``bench_record``, filled before
+the run: a simulation reads no wall clock.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Optional
+from typing import Callable, ContextManager, Dict, Optional
 
 from repro.gras.arch import ARCHITECTURES, Architecture, LOCAL_ARCH
+from repro.gras.bench import BenchRecorder
 from repro.gras.message import GrasMessage, HEADER_BYTES
 from repro.gras.process import GrasProcess
 from repro.gras.socket import GrasSocket
@@ -44,9 +47,11 @@ def _mailbox_name(host: str, port: int) -> str:
 class SimGrasProcess(GrasProcess):
     """A GRAS process executed inside the simulator (one s4u actor)."""
 
-    def __init__(self, actor: Actor, arch: Architecture) -> None:
+    def __init__(self, actor: Actor, arch: Architecture,
+                 bench_record: BenchRecorder) -> None:
         super().__init__(actor.name, arch)
         self._actor = actor
+        self._bench_record = bench_record
         self._listen_port: Optional[int] = None
 
     # -- sockets ---------------------------------------------------------------------
@@ -84,11 +89,11 @@ class SimGrasProcess(GrasProcess):
         self._actor.sleep_for(duration)
 
     # -- benchmarking ------------------------------------------------------------------------
-    def _inject_computation(self, duration: float) -> None:
-        if duration <= 0:
-            return
-        flops = duration * self._actor.host.speed
-        self._actor.execute(flops, name="gras-bench")
+    def bench_once(self, key: str) -> ContextManager[bool]:
+        return self._bench_record.once(key, self._actor)
+
+    def bench_always(self, key: str) -> ContextManager[None]:
+        return self._bench_record.always(key, self._actor)
 
 
 class SimWorld:
@@ -98,6 +103,9 @@ class SimWorld:
                  arch_by_host: Optional[Dict[str, str]] = None) -> None:
         self.engine = Engine(platform, context_factory="thread")
         self.arch_by_host = arch_by_host or {}
+        #: The durations the processes' bench blocks charge; fill it
+        #: before :meth:`run`.
+        self.bench_record = BenchRecorder()
 
     def _arch_for(self, host_name: str,
                   arch: Optional[str]) -> Architecture:
@@ -117,7 +125,8 @@ class SimWorld:
         architecture = self._arch_for(host, arch)
 
         def body(actor: Actor, *fargs, **fkwargs):
-            func(SimGrasProcess(actor, architecture), *fargs, **fkwargs)
+            func(SimGrasProcess(actor, architecture, self.bench_record),
+                 *fargs, **fkwargs)
 
         return self.engine.add_actor(name, host, body, *args, **kwargs)
 

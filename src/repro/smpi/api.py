@@ -3,7 +3,8 @@
 :class:`SmpiWorld` creates one s4u actor per MPI rank (each on its own
 host, cycling through the platform's hosts when there are more ranks than
 hosts) and hands every rank an :class:`Smpi` facade exposing
-``COMM_WORLD``, ``wtime`` and the benchmarking sampler.  Rank functions are
+``COMM_WORLD``, ``wtime`` and the benchmarking sampler, which charges the
+world's one ``bench_record``.  Rank functions are
 plain blocking code (thread contexts), exactly like real MPI ranks.
 """
 
@@ -13,6 +14,7 @@ import itertools
 from typing import Callable, List, Optional
 
 from repro.exceptions import MpiError
+from repro.gras.bench import BenchRecorder
 from repro.platform.platform import Platform
 from repro.s4u.actor import Actor
 from repro.s4u.engine import Engine
@@ -34,7 +36,7 @@ class Smpi:
         self.actor = actor
         self.COMM_WORLD = Communicator(world.comm_id, rank, world.num_ranks,
                                        actor)
-        self.sampler = SmpiSampler(actor)
+        self.sampler = SmpiSampler(world.bench_record, actor)
 
     def wtime(self) -> float:
         """Simulated time, like ``MPI_Wtime``."""
@@ -46,8 +48,9 @@ class Smpi:
         return self.actor.host.name
 
     def compute(self, flops: float) -> None:
-        """Charge ``flops`` of local computation to this rank."""
-        self.sampler.charge_flops(flops)
+        """Charge ``flops`` of local computation to this rank: a declared
+        amount, like SimGrid's later ``SMPI_SAMPLE_FLOPS``."""
+        self.actor.execute(flops, name="smpi-kernel")
 
 
 class SmpiWorld:
@@ -59,6 +62,9 @@ class SmpiWorld:
         self.num_ranks = num_ranks
         self.comm_id = next(_world_ids)
         self.engine = Engine(platform, context_factory="thread")
+        #: The durations the ranks' bench blocks charge; fill it before
+        #: :meth:`run`.
+        self.bench_record = BenchRecorder()
         host_names = platform.host_names()
         if not host_names:
             raise MpiError("the platform has no host")

@@ -38,6 +38,12 @@ class TestGrasPingpong:
         assert final > 1.0          # the client sleeps 1 s before pinging
         assert "ping-pong completed" in capsys.readouterr().out
 
+    def test_simulation_is_reproducible(self):
+        """The server's work is charged from the record measured once:
+        a second simulation in the same process ends on the same date."""
+        module = load_example("gras_pingpong")
+        assert module.run_simulation().hex() == module.run_simulation().hex()
+
     def test_real_mode(self, capsys):
         module = load_example("gras_pingpong")
         module.run_real_life()
@@ -58,8 +64,21 @@ class TestParallelMatMult:
 
         world = SmpiWorld(make_cluster(num_hosts=num_ranks),
                           num_ranks=num_ranks)
+        world.bench_record["dgemm-step"] = 2.0 ** -17
         assert world.run(program) > 0
         assert sorted(finished) == list(range(num_ranks))
+
+
+class TestSmpiMatmul:
+    def test_main_prints_the_same_lines_twice(self, capsys):
+        """Both platforms are simulated from one GEMM measurement, so a
+        second run in the same process prints the same times."""
+        module = load_example("smpi_matmul")
+        module.main()
+        first = capsys.readouterr().out
+        module.main()
+        assert capsys.readouterr().out == first
+        assert "simulated time" in first
 
 
 class TestP2pFilesharing:

@@ -193,21 +193,23 @@ class TestSimulationMode:
         world.run()
         assert received["value"] == pytest.approx(2.718281828)
 
-    def test_bench_always_injects_simulated_time(self):
+    def test_bench_always_charges_the_recorded_duration(self):
+        """The block runs, and the world's record (not a clock reading)
+        is charged: 0.25 s on a 1 Gflop/s host, to the bit."""
         world = SimWorld(star())
+        world.bench_record["spin"] = 0.25
         times = {}
 
         def worker(proc):
             start = proc.os_time()
             with proc.bench_always("spin"):
-                total = 0
-                for i in range(50000):
-                    total += i
+                times["ran"] = sum(range(50000))
             times["elapsed"] = proc.os_time() - start
 
         world.add_process("worker", "leaf-0", worker)
         world.run()
-        assert times["elapsed"] > 0.0
+        assert times["ran"] == 1249975000
+        assert times["elapsed"].hex() == (0.25).hex()
 
     def test_message_size_drives_transfer_time(self):
         """A bigger payload takes longer on the same (slow) link."""
@@ -261,6 +263,22 @@ class TestRealLifeMode:
         world.add_process("client", client)
         world.run(timeout=20.0)
         assert log["answer"] == 42
+
+    def test_bench_blocks_run_for_real_without_a_record(self):
+        """In real life both macros run the block and charge nothing."""
+        world = RlWorld()
+        ran = []
+
+        def worker(proc):
+            with proc.bench_once("kernel") as run_for_real:
+                if run_for_real:
+                    ran.append("once")
+            with proc.bench_always("kernel"):
+                ran.append("always")
+
+        world.add_process("worker", worker)
+        world.run(timeout=10.0)
+        assert ran == ["once", "always"]
 
     def test_real_cross_architecture_encoding(self):
         """Payloads encoded with a big-endian layout decode correctly."""
@@ -415,20 +433,24 @@ def test_out_of_order_receive_on_both_backends(run_pair):
 
 
 class TestBenchRecorder:
-    def test_record_averages(self):
-        recorder = BenchRecorder()
-        recorder.record("k", 1.0)
-        recorder.record("k", 3.0)
-        assert recorder.duration_of("k") == pytest.approx(2.0)
-        assert recorder.count_of("k") == 2
-        assert recorder.has("k")
+    def test_measure_records_the_duration_and_returns_the_result(self):
+        record = BenchRecorder()
+        assert record.measure("sum", sum, range(100000)) == 4999950000
+        assert record["sum"] > 0.0
 
-    def test_missing_key(self):
-        recorder = BenchRecorder()
-        with pytest.raises(KeyError):
-            recorder.duration_of("missing")
+    def test_missing_key_is_named(self):
+        with pytest.raises(KeyError, match="no benchmark recorded for "
+                                           "'missing'"):
+            BenchRecorder()["missing"]
 
-    def test_negative_duration_rejected(self):
-        recorder = BenchRecorder()
-        with pytest.raises(ValueError):
-            recorder.record("k", -1.0)
+    def test_negative_duration_fails_the_charge(self):
+        world = SimWorld(star())
+        world.bench_record["k"] = -1.0
+
+        def worker(proc):
+            with proc.bench_always("k"):
+                pass
+
+        world.add_process("worker", "leaf-0", worker)
+        with pytest.raises(ValueError, match="flops must be finite"):
+            world.run()

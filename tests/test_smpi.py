@@ -456,18 +456,21 @@ class TestWaitall:
 
 
 class TestBenchAndHeterogeneity:
-    def test_bench_once_runs_block_once(self):
+    def test_bench_once_skips_the_block(self):
+        """In simulation the block never runs; each pass charges the
+        world's record: 5 x 0.5 s on a 1 Gflop/s host."""
         counts = {"ran": 0}
 
         def program(mpi):
-            comm = mpi.COMM_WORLD
             for _ in range(5):
                 with mpi.sampler.bench_once("kernel") as should_run:
                     if should_run:
                         counts["ran"] += 1
 
-        run_world(1, program)
-        assert counts["ran"] == 1
+        world = SmpiWorld(make_cluster(num_hosts=1), num_ranks=1)
+        world.bench_record["kernel"] = 0.5
+        assert world.run(program).hex() == (2.5).hex()
+        assert counts["ran"] == 0
 
     def test_compute_charges_simulated_time(self):
         times = {}
@@ -478,6 +481,21 @@ class TestBenchAndHeterogeneity:
 
         run_world(1, program)          # cluster hosts run at 1 Gflop/s
         assert times["t"].hex() == "0x1.8000000000000p+1"
+
+    def test_compute_rejects_a_bad_amount(self):
+        """A negative or NaN amount raises like ``Actor.execute``; zero
+        costs nothing."""
+        outcomes = []
+
+        def program(mpi):
+            mpi.compute(0)
+            for flops in (-1e9, float("nan")):
+                outcomes.append(_outcome(lambda: mpi.compute(flops)))
+            outcomes.append(mpi.wtime())
+
+        run_world(1, program)
+        assert outcomes == [("raised", ValueError), ("raised", ValueError),
+                            0.0]
 
     def test_heterogeneous_platform_slower_than_cluster(self):
         def program(mpi):

@@ -186,6 +186,13 @@ RETIRED_NAMES = (
     r"interference_ratio", r"shares_bottleneck", r"def cluster_of\b",
     r"num_clusters", r"def roundtrip\b", r"is_declared",
     r"unregister_callback", r"is_suspected",
+    # One benchmark record per simulated world, charged through one hook
+    # (tests/test_bench_sampler.py): no per-process or per-rank recorder,
+    # running average, reference speed, clock-reading macro or second
+    # name for mpi.compute.
+    r"bench_recorder", r"_inject_computation", r"reference_speed",
+    r"charge_flops", r"def count_of\b", r"def duration_of\b",
+    r"def has\(self, key",
 )
 
 
@@ -212,6 +219,65 @@ def test_no_module_level_multiprocessing_or_xml_import():
     test_serial_campaign_loads_neither_multiprocessing_nor_xml)."""
     files = [REPRO / name for name in LAZY_IMPORTERS]
     assert _matching_lines(EAGER_IMPORT, files) == []
+
+
+#: The ``time`` functions that read the wall clock.
+WALL_CLOCKS = {"perf_counter", "perf_counter_ns", "monotonic",
+               "monotonic_ns", "time", "time_ns"}
+
+#: The only readers of the wall clock under ``src/repro``, as
+#: ``path::qualname`` (``*``: the whole module), none inside a simulation.
+WALL_CLOCK_READERS = {
+    # the benchmark phase, run before a simulation
+    "gras/bench.py::BenchRecorder.measure",
+    # real-life GRAS, where the wall clock is the world's clock
+    "gras/rl_backend.py::*",
+    # the parent's timeout over forked campaign runs, outside every
+    # simulation (tests/test_campaign.py::TestSnapshotFanout)
+    "campaign/runner.py::_run_forked",
+}
+
+
+def _wall_clock_reads(path):
+    """``qualname:line`` of every ``time.<clock>`` use and every clock
+    imported from ``time`` in ``path``."""
+    reads = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Attribute)
+                    and child.attr in WALL_CLOCKS
+                    and isinstance(child.value, ast.Name)
+                    and child.value.id == "time") or (
+                    isinstance(child, ast.ImportFrom)
+                    and child.module == "time"
+                    and any(alias.name in WALL_CLOCKS
+                            for alias in child.names)):
+                reads.append((".".join(scope), child.lineno))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), [])
+    return reads
+
+
+def test_no_wall_clock_inside_a_simulation():
+    """A simulated date depends on the platform, the program and the
+    benchmark record only: ``bench_once`` / ``bench_always`` charge the
+    world's record, measured before the run, and no simulation code reads
+    a clock (tests/test_bench_sampler.py::test_sampler_charges_the_record,
+    tests/test_examples.py::TestSmpiMatmul)."""
+    found = []
+    for path in sorted(REPRO.rglob("*.py")):
+        where = path.relative_to(REPRO).as_posix()
+        for qualname, line in _wall_clock_reads(path):
+            if {f"{where}::{qualname}", f"{where}::*"} & WALL_CLOCK_READERS:
+                continue
+            found.append(f"{where}:{line} in {qualname or '<module>'}")
+    assert found == []
 
 
 #: The timing plugin's fixture; the plugin's module is named after it.

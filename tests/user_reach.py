@@ -17,12 +17,11 @@ runs, namely
 
 It prints ``unreached: <path>::<qualname>`` for every function that
 neither entered, with ``never_run.py``'s exemptions, then one line per
-package with its unreached, kept and verdict-less counts.  A function
-outside :data:`UNTRIAGED_PACKAGES` must have a verdict in :data:`KEPT`
-saying why it stays, or be deleted.  The exit
-status is 1 for a triaged function with no verdict, for a :data:`KEPT`
-entry that is stale (now entered, or no longer defined), and if pytest
-failed or a workload reports itself broken; 0 otherwise.  Untriaged packages are listed but do not fail.
+package with its unreached, kept and verdict-less counts.  Every such
+function must have a verdict in :data:`KEPT` saying why it stays, or be
+deleted.  The exit status is 1 for a function with no verdict, for a
+:data:`KEPT` entry that is stale (now entered, or no longer defined), and
+if pytest failed or a workload reports itself broken; 0 otherwise.
 This file is not collected by tier-1.
 """
 
@@ -37,10 +36,6 @@ import never_run  # noqa: E402
 #: Seed and scale of the in-process workload runs.
 SEED = 1
 SCALE = 0.05
-
-#: Packages whose unreached functions need no verdict yet; every other
-#: package and top-level module (``__init__.py`` included) is triaged.
-UNTRIAGED_PACKAGES = ("smpi/",)
 
 _XML = ("(b) the SimGrid XML platform format; "
         "tests/test_platform.py::TestXmlLoading")
@@ -85,18 +80,26 @@ _INTENSITY = ("(s) the supervisor's restart-intensity bound; "
               "test_permanent_quitter_escalates_at_the_bound")
 _SATURATE = ("(b) amok_bw_saturate_start / amok_bw_saturate_stop; "
              "tests/test_amok.py::TestSaturation")
+_BENCH = "tests/test_bench_sampler.py::test_sampler_charges_the_record"
+
+
+def _mpi(call, test):
+    """The verdict of an SMPI function that stands for MPI's ``call``,
+    held by ``tests/test_smpi.py::<test>``."""
+    return f"(b) {call}; tests/test_smpi.py::{test}"
+
+
 _DATADESC = ("(b) receiver-makes-right decoding of gras_datadesc_by_name("
              "\"string\") and gras_datadesc_struct; "
              "tests/test_gras_datadesc.py::TestCompositeTypes")
 
-#: Why an unreached, triaged function stays, as ``path::qualname``.
+#: Why an unreached function stays, as ``path::qualname``.
 #: "(b)": a paper layer's API promises it (the MSG, GRAS, SMPI or AMOK
 #: call, or the SimGrid platform file attribute it stands for), and the
 #: named test covers it.
 #: "oracle": the named test checks reached code against it.
 #: "(s)": a safety guard, and the named test trips it.
-#: "deferred": perfbench imports or pins it, or only SMPI (untriaged)
-#: calls it.
+#: "deferred": perfbench imports or pins it.
 KEPT = {
     # kernel/
     "kernel/context.py::ThreadContext.kill":
@@ -211,7 +214,9 @@ KEPT = {
         "(b) MSG_task_listen; tests/test_migration_equivalence.py::"
         "TestPortPrimitives::test_mailbox_listen_and_peek",
     "s4u/mailbox.py::Mailbox.pending_payloads":
-        "deferred: SMPI's iprobe (smpi/comm.py)",
+        "(b) MPI_Iprobe, through Communicator.iprobe; "
+        "tests/test_migration_equivalence.py::TestPortPrimitives::"
+        "test_smpi_iprobe_sees_message_behind_nonmatching_head",
     "s4u/this_actor.py::get_name":
         "(b) MSG_process_get_name; "
         "tests/test_s4u_api.py::TestEngineBasics::test_this_actor_helpers",
@@ -237,24 +242,95 @@ KEPT = {
     ".sink": _SATURATE,
     "amok/saturation.py::SaturationExperiment.run": _SATURATE,
     # gras/
-    "gras/bench.py::BenchRecorder.count_of":
-        "oracle: checks how often a bench block really ran; "
-        "tests/test_bench_sampler.py::"
-        "test_sampler_runs_and_charges_the_recorded_duration",
+    "gras/bench.py::BenchRecorder.__missing__":
+        "(s) a bench site with no record names its key before anything "
+        "is charged; tests/test_bench_sampler.py::"
+        "test_a_site_with_no_record_fails_naming_its_key",
     "gras/datadesc.py::StringDesc.decode": _DATADESC,
     "gras/datadesc.py::StructDesc.decode": _DATADESC,
     "gras/datadesc.py::declare_struct":
         "(b) gras_datadesc_struct; tests/test_gras_datadesc.py::"
         "TestRegistry::test_declare_struct_registers_by_name",
-    "gras/process.py::GrasProcess.bench_once":
-        "(b) GRAS_BENCH_ONCE_RUN_ONCE_BEGIN/END; "
-        "tests/test_bench_sampler.py::"
-        "test_sampler_runs_and_charges_the_recorded_duration",
+    "gras/rl_backend.py::RlGrasProcess.bench_once":
+        "(b) GRAS_BENCH_ONCE_RUN_ONCE_BEGIN/END in real life; "
+        "tests/test_gras_messaging.py::TestRealLifeMode::"
+        "test_bench_blocks_run_for_real_without_a_record",
+    "gras/sim_backend.py::SimGrasProcess.bench_once":
+        "(b) GRAS_BENCH_ONCE_RUN_ONCE_BEGIN/END; " + _BENCH,
+    # smpi/
+    "smpi/api.py::Smpi.wtime":
+        _mpi("MPI_Wtime",
+             "TestPointToPoint::test_wtime_monotonic_and_positive"),
+    "smpi/api.py::Smpi.host_name":
+        _mpi("MPI_Get_processor_name", "TestBenchAndHeterogeneity::"
+             "test_more_ranks_than_hosts_round_robin"),
+    "smpi/api.py::Smpi.compute":
+        _mpi("SimGrid's later SMPI_SAMPLE_FLOPS (a declared amount of "
+             "computation)", "TestBenchAndHeterogeneity::"
+             "test_compute_charges_simulated_time"),
+    "smpi/bench.py::SmpiSampler.bench_always":
+        "(b) SMPI_BENCH_ALWAYS; " + _BENCH,
+    "smpi/collectives.py::SUM":
+        _mpi("MPI_SUM", "TestCollectives::test_reduce_sum_at_root"),
+    "smpi/collectives.py::MAX":
+        _mpi("MPI_MAX", "TestCollectives::test_reduce_other_operators"),
+    "smpi/collectives.py::MIN":
+        _mpi("MPI_MIN", "TestCollectives::test_reduce_other_operators"),
+    "smpi/collectives.py::PROD":
+        _mpi("MPI_PROD", "TestCollectives::test_reduce_other_operators"),
+    "smpi/collectives.py::reduce":
+        _mpi("MPI_Reduce", "TestCollectives::test_reduce_sum_at_root"),
+    "smpi/collectives.py::allreduce":
+        _mpi("MPI_Allreduce", "TestCollectives::test_allreduce_numpy_arrays"),
+    "smpi/collectives.py::gather":
+        _mpi("MPI_Gather", "TestCollectives::test_gather_scatter_allgather"),
+    "smpi/collectives.py::allgather":
+        _mpi("MPI_Allgather",
+             "TestCollectives::test_gather_scatter_allgather"),
+    "smpi/collectives.py::scatter":
+        _mpi("MPI_Scatter", "TestCollectives::test_gather_scatter_allgather"),
+    "smpi/collectives.py::alltoall":
+        _mpi("MPI_Alltoall", "TestCollectives::test_alltoall"),
+    "smpi/collectives.py::barrier":
+        _mpi("MPI_Barrier",
+             "TestCollectives::test_barrier_synchronises_ranks"),
+    "smpi/comm.py::Communicator.isend":
+        _mpi("MPI_Isend", "TestPointToPoint::test_isend_irecv_wait"),
+    "smpi/comm.py::Communicator.issend":
+        _mpi("MPI_Issend", "TestWaitall"),
+    "smpi/comm.py::Communicator.wait":
+        _mpi("MPI_Wait", "TestPointToPoint::test_isend_irecv_wait"),
+    "smpi/comm.py::Communicator.test":
+        _mpi("MPI_Test", "TestRequestProgress::test_failed_issend_raises"),
+    "smpi/comm.py::Communicator.waitany":
+        _mpi("MPI_Waitany", "TestRequestProgress::"
+             "test_timeout_is_a_deadline_across_nonmatching_messages"),
+    "smpi/comm.py::Communicator.waitall":
+        _mpi("MPI_Waitall", "TestWaitall"),
+    "smpi/comm.py::Communicator.sendrecv":
+        _mpi("MPI_Sendrecv", "TestPointToPoint::test_sendrecv_ring"),
+    "smpi/comm.py::Communicator.iprobe":
+        "(b) MPI_Iprobe; tests/test_migration_equivalence.py::"
+        "TestPortPrimitives::test_smpi_iprobe_and_unexpected_queue",
+    "smpi/comm.py::Communicator.barrier":
+        _mpi("MPI_Barrier",
+             "TestCollectives::test_barrier_synchronises_ranks"),
+    "smpi/comm.py::Communicator.reduce":
+        _mpi("MPI_Reduce", "TestCollectives::test_reduce_sum_at_root"),
+    "smpi/comm.py::Communicator.allreduce":
+        _mpi("MPI_Allreduce", "TestCollectives::test_allreduce_numpy_arrays"),
+    "smpi/comm.py::Communicator.gather":
+        _mpi("MPI_Gather", "TestCollectives::test_gather_scatter_allgather"),
+    "smpi/comm.py::Communicator.allgather":
+        _mpi("MPI_Allgather",
+             "TestCollectives::test_gather_scatter_allgather"),
+    "smpi/comm.py::Communicator.scatter":
+        _mpi("MPI_Scatter", "TestCollectives::test_gather_scatter_allgather"),
+    "smpi/comm.py::Communicator.alltoall":
+        _mpi("MPI_Alltoall", "TestCollectives::test_alltoall"),
+    "smpi/datatypes.py::Datatype.extent":
+        _mpi("MPI_Type_get_extent", "TestDatatypes::test_extent"),
 }
-
-
-def triaged(name):
-    return not name.startswith(UNTRIAGED_PACKAGES)
 
 
 def package_of(name):
@@ -297,11 +373,9 @@ def main():
     for name in missing:
         if name in KEPT:
             print(f"unreached: {name}  [{KEPT[name]}]")
-        elif triaged(name):
+        else:
             print(f"unreached: {name}  [NO VERDICT]")
             unjudged += 1
-        else:
-            print(f"unreached: {name}")
     for name in sorted(set(KEPT) - set(missing)):
         why = "now entered" if name in defined else "no longer defined"
         print(f"stale KEPT entry: {name} ({why})")
@@ -322,7 +396,7 @@ def main():
                          for why, count in sorted(exempt.items()))
     print(f"user_reach: {len(missing)} function(s) under src/repro never "
           f"entered by a user run, {len(KEPT) - stale} kept, {unjudged} "
-          f"triaged with no verdict, {stale} stale KEPT entries "
+          f"with no verdict, {stale} stale KEPT entries "
           f"(exempt and never entered: {exempted})")
     return 1 if (unjudged or stale or broken or status != 0) else 0
 
