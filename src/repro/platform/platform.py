@@ -24,6 +24,7 @@ partitions the kernel along the top-level zones (see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -56,10 +57,15 @@ class HostSpec:
     index: int = field(default=-1, compare=False)
 
     def __post_init__(self) -> None:
-        if self.speed <= 0:
-            raise PlatformError(f"host {self.name!r}: speed must be > 0")
-        if self.cores < 1:
-            raise PlatformError(f"host {self.name!r}: cores must be >= 1")
+        # The runtime setters' rule: finite, in range, NaN refused.
+        if not 0 < self.speed < math.inf:
+            raise PlatformError(
+                f"host {self.name!r}: speed must be finite and > 0: "
+                f"{self.speed!r}")
+        if type(self.cores) is not int or self.cores < 1:
+            raise PlatformError(
+                f"host {self.name!r}: cores must be an int >= 1: "
+                f"{self.cores!r}")
 
 
 @dataclass
@@ -76,10 +82,14 @@ class LinkSpec:
     index: int = field(default=-1, compare=False)
 
     def __post_init__(self) -> None:
-        if self.bandwidth <= 0:
-            raise PlatformError(f"link {self.name!r}: bandwidth must be > 0")
-        if self.latency < 0:
-            raise PlatformError(f"link {self.name!r}: latency must be >= 0")
+        if not 0 < self.bandwidth < math.inf:
+            raise PlatformError(
+                f"link {self.name!r}: bandwidth must be finite and > 0: "
+                f"{self.bandwidth!r}")
+        if not 0 <= self.latency < math.inf:
+            raise PlatformError(
+                f"link {self.name!r}: latency must be finite and >= 0: "
+                f"{self.latency!r}")
 
 
 @dataclass

@@ -23,7 +23,7 @@ context factory and blocks directly under the thread context factory.
 from __future__ import annotations
 
 import enum
-from typing import Any, Iterable, List, Optional, TYPE_CHECKING
+from typing import Any, Iterable, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.s4u.actor import submit
 from repro.surf.action import Action
@@ -52,15 +52,15 @@ class Activity:
 
     kind = "activity"
 
-    __slots__ = ("name", "state", "surf_action", "waiters", "post_time",
-                 "start_time", "finish_time", "_engine")
+    __slots__ = ("name", "state", "surf_action", "waiters", "start_time",
+                 "finish_time", "_engine")
 
     def __init__(self, name: str = "") -> None:
         self.name = name
         self.state = ActivityState.PENDING
         self.surf_action: Optional[Action] = None
-        self.waiters: List["Actor"] = []
-        self.post_time: float = 0.0
+        #: The actors blocked on this activity; ``()`` until the first.
+        self.waiters: Tuple["Actor", ...] = ()
         self.start_time: Optional[float] = None
         self.finish_time: Optional[float] = None
         #: Engine backref, set when the engine posts/starts the activity.
@@ -188,6 +188,8 @@ class ActivitySet:
     blocks until every member completed.
     """
 
+    __slots__ = ("_activities",)
+
     def __init__(self, activities: Iterable[Activity] = ()) -> None:
         self._activities: List[Activity] = list(activities)
 
@@ -217,7 +219,7 @@ class ActivitySet:
             raise ValueError("wait_any on an empty ActivitySet")
         if timeout is not None and not timeout >= 0:
             raise ValueError(f"timeout must be None or >= 0: {timeout!r}")
-        return submit("_do_wait_any", list(self._activities), self, timeout)
+        return submit("_do_wait_any", tuple(self._activities), self, timeout)
 
     def wait_all(self, timeout: Optional[float] = None):
         """Block until every member completed; the set is emptied
@@ -226,7 +228,7 @@ class ActivitySet:
             raise ValueError("wait_all on an empty ActivitySet")
         if timeout is not None and not timeout >= 0:
             raise ValueError(f"timeout must be None or >= 0: {timeout!r}")
-        return submit("_do_wait_all", list(self._activities), self, timeout)
+        return submit("_do_wait_all", tuple(self._activities), self, timeout)
 
     def test_any(self):
         """Non-blocking reap: a completed member (removed) or ``None``

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from math import inf
-from typing import Any, Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Optional, Tuple, TYPE_CHECKING
 
 from repro.kernel.simcall import Simcall
 
@@ -85,20 +85,20 @@ class Actor:
     """One simulated actor: a function running on a host."""
 
     __slots__ = ("engine", "name", "host", "func", "args", "kwargs",
-                 "daemon", "auto_restart", "pid", "state", "context", "data",
+                 "daemon", "auto_restart", "pid", "state", "context",
                  "_wait_activities", "_wait_timer", "_wait_kind",
                  "_wait_owner", "_suspended", "_parked_resume", "_exit",
                  "_on_exit_callbacks", "_exit_failed", "exit_status")
 
     def __init__(self, engine: "Engine", name: str, host: "Host",
-                 func, args: tuple = (), kwargs: Optional[dict] = None,
+                 func, args: tuple, kwargs: dict,
                  daemon: bool = False, auto_restart: bool = False) -> None:
         self.engine = engine
         self.name = name
         self.host = host
         self.func = func
         self.args = args
-        self.kwargs = kwargs or {}
+        self.kwargs = kwargs
         self.daemon = daemon
         #: Reboot this actor (fresh body, same function/arguments) when its
         #: failed host is restored (see ``Engine._set_state``).
@@ -108,8 +108,6 @@ class Actor:
         #: The body's context (see :mod:`repro.kernel.context`), set by
         #: ``Engine.add_actor`` and dropped when the actor dies.
         self.context = None
-        #: Application-visible storage: the kernel never reads it.
-        self.data: Dict[str, Any] = {}
         # kernel bookkeeping; the four _wait_* slots are written only by
         # Engine._block_on and Engine._unblock
         self._wait_activities = ()
@@ -121,7 +119,8 @@ class Actor:
         #: The activity ``join`` waits on, created by the first joiner and
         #: finished when the actor terminates.
         self._exit = None
-        self._on_exit_callbacks: List[Any] = []
+        #: The ``on_exit`` callbacks; ``()`` until the first.
+        self._on_exit_callbacks: Tuple[Any, ...] = ()
         #: How the actor died (False = body returned normally); only
         #: meaningful once the actor is DEAD.
         self._exit_failed = False
@@ -168,7 +167,7 @@ class Actor:
         if self.state == ActorState.DEAD:
             callback(self._exit_failed)
             return self
-        self._on_exit_callbacks.append(callback)
+        self._on_exit_callbacks += (callback,)
         return self
 
     # ------------------------------------------------------------------------------

@@ -456,6 +456,7 @@ class Engine:
 
         Returns the final simulated time.  A date that already passed is
         "nothing to do": the call returns :attr:`now` without stepping.
+        A NaN ``until`` raises ``ValueError``.
         An exception escaping an actor body propagates out of this call
         after the actor was terminated (see :attr:`Actor.exit_status`), so
         the engine stays consistent and a later :meth:`run` finishes the
@@ -472,6 +473,8 @@ class Engine:
         if self._closed:
             raise SimGridError("run() on a closed engine")
         limit = math.inf if until is None else float(until)
+        if math.isnan(limit):
+            raise ValueError(f"until must be None or a date: {until!r}")
         if limit < self.surf.clock:
             return self.surf.clock
         self._tearing_down = False
@@ -665,7 +668,7 @@ class Engine:
             return None
         activity = Exec(actor, host, flops, name,
                         priority=priority, bound=bound)
-        activity.post_time = activity.start_time = self.surf.clock
+        activity.start_time = self.surf.clock
         action = self.surf.execute(host.cpu, flops,
                                    priority=priority, bound=bound)
         action.data = activity
@@ -740,7 +743,6 @@ class Engine:
                 mailbox, payload=payload, size=size, src_actor=actor,
                 rate=rate, detached=detached, priority=priority, name=name)
             comm._engine = self
-            comm.post_time = self.surf.clock
             mailbox.post_send(comm)
         return comm
 
@@ -755,7 +757,6 @@ class Engine:
         else:
             comm = Comm(mailbox, dst_actor=actor, rate=rate)
             comm._engine = self
-            comm.post_time = self.surf.clock
             mailbox.post_recv(comm)
         return comm
 
@@ -794,7 +795,7 @@ class Engine:
             value, exc = self._activity_result(actor, activity)
             self._ready.append((actor, value, exc))
             return
-        activity.waiters.append(actor)
+        activity.waiters += (actor,)
         self._block_on(actor, kind, (activity,), timeout)
 
     def _do_wait(self, actor: Actor, activity: Activity,
@@ -816,9 +817,8 @@ class Engine:
         # One back-pointer per member, registered once; the completion
         # that fires first wakes the actor and withdraws the others.
         for activity in activities:
-            waiters = activity.waiters
-            if actor not in waiters:
-                waiters.append(actor)
+            if actor not in activity.waiters:
+                activity.waiters += (actor,)
         self._block_on(actor, "wait_any", activities, timeout, owner)
 
     def _do_wait_all(self, actor: Actor, activities, owner,
@@ -839,7 +839,7 @@ class Engine:
             return
         for activity in live:
             if actor not in activity.waiters:
-                activity.waiters.append(actor)
+                activity.waiters += (actor,)
         self._block_on(actor, "wait_all", activities, timeout, owner)
 
     def _block_on(self, actor: Actor, kind: str, activities,
@@ -855,17 +855,20 @@ class Engine:
     def _unblock(self, actor: Actor, but: Optional[Activity] = None) -> None:
         """End the wait of ``actor``: disarm its timeout and withdraw it
         from every waited activity except ``but``, the one waking it
-        (which already gave its waiter list away)."""
+        (which already gave its waiters away)."""
         timer = actor._wait_timer
         if timer is not None:
             timer.cancel()
             actor._wait_timer = None
         for activity in actor._wait_activities:
             if activity is not but:
-                try:
-                    activity.waiters.remove(actor)
-                except ValueError:
-                    pass
+                waiters = activity.waiters
+                if actor in waiters:
+                    kept = ()
+                    for waiter in waiters:
+                        if waiter is not actor:
+                            kept += (waiter,)
+                    activity.waiters = kept
         actor._wait_kind = None
         actor._wait_activities = ()
         actor._wait_owner = None
@@ -972,8 +975,8 @@ class Engine:
         waiters = activity.waiters
         if waiters:
             # A finished activity never gains a waiter again: hand the
-            # list over instead of copying it.
-            activity.waiters = []
+            # tuple over.
+            activity.waiters = ()
             for actor in waiters:
                 self._wake_from_activity(actor, activity)
 
@@ -1099,6 +1102,6 @@ class Engine:
             self._finish_activity(actor._exit, ActivityState.DONE)
         # on_exit callbacks run in kernel context (no blocking simcalls);
         # ``failed`` is False only when the body returned normally.
-        callbacks, actor._on_exit_callbacks = actor._on_exit_callbacks, []
+        callbacks, actor._on_exit_callbacks = actor._on_exit_callbacks, ()
         for callback in callbacks:
             callback(failed)

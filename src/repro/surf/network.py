@@ -102,14 +102,13 @@ class LinkResource(Resource):
 
 
 class NetworkAction(Action):
-    """One data transfer over a fixed sequence of links."""
+    """One data transfer; its variable spans the links of its route."""
 
-    __slots__ = ("links", "total_latency", "latency_remaining")
+    __slots__ = ("total_latency", "latency_remaining")
 
-    def __init__(self, model: "NetworkModel", links: Sequence[LinkResource],
-                 size: float, latency: float, priority: float = 1.0) -> None:
+    def __init__(self, model: "NetworkModel", size: float, latency: float,
+                 priority: float = 1.0) -> None:
         Action.__init__(self, model, size, priority)
-        self.links: List[LinkResource] = list(links)
         self.total_latency = float(latency)
         self.latency_remaining = float(latency)
 
@@ -195,7 +194,7 @@ class NetworkModel(FluidModel):
         config = self.config
         route_latency = sum(map(_LATENCY, links))
         route_latency *= config.latency_factor
-        action = NetworkAction(self, links, size, route_latency, priority)
+        action = NetworkAction(self, size, route_latency, priority)
 
         # ``min(rate, tcp_bound)`` as a compare: the same value, NaN included.
         bound = rate

@@ -22,7 +22,7 @@ Exemptions are mechanical, never by judgement:
   parent's hook cannot see them.
 
 Functions entered only while a test holds its own profile hook (the
-call-count tests swap ``sys.setprofile`` for a moment) count as not
+call- and byte-count tests swap ``sys.setprofile`` for a moment) count as not
 entered; the hook is re-installed before every test.  This file is not
 collected by tier-1: ``pytest.ini`` collects ``test_*.py`` and
 ``bench_*.py`` only.

@@ -46,6 +46,39 @@ class TestDescription:
         with pytest.raises(PlatformError):
             platform.add_host("bad", 0.0)
 
+    # A declaration obeys the runtime setters' rule (``set_cpu_speed``,
+    # ``set_link_bandwidth``, ``set_link_latency``): a NaN host wired by
+    # a NaN link used to run and return 1.0, and ``cores=2.5`` gave a
+    # host whose ``cores`` read 2 on a 2.5e9 flop/s constraint.
+    @pytest.mark.parametrize("speed", [float("nan"), float("inf"), -1.0])
+    def test_a_speed_that_is_not_finite_and_positive_is_rejected(self, speed):
+        with pytest.raises(PlatformError, match="host 'bad': speed"):
+            Platform().add_host("bad", speed)
+
+    @pytest.mark.parametrize("cores", [2.5, 2.0, 0, True, "2"])
+    def test_cores_must_be_an_int_of_at_least_one(self, cores):
+        with pytest.raises(PlatformError, match="host 'bad': cores"):
+            Platform().add_host("bad", 1e9, cores=cores)
+
+    @pytest.mark.parametrize("bandwidth", [float("nan"), float("inf"), 0.0])
+    def test_a_bandwidth_that_is_not_finite_and_positive_is_rejected(
+            self, bandwidth):
+        with pytest.raises(PlatformError, match="link 'bad': bandwidth"):
+            Platform().add_link("bad", bandwidth, 0.001)
+
+    @pytest.mark.parametrize("latency", [float("nan"), float("inf"), -1e-3])
+    def test_a_latency_that_is_not_finite_and_non_negative_is_rejected(
+            self, latency):
+        with pytest.raises(PlatformError, match="link 'bad': latency"):
+            Platform().add_link("bad", 1e6, latency)
+
+    def test_the_edges_of_the_rule_are_accepted(self):
+        platform = Platform()
+        host = platform.add_host("a", 5e-324, cores=3)
+        link = platform.add_link("l", 1.7e308, 0.0)
+        assert (host.speed, host.cores) == (5e-324, 3)
+        assert (link.bandwidth, link.latency) == (1.7e308, 0.0)
+
     def test_route_with_unknown_link_rejected(self):
         platform = Platform()
         platform.add_host("a", 1e9)

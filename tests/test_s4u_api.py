@@ -593,9 +593,32 @@ class TestRunContract:
         assert engine.run() == 10.0
         assert marks == [6.0, 10.0]
 
+    def test_run_until_nan_raises_and_steps_nothing(self):
+        # It used to run to the end: this body returned 10.0.
+        engine = Engine(make_star(num_hosts=3))
+
+        def body(actor):
+            yield actor.execute(5e9)
+            yield actor.execute(5e9)
+
+        worker = engine.add_actor("worker", "leaf-0", body)
+        with pytest.raises(ValueError, match="nan"):
+            engine.run(until=math.nan)
+        assert engine.now == 0.0
+        assert worker.state == s4u.ActorState.RUNNABLE
+        assert engine.run() == 10.0
+
 
 def overlap_fleet(workers):
     """The fleet shape perfbench times: exec ∥ put, reaped by wait_any."""
+    engine, received, spawn_workers = overlap_world(workers)
+    spawn_workers()
+    return engine, received
+
+
+def overlap_world(workers):
+    """The overlap fleet's engine with its sink, the list the sink fills
+    and the function that adds the workers."""
     engine = Engine(make_star(num_hosts=workers))
     box = engine.mailbox("sink")
     received = []
@@ -611,10 +634,12 @@ def overlap_fleet(workers):
         for _ in range(workers):
             received.append((yield box.get()))
 
+    def spawn_workers():
+        for i in range(workers):
+            engine.add_actor(f"worker-{i}", f"leaf-{i}", worker)
+
     engine.add_actor("sink", "center", sink)
-    for i in range(workers):
-        engine.add_actor(f"worker-{i}", f"leaf-{i}", worker)
-    return engine, received
+    return engine, received, spawn_workers
 
 
 class TestCallsPerActivity:
@@ -781,6 +806,117 @@ class TestCallsPerActivity:
                          "step": 2 * workers + 1,
                          "fire_until": 2 * workers + 1,
                          "solve": 2 * workers + 2}
+
+
+class TestBytesPerActivity:
+    """The per-event path's memory per worker, pinned without a clock.
+
+    ``tracemalloc`` reads the bytes the overlap fleet holds per worker,
+    its hosts materialized first so only the actors count: once every
+    worker was added (``PER_ACTOR``), and once every ``Exec`` and
+    ``Comm`` is in flight, one ``run(until=…)`` short of the first
+    completion (``IN_FLIGHT``).  Before an object no snapshot carries
+    stopped holding empty containers and unread copies, Python 3.11 read
+    904–932 and 2 341–2 370 bytes at 100 and 400 workers alike (3.12 and
+    3.13 within 15 bytes of that); after, 775–804 and 2 054–2 081 (no
+    second empty ``kwargs`` dict, ``data`` dict or ``on_exit`` list per
+    actor; ``waiters`` a tuple until the first waiter, no ``post_time``,
+    a slotted ``ActivitySet`` and a tuple snapshot per wait).  Python
+    3.10 keeps a generator's frame as an object of its own: 1 202–1 230
+    and 2 699–2 745 before, 1 073–1 102 and 2 347–2 393 after.  The
+    spread is the pid: above 256 it is an int object of its own, 28
+    bytes.  The ceilings are the highest reads plus 2 to 3 %.  Lower
+    them with each lever that lands.
+    """
+
+    PER_ACTOR, IN_FLIGHT = ((1130, 2440) if sys.version_info < (3, 11)
+                            else (830, 2120))
+
+    @pytest.mark.parametrize("workers", [100, 400])
+    def test_overlap_fleet_stays_under_the_byte_ceilings(self, workers):
+        import gc
+        import tracemalloc
+
+        # A first fleet in the process allocates what every later one
+        # shares (3.10: 37 kB): not the workers' bytes.
+        warm_up, _ = overlap_fleet(2)
+        warm_up.run()
+        engine, received, spawn_workers = overlap_world(workers)
+        for i in range(workers):
+            engine.host(f"leaf-{i}")
+        # A profile or trace hook (tests/never_run.py, coverage) allocates
+        # in the window and gives every frame it sees an object: off.
+        hooks = sys.getprofile(), sys.gettrace()
+        sys.setprofile(None)
+        sys.settrace(None)
+        gc.collect()  # also empties the free lists: every object counts
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            spawn_workers()
+            per_actor = tracemalloc.get_traced_memory()[0] - base
+            engine.run(until=0.005)
+            in_flight = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+            sys.setprofile(hooks[0])
+            sys.settrace(hooks[1])
+        # Short of the first completion: every worker waits on both.
+        assert received == []
+        assert all(len(actor._wait_activities) == 2
+                   for actor in engine.actors[1:])
+        # The same ceilings at both sizes: a cost per worker that grows
+        # with the fleet is the scale decay they exist to catch.
+        assert per_actor / workers <= self.PER_ACTOR
+        assert in_flight / workers <= self.IN_FLIGHT
+        engine.run()
+        assert len(received) == workers
+
+
+class TestHotClassesKeepSlots:
+    """Every object the per-event path makes per activity or per actor
+    is slotted: a ``__dict__`` costs each instance a dict."""
+
+    def test_no_instance_of_a_hot_class_has_a_dict(self):
+        from repro.kernel.context import GeneratorContext
+        from repro.kernel.simcall import Simcall
+        from repro.surf.action import Action
+        from repro.surf.cpu import CpuAction
+        from repro.surf.network import NetworkAction
+
+        engine = Engine(pair_platform())
+        seen = {}
+
+        def sender(actor):
+            comp = yield actor.exec_async(1e9)
+            comm = yield engine.mailbox("box").put_async("x", size=1e6)
+            seen["set"] = ActivitySet([comp, comm])
+            seen["simcall"] = seen["set"].wait_all()
+            yield seen["simcall"]
+
+        def receiver(actor):
+            yield engine.mailbox("box").get()
+
+        alice = engine.add_actor("s", "alice", sender)
+        engine.add_actor("r", "bob", receiver)
+        engine.run(until=0.5)
+        comp, comm = alice._wait_activities
+        instances = {
+            Action: Action(comp.surf_action.model, 1.0),
+            CpuAction: comp.surf_action,
+            NetworkAction: comm.surf_action,
+            s4u.Activity: s4u.Activity("exit"),
+            s4u.Exec: comp,
+            s4u.Comm: comm,
+            ActivitySet: seen["set"],
+            s4u.Actor: alice,
+            Simcall: seen["simcall"],
+            GeneratorContext: alice.context,
+        }
+        for cls, instance in instances.items():
+            assert type(instance) is cls
+            assert not hasattr(instance, "__dict__"), cls.__name__
+        engine.run()
 
 
 # -- every kind of wait x every way it ends ------------------------------------
@@ -951,7 +1087,7 @@ class TestEveryWaitEveryEnding:
                     actor._wait_owner, actor._wait_timer) == (
                         None, (), None, None)
         for activity in world.activities:
-            assert activity.waiters == []
+            assert activity.waiters == ()
         # No timer of the wait survives.
         engine.timers.compact()
         for _, _, timer in engine.timers._heap:

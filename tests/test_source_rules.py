@@ -193,6 +193,10 @@ RETIRED_NAMES = (
     r"bench_recorder", r"_inject_computation", r"reference_speed",
     r"charge_flops", r"def count_of\b", r"def duration_of\b",
     r"def has\(self, key",
+    # An object no snapshot carries holds no copy that nothing reads
+    # (tests/test_s4u_api.py::TestBytesPerActivity): no post date per
+    # activity, no route copy per transfer.
+    r"post_time", r"self\.links: List\[",
 )
 
 
