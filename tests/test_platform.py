@@ -41,16 +41,12 @@ class TestDescription:
         with pytest.raises(PlatformError):
             platform.add_router("x")
 
-    def test_invalid_speed_rejected(self):
-        platform = Platform()
-        with pytest.raises(PlatformError):
-            platform.add_host("bad", 0.0)
-
     # A declaration obeys the runtime setters' rule (``set_cpu_speed``,
     # ``set_link_bandwidth``, ``set_link_latency``): a NaN host wired by
     # a NaN link used to run and return 1.0, and ``cores=2.5`` gave a
     # host whose ``cores`` read 2 on a 2.5e9 flop/s constraint.
-    @pytest.mark.parametrize("speed", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("speed",
+                             [float("nan"), float("inf"), 0.0, -1.0])
     def test_a_speed_that_is_not_finite_and_positive_is_rejected(self, speed):
         with pytest.raises(PlatformError, match="host 'bad': speed"):
             Platform().add_host("bad", speed)
