@@ -62,7 +62,7 @@ def parallel_mat_mult(mpi, M=128, N=128, K=128, alpha=1.0, beta=0.0):
 
         # Start benchmarking: in simulation the local GEMM is skipped and
         # its recorded duration is charged to the simulated host.
-        with mpi.sampler.bench_once("dgemm-step") as run_for_real:
+        with mpi.bench_once("dgemm-step") as run_for_real:
             if run_for_real:
                 C = gemm_step(alpha, buf_col, B[k, :], 1.0 if k else beta, C)
     return C

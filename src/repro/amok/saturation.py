@@ -18,6 +18,8 @@ from repro.s4u.engine import Engine
 
 __all__ = ["SaturationExperiment", "SaturationResult"]
 
+#: Bytes of the measured probe transfer.
+PROBE_BYTES = 10e6
 #: Bytes of the saturating flow: far more than the probe, so it lasts
 #: the whole saturated measurement.
 SATURATION_BYTES = 1e9
@@ -35,9 +37,6 @@ class SaturationResult:
 
 class SaturationExperiment:
     """Measure how much a saturating flow degrades a measured flow."""
-
-    def __init__(self, probe_bytes: float = 10e6) -> None:
-        self.probe_bytes = probe_bytes
 
     def _timed_transfer(self, platform_factory, src: str, dst: str,
                         saturate: Optional[Tuple[str, str]] = None) -> float:
@@ -58,7 +57,7 @@ class SaturationExperiment:
             yield engine.mailbox(mailbox).get()
 
         engine.add_actor("probe-send", src, sender, "amok:probe",
-                         self.probe_bytes, "probe")
+                         PROBE_BYTES, "probe")
         engine.add_actor("probe-recv", dst, receiver, "amok:probe")
         if saturate is not None:
             sat_src, sat_dst = saturate
@@ -84,6 +83,6 @@ class SaturationExperiment:
         return SaturationResult(
             measured_pair=measured_pair,
             saturating_pair=saturating_pair,
-            baseline_bandwidth=self.probe_bytes / baseline_duration,
-            saturated_bandwidth=self.probe_bytes / saturated_duration,
+            baseline_bandwidth=PROBE_BYTES / baseline_duration,
+            saturated_bandwidth=PROBE_BYTES / saturated_duration,
         )

@@ -49,6 +49,13 @@ DEFAULT_RETRY_ON: Tuple[Type[BaseException], ...] = (
     HostFailureError, TransferFailureError, SimTimeoutError, CancelledError)
 
 
+#: Growth of the backoff per failed attempt, its ceiling (s) and its
+#: relative jitter amplitude.
+BACKOFF_FACTOR = 2.0
+MAX_DELAY = 60.0
+JITTER = 0.5
+
+
 class RetryError(SimGridError):
     """Every attempt of a :meth:`RetryPolicy.run` failed; the last
     underlying failure is chained as ``__cause__``."""
@@ -61,14 +68,10 @@ class RetryPolicy:
     ----------
     max_attempts:
         Total attempts (first try included); must be >= 1.
-    base_delay / factor / max_delay:
+    base_delay:
         The backoff before attempt ``k+1`` is
-        ``min(max_delay, base_delay * factor**(k-1))``, then jittered.
-    jitter:
-        Relative jitter amplitude in ``[0, 1)``: the delay is scaled by a
-        seeded uniform draw from ``[1-jitter, 1+jitter]``.  ``0`` disables
-        jitter (and draws nothing from the RNG, keeping seed streams
-        comparable across configurations).
+        ``min(MAX_DELAY, base_delay * BACKOFF_FACTOR**(k-1))``, scaled by a
+        seeded uniform draw from ``[1-JITTER, 1+JITTER]``.
     seed:
         Seed of the private RNG; the whole jitter stream is a pure
         function of it.
@@ -81,20 +84,14 @@ class RetryPolicy:
     """
 
     def __init__(self, max_attempts: int = 3, base_delay: float = 0.1,
-                 factor: float = 2.0, max_delay: float = 60.0,
-                 jitter: float = 0.5, seed: int = 0,
+                 seed: int = 0,
                  attempt_timeout: Optional[float] = None) -> None:
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if base_delay < 0 or max_delay < 0:
-            raise ValueError("delays must be >= 0")
-        if not 0.0 <= jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
+        if base_delay < 0:
+            raise ValueError("base_delay must be >= 0")
         self.max_attempts = int(max_attempts)
         self.base_delay = float(base_delay)
-        self.factor = float(factor)
-        self.max_delay = float(max_delay)
-        self.jitter = float(jitter)
         self.seed = seed
         self.attempt_timeout = attempt_timeout
         self._rng = random.Random(seed)
@@ -107,15 +104,15 @@ class RetryPolicy:
     def backoff(self, attempt: int) -> float:
         """The (jittered) delay slept after failed attempt ``attempt``.
 
-        Draws from the policy's seeded RNG when jitter is enabled, so
+        Draws from the policy's seeded RNG when the delay is positive, so
         calling it advances the deterministic jitter stream.
         """
         if attempt < 1:
             raise ValueError("attempt numbers start at 1")
-        delay = min(self.max_delay,
-                    self.base_delay * self.factor ** (attempt - 1))
-        if self.jitter and delay > 0:
-            delay *= 1.0 + self.jitter * (2.0 * self._rng.random() - 1.0)
+        delay = min(MAX_DELAY,
+                    self.base_delay * BACKOFF_FACTOR ** (attempt - 1))
+        if delay > 0:
+            delay *= 1.0 + JITTER * (2.0 * self._rng.random() - 1.0)
         return delay
 
     def run(self, factory):

@@ -25,25 +25,25 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["PacketLink"]
 
+#: Packets a link's drop-tail queue holds besides the one on the wire.
+QUEUE_CAPACITY = 100
+
 
 class PacketLink:
     """One unidirectional link of the packet-level network."""
 
     def __init__(self, name: str, bandwidth: float, latency: float,
-                 events: EventQueue, queue_capacity: int = 100) -> None:
+                 events: EventQueue) -> None:
         if bandwidth <= 0:
             raise ValueError("bandwidth must be > 0")
         if latency < 0:
             raise ValueError("latency must be >= 0")
-        if queue_capacity < 1:
-            raise ValueError("queue capacity must be >= 1")
         self.name = name
         self.bandwidth = bandwidth
         self.latency = latency
         self.events = events
-        #: Packets waiting for the transmitter, and how many it may hold.
+        #: Packets waiting for the transmitter (at most QUEUE_CAPACITY).
         self.queue: Deque["Packet"] = deque()
-        self.capacity = queue_capacity
         self.dropped = 0
         self.busy = False
         self.bytes_sent = 0.0
@@ -53,7 +53,7 @@ class PacketLink:
         """Hand ``packet`` to this link; a full queue drops it silently."""
         if not self.busy:
             self._start_transmission(packet)
-        elif len(self.queue) < self.capacity:
+        elif len(self.queue) < QUEUE_CAPACITY:
             self.queue.append(packet)
         else:
             self.dropped += 1

@@ -61,10 +61,8 @@ class FlowResult:
 class PacketSimulator:
     """Runs TCP flows at packet granularity over a platform description."""
 
-    def __init__(self, platform: Platform,
-                 queue_capacity: int = 100) -> None:
+    def __init__(self, platform: Platform) -> None:
         self.platform = platform
-        self.queue_capacity = queue_capacity
         self.events = EventQueue()
         # One PacketLink per (platform link, direction).
         self._links: Dict[Tuple[str, str], PacketLink] = {}
@@ -79,8 +77,7 @@ class PacketSimulator:
         if link is None:
             spec = self.platform.links[name]
             link = PacketLink(f"{name}:{direction}", spec.bandwidth,
-                              spec.latency, self.events,
-                              queue_capacity=self.queue_capacity)
+                              spec.latency, self.events)
             self._links[key] = link
         return link
 

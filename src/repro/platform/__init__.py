@@ -16,7 +16,6 @@ from repro.platform.platform import (
     HostSpec,
     LinkSpec,
     Platform,
-    RealizedHost,
     RouteSpec,
 )
 from repro.platform.routing import LRUCache, NetZone
@@ -28,20 +27,15 @@ from repro.platform.generators import (
     make_two_site_grid,
     make_zoned_grid,
 )
-from repro.platform.brite import (
-    BriteConfig,
-    make_waxman_topology,
-)
+from repro.platform.brite import make_waxman_topology
 from repro.platform.loader import load_platform
 
 __all__ = [
-    "BriteConfig",
     "HostSpec",
     "LRUCache",
     "LinkSpec",
     "NetZone",
     "Platform",
-    "RealizedHost",
     "RouteSpec",
     "load_platform",
     "make_client_server_lan",

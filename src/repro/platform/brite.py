@@ -6,15 +6,17 @@ implements BRITE's Waxman router-level model from scratch and turns the
 resulting graph into a :class:`~repro.platform.platform.Platform`:
 
 * every graph vertex becomes a *host* (so flows can start and end anywhere),
-* every edge becomes a link with a bandwidth and latency drawn uniformly
-  from configurable ranges (BRITE's default bandwidth assignment is uniform),
+* every edge becomes a link with a bandwidth drawn uniformly from
+  ``[BW_MIN, BW_MAX]`` (BRITE's default bandwidth assignment) and a
+  latency derived from the Euclidean distance between its endpoints,
 * routing between vertices is shortest-path over link latency, like the
   packet-level simulators the experiment compares against.
 
 The generator is deterministic given a seed, so the fluid and packet-level
 simulators of experiment E1 run on the *same* topology.  The BRITE knobs
 no caller varies are module constants: the plane side (``PLANE_SIZE``),
-Waxman's ``WAXMAN_BETA``, the distance-derived latency scale
+Waxman's ``WAXMAN_ALPHA`` and ``WAXMAN_BETA``, the bandwidth range
+(``BW_MIN``, ``BW_MAX``), the distance-derived latency scale
 (``LAT_MAX_DISTANCE``) and every host's ``HOST_SPEED``.
 """
 
@@ -22,54 +24,24 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.platform.platform import Platform
 
-__all__ = ["BriteConfig", "make_waxman_topology", "random_flows"]
+__all__ = ["make_waxman_topology", "random_flows"]
 
 #: Vertices are placed uniformly in a square of this side.
 PLANE_SIZE = 1000.0
-#: Waxman's distance-decay parameter.
+#: Waxman's connection probability and distance-decay parameter.
+WAXMAN_ALPHA = 0.4
 WAXMAN_BETA = 0.4
+#: Uniform range of the link bandwidths (byte/s): 10 to 100 Mb/s.
+BW_MIN = 1.25e6
+BW_MAX = 1.25e7
 #: Distance-derived latency across the plane diagonal (50 ms).
 LAT_MAX_DISTANCE = 0.05
 #: CPU speed of every host (flop/s).
 HOST_SPEED = 1e9
-
-
-@dataclass
-class BriteConfig:
-    """Parameters of the random topology generation.
-
-    Attributes mirror BRITE's configuration file:
-
-    * ``alpha`` — Waxman connection probability (``beta`` is
-      ``WAXMAN_BETA``);
-    * ``bw_min`` / ``bw_max`` — uniform range for link bandwidths (byte/s);
-    * ``lat_min`` / ``lat_max`` — uniform range for link latencies (s);
-      when ``None`` the latency is derived from the Euclidean distance
-      between the two vertices (BRITE's default), scaled so the diagonal of
-      the plane is ``LAT_MAX_DISTANCE``.
-    """
-
-    alpha: float = 0.4
-    bw_min: float = 1.25e6           # 10 Mb/s
-    bw_max: float = 1.25e7           # 100 Mb/s
-    lat_min: Optional[float] = None
-    lat_max: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if not 0 < self.alpha <= 1:
-            raise ValueError("alpha must be in (0, 1]")
-        if self.bw_min <= 0 or self.bw_max < self.bw_min:
-            raise ValueError("bandwidth range is invalid")
-        if (self.lat_min is None) != (self.lat_max is None):
-            raise ValueError("set both lat_min and lat_max, or neither")
-        if self.lat_min is not None and (self.lat_min < 0
-                                         or self.lat_max < self.lat_min):
-            raise ValueError("latency range is invalid")
 
 
 def _place_nodes(n: int, rng: random.Random) -> List[Tuple[float, float]]:
@@ -77,10 +49,10 @@ def _place_nodes(n: int, rng: random.Random) -> List[Tuple[float, float]]:
             for _ in range(n)]
 
 
-def _link_latency(pos_a: Tuple[float, float], pos_b: Tuple[float, float],
-                  rng: random.Random, config: BriteConfig) -> float:
-    if config.lat_min is not None:
-        return rng.uniform(config.lat_min, config.lat_max)
+def _link_latency(pos_a: Tuple[float, float],
+                  pos_b: Tuple[float, float]) -> float:
+    """BRITE's default latency: the distance between the endpoints,
+    scaled so the plane diagonal is ``LAT_MAX_DISTANCE``."""
     diag = math.hypot(PLANE_SIZE, PLANE_SIZE)
     dist = math.hypot(pos_a[0] - pos_b[0], pos_a[1] - pos_b[1])
     return max(1e-5, LAT_MAX_DISTANCE * dist / diag)
@@ -88,22 +60,20 @@ def _link_latency(pos_a: Tuple[float, float], pos_b: Tuple[float, float],
 
 def _build_platform(n: int, edges: Sequence[Tuple[int, int]],
                     positions: Sequence[Tuple[float, float]],
-                    rng: random.Random, config: BriteConfig,
-                    name: str) -> Platform:
+                    rng: random.Random, name: str) -> Platform:
     platform = Platform(name)
     for i in range(n):
         platform.add_host(f"host-{i}", HOST_SPEED)
     for idx, (a, b) in enumerate(edges):
-        bandwidth = rng.uniform(config.bw_min, config.bw_max)
-        latency = _link_latency(positions[a], positions[b], rng, config)
+        bandwidth = rng.uniform(BW_MIN, BW_MAX)
+        latency = _link_latency(positions[a], positions[b])
         link = platform.add_link(f"link-{idx}", bandwidth, latency)
         platform.connect(f"host-{a}", f"host-{b}", link.name)
     return platform
 
 
 def _waxman_edges(positions: Sequence[Tuple[float, float]],
-                  rng: random.Random,
-                  config: BriteConfig) -> List[Tuple[int, int]]:
+                  rng: random.Random) -> List[Tuple[int, int]]:
     """Draw the Waxman edges between ``positions`` (the rule is in
     :func:`make_waxman_topology`'s docstring)."""
     diag = math.hypot(PLANE_SIZE, PLANE_SIZE)
@@ -111,7 +81,7 @@ def _waxman_edges(positions: Sequence[Tuple[float, float]],
     for i, (xi, yi) in enumerate(positions):
         for j in range(i + 1, len(positions)):
             dist = math.hypot(xi - positions[j][0], yi - positions[j][1])
-            prob = config.alpha * math.exp(-dist / (WAXMAN_BETA * diag))
+            prob = WAXMAN_ALPHA * math.exp(-dist / (WAXMAN_BETA * diag))
             if rng.random() < prob:
                 edges.append((i, j))
     return edges
@@ -144,26 +114,23 @@ def _ensure_connected(n: int, edges: List[Tuple[int, int]],
         union(a, b)
 
 
-def make_waxman_topology(num_nodes: int = 10, seed: int = 42,
-                         config: Optional[BriteConfig] = None) -> Platform:
+def make_waxman_topology(num_nodes: int = 10, seed: int = 42) -> Platform:
     """Generate a Waxman random topology (BRITE's ``RTWaxman`` model).
 
     Vertices are placed uniformly in a plane; an edge between ``u`` and
     ``v`` exists with probability
-    ``alpha * exp(-d(u,v) / (WAXMAN_BETA * L))``
+    ``WAXMAN_ALPHA * exp(-d(u,v) / (WAXMAN_BETA * L))``
     where ``L`` is the plane diagonal.  The graph is then patched to be
     connected (BRITE grows connected graphs by construction; we achieve the
     same property by joining leftover components).
     """
     if num_nodes < 2:
         raise ValueError("need at least two nodes")
-    config = config or BriteConfig()
     rng = random.Random(seed)
     positions = _place_nodes(num_nodes, rng)
-    edges = _waxman_edges(positions, rng, config)
+    edges = _waxman_edges(positions, rng)
     _ensure_connected(num_nodes, edges, rng)
-    return _build_platform(num_nodes, edges, positions, rng, config,
-                           "brite-waxman")
+    return _build_platform(num_nodes, edges, positions, rng, "brite-waxman")
 
 
 def random_flows(platform: Platform, num_flows: int = 10,

@@ -35,8 +35,7 @@ from repro.surf.engine import SurfEngine
 from repro.surf.network import LinkResource
 from repro.surf.trace import Trace
 
-__all__ = ["HostSpec", "LinkSpec", "RouteSpec", "Platform", "RealizedHost",
-           "NetZone"]
+__all__ = ["HostSpec", "LinkSpec", "RouteSpec", "Platform", "NetZone"]
 
 
 @dataclass
@@ -100,14 +99,6 @@ class RouteSpec:
     dst: str
     links: List[str]
     symmetric: bool = True
-
-
-@dataclass
-class RealizedHost:
-    """A host bound to its SURF CPU resource after :meth:`Platform.realize`."""
-
-    spec: HostSpec
-    cpu: CpuResource
 
 
 class Platform:

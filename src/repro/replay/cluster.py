@@ -58,6 +58,12 @@ DISPATCH_SIZE = 1e4           # bytes per job dispatch
 LOAD_PERIOD, DIP = 4.0, 0.5   # availability trace: period, dipped speed
 # Worker supervisor intensity: host churn parks a worker, spending none.
 SUPERVISOR_MAX_RESTARTS, SUPERVISOR_WINDOW = 1000, 1.0
+# Share of a synthetic workload's nodes that get one failure pulse.
+FAILING_FRACTION = 0.25
+# At-least-once pipeline: the heartbeat period (the detector's timeout is
+# HeartbeatMonitor's default) and the resubmission sweep's ack timeout.
+DETECTOR_PERIOD = 0.25
+ACK_TIMEOUT = 5.0
 
 
 @dataclass(frozen=True)
@@ -94,16 +100,16 @@ class ClusterWorkload:
 
 def synthetic_workload(seed: int, num_hosts: int = 8, num_jobs: int = 32,
                        mean_interarrival: float = 0.5,
-                       mean_flops: float = 2e9,
-                       failing_fraction: float = 0.25) -> ClusterWorkload:
+                       mean_flops: float = 2e9) -> ClusterWorkload:
     """A seeded workload with the statistical shape of a cluster log.
 
     Job arrivals are Poisson (exponential inter-arrival times), sizes
     uniform around ``mean_flops``; every node carries a periodic
     availability trace whose dip lands at a seeded phase (so the dips are
     de-synchronized like independent background load); a seeded fraction
-    of the nodes additionally gets one finite off/on failure pulse as a
-    state trace.  Same seed, same workload — the replay tests lean on it.
+    (``FAILING_FRACTION``) of the nodes additionally gets one finite
+    off/on failure pulse as a state trace.  Same seed, same workload — the
+    replay tests lean on it.
     """
     if num_hosts < 1:
         raise ValueError("a workload needs at least one host")
@@ -125,7 +131,7 @@ def synthetic_workload(seed: int, num_hosts: int = 8, num_jobs: int = 32,
         availability[node] = Trace(
             [(0.0, 1.0), (phase, DIP), (phase + 1.0, 1.0)],
             period=LOAD_PERIOD, name=f"{node}-load")
-        if rng.random() < failing_fraction:
+        if rng.random() < FAILING_FRACTION:
             down_at = rng.uniform(1.0, 0.5 * num_jobs * mean_interarrival)
             downtime = rng.uniform(0.5, 2.0)
             state[node] = Trace([(down_at, 0.0), (down_at + downtime, 1.0)],
@@ -216,9 +222,9 @@ def _resubmitter(actor, replay):
     """At-least-once driver: re-send unacked jobs of suspected nodes.
 
     Wakes on detector events (forwarded over the ``ft:notify`` mailbox)
-    and every ``detector_period`` otherwise.  A *suspect* event re-sends
+    and every ``DETECTOR_PERIOD`` otherwise.  A *suspect* event re-sends
     everything outstanding on that node immediately; the periodic sweep
-    re-sends entries unacked for longer than ``ack_timeout`` — the safety
+    re-sends entries unacked for longer than ``ACK_TIMEOUT`` — the safety
     net for jobs lost to blips too short for the detector (e.g. a message
     that died in flight while its node stayed up).
     """
@@ -227,8 +233,7 @@ def _resubmitter(actor, replay):
     while True:
         suspect = None
         try:
-            kind, node, _date = yield notify.get(
-                timeout=replay.detector_period)
+            kind, node, _date = yield notify.get(timeout=DETECTOR_PERIOD)
             if kind == "suspect":
                 suspect = node
         except (SimTimeoutError, TransferFailureError):
@@ -236,7 +241,7 @@ def _resubmitter(actor, replay):
         now = actor.now
         for seq, entry in sorted(replay.outstanding.items()):
             node, job, sent = entry
-            if node != suspect and now - sent <= replay.ack_timeout:
+            if node != suspect and now - sent <= ACK_TIMEOUT:
                 continue
             if seq not in replay.outstanding:  # acked while we resent
                 continue
@@ -255,10 +260,8 @@ class ClusterReplay:
     Optional seeded churn (``churn_seed``) layers a
     :class:`FailureInjector` on top of the trace-driven failures.
 
-    ``semantics`` selects the delivery mode (see the module docstring);
-    ``detector_period``/``detector_timeout`` parameterize the heartbeat
-    detector of the at-least-once pipeline and ``ack_timeout`` its
-    periodic resubmission sweep.  The workers are always supervised.
+    ``semantics`` selects the delivery mode (see the module docstring).
+    The workers are always supervised.
     """
 
     def __init__(self, workload: ClusterWorkload,
@@ -269,9 +272,6 @@ class ClusterReplay:
                  churn_downtime: float = 0.5,
                  churn_max_failures: int = 5,
                  semantics: str = "at_most_once",
-                 detector_period: float = 0.25,
-                 detector_timeout: Optional[float] = None,
-                 ack_timeout: float = 5.0,
                  supervised: bool = True) -> None:
         if semantics not in ("at_most_once", "at_least_once"):
             raise ValueError(f"unknown semantics {semantics!r}; pick "
@@ -289,9 +289,6 @@ class ClusterReplay:
         self.churn_downtime = churn_downtime
         self.churn_max_failures = churn_max_failures
         self.semantics = semantics
-        self.detector_period = detector_period
-        self.detector_timeout = detector_timeout
-        self.ack_timeout = ack_timeout
         self.horizon = (workload.horizon if workload.horizon is not None
                         else (workload.jobs[-1].submit + 30.0
                               if workload.jobs else 1.0))
@@ -355,9 +352,7 @@ class ClusterReplay:
         self.supervisor.start()
         if self.semantics == "at_least_once":
             self.detector = HeartbeatMonitor(
-                engine, nodes, "frontend",
-                period=self.detector_period,
-                timeout=self.detector_timeout,
+                engine, nodes, "frontend", period=DETECTOR_PERIOD,
                 notify_mailbox="ft:notify", name="ft").start()
             engine.add_actor("resubmitter", "frontend", _resubmitter,
                              self, daemon=True)

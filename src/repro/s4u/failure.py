@@ -32,8 +32,8 @@ activities fail (their waiters see the failure exception), actors on a
 failed host are killed, ``auto_restart`` actors reboot when the host
 comes back, and the state listeners fire once per flip
 (``tests/test_state_path.py``).  The injector never keeps the simulation
-alive by itself being idle: pulses stop at ``max_failures`` and/or
-``until``, and every injected failure schedules its own restore.
+alive by itself being idle: pulses stop at ``max_failures``, and every
+injected failure schedules its own restore.
 """
 
 from __future__ import annotations
@@ -94,10 +94,10 @@ class FailureInjector:
         target fleet (exponentially distributed), in simulated seconds.
     mean_downtime:
         Mean repair delay of one failure (exponentially distributed).
-    max_failures / until:
-        Stop bounds: no new failure is injected past ``max_failures`` or
-        after date ``until``.  At least one must be given, otherwise the
-        pulse chain would keep the engine's timer queue busy forever.
+    max_failures:
+        Stop bound: no new failure is injected past ``max_failures``.  It
+        must be given, otherwise the pulse chain would keep the engine's
+        timer queue busy forever.
 
     The injector snapshots with its engine: the seeded ``random.Random``
     pickles with its full Mersenne state and the armed timers hold plain
@@ -110,21 +110,18 @@ class FailureInjector:
                  hosts: Optional[Iterable[Union[str, "Host"]]] = None,
                  links: Optional[Iterable[Union[str, "Link"]]] = None,
                  mtbf: float = 1.0, mean_downtime: float = 0.1,
-                 max_failures: Optional[int] = None,
-                 until: Optional[float] = None) -> None:
+                 max_failures: Optional[int] = None) -> None:
         if mtbf <= 0:
             raise ValueError("mtbf must be > 0")
         if mean_downtime <= 0:
             raise ValueError("mean_downtime must be > 0")
-        if max_failures is None and until is None:
-            raise ValueError(
-                "give max_failures and/or until so the churn terminates")
+        if max_failures is None:
+            raise ValueError("give max_failures so the churn terminates")
         self.engine = engine
         self.seed = seed
         self.mtbf = float(mtbf)
         self.mean_downtime = float(mean_downtime)
         self.max_failures = max_failures
-        self.until = until
         self.targets: List[Union["Host", "Link"]] = []
         for host in hosts or ():
             self.targets.append(
@@ -155,12 +152,9 @@ class FailureInjector:
         return self
 
     def _arm_next_failure(self, now: float) -> None:
-        if (self.max_failures is not None
-                and self.failures >= self.max_failures):
+        if self.failures >= self.max_failures:
             return
         date = now + self._rng.expovariate(1.0 / self.mtbf)
-        if self.until is not None and date > self.until:
-            return
         self.engine.timers.schedule(date, self._fire_failure)
 
     def _fire_failure(self) -> None:

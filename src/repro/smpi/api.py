@@ -3,22 +3,35 @@
 :class:`SmpiWorld` creates one s4u actor per MPI rank (each on its own
 host, cycling through the platform's hosts when there are more ranks than
 hosts) and hands every rank an :class:`Smpi` facade exposing
-``COMM_WORLD``, ``wtime`` and the benchmarking sampler, which charges the
-world's one ``bench_record``.  Rank functions are
+``COMM_WORLD``, ``wtime`` and the benchmarking macros.  Rank functions are
 plain blocking code (thread contexts), exactly like real MPI ranks.
+
+The paper's SMPI panel inserts benchmarking commands
+(``SMPI_BENCH_ONCE_RUN_ONCE_BEGIN/END``) around the expensive local
+kernel (the CBLAS ``dgemm`` call), in two phases:
+
+* the application's kernel is *benchmarked* on a homogeneous platform:
+  the block really runs and its duration is recorded
+  (:meth:`repro.gras.bench.BenchRecorder.measure`, before the simulation);
+* the application is *simulated*, possibly on a heterogeneous platform:
+  the block is skipped and the recorded duration is charged as
+  computation on the simulated host, so a slower host takes longer.
+
+``mpi.bench_once`` / ``mpi.bench_always`` charge the world's one
+``bench_record``, the same :class:`~repro.gras.bench.BenchRecorder` GRAS
+charges.  A declared amount of computation is ``mpi.compute(flops)``.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, List, Optional
+from typing import Callable, ContextManager, List
 
 from repro.exceptions import MpiError
 from repro.gras.bench import BenchRecorder
 from repro.platform.platform import Platform
 from repro.s4u.actor import Actor
 from repro.s4u.engine import Engine
-from repro.smpi.bench import SmpiSampler
 from repro.smpi.comm import Communicator
 
 __all__ = ["Smpi", "SmpiWorld"]
@@ -36,7 +49,6 @@ class Smpi:
         self.actor = actor
         self.COMM_WORLD = Communicator(world.comm_id, rank, world.num_ranks,
                                        actor)
-        self.sampler = SmpiSampler(world.bench_record, actor)
 
     def wtime(self) -> float:
         """Simulated time, like ``MPI_Wtime``."""
@@ -46,6 +58,16 @@ class Smpi:
     def host_name(self) -> str:
         """Name of the (simulated) host this rank runs on."""
         return self.actor.host.name
+
+    def bench_once(self, key: str) -> ContextManager[bool]:
+        """``SMPI_BENCH_ONCE``: yield ``False`` (skip the block) and charge
+        the recorded duration."""
+        return self.world.bench_record.once(key, self.actor)
+
+    def bench_always(self, key: str) -> ContextManager[None]:
+        """``SMPI_BENCH_ALWAYS``: run the block and charge the recorded
+        duration."""
+        return self.world.bench_record.always(key, self.actor)
 
     def compute(self, flops: float) -> None:
         """Charge ``flops`` of local computation to this rank: a declared
@@ -73,8 +95,7 @@ class SmpiWorld:
             host_names[rank % len(host_names)] for rank in range(num_ranks)
         ]
 
-    def run(self, func: Callable, *args,
-            until: Optional[float] = None, **kwargs) -> float:
+    def run(self, func: Callable, *args, **kwargs) -> float:
         """Run ``func(mpi, *args)`` on every rank; returns the simulated time.
 
         ``func`` is the MPI program: it is called once per rank with that
@@ -87,4 +108,4 @@ class SmpiWorld:
         for rank in range(self.num_ranks):
             self.engine.add_actor(f"rank-{rank}", self.rank_hosts[rank],
                                   body, rank)
-        return self.engine.run(until)
+        return self.engine.run()

@@ -189,10 +189,10 @@ class SurfEngine:
         self._trace_registered.add(key)
         if resource.availability_trace is not None:
             self._schedule_next(resource, TraceKind.AVAILABILITY,
-                                resource.availability_trace.iter_from(0.0))
+                                resource.availability_trace.iter_from())
         if resource.state_trace is not None:
             self._schedule_next(resource, TraceKind.STATE,
-                                resource.state_trace.iter_from(0.0))
+                                resource.state_trace.iter_from())
 
     def _schedule_next(self, resource: Resource, kind: TraceKind,
                        iterator: TraceIterator) -> None:

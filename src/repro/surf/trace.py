@@ -88,7 +88,7 @@ class Trace:
 
     # -- parsing ----------------------------------------------------------------
     @classmethod
-    def parse(cls, text: str, name: str = "") -> "Trace":
+    def parse(cls, text: str) -> "Trace":
         """Parse the classic SimGrid trace file format.
 
         Lines are ``<time> <value>``; a line ``PERIODICITY <p>`` (or
@@ -110,9 +110,9 @@ class Trace:
                 else:
                     events.append((float(first), float(second)))
             except ValueError:
-                raise ValueError(f"trace {name!r}: cannot parse line "
-                                 f"{number} {raw!r}") from None
-        return cls(events, period=period, name=name)
+                raise ValueError(f"cannot parse trace line {number} "
+                                 f"{raw!r}") from None
+        return cls(events, period=period)
 
     # -- validation --------------------------------------------------------------
     def validate_availability(self) -> "Trace":
@@ -134,9 +134,9 @@ class Trace:
                     f"event #{position} (t={evt.time}) is outside [0, 1]")
         return self
 
-    def iter_from(self, start: float = 0.0) -> "TraceIterator":
-        """Iterator over absolute-dated events starting at ``start``."""
-        return TraceIterator(self, start)
+    def iter_from(self) -> "TraceIterator":
+        """Iterator over absolute-dated events from date 0."""
+        return TraceIterator(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Trace(name={self.name!r}, nevents={len(self.events)}, "
@@ -151,27 +151,10 @@ class TraceIterator:
     returns ``None`` after the last event.
     """
 
-    def __init__(self, trace: Trace, start: float = 0.0) -> None:
+    def __init__(self, trace: Trace) -> None:
         self.trace = trace
         self._index = 0
         self._cycle_offset = 0.0
-        if (trace.period is not None and trace.events
-                and start > trace.period):
-            # Jump whole cycles arithmetically instead of replaying them
-            # event by event — `iter_from(1e6)` on a 10 s period must not
-            # spin 1e5 iterations per resource.  One full cycle of slack
-            # keeps the jump conservative against floating-point rounding
-            # of `start / period`; the loop below finishes the job and is
-            # now bounded by O(len(events)).
-            cycles = math.floor(start / trace.period) - 1.0
-            if cycles > 0:
-                self._cycle_offset = cycles * trace.period
-        # Fast-forward past events strictly before `start`.
-        while True:
-            nxt = self._peek()
-            if nxt is None or nxt[0] >= start:
-                break
-            self._advance()
 
     def _peek(self) -> Optional[Tuple[float, float]]:
         trace = self.trace

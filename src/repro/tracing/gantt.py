@@ -7,7 +7,7 @@ computations, light blocks for communications, idle gaps in between.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.tracing.recorder import Interval, Recorder
 
@@ -55,14 +55,13 @@ def _merge_intervals(spans: Sequence[Tuple[float, float]]
 
 
 class GanttChart:
-    """A per-host timeline of computations and communications."""
+    """A per-host timeline of computations and communications, one row
+    per recorded host in name order."""
 
-    def __init__(self, recorder: Recorder,
-                 rows: Optional[Sequence[str]] = None) -> None:
+    def __init__(self, recorder: Recorder) -> None:
         self.recorder = recorder
-        row_names = list(rows) if rows is not None else recorder.rows()
         self.rows: List[GanttRow] = [
-            GanttRow(name, recorder.by_row(name)) for name in row_names
+            GanttRow(name, recorder.by_row(name)) for name in recorder.rows()
         ]
 
     @property

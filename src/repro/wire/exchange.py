@@ -7,9 +7,9 @@ exchange one Pastry message between two hosts, i.e.
 
 The transfer term uses the route bandwidth and latency of a platform (the
 LAN or the California–France WAN); the conversion terms use a per-host
-"conversion operation rate" — how many bytes/second of serialisation work a
-CPU of that era sustains — so that the resulting milliseconds land in the
-same range as the paper's numbers.
+"conversion operation rate" (``CONVERSION_RATE``) — how many bytes/second
+of serialisation work a CPU of that era sustains — so that the resulting
+milliseconds land in the same range as the paper's numbers.
 """
 
 from __future__ import annotations
@@ -28,6 +28,11 @@ from repro.wire.pbio_codec import PbioCodec
 from repro.wire.xml_codec import XmlCodec
 
 __all__ = ["ExchangeModel", "ExchangeResult", "all_codecs"]
+
+#: Serialisation throughput of the endpoint CPUs, in bytes/second of
+#: conversion work: ~60 MB/s matches the 2006-era workstations of the
+#: paper well enough to land in the right millisecond range.
+CONVERSION_RATE = 6e7
 
 
 def all_codecs() -> List[Codec]:
@@ -66,21 +71,13 @@ class ExchangeModel:
     src_host / dst_host:
         Endpoints of the exchange; the route between them provides the
         bandwidth (bottleneck link) and latency (sum along the route).
-    conversion_rate:
-        Serialisation throughput of the endpoint CPUs in bytes/second of
-        conversion work.  The default (~60 MB/s) matches the 2006-era
-        workstations of the paper well enough to land in the right
-        millisecond range.
     """
 
-    def __init__(self, platform: Platform, src_host: str, dst_host: str,
-                 conversion_rate: float = 6e7) -> None:
-        if conversion_rate <= 0:
-            raise ValueError("conversion_rate must be > 0")
+    def __init__(self, platform: Platform, src_host: str,
+                 dst_host: str) -> None:
         self.platform = platform
         self.src_host = src_host
         self.dst_host = dst_host
-        self.conversion_rate = conversion_rate
         link_names = platform.route_links(src_host, dst_host)
         if link_names:
             self.bandwidth = min(platform.links[n].bandwidth
@@ -103,8 +100,8 @@ class ExchangeModel:
                                   decode_time=0.0, available=False)
         wire_bytes = codec.wire_size(desc, value, sender, receiver)
         cost = codec.conversion_operations(desc, value, sender, receiver)
-        encode_time = cost.sender_ops / self.conversion_rate
-        decode_time = cost.receiver_ops / self.conversion_rate
+        encode_time = cost.sender_ops / CONVERSION_RATE
+        decode_time = cost.receiver_ops / CONVERSION_RATE
         transfer_time = self.latency + wire_bytes / self.bandwidth
         return ExchangeResult(codec=codec.name, sender_arch=sender_arch,
                               receiver_arch=receiver_arch,

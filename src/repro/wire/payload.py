@@ -36,6 +36,8 @@ LEAF_SET_SIZE = 24
 NEIGHBOUR_SET_SIZE = 32
 #: Populated routing-table entries carried by the benchmark message.
 ROUTING_ENTRIES = 160
+#: Seed of the message's nodeIds, addresses and scalars.
+MESSAGE_SEED = 1
 
 
 _nodeid_desc = ArrayDesc(ScalarDesc("uint32"), fixed_length=NODEID_WORDS,
@@ -66,9 +68,9 @@ def _random_nodeid(rng: random.Random) -> List[int]:
     return [rng.getrandbits(32) for _ in range(NODEID_WORDS)]
 
 
-def make_pastry_message(seed: int = 1) -> Dict:
-    """Build one Pastry-like message (deterministic for a given seed)."""
-    rng = random.Random(seed)
+def make_pastry_message() -> Dict:
+    """Build the Pastry-like message (the same one at every call)."""
+    rng = random.Random(MESSAGE_SEED)
     return {
         "msg_kind": 3,                      # JOIN_REQUEST-like
         "hop_count": rng.randint(0, 8),

@@ -105,7 +105,7 @@ class TestTopologyInference:
 
 class TestSaturation:
     def test_sharing_flows_interfere(self):
-        experiment = SaturationExperiment(probe_bytes=5e6)
+        experiment = SaturationExperiment()
         result = experiment.run(
             lambda: make_dumbbell(num_left=2, num_right=2),
             measured_pair=("left-0", "right-0"),
@@ -114,7 +114,7 @@ class TestSaturation:
         assert ratio == pytest.approx(0.5, abs=0.15)
 
     def test_disjoint_flows_do_not_interfere(self):
-        experiment = SaturationExperiment(probe_bytes=5e6)
+        experiment = SaturationExperiment()
         result = experiment.run(
             lambda: make_dumbbell(num_left=3, num_right=3),
             measured_pair=("left-0", "left-1"),

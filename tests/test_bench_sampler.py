@@ -64,8 +64,8 @@ def _smpi(policy, record):
     ran, out = [], {}
 
     def program(mpi):
-        out["advance"] = _sample(policy, mpi.sampler.bench_once,
-                                 mpi.sampler.bench_always, mpi.wtime, ran)
+        out["advance"] = _sample(policy, mpi.bench_once, mpi.bench_always,
+                                 mpi.wtime, ran)
 
     return functools.partial(world.run, program), ran, out, world.engine
 

@@ -256,8 +256,7 @@ def _detector_run(seed):
     monitor = HeartbeatMonitor(engine, leaves, "center",
                                period=HB_PERIOD, timeout=HB_TIMEOUT).start()
     FailureInjector(engine, seed=seed, hosts=leaves,
-                    mtbf=1.5, mean_downtime=1.0, max_failures=6,
-                    until=HB_HORIZON - 2.0).start()
+                    mtbf=1.5, mean_downtime=1.0, max_failures=6).start()
     engine.add_actor("hold", "center", _hb_hold, HB_HORIZON)
     final = engine.run()
     return truth, list(monitor.events), final

@@ -433,7 +433,7 @@ class TestFailureEdgeCases:
         engine.add_actor("clock", "safe", clock)
         if not use_trace:
             victim = engine.host("victim")
-            events = trace.iter_from(0.0)
+            events = trace.iter_from()
             date, value = events.next_event()
             while date <= horizon:
                 engine.timers.schedule(

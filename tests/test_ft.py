@@ -30,6 +30,7 @@ from repro.ft import (
     RetryError,
     RetryPolicy,
     Supervisor,
+    retry,
 )
 from repro.platform import make_star
 from repro.s4u import FailureInjector
@@ -94,8 +95,6 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.0)
-        with pytest.raises(ValueError):
             RetryPolicy(base_delay=-1.0)
         with pytest.raises(ValueError):
             RetryPolicy().backoff(0)
@@ -107,16 +106,25 @@ class TestRetryPolicy:
         assert first == second
         assert first != other
 
-    def test_zero_jitter_is_pure_exponential(self):
-        policy = RetryPolicy(base_delay=0.1, factor=2.0, max_delay=0.35,
-                             jitter=0.0)
+    def test_zero_jitter_is_pure_exponential(self, monkeypatch):
+        monkeypatch.setattr(retry, "MAX_DELAY", 0.35)
+        monkeypatch.setattr(retry, "JITTER", 0.0)
+        policy = RetryPolicy(base_delay=0.1)
         assert [policy.backoff(k) for k in (1, 2, 3)] == [0.1, 0.2, 0.35]
 
+    def test_default_backoff_doubles_up_to_max_delay(self, monkeypatch):
+        monkeypatch.setattr(retry, "JITTER", 0.0)
+        policy = RetryPolicy(base_delay=1.0)
+        delays = [policy.backoff(k) for k in range(1, 12)]
+        assert delays[:6] == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
+        assert delays[6:] == [retry.MAX_DELAY] * 5
+
     def test_jitter_stays_within_band(self):
-        policy = RetryPolicy(base_delay=1.0, factor=1.0, jitter=0.25,
-                             seed=3)
+        policy = RetryPolicy(base_delay=1.0, seed=3)
         for attempt in range(1, 50):
-            assert 0.75 <= policy.backoff(attempt) <= 1.25
+            delay = min(retry.MAX_DELAY, retry.BACKOFF_FACTOR ** (attempt - 1))
+            assert (1 - retry.JITTER) * delay <= policy.backoff(attempt) \
+                <= (1 + retry.JITTER) * delay
 
     def test_pickled_policy_continues_the_jitter_stream(self):
         policy = RetryPolicy(seed=42)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.packet import EventQueue, FlowSpec, PacketLink, PacketSimulator
+from repro.packet import nic
 from repro.packet.tcp import INITIAL_CWND, Packet, TcpFlow
 from repro.platform import Platform, make_dumbbell
 
@@ -95,10 +96,11 @@ class TestPacketLink:
                                 (2, pytest.approx(0.6)),
                                 (3, pytest.approx(1.0))]
 
-    def test_drops_when_full(self):
-        """One packet on the wire, ``queue_capacity`` waiting: the next
+    def test_drops_when_full(self, monkeypatch):
+        """One packet on the wire, ``QUEUE_CAPACITY`` waiting: the next
         arrival is dropped, and the link counts it."""
-        sim = PacketSimulator(single_link_platform(), queue_capacity=2)
+        monkeypatch.setattr(nic, "QUEUE_CAPACITY", 2)
+        sim = PacketSimulator(single_link_platform())
         link = sim.add_flow(FlowSpec("src", "dst", 1e6)).forward_path[0]
         far = FarEnd(sim.events)
         for seq in range(4):
@@ -108,9 +110,18 @@ class TestPacketLink:
         assert (link.bytes_sent, link.packets_sent, link.dropped) == (
             300.0, 3, 1)
 
-    def test_queue_capacity_validated(self):
-        with pytest.raises(ValueError):
-            PacketLink("l", 1e6, 0.0, EventQueue(), queue_capacity=0)
+    def test_default_queue_holds_queue_capacity_packets(self):
+        """Unpatched, the link queues ``QUEUE_CAPACITY`` packets behind the
+        one on the wire and drops the next."""
+        events = EventQueue()
+        link = PacketLink("l", bandwidth=1e6, latency=0.0, events=events)
+        far = FarEnd(events)
+        for seq in range(nic.QUEUE_CAPACITY + 2):
+            link.transmit(Packet(far, seq, 100.0, [link]))
+        events.run()
+        assert [seq for seq, _ in far.arrivals] == list(
+            range(nic.QUEUE_CAPACITY + 1))
+        assert link.dropped == 1
 
 
 class TestSingleFlow:
@@ -166,10 +177,11 @@ class TestSharing:
         # both must share the 12.5 MB/s bottleneck: total under capacity
         assert sum(rates) <= 12.5e6 * 1.05
 
-    def test_congestion_produces_losses_on_a_small_buffer(self):
+    def test_congestion_produces_losses_on_a_small_buffer(self, monkeypatch):
+        monkeypatch.setattr(nic, "QUEUE_CAPACITY", 10)
         platform = make_dumbbell(num_left=2, num_right=2,
                                  bottleneck_bandwidth=2.5e6)
-        sim = PacketSimulator(platform, queue_capacity=10)
+        sim = PacketSimulator(platform)
         flows = [sim.add_flow(FlowSpec("left-0", "right-0", 5e6)),
                  sim.add_flow(FlowSpec("left-1", "right-1", 5e6))]
         results = sim.run()

@@ -45,9 +45,9 @@ class TestSyntheticWorkload:
 
 
 class TestClusterReplay:
-    def test_calm_replay_completes_everything(self):
-        workload = synthetic_workload(seed=11, num_hosts=4, num_jobs=10,
-                                      failing_fraction=0.0)
+    def test_calm_replay_completes_everything(self, monkeypatch):
+        monkeypatch.setattr(cluster, "FAILING_FRACTION", 0.0)
+        workload = synthetic_workload(seed=11, num_hosts=4, num_jobs=10)
         metrics = ClusterReplay(workload).run()
         assert metrics["completed"] == metrics["jobs"] == 10
         assert metrics["dispatched"] == 10
@@ -138,9 +138,7 @@ class TestAtLeastOnce:
         amo = ClusterReplay(workload).run()
         assert amo["completed"] == 0 and amo["lost"] == 1
         # ...at-least-once detects the dead node and resubmits it.
-        alo = ClusterReplay(workload, semantics="at_least_once",
-                            detector_period=0.25, detector_timeout=0.75,
-                            ack_timeout=8.0).run()
+        alo = ClusterReplay(workload, semantics="at_least_once").run()
         assert alo["completed"] == 1 and alo["lost"] == 0
         assert alo["resubmitted"] >= 1
         assert alo["suspects"] == 1
@@ -157,9 +155,7 @@ class TestAtLeastOnce:
             jobs=[ClusterJob(submit=1.5, flops=1e9, host="node-0")],
             state={"node-0": Trace([(1.0, 0.0), (2.5, 1.0)], name="pulse")},
             horizon=10.0)
-        metrics = ClusterReplay(workload, semantics="at_least_once",
-                                detector_period=0.25, detector_timeout=0.75,
-                                ack_timeout=8.0).run()
+        metrics = ClusterReplay(workload, semantics="at_least_once").run()
         assert metrics["completed"] == 1 and metrics["lost"] == 0
         assert metrics["duplicates"] >= 1
         assert metrics["resubmitted"] >= 1

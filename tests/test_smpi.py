@@ -463,7 +463,7 @@ class TestBenchAndHeterogeneity:
 
         def program(mpi):
             for _ in range(5):
-                with mpi.sampler.bench_once("kernel") as should_run:
+                with mpi.bench_once("kernel") as should_run:
                     if should_run:
                         counts["ran"] += 1
 

@@ -197,6 +197,23 @@ RETIRED_NAMES = (
     # (tests/test_s4u_api.py::TestBytesPerActivity): no post date per
     # activity, no route copy per transfer.
     r"post_time", r"self\.links: List\[",
+    # Options only a test set are module constants (tests/test_ft.py,
+    # tests/test_replay.py, tests/test_packet.py monkeypatch them): BRITE's
+    # alpha and bandwidth range, the retry backoff's shape, the replay's
+    # detector period and ack timeout, the packet queue, the exchange
+    # tables' conversion rate, AMOK's probe and the Pastry message's seed;
+    # no Gantt row order, trace name when parsing, injector stop date or
+    # SMPI run date.  A trace is iterated from date 0, and SMPI's bench
+    # macros are the rank facade's, like GRAS's.  RealizedHost was built
+    # by nothing.
+    r"BriteConfig", r"lat_min", r"lat_max", r"bw_min", r"bw_max",
+    r"self\.factor", r"max_delay", r"self\.jitter", r"detector_period",
+    r"detector_timeout", r"ack_timeout", r"failing_fraction",
+    r"queue_capacity", r"conversion_rate", r"probe_bytes",
+    r"def make_pastry_message\(seed", r"rows: Optional",
+    r"def parse\(cls, text: str, name", r"self\.until\b",
+    r"iter_from\((self, )?start", r"start > trace\.period",
+    r"SmpiSampler", r"\.sampler\b", r"RealizedHost",
 )
 
 
@@ -319,40 +336,142 @@ def test_no_test_requests_the_timing_fixture():
             for line, what in _timing_plugin_uses(path)] == []
 
 
-#: The trees whose calls can set a parameter of ``src/repro``.
-CALLER_TREES = ("src", "tests", "benchmarks", "examples", "perfbench")
+#: The trees of the user runs (those tests/user_reach.py runs): only a
+#: call there sets a parameter of ``src/repro`` — one that only a test
+#: sets is configuration that no user exercises.
+CALLER_TREES = ("src", "benchmarks", "examples", "perfbench")
 
-#: Defaulted parameters that no call sets and that stay anyway, as
+#: Defaulted parameters that no user run sets and that stay anyway, as
 #: ``path::qualname(param)`` (paths relative to ``src/repro``) with the
-#: reason.  Two classes only: (a) the pinned kernel and snapshot blob,
-#: whose turn comes with ROADMAP item 1, and (b) signatures that mirror
-#: MPI's.
+#: verdict.  Each verdict opens with its class and cites the test that
+#: sets the parameter: (a) the pinned kernel and snapshot blob, whose
+#: turn comes with ROADMAP item 1; (b) a paper layer's call signature
+#: (MPI, MSG/s4u, GRAS, or a SimGrid platform or trace file); (s) a safety
+#: bound that the cited test trips; (o) a hook that an oracle under
+#: ``tests/`` drives.
+_BLOB = ("perfbench/tests/test_perfbench.py::"
+         "test_every_workload_matches_its_tiny_golden")
+_S4U_ARGS = ("tests/test_s4u_api.py::TestArgumentsAreCheckedInTheActor::"
+             "test_value_error_at_the_call_site_and_the_run_goes_on")
+_SMPI = "tests/test_smpi.py::"
+_LMM_ORACLE = ("tests/lmm_reference.py::solve_reference and "
+               "tests/test_lmm_lazy.py::"
+               "test_property_incremental_solver_matches_reference_solver")
 UNSET_BY_DESIGN = {
     # (a) the pinned kernel and snapshot blob
     "platform/platform.py::HostSpec(index)":
         "(a) declaration index, assigned by add_host and pickled in "
-        "every snapshot",
+        "every snapshot; " + _BLOB,
     "platform/platform.py::HostSpec(properties)":
         "(a) a host's property map, which only the JSON platform format "
-        "set; pickled in every snapshot",
+        "set; pickled in every snapshot; " + _BLOB,
     "platform/platform.py::LinkSpec(index)":
         "(a) declaration index, assigned by add_link and pickled in "
-        "every snapshot",
+        "every snapshot; " + _BLOB,
     "platform/platform.py::Platform.__init__(route_cache_size)":
-        "(a) sizes the route caches that perfbench's route counters pin",
+        "(a) sizes the route caches that perfbench's route counters pin; "
+        "tests/test_routing_zones.py::TestRouteCaches::"
+        "test_platform_route_cache_is_bounded",
+    "platform/platform.py::Platform.add_zone(parent)":
+        "(a) the zone tree, pickled in every snapshot, goes with ROADMAP "
+        "item 2; tests/test_routing_zones.py::TestHierarchicalRoutes::"
+        "test_nested_zones_route_through_both_gateways",
+    "platform/platform.py::Platform.add_zone(gateway)":
+        "(a) the zone tree, pickled in every snapshot, goes with ROADMAP "
+        "item 2; tests/test_routing_zones.py::TestHierarchicalRoutes::"
+        "test_explicit_gateway_overrides_first_node",
     "surf/action.py::Action.__init__(priority)":
-        "(a) the LMM sharing weight of a kernel action, pickled with it",
+        "(a) the LMM sharing weight of a kernel action, pickled with it; "
+        "tests/test_s4u_ported_msg.py::TestExecutionPhysics::"
+        "test_execution_priority",
     "surf/lmm.py::MaxMinSystem.check_feasible(tol)":
-        "(a) the tolerance of the LMM solver's feasibility check",
-    # (b) MPI call signatures
+        "(a) the tolerance of the LMM solver's feasibility check; "
+        "tests/test_lmm.py::test_property_solution_is_feasible",
+    # (b) paper layers' call signatures
+    "s4u/activity.py::ActivitySet.wait_all(timeout)":
+        "(b) MSG_comm_waitall's timeout; tests/test_s4u_api.py::"
+        "TestEveryWaitEveryEnding::test_one_outcome_and_nothing_left_behind",
+    "s4u/actor.py::Actor.exec_async(priority)":
+        "(b) s4u Exec::set_priority, execute's priority; " + _S4U_ARGS,
+    "s4u/actor.py::Actor.exec_async(bound)":
+        "(b) s4u Exec::set_bound, execute's bound; " + _S4U_ARGS,
+    "s4u/actor.py::Actor.exec_async(host)":
+        "(b) s4u Exec::set_host, a remote execution; tests/test_s4u_api.py::"
+        "TestActivitySet::test_wait_any_reaps_failed_member_and_set_empties",
+    "s4u/failure.py::FailureInjector.__init__(links)":
+        "(b) link failures, which a SimGrid platform file declares as a "
+        "link's state trace; tests/test_zoned_pins.py::"
+        "test_flat_log_is_pinned",
+    "s4u/mailbox.py::Mailbox.put(rate)":
+        "(b) MSG_task_put_bounded's rate; tests/test_s4u_ported_msg.py::"
+        "TestCommunicationPhysics::test_rate_limited_put",
+    "s4u/mailbox.py::Mailbox.put(priority)":
+        "(b) MSG_task_set_priority on a sent task; " + _S4U_ARGS,
+    "s4u/mailbox.py::Mailbox.put_async(rate)":
+        "(b) MSG_task_put_bounded's rate, asynchronous; " + _S4U_ARGS,
+    "s4u/mailbox.py::Mailbox.put_async(priority)":
+        "(b) MSG_task_set_priority on a sent task, asynchronous; "
+        + _S4U_ARGS,
+    "s4u/mailbox.py::Mailbox.get_async(rate)":
+        "(b) a receive's rate bound, as get's; " + _S4U_ARGS,
+    "smpi/comm.py::Communicator.send(count)":
+        "(b) MPI_Send's count argument; " + _SMPI
+        + "TestRequestProgress::test_send_timeout_keeps_the_posted_receive",
+    "smpi/comm.py::Communicator.send(datatype)":
+        "(b) MPI_Send's datatype argument; " + _SMPI
+        + "TestRequestProgress::test_send_timeout_keeps_the_posted_receive",
+    "smpi/comm.py::Communicator.isend(tag)":
+        "(b) MPI_Isend's tag argument; " + _SMPI
+        + "TestPointToPoint::test_isend_irecv_wait",
     "smpi/comm.py::Communicator.isend(count)":
-        "(b) MPI_Isend's count argument",
+        "(b) MPI_Isend's count argument; " + _SMPI
+        + "TestPointToPoint::test_isend_irecv_wait",
     "smpi/comm.py::Communicator.isend(datatype)":
-        "(b) MPI_Isend's datatype argument",
+        "(b) MPI_Isend's datatype argument; " + _SMPI
+        + "TestPointToPoint::test_isend_irecv_wait",
+    "smpi/comm.py::Communicator.issend(tag)":
+        "(b) MPI_Issend's tag argument; " + _SMPI
+        + "TestWaitall::test_symmetric_issend_exchange_completes_like_waitany",
+    "smpi/comm.py::Communicator.issend(count)":
+        "(b) MPI_Issend's count argument; " + _SMPI
+        + "TestRequestProgress::test_failed_issend_raises",
+    "smpi/comm.py::Communicator.issend(datatype)":
+        "(b) MPI_Issend's datatype argument; " + _SMPI
+        + "TestRequestProgress::test_failed_issend_raises",
+    "smpi/comm.py::Communicator.recv(return_status)":
+        "(b) MPI_Recv's status argument; " + _SMPI
+        + "TestPointToPoint::test_any_source_any_tag",
     "smpi/comm.py::Communicator.sendrecv(send_tag)":
-        "(b) MPI_Sendrecv's sendtag argument",
+        "(b) MPI_Sendrecv's sendtag argument; " + _SMPI
+        + "TestPointToPoint::test_sendrecv_ring",
     "smpi/comm.py::Communicator.sendrecv(recv_tag)":
-        "(b) MPI_Sendrecv's recvtag argument",
+        "(b) MPI_Sendrecv's recvtag argument; " + _SMPI
+        + "TestPointToPoint::test_sendrecv_ring",
+    "smpi/comm.py::Communicator.iprobe(source)":
+        "(b) MPI_Iprobe's source argument; tests/test_migration_equivalence"
+        ".py::TestPortPrimitives::test_smpi_iprobe_and_unexpected_queue",
+    "smpi/comm.py::Communicator.iprobe(tag)":
+        "(b) MPI_Iprobe's tag argument; tests/test_migration_equivalence"
+        ".py::TestPortPrimitives::test_smpi_iprobe_and_unexpected_queue",
+    # (s) safety bounds
+    "campaign/runner.py::run_campaign(run_timeout)":
+        "(s) the watchdog over a hung forked run; tests/test_campaign.py::"
+        "TestRunWatchdog::test_hung_run_times_out_and_retries_elsewhere",
+    "s4u/engine.py::Engine.__init__(raise_on_deadlock)":
+        "(s) turns a deadlock into an error; tests/test_s4u_ported_msg.py::"
+        "TestDeadlock::test_deadlock_raises_when_requested",
+    "smpi/comm.py::Communicator.recv(timeout)":
+        "(s) a receive's deadline; " + _SMPI + "TestRequestProgress::"
+        "test_timeout_is_a_deadline_across_nonmatching_messages",
+    "smpi/comm.py::Communicator.waitany(timeout)":
+        "(s) a wait's deadline; " + _SMPI + "TestRequestProgress::"
+        "test_timeout_is_a_deadline_across_nonmatching_messages",
+    # (o) hooks an oracle drives
+    "surf/lmm.py::MaxMinSystem.solve(_subsolver)":
+        "(o) the reference filling's entry; " + _LMM_ORACLE,
+    "surf/lmm.py::MaxMinSystem.solve_grouped(_subsolver)":
+        "(o) the reference filling's entry, grouped; tests/test_lmm_lazy.py"
+        "::test_general_path_is_pinned_to_the_bit",
 }
 
 
@@ -503,13 +622,14 @@ class _CallShapes(ast.NodeVisitor):
             shape[0] += extra
 
 
-def _unset_parameters():
+def _unset_parameters(root=ROOT):
     """``path::qualname(param)`` of every defaulted parameter of a public
-    callable under ``src/repro`` that no call in the caller trees sets."""
+    callable under ``root/src/repro`` that no call in ``root``'s caller
+    trees sets."""
     visitor = _CallShapes()
     bases = {}
     for tree in CALLER_TREES:
-        for path in sorted((ROOT / tree).rglob("*.py")):
+        for path in sorted((root / tree).rglob("*.py")):
             module = ast.parse(path.read_text())
             visitor.visit(module)
             if tree == "src":
@@ -526,8 +646,9 @@ def _unset_parameters():
         for parent in parents:
             shapes[parent].extend(shapes.get(name, []))
     unset = []
-    for path in sorted(REPRO.rglob("*.py")):
-        where = path.relative_to(REPRO).as_posix()
+    package = root / "src" / "repro"
+    for path in sorted(package.rglob("*.py")):
+        where = path.relative_to(package).as_posix()
         for callee, qualname, defaulted in _public_callables(path):
             for position, param in defaulted:
                 if not any(star or param in keywords
@@ -539,16 +660,49 @@ def _unset_parameters():
 
 
 def test_every_defaulted_parameter_has_a_caller():
-    """An option that no caller sets is a configuration nobody exercises:
-    it becomes a module constant with its old default (a field that is
+    """An option that no user run sets is a configuration nobody
+    exercises: it becomes a module constant with its old default (a test
+    that needs another value monkeypatches the constant; a field that is
     state becomes ``field(init=False)``, one nothing reads goes).  A call
     sets a parameter by keyword, by position or through ``*``/``**``;
-    callees are matched by bare name.  Options that only tests set stay.
-    :data:`UNSET_BY_DESIGN` lists the exceptions; an entry that no longer
-    exists, or that a caller now sets, is stale and fails too."""
+    callees are matched by bare name, and a call under ``tests/`` sets
+    nothing.  :data:`UNSET_BY_DESIGN` lists the exceptions; an entry that
+    no longer exists, or that a user run now sets, is stale and fails
+    too."""
     unset = _unset_parameters()
     assert [entry for entry in unset if entry not in UNSET_BY_DESIGN] == []
     assert sorted(set(UNSET_BY_DESIGN) - set(unset)) == []
+
+
+def test_only_a_user_tree_sets_an_option(tmp_path):
+    """The scan reads calls in :data:`CALLER_TREES` only: in a tiny
+    package, an option that only a test sets is reported and one that an
+    example sets is not."""
+    for name, text in {
+            "src/repro/mod.py":
+                "def f(a, by_test=1, by_example=2):\n    return a\n",
+            "tests/test_mod.py": "from repro.mod import f\nf(0, by_test=3)\n",
+            "examples/demo.py":
+                "from repro.mod import f\nf(0, by_example=3)\n"}.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    assert _unset_parameters(tmp_path) == ["mod.py::f(by_test)"]
+
+
+#: A verdict's opening class: see :data:`UNSET_BY_DESIGN`.
+VERDICT_CLASS = re.compile(r"\([abso]\) ")
+
+
+def test_every_unset_option_names_its_class_and_test():
+    """Each :data:`UNSET_BY_DESIGN` verdict opens with its class, (a),
+    (b), (s) or (o), and cites at least one test, which must resolve."""
+    assert [entry for entry, verdict in UNSET_BY_DESIGN.items()
+            if not VERDICT_CLASS.match(verdict)
+            or not CITATION.search(verdict)] == []
+    assert _unresolved({citation.group(0)
+                        for verdict in UNSET_BY_DESIGN.values()
+                        for citation in CITATION.finditer(verdict)}) == []
 
 
 #: A cited test or test helper: ``tests/<file>.py::Name``,
@@ -661,7 +815,7 @@ def test_no_unused_import():
     """An import nothing reads is a dependency that only looks real.  A
     package's ``__init__.py`` re-exports what it imports, so it is left
     out."""
-    files = sorted(path for tree in CALLER_TREES
+    files = sorted(path for tree in CALLER_TREES + ("tests",)
                    for path in (ROOT / tree).rglob("*.py")
                    if path.name != "__init__.py")
     assert [unused for path in files

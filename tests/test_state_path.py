@@ -206,7 +206,7 @@ def _build(driver, context, sharded=False):
         world.spawn("controller", "Y", _own_host_controller)
         _schedule(engine, [(HOST_UP, host.turn_on)])
     elif driver == "injector pulse":
-        world.injector = FailureInjector(engine, until=HOST_UP)
+        world.injector = FailureInjector(engine, max_failures=0)
         _schedule(engine, [
             (LINK_DOWN, _Pulse(world.injector, link, is_on=False)),
             (LINK_UP, _Pulse(world.injector, link, is_on=True)),

@@ -76,15 +76,17 @@ class TestParsing:
             "loopafter-without-value", "date-without-value",
             "periodicity-not-a-number", "date-not-a-number"])
     def test_parse_bad_line_raises(self, text, line):
-        """The error names the trace and the line, whatever is wrong."""
-        with pytest.raises(ValueError, match=f"'a.trace'.*{line}"):
-            Trace.parse(text, name="a.trace")
+        """The error names the line, whatever is wrong."""
+        with pytest.raises(ValueError, match=f"trace {line}"):
+            Trace.parse(text)
 
-    @pytest.mark.parametrize("text", ["0 1\nnan 1\n5 0\n",
-                                      "PERIODICITY nan\n0 1\n"])
+    NAN_DATE_ERRORS = {"0 1\nnan 1\n5 0\n": "event #1 has a NaN time",
+                       "PERIODICITY nan\n0 1\n": r"period \(nan\)"}
+
+    @pytest.mark.parametrize("text", list(NAN_DATE_ERRORS))
     def test_parse_rejects_nan_dates(self, text):
-        with pytest.raises(ValueError, match="'a.trace'"):
-            Trace.parse(text, name="a.trace")
+        with pytest.raises(ValueError, match=self.NAN_DATE_ERRORS[text]):
+            Trace.parse(text)
 
 
 def drain(iterator):
@@ -98,73 +100,27 @@ def drain(iterator):
 class TestIterator:
     def test_finite_iteration(self):
         trace = Trace([(1.0, 0.5), (2.0, 1.0)])
-        assert drain(trace.iter_from(0.0)) == [(1.0, 0.5), (2.0, 1.0)]
+        assert drain(trace.iter_from()) == [(1.0, 0.5), (2.0, 1.0)]
 
-    def test_iteration_from_offset_skips_past_events(self):
-        trace = Trace([(1.0, 0.5), (2.0, 1.0), (3.0, 0.0)])
-        assert drain(trace.iter_from(1.5)) == [(2.0, 1.0), (3.0, 0.0)]
+    def test_finite_iterator_stays_exhausted(self):
+        iterator = Trace([(1.0, 0.5)]).iter_from()
+        assert drain(iterator) == [(1.0, 0.5)]
+        assert iterator.next_event() is None
+        assert iterator.next_event() is None
+
+    def test_periodic_iteration_repeats_each_cycle(self):
+        """Every cycle replays the events' values, dated one period on,
+        also when the first event is not at date 0."""
+        trace = Trace([(2.0, 0.3), (4.0, 0.7)], period=10.0)
+        iterator = trace.iter_from()
+        assert [iterator.next_event() for _ in range(5)] == [
+            (2.0, 0.3), (4.0, 0.7), (12.0, 0.3), (14.0, 0.7), (22.0, 0.3)]
 
     def test_periodic_iteration_is_infinite(self):
         trace = Trace([(0.0, 1.0), (5.0, 0.5)], period=10.0)
-        iterator = trace.iter_from(0.0)
+        iterator = trace.iter_from()
         dates = [iterator.next_event()[0] for _ in range(6)]
         assert dates == [0.0, 5.0, 10.0, 15.0, 20.0, 25.0]
-
-
-class TestIteratorFastForward:
-    """`iter_from(start)` jumps whole cycles in O(1), not O(start/period)."""
-
-    def test_huge_start_yields_correct_events(self):
-        # With the event-by-event fast-forward this would replay 1e8
-        # cycles; the arithmetic jump makes it instant.  Period 10.0 and
-        # integer event times keep every expected date fp-exact.
-        trace = Trace([(0.0, 1.0), (5.0, 0.5)], period=10.0)
-        iterator = trace.iter_from(1e9)
-        assert iterator.next_event() == (1e9, 1.0)
-        assert iterator.next_event() == (1e9 + 5.0, 0.5)
-        assert iterator.next_event() == (1e9 + 10.0, 1.0)
-
-    def test_jump_lands_within_two_cycles_of_start(self):
-        trace = Trace([(0.0, 1.0), (5.0, 0.5)], period=10.0)
-        iterator = trace.iter_from(1e9)
-        # The arithmetic jump leaves at most the one-cycle safety slack
-        # plus the current cycle for the loop to walk.
-        assert iterator._cycle_offset >= 1e9 - 2 * 10.0
-
-    def test_start_inside_first_cycle_unaffected(self):
-        trace = Trace([(0.0, 1.0), (5.0, 0.5)], period=10.0)
-        iterator = trace.iter_from(7.0)
-        assert iterator.next_event() == (10.0, 1.0)
-
-    def test_finite_trace_huge_start_is_exhausted(self):
-        trace = Trace([(1.0, 0.5), (2.0, 1.0)])
-        assert trace.iter_from(1e9).next_event() is None
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.tuples(st.integers(min_value=0, max_value=9),
-                          st.floats(min_value=0, max_value=1.0)),
-                min_size=1, max_size=6),
-       st.integers(min_value=0, max_value=500),
-       st.integers(min_value=0, max_value=99))
-def test_property_fast_forward_matches_naive_skip(pairs, cycles, tenths):
-    """Jumping to `start` equals iterating from 0 and discarding < start.
-
-    Period 10.0 with integer event times makes the naive repeated
-    addition of the period fp-exact, so the comparison is `==`, not
-    approx — the jump must be *semantically identical* to the old loop.
-    """
-    pairs = sorted(pairs, key=lambda p: p[0])
-    trace = Trace(pairs, period=10.0)
-    start = cycles * 10.0 + tenths / 10.0
-    naive = trace.iter_from(0.0)
-    first = naive.next_event()
-    while first[0] < start:
-        first = naive.next_event()
-    jumped = trace.iter_from(start)
-    assert jumped.next_event() == first
-    for _ in range(4):
-        assert jumped.next_event() == naive.next_event()
 
 
 class TestAvailabilityValidation:
@@ -302,7 +258,7 @@ def test_property_periodic_iterator_dates_increase(pairs, probes):
     """A periodic trace iterator yields strictly increasing dates forever."""
     pairs = sorted(pairs, key=lambda p: p[0])
     trace = Trace(pairs, period=10.0)
-    iterator = trace.iter_from(0.0)
+    iterator = trace.iter_from()
     previous = -1.0
     for _ in range(probes + 1):
         date, _ = iterator.next_event()

@@ -11,7 +11,8 @@ from repro.platform import (
     make_two_site_grid,
     make_waxman_topology,
 )
-from repro.platform.brite import BriteConfig, random_flows
+from repro.platform import brite
+from repro.platform.brite import BW_MAX, BW_MIN, random_flows
 
 
 class TestCluster:
@@ -76,10 +77,9 @@ class TestBrite:
                 != [p2.links[n].bandwidth for n in p2.links])
 
     def test_waxman_bandwidths_in_configured_range(self):
-        config = BriteConfig(bw_min=1e6, bw_max=2e6)
-        platform = make_waxman_topology(num_nodes=8, seed=5, config=config)
+        platform = make_waxman_topology(num_nodes=8, seed=5)
         for link in platform.links.values():
-            assert 1e6 <= link.bandwidth <= 2e6
+            assert BW_MIN <= link.bandwidth <= BW_MAX
 
     def test_random_flows_have_distinct_endpoints(self):
         platform = make_waxman_topology(num_nodes=10, seed=42)
@@ -88,13 +88,22 @@ class TestBrite:
         for src, dst in flows:
             assert src != dst
 
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            BriteConfig(alpha=0.0)
-        with pytest.raises(ValueError):
-            BriteConfig(bw_min=10.0, bw_max=1.0)
-        with pytest.raises(ValueError):
-            BriteConfig(lat_min=0.1, lat_max=None)
+    def test_link_latency_scales_with_distance(self):
+        """The plane diagonal takes ``LAT_MAX_DISTANCE``; latency is
+        linear in distance, with a 10 us floor."""
+        side = brite.PLANE_SIZE
+        assert brite._link_latency((0.0, 0.0), (side, side)) == \
+            pytest.approx(brite.LAT_MAX_DISTANCE)
+        assert brite._link_latency((0.0, 0.0), (side / 2, side / 2)) == \
+            pytest.approx(brite.LAT_MAX_DISTANCE / 2)
+        assert brite._link_latency((3.0, 4.0), (3.0, 4.0)) == 1e-5
+
+    def test_waxman_alpha_sets_edge_density(self, monkeypatch):
+        monkeypatch.setattr(brite, "WAXMAN_ALPHA", 1.0)
+        dense = make_waxman_topology(num_nodes=20, seed=3)
+        monkeypatch.setattr(brite, "WAXMAN_ALPHA", 0.01)
+        sparse = make_waxman_topology(num_nodes=20, seed=3)
+        assert len(dense.links) > len(sparse.links) >= 19
 
 
 @settings(max_examples=25, deadline=None)

@@ -81,10 +81,14 @@ class TestGanttChart:
         chart = GanttChart(recorder)
         assert chart.overlapping_comms() == 1
 
-    def test_explicit_row_order(self):
-        recorder = self._simulate()
-        chart = GanttChart(recorder, rows=["server", "client"])
-        assert [row.name for row in chart.rows] == ["server", "client"]
+    def test_rows_follow_recorder_name_order(self):
+        recorder = Recorder()
+        recorder.record_interval("zeta", "compute", 0.0, 1.0)
+        recorder.record_interval("alpha", "compute", 2.0, 3.0)
+        recorder.record_interval("mid", "comm-send", 1.0, 2.0)
+        chart = GanttChart(recorder)
+        assert [row.name for row in chart.rows] == ["alpha", "mid", "zeta"]
+        assert chart.rows[0].intervals == recorder.by_row("alpha")
 
 
 class TestExports:

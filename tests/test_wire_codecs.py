@@ -20,6 +20,7 @@ from repro.wire import (
     all_codecs,
     make_pastry_message,
 )
+from repro.wire import exchange, payload
 from repro.wire.codec import CodecUnavailableError
 
 X86 = ARCHITECTURES["x86"]
@@ -36,8 +37,13 @@ def wan_model():
 
 class TestPayload:
     def test_pastry_message_is_deterministic(self):
-        assert make_pastry_message(seed=3) == make_pastry_message(seed=3)
-        assert make_pastry_message(seed=3) != make_pastry_message(seed=4)
+        assert make_pastry_message() == MESSAGE
+
+    def test_message_seed_picks_the_message(self, monkeypatch):
+        monkeypatch.setattr(payload, "MESSAGE_SEED", payload.MESSAGE_SEED + 1)
+        other = make_pastry_message()
+        assert other != MESSAGE
+        assert make_pastry_message() == other
 
     def test_pastry_message_encodes_with_gras_datadesc(self):
         encoded = PASTRY_MESSAGE_DESC.encode(MESSAGE, X86)
@@ -132,10 +138,19 @@ class TestExchangeModel:
                                 "x86", "x86")
         assert result.transfer_time == 0.0
 
-    def test_invalid_conversion_rate_rejected(self):
-        platform = make_star(num_hosts=2)
-        with pytest.raises(ValueError):
-            ExchangeModel(platform, "leaf-0", "leaf-1", conversion_rate=0.0)
+    def test_conversion_times_scale_with_conversion_rate(self, monkeypatch):
+        """``CONVERSION_RATE`` sets the encode and decode terms alone."""
+        def exchange_once():
+            return wan_model().exchange(GrasCodec(), PASTRY_MESSAGE_DESC,
+                                        MESSAGE, "x86", "sparc")
+        base = exchange_once()
+        monkeypatch.setattr(exchange, "CONVERSION_RATE",
+                            2 * exchange.CONVERSION_RATE)
+        fast = exchange_once()
+        assert base.encode_time > 0 and base.decode_time > 0
+        assert fast.encode_time == pytest.approx(base.encode_time / 2)
+        assert fast.decode_time == pytest.approx(base.decode_time / 2)
+        assert fast.transfer_time == base.transfer_time
 
 
 class TestTablePins:

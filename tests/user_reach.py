@@ -232,7 +232,6 @@ KEPT = {
         "benchmark row decides the pool; tests/test_campaign.py::"
         "TestSnapshotFanout",
     # amok/
-    "amok/saturation.py::SaturationExperiment.__init__": _SATURATE,
     "amok/saturation.py::SaturationExperiment._timed_transfer": _SATURATE,
     "amok/saturation.py::SaturationExperiment._timed_transfer.<locals>"
     ".sender": _SATURATE,
@@ -268,7 +267,7 @@ KEPT = {
         _mpi("SimGrid's later SMPI_SAMPLE_FLOPS (a declared amount of "
              "computation)", "TestBenchAndHeterogeneity::"
              "test_compute_charges_simulated_time"),
-    "smpi/bench.py::SmpiSampler.bench_always":
+    "smpi/api.py::Smpi.bench_always":
         "(b) SMPI_BENCH_ALWAYS; " + _BENCH,
     "smpi/collectives.py::SUM":
         _mpi("MPI_SUM", "TestCollectives::test_reduce_sum_at_root"),
@@ -347,7 +346,6 @@ def run_workloads():
 
     # Pools off, as in every perfbench repetition: a forked worker's
     # calls would not reach the hook.
-    os.environ["REPRO_PARALLEL"] = "0"
     os.environ["REPRO_CAMPAIGN_WORKERS"] = "0"
     broken = {}
     codes = set()
