@@ -2,12 +2,13 @@
 
 *"Average time to exchange one Pastry message on a LAN (in seconds) for
 MPICH, OmniORB, PBIO, and XML-based communication, between PowerPC, Sparc,
-and x86 architectures"* — with GRAS as the fifth (and fastest) column.
+and x86 architectures"* — with GRAS as the fifth stack.
 
 The harness regenerates the full 3x3 architecture matrix over a simulated
 100 Mb/s / 50 us LAN and checks the orderings the paper's bar charts show:
 GRAS is the fastest stack everywhere, XML the slowest, MPICH is unavailable
-across heterogeneous pairs, and every time lands in the millisecond range.
+across heterogeneous pairs, PBIO whenever PowerPC is involved, and every
+available time lands in the millisecond range.
 """
 
 from benchmarks.bench_util import print_table
@@ -60,5 +61,6 @@ def test_e2_lan_pastry_exchange_table():
         assert results["MPICH"].available == homogeneous
         # PBIO is n/a whenever PowerPC is involved (as in the paper's table)
         assert results["PBIO"].available == ("powerpc" not in (src, dst))
-        # the LAN exchange is millisecond-scale
-        assert 1e-4 < gras < 5e-2
+        # the LAN exchange is millisecond-scale, on every available stack
+        assert all(1e-4 < results[name].total_time < 5e-2
+                   for name in CODE_NAMES if results[name].available)

@@ -1,13 +1,13 @@
 """Experiment E3 — the paper's WAN table.
 
 *"Average time to exchange one Pastry message on a WAN (in seconds) ...
-(WAN: California - France)"* — the paper reports the x86 row, with times
-around one second instead of milliseconds on the LAN.
+(WAN: California - France)"* — the paper prints the x86 sender row.
 
 The harness uses the two-site grid platform with a transatlantic-like link
-(80 ms one-way latency, ~1 MB/s of usable bandwidth for a single short
-message exchange) and checks that the WAN/LAN separation and the codec
-ordering match the paper.
+(80 ms one-way latency, 1.25 MB/s) and prints the same row.  It checks that
+GRAS's WAN time is above the route's latency and above 10x its LAN time,
+that GRAS stays the fastest stack, and that latency keeps the available
+stacks within 4x of each other.
 """
 
 from benchmarks.bench_gras_lan import ARCHS, CODE_NAMES, build_lan_model
@@ -20,7 +20,7 @@ def build_wan_model():
     platform = make_two_site_grid(hosts_per_site=1, lan_bandwidth=12.5e6,
                                   lan_latency=5e-5, wan_bandwidth=1.25e6,
                                   wan_latency=80e-3, name="california-france")
-    # conversion rate unchanged; only the network differs from E2
+    # only the network differs from E2
     return ExchangeModel(platform, "siteA-0", "siteB-0")
 
 
@@ -35,6 +35,7 @@ def compute_tables():
 
 def test_e3_wan_pastry_exchange_table():
     wan, lan = compute_tables()
+    latency = build_wan_model().latency
 
     rows = []
     for dst in ARCHS:                      # the paper shows the x86 sender row
@@ -53,7 +54,7 @@ def test_e3_wan_pastry_exchange_table():
         # The WAN exchange is dominated by latency: well above the LAN time
         # (the paper's WAN numbers are ~1 s vs a few ms on the LAN).
         assert gras_wan > 10 * gras_lan
-        assert gras_wan > 50e-3              # at least the one-way latency
+        assert gras_wan > latency > 80e-3    # at least the one-way latency
         # ordering is preserved on the WAN too
         for name in CODE_NAMES[1:]:
             if results[name].available:

@@ -15,8 +15,8 @@ later did) behind **one canonical actor/activity API**: :mod:`repro.s4u`::
                   platform (hosts, links, routing zones, topologies)
 
 plus ``repro.packet`` (a packet-level TCP simulator standing in for
-NS2/GTNetS in the validation experiment), ``repro.wire`` (middleware
-wire-format comparators for the GRAS tables), ``repro.amok`` (the Grid
+NS2/GTNetS in the validation experiment), ``repro.wire`` (the five
+middleware stacks of the GRAS tables), ``repro.amok`` (the Grid
 Application Toolbox: monitoring and topology discovery) and
 ``repro.tracing`` (Gantt charts).
 

@@ -7,7 +7,7 @@ a specific type (``gras_msg_wait``) or register callbacks and let
 
 A message costs :data:`HEADER_BYTES` plus the length of its type name plus
 its encoded payload: the simulation backend charges that many bytes, and
-the E2/E3 GRAS codec the same header.
+the E2/E3 GRAS stack the same header.
 """
 
 from __future__ import annotations

@@ -116,21 +116,17 @@ class Activity:
 
 
 class Exec(Activity):
-    """A computation of ``flops`` on ``host`` by ``actor``."""
+    """A computation on ``host`` by ``actor``; its SURF action holds the
+    amount, the priority and the bound."""
 
     kind = "exec"
 
-    __slots__ = ("actor", "host", "flops", "priority", "bound")
+    __slots__ = ("actor", "host")
 
-    def __init__(self, actor: "Actor", host: "Host", flops: float,
-                 name: str = "compute", priority: float = 1.0,
-                 bound: Optional[float] = None) -> None:
+    def __init__(self, actor: "Actor", host: "Host", name: str) -> None:
         super().__init__(name)
         self.actor = actor
         self.host = host
-        self.flops = flops
-        self.priority = priority
-        self.bound = bound
 
 
 class Comm(Activity):

@@ -666,8 +666,7 @@ class Engine:
             self._enqueue(actor, None,
                           HostFailureError(f"host {host.name} is down"))
             return None
-        activity = Exec(actor, host, flops, name,
-                        priority=priority, bound=bound)
+        activity = Exec(actor, host, name)
         activity.start_time = self.surf.clock
         action = self.surf.execute(host.cpu, flops,
                                    priority=priority, bound=bound)

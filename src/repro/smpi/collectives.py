@@ -9,8 +9,9 @@ Algorithms are the classic ones MPI implementations of the paper's era used:
 * **alltoall**: pairwise exchange with a rank-rotation schedule;
 * **barrier**: allreduce of a token.
 
-Each function takes the calling rank's :class:`~repro.smpi.comm.Communicator`
-and must be called by *every* rank of the communicator (like real MPI).
+Each function takes the calling rank's :class:`~repro.smpi.comm.Communicator`,
+whose method of the same name it is, and must be called by *every* rank of
+the communicator (like real MPI).
 Internal messages use negative tags so they never collide with user tags.
 The plumbing rides the communicator's s4u transport: every hop is a raw
 envelope payload deposited by a detached async put and drained through the

@@ -24,6 +24,7 @@ from typing import Any, List, Optional, Tuple
 from repro.exceptions import MpiError, SimTimeoutError
 from repro.s4u.activity import ActivitySet, Comm
 from repro.s4u.actor import Actor
+from repro.smpi import collectives
 from repro.smpi.datatypes import Datatype, payload_size
 
 __all__ = ["ANY_SOURCE", "ANY_TAG", "Status", "Request", "Communicator"]
@@ -326,38 +327,15 @@ class Communicator:
                    and self._matches(payload, source, tag)
                    for payload in self._box(self.rank).pending_payloads())
 
-    # -- collectives (implemented in repro.smpi.collectives) ------------------------------------
-    def barrier(self) -> None:
-        from repro.smpi import collectives
-        collectives.barrier(self)
-
-    def bcast(self, value: Any, root: int = 0) -> Any:
-        from repro.smpi import collectives
-        return collectives.bcast(self, value, root)
-
-    def reduce(self, value: Any, op=None, root: int = 0) -> Any:
-        from repro.smpi import collectives
-        return collectives.reduce(self, value, op, root)
-
-    def allreduce(self, value: Any, op=None) -> Any:
-        from repro.smpi import collectives
-        return collectives.allreduce(self, value, op)
-
-    def gather(self, value: Any, root: int = 0) -> Optional[List[Any]]:
-        from repro.smpi import collectives
-        return collectives.gather(self, value, root)
-
-    def allgather(self, value: Any) -> List[Any]:
-        from repro.smpi import collectives
-        return collectives.allgather(self, value)
-
-    def scatter(self, values: Optional[List[Any]], root: int = 0) -> Any:
-        from repro.smpi import collectives
-        return collectives.scatter(self, values, root)
-
-    def alltoall(self, values: List[Any]) -> List[Any]:
-        from repro.smpi import collectives
-        return collectives.alltoall(self, values)
+    # -- collectives: the functions of repro.smpi.collectives, as methods --
+    barrier = collectives.barrier
+    bcast = collectives.bcast
+    reduce = collectives.reduce
+    allreduce = collectives.allreduce
+    gather = collectives.gather
+    allgather = collectives.allgather
+    scatter = collectives.scatter
+    alltoall = collectives.alltoall
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Communicator(id={self.id}, rank={self.rank}, size={self.size})"

@@ -1,49 +1,19 @@
-"""Wire-format comparators for the GRAS message-exchange tables (E2/E3).
+"""The GRAS message-exchange tables (E2/E3).
 
-The paper measures the *average time to exchange one Pastry message* between
-PowerPC, Sparc and x86 hosts, over a LAN and over a California–France WAN,
-for five communication stacks: **GRAS**, **MPICH**, **OmniORB**, **PBIO**
-and an **XML**-based encoding.  Those middlewares are not redistributable
-here, so this package models what actually differentiates them in that
-benchmark — the wire strategy:
-
-* :class:`~repro.wire.gras_codec.GrasCodec` — native sender layout +
-  receiver-makes-right conversion (conversion only when architectures
-  differ);
-* :class:`~repro.wire.mpich_codec.MpichCodec` — dense binary, but only
-  defined between identical architectures (the paper reports ``n/a`` for
-  heterogeneous pairs);
-* :class:`~repro.wire.omniorb_codec.OmniOrbCodec` — CORBA CDR: aligned
-  encoding, GIOP headers, conversion driven by the wire byte order;
-* :class:`~repro.wire.pbio_codec.PbioCodec` — sender-native binary plus
-  self-describing metadata, receiver converts using the metadata;
-* :class:`~repro.wire.xml_codec.XmlCodec` — fully textual encoding, largest
-  messages and the most conversion work on both sides.
-
-:mod:`repro.wire.exchange` combines a codec with a platform (LAN or WAN) to
-produce the exchange time that the benchmark tables report.
+The paper times the exchange of one Pastry message between PowerPC, Sparc
+and x86 hosts, over a LAN and over a California–France WAN, for GRAS,
+MPICH, OmniORB, PBIO and an XML encoding.  :mod:`repro.wire.payload`
+builds that message; :mod:`repro.wire.exchange` holds one function per
+stack (:data:`STACKS`) and the model that turns its bytes and conversion
+work into an exchange time over a platform route.
 """
 
 from repro.wire.payload import PASTRY_MESSAGE_DESC, make_pastry_message
-from repro.wire.codec import Codec, CodecUnavailableError
-from repro.wire.gras_codec import GrasCodec
-from repro.wire.mpich_codec import MpichCodec
-from repro.wire.omniorb_codec import OmniOrbCodec
-from repro.wire.pbio_codec import PbioCodec
-from repro.wire.xml_codec import XmlCodec
-from repro.wire.exchange import ExchangeModel, ExchangeResult, all_codecs
+from repro.wire.exchange import STACKS, ExchangeModel
 
 __all__ = [
-    "Codec",
-    "CodecUnavailableError",
     "ExchangeModel",
-    "ExchangeResult",
-    "GrasCodec",
-    "MpichCodec",
-    "OmniOrbCodec",
     "PASTRY_MESSAGE_DESC",
-    "PbioCodec",
-    "XmlCodec",
-    "all_codecs",
+    "STACKS",
     "make_pastry_message",
 ]

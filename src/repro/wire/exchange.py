@@ -1,57 +1,141 @@
-"""The exchange model: from a codec to a message-exchange time.
+"""The GRAS exchange tables (E2/E3): five stacks, one cost model.
 
-Reproduces what the paper's tables actually measure: the average time to
-exchange one Pastry message between two hosts, i.e.
+The paper times the exchange of one Pastry message between PowerPC, Sparc
+and x86 hosts for GRAS, MPICH, OmniORB, PBIO and an XML encoding.  Those
+middlewares are not redistributable here, so each stack is one function of
+the message and the two architectures.  It returns ``None`` when the stack
+cannot connect them (the tables' ``n/a``), and otherwise the wire bytes of
+one message and the conversion operations (one operation touches one
+byte once) of its sender and of its receiver.  :class:`ExchangeModel`
+charges the bytes to a platform route and the operations to the endpoints
+at ``CONVERSION_RATE``:
 
     encode on the sender + transfer on the network + decode on the receiver
-
-The transfer term uses the route bandwidth and latency of a platform (the
-LAN or the California–France WAN); the conversion terms use a per-host
-"conversion operation rate" (``CONVERSION_RATE``) — how many bytes/second
-of serialisation work a CPU of that era sustains — so that the resulting
-milliseconds land in the same range as the paper's numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
-from repro.gras.arch import ARCHITECTURES
-from repro.gras.datadesc import DataDescription
+from repro.gras.arch import ARCHITECTURES, Architecture
+from repro.gras.datadesc import (
+    ArrayDesc,
+    DataDescription,
+    ScalarDesc,
+    StringDesc,
+    StructDesc,
+)
+from repro.gras.message import HEADER_BYTES
 from repro.platform.platform import Platform
-from repro.wire.codec import Codec
-from repro.wire.gras_codec import GrasCodec
-from repro.wire.mpich_codec import MpichCodec
-from repro.wire.omniorb_codec import OmniOrbCodec
-from repro.wire.pbio_codec import PbioCodec
-from repro.wire.xml_codec import XmlCodec
 
-__all__ = ["ExchangeModel", "ExchangeResult", "all_codecs"]
+__all__ = ["ExchangeModel", "ExchangeResult", "STACKS"]
 
 #: Serialisation throughput of the endpoint CPUs, in bytes/second of
-#: conversion work: ~60 MB/s matches the 2006-era workstations of the
-#: paper well enough to land in the right millisecond range.
+#: conversion work.
 CONVERSION_RATE = 6e7
 
-
-def all_codecs() -> List[Codec]:
-    """The five stacks of the paper's tables, in their column order."""
-    return [GrasCodec(), MpichCodec(), OmniOrbCodec(), PbioCodec(), XmlCodec()]
+#: ``(wire bytes, sender operations, receiver operations)``, or ``None``.
+Cost = Optional[Tuple[float, float, float]]
 
 
-@dataclass
+def _native(desc: DataDescription, value: Any, arch: Architecture) -> float:
+    """Bytes of ``value`` in ``arch``'s native layout."""
+    return float(len(desc.encode(value, arch)))
+
+
+def _gras(desc: DataDescription, value: Any, sender: Architecture,
+          receiver: Architecture) -> Cost:
+    """Sender-native layout plus the GRAS header.  The sender copies once;
+    the receiver copies, and makes right: one more pass when the byte
+    orders differ and one more when the type sizes differ."""
+    payload = _native(desc, value, sender)
+    receiver_ops = payload
+    if sender.byte_order != receiver.byte_order:
+        receiver_ops += payload
+    if sender.type_sizes != receiver.type_sizes:
+        receiver_ops += payload
+    return payload + HEADER_BYTES, payload, receiver_ops
+
+
+def _mpich(desc: DataDescription, value: Any, sender: Architecture,
+           receiver: Architecture) -> Cost:
+    """Raw memory in a 32-byte envelope, packed and unpacked through a
+    derived datatype (1.6 operations per byte); no conversion, so ``n/a``
+    between unlike architectures."""
+    if (sender.byte_order != receiver.byte_order
+            or sender.type_sizes != receiver.type_sizes):
+        return None
+    payload = _native(desc, value, sender)
+    return payload + 32.0, payload * 1.6, payload * 1.6
+
+
+def _omniorb(desc: DataDescription, value: Any, sender: Architecture,
+             receiver: Architecture) -> Cost:
+    """CORBA CDR: 18 % alignment padding and a 96-byte GIOP header.  Both
+    sides marshal (1.8 operations per byte); the receiver swaps when the
+    byte orders differ."""
+    payload = _native(desc, value, sender)
+    receiver_ops = payload * 1.8
+    if sender.byte_order != receiver.byte_order:
+        receiver_ops += payload
+    return payload * 1.18 + 96.0, payload * 1.8, receiver_ops
+
+
+def _pbio(desc: DataDescription, value: Any, sender: Architecture,
+          receiver: Architecture) -> Cost:
+    """Sender-native layout, a 64-byte header and 256 bytes of format
+    metadata.  The sender copies; the receiver copies, and its generic
+    interpreter converts (2.2 operations per byte) when the architectures
+    differ.  ``n/a`` with PowerPC, as in the paper's tables."""
+    if "powerpc" in (sender.name, receiver.name):
+        return None
+    payload = _native(desc, value, sender)
+    receiver_ops = payload
+    if (sender.byte_order != receiver.byte_order
+            or sender.type_sizes != receiver.type_sizes):
+        receiver_ops += payload * 2.2
+    return payload + 64.0 + 256.0, payload, receiver_ops
+
+
+def _text(desc: DataDescription, value: Any) -> float:
+    """Bytes of ``value`` as XML: 9 bytes of tags per element, 10.4 bytes
+    of digits per scalar."""
+    if isinstance(desc, ScalarDesc):
+        return 9.0 + 8.0 * 2.6 / 2.0
+    if isinstance(desc, StringDesc):
+        return 9.0 + float(len(str(value)))
+    if isinstance(desc, ArrayDesc):
+        return 9.0 + sum(_text(desc.element, item) for item in value)
+    # the fourth and last description, a StructDesc
+    return 9.0 + sum(_text(fdesc, StructDesc._field(value, fname))
+                     for fname, fdesc in desc.fields)
+
+
+def _xml(desc: DataDescription, value: Any, sender: Architecture,
+         receiver: Architecture) -> Cost:
+    """Text, the same on every architecture, plus a 128-byte envelope.
+    Formatting costs 4 operations per text byte, parsing 6."""
+    text = _text(desc, value)
+    return text + 128.0, text * 4.0, text * 6.0
+
+
+#: The five stacks, in the paper's column order.
+STACKS: Dict[str, Callable[..., Cost]] = {
+    "GRAS": _gras, "MPICH": _mpich, "OmniORB": _omniorb, "PBIO": _pbio,
+    "XML": _xml,
+}
+
+
+@dataclass(frozen=True)
 class ExchangeResult:
-    """Outcome of one modelled message exchange."""
+    """One cell of the tables."""
 
-    codec: str
-    sender_arch: str
-    receiver_arch: str
     wire_bytes: float
     encode_time: float
     transfer_time: float
     decode_time: float
-    available: bool = True
+    available: bool
 
     @property
     def total_time(self) -> float:
@@ -61,23 +145,16 @@ class ExchangeResult:
         return self.encode_time + self.transfer_time + self.decode_time
 
 
-class ExchangeModel:
-    """Computes exchange times over a platform route.
+#: The tables' ``n/a`` cell.
+UNAVAILABLE = ExchangeResult(0.0, 0.0, 0.0, 0.0, False)
 
-    Parameters
-    ----------
-    platform:
-        The platform carrying the exchange (LAN or WAN topology).
-    src_host / dst_host:
-        Endpoints of the exchange; the route between them provides the
-        bandwidth (bottleneck link) and latency (sum along the route).
-    """
+
+class ExchangeModel:
+    """Exchange times over the route from ``src_host`` to ``dst_host``:
+    its bottleneck bandwidth and the sum of its latencies."""
 
     def __init__(self, platform: Platform, src_host: str,
                  dst_host: str) -> None:
-        self.platform = platform
-        self.src_host = src_host
-        self.dst_host = dst_host
         link_names = platform.route_links(src_host, dst_host)
         if link_names:
             self.bandwidth = min(platform.links[n].bandwidth
@@ -87,46 +164,25 @@ class ExchangeModel:
             self.bandwidth = float("inf")
             self.latency = 0.0
 
-    # -- single exchange -----------------------------------------------------------------
-    def exchange(self, codec: Codec, desc: DataDescription, value: Any,
+    def exchange(self, stack: str, desc: DataDescription, value: Any,
                  sender_arch: str, receiver_arch: str) -> ExchangeResult:
-        """Model one message exchange; unavailable pairs yield ``available=False``."""
-        sender = ARCHITECTURES[sender_arch]
-        receiver = ARCHITECTURES[receiver_arch]
-        if not codec.supports(sender, receiver):
-            return ExchangeResult(codec=codec.name, sender_arch=sender_arch,
-                                  receiver_arch=receiver_arch, wire_bytes=0.0,
-                                  encode_time=0.0, transfer_time=0.0,
-                                  decode_time=0.0, available=False)
-        wire_bytes = codec.wire_size(desc, value, sender, receiver)
-        cost = codec.conversion_operations(desc, value, sender, receiver)
-        encode_time = cost.sender_ops / CONVERSION_RATE
-        decode_time = cost.receiver_ops / CONVERSION_RATE
-        transfer_time = self.latency + wire_bytes / self.bandwidth
-        return ExchangeResult(codec=codec.name, sender_arch=sender_arch,
-                              receiver_arch=receiver_arch,
-                              wire_bytes=wire_bytes,
-                              encode_time=encode_time,
-                              transfer_time=transfer_time,
-                              decode_time=decode_time)
+        """One message of ``stack`` from ``sender_arch`` to
+        ``receiver_arch``."""
+        cost = STACKS[stack](desc, value, ARCHITECTURES[sender_arch],
+                             ARCHITECTURES[receiver_arch])
+        if cost is None:
+            return UNAVAILABLE
+        wire_bytes, sender_ops, receiver_ops = cost
+        return ExchangeResult(wire_bytes, sender_ops / CONVERSION_RATE,
+                              self.latency + wire_bytes / self.bandwidth,
+                              receiver_ops / CONVERSION_RATE, True)
 
-    # -- full table -----------------------------------------------------------------------
     def table(self, desc: DataDescription, value: Any,
-              architectures: Optional[Sequence[str]] = None
+              architectures: Sequence[str] = ("powerpc", "sparc", "x86")
               ) -> Dict[str, Dict[str, ExchangeResult]]:
-        """Build the full (sender arch, receiver arch) -> codec table.
-
-        Returns ``{f"{src}->{dst}": {codec_name: ExchangeResult}}``, which is
-        exactly the structure of the paper's LAN and WAN tables.
-        """
-        archs = list(architectures or ("powerpc", "sparc", "x86"))
-        codecs = all_codecs()
-        table: Dict[str, Dict[str, ExchangeResult]] = {}
-        for src in archs:
-            for dst in archs:
-                key = f"{src}->{dst}"
-                table[key] = {
-                    codec.name: self.exchange(codec, desc, value, src, dst)
-                    for codec in codecs
-                }
-        return table
+        """``{"src->dst": {stack: result}}`` for every ordered pair of
+        ``architectures``: the structure of the paper's tables."""
+        return {f"{src}->{dst}": {stack: self.exchange(stack, desc, value,
+                                                       src, dst)
+                                  for stack in STACKS}
+                for src in architectures for dst in architectures}

@@ -3,14 +3,12 @@
 The paper's tables measure the exchange of "one Pastry message".  Pastry is
 a structured peer-to-peer overlay; its routing messages carry the sender's
 nodeId, a leaf set, a neighbourhood set and a routing table of nodeIds (plus
-a few scalars).  This module builds a representative instance of that
-message and its GRAS data description, so every codec serialises the *same*
-logical payload.
+a few scalars).  This module builds one instance of that message and its
+GRAS data description, so every stack sends the *same* logical payload.
 
 Sizes follow the classic FreePastry defaults: 128-bit nodeIds, a leaf set of
-24 entries, a neighbourhood set of 32 entries and a 40x16 routing table --
-of which roughly a quarter is populated, which is what a node in a small
-overlay would actually send.
+24 entries, a neighbourhood set of 32 entries and a quarter of a 40x16
+routing table.
 """
 
 from __future__ import annotations

@@ -245,6 +245,19 @@ class TestCollectives:
         run_world(num_ranks, program)
         assert results["gathered"] == [i * 10 for i in range(num_ranks)]
 
+    def test_scatter_from_the_last_rank(self):
+        pieces = {}
+
+        def program(mpi):
+            comm = mpi.COMM_WORLD
+            last = comm.size - 1
+            values = ([f"to {rank}" for rank in range(comm.size)]
+                      if comm.rank == last else None)
+            pieces[comm.rank] = comm.scatter(values, root=last)
+
+        run_world(3, program)
+        assert pieces == {0: "to 0", 1: "to 1", 2: "to 2"}
+
     @pytest.mark.parametrize("num_ranks", [2, 3, 4])
     def test_alltoall(self, num_ranks):
         checks = []

@@ -17,6 +17,8 @@ import re
 import sys
 from collections import defaultdict
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 REPRO = SRC / "repro"
@@ -129,13 +131,17 @@ RETIRED_NAMES = (
     r"_kernel_turn", r"_process_turn", r"class Context\b",
     r"\bContextFactory\b", r"context\.start\(",
     # A GRAS payload's size is its bytes: no data description walks the
-    # tree a second time to size a value (the codecs' wire_size(self,
-    # desc, ...) stays), one HEADER_BYTES constant for the GRAS header,
-    # no abstract stub (a base class states its interface in its
-    # docstring) and no state that nothing reads
+    # tree a second time to size a value, one HEADER_BYTES constant for
+    # the GRAS header, no abstract stub (a base class states its interface
+    # in its docstring) and no state that nothing reads
     # (tests/test_gras_datadesc.py, tests/test_wire_codecs.py).
     r"def wire_size\(self, value", r"NotImplementedError", r"_STRUCT_CODES",
     r"HEADER_OVERHEAD", r"gras_processes", r"is_server",
+    # Each E2/E3 stack is one function of the message and the two
+    # architectures: no codec class, cost record or unavailable error
+    # (tests/test_wire_codecs.py::TestStacks).
+    r"\bCodec\b", r"CodecUnavailableError", r"ConversionCost",
+    r"all_codecs", r"conversion_operations",
     # Only what a user reaches (tests/user_reach.py): the JSON platform
     # format (the SimGrid XML reader is the one platform file format),
     # the Barabasi-Albert and hierarchical BRITE modes (E1 is Waxman),
@@ -380,6 +386,11 @@ UNSET_BY_DESIGN = {
         "(a) the zone tree, pickled in every snapshot, goes with ROADMAP "
         "item 2; tests/test_routing_zones.py::TestHierarchicalRoutes::"
         "test_explicit_gateway_overrides_first_node",
+    "platform/routing.py::NetZone.__init__(gateway)":
+        "(a) the zone tree, pickled in every snapshot, goes with ROADMAP "
+        "item 2; Platform.add_zone passes its gateway through; "
+        "tests/test_routing_zones.py::TestHierarchicalRoutes::"
+        "test_explicit_gateway_overrides_first_node",
     "surf/action.py::Action.__init__(priority)":
         "(a) the LMM sharing weight of a kernel action, pickled with it; "
         "tests/test_s4u_ported_msg.py::TestExecutionPhysics::"
@@ -388,6 +399,9 @@ UNSET_BY_DESIGN = {
         "(a) the tolerance of the LMM solver's feasibility check; "
         "tests/test_lmm.py::test_property_solution_is_feasible",
     # (b) paper layers' call signatures
+    "amok/bandwidth.py::BandwidthMeter.__init__(payload_bytes)":
+        "(b) amok_bw_test's size argument; tests/test_amok.py::"
+        "TestBandwidthMeter",
     "s4u/activity.py::ActivitySet.wait_all(timeout)":
         "(b) MSG_comm_waitall's timeout; tests/test_s4u_api.py::"
         "TestEveryWaitEveryEnding::test_one_outcome_and_nothing_left_behind",
@@ -453,6 +467,9 @@ UNSET_BY_DESIGN = {
     "smpi/comm.py::Communicator.iprobe(tag)":
         "(b) MPI_Iprobe's tag argument; tests/test_migration_equivalence"
         ".py::TestPortPrimitives::test_smpi_iprobe_and_unexpected_queue",
+    "smpi/collectives.py::scatter(root)":
+        "(b) MPI_Scatter's root argument; " + _SMPI
+        + "TestCollectives::test_scatter_from_the_last_rank",
     # (s) safety bounds
     "campaign/runner.py::run_campaign(run_timeout)":
         "(s) the watchdog over a hung forked run; tests/test_campaign.py::"
@@ -546,6 +563,14 @@ def _public_callables(path):
                        _defaulted(method, "staticmethod" not in decorators))
 
 
+def _sets(shape, position, param):
+    """Whether a call of ``shape`` sets the parameter ``param`` found at
+    ``position`` (None: keyword-only)."""
+    positional, keywords, star = shape
+    return (star or param in keywords
+            or (position is not None and positional > position))
+
+
 class _CallShapes(ast.NodeVisitor):
     """Every call in the caller trees as ``[positional, keywords, star]``
     under its callee's bare name (``f(...)``, ``x.f(...)``;
@@ -553,12 +578,15 @@ class _CallShapes(ast.NodeVisitor):
 
     ``star`` is True for a ``*``/``**`` argument — it may set anything —
     unless the argument only forwards the enclosing function's own
-    ``*args``/``**kwargs``: such a call sets what that function's callers
-    pass through it (:meth:`resolve_forwards`)."""
+    ``*args``/``**kwargs``.  A keyword whose value is a defaulted
+    parameter of the enclosing function (``p=p``) is a named forward.  A
+    forward sets what the enclosing function's callers pass through it
+    (:meth:`resolve_forwards`)."""
 
     def __init__(self):
         self.shapes = defaultdict(list)
         self.forwards = []
+        self.named = []
         self.functions = []
         self.classes = []
 
@@ -587,39 +615,65 @@ class _CallShapes(ast.NodeVisitor):
                  if isinstance(arg, ast.Starred)]
         stars += [kw.value for kw in node.keywords if kw.arg is None]
         outer = self.functions[-1] if self.functions else None
-        own = ({arg.arg for arg in (outer.args.vararg, outer.args.kwarg)
-                if arg is not None} if outer else set())
+        own, defaulted, name = set(), {}, None
+        if outer is not None:
+            own = {arg.arg for arg in (outer.args.vararg, outer.args.kwarg)
+                   if arg is not None}
+            params = [arg.arg for arg in outer.args.args]
+            bound = bool(params) and params[0] in ("self", "cls")
+            defaulted = {param: position for position, param
+                         in _defaulted(outer, bound)}
+            name = outer.name
+            if name == "__init__" and self.classes:
+                name = self.classes[-1].name
         forwarded = {star.id for star in stars
                      if isinstance(star, ast.Name) and star.id in own}
         forwards = bool(stars) and len(forwarded) == len(stars)
+        named = [(kw.arg, kw.value.id) for kw in node.keywords
+                 if kw.arg and isinstance(kw.value, ast.Name)
+                 and kw.value.id in defaulted]
         for callee in callees:
             shape = [len([arg for arg in node.args
                           if not isinstance(arg, ast.Starred)]),
-                     {kw.arg for kw in node.keywords if kw.arg},
+                     {kw.arg for kw in node.keywords if kw.arg}
+                     - {keyword for keyword, _ in named},
                      bool(stars) and not forwards]
             self.shapes[callee].append(shape)
             if forwards:
-                name = outer.name
-                if name == "__init__" and self.classes:
-                    name = self.classes[-1].name
-                self.forwards.append((shape, outer.args, name, forwarded))
+                self.forwards.append((shape, shape[0], outer.args, name,
+                                      forwarded))
+            for keyword, param in named:
+                self.named.append((shape, keyword, name, defaulted[param],
+                                   param))
 
     def resolve_forwards(self):
         """Add to each forwarding call what the enclosing function's
-        callers pass beyond its named parameters (one level: a forward of
-        a forward sets everything)."""
-        for shape, args, name, forwarded in self.forwards:
-            named = [arg.arg for arg in args.posonlyargs + args.args]
-            bound = bool(named) and named[0] in ("self", "cls")
-            keywords = set(named) | {arg.arg for arg in args.kwonlyargs}
-            extra = 0
-            for positional, passed, star in self.shapes[name]:
-                shape[2] = shape[2] or star
-                if args.vararg is not None and args.vararg.arg in forwarded:
-                    extra = max(extra, positional - len(named) + bound)
-                if args.kwarg is not None and args.kwarg.arg in forwarded:
-                    shape[1] = shape[1] | (passed - keywords)
-            shape[0] += extra
+        callers pass through it: beyond its named parameters for a
+        ``*``/``**`` forward, the parameter itself for a named one.  A
+        forward of a forward is resolved too (to a fixed point)."""
+        changed = True
+        while changed:
+            changed = False
+            for shape, base, args, name, forwarded in self.forwards:
+                named = [arg.arg for arg in args.posonlyargs + args.args]
+                bound = bool(named) and named[0] in ("self", "cls")
+                keywords = set(named) | {arg.arg for arg in args.kwonlyargs}
+                before = [shape[0], set(shape[1]), shape[2]]
+                for positional, passed, star in self.shapes[name]:
+                    shape[2] = shape[2] or star
+                    if (args.vararg is not None
+                            and args.vararg.arg in forwarded):
+                        shape[0] = max(shape[0], base + positional
+                                       - len(named) + bound)
+                    if args.kwarg is not None and args.kwarg.arg in forwarded:
+                        shape[1] |= passed - keywords
+                changed = changed or shape != before
+            for shape, keyword, name, position, param in self.named:
+                if keyword not in shape[1] and any(
+                        _sets(caller, position, param)
+                        for caller in self.shapes[name]):
+                    shape[1].add(keyword)
+                    changed = True
 
 
 def _unset_parameters(root=ROOT):
@@ -651,10 +705,8 @@ def _unset_parameters(root=ROOT):
         where = path.relative_to(package).as_posix()
         for callee, qualname, defaulted in _public_callables(path):
             for position, param in defaulted:
-                if not any(star or param in keywords
-                           or (position is not None and positional > position)
-                           for positional, keywords, star
-                           in shapes.get(callee, ())):
+                if not any(_sets(shape, position, param)
+                           for shape in shapes.get(callee, ())):
                     unset.append(f"{where}::{qualname}({param})")
     return unset
 
@@ -664,9 +716,10 @@ def test_every_defaulted_parameter_has_a_caller():
     exercises: it becomes a module constant with its old default (a test
     that needs another value monkeypatches the constant; a field that is
     state becomes ``field(init=False)``, one nothing reads goes).  A call
-    sets a parameter by keyword, by position or through ``*``/``**``;
-    callees are matched by bare name, and a call under ``tests/`` sets
-    nothing.  :data:`UNSET_BY_DESIGN` lists the exceptions; an entry that
+    sets a parameter by keyword, by position, through ``*``/``**`` or
+    through a named forward (``p=p``) of a parameter that a caller of the
+    enclosing function sets; callees are matched by bare name, and a call
+    under ``tests/`` sets nothing.  :data:`UNSET_BY_DESIGN` lists the exceptions; an entry that
     no longer exists, or that a user run now sets, is stale and fails
     too."""
     unset = _unset_parameters()
@@ -688,6 +741,26 @@ def test_only_a_user_tree_sets_an_option(tmp_path):
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
     assert _unset_parameters(tmp_path) == ["mod.py::f(by_test)"]
+
+
+@pytest.mark.parametrize("call, unset", [
+    ("g(0)", ["mod.py::f(p)", "mod.py::g(p)", "mod.py::h(p)"]),
+    ("g(0, p=2)", ["mod.py::h(p)"]),
+    ("h(0, p=2)", []),
+])
+def test_a_named_forward_sets_what_its_callers_pass(tmp_path, call, unset):
+    """``f(a, p=p)`` inside ``g(a, p=1)`` sets ``f(p)`` only when a user
+    call sets ``g(p)``, through any number of such forwards."""
+    for name, text in {
+            "src/repro/mod.py":
+                "def f(a, p=1):\n    return a\n\n\n"
+                "def g(a, p=1):\n    return f(a, p=p)\n\n\n"
+                "def h(a, p=1):\n    return g(a, p=p)\n",
+            "examples/demo.py": f"from repro.mod import g, h\n{call}\n"}.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    assert _unset_parameters(tmp_path) == unset
 
 
 #: A verdict's opening class: see :data:`UNSET_BY_DESIGN`.

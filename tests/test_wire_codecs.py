@@ -1,4 +1,4 @@
-"""Tests for the middleware wire-format comparators (GRAS tables E2/E3)."""
+"""Tests for the five middleware stacks of the GRAS tables (E2/E3)."""
 
 import hashlib
 import math
@@ -11,21 +11,13 @@ from repro.gras.arch import ARCHITECTURES
 from repro.platform import make_star, make_two_site_grid
 from repro.wire import (
     ExchangeModel,
-    GrasCodec,
-    MpichCodec,
-    OmniOrbCodec,
     PASTRY_MESSAGE_DESC,
-    PbioCodec,
-    XmlCodec,
-    all_codecs,
+    STACKS,
     make_pastry_message,
 )
 from repro.wire import exchange, payload
-from repro.wire.codec import CodecUnavailableError
 
 X86 = ARCHITECTURES["x86"]
-SPARC = ARCHITECTURES["sparc"]
-POWERPC = ARCHITECTURES["powerpc"]
 MESSAGE = make_pastry_message()
 
 
@@ -51,42 +43,49 @@ class TestPayload:
         assert decoded["sender"] == MESSAGE["sender"]
         assert len(decoded["routing_table"]) == len(MESSAGE["routing_table"])
 
+    def test_pastry_message_follows_the_freepastry_defaults(self):
+        """128-bit nodeIds, 24 leaves, 32 neighbours and a quarter of a
+        40x16 routing table."""
+        nodeids = [MESSAGE["sender"], MESSAGE["target_key"],
+                   *MESSAGE["leaf_set"], *MESSAGE["neighbour_set"],
+                   *(entry["nodeid"] for entry in MESSAGE["routing_table"])]
+        assert all(len(nodeid) == 4 and max(nodeid) < 2**32
+                   for nodeid in nodeids)
+        assert len(MESSAGE["leaf_set"]) == 24
+        assert len(MESSAGE["neighbour_set"]) == 32
+        assert len(MESSAGE["routing_table"]) * 4 == 40 * 16
+
     def test_pastry_message_has_nontrivial_size(self):
         size = len(PASTRY_MESSAGE_DESC.encode(MESSAGE, X86))
         assert 2_000 < size < 50_000     # a few KB, like a real Pastry message
 
 
-class TestCodecSizes:
+def lan_exchange(stack, sender="x86", receiver="x86"):
+    return build_lan_model().exchange(stack, PASTRY_MESSAGE_DESC, MESSAGE,
+                                      sender, receiver)
+
+
+class TestStacks:
     def test_xml_is_much_larger_than_binary(self):
-        gras = GrasCodec().wire_size(PASTRY_MESSAGE_DESC, MESSAGE, X86, X86)
-        xml = XmlCodec().wire_size(PASTRY_MESSAGE_DESC, MESSAGE, X86, X86)
-        assert xml > 1.5 * gras
+        assert (lan_exchange("XML").wire_bytes
+                > 1.5 * lan_exchange("GRAS").wire_bytes)
 
     def test_omniorb_padding_overhead(self):
-        gras = GrasCodec().wire_size(PASTRY_MESSAGE_DESC, MESSAGE, X86, X86)
-        orb = OmniOrbCodec().wire_size(PASTRY_MESSAGE_DESC, MESSAGE, X86, X86)
-        assert orb > gras
+        assert (lan_exchange("OmniORB").wire_bytes
+                > lan_exchange("GRAS").wire_bytes)
 
-    def test_mpich_refuses_heterogeneous_pairs(self):
-        codec = MpichCodec()
-        assert not codec.supports(X86, SPARC)
-        with pytest.raises(CodecUnavailableError):
-            codec.wire_size(PASTRY_MESSAGE_DESC, MESSAGE, X86, SPARC)
-        assert codec.supports(SPARC, POWERPC)   # both 32-bit big-endian
-
-    def test_pbio_refuses_powerpc(self):
-        codec = PbioCodec()
-        assert not codec.supports(POWERPC, X86)
-        assert codec.supports(SPARC, X86)
+    def test_pbio_unavailable_exactly_with_powerpc(self):
+        for sender in ARCHS:
+            for receiver in ARCHS:
+                assert (lan_exchange("PBIO", sender, receiver).available
+                        == ("powerpc" not in (sender, receiver)))
 
     def test_gras_receiver_pays_conversion_only_when_needed(self):
-        codec = GrasCodec()
-        homo = codec.conversion_operations(PASTRY_MESSAGE_DESC, MESSAGE,
-                                           X86, X86)
-        hetero = codec.conversion_operations(PASTRY_MESSAGE_DESC, MESSAGE,
-                                             SPARC, X86)
-        assert homo.receiver_ops < hetero.receiver_ops
-        assert homo.sender_ops == hetero.sender_ops
+        homo = lan_exchange("GRAS", "x86", "x86")
+        hetero = lan_exchange("GRAS", "sparc", "x86")
+        assert homo.decode_time < hetero.decode_time
+        assert homo.encode_time == hetero.encode_time
+        assert homo.decode_time == homo.encode_time    # one copy each
 
 
 class TestExchangeModel:
@@ -95,6 +94,7 @@ class TestExchangeModel:
         table = model.table(PASTRY_MESSAGE_DESC, MESSAGE)
         assert table["x86->x86"]["MPICH"].available
         assert table["sparc->sparc"]["MPICH"].available
+        assert table["sparc->powerpc"]["MPICH"].available  # both 32-bit BE
         assert not table["x86->sparc"]["MPICH"].available
         assert not table["powerpc->x86"]["MPICH"].available
         assert math.isinf(table["x86->sparc"]["MPICH"].total_time)
@@ -102,15 +102,15 @@ class TestExchangeModel:
     def test_lan_times_land_in_the_paper_millisecond_range(self):
         """The paper's LAN GRAS numbers are 2.3-6.3 ms; ours must be low-ms."""
         model = build_lan_model()
-        result = model.exchange(GrasCodec(), PASTRY_MESSAGE_DESC, MESSAGE,
+        result = model.exchange("GRAS", PASTRY_MESSAGE_DESC, MESSAGE,
                                 "x86", "sparc")
         assert 1e-4 < result.total_time < 2e-2
 
     def test_wan_is_much_slower_than_lan(self):
         """The paper's WAN numbers are ~1 s vs a few ms on the LAN."""
-        lan = build_lan_model().exchange(GrasCodec(), PASTRY_MESSAGE_DESC,
+        lan = build_lan_model().exchange("GRAS", PASTRY_MESSAGE_DESC,
                                          MESSAGE, "x86", "x86")
-        wan = wan_model().exchange(GrasCodec(), PASTRY_MESSAGE_DESC, MESSAGE,
+        wan = wan_model().exchange("GRAS", PASTRY_MESSAGE_DESC, MESSAGE,
                                    "x86", "x86")
         assert wan.total_time > 10 * lan.total_time
 
@@ -122,26 +122,25 @@ class TestExchangeModel:
         assert row["GRAS"].total_time <= row["OmniORB"].total_time
         assert row["GRAS"].total_time <= row["XML"].total_time
 
-    def test_table_covers_all_nine_pairs_and_five_codecs(self):
+    def test_table_covers_all_nine_pairs_and_five_stacks(self):
         table = build_lan_model().table(PASTRY_MESSAGE_DESC, MESSAGE)
         assert len(table) == 9
         assert all(len(row) == 5 for row in table.values())
 
-    def test_all_codecs_order(self):
-        names = [codec.name for codec in all_codecs()]
-        assert names == ["GRAS", "MPICH", "OmniORB", "PBIO", "XML"]
+    def test_stacks_in_the_paper_column_order(self):
+        assert list(STACKS) == ["GRAS", "MPICH", "OmniORB", "PBIO", "XML"]
 
     def test_loopback_exchange_has_no_transfer_term(self):
         platform = make_star(num_hosts=2)
         model = ExchangeModel(platform, "leaf-0", "leaf-0")
-        result = model.exchange(GrasCodec(), PASTRY_MESSAGE_DESC, MESSAGE,
+        result = model.exchange("GRAS", PASTRY_MESSAGE_DESC, MESSAGE,
                                 "x86", "x86")
         assert result.transfer_time == 0.0
 
     def test_conversion_times_scale_with_conversion_rate(self, monkeypatch):
         """``CONVERSION_RATE`` sets the encode and decode terms alone."""
         def exchange_once():
-            return wan_model().exchange(GrasCodec(), PASTRY_MESSAGE_DESC,
+            return wan_model().exchange("GRAS", PASTRY_MESSAGE_DESC,
                                         MESSAGE, "x86", "sparc")
         base = exchange_once()
         monkeypatch.setattr(exchange, "CONVERSION_RATE",
@@ -157,8 +156,8 @@ class TestTablePins:
     """The E2/E3 tables to the bit, not just their orderings."""
 
     def test_lan_and_wan_cells_are_pinned(self):
-        """sha256 over ``(table, pair, codec, wire_bytes, total_time)`` of
-        all 90 cells (LAN and WAN x 9 architecture pairs x 5 codecs), the
+        """sha256 over ``(table, pair, stack, wire_bytes, total_time)`` of
+        all 90 cells (LAN and WAN x 9 architecture pairs x 5 stacks), the
         floats as ``float.hex``."""
         digest = hashlib.sha256()
         cells = 0

@@ -311,22 +311,6 @@ KEPT = {
     "smpi/comm.py::Communicator.iprobe":
         "(b) MPI_Iprobe; tests/test_migration_equivalence.py::"
         "TestPortPrimitives::test_smpi_iprobe_and_unexpected_queue",
-    "smpi/comm.py::Communicator.barrier":
-        _mpi("MPI_Barrier",
-             "TestCollectives::test_barrier_synchronises_ranks"),
-    "smpi/comm.py::Communicator.reduce":
-        _mpi("MPI_Reduce", "TestCollectives::test_reduce_sum_at_root"),
-    "smpi/comm.py::Communicator.allreduce":
-        _mpi("MPI_Allreduce", "TestCollectives::test_allreduce_numpy_arrays"),
-    "smpi/comm.py::Communicator.gather":
-        _mpi("MPI_Gather", "TestCollectives::test_gather_scatter_allgather"),
-    "smpi/comm.py::Communicator.allgather":
-        _mpi("MPI_Allgather",
-             "TestCollectives::test_gather_scatter_allgather"),
-    "smpi/comm.py::Communicator.scatter":
-        _mpi("MPI_Scatter", "TestCollectives::test_gather_scatter_allgather"),
-    "smpi/comm.py::Communicator.alltoall":
-        _mpi("MPI_Alltoall", "TestCollectives::test_alltoall"),
     "smpi/datatypes.py::Datatype.extent":
         _mpi("MPI_Type_get_extent", "TestDatatypes::test_extent"),
 }
