@@ -54,7 +54,7 @@ def _declare_messages(proc: GrasProcess) -> None:
 class BandwidthMeter:
     """The two halves of the AMOK bandwidth measurement protocol."""
 
-    def __init__(self, payload_bytes: int = 1_000_000) -> None:
+    def __init__(self, payload_bytes: int) -> None:
         if payload_bytes <= 0:
             raise ValueError("payload_bytes must be > 0")
         self.payload_bytes = payload_bytes

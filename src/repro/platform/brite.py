@@ -26,6 +26,7 @@ import math
 import random
 from typing import List, Sequence, Tuple
 
+from repro.kernel.collector import young_passes_only
 from repro.platform.platform import Platform
 
 __all__ = ["make_waxman_topology", "random_flows"]
@@ -114,6 +115,7 @@ def _ensure_connected(n: int, edges: List[Tuple[int, int]],
         union(a, b)
 
 
+@young_passes_only
 def make_waxman_topology(num_nodes: int = 10, seed: int = 42) -> Platform:
     """Generate a Waxman random topology (BRITE's ``RTWaxman`` model).
 

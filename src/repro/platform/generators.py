@@ -16,6 +16,7 @@ links and backbone (``CLUSTER_*``), the dumbbell's hosts and access links
 
 from __future__ import annotations
 
+from repro.kernel.collector import young_passes_only
 from repro.platform.platform import Platform
 
 __all__ = ["make_cluster", "make_star", "make_dumbbell", "make_two_site_grid",
@@ -40,6 +41,7 @@ LAN_INTERNET_BANDWIDTH = 6.25e5
 LAN_INTERNET_LATENCY = 2e-2
 
 
+@young_passes_only
 def make_cluster(num_hosts: int = 8,
                  host_speed: float = 1e9) -> Platform:
     """A commodity cluster: hosts behind private links and a shared backbone.
@@ -75,6 +77,7 @@ def make_cluster(num_hosts: int = 8,
     return platform
 
 
+@young_passes_only
 def make_star(num_hosts: int = 5,
               host_speed: float = 1e9,
               link_bandwidth: float = 1.25e7,
@@ -99,6 +102,7 @@ def make_star(num_hosts: int = 5,
     return platform
 
 
+@young_passes_only
 def make_dumbbell(num_left: int = 3, num_right: int = 3,
                   bottleneck_bandwidth: float = 12.5e6,
                   bottleneck_latency: float = 10e-3) -> Platform:
@@ -126,6 +130,7 @@ def make_dumbbell(num_left: int = 3, num_right: int = 3,
     return platform
 
 
+@young_passes_only
 def make_two_site_grid(hosts_per_site: int = 4,
                        host_speed: float = 2e9,
                        lan_bandwidth: float = 125e6,
@@ -154,6 +159,7 @@ def make_two_site_grid(hosts_per_site: int = 4,
     return platform
 
 
+@young_passes_only
 def make_client_server_lan(num_clients: int = 3,
                            num_servers: int = 2) -> Platform:
     """The hub/switch/router/Internet topology of the paper's Gantt figure.
@@ -192,6 +198,7 @@ def make_client_server_lan(num_clients: int = 3,
     return platform
 
 
+@young_passes_only
 def make_zoned_grid(num_sites: int = 4, hosts_per_site: int = 8,
                     host_speed: float = 2e9,
                     lan_bandwidth: float = 125e6,

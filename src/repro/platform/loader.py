@@ -14,6 +14,7 @@ import os
 from typing import Optional
 
 from repro.exceptions import PlatformError
+from repro.kernel.collector import young_passes_only
 from repro.platform.platform import Platform
 
 __all__ = ["load_platform"]
@@ -117,6 +118,7 @@ def _load_xml(text: str) -> Platform:
     return platform
 
 
+@young_passes_only
 def load_platform(path: str) -> Platform:
     """Load a platform description from a SimGrid XML file."""
     with open(os.fspath(path), "r", encoding="utf-8") as handle:

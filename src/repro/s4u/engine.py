@@ -36,7 +36,7 @@ from repro.exceptions import (
     SnapshotError,
     TransferFailureError,
 )
-from repro.kernel.collector import paused_collector
+from repro.kernel.collector import paused_collector, young_passes_only
 from repro.kernel.context import FINISHED, make_context_factory
 from repro.kernel.timer import TimerQueue
 from repro.s4u import actor as _actor_mod
@@ -304,6 +304,7 @@ class Engine:
     # ------------------------------------------------------------------------------
     # actor management (engine-level API)
     # ------------------------------------------------------------------------------
+    @young_passes_only
     def add_actor(self, name: str, host: Union[str, Host], func: Callable,
                   *args, daemon: bool = False, auto_restart: bool = False,
                   **kwargs) -> Actor:
@@ -312,6 +313,10 @@ class Engine:
         ``func(actor, *args, **kwargs)`` is the body.  ``auto_restart``
         actors are rebooted (fresh body, same function and arguments) when
         their failed host is restored.
+
+        The call runs with the cyclic collector paused and ends in at most
+        one young pass (:func:`~repro.kernel.collector.young_passes_only`):
+        adding thousands of actors never re-traces the ones added before.
         """
         host_obj = host if isinstance(host, Host) else self.host(host)
         actor = Actor(self, name, host_obj, func, args, kwargs, daemon=daemon,

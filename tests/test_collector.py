@@ -1,8 +1,10 @@
 """The collector policy of a run: paused inside, one young pass at the end.
 
 ``Engine.run`` executes its loop under
-:func:`repro.kernel.collector.paused_collector`.  Two things are checked
-here without a clock:
+:func:`repro.kernel.collector.paused_collector`, and each set-up call
+(``Engine.add_actor``, a platform builder) under
+:func:`repro.kernel.collector.young_passes_only`.  Checked here without a
+clock:
 
 * the rule itself — ``gc.callbacks`` sees no collector pass while a
   simulation runs (both context factories, flat and sharded kernels),
@@ -15,7 +17,11 @@ here without a clock:
   of each scenario, so the garbage cannot grow with events;
 * the release — an engine is itself a graph of cycles, and
   ``Engine.close()`` breaks them: a closed engine, restored or stopped
-  mid-run, is freed by reference counting alone, and it refuses to run.
+  mid-run, is freed by reference counting alone, and it refuses to run;
+* set-up — building a large star and its actors makes young passes
+  only; a caller's ``gc.disable()`` or ``gc.set_threshold`` is respected,
+  and a set-up call that raises, or an engine dropped unrun, leaves the
+  collector on.
 """
 
 import ast
@@ -29,7 +35,8 @@ from gc_probe import collector_paused_by_caller, recorded_passes
 from pump import actor_body
 import repro
 from repro import s4u
-from repro.exceptions import SimGridError, TransferFailureError
+from repro.exceptions import (PlatformError, SimGridError,
+                               TransferFailureError)
 from repro.ft import ChildSpec, HeartbeatMonitor, RetryPolicy, Supervisor
 from repro.kernel import paused_collector
 from repro.platform import make_star, make_zoned_grid
@@ -285,6 +292,57 @@ class TestNoPassInsideRun:
         gc.collect()
         engine.run()
         assert gc.collect() == 0
+
+
+def _star_with_actors(size):
+    """Set-up only: a ``size``-leaf star with one sleeper per leaf."""
+    engine = s4u.Engine(make_star(num_hosts=size))
+    for index in range(size):
+        engine.add_actor(f"w{index}", f"leaf-{index}", _sleep, 1.0)
+    return engine
+
+
+class TestSetUpMakesOnlyYoungPasses:
+    """A platform builder and ``Engine.add_actor`` run under
+    :func:`~repro.kernel.collector.young_passes_only`: the world they
+    build is never re-traced by a middle or full pass."""
+
+    def test_a_large_star_and_its_actors_make_only_young_passes(self):
+        with recorded_passes() as passes:
+            _star_with_actors(2000)
+        # Enough allocation for passes, and each one a young pass.
+        assert len(passes) > 10
+        assert {generation for generation, _ in passes} == {0}
+        assert gc.isenabled()
+
+    def test_the_threshold_is_read_per_call(self):
+        threshold = gc.get_threshold()
+        with recorded_passes() as passes:
+            try:
+                gc.set_threshold(50)
+                make_star(num_hosts=20)   # one pass, at the end
+                gc.set_threshold(0)
+                make_star(num_hosts=20)   # none: the collector is off
+            finally:
+                gc.set_threshold(*threshold)
+        assert passes == [(0, None)]
+
+    def test_caller_paused_collector_is_left_alone(self):
+        with recorded_passes() as passes, collector_paused_by_caller():
+            _star_with_actors(2000)
+            assert not gc.isenabled()
+            assert passes == []
+
+    def test_a_call_that_raises_reenables_the_collector(self):
+        engine = s4u.Engine(make_star(num_hosts=1))
+        with pytest.raises(PlatformError, match="unknown host"):
+            engine.add_actor("lost", "nowhere", _sleep, 1.0)
+        assert gc.isenabled()
+
+    def test_an_engine_dropped_unrun_leaves_the_collector_on(self):
+        engine = _star_with_actors(50)
+        del engine
+        assert gc.isenabled()
 
 
 def test_the_helper_is_the_only_code_touching_the_collector():

@@ -268,6 +268,29 @@ class TestActorLifecycle:
         assert runs == [0.0]
         assert engine.restart_count == 0
 
+    def test_a_pending_restart_keeps_nobody_alive(self):
+        """The last non-daemon actor ends while an ``auto_restart`` actor
+        waits for its host: the simulation ends there, and the armed
+        reboot never happens."""
+        engine = s4u.Engine(make_star(num_hosts=2))
+
+        def worker(actor):
+            yield actor.execute(1e12)
+
+        def clock(actor):
+            yield actor.sleep_for(1.0)
+
+        engine.add_actor("w", "leaf-0", worker, auto_restart=True)
+        engine.add_actor("clock", "leaf-1", clock)
+        host = engine.host("leaf-0")
+        engine.timers.schedule(0.25, host.turn_off)
+        engine.timers.schedule(5.0, host.turn_on)
+        engine.run()
+        assert engine.now == 1.0
+        assert engine.actor_count() == 0
+        assert not host.is_on
+        assert engine.restart_count == 0
+
 
 class TestFailureEdgeCases:
     def test_peer_host_dies_before_rendezvous_matches(self):

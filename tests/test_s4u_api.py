@@ -491,6 +491,42 @@ class TestActorLifecycle:
         assert peak_alive == [10, 10, 10]     # one wave + sink + spawner
         assert engine.actor_count() == 0
 
+    @staticmethod
+    def _calls_of_actor_count(finished):
+        """Python and C calls one ``actor_count()`` makes once ``finished``
+        actors have ended and one sleeper is still alive."""
+        def quick(actor):
+            yield actor.sleep_for(0.5)
+
+        def sleeper(actor):
+            yield actor.sleep_for(10.0)
+
+        engine = Engine(pair_platform())
+        engine.add_actor("sleeper", "bob", sleeper)
+        for index in range(finished):
+            engine.add_actor(f"q{index}", "alice", quick)
+        engine.run(until=1.0)
+        calls = [0]
+
+        def count(frame, event, arg):
+            if event in ("call", "c_call"):
+                calls[0] += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            alive = engine.actor_count()
+        finally:
+            sys.setprofile(previous)
+        assert alive == 1 and len(engine.actors) == finished + 1
+        return calls[0]
+
+    def test_actor_count_does_not_grow_with_the_dead(self):
+        """``actor_count()`` is O(1): no scan of the historical actor list,
+        counted without a clock."""
+        assert (self._calls_of_actor_count(10_000)
+                == self._calls_of_actor_count(10))
+
     def test_suspend_resume_across_actors(self):
         engine = Engine(pair_platform(speed=1e9))
         times = {}

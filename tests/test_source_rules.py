@@ -86,10 +86,11 @@ RETIRED_NAMES = (
     # The unused AMOK peer registry, the GRAS measure_block helper and
     # the sim-only msg_waiting probe (no real-life twin).
     r"PeerManager", r"measure_block", r"msg_waiting",
-    # The cyclic collector is paused for a run by
-    # repro.kernel.collector.paused_collector only: no size-gated policy,
-    # no freeze of the setup heap, no per-engine knob
-    # (tests/test_collector.py, tests/test_campaign.py::TestCollectorPolicy).
+    # The cyclic collector is paused by repro.kernel.collector only:
+    # paused_collector for a run, young_passes_only for one set-up call.
+    # No size-gated policy, no freeze of the setup heap, no pause that
+    # outlives a call, no per-engine knob (tests/test_collector.py,
+    # tests/test_campaign.py::TestCollectorPolicy).
     r"_GC_POLICY_MIN_ACTORS", r"gc\.freeze\(", r"gc\.unfreeze\(",
     r"manage_gc:",
     # A timer query reads the cancelled/fired slots inline: no dead-head
@@ -399,9 +400,6 @@ UNSET_BY_DESIGN = {
         "(a) the tolerance of the LMM solver's feasibility check; "
         "tests/test_lmm.py::test_property_solution_is_feasible",
     # (b) paper layers' call signatures
-    "amok/bandwidth.py::BandwidthMeter.__init__(payload_bytes)":
-        "(b) amok_bw_test's size argument; tests/test_amok.py::"
-        "TestBandwidthMeter",
     "s4u/activity.py::ActivitySet.wait_all(timeout)":
         "(b) MSG_comm_waitall's timeout; tests/test_s4u_api.py::"
         "TestEveryWaitEveryEnding::test_one_outcome_and_nothing_left_behind",
