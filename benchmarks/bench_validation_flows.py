@@ -18,19 +18,24 @@ BRITE topology, the TCP window-bound ablation) test the same property at
 sizes quick enough for every run.  E1's flows are scaled down from the
 paper's 100 MB to 20 MB to keep the packet-level side tractable in pure
 Python.  Both simulators see the same sizes, but 20 MB is not steady
-state: from 20 MB to 100 MB the packet-level rate of flow 6 goes
-1.71 -> 2.99 MB/s, flow 8 2.96 -> 4.84 and flow 1 4.03 -> 4.53.
+state: at 20 MB the packet-level rate of flow 6 is 1.71 MB/s, flow 8's
+2.96 and flow 1's 4.03 (:func:`test_e1_packet_side_is_pinned_to_the_bit`),
+while at 100 MB the rows of pair (42, 7) in
+``benchmarks/e1_paper_size_expected.txt`` read 2.995, 4.841 and 4.527
+(checked by the CI job ``e1-paper-size``).
 
-E1 is an expected failure, and the paper's size does not change that.  At
-100 MB with CM02's factors (bandwidth 0.92, latency 10.4), measured on
-five (topology, flow) seed pairs fixed before measuring, the three
-thresholds hold on 2 of 5: (42, 7) and (4, 4) pass, (1, 1) fails the
-median, (2, 2) the max and the aggregate (sum ratio 1.2504), (3, 3) the
-max and the aggregate.  ``benchmarks/e1_paper_size.py`` prints that
-table with a per-flow attribution; CI checks it against
-``benchmarks/e1_paper_size_expected.txt``.
+E1 is an expected failure, and the paper's size does not change that.
+``benchmarks/e1_paper_size.py`` prints E1 at 100 MB with neutral factors
+and with CM02's (bandwidth 0.92, latency 10.4) on five (topology, flow)
+seed pairs fixed before measuring, with a per-flow attribution; the CI
+job ``e1-paper-size`` checks it against
+``benchmarks/e1_paper_size_expected.txt``.  There CM02 holds the three
+thresholds on 2 of 5 pairs: (42, 7) and (4, 4) pass, (1, 1) fails the
+median, (2, 2) the max and the aggregate (sum ratio 1.250), (3, 3) the
+max and the aggregate.
 """
 
+import functools
 import hashlib
 import statistics
 import time
@@ -112,20 +117,41 @@ def rates_digest(rates):
     return digest.hexdigest()
 
 
+@functools.cache
+def e1_packet_side():
+    """E1's 20 MB packet side, simulated once per session: its ten rates
+    and the number of events its queue scheduled."""
+    rates, simulator = packet_run(*waxman(), FLOW_BYTES)
+    return tuple(rates), next(simulator.events._seq)
+
+
 def test_e1_no_fluid_flow_beats_its_bottleneck():
     """The fluid side of E1 on its own: every flow gets a positive rate
-    no higher than the narrowest link of its route, and the ten rates are
-    pinned to the bit."""
+    no higher than the narrowest link of its route, the ten rates are
+    pinned to the bit, and the run takes 18 LMM solves, as at 10 MB."""
     platform, flows = waxman()
-    rates = fluid_rates(platform, flows, FLOW_BYTES)
+    rates, engine = fluid_run(platform, flows, FLOW_BYTES)
     assert rates_digest(rates) == (
         "607684f321e58bbe1188139fcccc28a9f9301020e497e34335cfe8bb380d41ac")
+    assert engine.kernel_stats()["solver"]["solve_calls"] == 18
     for rate, (src, dst) in zip(rates, flows):
         bottleneck = min(platform.links[name].bandwidth
                          for name in platform.route_links(src, dst))
         assert 0.0 < rate <= bottleneck, (
             f"flow {src}->{dst} at {rate:.4g} B/s over a "
             f"{bottleneck:.4g} B/s bottleneck")
+
+
+def test_e1_packet_side_is_pinned_to_the_bit():
+    """The packet side of E1 on its own: the ten 20 MB rates as
+    ``float.hex``, the 1 477 109 events (E7 pins 735 086 at 10 MB, for the
+    same 18 solves), and the three rates the module docstring quotes."""
+    rates, events = e1_packet_side()
+    assert rates_digest(rates) == (
+        "a07e6c1d5039ab98ed3a2cbd354b8751af158e78df9b532ed05c84f142efa5f2")
+    assert events == 1_477_109
+    assert [f"{rates[flow - 1] / 1e6:.2f}" for flow in (6, 8, 1)] == [
+        "1.71", "2.96", "4.03"]
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -142,7 +168,7 @@ def test_e1_flow_rates_fluid_vs_packet():
     """Regenerates the per-flow transfer-rate comparison (bar chart)."""
     platform, flows = waxman()
     fluid = fluid_rates(platform, flows, FLOW_BYTES)
-    packet = packet_rates(waxman()[0], flows, FLOW_BYTES)
+    packet = e1_packet_side()[0]
 
     rows = []
     gaps = []
@@ -171,7 +197,7 @@ def test_e1_flow_rates_fluid_vs_packet():
 
 def test_e7_fluid_simulation_speed_advantage():
     start = time.perf_counter()
-    _, simulator = packet_run(*waxman(), SPEED_FLOW_BYTES)
+    packet, simulator = packet_run(*waxman(), SPEED_FLOW_BYTES)
     packet_wall = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -198,12 +224,16 @@ def test_e7_fluid_simulation_speed_advantage():
     # (the packet side is scaled down to 10 MB flows to stay test-friendly;
     # benchmarks/e1_paper_size.py prints the ratio at the paper's 100 MB).
     assert speedup > 20.0
-    # Four orders of magnitude in work, whatever the machine: 735 086
-    # events against 18 solves at 10 MB, and the events grow with the
-    # flow size while the solves do not (1 477 109 against 18 at 20 MB).
-    # Not strictly stronger than the wall-clock bound — a per-event cost
-    # gap moves no count — so both stay.
+    # Four orders of magnitude in work, whatever the machine.  The events
+    # grow with the flow size while the solves do not: 1 477 109 events
+    # against the same 18 solves at 20 MB (E1's two pins).  Not strictly
+    # stronger than the wall-clock bound — a per-event cost gap moves no
+    # count — so both stay.
     assert work_ratio > 1e4
+    assert packet_events == 735_086
+    assert fluid_solves == 18
+    assert rates_digest(packet) == (
+        "3efdc13261d73c6ae3adc19bbcb678fdfb4a47850e02ffb5380670dd3d8a37fe")
 
 
 def test_dumbbell_rates_agree_within_tolerance():

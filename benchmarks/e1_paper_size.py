@@ -15,8 +15,9 @@ harness's own (42, 7) and (1, 1) to (4, 4).  For each pair it prints
 * the wall-clock line: the packet-level and fluid (neutral) times and
   their ratio, E7's "the gap only widens" measured at 100 MB.
 
-The packet side takes about 20 s per pair, so pytest does not collect
-this file.  Run it from the repository root::
+The packet side is the slow half (17-25 s per pair on a 2-core
+reference box, a wall-clock reading that the wall-clock lines print), so
+pytest does not collect this file.  Run it from the repository root::
 
     PYTHONPATH=src python -m benchmarks.e1_paper_size
     PYTHONPATH=src python -m benchmarks.e1_paper_size \\
