@@ -43,7 +43,7 @@ import time
 import pytest
 
 from benchmarks.bench_util import print_table
-from repro.packet import FlowSpec, PacketSimulator
+from repro.packet import PacketSimulator
 from repro.platform import make_dumbbell
 from repro.platform.brite import make_waxman_topology, random_flows
 from repro.s4u import Engine
@@ -95,11 +95,8 @@ def packet_rates(platform, flows, size):
 def packet_run(platform, flows, size):
     """:func:`packet_rates` and the simulator that produced them."""
     simulator = PacketSimulator(platform)
-    results = simulator.run(
-        [FlowSpec(src, dst, size, flow_id=idx)
-         for idx, (src, dst) in enumerate(flows)])
-    by_id = {r.flow_id: r.throughput for r in results}
-    return [by_id[idx] for idx in range(len(flows))], simulator
+    done = simulator.run([(src, dst, size) for src, dst in flows])
+    return [flow.throughput for flow in done], simulator
 
 
 def waxman(num_nodes=NUM_NODES, num_flows=NUM_FLOWS):

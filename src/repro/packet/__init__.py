@@ -13,20 +13,20 @@ with the ingredients that matter for the comparison:
   duplicate-ACK fast retransmit, retransmission timeouts, with NS2-like
   constants for the segment size, windows and timers
   (:mod:`repro.packet.tcp`);
-* a :class:`~repro.packet.simulator.PacketSimulator` facade that consumes
-  the very same :class:`~repro.platform.platform.Platform` and flow list as
-  the fluid model, so experiment E1 runs both on identical inputs.
+* a :class:`~repro.packet.simulator.PacketSimulator` facade that takes
+  the very same :class:`~repro.platform.platform.Platform` and ``(src, dst,
+  size)`` flows as the fluid model, so experiment E1 runs both on
+  identical inputs, and returns the :class:`~repro.packet.tcp.TcpFlow` it
+  simulated for each flow: a flow is its own result.
 """
 
 from repro.packet.event_queue import EventQueue
 from repro.packet.nic import PacketLink
-from repro.packet.simulator import FlowResult, FlowSpec, PacketSimulator
+from repro.packet.simulator import PacketSimulator
 from repro.packet.tcp import TcpFlow
 
 __all__ = [
     "EventQueue",
-    "FlowResult",
-    "FlowSpec",
     "PacketLink",
     "PacketSimulator",
     "TcpFlow",

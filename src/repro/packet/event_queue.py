@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from typing import Any, Callable, List, Tuple
 
 __all__ = ["EventQueue"]
@@ -33,10 +32,10 @@ class EventQueue:
         heapq.heappush(self._heap,
                        (self.now + delay, next(self._seq), method, arg))
 
-    def run(self, until: float = math.inf) -> None:
-        """Process events in order until the queue drains or ``until``."""
+    def run(self) -> None:
+        """Process events in order until the queue drains."""
         heap = self._heap
         pop = heapq.heappop
-        while heap and heap[0][0] <= until:
+        while heap:
             self.now, _, method, arg = pop(heap)
             method(arg)

@@ -20,7 +20,7 @@ parameters are NS2-like module constants (``SEGMENT_SIZE`` ...
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.packet.event_queue import EventQueue
 from repro.packet.nic import PacketLink
@@ -59,20 +59,16 @@ class Packet:
 class TcpFlow:
     """One TCP Reno transfer of ``total_bytes`` along a fixed path."""
 
-    def __init__(self, flow_id: int, events: EventQueue,
+    def __init__(self, events: EventQueue,
                  forward_path: Sequence[PacketLink],
                  reverse_path: Sequence[PacketLink],
-                 total_bytes: float,
-                 on_complete: Optional[Callable[["TcpFlow"], None]] = None
-                 ) -> None:
-        self.id = flow_id
+                 total_bytes: float) -> None:
         self.events = events
         self.forward_path = list(forward_path)
         self.reverse_path = list(reverse_path)
         self.total_segments = max(1, int(math.ceil(
             total_bytes / SEGMENT_SIZE)))
         self.total_bytes = total_bytes
-        self.on_complete = on_complete
 
         # sender state
         self.cwnd = INITIAL_CWND
@@ -108,6 +104,11 @@ class TcpFlow:
         """Begin transmitting."""
         self.start_time = self.events.now
         self._send_window()
+
+    @property
+    def throughput(self) -> float:
+        """Average transfer rate of a completed flow, in bytes/s."""
+        return self.total_bytes / (self.finish_time - self.start_time)
 
     @property
     def inflight(self) -> int:
@@ -231,5 +232,3 @@ class TcpFlow:
     def _complete(self) -> None:
         self.completed = True
         self.finish_time = self.events.now
-        if self.on_complete is not None:
-            self.on_complete(self)

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.packet import EventQueue, FlowSpec, PacketLink, PacketSimulator
+from repro.packet import EventQueue, PacketLink, PacketSimulator
 from repro.packet import nic
 from repro.packet.tcp import INITIAL_CWND, Packet, TcpFlow
 from repro.platform import Platform, make_dumbbell
@@ -47,14 +47,6 @@ class TestEventQueue:
             queue.schedule(1.0, order.append, label)
         queue.run()
         assert order == ["a", "b", "c"]
-
-    def test_run_until_bound(self):
-        queue = EventQueue()
-        order = []
-        queue.schedule(1.0, order.append, 1)
-        queue.schedule(5.0, order.append, 5)
-        queue.run(until=2.0)
-        assert order == [1]
 
     def test_schedule_in_past_rejected(self):
         queue = EventQueue()
@@ -100,12 +92,12 @@ class TestPacketLink:
         """One packet on the wire, ``QUEUE_CAPACITY`` waiting: the next
         arrival is dropped, and the link counts it."""
         monkeypatch.setattr(nic, "QUEUE_CAPACITY", 2)
-        sim = PacketSimulator(single_link_platform())
-        link = sim.add_flow(FlowSpec("src", "dst", 1e6)).forward_path[0]
-        far = FarEnd(sim.events)
+        events = EventQueue()
+        link = PacketLink("l", bandwidth=1e6, latency=1e-3, events=events)
+        far = FarEnd(events)
         for seq in range(4):
             link.transmit(Packet(far, seq, 100.0, [link]))
-        sim.events.run()
+        events.run()
         assert [seq for seq, _ in far.arrivals] == [0, 1, 2]
         assert (link.bytes_sent, link.packets_sent, link.dropped) == (
             300.0, 3, 1)
@@ -128,7 +120,7 @@ class TestSingleFlow:
     def test_throughput_approaches_link_bandwidth(self):
         platform = single_link_platform(bandwidth=1.25e6, latency=1e-3)
         sim = PacketSimulator(platform)
-        results = sim.run([FlowSpec("src", "dst", 5e6)])
+        results = sim.run([("src", "dst", 5e6)])
         assert len(results) == 1
         # TCP overhead and slow start keep it below the raw capacity, but it
         # must reach a healthy fraction of it.
@@ -138,11 +130,10 @@ class TestSingleFlow:
     def test_flow_statistics_recorded(self):
         platform = single_link_platform()
         sim = PacketSimulator(platform)
-        flow = sim.add_flow(FlowSpec("src", "dst", 1e6))
-        results = sim.run()
-        result = results[0]
-        assert result.size == 1e6
-        assert result.finish_time > result.start_time
+        [flow] = sim.run([("src", "dst", 1e6)])
+        assert flow.completed and flow.total_bytes == 1e6
+        assert flow.finish_time > flow.start_time == 0.0
+        assert flow.throughput == 1e6 / flow.finish_time
         assert flow.forward_path[0].bytes_sent >= 1e6
         assert flow.reverse_path[0].packets_sent > 0     # the ACK stream
 
@@ -151,25 +142,29 @@ class TestSingleFlow:
         assert sim.run([]) == []
 
     def test_invalid_flow_size_rejected(self):
-        with pytest.raises(ValueError):
-            FlowSpec("a", "b", 0.0)
+        """Every flow is built before any starts: a bad size anywhere in
+        the list refuses the run before the first packet."""
+        for size in (0.0, -1.0):
+            sim = PacketSimulator(single_link_platform())
+            with pytest.raises(ValueError, match="flow size must be > 0"):
+                sim.run([("src", "dst", 1e6), ("src", "dst", size)])
+            assert not sim.events._heap
 
-    def test_duplicate_flow_id_rejected(self):
-        """An explicit id and an implicit one (the count of flows before
-        it) may collide; the second flow is refused instead of its result
-        overwriting the first's."""
+    def test_flows_come_back_in_input_order(self):
+        """The flow that finishes first is still returned second."""
         sim = PacketSimulator(make_dumbbell(num_left=2, num_right=2))
-        with pytest.raises(ValueError, match="duplicate flow id 1"):
-            sim.run([FlowSpec("left-0", "right-0", 1e6, flow_id=1),
-                     FlowSpec("left-1", "right-1", 3e6)])
+        first, second = sim.run([("left-0", "right-0", 3e6),
+                                 ("left-1", "right-1", 1e6)])
+        assert (first.total_bytes, second.total_bytes) == (3e6, 1e6)
+        assert second.finish_time < first.finish_time
 
 
 class TestSharing:
     def test_two_flows_share_the_bottleneck_fairly(self):
         platform = make_dumbbell(num_left=2, num_right=2)
         sim = PacketSimulator(platform)
-        results = sim.run([FlowSpec("left-0", "right-0", 8e6),
-                           FlowSpec("left-1", "right-1", 8e6)])
+        results = sim.run([("left-0", "right-0", 8e6),
+                           ("left-1", "right-1", 8e6)])
         rates = [r.throughput for r in results]
         assert len(rates) == 2
         # fairness: neither flow gets more than ~1.6x the other
@@ -182,16 +177,15 @@ class TestSharing:
         platform = make_dumbbell(num_left=2, num_right=2,
                                  bottleneck_bandwidth=2.5e6)
         sim = PacketSimulator(platform)
-        flows = [sim.add_flow(FlowSpec("left-0", "right-0", 5e6)),
-                 sim.add_flow(FlowSpec("left-1", "right-1", 5e6))]
-        results = sim.run()
-        total_retx = sum(r.retransmissions for r in results)
+        flows = sim.run([("left-0", "right-0", 5e6),
+                         ("left-1", "right-1", 5e6)])
+        total_retx = sum(flow.retransmissions for flow in flows)
         drops = sum(link.dropped for link in
                     {link for flow in flows for link in flow.forward_path})
         assert drops > 0
         assert total_retx > 0
         # despite the losses, both transfers complete
-        assert len(results) == 2
+        assert all(flow.completed for flow in flows)
 
 
 class TestTcpMachinery:
@@ -199,7 +193,7 @@ class TestTcpMachinery:
         events = EventQueue()
         fwd = [PacketLink("f", 1e7, 1e-3, events)]
         rev = [PacketLink("r", 1e7, 1e-3, events)]
-        flow = TcpFlow(0, events, fwd, rev, total_bytes=3e5)
+        flow = TcpFlow(events, fwd, rev, total_bytes=3e5)
         flow.start()
         events.run()
         assert flow.completed
@@ -209,7 +203,7 @@ class TestTcpMachinery:
         events = EventQueue()
         fwd = [PacketLink("f", 1e7, 5e-3, events)]
         rev = [PacketLink("r", 1e7, 5e-3, events)]
-        flow = TcpFlow(0, events, fwd, rev, total_bytes=3e5)
+        flow = TcpFlow(events, fwd, rev, total_bytes=3e5)
         flow.start()
         events.run()
         assert flow.srtt is not None
@@ -224,5 +218,5 @@ def test_property_single_flow_never_exceeds_link_capacity(size, bandwidth):
     """Conservation: average throughput can never exceed the link rate."""
     platform = single_link_platform(bandwidth=bandwidth, latency=1e-3)
     sim = PacketSimulator(platform)
-    results = sim.run([FlowSpec("src", "dst", size)])
+    results = sim.run([("src", "dst", size)])
     assert results[0].throughput <= bandwidth * 1.001
