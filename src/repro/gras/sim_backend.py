@@ -130,6 +130,7 @@ class SimWorld:
 
         return self.engine.add_actor(name, host, body, *args, **kwargs)
 
-    def run(self, until: Optional[float] = None) -> float:
-        """Run the simulation; returns the final simulated time."""
-        return self.engine.run(until)
+    def run(self) -> float:
+        """Run the simulation to completion; returns the final simulated
+        time."""
+        return self.engine.run()
