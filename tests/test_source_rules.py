@@ -221,6 +221,12 @@ RETIRED_NAMES = (
     r"def parse\(cls, text: str, name", r"self\.until\b",
     r"iter_from\((self, )?start", r"start > trace\.period",
     r"SmpiSampler", r"\.sampler\b", r"RealizedHost",
+    # A packet flow is its own result, run through one entry point
+    # (tests/test_packet.py::TestSingleFlow): no flow spec or result
+    # record, no flow id, no second way to register a flow, no completion
+    # callback copying one record into the other.
+    r"FlowSpec", r"FlowResult", r"add_flow", r"_on_flow_complete",
+    r"flow_id", r"on_complete",
 )
 
 
@@ -266,30 +272,36 @@ WALL_CLOCK_READERS = {
 }
 
 
-def _wall_clock_reads(path):
-    """``qualname:line`` of every ``time.<clock>`` use and every clock
-    imported from ``time`` in ``path``."""
-    reads = []
+def _scoped_nodes(path):
+    """``(qualname, node)`` for every node of ``path``'s syntax tree,
+    ``qualname`` naming the classes and functions around it (``""`` at
+    module level)."""
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.ClassDef)):
-                visit(child, scope + [child.name])
+                yield from visit(child, scope + [child.name])
                 continue
-            if (isinstance(child, ast.Attribute)
-                    and child.attr in WALL_CLOCKS
-                    and isinstance(child.value, ast.Name)
-                    and child.value.id == "time") or (
-                    isinstance(child, ast.ImportFrom)
-                    and child.module == "time"
-                    and any(alias.name in WALL_CLOCKS
-                            for alias in child.names)):
-                reads.append((".".join(scope), child.lineno))
-            visit(child, scope)
+            yield ".".join(scope), child
+            yield from visit(child, scope)
 
-    visit(ast.parse(path.read_text()), [])
-    return reads
+    yield from visit(ast.parse(path.read_text()), [])
+
+
+def _wall_clock_reads(path):
+    """``qualname:line`` of every ``time.<clock>`` use and every clock
+    imported from ``time`` in ``path``."""
+    return [(qualname, node.lineno)
+            for qualname, node in _scoped_nodes(path)
+            if (isinstance(node, ast.Attribute)
+                and node.attr in WALL_CLOCKS
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "time") or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "time"
+                and any(alias.name in WALL_CLOCKS
+                        for alias in node.names))]
 
 
 def test_no_wall_clock_inside_a_simulation():
@@ -306,6 +318,69 @@ def test_no_wall_clock_inside_a_simulation():
                 continue
             found.append(f"{where}:{line} in {qualname or '<module>'}")
     assert found == []
+
+
+#: The layers that build a route and sum its latency.
+LATENCY_LAYERS = ("surf", "platform")
+
+
+def _calls(node, name):
+    """Whether ``node`` is a call of the bare name ``name``."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == name)
+
+
+def _latency_sums_and_loops(root=REPRO):
+    """Under :data:`LATENCY_LAYERS`: ``path::qualname`` of every
+    ``sum(map(...))`` call, and ``path:line in qualname`` of every ``+=``
+    whose target or value names a latency."""
+    sums, loops = [], []
+    for layer in LATENCY_LAYERS:
+        for path in sorted((root / layer).rglob("*.py")):
+            where = path.relative_to(root).as_posix()
+            for qualname, node in _scoped_nodes(path):
+                if (_calls(node, "sum") and node.args
+                        and _calls(node.args[0], "map")):
+                    sums.append(f"{where}::{qualname}")
+                if isinstance(node, ast.AugAssign) and isinstance(
+                        node.op, ast.Add) and any(
+                        "latency" in getattr(name, "id",
+                                             getattr(name, "attr", "")).lower()
+                        for name in ast.walk(node)):
+                    loops.append(f"{where}:{node.lineno} in {qualname}")
+    return sums, loops
+
+
+def test_the_route_latency_is_one_sum_of_a_map():
+    """Python 3.12's ``sum`` of floats is compensated, so a ``+=`` loop
+    and ``sum`` give different doubles there: a route's latency is the one
+    ``sum(map(...))`` call in ``NetworkModel.communicate``, and nothing
+    under ``surf/`` or ``platform/`` accumulates a latency with ``+=``
+    (the dates it feeds: tests/test_surf_models.py::TestNetworkModel)."""
+    assert _latency_sums_and_loops() == (
+        ["surf/network.py::NetworkModel.communicate"], [])
+
+
+#: The LMM's running aggregates, and the only code under ``surf/`` that
+#: may touch them: their initialisation and the one solve that uses them.
+RUNNING_AGGREGATES = {"_rem", "_denom", "_live"}
+AGGREGATE_USERS = ["lmm.py::Constraint.__init__",
+                   "lmm.py::MaxMinSystem._progressive_filling"]
+
+
+def test_the_running_aggregates_are_one_solves_state():
+    """``Constraint._rem``, ``_denom`` and ``_live`` are reset and used
+    inside ``_progressive_filling`` only, so no stale aggregate can leak
+    from one solve into the next
+    (tests/test_lmm_lazy.py::test_general_path_is_pinned_to_the_bit).
+    The rule reads ``surf/`` only: ``Supervisor._live`` is another
+    attribute."""
+    users = {f"{path.relative_to(REPRO / 'surf').as_posix()}::{qualname}"
+             for path in sorted((REPRO / "surf").rglob("*.py"))
+             for qualname, node in _scoped_nodes(path)
+             if isinstance(node, ast.Attribute)
+             and node.attr in RUNNING_AGGREGATES}
+    assert sorted(users) == AGGREGATE_USERS
 
 
 #: The timing plugin's fixture; the plugin's module is named after it.
