@@ -131,6 +131,5 @@ class SimWorld:
         return self.engine.add_actor(name, host, body, *args, **kwargs)
 
     def run(self) -> float:
-        """Run the simulation to completion; returns the final simulated
-        time."""
+        """Run the simulation to completion; returns the final date."""
         return self.engine.run()

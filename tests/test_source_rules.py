@@ -330,23 +330,28 @@ def _calls(node, name):
             and node.func.id == name)
 
 
-def _latency_sums_and_loops(root=REPRO):
+def _names_a_latency(node):
+    """Whether a name or attribute inside ``node`` says "latency"."""
+    return any("latency" in name.lower()
+               for sub in ast.walk(node)
+               for name in (getattr(sub, "id", ""), getattr(sub, "attr", "")))
+
+
+def _latency_sums_and_loops():
     """Under :data:`LATENCY_LAYERS`: ``path::qualname`` of every
     ``sum(map(...))`` call, and ``path:line in qualname`` of every ``+=``
     whose target or value names a latency."""
     sums, loops = [], []
     for layer in LATENCY_LAYERS:
-        for path in sorted((root / layer).rglob("*.py")):
-            where = path.relative_to(root).as_posix()
+        for path in sorted((REPRO / layer).rglob("*.py")):
+            where = path.relative_to(REPRO).as_posix()
             for qualname, node in _scoped_nodes(path):
                 if (_calls(node, "sum") and node.args
                         and _calls(node.args[0], "map")):
                     sums.append(f"{where}::{qualname}")
-                if isinstance(node, ast.AugAssign) and isinstance(
-                        node.op, ast.Add) and any(
-                        "latency" in getattr(name, "id",
-                                             getattr(name, "attr", "")).lower()
-                        for name in ast.walk(node)):
+                if (isinstance(node, ast.AugAssign)
+                        and isinstance(node.op, ast.Add)
+                        and _names_a_latency(node)):
                     loops.append(f"{where}:{node.lineno} in {qualname}")
     return sums, loops
 
