@@ -31,8 +31,8 @@ def table_digest(summary, makespan, single_makespan):
 
 
 def test_e4_client_server_gantt_chart():
-    makespan, chart = run()
-    summary = chart.summary()
+    makespan, recorder = run()
+    summary = recorder.summary()
     servers = ("server-0", "server-1")
     clients = ("client-0", "client-1", "client-2")
     # every client and server appears on the chart
@@ -43,7 +43,7 @@ def test_e4_client_server_gantt_chart():
     assert all(totals["comm"] > totals["compute"]
                for totals in summary.values())
     # the figure's headline: concurrent communications interfere
-    assert chart.overlapping_comms() > 0
+    assert recorder.overlapping_comms() > 0
     # interference check: with a single client (no sharing), each request
     # round is faster than the average round of the contended run
     single_makespan, _ = run(num_clients=1, num_servers=1, verbose=False)

@@ -6,9 +6,10 @@ scenarios it covers: multiple TCP flows sharing links, multiple CPU-bound
 processes sharing a CPU, interference of communication and computation,
 parallel tasks.
 
-The harness reproduces those four sharing scenarios with the LMM solver and
-prints the resulting allocations, then solves a larger random system (the
-ablation on solver scalability) and checks it is feasible.
+The harness reproduces those four sharing scenarios with the LMM solver,
+prints the resulting allocations and asserts each against its max-min
+share derived by hand, then solves a larger random system and checks that
+its allocation is feasible.
 """
 
 import random
@@ -120,7 +121,15 @@ def test_e5_maxmin_sharing_figure():
                scenarios["4 TCP flows on a 10 MB/s link"])
     assert all(v == pytest.approx(2e9 / 3) for v in
                scenarios["3 processes on a 2 Gflop/s CPU"])
+    # both bus users get the same rate x: the bus binds first, at
+    # 0.05 x + x = 1e8, before the computation's CPU (x = 1e9)
+    assert all(v == pytest.approx(1e8 / 1.05) for v in
+               scenarios["computation vs transfer on a shared bus"])
+    # the parallel task saturates both CPUs (x = 1e9) exactly when it
+    # fills the link (0.1 x = 1e8)
+    assert scenarios["parallel task on 2 CPUs + link"] == [
+        pytest.approx(1e9)]
 
-    # one solve of a large random system (solver scalability)
+    # one solve of a large random system: every capacity is respected
     system = large_random_solve()
     assert system.check_feasible()

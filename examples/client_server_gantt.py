@@ -18,7 +18,7 @@ Run with::
 
 from dataclasses import dataclass
 
-from repro import Engine, GanttChart, Recorder
+from repro import Engine, Recorder
 from repro.platform import make_client_server_lan
 from repro.tracing import render_ascii_gantt
 
@@ -82,19 +82,19 @@ def run(num_clients=3, num_servers=2, verbose=True):
                          f"server-{c % num_servers}", c)
 
     final_time = engine.run()
-    chart = GanttChart(recorder)
 
     if verbose:
         print(f"Simulated {num_clients} clients / {num_servers} servers, "
               f"makespan = {final_time:.3f} s\n")
-        print(render_ascii_gantt(chart, width=70))
+        print(render_ascii_gantt(recorder, width=70))
         print("\nPer-host busy time (s):")
-        for host, totals in sorted(chart.summary().items()):
+        for host, totals in sorted(recorder.summary().items()):
             print(f"  {host:12s} compute={totals['compute']:7.3f}  "
                   f"comm={totals['comm']:7.3f}  idle={totals['idle']:7.3f}")
         print(f"\nOverlapping communication pairs: "
-              f"{chart.overlapping_comms()} (flows interfere on shared links)")
-    return final_time, chart
+              f"{recorder.overlapping_comms()} "
+              "(flows interfere on shared links)")
+    return final_time, recorder
 
 
 if __name__ == "__main__":

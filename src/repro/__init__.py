@@ -94,7 +94,7 @@ from repro.surf import (
     SurfEngine,
     Trace,
 )
-from repro.tracing import GanttChart, Recorder
+from repro.tracing import Recorder
 from repro.version import __version__
 
 __all__ = [
@@ -109,7 +109,6 @@ __all__ = [
     "Engine",
     "Exec",
     "FailureInjector",
-    "GanttChart",
     "Host",
     "HostFailureError",
     "Link",

@@ -14,9 +14,9 @@ and respawned when the host comes back, and spends no restart.
 Everything here runs in kernel context (``on_exit`` callbacks and
 host-state observers) and therefore never blocks; the supervisor actor
 itself just parks on ``suspend()`` until every child is done for good.
-All callbacks are named picklable objects and children are keyed by
-spec name — never by ``id()`` — so a mid-churn ``engine.snapshot()``
-restores a live fleet bit-identically.
+All callbacks are bound methods or partials over them, which pickle,
+and children are keyed by spec name — never by ``id()`` — so a mid-churn
+``engine.snapshot()`` restores a live fleet bit-identically.
 
 A supervisor holds its own actor only while that actor is alive (the
 actor's arguments point back at the supervisor), so once the run ends
@@ -26,6 +26,7 @@ frees them by reference counting.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.s4u import this_actor
@@ -61,19 +62,6 @@ class ChildSpec:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ChildSpec({self.name!r}, host={self.host!r}, "
                 f"restart={self.restart!r})")
-
-
-class _ChildExit:
-    """Picklable ``on_exit`` hook: routes a child death to its supervisor."""
-
-    __slots__ = ("supervisor", "child")
-
-    def __init__(self, supervisor: "Supervisor", child: str) -> None:
-        self.supervisor = supervisor
-        self.child = child
-
-    def __call__(self, failed: bool) -> None:
-        self.supervisor._child_exited(self.child, failed)
 
 
 def _supervisor_body(actor, sup: "Supervisor"):
@@ -173,7 +161,7 @@ class Supervisor:
         child = self.engine.add_actor(spec.name, spec.host, spec.func,
                                       *spec.args, daemon=spec.daemon,
                                       **spec.kwargs)
-        child.on_exit(_ChildExit(self, spec.name))
+        child.on_exit(partial(self._child_exited, spec.name))
         self._live[spec.name] = child
         self.events.append((self.engine.now, event, spec.name))
         if event == "restart":

@@ -82,7 +82,8 @@ class TcpFlow:
         self.finish_time: Optional[float] = None
         self.completed = False
 
-        # receiver state
+        # receiver state: the first missing segment, and the segments
+        # that arrived out of order above it
         self.received: set = set()
         self.next_expected = 0
 
@@ -93,6 +94,8 @@ class TcpFlow:
         # Bumped at every (re)arm: a timer event that carries an older
         # stamp is stale and does nothing.
         self._rto_stamp = 0
+        # Send dates of the segments not acked yet, read for RTT samples;
+        # a segment sent with retransmission=True records none.
         self._send_times: Dict[int, float] = {}
 
         # statistics
@@ -127,7 +130,7 @@ class TcpFlow:
         packet = Packet(self, seq, SEGMENT_SIZE, self.forward_path)
         if retransmission:
             self.retransmissions += 1
-        else:
+        elif seq > self.highest_acked:
             self._send_times[seq] = self.events.now
         self.forward(packet)
 
@@ -147,9 +150,12 @@ class TcpFlow:
 
     # -- receiver side -------------------------------------------------------------------
     def _on_data_arrival(self, packet: Packet) -> None:
-        self.received.add(packet.seq)
-        while self.next_expected in self.received:
-            self.next_expected += 1
+        if packet.seq >= self.next_expected:
+            received = self.received
+            received.add(packet.seq)
+            while self.next_expected in received:
+                received.remove(self.next_expected)
+                self.next_expected += 1
         self.forward(Packet(self, packet.seq, ACK_SIZE, self.reverse_path,
                             is_ack=True, ack_seq=self.next_expected - 1))
 
@@ -160,6 +166,9 @@ class TcpFlow:
         acked = ack.ack_seq
         if acked > self.highest_acked:
             newly = acked - self.highest_acked
+            send_times = self._send_times
+            for seq in range(self.highest_acked + 1, acked):
+                send_times.pop(seq, None)
             self.highest_acked = acked
             self.dupacks = 0
             self._update_rtt(acked)

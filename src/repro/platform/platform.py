@@ -101,6 +101,10 @@ class RouteSpec:
     symmetric: bool = True
 
 
+#: Why a description change fails once the resources exist.
+_REALIZED = "the platform was already realized; describe it fully first"
+
+
 class Platform:
     """A complete platform description plus (after realization) its resources.
 
@@ -151,14 +155,13 @@ class Platform:
         ``"Floyd"``); ``gateway`` optionally names the node (or child zone)
         through which routes enter and leave.
         """
-        self._check_not_realized()
+        self._change_topology()
         parent_zone = self._resolve_zone(parent)
         if name in self.zones or name in self.hosts or name in self.routers:
             raise PlatformError(f"duplicate zone name {name!r}")
         zone = NetZone(self, name, parent_zone, routing=routing,
                        gateway=gateway)
         self.zones[name] = zone
-        self._invalidate_route_caches()
         return zone
 
     def _resolve_zone(self, zone: Optional[Union[str, NetZone]]) -> NetZone:
@@ -225,25 +228,24 @@ class Platform:
         """Declare an explicit route between two vertices of one zone.
 
         Both endpoints must be vertices of the same zone: nodes declared
-        directly in it, or names of its child zones.
+        directly in it, or names of its child zones.  The zone's
+        :meth:`~repro.platform.routing.NetZone.add_route` checks and
+        records it.
         """
-        self._check_not_realized()
         zone = self._common_zone_of_vertices(src, dst)
-        spec = zone.add_route(src, dst, links, symmetric)
-        self._invalidate_route_caches()
-        return spec
+        return zone.add_route(src, dst, links, symmetric)
 
     def connect(self, node_a: str, node_b: str, link_name: str) -> None:
         """Declare a graph edge: ``link_name`` joins two vertices.
 
         Routes between vertices without an explicit route are computed by
         the zone's strategy over these edges.  Vertices naming child zones
-        attach the link at the zone's gateway (an inter-zone link).
+        attach the link at the zone's gateway (an inter-zone link).  The
+        zone's :meth:`~repro.platform.routing.NetZone.connect` checks and
+        records it.
         """
-        self._check_not_realized()
         zone = self._common_zone_of_vertices(node_a, node_b)
         zone.connect(node_a, node_b, link_name)
-        self._invalidate_route_caches()
 
     def _common_zone_of_vertices(self, name_a: str, name_b: str) -> NetZone:
         """The zone that has both names as vertices (node or child zone)."""
@@ -281,13 +283,17 @@ class Platform:
 
     def _check_not_realized(self) -> None:
         if self._realized:
-            raise PlatformError(
-                "the platform was already realized; describe it fully first")
+            raise PlatformError(_REALIZED)
 
-    def _invalidate_route_caches(self) -> None:
-        """Topology changed pre-realization: drop memoized routes."""
+    def _change_topology(self) -> None:
+        """Open a change of the route graph: refused once realized, it
+        drops the memoized routes.  Resource routes are memoized only
+        after realization, so there are none to drop."""
+        # The check is inline, not _check_not_realized(): a zoned grid's
+        # set-up opens one change per host link.
+        if self._realized:
+            raise PlatformError(_REALIZED)
         self._route_cache.clear()
-        self._resource_route_cache.clear()
 
     # -- routing ------------------------------------------------------------------
     def route_links(self, src: str, dst: str) -> List[str]:

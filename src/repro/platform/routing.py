@@ -289,11 +289,15 @@ class NetZone:
         """Declare a graph edge between two vertices of this zone.
 
         A vertex naming a child zone attaches the link at that zone's
-        gateway; this is how inter-zone (gateway) links are wired.
+        gateway; this is how inter-zone (gateway) links are wired.  Like
+        every topology change, it is refused once the platform is
+        realized and drops the platform's memoized routes.
         """
+        platform = self.platform
+        platform._change_topology()
         self._check_vertex(vertex_a)
         self._check_vertex(vertex_b)
-        if link_name not in self.platform.links:
+        if link_name not in platform.links:
             raise PlatformError(f"unknown link {link_name!r}")
         self.adjacency.setdefault(vertex_a, []).append((vertex_b, link_name))
         self.adjacency.setdefault(vertex_b, []).append((vertex_a, link_name))
@@ -301,12 +305,15 @@ class NetZone:
 
     def add_route(self, src: str, dst: str, links: Sequence[str],
                   symmetric: bool = True):
-        """Declare an explicit route between two vertices of this zone."""
+        """Declare an explicit route between two vertices of this zone
+        (refused once the platform is realized, like :meth:`connect`)."""
         from repro.platform.platform import RouteSpec
+        platform = self.platform
+        platform._change_topology()
         self._check_vertex(src)
         self._check_vertex(dst)
         for link in links:
-            if link not in self.platform.links:
+            if link not in platform.links:
                 raise PlatformError(
                     f"route {src}->{dst}: unknown link {link!r}")
         spec = RouteSpec(src, dst, list(links), symmetric)

@@ -70,8 +70,8 @@ class Engine:
         ``"generator"`` (default) or ``"thread"`` — how simulated actor
         bodies are executed (see :mod:`repro.kernel.context`).
     recorder:
-        Optional :class:`repro.tracing.recorder.Recorder` receiving the
-        computation/communication intervals (to build Gantt charts).
+        Optional :class:`repro.tracing.Recorder`; every finished activity
+        is handed to it (to build Gantt charts).
     raise_on_deadlock:
         When True, :meth:`run` raises :class:`DeadlockError` if every
         remaining actor is blocked forever; otherwise the simulation just
@@ -969,7 +969,7 @@ class Engine:
         if activity.kind == "comm":
             self._active_comms.pop(activity, None)
         if self.recorder is not None:
-            self._record_activity(activity)
+            self.recorder.record(activity)
         # Break the activity <-> action reference cycle: once finished,
         # the pair would otherwise only ever be reclaimed by a gc cycle
         # pass, which at 10⁵ actors dominates the collector's work.
@@ -983,26 +983,6 @@ class Engine:
             activity.waiters = ()
             for actor in waiters:
                 self._wake_from_activity(actor, activity)
-
-    def _record_activity(self, activity: Activity) -> None:
-        if activity.start_time is None:
-            return
-        start = activity.start_time
-        end = activity.finish_time if activity.finish_time is not None else start
-        if isinstance(activity, Exec):
-            self.recorder.record_interval(
-                row=activity.host.name, category="compute",
-                start=start, end=end, label=activity.name)
-        elif isinstance(activity, Comm):
-            label = activity.name
-            if activity.src_host is not None:
-                self.recorder.record_interval(
-                    row=activity.src_host.name, category="comm-send",
-                    start=start, end=end, label=label)
-            if activity.dst_host is not None:
-                self.recorder.record_interval(
-                    row=activity.dst_host.name, category="comm-recv",
-                    start=start, end=end, label=label)
 
     def _wake_from_activity(self, actor: Actor, activity: Activity) -> None:
         kind = actor._wait_kind

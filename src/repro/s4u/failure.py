@@ -39,6 +39,7 @@ injected failure schedules its own restore.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Iterable, List, Optional, Tuple, Union, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -47,31 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.s4u.link import Link
 
 __all__ = ["FailureInjector"]
-
-
-class _Pulse:
-    """A scheduled on/off flip of one target, as a picklable callable.
-
-    Timer callbacks must survive ``engine.snapshot()`` (pickle) and
-    ``copy.deepcopy``; a lambda would either fail to pickle or — worse —
-    be shared by ``deepcopy``, so the copied engine's pulses would flip
-    the *original* injector's targets.  A plain object holding the
-    injector and the victim follows both protocols correctly.
-    """
-
-    __slots__ = ("injector", "target", "is_on")
-
-    def __init__(self, injector: "FailureInjector",
-                 target: Union["Host", "Link"], is_on: bool) -> None:
-        self.injector = injector
-        self.target = target
-        self.is_on = is_on
-
-    def __call__(self) -> None:
-        if self.is_on:
-            self.injector._apply_on(self.target)
-        else:
-            self.injector._apply_off(self.target)
 
 
 class FailureInjector:
@@ -100,9 +76,10 @@ class FailureInjector:
         timer queue busy forever.
 
     The injector snapshots with its engine: the seeded ``random.Random``
-    pickles with its full Mersenne state and the armed timers hold plain
-    bound methods / :class:`_Pulse` objects, so churn resumed from an
-    ``engine.snapshot()`` blob replays the exact pulse schedule a
+    pickles with its full Mersenne state and the armed timers hold bound
+    methods and partials over them, never lambdas: both pickle, and a
+    ``copy.deepcopy`` rebinds them to the copied injector, so churn resumed
+    from an ``engine.snapshot()`` blob replays the exact pulse schedule a
     never-snapshotted run would produce.
     """
 
@@ -165,7 +142,7 @@ class FailureInjector:
             self._apply_off(victim)
             restore_date = now + self._rng.expovariate(1.0 / self.mean_downtime)
             self.engine.timers.schedule(
-                restore_date, _Pulse(self, victim, is_on=True))
+                restore_date, partial(self._apply_on, victim))
         self._arm_next_failure(now)
 
     def _apply_off(self, target: Union["Host", "Link"]) -> None:

@@ -671,7 +671,7 @@ class TestTimeoutFailureRaces:
         """A put that times out mid-transfer ends the comm like any other
         failure: one error for the peer, which leaves its ActivitySet,
         the activity<->action cycle broken, the interval recorded."""
-        from repro.tracing.recorder import Recorder
+        from repro.tracing import Recorder
 
         recorder = Recorder()
         engine = s4u.Engine(make_star(2, link_bandwidth=125e6),

@@ -187,6 +187,23 @@ class TestSharing:
         # despite the losses, both transfers complete
         assert all(flow.completed for flow in flows)
 
+    def test_a_completed_flow_keeps_no_receiver_or_rtt_state(
+            self, monkeypatch):
+        """The receiver keeps only the out-of-order segments above its
+        first hole, the sender only the send dates of unacked segments:
+        once a lossy transfer completes, both are empty."""
+        monkeypatch.setattr(nic, "QUEUE_CAPACITY", 10)
+        sim = PacketSimulator(make_dumbbell(num_left=2, num_right=2,
+                                            bottleneck_bandwidth=2.5e6))
+        flows = sim.run([("left-0", "right-0", 5e6),
+                         ("left-1", "right-1", 5e6)])
+        assert sum(flow.retransmissions for flow in flows) > 0
+        for flow in flows:
+            assert flow.completed
+            assert flow.next_expected == flow.total_segments
+            assert flow.received == set()
+            assert flow._send_times == {}
+
 
 class TestTcpMachinery:
     def test_slow_start_grows_cwnd(self):

@@ -598,6 +598,42 @@ class TestRouteCaches:
         platform.connect("a", "b", "fast")
         assert platform.route_links("a", "b") == ["fast"]
 
+    def test_zone_connect_invalidates_cached_routes(self):
+        """A zone's own ``connect`` is the platform's one checked path: a
+        faster direct link wired through the zone replaces the memoized
+        two-hop route, as on a fresh platform."""
+        platform = Platform("mutate")
+        zone = platform.add_zone("z")
+        for name in ("a", "b"):
+            zone.add_host(name, 1e9)
+        zone.add_router("r")
+        for name, latency in (("l1", 1e-3), ("l2", 1e-3), ("l3", 1e-6)):
+            platform.add_link(name, 1e6, latency)
+        zone.connect("a", "r", "l1")
+        zone.connect("r", "b", "l2")
+        assert platform.route_links("a", "b") == ["l1", "l2"]
+        zone.connect("a", "b", "l3")
+        assert platform.route_links("a", "b") == ["l3"]
+        zone.add_route("a", "b", ["l1", "l2"])
+        assert platform.route_links("a", "b") == ["l1", "l2"]
+
+    def test_a_realized_platform_refuses_zone_topology_changes(self):
+        platform = Platform("frozen")
+        zone = platform.add_zone("z")
+        for name in ("a", "b"):
+            zone.add_host(name, 1e9)
+        platform.add_link("wire", 1e6, 1e-3)
+        zone.connect("a", "b", "wire")
+        platform.realize()
+        for change in (lambda: zone.connect("a", "b", "wire"),
+                       lambda: zone.add_route("a", "b", ["wire"]),
+                       lambda: platform.connect("a", "b", "wire"),
+                       lambda: platform.add_route("a", "b", ["wire"])):
+            with pytest.raises(PlatformError, match="already realized"):
+                change()
+        assert zone.adjacency["a"] == [("b", "wire")]
+        assert zone.routes == {}
+
     def test_route_resources_returns_tuple(self):
         platform = make_zoned_grid(num_sites=2, hosts_per_site=2)
         platform.realize()

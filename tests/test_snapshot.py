@@ -184,6 +184,32 @@ class TestForkEqualsCold:
         fork = churned(snapshot_between=True)
         assert fork == cold
 
+    def test_a_restore_pulse_follows_the_copied_injector(self):
+        """A restore pulse is a partial over the injector's bound method:
+        restored from a snapshot or deep-copied, it turns the copy's
+        victim back on and counts on the copied injector only."""
+        engine = _make_engine()
+        _, leaves = _worker_hosts(engine)
+        _run_warm_phase(engine)
+        injector = FailureInjector(engine, seed=23, hosts=leaves,
+                                   max_failures=1)
+        injector._fire_failure()      # one victim down, its restore armed
+        [(_, victim, _)] = injector.events
+        [(_, _, timer)] = engine.timers._heap
+        restored = s4u.Engine.restore(engine.snapshot())
+        [(_, _, restored_timer)] = restored.timers._heap
+        for pulse in (restored_timer.callback,
+                      copy.deepcopy(timer.callback)):
+            twin = pulse.func.__self__
+            assert twin is not injector
+            pulse()
+            assert twin.restores == 1
+            assert twin.engine.host(victim).is_on
+        assert injector.restores == 0
+        assert not engine.host(victim).is_on
+        restored.close()
+        engine.close()
+
 
 def _background_sender(actor, index):
     yield actor.engine.mailbox(f"bg-{index}").put_async(

@@ -227,6 +227,19 @@ RETIRED_NAMES = (
     # callback copying one record into the other.
     r"FlowSpec", r"FlowResult", r"add_flow", r"_on_flow_complete",
     r"flow_id", r"on_complete",
+    # The engine hands a finished activity to Recorder.record, and
+    # repro.tracing alone decides its rows and categories
+    # (test_the_engine_names_no_gantt_category): no engine-side hook, no
+    # chart or row view over the recorder.
+    r"_record_activity", r"GanttChart", r"GanttRow",
+    # Timer and exit callbacks are partials over bound methods
+    # (tests/test_snapshot.py::TestForkEqualsCold):
+    # no callable class per callback.
+    r"_Pulse\b", r"_ChildExit",
+    # A zone's connect / add_route is the one checked path for a
+    # topology change (tests/test_routing_zones.py::TestRouteCaches): no
+    # second cache clear in the platform.
+    r"_invalidate_route_caches",
 )
 
 
@@ -386,6 +399,28 @@ def test_the_running_aggregates_are_one_solves_state():
              if isinstance(node, ast.Attribute)
              and node.attr in RUNNING_AGGREGATES}
     assert sorted(users) == AGGREGATE_USERS
+
+
+def test_the_engine_names_no_gantt_category():
+    """The engine's one call into tracing is ``self.recorder.record(
+    activity)``, and no Gantt category appears in ``s4u/engine.py``:
+    ``repro.tracing`` alone decides a finished activity's rows and
+    categories (tests/test_tracing.py::TestGanttChart).  ``"compute"`` is
+    also the name an ``exec_async`` activity gets, which is not a
+    category."""
+    from repro.tracing import COMM_CATEGORIES, COMPUTE_CATEGORIES
+    tree = ast.parse((REPRO / "s4u" / "engine.py").read_text())
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    names = {id(arg) for call in calls
+             if getattr(call.func, "attr", None) == "_new_exec"
+             for arg in call.args}
+    assert [ast.unparse(call) for call in calls
+            if "recorder" in ast.unparse(call.func)] == [
+        "self.recorder.record(activity)"]
+    assert [f"engine.py:{node.lineno}: {node.value!r}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and id(node) not in names
+            and node.value in COMPUTE_CATEGORIES | COMM_CATEGORIES] == []
 
 
 #: The timing plugin's fixture; the plugin's module is named after it.

@@ -13,6 +13,7 @@ in one order, on both context factories and both kernels.
 import ast
 import pathlib
 import threading
+from functools import partial
 
 import pytest
 
@@ -20,7 +21,6 @@ import repro
 from repro.exceptions import ProcessKilledError, SimGridError
 from repro.platform.platform import Platform
 from repro.s4u import Engine, FailureInjector
-from repro.s4u.failure import _Pulse
 from repro.surf.trace import Trace
 
 from pump import actor_body
@@ -206,12 +206,12 @@ def _build(driver, context, sharded=False):
         world.spawn("controller", "Y", _own_host_controller)
         _schedule(engine, [(HOST_UP, host.turn_on)])
     elif driver == "injector pulse":
-        world.injector = FailureInjector(engine, max_failures=0)
+        injector = world.injector = FailureInjector(engine, max_failures=0)
         _schedule(engine, [
-            (LINK_DOWN, _Pulse(world.injector, link, is_on=False)),
-            (LINK_UP, _Pulse(world.injector, link, is_on=True)),
-            (HOST_DOWN, _Pulse(world.injector, host, is_on=False)),
-            (HOST_UP, _Pulse(world.injector, host, is_on=True))])
+            (LINK_DOWN, partial(injector._apply_off, link)),
+            (LINK_UP, partial(injector._apply_on, link)),
+            (HOST_DOWN, partial(injector._apply_off, host)),
+            (HOST_UP, partial(injector._apply_on, host))])
     else:
         assert traced, driver
     return world

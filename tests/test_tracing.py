@@ -1,12 +1,12 @@
-"""Tests for the tracing layer: recorder, Gantt chart, ASCII export."""
+"""Tests for the tracing layer: recorder, Gantt-chart totals, ASCII
+export."""
 
 import pytest
 
-from repro import Recorder, GanttChart
+from repro import Recorder
 from repro.platform import Platform
 from repro.s4u import Engine
-from repro.tracing import render_ascii_gantt
-from repro.tracing.recorder import Interval
+from repro.tracing import Interval, render_ascii_gantt
 
 
 class TestRecorder:
@@ -62,9 +62,7 @@ class TestGanttChart:
         return recorder
 
     def test_simulation_records_compute_and_comm_intervals(self):
-        recorder = self._simulate()
-        chart = GanttChart(recorder)
-        summary = chart.summary()
+        summary = self._simulate().summary()
         assert summary["client"]["compute"] == pytest.approx(2.0)
         assert summary["server"]["compute"] == pytest.approx(3.0)
         assert summary["client"]["comm"] > 0
@@ -78,17 +76,58 @@ class TestGanttChart:
         recorder.record_interval("a", "comm-send", 0.0, 2.0)
         recorder.record_interval("b", "comm-send", 1.0, 3.0)
         recorder.record_interval("c", "comm-send", 5.0, 6.0)
-        chart = GanttChart(recorder)
-        assert chart.overlapping_comms() == 1
+        assert recorder.overlapping_comms() == 1
 
     def test_rows_follow_recorder_name_order(self):
         recorder = Recorder()
         recorder.record_interval("zeta", "compute", 0.0, 1.0)
         recorder.record_interval("alpha", "compute", 2.0, 3.0)
         recorder.record_interval("mid", "comm-send", 1.0, 2.0)
-        chart = GanttChart(recorder)
-        assert [row.name for row in chart.rows] == ["alpha", "mid", "zeta"]
-        assert chart.rows[0].intervals == recorder.by_row("alpha")
+        assert list(recorder.summary()) == ["alpha", "mid", "zeta"]
+        art = render_ascii_gantt(recorder, width=12).splitlines()
+        assert [line.split()[0] for line in art[:-1]] == [
+            "alpha", "mid", "zeta"]
+
+    def test_summary_sums_each_row_in_start_order(self):
+        """Compute and comm totals add a row's durations in ``by_row``
+        order; idle time counts overlapping busy intervals once."""
+        recorder = Recorder()
+        for end in (0.3, 0.2, 0.1):
+            recorder.record_interval("h", "compute", 0.0, end)
+        recorder.record_interval("h", "comm-send", 0.5, 0.9)
+        recorder.record_interval("g", "comm-recv", 0.0, 1.0)
+        totals = recorder.summary()["h"]
+        # the recording order would give another double
+        assert (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
+        assert totals["compute"] == (0.1 + 0.2) + 0.3
+        assert totals["comm"] == 0.9 - 0.5
+        assert totals["idle"] == 1.0 - ((0.3 - 0.0) + (0.9 - 0.5))
+
+    def test_record_maps_each_activity_kind_to_its_rows(self):
+        """An exec lands on its host's row, a comm on its sender's and its
+        receiver's rows."""
+        recorder = self._simulate()
+        assert [(i.row, i.category) for i in recorder.intervals
+                if i.label == "comm"] == [
+            ("client", "comm-send"), ("server", "comm-recv"),
+            ("server", "comm-send"), ("client", "comm-recv")]
+        assert sorted(i.row for i in recorder.intervals
+                      if i.category == "compute") == ["client", "server"]
+
+    def test_an_activity_that_never_started_is_not_recorded(self):
+        platform = Platform("p")
+        platform.add_host("h", 1e8)
+        recorder = Recorder()
+        engine = Engine(platform, recorder=recorder)
+
+        def poster(actor):
+            comm = yield actor.engine.mailbox("nobody").put_async("x",
+                                                                  size=1.0)
+            comm.cancel()
+
+        engine.add_actor("poster", "h", poster)
+        engine.run()
+        assert recorder.intervals == []
 
 
 class TestExports:
@@ -97,8 +136,7 @@ class TestExports:
         recorder.record_interval("alpha", "compute", 0.0, 5.0)
         recorder.record_interval("alpha", "comm-send", 5.0, 10.0)
         recorder.record_interval("beta", "comm-recv", 0.0, 10.0)
-        chart = GanttChart(recorder)
-        art = render_ascii_gantt(chart, width=20)
+        art = render_ascii_gantt(recorder, width=20)
         lines = art.splitlines()
         assert lines[0].startswith("alpha")
         assert "#" in lines[0] and "-" in lines[0]
@@ -106,5 +144,4 @@ class TestExports:
         assert "#" not in lines[1]
 
     def test_ascii_gantt_empty_recorder(self):
-        chart = GanttChart(Recorder())
-        assert render_ascii_gantt(chart) == ""
+        assert render_ascii_gantt(Recorder()) == ""
