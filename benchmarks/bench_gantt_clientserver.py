@@ -5,16 +5,19 @@ clients.  Dark portions denote computations, light portions denote
 communications.  Concurrent communications interfere with each other as the
 TCP flows share network links."*
 
-The harness drives ``examples/client_server_gantt.py`` (30 MFlop / 3.2 MB
-requests, 10.5 MFlop local tasks, 10 KB acks, 3 clients and 2 servers on
-the hub/switch/router/Internet platform), which prints the Gantt rows, and
-asserts the figure's qualitative features, then pins every simulated
-total to the bit.
+The harness drives ``examples/client_server_gantt.py``: 3 clients and 2
+servers on the hub/switch/router/Internet platform, each client sending
+its server 3 requests of 30 MFlop and computing a 10.5-MFlop local task
+per request.  It asserts that workload and the figure's qualitative
+features, then pins every simulated total to the bit.
 """
 
 import hashlib
 
-from examples.client_server_gantt import run
+import pytest
+
+from examples.client_server_gantt import REQUESTS_PER_CLIENT, run
+from repro.platform.generators import LAN_CLIENT_SPEED, LAN_SERVER_SPEED
 
 
 def table_digest(summary, makespan, single_makespan):
@@ -37,6 +40,15 @@ def test_e4_client_server_gantt_chart():
     clients = ("client-0", "client-1", "client-2")
     # every client and server appears on the chart
     assert set(summary) == {*servers, *clients}
+    # the workload: 3 requests per client, each 30 MFlop on a server and
+    # 10.5 MFlop locally (a host runs one computation at a time)
+    assert REQUESTS_PER_CLIENT == 3
+    for hosts, flops, speed in ((servers, 30e6, LAN_SERVER_SPEED),
+                                (clients, 10.5e6, LAN_CLIENT_SPEED)):
+        computes = [interval.duration for host in hosts
+                    for interval in recorder.by_row(host)
+                    if interval.category == "compute"]
+        assert computes == [pytest.approx(flops / speed)] * 9
     # dark portions: every server computed; every client computed locally
     assert all(summary[host]["compute"] > 0 for host in servers + clients)
     # light portions dominate (the 3.2 MB transfers cross a slow hub link)
@@ -44,8 +56,8 @@ def test_e4_client_server_gantt_chart():
                for totals in summary.values())
     # the figure's headline: concurrent communications interfere
     assert recorder.overlapping_comms() > 0
-    # interference check: with a single client (no sharing), each request
-    # round is faster than the average round of the contended run
+    # interference check: one client and one server (no sharing) end the
+    # same three rounds sooner
     single_makespan, _ = run(num_clients=1, num_servers=1, verbose=False)
     assert makespan > single_makespan
     # the whole table, to the bit

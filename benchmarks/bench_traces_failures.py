@@ -4,7 +4,10 @@ The SURF feature panel shows a timeline with *CPU availability*, *Network
 bandwidth* and a *Transient failure* window.  This harness reproduces that
 timeline: a long computation and a long transfer run while an availability
 trace throttles the CPU, a bandwidth trace throttles the link, and a
-transient failure interrupts a host — and verifies the timing consequences.
+transient failure interrupts a host — and checks each consequence against
+its closed form: the computation ends at 25 s instead of 20 s, the
+transfer at 27.5 s instead of 20 s, and the transfer crossing the failing
+host dies with it at 4 s, on both of its sides.
 """
 
 import hashlib
@@ -51,18 +54,18 @@ def simulate(with_traces: bool):
 
     def doomed(actor):
         # The sender lives on the failing host: the engine kills it along
-        # with its transfer, so the failure may surface as either error.
+        # with its transfer, and the kill surfaces in the body.
         try:
             yield actor.engine.mailbox("doomed").put("doomed", size=50e6)
             outcome["victim_transfer"] = "completed"
-        except (ProcessKilledError, TransferFailureError):
+        except ProcessKilledError:
             outcome["victim_transfer"] = ("failed", actor.now)
 
     def doomed_receiver(actor):
         try:
             yield actor.engine.mailbox("doomed").get()
         except TransferFailureError:
-            pass
+            outcome["receiver_saw"] = ("TransferFailureError", actor.now)
 
     engine.add_actor("computer", "worker", computer)
     engine.add_actor("sender", "worker", sender)
@@ -108,15 +111,22 @@ def test_e8_traces_and_transient_failures():
     assert stable["transfer_end"] == pytest.approx(20.0, rel=0.05)
     assert stable["victim_transfer"] == "completed"
 
-    # CPU availability halves every other 5 s window: ~30% slower overall.
+    # CPU availability halves every other 5 s window: 7.5 Gflop per 10 s,
+    # so 15 Gflop by t=20 s and the last 5 Gflop at full speed -- 25 s,
+    # 25 % slower.
     assert volatile["compute_end"] > stable["compute_end"] * 1.2
+    assert volatile["compute_end"] == pytest.approx(25.0, abs=0.01)
     # Bandwidth drops to 25% over t=10..20 s: 10 MB ship in the first
     # 10 s, 2.5 MB while throttled, and the last 7.5 MB after the periodic
     # trace restores full speed -- 27.5 s in total.
     assert volatile["transfer_end"] == pytest.approx(27.5, abs=0.01)
-    # The transient failure at t=4 s kills the victim's transfer.
+    # The transient failure at t=4 s kills the victim's transfer: its
+    # sender dies with the host, its receiver is told the transfer failed.
     assert volatile["victim_transfer"][0] == "failed"
     assert volatile["victim_transfer"][1] == pytest.approx(4.0, abs=0.01)
+    assert volatile["receiver_saw"] == (
+        "TransferFailureError", pytest.approx(4.0, abs=0.01))
+    assert "receiver_saw" not in stable
     # Both timelines, to the bit.
     assert outcome_digest(stable, volatile) == (
         "45752366206fa6559da4eacc2ecb4a5bd3a639cd078bfae612809ab593680874")

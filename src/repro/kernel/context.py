@@ -199,8 +199,8 @@ class ThreadContext:
         return message
 
     def kill(self) -> None:
-        if self._finished:
-            return
+        # Never finished here: the kernel kills only a live actor, and a
+        # thread body's end terminates its actor in the same turn.
         if self._thread is not None:
             # Never started: the body never runs.
             self._thread = None

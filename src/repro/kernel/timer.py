@@ -5,11 +5,13 @@ completion of a SURF action: process sleeps, communication timeouts, GRAS
 ``gras_msg_wait`` deadlines, SMPI probes...
 
 The queue is a lazy-deletion binary heap: cancelling a timer marks it dead
-and it is skipped when popped.  The per-event queries (``next_date``,
-``fire_until``, ``bool``) drop the dead entries at the head of the heap
-and answer from the first live one, reading the two flags directly: a
-timer costs compares and slot reads, never a property or a scan of the
-heap.  Only ``len`` and ``compact``, off the per-event path, scan it.
+and it is skipped when popped.  A timer leaves the heap before it fires,
+so a dead entry is always a cancelled one.  The per-event queries
+(``next_date``, ``fire_until``, ``bool``) drop the dead entries at the
+head of the heap and answer from the first live one, reading the flag
+directly: a timer costs compares and slot reads, never a property or a
+scan of the heap.  Only ``len`` and ``compact``, off the per-event path,
+scan it.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ class Timer:
         Callable invoked (with no argument) when the timer fires.
     """
 
-    __slots__ = ("date", "callback", "cancelled", "fired")
+    __slots__ = ("date", "callback", "cancelled")
 
     def __init__(self, date: float, callback: Callable[[], None]) -> None:
         if not date >= 0:
@@ -44,15 +46,13 @@ class Timer:
         self.date = date
         self.callback = callback
         self.cancelled = False
-        self.fired = False
 
     def cancel(self) -> None:
         """Prevent the timer from firing (no-op if it already fired)."""
         self.cancelled = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = ("cancelled" if self.cancelled
-                 else "fired" if self.fired else "pending")
+        state = "cancelled" if self.cancelled else "armed"
         return f"Timer(date={self.date}, {state})"
 
 
@@ -75,7 +75,7 @@ class TimerQueue:
         while heap:
             entry = heap[0]
             timer = entry[2]
-            if timer.cancelled or timer.fired:
+            if timer.cancelled:
                 heappop(heap)
                 continue
             return entry[0]
@@ -89,19 +89,18 @@ class TimerQueue:
         while heap:
             entry = heap[0]
             timer = entry[2]
-            if timer.cancelled or timer.fired:
+            if timer.cancelled:
                 heappop(heap)
                 continue
             if entry[0] > horizon:
                 break
             heappop(heap)
-            timer.fired = True
             timer.callback()
             fired += 1
         return fired
 
     def compact(self) -> int:
-        """Drop every cancelled/fired entry from the heap; return the count.
+        """Drop every cancelled entry from the heap; return the count.
 
         Lazy deletion leaves dead entries (e.g. the timeout timer of a wait
         that completed first) in the heap until their date passes.  Their
@@ -114,20 +113,17 @@ class TimerQueue:
         """
         heap = self._heap
         before = len(heap)
-        heap[:] = [entry for entry in heap
-                   if not (entry[2].cancelled or entry[2].fired)]
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
         heapify(heap)
         return before - len(heap)
 
     def __len__(self) -> int:
-        return sum(1 for _, _, t in self._heap
-                   if not (t.cancelled or t.fired))
+        return sum(1 for _, _, t in self._heap if not t.cancelled)
 
     def __bool__(self) -> bool:
         heap = self._heap
         while heap:
-            timer = heap[0][2]
-            if timer.cancelled or timer.fired:
+            if heap[0][2].cancelled:
                 heappop(heap)
                 continue
             return True

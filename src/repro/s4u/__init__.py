@@ -46,7 +46,7 @@ from repro.s4u.activity import (
     Comm,
     Exec,
 )
-from repro.s4u.actor import Actor, ActorState, current_actor
+from repro.s4u.actor import Actor, current_actor
 from repro.s4u.engine import Engine
 from repro.s4u.failure import FailureInjector
 from repro.s4u.host import Host
@@ -58,7 +58,6 @@ __all__ = [
     "ActivitySet",
     "ActivityState",
     "Actor",
-    "ActorState",
     "Comm",
     "Engine",
     "Exec",

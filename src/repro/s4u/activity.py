@@ -53,7 +53,7 @@ class Activity:
     kind = "activity"
 
     __slots__ = ("name", "state", "surf_action", "waiters", "start_time",
-                 "finish_time", "_engine")
+                 "finish_time")
 
     def __init__(self, name: str = "") -> None:
         self.name = name
@@ -63,8 +63,6 @@ class Activity:
         self.waiters: Tuple["Actor", ...] = ()
         self.start_time: Optional[float] = None
         self.finish_time: Optional[float] = None
-        #: Engine backref, set when the engine posts/starts the activity.
-        self._engine = None
 
     # -- state helpers -----------------------------------------------------------------
     def is_pending(self) -> bool:
@@ -101,7 +99,10 @@ class Activity:
     def cancel(self) -> None:
         """Cancel the activity and wake its waiters with ``CancelledError``
         (``MSG_task_cancel``)."""
-        self._engine._abort_activity(self, ActivityState.CANCELLED)
+        # The engine of an Exec is its actor's, that of a Comm its mailbox's.
+        engine = (self.actor.engine if self.kind == "exec"
+                  else self.mailbox._engine)
+        engine._abort_activity(self, ActivityState.CANCELLED)
 
     @property
     def remaining(self) -> float:

@@ -31,7 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.s4u.engine import Engine
     from repro.s4u.host import Host
 
-__all__ = ["Actor", "ActorState", "current_actor", "submit"]
+__all__ = ["Actor", "current_actor", "submit"]
 
 _pids = itertools.count(1)
 
@@ -71,21 +71,11 @@ def submit(name: str, *args):
     return actor.context.submit(Simcall(getattr(actor.engine, name), args))
 
 
-class ActorState:
-    """Symbolic actor states (strings for easy debugging)."""
-
-    CREATED = "created"
-    RUNNABLE = "runnable"
-    BLOCKED = "blocked"
-    SUSPENDED = "suspended"
-    DEAD = "dead"
-
-
 class Actor:
     """One simulated actor: a function running on a host."""
 
     __slots__ = ("engine", "name", "host", "func", "args", "kwargs",
-                 "daemon", "auto_restart", "pid", "state", "context",
+                 "daemon", "auto_restart", "pid", "is_alive", "context",
                  "_wait_activities", "_wait_timer", "_wait_kind",
                  "_wait_owner", "_suspended", "_parked_resume", "_exit",
                  "_on_exit_callbacks", "_exit_failed", "exit_status")
@@ -104,7 +94,9 @@ class Actor:
         #: failed host is restored (see ``Engine._set_state``).
         self.auto_restart = auto_restart
         self.pid = next(_pids)
-        self.state = ActorState.CREATED
+        #: False once the actor terminated (its body returned or raised,
+        #: or it was killed); whether it is suspended is ``is_suspended``.
+        self.is_alive = True
         #: The body's context (see :mod:`repro.kernel.context`), set by
         #: ``Engine.add_actor`` and dropped when the actor dies.
         self.context = None
@@ -122,7 +114,7 @@ class Actor:
         #: The ``on_exit`` callbacks; ``()`` until the first.
         self._on_exit_callbacks: Tuple[Any, ...] = ()
         #: How the actor died (False = body returned normally); only
-        #: meaningful once the actor is DEAD.
+        #: meaningful once the actor is dead.
         self._exit_failed = False
         #: The exception that escaped the body, if one did: the engine
         #: terminates the actor (``on_exit(failed=True)``, joiners woken)
@@ -137,10 +129,6 @@ class Actor:
     # identity & state
     # ------------------------------------------------------------------------------
     @property
-    def is_alive(self) -> bool:
-        return self.state != ActorState.DEAD
-
-    @property
     def is_suspended(self) -> bool:
         return self._suspended
 
@@ -151,7 +139,7 @@ class Actor:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"{type(self).__name__}(pid={self.pid}, name={self.name!r}, "
-                f"host={self.host.name!r}, state={self.state})")
+                f"host={self.host.name!r}, alive={self.is_alive})")
 
     def on_exit(self, callback) -> "Actor":
         """Register ``callback(failed)`` to run when this actor terminates.
@@ -164,7 +152,7 @@ class Actor:
         """
         if not callable(callback):
             raise TypeError("on_exit needs a callable")
-        if self.state == ActorState.DEAD:
+        if not self.is_alive:
             callback(self._exit_failed)
             return self
         self._on_exit_callbacks += (callback,)

@@ -17,7 +17,7 @@ from math import inf
 from typing import Any, Deque, Optional, TYPE_CHECKING
 
 from repro.s4u.activity import ActivityState
-from repro.s4u.actor import ActorState, submit
+from repro.s4u.actor import submit
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.s4u.activity import Comm
@@ -33,7 +33,6 @@ def _payload_name(payload: Any) -> str:
 
 
 _PENDING = ActivityState.PENDING
-_DEAD = ActorState.DEAD
 
 
 def _matchable(comm: "Comm") -> bool:
@@ -49,7 +48,7 @@ def _matchable(comm: "Comm") -> bool:
     if comm.detached:
         return True
     poster = comm.src_actor if comm.dst_actor is None else comm.dst_actor
-    return poster.state != _DEAD
+    return poster.is_alive
 
 
 class Mailbox:
@@ -57,9 +56,8 @@ class Mailbox:
 
     def __init__(self, name: str, engine=None) -> None:
         self.name = name
-        # Vestige, never read since the deferred-start path went:
-        # perfbench's golden.json pins the snapshot blob size; goes at the
-        # next benchmark re-gold.
+        #: The engine a pending comm of this mailbox cancels itself
+        #: through (``Activity.cancel``).
         self._engine = engine
         #: Communications posted by senders, waiting for a receiver.
         self.pending_sends: Deque["Comm"] = deque()

@@ -177,7 +177,5 @@ class CpuModel(FluidModel):
         if cpu.cores <= 1:
             return
         for action in self._actions_using(cpu):
-            if not isinstance(action, CpuAction) or not action.is_running():
-                continue
             action.bound = self._merged_bound(cpu, action.user_bound)
             action.model.on_action_priority_changed(action)

@@ -226,6 +226,13 @@ class SurfEngine:
             return math.inf
         return self._trace_heap[0][0]
 
+    def has_pending_state_events(self) -> bool:
+        """True when an on/off (state) trace event is scheduled."""
+        for entry in self._trace_heap:
+            if entry[3] is TraceKind.STATE:
+                return True
+        return False
+
     def release(self) -> None:
         """Break the back-reference cycles of every model (and shard).
 

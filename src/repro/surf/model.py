@@ -182,11 +182,11 @@ class FluidModel:
         because the order of ``variables`` is the caller's business (the
         sharded engine passes several systems' results merged into flat
         order) and each action is rescheduled by the model it lives in.
+        Every variable belongs to a running action: a finished action's
+        variable left the system in :meth:`on_action_finished`.
         """
         for var in variables:
             action = var.data
-            if action is None or action.state is not _RUNNING:
-                continue
             # The interval since the last sync ran at the previous
             # rate; account it before adopting the new one.
             action.sync_remaining(now)
@@ -251,8 +251,7 @@ class FluidModel:
         constraint = resource.constraint
         if constraint is None:
             return []
-        return [elem.variable.data for elem in constraint.elements
-                if isinstance(elem.variable.data, Action)]
+        return [elem.variable.data for elem in constraint.elements]
 
     def fail_actions_on(self, resource, now: float) -> List[Action]:
         """Fail every running action using ``resource`` (resource failure)."""

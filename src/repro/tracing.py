@@ -168,9 +168,8 @@ def render_ascii_gantt(recorder: Recorder, width: int = 72) -> str:
             if interval.category in COMPUTE_CATEGORIES:
                 _paint(cells, interval, horizon, width, COMPUTE_CHAR)
         lines.append(f"{row.ljust(name_width)} |{''.join(cells)}|")
-    scale = (f"{'':{name_width}} |0{'':{max(0, width - 2)}}"
-             f"{horizon:.3g}|")
-    lines.append(scale)
+    # The horizon ends flush with the chart's right edge.
+    lines.append(f"{'':{name_width}} |0{horizon:>{width - 1}.3g}|")
     return "\n".join(lines)
 
 

@@ -22,7 +22,7 @@ from repro.kernel.context import (
 from repro.kernel.simcall import Simcall
 from repro.kernel.timer import TimerQueue
 from repro.platform import make_star
-from repro.s4u import ActorState, Engine
+from repro.s4u import Engine
 
 from pump import actor_body, pump
 
@@ -274,6 +274,19 @@ class TestGeneratorContext:
         assert ctx.resume() is FINISHED
         assert calls == ["ran"]
 
+    def test_killing_a_plain_function_actor_before_its_first_turn(self):
+        """Its body ran to completion when its context was made: the kill
+        unwinds nothing and the actor dies cleanly."""
+        engine = Engine(make_star(num_hosts=2))
+        ran, exits = [], []
+        plain = engine.add_actor("plain", "leaf-0",
+                                 lambda actor: ran.append(1))
+        plain.on_exit(exits.append)
+        plain.kill()
+        assert not plain.is_alive and plain.exit_status is None
+        assert ran == [1] and exits == [True]
+        assert engine.run() == 0.0 and not engine.deadlocked
+
     def test_submit_returns_the_simcall_to_yield(self):
         ctx = GeneratorContextFactory().create(lambda: None, (), {})
         simcall = Simcall(_handler, (1,))
@@ -388,7 +401,7 @@ def test_a_kill_whose_cleanup_raises_still_buries_the_victim(kind, error):
     engine.add_actor("killer", "leaf-1", actor_body(kind, killer))
     engine.add_actor("joiner", "leaf-1", actor_body(kind, joiner))
     assert engine.run() == 1.0
-    assert target.state == ActorState.DEAD and not engine.deadlocked
+    assert not target.is_alive and not engine.deadlocked
     assert exits == [True]
     assert sorted(woke) == [("joiner", 1.0), ("killer", 1.0)]
     assert type(target.exit_status) is error
@@ -411,7 +424,7 @@ class TestNonSimcallYieldBuriesTheActor:
         engine.add_actor("healthy", "leaf-1", healthy)
         with pytest.raises(TypeError, match="must yield Simcall objects"):
             engine.run()
-        assert bad.state == ActorState.DEAD
+        assert not bad.is_alive
         assert isinstance(bad.exit_status, TypeError)
         assert engine.run() == 1.0 and done == [1.0]
         assert not engine.deadlocked

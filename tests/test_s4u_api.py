@@ -75,6 +75,31 @@ class TestEngineBasics:
         assert times["sent"] == pytest.approx(2.5)
         assert times["payload"] == {"k": 1}
 
+    @pytest.mark.parametrize("first", ["put", "get"])
+    @pytest.mark.parametrize("put_rate, get_rate", [(2e5, 5e5), (5e5, 2e5)])
+    def test_a_rate_on_both_sides_takes_the_min(self, first, put_rate,
+                                                  get_rate):
+        """1 MB over a 1 MB/s wire: 5 s at the smaller of the two rates,
+        whichever side reaches the mailbox first."""
+        engine = Engine(pair_platform(bandwidth=1e6))
+        done = []
+
+        def sender(actor):
+            if first == "get":
+                yield actor.sleep_for(1.0)
+            yield engine.mailbox("box").put("x", size=1e6, rate=put_rate)
+
+        def receiver(actor):
+            if first == "put":
+                yield actor.sleep_for(1.0)
+            yield engine.mailbox("box").get(rate=get_rate)
+            done.append(actor.now)
+
+        engine.add_actor("sender", "alice", sender)
+        engine.add_actor("receiver", "bob", receiver)
+        engine.run()
+        assert done == [pytest.approx(1.0 + 1e6 / 2e5)]
+
     def test_the_rarely_called_names_in_one_scenario(self):
         """Every s4u name no other test reaches, with the value it must
         give: 1e9 flops on a 1 Gflop/s leaf, half of them left after a
@@ -274,6 +299,40 @@ class TestActivitySet:
         engine.run()
         assert times["done"] == pytest.approx(2.0)
         assert times["emptied"]
+
+    @pytest.mark.parametrize("member", ["done", "failed"])
+    def test_wait_all_answers_at_once_when_a_member_is_already_over(
+            self, member):
+        """Every member already done: the wait returns at once and the
+        set empties.  A member that already failed: its error is raised at
+        once, and only that member leaves the set."""
+        from repro.exceptions import HostFailureError
+        engine = Engine(pair_platform(speed=1e9))
+        outcome = {}
+
+        def worker(actor):
+            first = yield actor.exec_async(
+                1e8 if member == "done" else 1e12, host=engine.host("bob"))
+            second = yield actor.exec_async(1e8)
+            yield actor.sleep_for(1.0)
+            pending = ActivitySet([first, second])
+            try:
+                outcome["value"] = yield pending.wait_all()
+            except HostFailureError:
+                outcome["value"] = "HostFailureError"
+            outcome["at"] = actor.now
+            outcome["left"] = (first in pending, second in pending)
+
+        engine.add_actor("w", "alice", worker)
+        if member == "failed":
+            engine.timers.schedule(0.5, engine.host("bob").turn_off)
+        engine.run()
+        if member == "done":
+            assert outcome == {"value": None, "at": 1.0,
+                               "left": (False, False)}
+        else:
+            assert outcome == {"value": "HostFailureError", "at": 1.0,
+                               "left": (False, True)}
 
     def test_wait_any_reaps_failed_member_and_set_empties(self):
         """A member that fails must still leave the set, so the canonical
@@ -503,8 +562,8 @@ class TestActorLifecycle:
 
         engine = Engine(pair_platform())
         engine.add_actor("sleeper", "bob", sleeper)
-        for index in range(finished):
-            engine.add_actor(f"q{index}", "alice", quick)
+        quick_ones = [engine.add_actor(f"q{index}", "alice", quick)
+                      for index in range(finished)]
         engine.run(until=1.0)
         calls = [0]
 
@@ -518,11 +577,12 @@ class TestActorLifecycle:
             alive = engine.actor_count()
         finally:
             sys.setprofile(previous)
-        assert alive == 1 and len(engine.actors) == finished + 1
+        assert alive == 1
+        assert not any(actor.is_alive for actor in quick_ones)
         return calls[0]
 
     def test_actor_count_does_not_grow_with_the_dead(self):
-        """``actor_count()`` is O(1): no scan of the historical actor list,
+        """``actor_count()`` is O(1): no scan of the actors that ended,
         counted without a clock."""
         assert (self._calls_of_actor_count(10_000)
                 == self._calls_of_actor_count(10))
@@ -546,6 +606,50 @@ class TestActorLifecycle:
         engine.run()
         # 0.5 s of work, 2 s suspended, 0.5 s of work
         assert times["done"] == pytest.approx(3.0)
+
+    def test_lifecycle_calls_that_change_nothing_are_no_ops(self):
+        """Resuming a running actor and suspending a suspended one change
+        nothing: one resume still ends the one suspension.  A dead actor
+        stays as it died: a second kill, a suspend or a resume leaves its
+        exit status, its ``on_exit`` count and its suspension alone."""
+        engine = Engine(pair_platform(speed=1e9))
+        times, exits = {}, []
+
+        def worker(actor):
+            yield actor.execute(1e9)
+            times["done"] = actor.now
+
+        def sleeper(actor):
+            yield actor.sleep_for(100.0)
+
+        def controller(actor, target, corpse, suspended_corpse):
+            yield target.resume()
+            yield this_actor.sleep_for(0.5)
+            yield target.suspend()
+            yield target.suspend()
+            yield this_actor.sleep_for(2.0)
+            yield target.resume()
+            yield suspended_corpse.suspend()
+            for victim in (corpse, suspended_corpse):
+                yield victim.kill()
+                yield victim.kill()
+            yield corpse.suspend()
+            yield suspended_corpse.resume()
+
+        target = engine.add_actor("worker", "alice", worker)
+        corpse = engine.add_actor("corpse", "bob", sleeper)
+        suspended_corpse = engine.add_actor("suspended", "bob", sleeper)
+        for victim in (corpse, suspended_corpse):
+            victim.on_exit(exits.append)
+        engine.add_actor("ctl", "bob", controller, target, corpse,
+                         suspended_corpse)
+        engine.run()
+        # 0.5 s of work, 2 s suspended, 0.5 s of work
+        assert times["done"] == pytest.approx(3.0)
+        assert exits == [True, True]
+        assert [(victim.is_alive, victim.is_suspended, victim.exit_status)
+                for victim in (corpse, suspended_corpse)] == [
+                    (False, False, None), (False, True, None)]
 
     def test_current_actor_outside_simulation_raises(self):
         with pytest.raises(RuntimeError):
@@ -607,6 +711,58 @@ class TestRunContract:
         assert engine.run() == pytest.approx(0.001)
         assert not engine.deadlocked
 
+    def test_an_exec_suspended_by_a_peer_that_ends_deadlocks_the_run(self):
+        """The worker's exec is still an action, so the run goes on past
+        the peer's end; SURF then finds nothing that can ever happen
+        (``step()`` returns ``None``) and the run ends deadlocked."""
+        engine = Engine(pair_platform(speed=1e9))
+
+        def worker(actor):
+            yield actor.execute(1e9)
+
+        def controller(actor, target):
+            yield this_actor.sleep_for(0.5)
+            yield target.suspend()
+
+        target = engine.add_actor("worker", "alice", worker)
+        engine.add_actor("ctl", "bob", controller, target)
+        assert engine.surf.step(until=0.0) is not None
+        assert engine.run() == 0.5
+        assert engine.deadlocked and not target.is_alive
+        assert engine.surf.step() is None
+
+    @pytest.mark.parametrize("waker", [None, "speed listener", "state trace"])
+    def test_a_periodic_trace_does_not_outlive_a_deadlock(self, waker):
+        """An actor blocked on an empty mailbox next to a periodic
+        availability trace, which never runs out of events: nothing can
+        wake it, so the run ends deadlocked at once.  A speed listener or
+        a pending state event could wake it, so those runs go on."""
+        from repro.exceptions import DeadlockError
+        from repro.surf.trace import Trace
+
+        def world(raise_on_deadlock=False):
+            platform = Platform("traced")
+            platform.add_host("alice", 1e9, availability_trace=Trace(
+                [(0, 1), (1, .5)], period=2))
+            platform.add_host("bob", 1e9, state_trace=Trace(
+                [(0.5, 0), (1.5, 1)], period=2)
+                if waker == "state trace" else None)
+            engine = Engine(platform, raise_on_deadlock=raise_on_deadlock)
+            if waker == "speed listener":
+                engine.on_resource_speed_change(lambda resource, speed: None)
+            engine.add_actor(
+                "stuck", "alice",
+                lambda actor: (yield engine.mailbox("nobody").get()))
+            return engine
+
+        engine = world()
+        if waker is None:
+            assert engine.run(until=1e3) == 0.0 and engine.deadlocked
+            with pytest.raises(DeadlockError, match="t=0"):
+                world(raise_on_deadlock=True).run(until=1e3)
+        else:
+            assert engine.run(until=1e3) == 1e3 and not engine.deadlocked
+
     def test_run_until_a_past_date_is_a_no_op(self):
         engine = Engine(make_star(num_hosts=3))
         marks = []
@@ -624,8 +780,9 @@ class TestRunContract:
         late_actor = engine.add_actor("late", "leaf-1", late)
         assert engine.run(until=3) == 6.0
         assert engine.surf.clock == 6.0
-        assert sleeper_actor.state == s4u.ActorState.BLOCKED
-        assert late_actor.state == s4u.ActorState.RUNNABLE and marks == []
+        # Nothing ran: neither body got a turn past its last simcall.
+        assert sleeper_actor.is_alive and late_actor.is_alive
+        assert marks == []
         assert engine.run() == 10.0
         assert marks == [6.0, 10.0]
 
@@ -633,7 +790,10 @@ class TestRunContract:
         # It used to run to the end: this body returned 10.0.
         engine = Engine(make_star(num_hosts=3))
 
+        marks = []
+
         def body(actor):
+            marks.append(actor.now)
             yield actor.execute(5e9)
             yield actor.execute(5e9)
 
@@ -641,7 +801,8 @@ class TestRunContract:
         with pytest.raises(ValueError, match="nan"):
             engine.run(until=math.nan)
         assert engine.now == 0.0
-        assert worker.state == s4u.ActorState.RUNNABLE
+        # Nothing ran: the body never got its first turn.
+        assert worker.is_alive and marks == []
         assert engine.run() == 10.0
 
 
@@ -861,14 +1022,17 @@ class TestBytesPerActivity:
     3.10 keeps a generator's frame as an object of its own: 1 202–1 230
     and 2 699–2 745 before, 1 073–1 102 and 2 347–2 393 after.  An
     ``Exec`` without its unread ``flops``, ``priority`` and ``bound``
-    slots takes 24 bytes off ``IN_FLIGHT`` (3.11: 2 030–2 057).  The
-    spread is the pid: above 256 it is an int object of its own, 28
+    slots takes 24 bytes off ``IN_FLIGHT`` (3.11: 2 030–2 057).  An
+    activity without its unread ``_engine`` slot and an engine that no
+    longer lists every actor it ever added take 25 more off (3.11:
+    2 011–2 014; 9 of them are the list, off ``PER_ACTOR`` too: 777–781).
+    The spread is the pid: above 256 it is an int object of its own, 28
     bytes.  The ceilings are the highest reads plus 2 to 3 %.  Lower
     them with each lever that lands.
     """
 
-    PER_ACTOR, IN_FLIGHT = ((1130, 2416) if sys.version_info < (3, 11)
-                            else (830, 2096))
+    PER_ACTOR, IN_FLIGHT = ((1130, 2391) if sys.version_info < (3, 11)
+                            else (830, 2071))
 
     @pytest.mark.parametrize("workers", [100, 400])
     def test_overlap_fleet_stays_under_the_byte_ceilings(self, workers):
@@ -902,7 +1066,7 @@ class TestBytesPerActivity:
         # Short of the first completion: every worker waits on both.
         assert received == []
         assert all(len(actor._wait_activities) == 2
-                   for actor in engine.actors[1:])
+                   for actor in list(engine._alive_actors)[1:])
         # The same ceilings at both sizes: a cost per worker that grows
         # with the fleet is the scale decay they exist to catch.
         assert per_actor / workers <= self.PER_ACTOR
@@ -1058,13 +1222,16 @@ class _WaitWorld:
         self.outcomes = []       # (what reached the waiter, date)
         self.peer_outcomes = []
         self.peer_set = None
+        self.actors = []         # every actor spawned
 
     def spawn(self, name, host, body, *args):
         """Bodies are generators over (world, actor, ...), pumped under a
         thread context (see :mod:`pump`)."""
-        return self.engine.add_actor(
+        actor = self.engine.add_actor(
             name, host,
             actor_body(self.context, lambda actor: body(self, actor, *args)))
+        self.actors.append(actor)
+        return actor
 
     def track(self, activity):
         self.activities.append(activity)
@@ -1119,7 +1286,7 @@ class TestEveryWaitEveryEnding:
         else:
             assert date == 1.0
         # Nobody is left waiting, on anything.
-        for actor in engine.actors:
+        for actor in world.actors:
             assert not actor.is_alive
             assert (actor._wait_kind, tuple(actor._wait_activities),
                     actor._wait_owner, actor._wait_timer) == (

@@ -93,7 +93,7 @@ RETIRED_NAMES = (
     # tests/test_campaign.py::TestCollectorPolicy).
     r"_GC_POLICY_MIN_ACTORS", r"gc\.freeze\(", r"gc\.unfreeze\(",
     r"manage_gc:",
-    # A timer query reads the cancelled/fired slots inline: no dead-head
+    # A timer query reads the cancelled slot inline: no dead-head
     # helper frame and no pending property
     # (tests/test_s4u_api.py::TestCallsPerActivity holds the ceiling).
     r"_drop_dead", r"def pending\b", r"\.pending\b",
@@ -240,6 +240,13 @@ RETIRED_NAMES = (
     # topology change (tests/test_routing_zones.py::TestRouteCaches): no
     # second cache clear in the platform.
     r"_invalidate_route_caches",
+    # The s4u kernel stores each fact once: an actor is alive or not and
+    # suspended or not (no state enum), a dead timer entry is a cancelled
+    # one (no fired flag), and an answer goes straight onto the ready
+    # queue (no wrapper around its append)
+    # (tests/test_s4u_api.py::TestActorLifecycle::
+    # test_lifecycle_calls_that_change_nothing_are_no_ops).
+    r"ActorState", r"def _enqueue", r"\.fired\b",
 )
 
 

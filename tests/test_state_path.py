@@ -492,6 +492,25 @@ class TestHooksDuringATurnOff:
                              ("killed", HOST_DOWN)]
         assert victim.exit_status is None and engine.actor_count() == 0
 
+    @pytest.mark.parametrize("context", CONTEXTS)
+    def test_an_on_exit_killing_a_sibling_on_the_same_host(self, context):
+        """The failure kills the host's actors in creation order; one that
+        an earlier sibling's ``on_exit`` already killed is skipped.  It
+        died of the hook, not of the failure, so its ``auto_restart``
+        does not reboot it when the host comes back."""
+        world = _World(context, _triangle())
+        engine = world.engine
+        first = world.spawn("first", "Y", _sleeper)
+        second = world.spawn("second", "Y", _sleeper, auto_restart=True)
+        first.on_exit(lambda failed: second.kill())
+        second.on_exit(lambda failed: world.note("second on_exit", failed))
+        engine.timers.schedule(HOST_DOWN, engine.host("Y").turn_off)
+        engine.timers.schedule(HOST_UP, engine.host("Y").turn_on)
+        world.spawn("clock", "X", _idle, 2 * HOST_UP)
+        assert _run_bounded(engine) == 2 * HOST_UP
+        assert ("second on_exit", True, HOST_DOWN) in world.log
+        assert engine.restart_count == 0 and engine.actor_count() == 0
+
 
 class TestOneStatePath:
     """Structural guards: one SURF entry point flips a resource, one s4u

@@ -142,6 +142,9 @@ class TestExports:
         assert "#" in lines[0] and "-" in lines[0]
         assert "-" in lines[1]
         assert "#" not in lines[1]
+        # The scale line ends where the chart does.
+        assert lines[2].endswith("10|")
+        assert len({len(line) for line in lines}) == 1
 
     def test_ascii_gantt_empty_recorder(self):
         assert render_ascii_gantt(Recorder()) == ""

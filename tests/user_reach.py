@@ -135,6 +135,11 @@ KEPT = {
         "(b) Host.set_speed's SURF half; " + _SPEED_TESTS,
     "surf/engine.py::SurfEngine.next_trace_event_date":
         _DEADLOCK + " (Engine._simulation_over's deadlock branch reads it)",
+    "surf/engine.py::SurfEngine.has_pending_state_events":
+        "(s) deadlock detection next to a periodic availability trace "
+        "(Engine._simulation_over's deadlock branch reads it); "
+        "tests/test_s4u_api.py::TestRunContract::"
+        "test_a_periodic_trace_does_not_outlive_a_deadlock",
     "surf/lmm.py::Constraint.variables": _LMM_ORACLE,
     "surf/lmm.py::MaxMinSystem.variables": _LMM_ORACLE,
     "surf/lmm.py::_unconstrained_tail":
