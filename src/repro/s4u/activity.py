@@ -96,14 +96,6 @@ class Activity:
             raise ValueError(f"timeout must be None or >= 0: {timeout!r}")
         return submit("_do_wait", self, timeout)
 
-    def cancel(self) -> None:
-        """Cancel the activity and wake its waiters with ``CancelledError``
-        (``MSG_task_cancel``)."""
-        # The engine of an Exec is its actor's, that of a Comm its mailbox's.
-        engine = (self.actor.engine if self.kind == "exec"
-                  else self.mailbox._engine)
-        engine._abort_activity(self, ActivityState.CANCELLED)
-
     @property
     def remaining(self) -> float:
         """Remaining work of the underlying action (0 when not started)."""
@@ -128,6 +120,11 @@ class Exec(Activity):
         super().__init__(name)
         self.actor = actor
         self.host = host
+
+    def cancel(self) -> None:
+        """Cancel the computation and wake its waiters with
+        ``CancelledError`` (``MSG_task_cancel``)."""
+        self.actor.engine._abort_activity(self, ActivityState.CANCELLED)
 
 
 class Comm(Activity):
@@ -165,6 +162,11 @@ class Comm(Activity):
     def get_payload(self) -> Any:
         """The transported payload (valid once the comm succeeded)."""
         return self.payload
+
+    def cancel(self) -> None:
+        """Cancel the transfer and wake its waiters with ``CancelledError``
+        (``MSG_task_cancel``)."""
+        self.mailbox._engine._abort_activity(self, ActivityState.CANCELLED)
 
     @property
     def src_host(self) -> Optional["Host"]:

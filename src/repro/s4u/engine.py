@@ -76,10 +76,13 @@ class Engine:
         When True, :meth:`run` raises :class:`DeadlockError` if every
         remaining actor is blocked forever; otherwise the simulation just
         ends (mirroring SimGrid's warning).  The actors are deadlocked
-        when no action runs, no timer is armed and no pending trace event
-        can wake one: there is none, or every one is an availability
-        change and no speed listener is registered (a periodic trace
-        never runs out of events, and a bare speed change wakes nobody).
+        when every action is over or suspended (only an actor resumes
+        one), no timer is armed and no pending trace event can wake one:
+        there is none, or every one is an availability change and no
+        speed listener is registered (a periodic trace never runs out of
+        events, and a bare speed change wakes nobody).  They are also
+        deadlocked when actions run but none can ever end: no trace event
+        is left to lift their zero rate.
     sharded:
         When True (and the platform is not realized yet), realize it on a
         :class:`~repro.surf.shard.ShardedSurfEngine` partitioned along

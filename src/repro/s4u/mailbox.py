@@ -57,7 +57,7 @@ class Mailbox:
     def __init__(self, name: str, engine=None) -> None:
         self.name = name
         #: The engine a pending comm of this mailbox cancels itself
-        #: through (``Activity.cancel``).
+        #: through (``Comm.cancel``).
         self._engine = engine
         #: Communications posted by senders, waiting for a receiver.
         self.pending_sends: Deque["Comm"] = deque()

@@ -243,10 +243,15 @@ class SurfEngine:
             model.release()
 
     def has_running_actions(self) -> bool:
-        """True when at least one action is still running in any model."""
+        """True when an action that is not suspended runs in any model
+        (only an actor resumes a suspended one)."""
         for model in self.models:
+            # An empty set is skipped whole: iterating it would visit
+            # every slot its largest size left.
             if model.running:
-                return True
+                for action in model.running:
+                    if not action._suspended:
+                        return True
         return False
 
     # -- main loop ---------------------------------------------------------------------

@@ -257,7 +257,6 @@ class FluidModel:
         """Fail every running action using ``resource`` (resource failure)."""
         failed: List[Action] = []
         for action in self._actions_using(resource):
-            if action.state is _RUNNING:
-                action.fail(now)
-                failed.append(action)
+            action.fail(now)
+            failed.append(action)
         return failed

@@ -494,7 +494,7 @@ class TestOneRequestType:
         # Restoring rebuilds nothing: what dispatches a request travels
         # with the request, and a resource reaches its facade by name.
         restored = Engine.restore(engine.snapshot())
-        assert set(vars(restored)) - set(engine.__getstate__()) == set()
+        assert set(vars(restored)) - set(vars(engine)) == set()
         done = []
 
         def body(actor):

@@ -211,14 +211,20 @@ class TestActivityFutures:
         engine.run()
         assert outcome["timeout_at"] == pytest.approx(2.5)
 
-    def test_cancel_wakes_waiter(self):
+    @pytest.mark.parametrize("kind", ["exec", "comm"])
+    def test_cancel_wakes_waiter(self, kind):
+        """An Exec cancels itself through its actor's engine, a Comm (here
+        a receive no sender ever matches) through its mailbox's."""
         from repro.exceptions import CancelledError
         engine = Engine(pair_platform(speed=1e9))
         outcome = {}
         handles = {}
 
         def worker(actor):
-            comp = yield actor.exec_async(1e12)    # 1000 s
+            if kind == "exec":
+                comp = yield actor.exec_async(1e12)    # 1000 s
+            else:
+                comp = yield engine.mailbox("void").get_async()
             handles["comp"] = comp
             try:
                 yield comp.wait()
@@ -711,11 +717,21 @@ class TestRunContract:
         assert engine.run() == pytest.approx(0.001)
         assert not engine.deadlocked
 
-    def test_an_exec_suspended_by_a_peer_that_ends_deadlocks_the_run(self):
-        """The worker's exec is still an action, so the run goes on past
-        the peer's end; SURF then finds nothing that can ever happen
-        (``step()`` returns ``None``) and the run ends deadlocked."""
-        engine = Engine(pair_platform(speed=1e9))
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_an_exec_suspended_by_a_peer_that_ends_deadlocks_the_run(
+            self, traced):
+        """The worker's exec is still an action, but only an actor could
+        resume it: once the peer ends, nothing can ever happen, and the
+        run ends deadlocked at once, a periodic availability trace on a
+        host or not (the bound makes a run that goes on fail, not
+        hang)."""
+        from repro.surf.trace import Trace
+
+        platform = pair_platform(speed=1e9)
+        if traced:
+            platform.add_host("carol", 1e9, availability_trace=Trace(
+                [(0, 1), (1, .5)], period=2))
+        engine = Engine(platform)
 
         def worker(actor):
             yield actor.execute(1e9)
@@ -726,9 +742,26 @@ class TestRunContract:
 
         target = engine.add_actor("worker", "alice", worker)
         engine.add_actor("ctl", "bob", controller, target)
+        assert engine.run(until=1e3) == 0.5
+        assert engine.deadlocked and not target.is_alive
+
+    def test_an_exec_no_trace_event_lifts_off_a_zero_rate_deadlocks_the_run(
+            self):
+        """The trace drops the host to no availability and ends: the exec
+        runs on at rate 0, so the run goes on past the drop, then SURF
+        finds nothing that can ever happen (``step()`` returns ``None``)
+        and the run ends deadlocked."""
+        from repro.surf.trace import Trace
+
+        platform = Platform("dropped")
+        platform.add_host("alice", 1e9, availability_trace=Trace(
+            [(0, 1), (0.5, 0)]))
+        engine = Engine(platform)
+        worker = engine.add_actor(
+            "worker", "alice", lambda actor: (yield actor.execute(1e9)))
         assert engine.surf.step(until=0.0) is not None
         assert engine.run() == 0.5
-        assert engine.deadlocked and not target.is_alive
+        assert engine.deadlocked and not worker.is_alive
         assert engine.surf.step() is None
 
     @pytest.mark.parametrize("waker", [None, "speed listener", "state trace"])
@@ -1025,7 +1058,8 @@ class TestBytesPerActivity:
     slots takes 24 bytes off ``IN_FLIGHT`` (3.11: 2 030–2 057).  An
     activity without its unread ``_engine`` slot and an engine that no
     longer lists every actor it ever added take 25 more off (3.11:
-    2 011–2 014; 9 of them are the list, off ``PER_ACTOR`` too: 777–781).
+    2 011–2 014; 9 of them are the list, off ``PER_ACTOR`` too: 777–781;
+    3.10.13 the same 25 and 9: 2 315–2 325 and 1 083–1 089).
     The spread is the pid: above 256 it is an int object of its own, 28
     bytes.  The ceilings are the highest reads plus 2 to 3 %.  Lower
     them with each lever that lands.

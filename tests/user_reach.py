@@ -164,8 +164,12 @@ KEPT = {
         "tests/test_surf_trace.py::TestParsing",
     # s4u/
     "s4u/activity.py::Activity.test": _TEST,
-    "s4u/activity.py::Activity.cancel":
+    "s4u/activity.py::Exec.cancel":
         "(b) MSG_task_cancel; tests/test_s4u_api.py::TestActivityFutures::"
+        "test_cancel_wakes_waiter",
+    "s4u/activity.py::Comm.cancel":
+        "(b) MSG_task_cancel on a transfer; an SMPI receive that times out "
+        "withdraws its comm; tests/test_s4u_api.py::TestActivityFutures::"
         "test_cancel_wakes_waiter",
     "s4u/activity.py::Activity.remaining":
         "(b) MSG_task_get_remaining_computation; " + _RARE,
