@@ -68,7 +68,8 @@ def run(num_clients=3, num_servers=2, verbose=True):
     platform = make_client_server_lan(num_clients=num_clients,
                                       num_servers=num_servers)
     recorder = Recorder()
-    engine = Engine(platform, recorder=recorder)
+    engine = Engine(platform)
+    engine.observe(recorder)
 
     # each client talks to server (index mod num_servers)
     requests_per_server = [0] * num_servers

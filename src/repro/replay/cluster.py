@@ -38,7 +38,7 @@ from typing import Dict, List, Optional
 
 from repro.ft import ChildSpec, HeartbeatMonitor, Supervisor
 from repro.platform import Platform
-from repro.s4u import Engine, FailureInjector, this_actor
+from repro.s4u import Engine, FailureInjector, Host, this_actor
 from repro.exceptions import (
     HostFailureError,
     SimTimeoutError,
@@ -335,8 +335,7 @@ class ClusterReplay:
                         "duplicates": 0, "resubmitted": 0,
                         "acks_failed": 0}
 
-        engine.on_resource_speed_change(self._count_speed_change)
-        engine.on_host_state_change(self._count_state_change)
+        engine.observe(self._count)
 
         nodes = [f"{NODE_PREFIX}-{i}" for i in range(workload.num_hosts)]
         engine.add_actor("dispatcher", "frontend", _dispatcher, self)
@@ -381,9 +380,9 @@ class ClusterReplay:
         )
         return metrics
 
-    # -- observers -----------------------------------------------------------------
-    def _count_speed_change(self, resource, available_speed) -> None:
-        self.metrics["speed_changes"] += 1
-
-    def _count_state_change(self, host, is_on) -> None:
-        self.metrics["host_ups" if is_on else "host_downs"] += 1
+    # -- observer ------------------------------------------------------------------
+    def _count(self, date, kind, subject, value) -> None:
+        if kind == "speed":
+            self.metrics["speed_changes"] += 1
+        elif kind == "state" and isinstance(subject, Host):
+            self.metrics["host_ups" if value else "host_downs"] += 1

@@ -199,8 +199,8 @@ class Actor:
     # ------------------------------------------------------------------------------
     # lifecycle control (S4U style: the target is *this* actor)
     # ------------------------------------------------------------------------------
-    # From kernel context (a timer, an ``on_exit`` hook, a state
-    # listener, host code) these act at once; from an actor they are
+    # From kernel context (a timer, an ``on_exit`` hook, a host state
+    # hook, host code) these act at once; from an actor they are
     # that actor's request.
     def kill(self):
         """Kill this actor (``MSG_process_kill``)."""

@@ -47,7 +47,6 @@ from repro.s4u.link import Link
 from repro.s4u.mailbox import Mailbox
 from repro.platform.platform import Platform
 from repro.surf.action import ActionState
-from repro.surf.cpu import CpuResource
 from repro.surf.network import LinkResource
 
 __all__ = ["Engine"]
@@ -69,20 +68,17 @@ class Engine:
     context_factory:
         ``"generator"`` (default) or ``"thread"`` — how simulated actor
         bodies are executed (see :mod:`repro.kernel.context`).
-    recorder:
-        Optional :class:`repro.tracing.Recorder`; every finished activity
-        is handed to it (to build Gantt charts).
     raise_on_deadlock:
         When True, :meth:`run` raises :class:`DeadlockError` if every
         remaining actor is blocked forever; otherwise the simulation just
         ends (mirroring SimGrid's warning).  The actors are deadlocked
         when every action is over or suspended (only an actor resumes
         one), no timer is armed and no pending trace event can wake one:
-        there is none, or every one is an availability change and no
-        speed listener is registered (a periodic trace never runs out of
-        events, and a bare speed change wakes nobody).  They are also
-        deadlocked when actions run but none can ever end: no trace event
-        is left to lift their zero rate.
+        there is none, or every one is an availability change (a periodic
+        trace never runs out of events, and a bare speed change wakes
+        nobody, observed or not).  They are also deadlocked when actions
+        run but none can ever end: no trace event is left to lift their
+        zero rate.
     sharded:
         When True (and the platform is not realized yet), realize it on a
         :class:`~repro.surf.shard.ShardedSurfEngine` partitioned along
@@ -92,7 +88,6 @@ class Engine:
 
     def __init__(self, platform: Platform,
                  context_factory: str = "generator",
-                 recorder=None,
                  raise_on_deadlock: bool = False,
                  sharded: bool = False) -> None:
         self.platform = platform
@@ -100,12 +95,14 @@ class Engine:
             platform.realize(sharded=sharded)
         self.surf = platform.engine
         self.context_factory = make_context_factory(context_factory)
-        self.recorder = recorder
         self.raise_on_deadlock = raise_on_deadlock
         # Vestiges, never read: perfbench's golden.json pins the snapshot
-        # blob size; both go at the next benchmark re-gold.
+        # blob size; all go at the next benchmark re-gold.
+        self.recorder = None
         self.manage_gc = None
         self._lazy_platform = True
+        self._link_state_listeners: list = []
+        self._speed_listeners: list = []
         # Only the already-materialized resources (those carrying traces)
         # get wrappers up front; the rest materialize on first lookup,
         # keeping engine construction O(touched) for 10⁵-host platforms.
@@ -134,11 +131,9 @@ class Engine:
         # reproduces.
         self._active_comms: Dict[Comm, None] = {}
         self._deadlocked = False
-        # Failure-model bookkeeping: observers of resource state flips and
-        # the actors awaiting an auto-restart of their failed host.
+        # Failure-model bookkeeping: the hooks acting on host flips and the
+        # actors awaiting an auto-restart of their failed host.
         self._host_state_listeners: List[Callable[[Host, bool], None]] = []
-        self._link_state_listeners: List[Callable[[Link, bool], None]] = []
-        self._speed_listeners: List[Callable] = []
         self._pending_restarts: Dict[Host, List[Tuple]] = {}
         #: Number of actors rebooted by the auto-restart machinery.
         self.restart_count = 0
@@ -181,8 +176,8 @@ class Engine:
 
         Actors still alive are killed first, as at the end of a run.  Then
         each layer drops the references it owns: this engine its hosts,
-        links, actors, mailboxes, timers, listeners and pending restarts;
-        the platform its zone tree; SURF its constraints' resources and
+        links, actors, mailboxes, timers, hooks, observers and pending
+        restarts; the platform its zone tree; SURF its constraints' resources and
         its running actions.  :attr:`now` and :meth:`kernel_stats` still
         answer; :meth:`run` and :meth:`snapshot` raise
         :class:`~repro.exceptions.SimGridError`.  Closing twice does
@@ -200,9 +195,9 @@ class Engine:
         self.timers = TimerQueue()
         for owned in (self.hosts, self.links, self.mailboxes, self._ready,
                       self._active_comms, self._pending_restarts,
-                      self._host_state_listeners, self._link_state_listeners,
-                      self._speed_listeners):
+                      self._host_state_listeners):
             owned.clear()
+        self._observers = ()
         self.platform.release()
         self.surf.release()
 
@@ -229,8 +224,8 @@ class Engine:
         :class:`~repro.exceptions.SnapshotError` otherwise.
 
         Functions referenced by the surviving state (auto-restart actor
-        bodies, pending payloads, state listeners) must be module-level so
-        pickle can name them.
+        bodies, pending payloads, hooks, observers) must be module-level
+        so pickle can name them.
         """
         if self._closed:
             raise SimGridError("snapshot() on a closed engine")
@@ -348,10 +343,10 @@ class Engine:
         2. a host going down fails the comms touching it and kills its
            actors, queueing the ``auto_restart`` ones — a host coming up
            reboots them, in creation order;
-        3. the state listeners observe the flip.
+        3. the host hooks act, then the observers see a ``"state"`` event.
 
         All three run in kernel context, also when an actor's own call
-        got here: the ``on_exit`` hooks and listeners they fire see no
+        got here: the ``on_exit`` hooks and host hooks they fire see no
         running actor, so their ``kill()``, ``suspend()`` and ``resume()``
         act at once, as from a timer.  An actor that turns off its own
         host dies in step 2 like the others; the call then raises
@@ -374,15 +369,11 @@ class Engine:
                 if activity is not None:
                     self._finish_activity(activity, ActivityState.FAILED)
             # A CPU or link resource carries its host's or link's name; a
-            # facade never materialized has no listener to tell.
-            host = None
+            # facade never materialized has nobody to tell.
             if isinstance(resource, LinkResource):
-                link = self.links.get(resource.name)
-                if link is not None:
-                    for callback in self._link_state_listeners:
-                        callback(link, is_on)
+                host, facade = None, self.links.get(resource.name)
             else:
-                host = self.hosts.get(resource.name)
+                host = facade = self.hosts.get(resource.name)
             if host is not None and is_on:
                 for (name, func, args, kwargs,
                      daemon) in self._pending_restarts.pop(host, []):
@@ -408,13 +399,15 @@ class Engine:
             if host is not None:
                 for callback in self._host_state_listeners:
                     callback(host, is_on)
+            if facade is not None:
+                self._emit("state", facade, is_on)
         finally:
             _actor_mod._current = running
             _actor_mod._flipping = flipping
         if running is not None and not running.is_alive:
             raise ProcessKilledError(f"killed by turning off {resource.name}")
 
-    # -- resource state observers -------------------------------------------------------
+    # -- watching the run -----------------------------------------------------------------
     def on_host_state_change(self, callback: Callable[[Host, bool], None]
                              ) -> Callable[[Host, bool], None]:
         """Register ``callback(host, is_on)``, fired on every host flip.
@@ -422,34 +415,40 @@ class Engine:
         Fired by the one state handler, so explicit ``turn_off`` /
         ``turn_on`` calls, state-trace events and injector pulses are seen
         alike, after the failure (or restart) side effects were applied.
-        Returns the callback so it can be used as a decorator.
+        The one hook that may act (a ``Supervisor`` respawns from it).
         """
         self._host_state_listeners.append(callback)
         return callback
 
-    def on_link_state_change(self, callback: Callable[[Link, bool], None]
-                             ) -> Callable[[Link, bool], None]:
-        """Register ``callback(link, is_on)``, fired on every link flip."""
-        self._link_state_listeners.append(callback)
-        return callback
+    #: The subscribers of :meth:`observe`; a class default, so an engine
+    #: nobody observes pickles without it.
+    _observers: Tuple[Callable, ...] = ()
 
-    def on_resource_speed_change(self, callback) -> Callable:
-        """Register ``callback(resource, available_speed)`` for speed changes.
+    def observe(self, callback: Callable) -> Callable:
+        """Subscribe ``callback(date, kind, subject, value)`` to the run's
+        one passive event stream, called in subscription order:
 
-        Mirrors the state-change observers: fired when the effective
-        speed of a host (flop/s of one core) or link (byte/s) changes —
-        whether from an availability/bandwidth trace event or from an
-        explicit :meth:`Host.set_speed` / :meth:`Link.set_bandwidth`
-        call — after the new capacity reached the solver.  ``resource``
-        is the s4u :class:`Host` or :class:`Link` facade.  Returns the
-        callback so it can be used as a decorator.
+        * ``"end"``: an Activity finished, ``value`` its final state;
+        * ``"speed"``: a Host's core speed or a Link's bandwidth changed
+          (trace event, ``set_speed``, ``set_bandwidth``) and reached the
+          solver, ``value`` the new speed;
+        * ``"state"``: a Host or Link went down or up, after the flip's
+          failures, kills, reboots and host hooks; ``value`` is ``is_on``.
+
+        Hosts and links never looked up (and carrying no trace) are not
+        reported.  An observer watches and must not change the world (add,
+        kill, suspend or resume an actor, flip a resource, arm a timer,
+        run): a run ends the same whether anybody observes it or not.  A
+        :class:`repro.tracing.Recorder` is one; code that must act on a
+        flip uses :meth:`on_host_state_change`.  Returns the callback.
         """
-        self._speed_listeners.append(callback)
+        self._observers = (*self._observers, callback)
         return callback
 
-    def _notify_speed_change(self, resource, available_speed: float) -> None:
-        for callback in self._speed_listeners:
-            callback(resource, available_speed)
+    def _emit(self, kind: str, subject, value) -> None:
+        date = self.surf.clock
+        for callback in self._observers:
+            callback(date, kind, subject, value)
 
     # ------------------------------------------------------------------------------
     # the main loop
@@ -512,8 +511,8 @@ class Engine:
             now = result.time
             for resource, is_on, flip_failed in result.state_changes:
                 self._set_state(resource, is_on, flip_failed)
-            if result.speed_changes:
-                self._handle_speed_changes(result.speed_changes)
+            if result.speed_changes and self._observers:
+                self._emit_speed_changes(result.speed_changes)
             for action in result.completed:
                 # An engine action carries its Activity until it finishes.
                 activity = action.data
@@ -595,8 +594,7 @@ class Engine:
         if (not self.surf.has_running_actions()
                 and not self.timers
                 and (math.isinf(self.surf.next_trace_event_date())
-                     or (not self._speed_listeners
-                         and not self.surf.has_pending_state_events()))):
+                     or not self.surf.has_pending_state_events())):
             self._handle_deadlock()
             return True
         return False
@@ -620,20 +618,16 @@ class Engine:
                 f"simulation deadlocked at t={self.surf.clock:g}: "
                 f"actors [{names}] are blocked forever")
 
-    def _handle_speed_changes(self, speed_changes) -> None:
-        """Forward trace-driven availability changes to the speed observers."""
-        if not self._speed_listeners:
-            return
+    def _emit_speed_changes(self, speed_changes) -> None:
         for resource, _factor in speed_changes:
-            if isinstance(resource, CpuResource):
-                host = self.hosts.get(resource.name)
-                if host is not None:
-                    self._notify_speed_change(host, host.available_speed)
-            elif isinstance(resource, LinkResource):
+            if isinstance(resource, LinkResource):
                 link = self.links.get(resource.name)
                 if link is not None:
-                    self._notify_speed_change(
-                        link, link.resource.current_capacity)
+                    self._emit("speed", link, resource.current_capacity)
+            else:
+                host = self.hosts.get(resource.name)
+                if host is not None:
+                    self._emit("speed", host, host.available_speed)
 
     # ------------------------------------------------------------------------------
     # simcall handling
@@ -949,8 +943,8 @@ class Engine:
         activity.finish_time = self.surf.clock
         if activity.kind == "comm":
             self._active_comms.pop(activity, None)
-        if self.recorder is not None:
-            self.recorder.record(activity)
+        if self._observers:
+            self._emit("end", activity, state)
         # Break the activity <-> action reference cycle: once finished,
         # the pair would otherwise only ever be reclaimed by a gc cycle
         # pass, which at 10⁵ actors dominates the collector's work.
@@ -1051,6 +1045,8 @@ class Engine:
         if not actor.is_alive:
             return
         actor.is_alive = False
+        actor._suspended = False
+        actor._parked_resume = None
         actor._exit_failed = failed
         self._alive_actors.pop(actor, None)
         actor.host.actors.remove(actor)

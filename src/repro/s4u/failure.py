@@ -30,7 +30,7 @@ pulse all reach ``SurfEngine.set_state`` and the engine's one state
 handler, so each produces the same outcome for every observer: running
 activities fail (their waiters see the failure exception), actors on a
 failed host are killed, ``auto_restart`` actors reboot when the host
-comes back, and the state listeners fire once per flip
+comes back, and the host hooks and the observers see each flip once
 (``tests/test_state_path.py``).  The injector never keeps the simulation
 alive by itself being idle: pulses stop at ``max_failures``, and every
 injected failure schedules its own restore.

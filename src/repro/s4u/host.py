@@ -71,12 +71,13 @@ class Host:
         The change reaches the solver exclusively through the CPU model's
         ``set_cpu_speed`` (constraint capacity + multi-core per-core
         bounds), so only the LMM component containing this host is
-        re-solved; the engine's ``on_resource_speed_change`` observers
-        fire afterwards.  Availability traces keep scaling the new peak.
+        re-solved; the engine's observers then see a ``"speed"`` event
+        (:meth:`~repro.s4u.engine.Engine.observe`).  Availability traces
+        keep scaling the new peak.
         """
         engine = self._engine
         engine.surf.model_of(self.cpu).set_cpu_speed(self.cpu, speed)
-        engine._notify_speed_change(self, self.available_speed)
+        engine._emit("speed", self, self.available_speed)
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -63,13 +63,14 @@ class Link:
     def set_bandwidth(self, bandwidth: float) -> "Link":
         """Change the link bandwidth; running flows are re-shared.
 
-        The engine's ``on_resource_speed_change`` observers fire after
-        the new capacity reached the solver.
+        The engine's observers see a ``"speed"`` event
+        (:meth:`~repro.s4u.engine.Engine.observe`) once the new capacity
+        reached the solver.
         """
         engine = self._engine
         engine.surf.model_of(self.resource).set_link_bandwidth(
             self.resource, bandwidth)
-        engine._notify_speed_change(self, self.resource.current_capacity)
+        engine._emit("speed", self, self.resource.current_capacity)
         return self
 
     def set_latency(self, latency: float) -> "Link":

@@ -2,12 +2,11 @@
 
 The paper's Gantt-chart figure ("Dark portions denote computations, light
 portions denote communications") is regenerated from a :class:`Recorder`
-attached to an engine (``Engine(platform, recorder=recorder)``).  The
-engine hands it every finished activity, and :meth:`Recorder.record`
-alone decides the rows and categories: a computation on its host's row, a
-communication on its sender's and on its receiver's rows.  The recorder
-answers the chart's per-row totals, and :func:`render_ascii_gantt` draws
-it.
+watching an engine (``engine.observe(recorder)``).  The engine's event
+stream hands it every finished activity, and the recorder alone decides
+the rows and categories: a computation on its host's row, a communication
+on its sender's and on its receiver's rows.  The recorder answers the
+chart's per-row totals, and :func:`render_ascii_gantt` draws it.
 """
 
 from __future__ import annotations
@@ -52,8 +51,8 @@ class Recorder:
     computations and communications, one row per recorded host in name
     order.
 
-    Attach an instance to an :class:`~repro.s4u.engine.Engine`
-    (``Engine(platform, recorder=recorder)``) and it will receive every
+    Subscribe an instance to an :class:`~repro.s4u.engine.Engine`'s
+    event stream (``engine.observe(recorder)``) and it will receive every
     finished computation and communication.
     """
 
@@ -61,14 +60,14 @@ class Recorder:
         self.intervals: List[Interval] = []
 
     # -- recording -------------------------------------------------------------------
-    def record(self, activity) -> None:
-        """Record a finished activity: an ``exec`` on its host's row, a
-        ``comm`` on its sender's and on its receiver's rows.  An activity
-        that never started leaves no interval."""
-        start = activity.start_time
-        if start is None:
+    def __call__(self, date, kind, activity, value) -> None:
+        """Record a finished activity (an ``"end"`` event of the stream):
+        an ``exec`` on its host's row, a ``comm`` on its sender's and on
+        its receiver's rows.  An activity that never started leaves no
+        interval, and every other event is ignored."""
+        if kind != "end" or activity.start_time is None:
             return
-        end = activity.finish_time
+        start, end = activity.start_time, activity.finish_time
         if activity.kind == "exec":
             self.record_interval(activity.host.name, "compute", start, end,
                                  activity.name)
@@ -168,8 +167,10 @@ def render_ascii_gantt(recorder: Recorder, width: int = 72) -> str:
             if interval.category in COMPUTE_CATEGORIES:
                 _paint(cells, interval, horizon, width, COMPUTE_CHAR)
         lines.append(f"{row.ljust(name_width)} |{''.join(cells)}|")
-    # The horizon ends flush with the chart's right edge.
-    lines.append(f"{'':{name_width}} |0{horizon:>{width - 1}.3g}|")
+    # The horizon ends flush with the chart's right edge, if it fits.
+    label = f"{horizon:.3g}"
+    label = label if len(label) < width else ""
+    lines.append(f"{'':{name_width}} |0{label:>{width - 1}}|")
     return "\n".join(lines)
 
 

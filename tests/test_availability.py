@@ -5,7 +5,7 @@ variations due to external load* — CPU availability and network bandwidth
 scaled by a trace while the simulation runs.  These tests pin the
 hand-computed dates for activities spanning an availability dip, exercise
 the runtime ``Host.set_speed`` / ``Link.set_bandwidth`` write path, check
-the ``on_resource_speed_change`` observer, prove the selective solve
+the ``"speed"`` events of ``Engine.observe``, prove the selective solve
 only re-solves the LMM component containing the modulated resource, and
 check that the runtime setters reject non-finite values in the caller.
 """
@@ -69,9 +69,8 @@ class TestTraceDrivenDates:
         engine = Engine(dip_platform(host_trace=trace))
         host = engine.host("a")
         seen = []
-        engine.on_resource_speed_change(
-            lambda resource, speed: seen.append(
-                (resource.name, speed, engine.now)))
+        engine.observe(lambda date, kind, subject, value: kind == "speed"
+                       and seen.append((subject.name, value, date)))
 
         def worker(actor):
             yield actor.execute(3e9)
@@ -86,8 +85,8 @@ class TestTraceDrivenDates:
         trace = Trace([(0.0, 1.0), (2.0, 0.5)], name="bw")
         engine = Engine(dip_platform(link_trace=trace))
         seen = []
-        engine.on_resource_speed_change(
-            lambda resource, speed: seen.append((resource.name, speed)))
+        engine.observe(lambda date, kind, subject, value: kind == "speed"
+                       and seen.append((subject.name, value)))
 
         def sender(actor):
             yield engine.mailbox("box").put("x", size=3e6)
@@ -125,8 +124,8 @@ class TestRuntimeSpeedChange:
         engine = Engine(dip_platform())
         host = engine.host("a")
         seen = []
-        engine.on_resource_speed_change(
-            lambda resource, speed: seen.append((resource, speed)))
+        engine.observe(lambda date, kind, subject, value: kind == "speed"
+                       and seen.append((subject, value)))
 
         def admin(actor):
             yield this_actor.sleep_for(1.0)
@@ -163,8 +162,8 @@ class TestRuntimeSpeedChange:
         link = engine.link_by_name("wire")
         times = {}
         seen = []
-        engine.on_resource_speed_change(
-            lambda resource, speed: seen.append((resource, speed)))
+        engine.observe(lambda date, kind, subject, value: kind == "speed"
+                       and seen.append((subject, value)))
 
         def sender(actor):
             yield engine.mailbox("box").put("x", size=4e6)

@@ -386,23 +386,31 @@ def test_a_run_leaves_no_cyclic_garbage(scenario):
 # ---------------------------------------------------------------------------
 
 class FlipLog:
-    """A state listener holding its engine: a cycle through the engine's
-    listener lists."""
+    """A host hook holding its engine: a cycle through the engine's hook
+    list."""
 
     def __init__(self, engine):
         self.engine = engine
         self.flips = []
 
-    def __call__(self, resource, is_on):
-        self.flips.append((self.engine.now, resource.name, is_on))
+    def __call__(self, host, is_on):
+        self.flips.append((self.engine.now, host.name, is_on))
+
+
+class StreamLog(FlipLog):
+    """An observer holding its engine: a cycle through the engine's
+    observers."""
+
+    def __call__(self, date, kind, subject, value):
+        self.flips.append((date, kind, subject, value))
 
 
 def armed_churn():
     """A warm star with churn armed for the next phase (the injector's
-    pulse timers are pending) and a listener for each kind of flip."""
+    pulse timers are pending), a host hook and an observer."""
     engine = star_fleet(8)
     engine.on_host_state_change(FlipLog(engine))
-    engine.on_link_state_change(FlipLog(engine))
+    engine.observe(StreamLog(engine))
     FailureInjector(engine, seed=7, hosts=[f"leaf-{i}" for i in range(8)],
                     mtbf=0.01, mean_downtime=0.02, max_failures=5).start()
     assert engine.timers
@@ -431,8 +439,8 @@ def heartbeat_replay():
 def churned_cluster_replay():
     """Shaped like perfbench's ``replay_ft`` at scale 0.02, after its
     run: an at-least-once replay of 8 jobs on 4 nodes under seeded churn.
-    The engine's listeners still reach the replay, its supervisor and its
-    detector."""
+    The engine's observer and hooks still reach the replay, its supervisor
+    and its detector."""
     workload = synthetic_workload(11, num_hosts=4, num_jobs=8,
                                   mean_interarrival=0.1, mean_flops=5e8)
     workload.horizon = 20.0 + 0.2 * 8

@@ -58,8 +58,9 @@ def _run_workload(schedule=(), injector_seed=None, injector_cfg=None):
 
     engine.on_host_state_change(
         lambda host, is_on: log.append(("host", host.name, is_on, engine.now)))
-    engine.on_link_state_change(
-        lambda link, is_on: log.append(("link", link.name, is_on, engine.now)))
+    engine.observe(lambda date, kind, subject, value: kind == "state"
+                   and isinstance(subject, s4u.Link)
+                   and log.append(("link", subject.name, value, date)))
 
     def worker(actor, index):
         inbox = engine.mailbox(f"w{index}")
@@ -346,8 +347,8 @@ def test_churn_fleet_banks_every_result(num_workers, target, flops, size,
     engine = s4u.Engine(platform)
     received = [0]
     speed_events = []
-    engine.on_resource_speed_change(
-        lambda resource, speed: speed_events.append(speed))
+    engine.observe(lambda date, kind, subject, value: kind == "speed"
+                   and speed_events.append(value))
 
     def sink(actor):
         box = engine.mailbox("sink")

@@ -674,8 +674,8 @@ class TestTimeoutFailureRaces:
         from repro.tracing import Recorder
 
         recorder = Recorder()
-        engine = s4u.Engine(make_star(2, link_bandwidth=125e6),
-                            recorder=recorder)
+        engine = s4u.Engine(make_star(2, link_bandwidth=125e6))
+        engine.observe(recorder)
         box = engine.mailbox("b")
         seen = {"errors": []}
 

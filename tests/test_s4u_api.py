@@ -617,7 +617,8 @@ class TestActorLifecycle:
         """Resuming a running actor and suspending a suspended one change
         nothing: one resume still ends the one suspension.  A dead actor
         stays as it died: a second kill, a suspend or a resume leaves its
-        exit status, its ``on_exit`` count and its suspension alone."""
+        exit status and its ``on_exit`` count alone, and it is not
+        suspended, even when it was when it died."""
         engine = Engine(pair_platform(speed=1e9))
         times, exits = {}, []
 
@@ -655,7 +656,32 @@ class TestActorLifecycle:
         assert exits == [True, True]
         assert [(victim.is_alive, victim.is_suspended, victim.exit_status)
                 for victim in (corpse, suspended_corpse)] == [
-                    (False, False, None), (False, True, None)]
+                    (False, False, None), (False, False, None)]
+
+    @pytest.mark.parametrize("how", ["itself", "by a peer"])
+    def test_an_actor_killed_while_suspended_keeps_no_suspension(self, how):
+        """Killed while suspended, an actor dies with nothing parked: it
+        does not read as suspended and holds no answer for a resume
+        that can never come."""
+        engine = Engine(pair_platform(speed=1e9))
+
+        def victim(actor):
+            if how == "itself":
+                yield actor.suspend()
+            yield actor.sleep_for(100.0)
+
+        def controller(actor, target):
+            if how == "by a peer":
+                yield target.suspend()
+            yield this_actor.sleep_for(1.0)
+            assert target.is_suspended
+            yield target.kill()
+
+        target = engine.add_actor("victim", "alice", victim)
+        engine.add_actor("ctl", "bob", controller, target)
+        assert engine.run() == 1.0
+        assert not target.is_alive and not target.is_suspended
+        assert target._parked_resume is None
 
     def test_current_actor_outside_simulation_raises(self):
         with pytest.raises(RuntimeError):
@@ -768,8 +794,9 @@ class TestRunContract:
     def test_a_periodic_trace_does_not_outlive_a_deadlock(self, waker):
         """An actor blocked on an empty mailbox next to a periodic
         availability trace, which never runs out of events: nothing can
-        wake it, so the run ends deadlocked at once.  A speed listener or
-        a pending state event could wake it, so those runs go on."""
+        wake it, so the run ends deadlocked at once.  An observer of the
+        speed changes only watches, so it changes nothing; a pending
+        state event could wake the actor, so that run goes on."""
         from repro.exceptions import DeadlockError
         from repro.surf.trace import Trace
 
@@ -782,14 +809,14 @@ class TestRunContract:
                 if waker == "state trace" else None)
             engine = Engine(platform, raise_on_deadlock=raise_on_deadlock)
             if waker == "speed listener":
-                engine.on_resource_speed_change(lambda resource, speed: None)
+                engine.observe(lambda date, kind, subject, value: None)
             engine.add_actor(
                 "stuck", "alice",
                 lambda actor: (yield engine.mailbox("nobody").get()))
             return engine
 
         engine = world()
-        if waker is None:
+        if waker != "state trace":
             assert engine.run(until=1e3) == 0.0 and engine.deadlocked
             with pytest.raises(DeadlockError, match="t=0"):
                 world(raise_on_deadlock=True).run(until=1e3)

@@ -227,11 +227,16 @@ RETIRED_NAMES = (
     # callback copying one record into the other.
     r"FlowSpec", r"FlowResult", r"add_flow", r"_on_flow_complete",
     r"flow_id", r"on_complete",
-    # The engine hands a finished activity to Recorder.record, and
+    # The engine hands a finished activity to its observers, and
     # repro.tracing alone decides its rows and categories
     # (test_the_engine_names_no_gantt_category): no engine-side hook, no
-    # chart or row view over the recorder.
-    r"_record_activity", r"GanttChart", r"GanttRow",
+    # chart or row view over the recorder.  One passive stream
+    # (Engine.observe) reports activity ends, speed changes and state
+    # flips: no recorder argument, speed listener or link state hook
+    # (tests/test_observe.py).
+    r"_record_activity", r"GanttChart", r"GanttRow", r"recorder=",
+    r"on_resource_speed_change", r"_notify_speed_change",
+    r"_handle_speed_changes", r"on_link_state_change",
     # Timer and exit callbacks are partials over bound methods
     # (tests/test_snapshot.py::TestForkEqualsCold):
     # no callable class per callback.
@@ -408,22 +413,56 @@ def test_the_running_aggregates_are_one_solves_state():
     assert sorted(users) == AGGREGATE_USERS
 
 
+def _imports(path):
+    """The module names ``path`` imports, at any depth."""
+    return {name for node in ast.walk(ast.parse(path.read_text()))
+            for name in ([alias.name for alias in node.names]
+                         if isinstance(node, ast.Import)
+                         else [node.module or ""]
+                         if isinstance(node, ast.ImportFrom) else [])}
+
+
 def test_the_engine_names_no_gantt_category():
-    """The engine's one call into tracing is ``self.recorder.record(
-    activity)``, and no Gantt category appears in ``s4u/engine.py``:
+    """The engine knows no tracing: no module under ``s4u/`` imports
+    ``repro.tracing``, and a finished activity reaches a
+    :class:`~repro.tracing.Recorder` only as an ``"end"`` event of the
+    one stream (``Engine.observe``).  ``Engine._emit`` alone delivers
+    that stream: it is the one method that iterates ``_observers``, and
+    elsewhere the engine reads ``_observers`` only in ``observe``, which
+    subscribes, and as the bare test of an ``if`` that guards a delivery,
+    so an engine nobody observes pays one attribute test per finished
+    activity.  No Gantt category appears in ``s4u/engine.py``:
     ``repro.tracing`` alone decides a finished activity's rows and
     categories (tests/test_tracing.py::TestGanttChart).  ``"compute"`` is
     also the name an ``exec_async`` activity gets, which is not a
     category."""
     from repro.tracing import COMM_CATEGORIES, COMPUTE_CATEGORIES
-    tree = ast.parse((REPRO / "s4u" / "engine.py").read_text())
+    assert [path.name for path in sorted((REPRO / "s4u").glob("*.py"))
+            if any(name.startswith("repro.tracing")
+                   for name in _imports(path))] == []
+    engine_py = REPRO / "s4u" / "engine.py"
+    nodes = list(_scoped_nodes(engine_py))
+    # An if's test, or one operand of the ``and`` that is its test.
+    guards = {id(test) for _, node in nodes if isinstance(node, ast.If)
+              for test in [node.test, *getattr(node.test, "values", ())]}
+    loops = {id(node.iter): qualname for qualname, node in nodes
+             if isinstance(node, ast.For)}
+    reads = [(qualname, node) for qualname, node in nodes
+             if isinstance(node, ast.Attribute) and node.attr == "_observers"
+             and isinstance(node.ctx, ast.Load)]
+    assert sorted(loops[id(node)] for _, node in reads
+                  if id(node) in loops) == ["Engine._emit"]
+    assert [f"engine.py:{node.lineno}: {qualname}"
+            for qualname, node in reads
+            if qualname not in ("Engine._emit", "Engine.observe")
+            and id(node) not in guards] == []
+    assert [path.name for path in sorted(REPRO.rglob("*.py"))
+            if path != engine_py and "_observers" in path.read_text()] == []
+    tree = ast.parse(engine_py.read_text())
     calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
     names = {id(arg) for call in calls
              if getattr(call.func, "attr", None) == "_new_exec"
              for arg in call.args}
-    assert [ast.unparse(call) for call in calls
-            if "recorder" in ast.unparse(call.func)] == [
-        "self.recorder.record(activity)"]
     assert [f"engine.py:{node.lineno}: {node.value!r}"
             for node in ast.walk(tree)
             if isinstance(node, ast.Constant) and id(node) not in names

@@ -6,7 +6,8 @@ the failing host itself, and a ``FailureInjector`` pulse all reach
 ``SurfEngine.set_state`` and the engine's one state handler
 (``Engine._set_state``).  Whichever drives the flip, every observer —
 waiters on the dead host's activities, comm peers, joiners, ``on_exit``
-hooks, auto-restart reboots and the state listeners — sees one outcome,
+hooks, auto-restart reboots, the host hooks and the observers — sees one
+outcome,
 in one order, on both context factories and both kernels.
 """
 
@@ -20,7 +21,7 @@ import pytest
 import repro
 from repro.exceptions import ProcessKilledError, SimGridError
 from repro.platform.platform import Platform
-from repro.s4u import Engine, FailureInjector
+from repro.s4u import Engine, FailureInjector, Link
 from repro.surf.trace import Trace
 
 from pump import actor_body
@@ -75,8 +76,11 @@ class _World:
         self.handles = {}
         self.engine.on_host_state_change(
             lambda host, is_on: self.note("host", host.name, is_on))
-        self.engine.on_link_state_change(
-            lambda link, is_on: self.note("link", link.name, is_on))
+        self.engine.observe(self.observe_link)
+
+    def observe_link(self, date, kind, subject, value):
+        if kind == "state" and isinstance(subject, Link):
+            self.note("link", subject.name, value)
 
     def note(self, *what):
         self.log.append((*what, self.engine.now))
@@ -382,8 +386,8 @@ HOOKED_OPERATIONS = {
 
 class TestHooksDuringATurnOff:
     """``kill()``, ``suspend()`` and ``resume()`` called from a hook that a
-    turn-off fires — the ``on_exit`` of an actor the host took down, a
-    host or a link state listener — act at once in kernel context, the
+    turn-off fires — the ``on_exit`` of an actor the host took down or a
+    host state hook — act at once in kernel context, the
     same whether a timer or an actor's own ``turn_off()`` flipped the
     resource.  Hooks fired inside an actor's turn once took the call for
     a request of that actor: under generator contexts it was dropped."""
@@ -392,8 +396,7 @@ class TestHooksDuringATurnOff:
     def _run(operation, hook, context, driver):
         world = _World(context, _triangle())
         engine = world.engine
-        resource = (engine.link_by_name("xz") if hook == "link listener"
-                    else engine.host("Y"))
+        resource = engine.host("Y")
         body = HOOKED_OPERATIONS[operation][0]
         bystander = world.spawn("bystander", "Z", body)
         bystander.on_exit(
@@ -405,12 +408,9 @@ class TestHooksDuringATurnOff:
         if hook == "on_exit":
             world.spawn("victim", "Y", _sleeper).on_exit(
                 lambda failed: act())
-        elif hook == "host listener":
+        else:
             engine.on_host_state_change(
                 lambda host, is_on: None if is_on else act())
-        else:
-            engine.on_link_state_change(
-                lambda link, is_on: None if is_on else act())
         if operation == "suspend":
             engine.timers.schedule(3.0, bystander.resume)
         if driver == "timer":
@@ -421,8 +421,7 @@ class TestHooksDuringATurnOff:
         return _run_bounded(engine), world.log
 
     @pytest.mark.parametrize("context", CONTEXTS)
-    @pytest.mark.parametrize("hook",
-                             ["on_exit", "host listener", "link listener"])
+    @pytest.mark.parametrize("hook", ["on_exit", "host listener"])
     @pytest.mark.parametrize("operation", sorted(HOOKED_OPERATIONS))
     def test_same_outcome_as_a_timer_turn_off(self, operation, hook,
                                               context):
@@ -432,15 +431,13 @@ class TestHooksDuringATurnOff:
         assert self._run(operation, hook, context, "actor") == by_timer
 
     @pytest.mark.parametrize("context", CONTEXTS)
-    @pytest.mark.parametrize("hook", ["host listener", "link listener"])
-    def test_a_hook_killing_the_flipper_ends_its_call(self, hook, context):
+    def test_a_hook_killing_the_flipper_ends_its_call(self, context):
         """The actor whose ``turn_off()`` fired the hook dies like one
         that turned off its own host: the call raises
         ``ProcessKilledError`` once the flip is complete."""
         world = _World(context, _triangle())
         engine = world.engine
-        resource = (engine.link_by_name("xz") if hook == "link listener"
-                    else engine.host("Y"))
+        resource = engine.host("Y")
 
         def flipper(world, actor):
             try:
@@ -455,9 +452,7 @@ class TestHooksDuringATurnOff:
 
         victim = world.spawn("flipper", "X", flipper)
         victim.on_exit(lambda failed: world.note("flipper on_exit", failed))
-        register = (engine.on_link_state_change if hook == "link listener"
-                    else engine.on_host_state_change)
-        register(lambda flipped, is_on: victim.kill())
+        engine.on_host_state_change(lambda flipped, is_on: victim.kill())
         assert _run_bounded(engine) == HOST_DOWN
         assert world.log[-3:] == [("flipper on_exit", True, HOST_DOWN),
                                   ("killed", HOST_DOWN),
@@ -466,7 +461,7 @@ class TestHooksDuringATurnOff:
 
     @pytest.mark.parametrize("context", CONTEXTS)
     def test_a_hook_turning_off_the_flippers_host(self, context):
-        """A link listener that turns off the host of the actor whose
+        """A host hook that turns off the host of the actor whose
         ``turn_off()`` fired it: the nested flip kills that actor like
         any other on the host, and the outer call raises."""
         world = _World(context, _triangle())
@@ -475,20 +470,20 @@ class TestHooksDuringATurnOff:
         def flipper(world, actor):
             try:
                 yield actor.sleep_for(HOST_DOWN)
-                engine.link_by_name("xz").turn_off()
+                engine.host("Y").turn_off()
                 world.note("turn_off returned")
             except ProcessKilledError:
                 world.note("killed")
                 raise
 
-        victim = world.spawn("flipper", "Y", flipper)
+        victim = world.spawn("flipper", "X", flipper)
         victim.on_exit(lambda failed: world.note("flipper on_exit", failed))
-        engine.on_link_state_change(
-            lambda link, is_on: engine.host("Y").turn_off())
+        engine.on_host_state_change(
+            lambda host, is_on: host.name == "Y" and engine.host("X").turn_off())
         assert _run_bounded(engine) == HOST_DOWN
-        assert world.log == [("link", "xz", False, HOST_DOWN),
+        assert world.log == [("host", "Y", False, HOST_DOWN),
                              ("flipper on_exit", True, HOST_DOWN),
-                             ("host", "Y", False, HOST_DOWN),
+                             ("host", "X", False, HOST_DOWN),
                              ("killed", HOST_DOWN)]
         assert victim.exit_status is None and engine.actor_count() == 0
 
@@ -514,8 +509,8 @@ class TestHooksDuringATurnOff:
 
 class TestOneStatePath:
     """Structural guards: one SURF entry point flips a resource, one s4u
-    handler turns a flip into failures, kills, reboots and listener
-    calls — a second path is how traces and ``turn_off()`` drifted
+    handler turns a flip into failures, kills, reboots, hook calls and
+    events — a second path is how traces and ``turn_off()`` drifted
     apart."""
 
     SRC = pathlib.Path(repro.__file__).resolve().parent
@@ -562,12 +557,10 @@ class TestOneStatePath:
             "Link.turn_on", "Engine._run_loop"}
         # What a flip does happens in the handler and nowhere else;
         # ``close`` only empties the bookkeeping of a dead engine.
-        for state in ("_pending_restarts", "_host_state_listeners",
-                      "_link_state_listeners"):
+        for state in ("_pending_restarts", "_host_state_listeners"):
             assert self._users(state, calls_only=False) <= {
                 "Engine.__init__", "Engine._set_state",
-                "Engine.on_host_state_change",
-                "Engine.on_link_state_change", "Engine.close"}, state
+                "Engine.on_host_state_change", "Engine.close"}, state
         # Every other kill is asked for: by an actor, by host code, by
         # the end of the run, or by closing the engine.
         assert self._users("_kill_actor") == {

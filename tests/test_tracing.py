@@ -44,7 +44,8 @@ class TestGanttChart:
         platform.add_link("net", 1e6, 0.001)
         platform.connect("client", "server", "net")
         recorder = Recorder()
-        engine = Engine(platform, recorder=recorder)
+        engine = Engine(platform)
+        engine.observe(recorder)
 
         def client(actor):
             yield actor.engine.mailbox("server-inbox").put("request", size=2e6)
@@ -118,7 +119,8 @@ class TestGanttChart:
         platform = Platform("p")
         platform.add_host("h", 1e8)
         recorder = Recorder()
-        engine = Engine(platform, recorder=recorder)
+        engine = Engine(platform)
+        engine.observe(recorder)
 
         def poster(actor):
             comm = yield actor.engine.mailbox("nobody").put_async("x",
@@ -145,6 +147,20 @@ class TestExports:
         # The scale line ends where the chart does.
         assert lines[2].endswith("10|")
         assert len({len(line) for line in lines}) == 1
+
+    @pytest.mark.parametrize("width", range(1, 25))
+    def test_every_line_of_the_gantt_has_one_width(self, width):
+        """At any width the scale line is as wide as the rows: a makespan
+        label that does not fit after the "0" is left out, not drawn
+        past the chart's right edge."""
+        recorder = Recorder()
+        recorder.record_interval("alpha", "compute", 0.0, 5.0)
+        recorder.record_interval("beta", "comm-recv", 0.0, 10.0)
+        lines = render_ascii_gantt(recorder, width=width).splitlines()
+        assert [len(line) for line in lines] == [len("alpha |") + width + 1] * 3
+        scale = lines[2][len("alpha |"):-1]
+        assert scale == ("0" + "10".rjust(width - 1) if width >= 3
+                         else "0".ljust(width))
 
     def test_ascii_gantt_empty_recorder(self):
         assert render_ascii_gantt(Recorder()) == ""

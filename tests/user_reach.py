@@ -190,9 +190,6 @@ KEPT = {
     "s4u/engine.py::Engine.actor_count":
         "(b) MSG_process_get_number; tests/test_s4u_api.py::"
         "TestActorLifecycle::test_spawn_join_reap_waves",
-    "s4u/engine.py::Engine.on_link_state_change":
-        "(b) observes the XML link's state_file flips, as "
-        "on_host_state_change does the hosts'; " + _HOOKS,
     "s4u/engine.py::Engine.deadlocked": _DEADLOCK,
     "s4u/engine.py::Engine._handle_deadlock": _DEADLOCK,
     "s4u/engine.py::Engine._do_test": _TEST,

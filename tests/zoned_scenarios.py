@@ -129,9 +129,8 @@ def run_modulated_workload(sharded=False):
     """Execs + cross-site transfers spanning dips, plus a set_speed."""
     engine = s4u.Engine(traced_zoned_platform(), sharded=sharded)
     log = []
-    engine.on_resource_speed_change(
-        lambda resource, speed: log.append(
-            (engine.now, f"speed:{resource.name}", speed)))
+    engine.observe(lambda date, kind, subject, value: kind == "speed"
+                   and log.append((date, f"speed:{subject.name}", value)))
 
     pairs = [("site-0-host-0", "site-1-host-1"),
              ("site-1-host-0", "site-0-host-1")]
