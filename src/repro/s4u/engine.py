@@ -433,7 +433,8 @@ class Engine:
           (trace event, ``set_speed``, ``set_bandwidth``) and reached the
           solver, ``value`` the new speed;
         * ``"state"``: a Host or Link went down or up, after the flip's
-          failures, kills, reboots and host hooks; ``value`` is ``is_on``.
+          failures, kills, reboots and host hooks (so a flip nested in a
+          hook comes first); ``value`` is ``is_on``.
 
         Hosts and links never looked up (and carrying no trace) are not
         reported.  An observer watches and must not change the world (add,

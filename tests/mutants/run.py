@@ -2,10 +2,8 @@
 
 Run it from the repository root::
 
-    python tests/mutants/run.py                      # every mutant
-    python tests/mutants/run.py --only gantt-label-overhang
+    python tests/mutants/run.py
     python tests/mutants/run.py --deselect tests/test_tracing.py
-    python tests/mutants/run.py --no-tier1           # named tests only
 
 Each entry of :data:`MUTANTS` is ``(file, exact old text, new text,
 killing test)``: the patch that brings a defect back, and the regression
@@ -18,10 +16,14 @@ that fail and how long each step took.
 
 Before anything runs, every old text must occur exactly once in its file,
 and every killing test must pass on the unpatched tree; otherwise the
-entry is an error and the exit status is 2.  The exit status is 1 when a
-mutant survives its killing test, and 0 when each one is killed.  A
-defect fixed from now on adds its patch here.  This file is not collected
-by tier-1: ``pytest.ini`` collects ``test_*.py`` and ``bench_*.py`` only.
+entry is an error and the exit status is 2.  A mutant is killed when its
+killing test is reported ``FAILED`` (pytest exit 1) or hangs; any other
+failing exit (2 for a patch that breaks collection, 4 or 5 for a test id
+that matches nothing) is an error too, since no assertion ran.  The exit
+status is 1 when a mutant survives its killing test, and 0 when each one
+is killed.  A defect fixed from now on adds its patch here.  This file is
+not collected by tier-1: ``pytest.ini`` collects ``test_*.py`` and
+``bench_*.py`` only.
 """
 
 import argparse
@@ -112,11 +114,10 @@ _IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis",
 _FAILED = re.compile(r"^(?:FAILED|ERROR) ([^:\s]+)", re.M)
 
 
-def check_corpus(tree, names):
+def check_corpus(tree):
     """Every old text occurs exactly once; returns the errors."""
     errors = []
-    for name in names:
-        path, old, _new, _test = MUTANTS[name]
+    for name, (path, old, _new, _test) in MUTANTS.items():
         count = (tree / path).read_text().count(old)
         if count != 1:
             errors.append(f"{name}: old text found {count} times in {path}")
@@ -148,9 +149,18 @@ def killing_files(output):
     return sorted(set(_FAILED.findall(output)))
 
 
-def run_mutant(pristine, name, deselect, tier1):
-    """Apply one mutant to a copy of ``pristine`` and report; returns
-    whether its killing test killed it."""
+def verdict(test, code, output):
+    """``"killed"``, ``"survived"`` or ``"error"`` for one run of a
+    mutant's killing test."""
+    if code == -1 or (code == 1 and re.search(
+            rf"^FAILED {re.escape(test)}", output, re.M)):
+        return "killed"
+    return "survived" if code == 0 else "error"
+
+
+def run_mutant(pristine, name, deselect):
+    """Apply one mutant to a copy of ``pristine`` and report; returns the
+    :func:`verdict` of its killing test."""
     path, old, new, test = MUTANTS[name]
     tree = pristine.parent / name
     shutil.copytree(pristine, tree)
@@ -158,40 +168,36 @@ def run_mutant(pristine, name, deselect, tier1):
         target = tree / path
         target.write_text(target.read_text().replace(old, new))
         code, output, seconds = pytest(tree, test)
-        killed = code in (1, 2, -1)   # failed, interrupted or hung
-        print(f"{name}: " + ("killed by" if killed else "SURVIVED")
-              + f" {test} (exit {code}, {seconds:.1f} s)", flush=True)
-        if tier1:
-            code, output, seconds = pytest(
-                tree, *(f"--deselect={item}" for item in deselect))
-            files = killing_files(output)
-            if code == -1:
-                files.append("(tier-1 timed out)")
-            print(f"    tier-1 ({seconds:.1f} s): "
-                  + (", ".join(files) if files else "survived"), flush=True)
+        result = verdict(test, code, output)
+        print(f"{name}: {result} ({test}, exit {code}, {seconds:.1f} s)",
+              flush=True)
+        if result == "error":
+            print(output[-500:], flush=True)
+        code, output, seconds = pytest(
+            tree, *(f"--deselect={item}" for item in deselect))
+        files = killing_files(output)
+        if code == -1:
+            files.append("(tier-1 timed out)")
+        print(f"    tier-1 ({seconds:.1f} s): "
+              + (", ".join(files) if files else "survived"), flush=True)
     finally:
         shutil.rmtree(tree)
-    return killed
+    return result
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--only", action="append", choices=sorted(MUTANTS),
-                        help="run this mutant only (repeatable)")
     parser.add_argument("--deselect", action="append", default=[],
                         help="test id or file left out of the tier-1 pass "
                              "(repeatable)")
-    parser.add_argument("--no-tier1", action="store_true",
-                        help="run each mutant's killing test only")
     args = parser.parse_args(argv)
-    names = args.only or list(MUTANTS)
     with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
         pristine = pathlib.Path(scratch) / "pristine"
         shutil.copytree(ROOT, pristine, ignore=_IGNORED)
         shutil.rmtree(pristine / "perfbench" / "out", ignore_errors=True)
-        errors = check_corpus(pristine, names)
+        errors = check_corpus(pristine)
         code, output, _ = pytest(
-            pristine, *sorted({MUTANTS[name][3] for name in names}))
+            pristine, *sorted({test for *_, test in MUTANTS.values()}))
         if code != 0:
             errors.append("a killing test fails on the unpatched tree: "
                           + ", ".join(killing_files(output)
@@ -200,12 +206,13 @@ def main(argv=None):
             print(f"error: {error}")
         if errors:
             return 2
-        survivors = [name for name in names
-                     if not run_mutant(pristine, name, args.deselect,
-                                       not args.no_tier1)]
-    print(f"{len(names) - len(survivors)} of {len(names)} mutants killed "
+        results = [run_mutant(pristine, name, args.deselect)
+                   for name in MUTANTS]
+    print(f"{results.count('killed')} of {len(MUTANTS)} mutants killed "
           "by their tests")
-    return 1 if survivors else 0
+    if "error" in results:
+        return 2
+    return 1 if "survived" in results else 0
 
 
 if __name__ == "__main__":

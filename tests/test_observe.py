@@ -111,3 +111,35 @@ def test_the_stream_reports_ends_speeds_and_flips_in_order():
     assert events == [(who, *event) for event in expected
                       for who in ("first", "second")]
     assert not actor.is_alive
+
+
+def test_a_flip_is_reported_after_what_it_caused():
+    """A flip's ``"state"`` event closes its handling: the activity it
+    failed ends first, and so does a flip a host hook nests in it.  Nested
+    flips reach the observers innermost first and the hooks outermost
+    first."""
+    platform = make_star(num_hosts=2, host_speed=1e9)
+    engine = Engine(platform)
+    outer, inner = engine.host("leaf-0"), engine.host("leaf-1")
+    hooked, seen = [], []
+
+    def hook(host, is_on):
+        hooked.append(host.name)
+        if host is outer:
+            inner.turn_off()
+
+    engine.on_host_state_change(hook)
+    engine.observe(lambda date, kind, subject, value: seen.append(
+        (date, kind, subject.name, value)))
+
+    def worker(actor):
+        work = yield actor.exec_async(1e10)
+        yield work.wait()
+
+    engine.add_actor("worker", outer, worker)
+    engine.timers.schedule(1.0, outer.turn_off)
+    assert engine.run() == 1.0
+    assert hooked == ["leaf-0", "leaf-1"]
+    assert seen == [(1.0, "end", "compute", ActivityState.FAILED),
+                    (1.0, "state", "leaf-1", False),
+                    (1.0, "state", "leaf-0", False)]
